@@ -2,9 +2,10 @@
 
 Genericity is realized by standard-normal sampling plus explicit nondegeneracy
 checks; a randomly drawn subspace misses the bad loci with probability 1.
-Numerical ranks count singular values above a relative tolerance and demand a
-visible spectral gap, reporting an indeterminate outcome instead of guessing
-when the spectrum is ambiguous.
+Both tangent rank tests build their Jacobians in closed form, so no step size
+enters. Numerical ranks count singular values above a relative tolerance and
+demand a visible spectral gap, reporting an indeterminate outcome instead of
+guessing when the spectrum is ambiguous.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .plucker import SubspaceBasis, index_subsets, subset_position
 
 DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_GAP = 1e3
-FD_STEP = 1e-6
-FD_CHECK_STEP = 1e-7
-FD_AGREEMENT = 1e-4
 CONSISTENCY_RTOL = 1e-6
 GENERIC_RETRIES = 5
 
@@ -78,7 +76,10 @@ class ObservedMatrix:
 
 
 def observed_from_csv(text: str) -> ObservedMatrix:
-    """Parse a CSV with ``*`` marking unobserved cells; dimensions inferred."""
+    """Parse a CSV with ``*`` marking unobserved cells; dimensions inferred.
+
+    Non-finite values (``nan``, ``inf``) are rejected with the line and column.
+    """
     rows = [line for line in text.splitlines() if line.strip() != ""]
     if not rows:
         raise ObservedMatrixFormatError("empty values file")
@@ -95,11 +96,16 @@ def observed_from_csv(text: str) -> ObservedMatrix:
             if cell == "*":
                 continue
             try:
-                values[(i, j)] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise ObservedMatrixFormatError(
                     f"line {i + 1}, column {j + 1}: bad value {cell!r}"
                 ) from exc
+            if not np.isfinite(value):
+                raise ObservedMatrixFormatError(
+                    f"line {i + 1}, column {j + 1}: non-finite value {cell!r}"
+                )
+            values[(i, j)] = value
             entries.add((i, j))
     pattern = ObservationPattern(len(cells), width, frozenset(entries))
     return ObservedMatrix(pattern, values)
@@ -296,16 +302,6 @@ def jacobian_rank_test(
     )
 
 
-def _needed_minors(funcs: Sequence[tuple[int, tuple[int, ...]]]):
-    """Unique r-subsets appearing in the given section functionals."""
-    needed: dict[tuple[int, ...], int] = {}
-    for _, phi in funcs:
-        for i in phi:
-            rest = tuple(x for x in phi if x != i)
-            needed.setdefault(rest, len(needed))
-    return needed
-
-
 def grassmann_section_rank_test(
     pattern: ObservationPattern,
     r: int,
@@ -316,18 +312,20 @@ def grassmann_section_rank_test(
     """Tangent-space rank of the hyperplane-section system on the Grassmannian.
 
     A generic subspace is drawn in a local chart (identity block on r random
-    rows, free coordinates elsewhere), consistent observations are sampled
-    from it, and each column contributes (#support - r) section functionals
-    anchored at a well-conditioned base subset. The functionals vanish at the
-    drawn subspace; the test differentiates them with central finite
-    differences in the chart coordinates and measures the rank. Full rank
-    r(m-r) means the sections pin the subspace down to isolated points.
+    rows, free coordinates elsewhere) and consistent observations x_j = B c_j
+    are sampled from it. Column j keeps x_j on its support omega_j inside the
+    projected subspace; to first order in a chart perturbation D (zero on the
+    identity rows) that reads N_j^T (D c_j)[omega_j] = 0, where N_j spans the
+    left null space of B[omega_j]. The test stacks these #omega_j - r rows
+    per column and measures the rank of the exact linearization, so no step
+    size is involved. Full rank r(m-r) means the sections pin the subspace
+    down to isolated points.
 
     Raises:
-        SectionTestError: a column support cannot yield a nondegenerate base
-            subset (named in the message).
+        SectionTestError: a column support cannot yield a nondegenerate
+            projection (named in the message).
     """
-    if not 1 <= r < pattern.m:
+    if not 1 <= r <= pattern.m:
         raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -345,8 +343,7 @@ def grassmann_section_rank_test(
             stacklevel=2,
         )
     target = r * (m - r)
-    nparams = (m - r) * r
-    if sum(max(len(omega) - r, 0) for omega in supports) == 0:
+    if sum(len(omega) - r for omega in supports) == 0:
         # no column yields a section functional, the system is empty
         return RankReport(
             tested_rank=0,
@@ -359,37 +356,8 @@ def grassmann_section_rank_test(
     passes = 0
     indeterminate = 0
     for child in _trial_seeds(seed, trials):
-        rng = np.random.default_rng(child)
-        perm, C0, coeff, minor_subsets = _draw_section_setup(pattern, r, rng, supports)
-
-        def chart_basis(C: np.ndarray) -> np.ndarray:
-            B = np.empty((m, r))
-            B[perm] = np.vstack([np.eye(r), C])
-            return B
-
-        def section_values(C: np.ndarray) -> np.ndarray:
-            B = chart_basis(C)
-            minors = np.linalg.det(B[minor_subsets])
-            return coeff @ minors
-
-        def jacobian(step: float) -> np.ndarray:
-            J = np.zeros((coeff.shape[0], nparams))
-            for p in range(nparams):
-                a, b = divmod(p, r)
-                Cp = C0.copy()
-                Cp[a, b] += step
-                Cm = C0.copy()
-                Cm[a, b] -= step
-                J[:, p] = (section_values(Cp) - section_values(Cm)) / (2 * step)
-            return J
-
-        J1 = jacobian(FD_STEP)
-        J2 = jacobian(FD_CHECK_STEP)
-        denom = max(float(np.linalg.norm(J1)), 1e-300)
-        if float(np.linalg.norm(J1 - J2)) / denom > FD_AGREEMENT:
-            indeterminate += 1
-            continue
-        rank, ok = numerical_rank(np.linalg.svd(J1, compute_uv=False), tol=tol)
+        J = _section_jacobian(m, r, np.random.default_rng(child), supports)
+        rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
         if not ok:
             indeterminate += 1
             continue
@@ -406,45 +374,37 @@ def grassmann_section_rank_test(
     )
 
 
-def _draw_section_setup(pattern, r, rng, supports):
-    """Draw a chart, a subspace, and consistent data; build the functionals.
+def _section_jacobian(m, r, rng, supports) -> np.ndarray:
+    """Draw a chart, a subspace and consistent data; linearize the sections.
 
     Retries a few times until every column support projects the drawn
     subspace without dropping dimension; raises when a column can never work.
+    Column p = a * r + b of the result is the chart coordinate at free row a,
+    basis column b.
     """
-    m = pattern.m
     offending = None
     for _ in range(GENERIC_RETRIES):
         perm = rng.permutation(m)
         C0 = rng.standard_normal((m - r, r))
         B0 = np.empty((m, r))
         B0[perm] = np.vstack([np.eye(r), C0])
-        psis = []
+        nulls = []
         offending = None
         for j, omega in enumerate(supports):
-            proj = B0[list(omega)]
-            s = np.linalg.svd(proj, compute_uv=False)
+            U, s, _ = np.linalg.svd(B0[list(omega)])
             if s[-1] <= DEFAULT_RANK_TOL * s[0]:
                 offending = j
                 break
-            psis.append([omega[t] for t in _pivot_rows(proj, r)])
+            nulls.append(U[:, r:])
         if offending is not None:
             continue
-        funcs: list[tuple[int, tuple[int, ...]]] = []
-        xs = {}
-        for j, omega in enumerate(supports):
-            xs[j] = B0 @ rng.standard_normal(r)
-            for k in omega:
-                if k not in psis[j]:
-                    funcs.append((j, tuple(sorted(psis[j] + [k]))))
-        minor_pos = _needed_minors(funcs)
-        minor_subsets = np.array(list(minor_pos), dtype=np.intp)
-        coeff = np.zeros((len(funcs), len(minor_pos)))
-        for row, (j, phi) in enumerate(funcs):
-            for k, i in enumerate(phi):
-                rest = tuple(x for x in phi if x != i)
-                coeff[row, minor_pos[rest]] += (-1) ** k * xs[j][i]
-        return perm, C0, coeff, minor_subsets
+        blocks = []
+        for omega, N in zip(supports, nulls):
+            c = rng.standard_normal(r)
+            lifted = np.zeros((m, N.shape[1]))
+            lifted[list(omega)] = N
+            blocks.append(np.kron(lifted[perm[r:]].T, c))
+        return np.vstack(blocks)
     raise SectionTestError(
         f"no nondegenerate base subset for column {offending + 1} "
         f"after {GENERIC_RETRIES} draws"

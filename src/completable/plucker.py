@@ -60,50 +60,52 @@ def _is_exact_array(a: np.ndarray) -> bool:
     return a.dtype == object or np.issubdtype(a.dtype, np.integer)
 
 
-def _exact_det(rows: list[list]) -> Fraction | int:
-    """Determinant by fraction-free Gaussian elimination over the rationals."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((k for k in range(c, n) if mat[k][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for k in range(c + 1, n):
-            f = mat[k][c] * inv
-            if f:
-                mat[k] = [mat[k][t] - f * mat[c][t] for t in range(n)]
-    return int(det) if det.denominator == 1 else det
+def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[int, object]:
+    """Rank and determinant by Gaussian elimination over the rationals or GF(p).
 
+    Entries are integers or Fractions. With ``p`` set, arithmetic is modulo
+    that prime and the determinant is reduced into range(p); otherwise it is
+    exact, an int when integral. The determinant is the signed product of the
+    pivots, and 0 unless the matrix is square of full rank.
+    """
 
-def _exact_rank(matrix: np.ndarray) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix.tolist()]
-    nrows, ncols = len(rows), len(rows[0])
+    def reduce(x):
+        return x if p is None else x % p
+
+    def inverse(x):
+        return 1 / x if p is None else pow(x, p - 2, p)
+
+    mat = [[reduce(Fraction(x) if p is None else x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
     rank = 0
+    det = 1
     for c in range(ncols):
-        pivot = next((k for k in range(rank, nrows) if rows[k][c] != 0), None)
+        pivot = next((k for k in range(rank, nrows) if mat[k][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            det = -det
+        det = reduce(det * mat[rank][c])
+        inv = inverse(mat[rank][c])
         for k in range(rank + 1, nrows):
-            f = rows[k][c] * inv
+            f = reduce(mat[k][c] * inv)
             if f:
-                rows[k] = [rows[k][t] - f * rows[rank][t] for t in range(ncols)]
+                mat[k] = [reduce(a - f * b) for a, b in zip(mat[k], mat[rank])]
         rank += 1
         if rank == nrows:
             break
-    return rank
+    if rank < nrows or nrows != ncols:
+        det = 0
+    if isinstance(det, Fraction) and det.denominator == 1:
+        det = int(det)
+    return rank, det
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An m-by-r matrix with linearly independent columns."""
+    """An m-by-r matrix with finite entries and linearly independent columns."""
 
     matrix: np.ndarray
 
@@ -115,9 +117,11 @@ class SubspaceBasis:
         if r > m:
             raise NotABasisError(f"not a basis: {r} columns cannot be independent in dimension {m}")
         if _is_exact_array(mat):
-            rank = _exact_rank(mat)
+            rank, _ = row_reduce(mat.tolist())
         else:
             mat = mat.astype(float)
+            if not np.isfinite(mat).all():
+                raise NotABasisError("not a basis: entries must be finite")
             rank = int(np.linalg.matrix_rank(mat))
         if rank != r:
             raise NotABasisError(f"not a basis: column rank {rank} < {r}")
@@ -184,7 +188,7 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
         rows = mat.tolist()
         coords = np.empty(len(subsets), dtype=object)
         for pos, psi in enumerate(subsets):
-            coords[pos] = _exact_det([rows[i] for i in psi])
+            _, coords[pos] = row_reduce([rows[i] for i in psi])
         return PluckerVector(r=r, m=m, coords=coords)
     idx = np.array(subsets, dtype=np.intp)
     out = np.empty(len(subsets))

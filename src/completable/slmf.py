@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .patterns import parse_pattern
+from .plucker import SubspaceBasis, evaluate_bphi, plucker_of_basis, row_reduce
 
 EXHAUSTIVE_COLUMN_LIMIT = 22
 FIELD_PRIME = (1 << 31) - 1
@@ -92,62 +93,18 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
 
 
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = 1
-    for c in range(n):
-        pivot = next((k for k in range(c, n) if mat[k][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det = det * mat[c][c] % p
-        inv = pow(mat[c][c], p - 2, p)
-        for k in range(c + 1, n):
-            f = mat[k][c] * inv % p
-            if f:
-                mat[k] = [(mat[k][t] - f * mat[c][t]) % p for t in range(n)]
-    return det % p
-
-
-def _rank_mod(mat: list[list[int]], p: int) -> int:
-    mat = [row[:] for row in mat]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(rank, nrows) if mat[k][c] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        for k in range(rank + 1, nrows):
-            f = mat[k][c] * inv % p
-            if f:
-                mat[k] = [(mat[k][t] - f * mat[rank][t]) % p for t in range(ncols)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator, p: int) -> int:
     """Rank over GF(p) of the dual basis evaluated at a random subspace."""
     basis = rng.integers(1, p, size=(phi.m, phi.r)).tolist()
     mat = [[0] * len(phi.columns) for _ in range(phi.m)]
     for j, col in enumerate(phi.columns):
         for i, row in enumerate(col):
-            rest = [basis[t] for t in col if t != row]
-            minor = _det_mod(rest, p)
-            mat[row][j] = (-1) ** i % p * minor % p
-    return _rank_mod(mat, p)
+            _, minor = row_reduce([basis[t] for t in col if t != row], p)
+            mat[row][j] = (-1) ** i * minor % p
+    return row_reduce(mat, p)[0]
 
 
 def _dual_basis_rank_float(phi: Slmf, rng: np.random.Generator) -> int:
-    from .plucker import SubspaceBasis, evaluate_bphi, plucker_of_basis
-
     basis = SubspaceBasis(rng.standard_normal((phi.m, phi.r)))
     evaluated = evaluate_bphi(phi, plucker_of_basis(basis))
     s = np.linalg.svd(evaluated, compute_uv=False)

@@ -333,3 +333,66 @@ def test_exit_code_branches():
 def test_usage_error_on_unknown_command(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 64
+
+
+def test_analyze_rank_equal_to_m_fully_observed(capsys, tmp_path):
+    path = tmp_path / "full.txt"
+    path.write_text("11\n11\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "2", "--json")
+    assert code == 0
+    section = json.loads(out)["grassmann_section_rank"]
+    assert (section["verdict"], section["tested_rank"], section["target"]) == ("pass", 0, 0)
+    assert err == ""
+
+
+def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
+    path = tmp_path / "holed.txt"
+    path.write_text("111\n111\n110\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "3", "--json")
+    assert code == 2
+    section = json.loads(out)["grassmann_section_rank"]
+    assert section["verdict"] == "inconclusive"
+    assert "column 3" in section["error"]
+    assert err == ""
+
+
+def test_complete_nan_value_exit_64(capsys, tmp_path):
+    values, basis, _ = _observed_csv_file(tmp_path)
+    lines = values.read_text().splitlines()
+    cells = lines[0].split(",")
+    cells[0] = "nan"  # row 1, column 1 is observed in the fixture mask
+    lines[0] = ",".join(cells)
+    values.write_text("\n".join(lines) + "\n")
+    out_file = tmp_path / "completed.csv"
+    code, _, err = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(basis), "--out", str(out_file),
+    )
+    assert code == 64
+    assert "line 1, column 1" in err and "non-finite" in err
+    assert not out_file.exists()
+
+
+def test_export_system_inf_value_exit_64(capsys, tmp_path):
+    values = tmp_path / "values.csv"
+    values.write_text("1.0,2.0\n3.0,inf\n5.0,*\n")
+    prefix = tmp_path / "system"
+    code, _, err = run_cli(
+        capsys, "export-system", str(values), "--rank", "1", "--out", str(prefix)
+    )
+    assert code == 64
+    assert "line 2, column 2" in err and "non-finite" in err
+    assert not prefix.with_suffix(".csv").exists()
+
+
+def test_complete_nan_basis_exit_65(capsys, tmp_path):
+    values, basis, _ = _observed_csv_file(tmp_path)
+    lines = basis.read_text().splitlines()
+    lines[2] = "nan," + lines[2].split(",")[1]
+    basis.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(basis), "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 65
+    assert "finite" in err

@@ -1,0 +1,53 @@
+"""Property tests of the identities linking the analyses."""
+
+import warnings
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from completable import (
+    ObservationPattern,
+    grassmann_section_rank_test,
+    jacobian_rank_test,
+    random_pattern,
+)
+
+
+@st.composite
+def masks_with_r_per_column(draw):
+    """(pattern, r) with every column observed on at least r rows.
+
+    Half are ``random_pattern`` masks with k rows per column; the others are
+    thinned masks whose column sizes are drawn between r and m, so columns
+    with exactly r rows (no sections) and fully observed columns both occur.
+    """
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, min(m, n, 3)))
+    if draw(st.booleans()):
+        k = draw(st.integers(r, m))
+        return random_pattern(m, n, k, seed=draw(st.integers(0, 2**16))), r
+    entries = set()
+    for j in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), min_size=r, max_size=m))
+        entries.update((i, j) for i in rows)
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_with_r_per_column(), st.integers(0, 2**16))
+def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
+    """rank J(A, C) = rank of the section tangent + r n.
+
+    With every column observed on at least r rows, the coefficients c_j of a
+    column are fixed by the column space, so the factorization Jacobian
+    splits into the Grassmannian directions the sections see and r n
+    coefficient directions.
+    """
+    pattern, r = mask
+    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # masks are rarely of exact size
+        section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
+    assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
+    assert jacobian.tested_rank == section.tested_rank + r * pattern.n
