@@ -3,9 +3,10 @@
 A certificate partitions the pattern's columns into r groups (finite case) or
 r+1 groups (unique case) and exhibits, per group, a linkage support whose
 columns are (r+1)-subsets drawn from the supports of that group's pattern
-columns. Verification is exact; the search is an exhaustive backtracking over
-partitions and subset selections, complete at desk scale and budget-bounded
-beyond it.
+columns. Verification is exact. The search enumerates partitions
+exhaustively; within a group it selects the linkage support greedily, since
+the candidate families form a matroid whose independence test is a bipartite
+matching. It is complete at desk scale and budget-bounded beyond it.
 """
 
 from __future__ import annotations
@@ -205,88 +206,99 @@ def _partitions(columns: Sequence[int], groups: int, budget: _Budget) -> Iterato
             yield [group] + tail
 
 
+def _column_pools(
+    supports: Sequence[Sequence[int]], r: int
+) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per column, its (r+1)-subsets in lexicographic order with their row bitmasks."""
+    return [
+        [(subset, sum(1 << i for i in subset)) for subset in column_subsets(omega, r + 1)]
+        for omega in supports
+    ]
+
+
 def _group_pool(
-    supports: Sequence[Sequence[int]], group: Sequence[int], r: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Deduplicated (subset, source column) pool for a group, lexicographic."""
-    pool: dict[tuple[int, ...], int] = {}
+    column_pools: Sequence[Sequence[tuple[tuple[int, ...], int]]], group: Sequence[int]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Deduplicated (subset, source column, row bitmask) pool for a group, lexicographic."""
+    pool: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
     for k in sorted(group):
-        if len(supports[k]) < r + 1:
-            continue
-        for subset in column_subsets(supports[k], r + 1):
-            pool.setdefault(subset, k)
-    return sorted(pool.items())
+        for subset, mask in column_pools[k]:
+            if subset not in pool:
+                pool[subset] = (subset, k, mask)
+    return sorted(pool.values())
+
+
+def _augment(
+    v: int, rows_of: Sequence[Sequence[int]], owner: list[int], seen: list[bool]
+) -> bool:
+    """Kuhn's step: match left vertex ``v``, re-matching others along an augmenting path."""
+    for u in rows_of[v]:
+        if not seen[u]:
+            seen[u] = True
+            w = owner[u]
+            if w < 0 or _augment(w, rows_of, owner, seen):
+                owner[u] = v
+                return True
+    return False
 
 
 def _first_slmf_selection(
-    pool: list[tuple[tuple[int, ...], int]], m: int, r: int, budget: _Budget
+    pool: list[tuple[tuple[int, ...], int, int]], m: int, r: int, budget: _Budget
 ) -> Optional[SlmfWitness]:
     """Lexicographically first choice of m-r pool subsets forming an SLMF.
 
-    Backtracking keeps, for the current partial selection, the union of every
-    subfamily; a new subset is admitted only if all subfamilies containing it
-    still cover enough rows, which is the covering inequality restricted to
-    the chosen columns.
+    The families whose every subfamily of t subsets covers at least t+r rows
+    are the independent sets of the matroid induced by |N(S)| - r (Edmonds),
+    so greedy over the pool in order yields the lexicographically first
+    basis. A candidate is independent of the chosen subsets iff, alongside a
+    matching of each chosen subset to its own row, r+1 copies of it can be
+    matched too (surplus form of Hall's theorem); the matching of the chosen
+    subsets is kept between candidates, so each test is r+1 augmentations.
     """
     needed = m - r
     if needed == 0:
         return SlmfWitness(supports=(), sources=())
     if len(pool) < needed:
         return None
-    masks = [sum(1 << i for i in subset) for subset, _ in pool]
     full = (1 << m) - 1
     suffix_union = [0] * (len(pool) + 1)
     for idx in range(len(pool) - 1, -1, -1):
-        suffix_union[idx] = suffix_union[idx + 1] | masks[idx]
+        suffix_union[idx] = suffix_union[idx + 1] | pool[idx][2]
     if suffix_union[0] != full:
         # the complete family must cover every row
         return None
 
     chosen: list[int] = []
-    # unions[t] / counts[t]: union and cardinality of the t-th subfamily of
-    # the chosen columns, indexed by bitmask over selection order
-    unions = [0]
-    counts = [0]
-
-    def extend(start: int) -> Optional[tuple[int, ...]]:
+    rows_of: list[tuple[int, ...]] = []  # rows of the chosen subsets, in order
+    owner = [-1] * m  # owner[i]: position in ``chosen`` matched to row i, or -1
+    covered = 0
+    for idx, (subset, _, mask) in enumerate(pool):
+        budget.spend()
+        k = len(chosen)
+        if len(pool) - idx < needed - k:
+            break
+        if (suffix_union[idx] | covered) != full:
+            # rows missing from everything still available; later
+            # candidates only shrink the reachable union
+            break
+        trial = owner[:]
+        copies = rows_of + [subset] * (r + 1)
+        if not all(_augment(v, copies, trial, [False] * m) for v in range(k, k + r + 1)):
+            continue
+        # the r+1 copies hold exactly the candidate's rows; keep the first
+        for i in subset:
+            if trial[i] > k:
+                trial[i] = -1
+        owner = trial
+        chosen.append(idx)
+        rows_of.append(subset)
+        covered |= mask
         if len(chosen) == needed:
-            return tuple(chosen)
-        for idx in range(start, len(pool)):
-            budget.spend()
-            remaining = needed - len(chosen) - 1
-            if len(pool) - idx - 1 < remaining:
-                break
-            mask = masks[idx]
-            union_all = unions[(1 << len(chosen)) - 1]
-            if (suffix_union[idx] | union_all) != full:
-                # rows missing from everything still available; later
-                # candidates only shrink the reachable union
-                break
-            new_unions = [u | mask for u in unions]
-            new_counts = [c + 1 for c in counts]
-            if any(
-                u.bit_count() < c + r
-                for u, c in zip(new_unions, new_counts)
-            ):
-                continue
-            chosen.append(idx)
-            unions.extend(new_unions)
-            counts.extend(new_counts)
-            found = extend(idx + 1)
-            if found is not None:
-                return found
-            chosen.pop()
-            del unions[len(unions) // 2 :]
-            del counts[len(counts) // 2 :]
-        return None
-
-    picked = extend(0)
-    if picked is None:
-        return None
-    return SlmfWitness(
-        supports=tuple(pool[idx][0] for idx in picked),
-        sources=tuple(pool[idx][1] for idx in picked),
-    )
+            return SlmfWitness(
+                supports=tuple(pool[c][0] for c in chosen),
+                sources=tuple(pool[c][1] for c in chosen),
+            )
+    return None
 
 
 def _find_certificate(
@@ -297,6 +309,7 @@ def _find_certificate(
     budget = _Budget(budget_nodes)
     if any(len(omega) < r for omega in supports):
         return SearchOutcome(None, exhausted=True, nodes=0)
+    column_pools = _column_pools(supports, r)
     memo: dict[frozenset[int], Optional[SlmfWitness]] = {}
     try:
         for partition in _partitions(range(pattern.n), groups, budget):
@@ -305,7 +318,7 @@ def _find_certificate(
                 key = frozenset(group)
                 if key not in memo:
                     memo[key] = _first_slmf_selection(
-                        _group_pool(supports, group, r), pattern.m, r, budget
+                        _group_pool(column_pools, group), pattern.m, r, budget
                     )
                 if memo[key] is None:
                     witnesses = None

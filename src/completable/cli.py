@@ -44,7 +44,12 @@ from .patterns import (
     random_pattern,
 )
 from .plucker import NotABasisError, SubspaceBasis
-from .slmf import check_slmf_combinatorial, check_slmf_randomized, slmf_from_grid
+from .slmf import (
+    EXHAUSTIVE_COLUMN_LIMIT,
+    check_slmf_combinatorial,
+    check_slmf_randomized,
+    slmf_from_grid,
+)
 
 EXIT_EVIDENCE = 0
 EXIT_AGAINST = 2
@@ -261,7 +266,7 @@ def _cmd_analyze(args) -> int:
         )
     report = build_analysis_report(pattern, args.rank, args.seed, args.budget)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         print(_render_report(report))
     return report["exit_code"]
@@ -273,6 +278,12 @@ def _cmd_slmf_check(args) -> int:
         phi = slmf_from_grid(text, args.rank)
     except (PatternFormatError, ValueError) as exc:
         raise _UsageError(f"{args.phi_file}: {exc}") from exc
+    if args.method != "randomized" and len(phi.columns) > EXHAUSTIVE_COLUMN_LIMIT:
+        raise _UsageError(
+            f"{args.phi_file}: {len(phi.columns)} columns exceed the "
+            f"{EXHAUSTIVE_COLUMN_LIMIT}-column limit of the combinatorial check; "
+            "use --method randomized"
+        )
     verdicts = {}
     if args.method in ("combinatorial", "both"):
         verdicts["combinatorial"] = check_slmf_combinatorial(phi)
@@ -305,6 +316,10 @@ def _cmd_complete(args) -> int:
         if basis.r != args.rank:
             raise NotABasisError(
                 f"basis has {basis.r} columns, expected rank {args.rank}"
+            )
+        if basis.m != obs.pattern.m:
+            raise NotABasisError(
+                f"basis has {basis.m} rows, the values have {obs.pattern.m}"
             )
         completed = complete_matrix(obs, basis)
     except (NotABasisError, DegenerateProjectionError, InconsistentObservationError) as exc:
@@ -359,7 +374,10 @@ def _cmd_export_system(args) -> int:
         raise _UsageError(f"{args.values_file}: {exc}") from exc
     if args.rank < 1 or args.rank > obs.pattern.m:
         raise _UsageError("--rank out of range")
-    system = export_plucker_system(obs, args.rank)
+    try:
+        system = export_plucker_system(obs, args.rank)
+    except ValueError as exc:  # more rows or Plucker coordinates than supported
+        raise _UsageError(f"{args.values_file}: {exc}") from exc
     csv_path = Path(args.out + ".csv")
     json_path = Path(args.out + ".json")
     csv_path.write_text(system.to_csv())
@@ -428,6 +446,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other failure is a fault of this tool
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from completable import (
     Certificate,
     ObservationPattern,
@@ -11,10 +13,11 @@ from completable import (
     find_finite_certificate,
     find_unique_certificate,
     minimum_size_check,
+    parse_pattern,
     random_pattern,
     verify_certificate,
 )
-from conftest import PHI_A, PHI_B, PHI_C
+from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
 
 
 def _witness(phi, sources):
@@ -265,3 +268,26 @@ def test_certificate_json_roundtrip(pattern_6x5):
     restored = certificate_from_json(text)
     assert restored == cert
     assert verify_certificate(pattern_6x5, 2, restored).ok
+
+
+@pytest.mark.parametrize(
+    "pattern, finite_nodes, unique_nodes",
+    [
+        pytest.param(parse_pattern(GRID_6X5), 17, 101, id="6x5"),
+        pytest.param(parse_pattern(GRID_6X6), 17, 61, id="6x6"),
+        pytest.param(random_pattern(8, 8, 5, seed=1), 29, 809, id="8x8-k5-s1"),
+        pytest.param(random_pattern(12, 12, 5, seed=4), 550, 34_698, id="12x12-k5-s4"),
+    ],
+)
+def test_search_node_counts_are_pinned(pattern, finite_nodes, unique_nodes):
+    """A node is one partition step or one pool candidate tested; these counts fix that meaning."""
+    assert find_finite_certificate(pattern, 2).nodes == finite_nodes
+    assert find_unique_certificate(pattern, 2).nodes == unique_nodes
+
+
+def test_unique_certificate_found_within_budget_on_12x12_k5_s4():
+    """The greedy selection decides this case within the budget that left it inconclusive."""
+    pattern = random_pattern(12, 12, 5, seed=4)
+    outcome = find_unique_certificate(pattern, 2, budget=100_000)
+    assert outcome.status == "found"
+    assert verify_certificate(pattern, 2, outcome.certificate).ok

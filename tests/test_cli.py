@@ -396,3 +396,61 @@ def test_complete_nan_basis_exit_65(capsys, tmp_path):
     )
     assert code == 65
     assert "finite" in err
+
+
+def test_complete_basis_row_mismatch_exit_65(capsys, tmp_path):
+    values = tmp_path / "values.csv"
+    values.write_text("1.0,2.0\n2.0,4.0\n")
+    basis = tmp_path / "basis.csv"
+    basis.write_text("1.0\n2.0\n3.0\n")
+    code, _, err = run_cli(
+        capsys, "complete", str(values), "--rank", "1",
+        "--basis", str(basis), "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 65
+    assert "basis has 3 rows, the values have 2" in err
+
+
+def test_export_system_too_many_rows_exit_64(capsys, tmp_path):
+    values = tmp_path / "values.csv"
+    values.write_text("1.0,1.0\n" * 70)
+    prefix = tmp_path / "system"
+    code, _, err = run_cli(
+        capsys, "export-system", str(values), "--rank", "1", "--out", str(prefix)
+    )
+    assert code == 64
+    assert "70" in err and "64" in err
+    assert not prefix.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("method", ["both", "combinatorial"])
+def test_slmf_check_over_column_limit_exit_64(capsys, tmp_path, method):
+    from completable import Slmf
+
+    path = tmp_path / "phi.txt"
+    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=tuple((j, j + 1) for j in range(24)))))
+    code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
+    assert code == 64
+    assert "22-column limit" in err and "--method randomized" in err
+    code, out, _ = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", "randomized")
+    assert (code, out.splitlines()[0]) == (0, "slmf: yes")
+
+
+def test_unexpected_exception_is_exit_70(capsys, pattern_file, monkeypatch):
+    import completable.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli_mod, "build_analysis_report", boom)
+    code, out, err = run_cli(capsys, "analyze", pattern_file, "--rank", "2")
+    assert code == 70
+    assert out == ""
+    assert err.count("\n") == 1 and "RuntimeError: unexpected state" in err
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "build_analysis_report", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", pattern_file, "--rank", "2"])

@@ -1,5 +1,6 @@
 """Property tests of the identities linking the analyses."""
 
+import itertools
 import warnings
 
 from hypothesis import assume, given, settings
@@ -7,10 +8,14 @@ from hypothesis import strategies as st
 
 from completable import (
     ObservationPattern,
+    Slmf,
+    SlmfWitness,
+    check_slmf_combinatorial,
     grassmann_section_rank_test,
     jacobian_rank_test,
     random_pattern,
 )
+from completable.certificates import _Budget, _first_slmf_selection
 
 
 @st.composite
@@ -51,3 +56,44 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
         section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
     assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
     assert jacobian.tested_rank == section.tested_rank + r * pattern.n
+
+
+@st.composite
+def slmf_pools(draw):
+    """(pool, m, r): up to 12 distinct (r+1)-subsets of range(m), m <= 7, in any order."""
+    m = draw(st.integers(2, 7))
+    r = draw(st.integers(1, m - 1))
+    subsets = draw(
+        st.lists(
+            st.sets(st.integers(0, m - 1), min_size=r + 1, max_size=r + 1).map(
+                lambda s: tuple(sorted(s))
+            ),
+            max_size=12,
+            unique=True,
+        )
+    )
+    pool = [(s, draw(st.integers(0, 5)), sum(1 << i for i in s)) for s in subsets]
+    return pool, m, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slmf_pools())
+def test_greedy_selection_is_the_first_slmf_by_brute_force(drawn):
+    """Greedy with the matching oracle returns the lexicographically first SLMF subfamily."""
+    pool, m, r = drawn
+    reference = next(
+        (
+            picked
+            for picked in itertools.combinations(range(len(pool)), m - r)
+            if check_slmf_combinatorial(Slmf(m, r, tuple(pool[i][0] for i in picked))).is_slmf
+        ),
+        None,
+    )
+    witness = _first_slmf_selection(pool, m, r, _Budget(10**6))
+    if reference is None:
+        assert witness is None
+    else:
+        assert witness == SlmfWitness(
+            supports=tuple(pool[i][0] for i in reference),
+            sources=tuple(pool[i][1] for i in reference),
+        )
