@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .numerics import generic_row_basis
 from .patterns import ObservationPattern, column_subsets
 from .slmf import Slmf, check_slmf_combinatorial
 
@@ -425,6 +426,16 @@ def check_necessary_condition(
     This is a necessary condition for finite completability, never claimed
     sufficient. When the pattern already has the exact size the search is a
     single direct check.
+
+    A larger pattern first tries one candidate, reported as one node when it
+    passes: the entries of a greedy row basis of the factorization Jacobian at
+    a generic point. When that basis has r(m+n-r) rows, the candidate is a
+    basis of the rank-r completion matroid (Kiraly-Theran-Tomioka), hence a
+    finitely completable exact-size sub-pattern, which satisfies the counting
+    condition (Pimentel-Alarcon-Boston-Nowak). ``check_relaxed_slmf`` decides
+    the candidate exactly, so a pass never rests on floating point. Otherwise
+    the search enumerates removals in order, one node each, and only that
+    exhaustive enumeration returns False.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
@@ -436,6 +447,12 @@ def check_necessary_condition(
         return NecessaryConditionVerdict(
             verdict.ok, pattern if verdict.ok else None, 1
         )
+    if budget >= 1:
+        basis = generic_row_basis(pattern, r)
+        if len(basis) == target:
+            candidate = pattern.restrict(basis)
+            if check_relaxed_slmf(candidate, r).ok:
+                return NecessaryConditionVerdict(True, candidate, 1)
     excess = pattern.size - target
     entries = sorted(pattern.entries, key=lambda e: (e[1], e[0]))
     col_sizes = [len(omega) for omega in pattern.column_supports()]

@@ -70,6 +70,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -398,7 +413,7 @@ def _build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="run every completability test on a pattern")
     analyze.add_argument("pattern_file")
     analyze.add_argument("--rank", type=int, required=True)
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=_int_at_least(0), default=0)
     analyze.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=_cmd_analyze)
@@ -409,7 +424,7 @@ def _build_parser() -> _Parser:
     slmf_check.add_argument(
         "--method", choices=["both", "combinatorial", "randomized"], default="both"
     )
-    slmf_check.add_argument("--seed", type=int, default=0)
+    slmf_check.add_argument("--seed", type=_int_at_least(0), default=0)
     slmf_check.set_defaults(func=_cmd_slmf_check)
 
     complete = sub.add_parser("complete", help="complete a matrix from a known column space")
@@ -423,8 +438,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--rank", type=int, required=True)
-    gen.add_argument("--per-column", type=int, required=True, dest="per_column")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--per-column", type=_int_at_least(1), required=True, dest="per_column")
+    gen.add_argument("--seed", type=_int_at_least(0), default=0)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--emit-stats", action="store_true", dest="emit_stats")
     gen.set_defaults(func=_cmd_gen)

@@ -278,13 +278,10 @@ def jacobian_rank_test(
         rng = np.random.default_rng(child)
         A = rng.standard_normal((m, r))
         C = rng.standard_normal((r, n))
-        J = np.zeros((len(entries), r * (m + n)))
-        for row, (i, j) in enumerate(entries):
-            J[row, i * r : (i + 1) * r] = C[:, j]
-            J[row, m * r + j * r : m * r + (j + 1) * r] = A[i, :]
         if len(entries) == 0:
             rank, ok = 0, True
         else:
+            J = _factorization_jacobian(entries, A, C)
             rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
         if not ok:
             indeterminate += 1
@@ -300,6 +297,54 @@ def jacobian_rank_test(
         tolerance=tol,
         indeterminate=indeterminate,
     )
+
+
+def _factorization_jacobian(
+    entries: Sequence[tuple[int, int]], A: np.ndarray, C: np.ndarray
+) -> np.ndarray:
+    """Jacobian of (A, C) -> (A @ C)[i, j] over ``entries``, one row per entry.
+
+    Row (i, j) holds C[:, j] in the block of A's row i and A[i, :] in the
+    block of C's column j; A's m r coordinates come first.
+    """
+    m, r = A.shape
+    rows = np.arange(len(entries))[:, None]
+    i, j = np.array(entries, dtype=int).reshape(-1, 2).T
+    J = np.zeros((len(entries), r * (m + C.shape[1])))
+    J[rows, i[:, None] * r + np.arange(r)] = C[:, j].T
+    J[rows, m * r + j[:, None] * r + np.arange(r)] = A[i]
+    return J
+
+
+def generic_row_basis(pattern: ObservationPattern, r: int) -> list[tuple[int, int]]:
+    """Entries whose Jacobian rows form a greedy row basis at one generic point.
+
+    Draws one factor pair (A, C) from a fixed seed and scans the rows of the
+    factorization Jacobian in ``sorted_entries()`` order, keeping a row when
+    its residual against the kept rows (Gram-Schmidt, orthogonalized twice)
+    exceeds ``DEFAULT_RANK_TOL`` times its norm. At full generic rank the
+    result has r(m+n-r) entries and is a basis of the rank-r completion
+    matroid. The caller decides anything from it only through an exact check.
+    """
+    entries = pattern.sorted_entries()
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((pattern.m, r))
+    C = rng.standard_normal((r, pattern.n))
+    J = _factorization_jacobian(entries, A, C)
+    # (A G, G^-1 C) leaves A @ C fixed, so the rank never exceeds r(m+n-r)
+    Q = np.empty((r * (pattern.m + pattern.n - r), J.shape[1]))
+    kept: list[tuple[int, int]] = []
+    for entry, row in zip(entries, J):
+        basis = Q[: len(kept)]
+        residual = row - basis.T @ (basis @ row)
+        residual -= basis.T @ (basis @ residual)
+        norm = np.linalg.norm(residual)
+        if norm > DEFAULT_RANK_TOL * np.linalg.norm(row):
+            Q[len(kept)] = residual / norm
+            kept.append(entry)
+            if len(kept) == len(Q):
+                break
+    return kept
 
 
 def grassmann_section_rank_test(

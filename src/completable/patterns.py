@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -40,17 +41,23 @@ class ObservationPattern:
     def size(self) -> int:
         return len(self.entries)
 
-    def column_support(self, j: int) -> tuple[int, ...]:
-        """Sorted observed row indices of column ``j``."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range")
-        return tuple(sorted(i for i, jj in self.entries if jj == j))
-
-    def column_supports(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def _column_supports(self) -> tuple[tuple[int, ...], ...]:
+        # kept in the instance dict, outside the fields that eq, hash and repr read
         rows: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.entries:
             rows[j].append(i)
         return tuple(tuple(sorted(r)) for r in rows)
+
+    def column_support(self, j: int) -> tuple[int, ...]:
+        """Sorted observed row indices of column ``j``."""
+        if not 0 <= j < self.n:
+            raise ValueError(f"column {j} out of range")
+        return self._column_supports[j]
+
+    def column_supports(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted observed row indices of every column, computed once per pattern."""
+        return self._column_supports
 
     def empty_columns(self) -> tuple[int, ...]:
         supports = self.column_supports()

@@ -12,6 +12,7 @@ from completable import (
     check_relaxed_slmf,
     find_finite_certificate,
     find_unique_certificate,
+    jacobian_rank_test,
     minimum_size_check,
     parse_pattern,
     random_pattern,
@@ -248,6 +249,27 @@ def test_necessary_false_when_pattern_too_small(pattern_6x5):
 def test_necessary_budget_inconclusive(pattern_6x6):
     verdict = check_necessary_condition(pattern_6x6, 2, budget=0)
     assert verdict.contains_relaxed is None
+
+
+def test_necessary_decided_on_8x8_k5_s1():
+    """The Jacobian row-basis candidate decides the case removal enumeration left open."""
+    pattern = random_pattern(8, 8, 5, seed=1)
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.nodes) == (True, 1)
+    witness = verdict.witness
+    assert witness.size == 2 * (8 + 8 - 2)
+    assert witness.entries <= pattern.entries
+    assert check_relaxed_slmf(witness, 2).ok
+
+
+def test_necessary_falls_back_to_enumeration_below_full_jacobian_rank():
+    """Rank 17 of 18 gives no basis candidate; the fourth removal passes the counting test."""
+    pattern = parse_pattern("01011\n10111\n01011\n11100\n01011\n11100\n")
+    assert jacobian_rank_test(pattern, 2).tested_rank == 17
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.nodes) == (True, 4)
+    assert verdict.witness.entries == pattern.entries - {(0, 1)}
+    assert check_relaxed_slmf(verdict.witness, 2).ok
 
 
 def test_unique_certificate_implies_finite_one(pattern_6x6):

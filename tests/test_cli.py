@@ -454,3 +454,33 @@ def test_unexpected_exception_is_exit_70(capsys, pattern_file, monkeypatch):
     monkeypatch.setattr(cli_mod, "build_analysis_report", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["analyze", pattern_file, "--rank", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(["analyze", "PATTERN", "--rank", "2", "--seed", "-1"], "--seed", id="analyze-seed"),
+        pytest.param(["slmf-check", "PHI", "--rank", "2", "--seed", "-1"], "--seed", id="slmf-check-seed"),
+        pytest.param(
+            ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "3", "--seed", "-1"],
+            "--seed",
+            id="gen-seed",
+        ),
+        pytest.param(
+            ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "0"], "--per-column", id="gen-per-column-0"
+        ),
+        pytest.param(
+            ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "-1"], "--per-column", id="gen-per-column-neg"
+        ),
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, monkeypatch, pattern_file, argv, option):
+    """Rejected while parsing, before any analysis runs or any file is written."""
+    phi = tmp_path / "phi.txt"
+    phi.write_text(slmf_to_grid(PHI_A))
+    monkeypatch.chdir(tmp_path)
+    argv = [{"PATTERN": pattern_file, "PHI": str(phi)}.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: argument {option}:")
+    assert not list(tmp_path.glob("pattern_*.txt"))

@@ -10,6 +10,8 @@ from completable import (
     ObservationPattern,
     Slmf,
     SlmfWitness,
+    check_necessary_condition,
+    check_relaxed_slmf,
     check_slmf_combinatorial,
     grassmann_section_rank_test,
     jacobian_rank_test,
@@ -56,6 +58,59 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
         section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
     assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
     assert jacobian.tested_rank == section.tested_rank + r * pattern.n
+
+
+def assert_necessary_witness(pattern, r, witness):
+    assert witness.size == r * (pattern.m + pattern.n - r)
+    assert witness.entries <= pattern.entries
+    assert check_relaxed_slmf(witness, r).ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_with_r_per_column(), st.integers(0, 2**16))
+def test_jacobian_pass_implies_necessary_condition_in_one_node(mask, seed):
+    """Full Jacobian rank => the counting condition holds, decided within one node.
+
+    The greedy Jacobian row basis is then an exact-size finitely completable
+    sub-pattern, which satisfies the counting condition.
+    """
+    pattern, r = mask
+    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
+    assume(jacobian.determinate and jacobian.passed)
+    verdict = check_necessary_condition(pattern, r, budget=1)
+    assert verdict.contains_relaxed is True
+    assert_necessary_witness(pattern, r, verdict.witness)
+
+
+@st.composite
+def masks_near_exact_size(draw):
+    """(pattern, r) on at most 5 x 5 cells with 0 to 2 entries beyond r(m+n-r)."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, min(m, n, 2)))
+    target = r * (m + n - r)
+    size = draw(st.integers(target, min(target + 2, m * n)))
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    entries = draw(st.sets(st.sampled_from(cells), min_size=size, max_size=size))
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_near_exact_size())
+def test_necessary_condition_matches_brute_force(mask):
+    """The verdict equals a scan of every exact-size sub-pattern with the counting test."""
+    pattern, r = mask
+    target = r * (pattern.m + pattern.n - r)
+    expected = any(
+        check_relaxed_slmf(pattern.restrict(keep), r).ok
+        for keep in itertools.combinations(pattern.sorted_entries(), target)
+    )
+    verdict = check_necessary_condition(pattern, r, budget=10**6)
+    assert verdict.contains_relaxed is expected
+    if expected:
+        assert_necessary_witness(pattern, r, verdict.witness)
+    else:
+        assert verdict.witness is None
 
 
 @st.composite
