@@ -92,6 +92,13 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_pattern_file(path: str) -> ObservationPattern:
     try:
         return load_pattern(_read_text(path))
@@ -344,8 +351,8 @@ def _cmd_complete(args) -> int:
         abs(completed[i, j] - v) for (i, j), v in obs.values.items()
     )
     out = Path(args.out)
-    out.write_text(
-        "\n".join(",".join(repr(float(v)) for v in row) for row in completed) + "\n"
+    _write_text(
+        out, "\n".join(",".join(repr(float(v)) for v in row) for row in completed) + "\n"
     )
     print(f"wrote {out}")
     print(f"max observed-entry residual: {residual:.3e}")
@@ -366,7 +373,7 @@ def _cmd_gen(args) -> int:
     for idx, child in enumerate(children):
         pattern = random_pattern(args.m, args.n, args.per_column, seed=child)
         name = Path(f"pattern_{idx:03d}.txt")
-        name.write_text(pattern_to_grid(pattern))
+        _write_text(name, pattern_to_grid(pattern))
         print(f"wrote {name}")
         if args.emit_stats:
             outcome = find_finite_certificate(pattern, args.rank)
@@ -395,8 +402,8 @@ def _cmd_export_system(args) -> int:
         raise _UsageError(f"{args.values_file}: {exc}") from exc
     csv_path = Path(args.out + ".csv")
     json_path = Path(args.out + ".json")
-    csv_path.write_text(system.to_csv())
-    json_path.write_text(system.index_map_json() + "\n")
+    _write_text(csv_path, system.to_csv())
+    _write_text(json_path, system.index_map_json() + "\n")
     print(f"wrote {csv_path} and {json_path}")
     print(
         f"system: {system.matrix.shape[0]} linear sections over "
@@ -414,7 +421,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument("pattern_file")
     analyze.add_argument("--rank", type=int, required=True)
     analyze.add_argument("--seed", type=_int_at_least(0), default=0)
-    analyze.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    analyze.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=_cmd_analyze)
 

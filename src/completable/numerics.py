@@ -475,7 +475,22 @@ class ExportedSystem:
         return index_subsets(self.m, self.r)
 
     def to_csv(self) -> str:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.matrix]
+        """The matrix as dense CSV, one line per row, every cell ``repr(float)``.
+
+        Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). A
+        line of ``0.0`` cells is built once, and each row splices its few
+        nonzero cells into it, so the time is linear in the bytes written.
+        """
+        zero_line = ",".join(["0.0"] * self.matrix.shape[1])
+        lines = []
+        for row in self.matrix:
+            parts = []
+            start = 0  # cell c spans zero_line[4c : 4c + 3]
+            for c in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+                parts += (zero_line[start : 4 * c], repr(float(row[c])))
+                start = 4 * c + 3
+            parts.append(zero_line[start:])
+            lines.append("".join(parts))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def index_map(self) -> dict:
@@ -504,17 +519,13 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
     if not 1 <= r <= pattern.m:
         raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
     pos = subset_position(pattern.m, r)
-    rows = []
-    origin = []
-    for j in range(pattern.n):
-        omega, x = obs.column(j)
-        lookup = dict(zip(omega, x))
-        for phi in itertools.combinations(omega, r + 1):
-            row = np.zeros(len(pos))
-            for k, i in enumerate(phi):
-                rest = tuple(t for t in phi if t != i)
-                row[pos[rest]] = (-1) ** k * lookup[i]
-            rows.append(row)
-            origin.append((j, phi))
-    matrix = np.array(rows) if rows else np.zeros((0, len(pos)))
-    return ExportedSystem(m=pattern.m, r=r, matrix=matrix, row_origin=tuple(origin))
+    origin = tuple(
+        (j, phi)
+        for j, omega in enumerate(pattern.column_supports())
+        for phi in itertools.combinations(omega, r + 1)
+    )
+    matrix = np.zeros((len(origin), len(pos)))
+    for row, (j, phi) in zip(matrix, origin):
+        for k, i in enumerate(phi):
+            row[pos[phi[:k] + phi[k + 1 :]]] = (-1) ** k * obs.values[(i, j)]
+    return ExportedSystem(m=pattern.m, r=r, matrix=matrix, row_origin=origin)

@@ -40,3 +40,9 @@ def pattern_6x5():
 @pytest.fixture
 def pattern_6x6():
     return parse_pattern(GRID_6X6)
+
+
+def reference_export_csv(matrix):
+    """Dense CSV of an exported system, formatted cell by cell."""
+    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+    return "\n".join(lines) + ("\n" if lines else "")

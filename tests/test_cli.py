@@ -5,12 +5,14 @@ import pytest
 
 from completable import (
     ObservedMatrix,
+    export_plucker_system,
+    observed_from_csv,
     observed_to_csv,
     parse_pattern,
     slmf_to_grid,
 )
 from completable.cli import main
-from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS
+from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS, reference_export_csv
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +282,44 @@ def test_export_system_empty_pattern(capsys, tmp_path):
     assert len(index_map["plucker_subsets"]) == 3
 
 
+def test_export_system_keeps_signed_zeros(capsys, tmp_path):
+    # the observed 0 sits second in the 2-subset {1, 2} of column 1, so it
+    # enters the system with sign -1 and is written as -0.0
+    text = "1.5,*\n0,2.0\n-0.5,*\n*,3.0\n"
+    values = tmp_path / "values.csv"
+    values.write_text(text)
+    prefix = tmp_path / "system"
+    code, _, _ = run_cli(
+        capsys, "export-system", str(values), "--rank", "1", "--out", str(prefix)
+    )
+    assert code == 0
+    written = prefix.with_suffix(".csv").read_text()
+    system = export_plucker_system(observed_from_csv(text), 1)
+    assert written == reference_export_csv(system.matrix)
+    assert "-0.0" in written.replace("\n", ",").split(",")
+
+
+def test_complete_into_missing_directory_exit_64(capsys, tmp_path):
+    values, basis, _ = _observed_csv_file(tmp_path)
+    out_file = tmp_path / "missing" / "completed.csv"
+    code, out, err = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(basis), "--out", str(out_file),
+    )
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: cannot write {out_file}:")
+
+
+def test_export_system_into_missing_directory_exit_64(capsys, tmp_path):
+    values, _, _ = _observed_csv_file(tmp_path)
+    prefix = tmp_path / "missing" / "system"
+    code, out, err = run_cli(
+        capsys, "export-system", str(values), "--rank", "2", "--out", str(prefix)
+    )
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: cannot write {prefix}.csv:")
+
+
 def test_analyze_reproducible_for_a_seed(capsys, pattern_file):
     _, first, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--seed", "7", "--json")
     _, second, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--seed", "7", "--json")
@@ -460,6 +500,7 @@ def test_unexpected_exception_is_exit_70(capsys, pattern_file, monkeypatch):
     "argv, option",
     [
         pytest.param(["analyze", "PATTERN", "--rank", "2", "--seed", "-1"], "--seed", id="analyze-seed"),
+        pytest.param(["analyze", "PATTERN", "--rank", "2", "--budget", "-1"], "--budget", id="analyze-budget"),
         pytest.param(["slmf-check", "PHI", "--rank", "2", "--seed", "-1"], "--seed", id="slmf-check-seed"),
         pytest.param(
             ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "3", "--seed", "-1"],
