@@ -316,37 +316,6 @@ def _factorization_jacobian(
     return J
 
 
-def generic_row_basis(pattern: ObservationPattern, r: int) -> list[tuple[int, int]]:
-    """Entries whose Jacobian rows form a greedy row basis at one generic point.
-
-    Draws one factor pair (A, C) from a fixed seed and scans the rows of the
-    factorization Jacobian in ``sorted_entries()`` order, keeping a row when
-    its residual against the kept rows (Gram-Schmidt, orthogonalized twice)
-    exceeds ``DEFAULT_RANK_TOL`` times its norm. At full generic rank the
-    result has r(m+n-r) entries and is a basis of the rank-r completion
-    matroid. The caller decides anything from it only through an exact check.
-    """
-    entries = pattern.sorted_entries()
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((pattern.m, r))
-    C = rng.standard_normal((r, pattern.n))
-    J = _factorization_jacobian(entries, A, C)
-    # (A G, G^-1 C) leaves A @ C fixed, so the rank never exceeds r(m+n-r)
-    Q = np.empty((r * (pattern.m + pattern.n - r), J.shape[1]))
-    kept: list[tuple[int, int]] = []
-    for entry, row in zip(entries, J):
-        basis = Q[: len(kept)]
-        residual = row - basis.T @ (basis @ row)
-        residual -= basis.T @ (basis @ residual)
-        norm = np.linalg.norm(residual)
-        if norm > DEFAULT_RANK_TOL * np.linalg.norm(row):
-            Q[len(kept)] = residual / norm
-            kept.append(entry)
-            if len(kept) == len(Q):
-                break
-    return kept
-
-
 def grassmann_section_rank_test(
     pattern: ObservationPattern,
     r: int,

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from completable import Slmf, parse_pattern
@@ -46,3 +48,26 @@ def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_relaxed_slmf(pattern, r):
+    """(ok, reason, violating_rows) of the counting test, row set by row set."""
+    m, n = pattern.m, pattern.n
+    if pattern.size != r * (m + n - r):
+        return False, "size", None
+    support_masks = [sum(1 << i for i in omega) for omega in pattern.column_supports()]
+    for size in range(r + 1, m + 1):
+        bound = r * (size - r)
+        for rows in itertools.combinations(range(m), size):
+            imask = sum(1 << i for i in rows)
+            surplus = 0
+            for smask in support_masks:
+                inter = (smask & imask).bit_count()
+                if inter > r:
+                    surplus += inter - r
+            if surplus > bound:
+                return False, "inequality", rows
+    total_surplus = sum(max(mask.bit_count() - r, 0) for mask in support_masks)
+    if total_surplus != r * (m - r):
+        return False, "equality", tuple(range(m))
+    return True, None, None

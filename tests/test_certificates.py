@@ -18,6 +18,7 @@ from completable import (
     random_pattern,
     verify_certificate,
 )
+from completable.certificates import _counting_bound, _greedy_counting_set
 from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
 
 
@@ -262,14 +263,47 @@ def test_necessary_decided_on_8x8_k5_s1():
     assert check_relaxed_slmf(witness, 2).ok
 
 
-def test_necessary_falls_back_to_enumeration_below_full_jacobian_rank():
-    """Rank 17 of 18 gives no basis candidate; the fourth removal passes the counting test."""
+def test_necessary_greedy_decides_below_full_jacobian_rank():
+    """Jacobian rank 17 of 18, yet the greedy counting set reaches 18 entries in one node."""
     pattern = parse_pattern("01011\n10111\n01011\n11100\n01011\n11100\n")
     assert jacobian_rank_test(pattern, 2).tested_rank == 17
     verdict = check_necessary_condition(pattern, 2)
-    assert (verdict.contains_relaxed, verdict.nodes) == (True, 4)
-    assert verdict.witness.entries == pattern.entries - {(0, 1)}
+    assert (verdict.contains_relaxed, verdict.nodes) == (True, 1)
+    assert verdict.witness.entries == pattern.entries - {(4, 4)}
     assert check_relaxed_slmf(verdict.witness, 2).ok
+
+
+def test_necessary_falls_back_to_enumeration_on_a_greedy_gap():
+    """Two disjoint 2 x 2 blocks at r = 1: the bound reaches the target 7, the greedy keeps 6.
+
+    Neither decides, so each of the 8 single removals is enumerated and fails.
+    """
+    pattern = parse_pattern("0011\n0011\n1100\n1100\n")
+    assert _counting_bound(pattern, 1)[0] == 7
+    assert len(_greedy_counting_set(pattern, 1)) == 6
+    verdict = check_necessary_condition(pattern, 1)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 8, None)
+    assert verdict.refuting_rows is None
+
+
+def test_necessary_refuted_by_the_bound_in_one_node():
+    """The bound caps passing sub-patterns at 13 < 14 entries; removals never decided this."""
+    pattern = random_pattern(8, 7, 3, seed=0)
+    verdict = check_necessary_condition(pattern, 1, budget=10**5)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
+    assert verdict.refuting_rows == (0, 1, 3, 4, 5, 6, 7)
+    assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows)
+
+
+def test_refuted_counting_condition_ends_both_searches_on_12x12_k7_s3():
+    """Bound 62 < 63 at r = 3: no certificate exists, so neither search enumerates."""
+    pattern = random_pattern(12, 12, 7, seed=3)
+    for search in (find_finite_certificate, find_unique_certificate):
+        outcome = search(pattern, 3, budget=100_000)
+        assert (outcome.status, outcome.exhausted, outcome.nodes) == ("none", True, 0)
+    verdict = check_necessary_condition(pattern, 3, budget=100_000)
+    assert (verdict.contains_relaxed, verdict.nodes) == (False, 1)
+    assert len(verdict.refuting_rows) == 11
 
 
 def test_unique_certificate_implies_finite_one(pattern_6x6):

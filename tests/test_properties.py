@@ -20,9 +20,15 @@ from completable import (
     jacobian_rank_test,
     random_pattern,
 )
-from completable.certificates import _Budget, _first_slmf_selection
+from completable.certificates import (
+    _Budget,
+    _counting_bound,
+    _enumerate,
+    _first_slmf_selection,
+    _greedy_counting_set,
+)
 from completable.plucker import subset_position
-from conftest import reference_export_csv
+from conftest import reference_export_csv, reference_relaxed_slmf
 
 
 @st.composite
@@ -116,6 +122,73 @@ def test_necessary_condition_matches_brute_force(mask):
         assert_necessary_witness(pattern, r, verdict.witness)
     else:
         assert verdict.witness is None
+
+
+@st.composite
+def small_masks(draw):
+    """(pattern, r) on at most 6 x 6 cells, every column observed on at least r rows."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, min(m, n, 3)))
+    entries = set()
+    for j in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), min_size=r, max_size=m))
+        entries.update((i, j) for i in rows)
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_masks())
+def test_refuting_bound_leaves_no_finite_certificate(mask):
+    """A bound below r(m+n-r) refutes finite completability; the enumeration agrees."""
+    pattern, r = mask
+    assume(_counting_bound(pattern, r)[0] < r * (pattern.m + pattern.n - r))
+    outcome = _enumerate(pattern, r, "finite", 10**6)
+    assert outcome.certificate is None and outcome.exhausted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_with_r_per_column())
+def test_greedy_set_stays_within_the_bound(mask):
+    """greedy <= bound, the bound is the first minimum over row sets, a full greedy set passes."""
+    pattern, r = mask
+    m, target = pattern.m, r * (pattern.m + pattern.n - r)
+    supports = pattern.column_supports()
+    values = [
+        (pattern.size + r * (len(rows) - r)
+         - sum(max(len(set(omega) & set(rows)) - r, 0) for omega in supports), rows)
+        for size in range(r + 1, m + 1)
+        for rows in itertools.combinations(range(m), size)
+    ]
+    bound, rows = _counting_bound(pattern, r)
+    assert bound == min((v for v, _ in values), default=pattern.size)
+    assert rows == next((i for v, i in values if v == bound), None)
+    kept = _greedy_counting_set(pattern, r)
+    assert len(kept) <= bound
+    if len(kept) == target:
+        assert check_relaxed_slmf(pattern.restrict(kept), r).ok
+
+
+@st.composite
+def masks_of_exact_size(draw):
+    """(pattern, r) with r(m+n-r) entries on at most 8 x 7 cells, or one fewer."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, min(m, n, 3)))
+    size = r * (m + n - r) - draw(st.sampled_from([0, 0, 0, 1]))
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    entries = draw(st.sets(st.sampled_from(cells), min_size=size, max_size=size))
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(masks_of_exact_size())
+def test_counting_test_matches_the_row_set_loop(mask):
+    """The row-set kernel gives the loop's verdict, reason and first violating rows."""
+    pattern, r = mask
+    verdict = check_relaxed_slmf(pattern, r)
+    expected = reference_relaxed_slmf(pattern, r)
+    assert (verdict.ok, verdict.reason, verdict.violating_rows) == expected
 
 
 @st.composite
