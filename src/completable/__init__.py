@@ -57,12 +57,10 @@ from .patterns import (
     random_pattern,
 )
 from .plucker import (
-    BPhiTemplate,
     NotABasisError,
     PluckerVector,
     SectionFunctional,
     SubspaceBasis,
-    build_bphi,
     dual_plucker,
     evaluate_bphi,
     evaluate_section,

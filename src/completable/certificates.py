@@ -14,7 +14,6 @@ bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -501,7 +500,9 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
 class NecessaryConditionVerdict:
     """Whether the pattern contains an exact-size sub-pattern passing the test.
 
-    ``contains_relaxed`` is None when the search ran out of budget.
+    ``contains_relaxed`` is None when the condition is left undecided: a zero
+    budget, more than ``ROW_SET_LIMIT`` rows, or, at r >= 2, a greedy set
+    short of a bound that does not refute. ``nodes`` is 0 or 1.
     ``refuting_rows`` (0-based) is set only on a refutation by the counting
     bound, and names the row set that caps passing sub-patterns below r(m+n-r).
     """
@@ -515,17 +516,19 @@ class NecessaryConditionVerdict:
 def check_necessary_condition(
     pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
 ) -> NecessaryConditionVerdict:
-    """Search for a size-r(m+n-r) sub-pattern passing the counting test.
+    """Decide whether a size-r(m+n-r) sub-pattern passes the counting test.
 
     This is a necessary condition for finite completability, never claimed
-    sufficient. When the pattern already has the exact size the search is a
-    single direct check.
+    sufficient. A pattern below the exact size fails at 0 nodes; one of the
+    exact size is a single direct check.
 
-    A larger pattern of at most ``ROW_SET_LIMIT`` rows then costs one node:
-    a counting bound below r(m+n-r) refutes the condition, or a greedy set
+    A larger pattern of at most ``ROW_SET_LIMIT`` rows costs one node: a
+    counting bound below r(m+n-r) refutes the condition, or a greedy set
     reaching r(m+n-r) entries, confirmed by ``check_relaxed_slmf``, is the
-    witness. Otherwise (seen only at r = 1) the search enumerates removals in
-    order, one node each, and only that exhaustive enumeration returns False.
+    witness. At r = 1 the passing sets are the forests of the bipartite
+    row-column graph, a graphic matroid, so a greedy set short of the target
+    refutes too. Otherwise, at a zero budget, or above ``ROW_SET_LIMIT`` rows
+    the verdict is None.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
@@ -537,38 +540,20 @@ def check_necessary_condition(
         return NecessaryConditionVerdict(
             verdict.ok, pattern if verdict.ok else None, 1
         )
-    if budget >= 1 and pattern.m <= ROW_SET_LIMIT:
-        bound, rows = _counting_bound(pattern, r)
-        if bound < target:
-            return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
-        kept = _greedy_counting_set(pattern, r)
-        if len(kept) == target:
-            candidate = pattern.restrict(kept)
-            if check_relaxed_slmf(candidate, r).ok:
-                return NecessaryConditionVerdict(True, candidate, 1)
-    excess = pattern.size - target
-    entries = sorted(pattern.entries, key=lambda e: (e[1], e[0]))
-    col_sizes = [len(omega) for omega in pattern.column_supports()]
-    nodes = 0
-    # any passing sub-pattern keeps every column at r or more entries, so only
-    # removals respecting that can succeed
-    for removal in itertools.combinations(entries, excess):
-        nodes += 1
-        if nodes > budget:
-            return NecessaryConditionVerdict(None, None, nodes - 1)
-        counts = list(col_sizes)
-        feasible = True
-        for _, j in removal:
-            counts[j] -= 1
-            if counts[j] < r:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        candidate = pattern.restrict(pattern.entries - set(removal))
+    if budget < 1 or pattern.m > ROW_SET_LIMIT:
+        return NecessaryConditionVerdict(None, None, 0)
+    bound, rows = _counting_bound(pattern, r)
+    if bound < target:
+        return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
+    kept = _greedy_counting_set(pattern, r)
+    if len(kept) == target:
+        candidate = pattern.restrict(kept)
         if check_relaxed_slmf(candidate, r).ok:
-            return NecessaryConditionVerdict(True, candidate, nodes)
-    return NecessaryConditionVerdict(False, None, nodes)
+            return NecessaryConditionVerdict(True, candidate, 1)
+    elif r == 1:
+        # a greedy forest is a largest forest
+        return NecessaryConditionVerdict(False, None, 1)
+    return NecessaryConditionVerdict(None, None, 1)
 
 
 def certificate_to_json(cert: Certificate) -> str:

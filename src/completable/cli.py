@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,9 +142,7 @@ def build_analysis_report(
 
     section_payload: dict
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            section = grassmann_section_rank_test(pattern, r, seed=seed)
+        section = grassmann_section_rank_test(pattern, r, seed=seed)
         section_payload = _rank_report_payload(section, _rank_verdict(section))
     except SectionTestError as exc:
         section_payload = {"verdict": "inconclusive", "error": str(exc)}

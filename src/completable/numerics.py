@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -343,19 +342,13 @@ def grassmann_section_rank_test(
         raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    m, n = pattern.m, pattern.n
+    m = pattern.m
     supports = pattern.column_supports()
     for j, omega in enumerate(supports):
         if len(omega) < r:
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    if pattern.size != r * (m + n - r):
-        warnings.warn(
-            f"pattern has {pattern.size} entries, not the exact-size "
-            f"{r * (m + n - r)}; the section count differs from r(m-r)",
-            stacklevel=2,
-        )
     target = r * (m - r)
     if sum(len(omega) - r for omega in supports) == 0:
         # no column yields a section functional, the system is empty

@@ -229,9 +229,6 @@ def dual_plucker(P: PluckerVector) -> PluckerVector:
     m, r = P.m, P.r
     dual_pos = subset_position(m, m - r)
     coords = np.zeros(len(dual_pos), dtype=P.coords.dtype)
-    if P.coords.dtype == object:
-        coords = np.empty(len(dual_pos), dtype=object)
-        coords[:] = 0
     for psi, value in zip(index_subsets(m, r), P.coords):
         comp = tuple(i for i in range(m) if i not in psi)
         coords[dual_pos[comp]] = complement_sign(psi, m) * value
@@ -259,56 +256,24 @@ def projectively_equal(P: PluckerVector, Q: PluckerVector, rtol: float = 1e-9) -
     return bool(np.all(np.abs(q - scale * p) <= rtol * np.abs(scale) * np.abs(p).max()))
 
 
-@dataclass(frozen=True)
-class BPhiTemplate:
-    """Structural layout of the sparse dual basis induced by an SLMF.
-
-    ``entries`` holds (row, column, sign, r-subset) with the value at the
-    position being the signed Plucker coordinate at the subset; all other
-    positions are zero.
-    """
-
-    m: int
-    r: int
-    ncols: int
-    entries: tuple[tuple[int, int, int, tuple[int, ...]], ...]
-
-
-def build_bphi(phi: "Slmf") -> BPhiTemplate:
-    """Symbolic template of the dual-basis matrix induced by ``phi``.
-
-    Column j is supported on the rows in the j-th column support of ``phi``;
-    its entry at the i-th smallest such row is (-1)**i times the coordinate at
-    the support with that row removed.
-    """
-    entries = []
-    for j, col in enumerate(phi.columns):
-        col = tuple(sorted(col))
-        for i, row in enumerate(col):
-            rest = tuple(x for x in col if x != row)
-            entries.append((row, j, (-1) ** i, rest))
-    return BPhiTemplate(m=phi.m, r=phi.r, ncols=len(phi.columns), entries=tuple(entries))
-
-
 def evaluate_bphi(phi: "Slmf", P: PluckerVector) -> np.ndarray:
-    """Evaluate the dual-basis template at a Plucker vector.
+    """The dual-basis matrix induced by ``phi``, evaluated at a Plucker vector.
 
-    For a subspace avoiding the degenerate locus of ``phi``, the columns of
-    the result form a basis of the orthogonal complement.
+    Column j is supported on the rows of the j-th column support of ``phi``;
+    its entry at the i-th smallest such row is (-1)**i times the coordinate at
+    the support with that row removed. For a subspace avoiding the degenerate
+    locus of ``phi``, the columns of the result form a basis of the orthogonal
+    complement.
     """
     if (P.m, P.r) != (phi.m, phi.r):
         raise ValueError(
             f"dimension mismatch: vector is ({P.r},{P.m}), support is ({phi.r},{phi.m})"
         )
-    template = build_bphi(phi)
     pos = subset_position(P.m, P.r)
-    if P.coords.dtype == object:
-        out = np.empty((template.m, template.ncols), dtype=object)
-        out[:] = 0
-    else:
-        out = np.zeros((template.m, template.ncols))
-    for row, col, sign, rest in template.entries:
-        out[row, col] = sign * P.coords[pos[rest]]
+    out = np.zeros((phi.m, len(phi.columns)), dtype=P.coords.dtype)
+    for j, col in enumerate(phi.columns):
+        for i, row in enumerate(col):
+            out[row, j] = (-1) ** i * P.coords[pos[col[:i] + col[i + 1 :]]]
     return out
 
 

@@ -18,7 +18,7 @@ from completable import (
     random_pattern,
     verify_certificate,
 )
-from completable.certificates import _counting_bound, _greedy_counting_set
+from completable.certificates import ROW_SET_LIMIT, _counting_bound, _greedy_counting_set
 from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
 
 
@@ -253,7 +253,7 @@ def test_necessary_budget_inconclusive(pattern_6x6):
 
 
 def test_necessary_decided_on_8x8_k5_s1():
-    """The Jacobian row-basis candidate decides the case removal enumeration left open."""
+    """The greedy counting set reaches 28 entries, an exact-size witness, in one node."""
     pattern = random_pattern(8, 8, 5, seed=1)
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes) == (True, 1)
@@ -273,21 +273,30 @@ def test_necessary_greedy_decides_below_full_jacobian_rank():
     assert check_relaxed_slmf(verdict.witness, 2).ok
 
 
-def test_necessary_falls_back_to_enumeration_on_a_greedy_gap():
+def test_necessary_short_greedy_set_refutes_at_rank_one():
     """Two disjoint 2 x 2 blocks at r = 1: the bound reaches the target 7, the greedy keeps 6.
 
-    Neither decides, so each of the 8 single removals is enumerated and fails.
+    At r = 1 the greedy set is a largest spanning forest of the row-column
+    graph, and two components leave it one edge short, so one node refutes.
     """
     pattern = parse_pattern("0011\n0011\n1100\n1100\n")
     assert _counting_bound(pattern, 1)[0] == 7
     assert len(_greedy_counting_set(pattern, 1)) == 6
     verdict = check_necessary_condition(pattern, 1)
-    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 8, None)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
     assert verdict.refuting_rows is None
 
 
+def test_necessary_inconclusive_above_the_row_set_limit():
+    """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent."""
+    pattern = random_pattern(21, 21, 6, seed=1)
+    assert pattern.m > ROW_SET_LIMIT and pattern.size > 2 * (21 + 21 - 2)
+    verdict = check_necessary_condition(pattern, 2, budget=10**6)
+    assert (verdict.contains_relaxed, verdict.nodes) == (None, 0)
+
+
 def test_necessary_refuted_by_the_bound_in_one_node():
-    """The bound caps passing sub-patterns at 13 < 14 entries; removals never decided this."""
+    """The bound caps passing sub-patterns at 13 < 14 entries and names its row set."""
     pattern = random_pattern(8, 7, 3, seed=0)
     verdict = check_necessary_condition(pattern, 1, budget=10**5)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)

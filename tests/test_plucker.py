@@ -7,7 +7,6 @@ from completable import (
     NotABasisError,
     PluckerVector,
     SubspaceBasis,
-    build_bphi,
     dual_plucker,
     evaluate_bphi,
     evaluate_section,
@@ -133,13 +132,11 @@ def test_dual_involution():
 
 def test_bphi_template_layout():
     """Signs alternate down each support; subsets drop one element at a time."""
-    template = build_bphi(PHI_A)
-    assert template.ncols == 4
-    by_col = {}
-    for row, col, sign, rest in template.entries:
-        by_col.setdefault(col, []).append((row, sign, rest))
-    assert by_col[0] == [(0, 1, (1, 2)), (1, -1, (0, 2)), (2, 1, (0, 1))]
-    assert by_col[3] == [(3, 1, (4, 5)), (4, -1, (3, 5)), (5, 1, (3, 4))]
+    P = plucker_of_basis(SubspaceBasis(np.array([[1, 0], [2, 1], [0, 3], [1, 1], [4, 1], [1, 5]])))
+    M = evaluate_bphi(PHI_A, P)
+    assert M.shape == (6, 4)
+    assert M[:, 0].tolist() == [P[1, 2], -P[0, 2], P[0, 1], 0, 0, 0]
+    assert M[:, 3].tolist() == [0, 0, 0, P[4, 5], -P[3, 5], P[3, 4]]
 
 
 def test_bphi_columns_span_the_complement():

@@ -1,7 +1,6 @@
 """Property tests of the identities linking the analyses."""
 
 import itertools
-import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -64,9 +63,7 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
     """
     pattern, r = mask
     jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # masks are rarely of exact size
-        section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
+    section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
     assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
     assert jacobian.tested_rank == section.tested_rank + r * pattern.n
 
@@ -82,8 +79,9 @@ def assert_necessary_witness(pattern, r, witness):
 def test_jacobian_pass_implies_necessary_condition_in_one_node(mask, seed):
     """Full Jacobian rank => the counting condition holds, decided within one node.
 
-    The greedy Jacobian row basis is then an exact-size finitely completable
-    sub-pattern, which satisfies the counting condition.
+    A row basis of the Jacobian is then an exact-size finitely completable
+    sub-pattern, which satisfies the counting condition; the greedy counting
+    set finds such a sub-pattern.
     """
     pattern, r = mask
     jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
@@ -122,6 +120,42 @@ def test_necessary_condition_matches_brute_force(mask):
         assert_necessary_witness(pattern, r, verdict.witness)
     else:
         assert verdict.witness is None
+
+
+@st.composite
+def rank_one_masks_above_exact_size(draw):
+    """Masks on at most 8 x 8 cells with more than m+n-1 entries."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 8))
+    size = draw(st.integers(m + n, m * n))
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    entries = draw(st.sets(st.sampled_from(cells), min_size=size, max_size=size))
+    return ObservationPattern(m, n, frozenset(entries))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rank_one_masks_above_exact_size())
+def test_rank_one_necessary_condition_is_connectivity(pattern):
+    """At r = 1 a passing sub-pattern is a spanning tree of the row-column graph.
+
+    So the condition holds iff that graph is connected, decided in one node.
+    """
+    m, n = pattern.m, pattern.n
+    parent = list(range(m + n))  # rows 0..m-1, then columns
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in pattern.entries:
+        parent[find(i)] = find(m + j)
+    connected = len({find(v) for v in range(m + n)}) == 1
+    verdict = check_necessary_condition(pattern, 1, budget=10**6)
+    assert (verdict.contains_relaxed, verdict.nodes) == (connected, 1)
+    if connected:
+        assert_necessary_witness(pattern, 1, verdict.witness)
 
 
 @st.composite
