@@ -457,12 +457,14 @@ def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int,
 class RelaxedSlmfVerdict:
     """Outcome of the exact-size counting test.
 
+    ``ok`` is None, with reason "row_limit", for an exact-size pattern of
+    more than ``ROW_SET_LIMIT`` rows, whose 2^m row sets are not scanned.
     ``violating_rows`` is the first row set (smallest, then lexicographic)
     breaking the counting inequality, when one exists.
     """
 
-    ok: bool
-    reason: Optional[str]  # None | "size" | "inequality" | "equality"
+    ok: Optional[bool]
+    reason: Optional[str]  # None | "size" | "row_limit" | "inequality" | "equality"
     violating_rows: Optional[tuple[int, ...]]
     required_size: int
     actual_size: int
@@ -473,7 +475,8 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
 
     Requires, for every row subset I with at least r+1 rows, that the observed
     surplus sum_j max(#(support_j intersect I) - r, 0) not exceed r(#I - r),
-    with equality at the full row set.
+    with equality at the full row set. Above ``ROW_SET_LIMIT`` rows only the
+    size is checked.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
@@ -482,6 +485,8 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
     actual = pattern.size
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
+    if m > ROW_SET_LIMIT:
+        return RelaxedSlmfVerdict(None, "row_limit", None, required, actual)
     # a violated row set scores 0 (False); none comes before one of r+1 rows
     least = _least_row_set(pattern, r, lambda slack: slack >= 0, stop=(0, r + 1))
     if least is not None and least[0] == 0:
@@ -519,28 +524,30 @@ def check_necessary_condition(
     """Decide whether a size-r(m+n-r) sub-pattern passes the counting test.
 
     This is a necessary condition for finite completability, never claimed
-    sufficient. A pattern below the exact size fails at 0 nodes; one of the
-    exact size is a single direct check.
+    sufficient. A pattern below the exact size fails at 0 nodes; any other
+    pattern of more than ``ROW_SET_LIMIT`` rows is undecided at 0 nodes; one
+    of the exact size is a single direct check.
 
     A larger pattern of at most ``ROW_SET_LIMIT`` rows costs one node: a
     counting bound below r(m+n-r) refutes the condition, or a greedy set
     reaching r(m+n-r) entries, confirmed by ``check_relaxed_slmf``, is the
     witness. At r = 1 the passing sets are the forests of the bipartite
     row-column graph, a graphic matroid, so a greedy set short of the target
-    refutes too. Otherwise, at a zero budget, or above ``ROW_SET_LIMIT`` rows
-    the verdict is None.
+    refutes too. Otherwise, or at a zero budget, the verdict is None.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
+    if pattern.m > ROW_SET_LIMIT:
+        return NecessaryConditionVerdict(None, None, 0)
     if pattern.size == target:
         verdict = check_relaxed_slmf(pattern, r)
         return NecessaryConditionVerdict(
             verdict.ok, pattern if verdict.ok else None, 1
         )
-    if budget < 1 or pattern.m > ROW_SET_LIMIT:
+    if budget < 1:
         return NecessaryConditionVerdict(None, None, 0)
     bound, rows = _counting_bound(pattern, r)
     if bound < target:

@@ -127,6 +127,10 @@ def _rank_verdict(report) -> str:
     return "inconclusive"
 
 
+# a decision of the counting test or the necessary condition; None is undecided
+_VERDICT = {True: "pass", False: "fail", None: "inconclusive"}
+
+
 def build_analysis_report(
     pattern: ObservationPattern, r: int, seed: int, budget: int
 ) -> dict:
@@ -167,7 +171,7 @@ def build_analysis_report(
         "finite_certificate": _certificate_payload(finite),
         "unique_certificate": _certificate_payload(unique),
         "relaxed_slmf": {
-            "verdict": "pass" if relaxed.ok else "fail",
+            "verdict": _VERDICT[relaxed.ok],
             "reason": relaxed.reason,
             "violating_rows": [i + 1 for i in relaxed.violating_rows]
             if relaxed.violating_rows
@@ -176,9 +180,7 @@ def build_analysis_report(
             "actual_size": relaxed.actual_size,
         },
         "necessary_condition": {
-            "verdict": {True: "pass", False: "fail", None: "inconclusive"}[
-                necessary.contains_relaxed
-            ],
+            "verdict": _VERDICT[necessary.contains_relaxed],
             "witness_entries": [
                 [i + 1, j + 1] for i, j in necessary.witness.sorted_entries()
             ]

@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,21 +40,90 @@ class NotABasisError(ValueError):
     """The supplied matrix does not have full column rank."""
 
 
-@lru_cache(maxsize=None)
-def index_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """All r-subsets of range(m), lexicographic; the global coordinate order."""
+def _coordinate_count(m: int, r: int) -> int:
+    """C(m, r), once (m, r) is checked to be a supported coordinate space."""
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
     if m > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {m} exceeds the supported {MAX_AMBIENT_DIM}")
-    if math.comb(m, r) > MAX_COORDINATES:
+    count = math.comb(m, r)
+    if count > MAX_COORDINATES:
         raise ValueError(f"binomial({m},{r}) coordinates exceed the supported {MAX_COORDINATES}")
+    return count
+
+
+@lru_cache(maxsize=None)
+def index_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """All r-subsets of range(m), lexicographic; the global coordinate order."""
+    _coordinate_count(m, r)
     return tuple(itertools.combinations(range(m), r))
 
 
 @lru_cache(maxsize=None)
 def subset_position(m: int, r: int) -> Mapping[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(index_subsets(m, r))}
+
+
+def _lex_rank(psi: Sequence[int], m: int) -> int:
+    """Position of the sorted r-subset ``psi`` of range(m) in lexicographic order."""
+    r = len(psi)
+    return math.comb(m, r) - 1 - sum(math.comb(m - 1 - p, r - k) for k, p in enumerate(psi))
+
+
+def _lex_blocks(m: int, r: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """The level-k blocks ``(a, start, count)`` of the lexicographic family.
+
+    Level k lists the k-subsets of range(r-k, m) in lexicographic order. Those
+    starting at row a fill the contiguous block [start, start + count); each is
+    row a joined to one of the last ``count`` entries of level k-1, in order.
+    """
+    start = 0
+    for a in range(r - k, m - k + 1):
+        count = math.comb(m - a - 1, k - 1)
+        yield a, start, count
+        start += count
+
+
+def _laplace_minors(mat: np.ndarray) -> np.ndarray:
+    """All r x r row minors of an m x r matrix, lexicographic, by Laplace expansion.
+
+    Level k keeps, per k-set of columns, the k x k minors of the level-k row
+    subsets (``_lex_blocks``); a level-k minor expands along its first row a
+    into minors of level k-1, one contiguous slice per column. That is
+    r 2^(r-1) (m-r+1) slice operations in all. The dtype is kept, so object
+    arrays of ints and Fractions stay exact.
+    """
+    m, r = mat.shape
+    prev = {1 << j: mat[r - 1 :, j].copy() for j in range(r)}
+    for k in range(2, r + 1):
+        cur = {}
+        for cols in itertools.combinations(range(r), k):
+            key = sum(1 << j for j in cols)
+            out = np.empty(math.comb(m - r + k, k), dtype=mat.dtype)
+            for a, start, count in _lex_blocks(m, r, k):
+                seg = out[start : start + count]
+                for i, j in enumerate(cols):
+                    term = mat[a, j] * prev[key ^ (1 << j)][-count:]
+                    if i == 0:
+                        seg[...] = term
+                    elif i % 2:
+                        seg -= term
+                    else:
+                        seg += term
+            cur[key] = out
+        prev = cur
+    return prev[(1 << r) - 1]
+
+
+def _subset_sum_parity(m: int, r: int) -> np.ndarray:
+    """Parity of the element sum of each r-subset of range(m), lexicographic."""
+    prev = np.arange(r - 1, m) % 2 == 1
+    for k in range(2, r + 1):
+        cur = np.empty(math.comb(m - r + k, k), dtype=bool)
+        for a, start, count in _lex_blocks(m, r, k):
+            np.logical_xor(prev[-count:], a % 2, out=cur[start : start + count])
+        prev = cur
+    return prev
 
 
 def _is_exact_array(a: np.ndarray) -> bool:
@@ -146,11 +216,11 @@ class PluckerVector:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = len(index_subsets(self.m, self.r))
+        expected = _coordinate_count(self.m, self.r)
         coords = np.asarray(self.coords)
         if coords.shape != (expected,):
             raise ValueError(f"expected {expected} coordinates, got shape {coords.shape}")
-        if not any(bool(c != 0) for c in coords):
+        if not np.any(coords != 0):
             raise ValueError("all coordinates are zero")
         coords = coords.copy()
         coords.setflags(write=False)
@@ -163,39 +233,61 @@ class PluckerVector:
     def coordinate(self, psi: Sequence[int]):
         """Value at the r-subset ``psi``."""
         key = tuple(sorted(int(i) for i in psi))
-        pos = subset_position(self.m, self.r).get(key)
-        if pos is None or len(key) != self.r or len(set(key)) != self.r:
+        if len(set(key)) != self.r or len(key) != self.r or key[0] < 0 or key[-1] >= self.m:
             raise ValueError(f"{tuple(psi)} is not an r-subset of range({self.m})")
-        return self.coords[pos]
+        return self.coords[_lex_rank(key, self.m)]
 
     def __getitem__(self, psi: Sequence[int]):
         return self.coordinate(psi)
 
     def max_abs(self) -> float:
-        return max(abs(c) for c in self.coords)
+        if self.is_exact:
+            return max(abs(c) for c in self.coords)
+        return float(np.abs(self.coords).max())
 
 
 def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     """All r x r row minors of the basis, in global subset order.
 
-    Integer or Fraction input is handled exactly; float input uses batched
-    numpy determinants.
+    When the Laplace recursion's r 2^(r-1) (m-r+1) slice operations number at
+    most C(m, r), every minor comes from ``_laplace_minors``, which builds no
+    subset table. Otherwise, at large r, each minor is computed on its own:
+    by batched numpy determinants for float input, by ``row_reduce`` for
+    exact input. Integer or Fraction input is exact on both paths, and an
+    integral coordinate is an int.
     """
     mat = basis.matrix
     m, r = mat.shape
+    count = _coordinate_count(m, r)
+    exact = _is_exact_array(mat)
+    if r * 2 ** (r - 1) * (m - r + 1) <= count:
+        if not exact:
+            return PluckerVector(r=r, m=m, coords=_laplace_minors(mat))
+        rows = [[_exact_number(x) for x in row] for row in mat.tolist()]
+        coords = _laplace_minors(np.array(rows, dtype=object))
+        for pos, c in enumerate(coords):
+            if isinstance(c, Fraction) and c.denominator == 1:
+                coords[pos] = int(c)
+        return PluckerVector(r=r, m=m, coords=coords)
     subsets = index_subsets(m, r)
-    if _is_exact_array(mat):
+    if exact:
         rows = mat.tolist()
-        coords = np.empty(len(subsets), dtype=object)
+        coords = np.empty(count, dtype=object)
         for pos, psi in enumerate(subsets):
             _, coords[pos] = row_reduce([rows[i] for i in psi])
         return PluckerVector(r=r, m=m, coords=coords)
     idx = np.array(subsets, dtype=np.intp)
-    out = np.empty(len(subsets))
-    for start in range(0, len(subsets), _DET_BATCH):
+    out = np.empty(count)
+    for start in range(0, count, _DET_BATCH):
         chunk = idx[start : start + _DET_BATCH]
         out[start : start + len(chunk)] = np.linalg.det(mat[chunk])
     return PluckerVector(r=r, m=m, coords=out)
+
+
+def _exact_number(x):
+    """The entry as an exact number: ints stay ints, whose arithmetic is far
+    cheaper than Fraction's; anything else becomes its exact Fraction."""
+    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
 def projection_nondegenerate(P: PluckerVector, psi: Sequence[int], rtol: float = 1e-9) -> bool:
@@ -227,11 +319,11 @@ def dual_plucker(P: PluckerVector) -> PluckerVector:
     undefined result (no decomposability test is attempted).
     """
     m, r = P.m, P.r
-    dual_pos = subset_position(m, m - r)
-    coords = np.zeros(len(dual_pos), dtype=P.coords.dtype)
-    for psi, value in zip(index_subsets(m, r), P.coords):
-        comp = tuple(i for i in range(m) if i not in psi)
-        coords[dual_pos[comp]] = complement_sign(psi, m) * value
+    _coordinate_count(m, m - r)
+    # the t-th r-subset's complement is the (N-1-t)-th (m-r)-subset, and
+    # sorting (psi, complement) takes sum(psi) - r(r-1)/2 transpositions
+    odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
+    coords = np.where(odd, -P.coords, P.coords)[::-1]
     return PluckerVector(r=m - r, m=m, coords=coords)
 
 

@@ -385,6 +385,25 @@ def test_analyze_rank_equal_to_m_fully_observed(capsys, tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize("m", [21, 64])
+def test_analyze_exact_size_column_above_the_row_limit(capsys, tmp_path, m):
+    path = tmp_path / "column.txt"
+    path.write_text("1\n" * m)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "1", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["relaxed_slmf"]["verdict"], report["relaxed_slmf"]["reason"]) == (
+        "inconclusive",
+        "row_limit",
+    )
+    assert (report["necessary_condition"]["verdict"], report["necessary_condition"]["nodes"]) == (
+        "inconclusive",
+        0,
+    )
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
+    assert "relaxed SLMF: inconclusive (row_limit)" in out
+
+
 def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
     path = tmp_path / "holed.txt"
     path.write_text("111\n111\n110\n")

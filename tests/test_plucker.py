@@ -1,7 +1,12 @@
+import itertools
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from completable import (
     NotABasisError,
@@ -18,6 +23,7 @@ from completable import (
     projectively_equal,
     section_functional,
 )
+from completable.plucker import complement_sign, index_subsets, row_reduce
 from conftest import PHI_A, PHI_B, REPEATED_COLUMNS
 
 # rank-2 basis of R^4 whose minors are small integers; its coordinate vector
@@ -262,3 +268,92 @@ def test_plucker_json_rejects_incomplete_lists():
 def test_all_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
         PluckerVector(r=2, m=4, coords=np.zeros(6))
+
+
+@st.composite
+def shapes_and_seeds(draw):
+    m = draw(st.integers(1, 9))
+    return m, draw(st.integers(1, m)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shapes_and_seeds())
+def test_minors_match_the_per_subset_determinants(drawn):
+    """Both sides of the recursion rule agree with one determinant per subset."""
+    m, r, seed = drawn
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, r))
+    coords = plucker_of_basis(SubspaceBasis(B)).coords
+    expected = np.array([np.linalg.det(B[list(psi)]) for psi in itertools.combinations(range(m), r)])
+    assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    integers = rng.integers(-9, 10, (m, r)).tolist()
+    denominators = rng.integers(1, 5, (m, r)).tolist()
+    fractions = [
+        [Fraction(p, q) for p, q in zip(*row)]
+        for row in zip(rng.integers(-9, 10, (m, r)).tolist(), denominators)
+    ]
+    for rows, matrix in ((integers, np.array(integers)), (fractions, np.array(fractions, dtype=object))):
+        try:
+            basis = SubspaceBasis(matrix)
+        except NotABasisError:
+            continue
+        coords = plucker_of_basis(basis).coords
+        expected = [row_reduce([rows[i] for i in psi])[1] for psi in itertools.combinations(range(m), r)]
+        assert [(c, type(c)) for c in coords] == [(e, type(e)) for e in expected]
+
+
+def test_laplace_path_builds_no_subset_table():
+    index_subsets.cache_clear()
+    P = plucker_of_basis(_random_basis(np.random.default_rng(43), 40, 5))
+    assert len(P.coords) == 658_008
+    assert index_subsets.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((65, 1), "ambient dimension 65"), ((64, 6), r"binomial\(64,6\) coordinates")],
+)
+def test_unsupported_shapes_raise_before_allocating(shape, message):
+    basis = _random_basis(np.random.default_rng(47), *shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            plucker_of_basis(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_dual_signs_match_complement_sign(m):
+    rng = np.random.default_rng(53 + m)
+    for r in range(1, m):
+        for P in (
+            plucker_of_basis(_random_basis(rng, m, r)),
+            plucker_of_basis(SubspaceBasis(np.eye(m, r, dtype=int) + np.tril(rng.integers(-3, 4, (m, r)), -1))),
+        ):
+            Q = dual_plucker(P)
+            for psi, value in zip(index_subsets(m, r), P.coords):
+                comp = tuple(i for i in range(m) if i not in psi)
+                expected = complement_sign(psi, m) * value
+                assert Q.coordinate(comp) == expected
+                assert type(Q.coordinate(comp)) is type(expected)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_coordinate_lookup_follows_the_subset_order(m):
+    for r in range(1, m + 1):
+        coords = np.arange(1, len(index_subsets(m, r)) + 1)
+        P = PluckerVector(r=r, m=m, coords=coords)
+        for pos, psi in enumerate(index_subsets(m, r)):
+            assert P.coordinate(psi[::-1]) == coords[pos]
+        assert P.max_abs() == len(coords)
+
+
+def test_coordinate_rejects_out_of_range_indices():
+    P = plucker_of_basis(SubspaceBasis(BASIS_4X2))
+    for psi in ((-1, 0), (3, 4), (), (1,)):
+        with pytest.raises(ValueError, match="not an r-subset"):
+            P.coordinate(psi)
