@@ -33,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_AMBIENT_DIM = 64
 MAX_COORDINATES = 1 << 24
 
-_DET_BATCH = 1 << 14
-
 
 class NotABasisError(ValueError):
     """The supplied matrix does not have full column rank."""
@@ -61,6 +59,8 @@ def index_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def subset_position(m: int, r: int) -> Mapping[tuple[int, ...], int]:
+    """Subset -> position dict, for writers that walk every coordinate
+    (``export_plucker_system``); single lookups use ``PluckerVector.coordinate``."""
     return {s: i for i, s in enumerate(index_subsets(m, r))}
 
 
@@ -249,39 +249,59 @@ class PluckerVector:
 def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     """All r x r row minors of the basis, in global subset order.
 
-    When the Laplace recursion's r 2^(r-1) (m-r+1) slice operations number at
-    most C(m, r), every minor comes from ``_laplace_minors``, which builds no
-    subset table. Otherwise, at large r, each minor is computed on its own:
-    by batched numpy determinants for float input, by ``row_reduce`` for
-    exact input. Integer or Fraction input is exact on both paths, and an
-    integral coordinate is an int.
+    Every minor comes from ``_laplace_minors``, which builds no subset table
+    and keeps one array per column subset. To hold those at most 2^(m/2),
+    a basis with r > m - r is first traded for its (m-r)-dimensional
+    orthogonal complement (``_minors_by_complement``). Integer or Fraction
+    input is exact, and an integral coordinate is an int.
     """
     mat = basis.matrix
     m, r = mat.shape
-    count = _coordinate_count(m, r)
+    _coordinate_count(m, r)
     exact = _is_exact_array(mat)
-    if r * 2 ** (r - 1) * (m - r + 1) <= count:
-        if not exact:
-            return PluckerVector(r=r, m=m, coords=_laplace_minors(mat))
-        rows = [[_exact_number(x) for x in row] for row in mat.tolist()]
-        coords = _laplace_minors(np.array(rows, dtype=object))
+    if exact:
+        mat = np.array([[_exact_number(x) for x in row] for row in mat.tolist()], dtype=object)
+    coords = _laplace_minors(mat) if 2 * r <= m else _minors_by_complement(mat)
+    if exact:
         for pos, c in enumerate(coords):
             if isinstance(c, Fraction) and c.denominator == 1:
                 coords[pos] = int(c)
-        return PluckerVector(r=r, m=m, coords=coords)
-    subsets = index_subsets(m, r)
-    if exact:
-        rows = mat.tolist()
-        coords = np.empty(count, dtype=object)
-        for pos, psi in enumerate(subsets):
-            _, coords[pos] = row_reduce([rows[i] for i in psi])
-        return PluckerVector(r=r, m=m, coords=coords)
-    idx = np.array(subsets, dtype=np.intp)
-    out = np.empty(count)
-    for start in range(0, count, _DET_BATCH):
-        chunk = idx[start : start + _DET_BATCH]
-        out[start : start + len(chunk)] = np.linalg.det(mat[chunk])
-    return PluckerVector(r=r, m=m, coords=out)
+    return PluckerVector(r=r, m=m, coords=coords)
+
+
+def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
+    """All r x r row minors of an m x r matrix, read off its complement.
+
+    Gauss-Jordan elimination on the transpose, with complete pivoting, picks
+    rows I with B[I] invertible and gives B' = B B[I]^-1, the identity on I
+    and N on the other rows J. The columns of C with C[J] = identity and
+    C[I] = -N^T span the orthogonal complement, so the dual of C's minors is
+    proportional to the minors of B'. Those are 1 at I, and the minors of B
+    are det B[I] times them. Object input stays exact (Fractions).
+    """
+    m, r = mat.shape
+    exact = mat.dtype == object
+    a = mat.T * (Fraction(1) if exact else 1.0)  # a copy; Fractions divide exactly
+    pivots = []
+    for i in range(r):
+        k, j = divmod(int(np.argmax(np.abs(a[i:]))), m)
+        a[[i, i + k]] = a[[i + k, i]]
+        a[i] = a[i] / a[i, j]
+        for t in range(r):
+            if t != i:
+                a[t] = a[t] - a[t, j] * a[i]
+        pivots.append(j)
+    rows = sorted(pivots)
+    a = a[np.argsort(pivots)]
+    det = row_reduce(mat[rows].tolist())[1] if exact else np.linalg.det(mat[rows])
+    if r == m:
+        return np.array([det], dtype=mat.dtype)
+    others = [i for i in range(m) if i not in pivots]
+    comp = np.zeros((m, m - r), dtype=a.dtype)
+    comp[others] = np.eye(m - r, dtype=int)
+    comp[rows] = -a[:, others]
+    dual = _dual_coords(_laplace_minors(comp), m, m - r)
+    return dual * (det * dual[_lex_rank(rows, m)])
 
 
 def _exact_number(x):
@@ -318,13 +338,15 @@ def dual_plucker(P: PluckerVector) -> PluckerVector:
     vector. Input vectors not arising from an actual subspace produce an
     undefined result (no decomposability test is attempted).
     """
-    m, r = P.m, P.r
-    _coordinate_count(m, m - r)
+    _coordinate_count(P.m, P.m - P.r)
+    return PluckerVector(r=P.m - P.r, m=P.m, coords=_dual_coords(P.coords, P.m, P.r))
+
+
+def _dual_coords(coords: np.ndarray, m: int, r: int) -> np.ndarray:
     # the t-th r-subset's complement is the (N-1-t)-th (m-r)-subset, and
     # sorting (psi, complement) takes sum(psi) - r(r-1)/2 transpositions
     odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
-    coords = np.where(odd, -P.coords, P.coords)[::-1]
-    return PluckerVector(r=m - r, m=m, coords=coords)
+    return np.where(odd, -coords, coords)[::-1]
 
 
 def projectively_equal(P: PluckerVector, Q: PluckerVector, rtol: float = 1e-9) -> bool:
@@ -361,11 +383,10 @@ def evaluate_bphi(phi: "Slmf", P: PluckerVector) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: vector is ({P.r},{P.m}), support is ({phi.r},{phi.m})"
         )
-    pos = subset_position(P.m, P.r)
     out = np.zeros((phi.m, len(phi.columns)), dtype=P.coords.dtype)
     for j, col in enumerate(phi.columns):
         for i, row in enumerate(col):
-            out[row, j] = (-1) ** i * P.coords[pos[col[:i] + col[i + 1 :]]]
+            out[row, j] = (-1) ** i * P.coordinate(col[:i] + col[i + 1 :])
     return out
 
 
@@ -402,8 +423,7 @@ def evaluate_section(functional: SectionFunctional, P: PluckerVector):
         raise ValueError(
             f"functional on {len(functional.phi)} indices does not match r={P.r}"
         )
-    pos = subset_position(P.m, P.r)
-    return sum(value * P.coords[pos[rest]] for rest, value in functional.terms)
+    return sum(value * P.coordinate(rest) for rest, value in functional.terms)
 
 
 def gr24_relation_residual(P: PluckerVector):

@@ -279,7 +279,7 @@ def shapes_and_seeds(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(shapes_and_seeds())
 def test_minors_match_the_per_subset_determinants(drawn):
-    """Both sides of the recursion rule agree with one determinant per subset."""
+    """Both sides of r <= m - r agree with one determinant per subset."""
     m, r, seed = drawn
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((m, r))
@@ -308,6 +308,31 @@ def test_laplace_path_builds_no_subset_table():
     P = plucker_of_basis(_random_basis(np.random.default_rng(43), 40, 5))
     assert len(P.coords) == 658_008
     assert index_subsets.cache_info().currsize == 0
+
+
+def test_large_rank_minors_come_from_the_small_complement():
+    """At 18 x 14 the recursion over 2^14 column sets would trace tens of MB;
+    through the 4-dimensional complement it stays under 1 MB."""
+    B = np.random.default_rng(59).standard_normal((18, 14))
+    basis = SubspaceBasis(B)
+    tracemalloc.start()
+    try:
+        coords = plucker_of_basis(basis).coords
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    expected = np.array([np.linalg.det(B[list(psi)]) for psi in itertools.combinations(range(18), 14)])
+    assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_complement_elimination_pivots_past_a_tiny_entry():
+    """A 1e-12 leading entry taken as the pivot would cost about 1e-4 in accuracy."""
+    B = np.random.default_rng(61).standard_normal((7, 5))
+    B[0, 0] = 1e-12
+    coords = plucker_of_basis(SubspaceBasis(B)).coords
+    expected = np.array([np.linalg.det(B[list(psi)]) for psi in itertools.combinations(range(7), 5)])
+    assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize(
