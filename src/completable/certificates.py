@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .patterns import ObservationPattern, column_subsets
-from .slmf import Slmf, check_slmf_combinatorial
+from .slmf import EXHAUSTIVE_COLUMN_LIMIT, Slmf, check_slmf_combinatorial
 
 DEFAULT_BUDGET = 10**7
 # most rows for which the bound and the greedy scan all 2^m row sets: on a 2-CPU
@@ -149,6 +149,19 @@ def verify_certificate(
                 )
         if not witness.supports:
             continue  # m == r leaves nothing to check
+        if len(witness.supports) > EXHAUSTIVE_COLUMN_LIMIT:
+            # past the minimum-witness scan, the search's matching test decides
+            pool = [
+                (s, k, sum(1 << i for i in s)) for s, k in zip(witness.supports, witness.sources)
+            ]
+            if _first_slmf_selection(pool, pattern.m, r, _Budget(len(pool))) is None:
+                return VerificationResult(
+                    False,
+                    "ii",
+                    f"group {nu + 1}: covering inequality fails (no minimum witness "
+                    f"past {EXHAUSTIVE_COLUMN_LIMIT} supports)",
+                )
+            continue
         verdict = check_slmf_combinatorial(witness.as_slmf(pattern.m, r))
         if not verdict.is_slmf:
             return VerificationResult(

@@ -397,17 +397,15 @@ def _cmd_export_system(args) -> int:
         raise _UsageError("--rank out of range")
     try:
         system = export_plucker_system(obs, args.rank)
-    except ValueError as exc:  # more rows or Plucker coordinates than supported
+    except ValueError as exc:  # more rows, coordinates or CSV bytes than supported
         raise _UsageError(f"{args.values_file}: {exc}") from exc
     csv_path = Path(args.out + ".csv")
     json_path = Path(args.out + ".json")
     _write_text(csv_path, system.to_csv())
     _write_text(json_path, system.index_map_json() + "\n")
     print(f"wrote {csv_path} and {json_path}")
-    print(
-        f"system: {system.matrix.shape[0]} linear sections over "
-        f"{system.matrix.shape[1]} coordinates (linear part only)"
-    )
+    rows, coords = system.shape
+    print(f"system: {rows} linear sections over {coords} coordinates (linear part only)")
     return EXIT_EVIDENCE
 
 

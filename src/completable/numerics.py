@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .patterns import ObservationPattern
-from .plucker import SubspaceBasis, index_subsets, subset_position
+from .plucker import SubspaceBasis, _coordinate_count, _lex_rank, index_subsets
 
 DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_GAP = 1e3
@@ -268,20 +269,30 @@ def jacobian_rank_test(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     m, n = pattern.m, pattern.n
-    target = r * (m + n - r)
     entries = pattern.sorted_entries()
+    return _rank_trials(
+        lambda rng: _factorization_jacobian(
+            entries, rng.standard_normal((m, r)), rng.standard_normal((r, n))
+        ),
+        r * (m + n - r),
+        trials,
+        seed,
+        tol,
+    )
+
+
+def _rank_trials(jacobian, target: int, trials: int, seed, tol: float) -> RankReport:
+    """Numerical rank of ``jacobian(rng)``, one independent rng per trial.
+
+    A trial whose spectrum shows no gap is counted indeterminate and left out
+    of the best rank and the passes.
+    """
     best = 0
     passes = 0
     indeterminate = 0
     for child in _trial_seeds(seed, trials):
-        rng = np.random.default_rng(child)
-        A = rng.standard_normal((m, r))
-        C = rng.standard_normal((r, n))
-        if len(entries) == 0:
-            rank, ok = 0, True
-        else:
-            J = _factorization_jacobian(entries, A, C)
-            rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
+        J = jacobian(np.random.default_rng(child))
+        rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
         if not ok:
             indeterminate += 1
             continue
@@ -359,25 +370,8 @@ def grassmann_section_rank_test(
             pass_count=trials if target == 0 else 0,
             tolerance=tol,
         )
-    best = 0
-    passes = 0
-    indeterminate = 0
-    for child in _trial_seeds(seed, trials):
-        J = _section_jacobian(m, r, np.random.default_rng(child), supports)
-        rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
-        if not ok:
-            indeterminate += 1
-            continue
-        best = max(best, rank)
-        if rank == target:
-            passes += 1
-    return RankReport(
-        tested_rank=best,
-        target=target,
-        trials=trials,
-        pass_count=passes,
-        tolerance=tol,
-        indeterminate=indeterminate,
+    return _rank_trials(
+        lambda rng: _section_jacobian(m, r, rng, supports), target, trials, seed, tol
     )
 
 
@@ -418,19 +412,42 @@ def _section_jacobian(m, r, rng, supports) -> np.ndarray:
     )
 
 
+# the dense CSV writes at least 4 bytes ("0.0,") per row and coordinate; the
+# largest benchmark export writes 57 MB, the limit is 4.7 times that
+MAX_EXPORT_BYTES = 1 << 28
+
+
 @dataclass(frozen=True)
 class ExportedSystem:
     """Linear part of the hyperplane-section system in Plucker coordinates.
 
     One row per column j and per (r+1)-subset of its support, over the
-    lexicographic subset order. The quadratic relations cutting out the
-    Grassmannian are intentionally not included.
+    lexicographic subset order, each with r+1 cells: ``columns`` holds their
+    coordinate positions, increasing along the row, and ``values`` their
+    coefficients, as read-only (rows, r+1) arrays. ``matrix`` is the dense
+    view for tests, built on each access. The quadratic relations cutting out
+    the Grassmannian are intentionally not included.
     """
 
     m: int
     r: int
-    matrix: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
     row_origin: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __post_init__(self) -> None:
+        self.columns.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.row_origin), math.comb(self.m, self.r)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.put_along_axis(dense, self.columns, self.values, axis=1)
+        return dense
 
     @property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
@@ -440,16 +457,16 @@ class ExportedSystem:
         """The matrix as dense CSV, one line per row, every cell ``repr(float)``.
 
         Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). A
-        line of ``0.0`` cells is built once, and each row splices its few
-        nonzero cells into it, so the time is linear in the bytes written.
+        line of ``0.0`` cells is built once, and each row splices its r+1
+        cells into it, so the time is linear in the bytes written.
         """
-        zero_line = ",".join(["0.0"] * self.matrix.shape[1])
+        zero_line = ",".join(["0.0"] * self.shape[1])
         lines = []
-        for row in self.matrix:
+        for columns, values in zip(self.columns.tolist(), self.values.tolist()):
             parts = []
             start = 0  # cell c spans zero_line[4c : 4c + 3]
-            for c in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
-                parts += (zero_line[start : 4 * c], repr(float(row[c])))
+            for c, value in zip(columns, values):
+                parts += (zero_line[start : 4 * c], repr(value))
                 start = 4 * c + 3
             parts.append(zero_line[start:])
             lines.append("".join(parts))
@@ -476,18 +493,28 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
     The ground-truth column space's Plucker vector lies in the null space of
     the exported matrix; columns with exactly r observations contribute no
     rows.
+
+    Raises:
+        ValueError: (m, r) is not a supported coordinate space, or the dense
+            CSV would pass ``MAX_EXPORT_BYTES``.
     """
     pattern = obs.pattern
-    if not 1 <= r <= pattern.m:
-        raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
-    pos = subset_position(pattern.m, r)
+    coords = _coordinate_count(pattern.m, r)
+    supports = pattern.column_supports()
+    rows = sum(math.comb(len(omega), r + 1) for omega in supports)
+    if rows * 4 * coords > MAX_EXPORT_BYTES:
+        raise ValueError(
+            f"{rows} rows over {coords} coordinates need at least {rows * 4 * coords} "
+            f"bytes of CSV, more than the supported {MAX_EXPORT_BYTES}"
+        )
     origin = tuple(
         (j, phi)
-        for j, omega in enumerate(pattern.column_supports())
+        for j, omega in enumerate(supports)
         for phi in itertools.combinations(omega, r + 1)
     )
-    matrix = np.zeros((len(origin), len(pos)))
-    for row, (j, phi) in zip(matrix, origin):
-        for k, i in enumerate(phi):
-            row[pos[phi[:k] + phi[k + 1 :]]] = (-1) ** k * obs.values[(i, j)]
-    return ExportedSystem(m=pattern.m, r=r, matrix=matrix, row_origin=origin)
+    # dropping a later element of phi leaves an earlier subset, so k runs down
+    drop = range(r, -1, -1)
+    phis = np.array([phi for _, phi in origin], dtype=np.int64).reshape(-1, r + 1)
+    columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
+    values = [[(-1) ** k * obs.values[(phi[k], j)] for k in drop] for j, phi in origin]
+    return ExportedSystem(pattern.m, r, columns, np.reshape(values, columns.shape), origin)

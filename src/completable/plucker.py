@@ -57,17 +57,12 @@ def index_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(m), r))
 
 
-@lru_cache(maxsize=None)
-def subset_position(m: int, r: int) -> Mapping[tuple[int, ...], int]:
-    """Subset -> position dict, for writers that walk every coordinate
-    (``export_plucker_system``); single lookups use ``PluckerVector.coordinate``."""
-    return {s: i for i, s in enumerate(index_subsets(m, r))}
-
-
-def _lex_rank(psi: Sequence[int], m: int) -> int:
-    """Position of the sorted r-subset ``psi`` of range(m) in lexicographic order."""
-    r = len(psi)
-    return math.comb(m, r) - 1 - sum(math.comb(m - 1 - p, r - k) for k, p in enumerate(psi))
+def _lex_rank(psi, m: int):
+    """Lexicographic position of a sorted r-subset of range(m), or of each one along
+    the last axis of an integer array; each C(m-1-p, r-k) < 2^63 at m <= 64."""
+    r = np.shape(psi)[-1]
+    after = np.array([[math.comb(m - 1 - p, r - k) for p in range(m)] for k in range(r)])
+    return math.comb(m, r) - 1 - after[np.arange(r), psi].sum(axis=-1)
 
 
 def _lex_blocks(m: int, r: int, k: int) -> Iterator[tuple[int, int, int]]:

@@ -96,6 +96,22 @@ def test_verify_fails_clause_ii_for_non_slmf(pattern_6x5):
     assert "covering" in result.detail
 
 
+def test_verify_decides_clause_ii_past_the_exhaustive_limit():
+    """24 supports per group: the search's matching test decides the clause."""
+    pattern = ObservationPattern(25, 25, frozenset((i, j) for i in range(25) for j in range(25)))
+    cert = find_finite_certificate(pattern, 1).certificate
+    assert len(cert.slmfs[0].supports) == 24
+    assert verify_certificate(pattern, 1, cert).ok
+    (witness,) = cert.slmfs
+    repeated = SlmfWitness(
+        supports=witness.supports[:-1] + witness.supports[:1],
+        sources=witness.sources[:-1] + witness.sources[:1],
+    )
+    result = verify_certificate(pattern, 1, Certificate("finite", cert.partition, (repeated,)))
+    assert (result.ok, result.failed_clause) == (False, "ii")
+    assert "covering" in result.detail
+
+
 def test_verify_fails_structure_for_bad_partition(pattern_6x5):
     cert = Certificate(
         kind="finite",

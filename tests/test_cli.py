@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,25 @@ def test_export_system_too_many_rows_exit_64(capsys, tmp_path):
     )
     assert code == 64
     assert "70" in err and "64" in err
+    assert not prefix.with_suffix(".csv").exists()
+
+
+def test_export_system_past_the_byte_limit_exit_64(capsys, tmp_path):
+    """C(64, 5) rows over C(64, 4) coordinates, refused before any row is built."""
+    values = tmp_path / "values.csv"
+    values.write_text("1.0\n" * 64)
+    prefix = tmp_path / "system"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "export-system", str(values), "--rank", "4", "--out", str(prefix)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 64
+    assert "7624512 rows over 635376 coordinates" in err
+    assert peak < 1 << 20
     assert not prefix.with_suffix(".csv").exists()
 
 

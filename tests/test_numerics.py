@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,23 @@ def test_export_empty_pattern_is_an_empty_system():
     assert system.matrix.shape == (0, 6)
     assert system.to_csv() == ""
     assert system.index_map()["rows"] == []
+
+
+def test_export_holds_only_the_row_cells():
+    """7 rows over C(40, 5) = 658,008 coordinates: a dense matrix would be 36.8 MB."""
+    pattern = ObservationPattern(40, 1, frozenset((i, 0) for i in range(0, 35, 5)))
+    values = {e: float(e[0] + 1) for e in pattern.entries}
+    tracemalloc.start()
+    try:
+        system = export_plucker_system(ObservedMatrix(pattern, values), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert system.shape == (7, 658008)
+    assert (np.diff(system.columns, axis=1) > 0).all()
+    with pytest.raises(ValueError, match="read-only"):
+        system.values[0, 0] = 1.0
 
 
 def test_complete_matrix_roundtrip_on_random_patterns():

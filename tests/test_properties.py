@@ -26,7 +26,7 @@ from completable.certificates import (
     _first_slmf_selection,
     _greedy_counting_set,
 )
-from completable.plucker import subset_position
+from completable.plucker import index_subsets
 from conftest import reference_export_csv, reference_relaxed_slmf
 
 
@@ -284,7 +284,7 @@ def observed_masks(draw):
 
 def reference_export_matrix(obs, r):
     """The export system built one zero row at a time, then stacked."""
-    pos = subset_position(obs.pattern.m, r)
+    pos = {s: t for t, s in enumerate(index_subsets(obs.pattern.m, r))}
     rows = []
     for j in range(obs.pattern.n):
         omega, x = obs.column(j)
