@@ -4,9 +4,13 @@ A certificate partitions the pattern's columns into r groups (finite case) or
 r+1 groups (unique case) and exhibits, per group, a linkage support whose
 columns are (r+1)-subsets drawn from the supports of that group's pattern
 columns. Verification is exact. The search enumerates partitions
-exhaustively; within a group it selects the linkage support greedily, since
-the candidate families form a matroid whose independence test is a bipartite
-matching. It is complete at desk scale and budget-bounded beyond it.
+exhaustively, in lexicographic order of their groups; within a group it
+selects the linkage support greedily, since the candidate families form a
+matroid whose independence test is a bipartite matching (``slmf``'s Hall
+oracle). A group is tested as soon as it is formed. When it holds no linkage
+support, the partitions beneath it are not walked: the nodes the walk would
+take there are counted in one step, so a budget means the same as for a full
+walk. The search is complete at desk scale and budget-bounded beyond it.
 
 One numpy kernel over row bitmasks gives the exact counting test and an upper
 bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
@@ -15,13 +19,21 @@ bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .patterns import ObservationPattern, column_subsets
-from .slmf import EXHAUSTIVE_COLUMN_LIMIT, Slmf, check_slmf_combinatorial
+from .slmf import (
+    EXHAUSTIVE_COLUMN_LIMIT,
+    Slmf,
+    check_slmf_combinatorial,
+    first_linkage_support,
+)
 
 DEFAULT_BUDGET = 10**7
 # most rows for which the bound and the greedy scan all 2^m row sets: on a 2-CPU
@@ -40,8 +52,8 @@ class _Budget:
     def __init__(self, nodes: int) -> None:
         self.left = int(nodes)
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, nodes: int = 1) -> None:
+        self.left -= nodes
         if self.left < 0:
             raise _BudgetExhausted
 
@@ -147,28 +159,15 @@ def verify_certificate(
                     f"group {nu + 1}: support {tuple(s + 1 for s in support)} not contained "
                     f"in column {source + 1}",
                 )
-        if not witness.supports:
-            continue  # m == r leaves nothing to check
-        if len(witness.supports) > EXHAUSTIVE_COLUMN_LIMIT:
-            # past the minimum-witness scan, the search's matching test decides
-            pool = [
-                (s, k, sum(1 << i for i in s)) for s, k in zip(witness.supports, witness.sources)
-            ]
-            if _first_slmf_selection(pool, pattern.m, r, _Budget(len(pool))) is None:
-                return VerificationResult(
-                    False,
-                    "ii",
-                    f"group {nu + 1}: covering inequality fails (no minimum witness "
-                    f"past {EXHAUSTIVE_COLUMN_LIMIT} supports)",
-                )
-            continue
-        verdict = check_slmf_combinatorial(witness.as_slmf(pattern.m, r))
-        if not verdict.is_slmf:
+        masks = [sum(1 << i for i in s) for s in witness.supports]
+        if first_linkage_support(masks, pattern.m, r) is None:
+            if len(masks) > EXHAUSTIVE_COLUMN_LIMIT:
+                where = f"(no minimum witness past {EXHAUSTIVE_COLUMN_LIMIT} supports)"
+            else:
+                least = check_slmf_combinatorial(witness.as_slmf(pattern.m, r)).witness
+                where = f"at columns {tuple(t + 1 for t in least)}"
             return VerificationResult(
-                False,
-                "ii",
-                f"group {nu + 1}: covering inequality fails at columns "
-                f"{tuple(t + 1 for t in verdict.witness)}",
+                False, "ii", f"group {nu + 1}: covering inequality fails {where}"
             )
     return VerificationResult(True, None, "all clauses hold")
 
@@ -192,134 +191,118 @@ class SearchOutcome:
         return "none" if self.exhausted else "inconclusive"
 
 
-def _lex_subsets_containing_first(rest: list[int]) -> Iterator[list[int]]:
-    """Subsets of ``rest`` in lexicographic tuple order (empty set first)."""
+def _lex_subsets(items: Sequence[int]) -> Iterator[list[int]]:
+    """Subsets of ``items`` in lexicographic tuple order (empty set first), without recursion."""
+    picked: list[int] = []  # positions in ``items``, increasing
+    while True:
+        yield [items[t] for t in picked]
+        following = picked[-1] + 1 if picked else 0
+        if following < len(items):
+            picked.append(following)
+        elif len(picked) <= 1:
+            return
+        else:
+            # the last item ends a branch: on to the next sibling of its parent
+            picked.pop()
+            picked[-1] += 1
 
-    def gen(prefix: list[int], start: int) -> Iterator[list[int]]:
-        yield prefix
-        for idx in range(start, len(rest)):
-            yield from gen(prefix + [rest[idx]], idx + 1)
 
-    yield from gen([], 0)
+def _walk_counter(cap: int) -> Callable[[int, int], int]:
+    """W(c, g): the nodes ``_partitions`` spends walking c columns into g groups, capped at ``cap``.
+
+    W(c, 1) = 0, W(c, g) = 0 for c < g, and otherwise
+    W(c, g) = 2^(c-1) + sum_e C(c-1, e) W(c-1-e, g-1), one node per first
+    group plus the walks beneath. Memoized for one search.
+    """
+    table: dict[tuple[int, int], int] = {}
+
+    def walked(c: int, g: int) -> int:
+        if g <= 1 or c < g:
+            return 0
+        if (c, g) not in table:
+            total = 1 << (c - 1)
+            for e in range(c - g + 1):
+                if total >= cap:
+                    break
+                total += math.comb(c - 1, e) * walked(c - 1 - e, g - 1)
+            table[c, g] = min(total, cap)
+        return table[c, g]
+
+    return walked
 
 
-def _partitions(columns: Sequence[int], groups: int, budget: _Budget) -> Iterator[list[tuple[int, ...]]]:
-    """Partitions into ``groups`` nonempty parts, groups ordered by least member.
+def _partitions(
+    columns: Sequence[int],
+    groups: int,
+    budget: _Budget,
+    select: Callable[[tuple[int, ...]], Optional[SlmfWitness]],
+    walked: Callable[[int, int], int],
+) -> Iterator[list[tuple[tuple[int, ...], SlmfWitness]]]:
+    """Partitions into ``groups`` parts that each hold a linkage support, with the supports.
 
-    Enumeration is lexicographic on the tuple of groups, so the partition
-    whose leading groups are smallest in tuple order comes first.
+    Groups are ordered by least member, and enumeration is lexicographic on
+    the tuple of groups, so the partition whose leading groups are smallest
+    in tuple order comes first. A node is one choice of a first group. A
+    group is tested by ``select`` as soon as it is formed; when it holds no
+    linkage support, the nodes of the walk beneath it are spent at once.
     """
     columns = sorted(columns)
     if groups <= 0 or len(columns) < groups:
         return
     if groups == 1:
-        yield [tuple(columns)]
+        witness = select(tuple(columns))
+        if witness is not None:
+            yield [(tuple(columns), witness)]
         return
     first, rest = columns[0], columns[1:]
-    for extra in _lex_subsets_containing_first(rest):
+    for extra in _lex_subsets(rest):
         budget.spend()
         if len(rest) - len(extra) < groups - 1:
             continue
-        group = tuple([first] + extra)
+        group = (first, *extra)
         taken = set(extra)
         remaining = [c for c in rest if c not in taken]
-        for tail in _partitions(remaining, groups - 1, budget):
-            yield [group] + tail
-
-
-def _column_pools(
-    supports: Sequence[Sequence[int]], r: int
-) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Per column, its (r+1)-subsets in lexicographic order with their row bitmasks."""
-    return [
-        [(subset, sum(1 << i for i in subset)) for subset in column_subsets(omega, r + 1)]
-        for omega in supports
-    ]
-
-
-def _group_pool(
-    column_pools: Sequence[Sequence[tuple[tuple[int, ...], int]]], group: Sequence[int]
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """Deduplicated (subset, source column, row bitmask) pool for a group, lexicographic."""
-    pool: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
-    for k in sorted(group):
-        for subset, mask in column_pools[k]:
-            if subset not in pool:
-                pool[subset] = (subset, k, mask)
-    return sorted(pool.values())
-
-
-def _augment(
-    v: int, rows_of: Sequence[Sequence[int]], owner: list[int], seen: list[bool]
-) -> bool:
-    """Kuhn's step: match left vertex ``v``, re-matching others along an augmenting path."""
-    for u in rows_of[v]:
-        if not seen[u]:
-            seen[u] = True
-            w = owner[u]
-            if w < 0 or _augment(w, rows_of, owner, seen):
-                owner[u] = v
-                return True
-    return False
-
-
-def _first_slmf_selection(
-    pool: list[tuple[tuple[int, ...], int, int]], m: int, r: int, budget: _Budget
-) -> Optional[SlmfWitness]:
-    """Lexicographically first choice of m-r pool subsets forming an SLMF.
-
-    The families whose every subfamily of t subsets covers at least t+r rows
-    are the independent sets of the matroid induced by |N(S)| - r (Edmonds),
-    so greedy over the pool in order yields the lexicographically first
-    basis. A candidate is independent of the chosen subsets iff, alongside a
-    matching of each chosen subset to its own row, r+1 copies of it can be
-    matched too (surplus form of Hall's theorem); the matching of the chosen
-    subsets is kept between candidates, so each test is r+1 augmentations.
-    """
-    needed = m - r
-    if needed == 0:
-        return SlmfWitness(supports=(), sources=())
-    if len(pool) < needed:
-        return None
-    full = (1 << m) - 1
-    suffix_union = [0] * (len(pool) + 1)
-    for idx in range(len(pool) - 1, -1, -1):
-        suffix_union[idx] = suffix_union[idx + 1] | pool[idx][2]
-    if suffix_union[0] != full:
-        # the complete family must cover every row
-        return None
-
-    chosen: list[int] = []
-    rows_of: list[tuple[int, ...]] = []  # rows of the chosen subsets, in order
-    owner = [-1] * m  # owner[i]: position in ``chosen`` matched to row i, or -1
-    covered = 0
-    for idx, (subset, _, mask) in enumerate(pool):
-        budget.spend()
-        k = len(chosen)
-        if len(pool) - idx < needed - k:
-            break
-        if (suffix_union[idx] | covered) != full:
-            # rows missing from everything still available; later
-            # candidates only shrink the reachable union
-            break
-        trial = owner[:]
-        copies = rows_of + [subset] * (r + 1)
-        if not all(_augment(v, copies, trial, [False] * m) for v in range(k, k + r + 1)):
+        witness = select(group)
+        if witness is None:
+            budget.spend(walked(len(remaining), groups - 1))
             continue
-        # the r+1 copies hold exactly the candidate's rows; keep the first
-        for i in subset:
-            if trial[i] > k:
-                trial[i] = -1
-        owner = trial
-        chosen.append(idx)
-        rows_of.append(subset)
-        covered |= mask
-        if len(chosen) == needed:
-            return SlmfWitness(
-                supports=tuple(pool[c][0] for c in chosen),
-                sources=tuple(pool[c][1] for c in chosen),
-            )
-    return None
+        for tail in _partitions(remaining, groups - 1, budget, select, walked):
+            yield [(group, witness)] + tail
+
+
+def _subset_table(
+    supports: Sequence[Sequence[int]], r: int
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """The distinct (r+1)-subsets of the column supports in lexicographic order,
+    their row bitmasks, and for each the bitmask of the columns holding it."""
+    sources: dict[tuple[int, ...], int] = {}
+    for j, omega in enumerate(supports):
+        for subset in column_subsets(omega, r + 1):
+            sources[subset] = sources.get(subset, 0) | 1 << j
+    subsets = sorted(sources)
+    return subsets, [sum(1 << i for i in s) for s in subsets], [sources[s] for s in subsets]
+
+
+def _group_witness(
+    table: tuple[list[tuple[int, ...]], list[int], list[int]],
+    group: Sequence[int],
+    m: int,
+    r: int,
+    budget: _Budget,
+) -> Optional[SlmfWitness]:
+    """The group's lexicographically first linkage support, each subset from its least column."""
+    subsets, masks, sources = table
+    group_mask = sum(1 << k for k in group)
+    held = list(map(group_mask.__and__, sources))  # the group's columns holding each subset
+    pool = list(compress(range(len(subsets)), held))
+    chosen = first_linkage_support(list(compress(masks, held)), m, r, budget.spend)
+    if chosen is None:
+        return None
+    picked = [pool[c] for c in chosen]
+    return SlmfWitness(
+        supports=tuple(subsets[t] for t in picked),
+        sources=tuple((held[t] & -held[t]).bit_length() - 1 for t in picked),
+    )
 
 
 def _find_certificate(
@@ -343,29 +326,26 @@ def _find_certificate(
 def _enumerate(
     pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
 ) -> SearchOutcome:
-    """Partitions in order, each group's first linkage support greedily, memoized."""
+    """The first partition in order whose groups all hold a linkage support; supports memoized."""
     groups = _expected_groups(kind, r)
     budget = _Budget(budget_nodes)
-    column_pools = _column_pools(pattern.column_supports(), r)
-    memo: dict[frozenset[int], Optional[SlmfWitness]] = {}
+    table = _subset_table(pattern.column_supports(), r)
+    memo: dict[tuple[int, ...], Optional[SlmfWitness]] = {}
+
+    def select(group: tuple[int, ...]) -> Optional[SlmfWitness]:
+        if group not in memo:
+            memo[group] = _group_witness(table, group, pattern.m, r, budget)
+        return memo[group]
+
+    walked = _walk_counter(budget.left + 1)
     try:
-        for partition in _partitions(range(pattern.n), groups, budget):
-            witnesses = []
-            for group in partition:
-                key = frozenset(group)
-                if key not in memo:
-                    memo[key] = _first_slmf_selection(
-                        _group_pool(column_pools, group), pattern.m, r, budget
-                    )
-                if memo[key] is None:
-                    witnesses = None
-                    break
-                witnesses.append(memo[key])
-            if witnesses is not None:
-                cert = Certificate(
-                    kind=kind, partition=tuple(partition), slmfs=tuple(witnesses)
-                )
-                return SearchOutcome(cert, exhausted=False, nodes=budget_nodes - budget.left)
+        for found in _partitions(range(pattern.n), groups, budget, select, walked):
+            cert = Certificate(
+                kind=kind,
+                partition=tuple(group for group, _ in found),
+                slmfs=tuple(witness for _, witness in found),
+            )
+            return SearchOutcome(cert, exhausted=False, nodes=budget_nodes - budget.left)
     except _BudgetExhausted:
         return SearchOutcome(None, exhausted=False, nodes=budget_nodes)
     return SearchOutcome(None, exhausted=True, nodes=budget_nodes - budget.left)
@@ -425,6 +405,7 @@ def _least_row_set(
     return best[0], tuple(i for i in range(m) if -best[2] >> (m - 1 - i) & 1)
 
 
+@lru_cache(maxsize=8)
 def _counting_bound(
     pattern: ObservationPattern, r: int
 ) -> tuple[int, Optional[tuple[int, ...]]]:
@@ -433,6 +414,8 @@ def _counting_bound(
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
     sum to at most r(#I - r), so |S| <= |Omega| + slack_Omega(I) for every I.
+    Memoized, so the two certificate searches and the necessary condition of
+    one analysis share one scan.
     """
     least = _least_row_set(pattern, r, lambda slack: slack)
     return (pattern.size, None) if least is None else (pattern.size + least[0], least[1])

@@ -14,12 +14,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .patterns import ObservationPattern
-from .plucker import SubspaceBasis, _coordinate_count, _lex_rank, index_subsets
+from .plucker import SubspaceBasis, _coordinate_count, _lex_rank
 
 DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_GAP = 1e3
@@ -450,8 +450,9 @@ class ExportedSystem:
         return dense
 
     @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return index_subsets(self.m, self.r)
+    def subsets(self) -> Iterator[tuple[int, ...]]:
+        """The C(m, r) coordinate subsets in lexicographic order, built on each access."""
+        return itertools.combinations(range(self.m), self.r)
 
     def to_csv(self) -> str:
         """The matrix as dense CSV, one line per row, every cell ``repr(float)``.

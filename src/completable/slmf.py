@@ -5,12 +5,23 @@ An (r, m) linkage support is a family of m-r column supports, each an
 at least t + r rows. The property is equivalent to the induced sparse dual
 basis having full column rank at a generic subspace, which gives a fast
 randomized test alongside the exact combinatorial one.
+
+The families meeting the covering inequality are the independent sets of the
+matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
+(``HallMatching``) decides independence by bipartite matchings on row
+bitmasks. Greedy over it (``first_linkage_support``) gives the certificate
+search's selection and, on a family of exactly m-r subsets, the
+combinatorial check's answer. The exhaustive scan of
+all 2^(m-r) - 1 subfamilies runs only on a refutation, for the minimum
+violating subfamily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from operator import or_
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,11 +68,161 @@ class SlmfVerdict:
     method: str
 
 
-def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
-    """Exhaustive check of the covering inequality over all nonempty subfamilies.
+def _augment(v: int, rows: Sequence[int], owner: list[int]) -> int:
+    """Kuhn's step without recursion: match member ``v``, re-matching others
+    along an augmenting path, lowest rows first. Returns the newly matched
+    row, or -1 when there is no augmenting path."""
+    seen = 0
+    path = [v]  # members on the alternating path from v
+    via = [-1]  # via[t]: the row path[t] held when the path reached it
+    untried = [rows[v]]
+    while path:
+        free = untried[-1] & ~seen
+        if not free:
+            path.pop()
+            via.pop()
+            untried.pop()
+            continue
+        low = free & -free
+        seen |= low
+        untried[-1] = free ^ low
+        row = low.bit_length() - 1
+        w = owner[row]
+        if w < 0:
+            owner[row] = path[-1]
+            for t in range(len(path) - 1, 0, -1):
+                owner[via[t]] = path[t - 1]
+            return row
+        path.append(w)
+        via.append(row)
+        untried.append(rows[w])
+    return -1
 
-    On failure returns a violating index set of minimum cardinality, ties
-    broken lexicographically.
+
+class HallMatching:
+    """A linkage support grown one (r+1)-subset at a time, each member matched to a row.
+
+    A subset joins iff the family stays a linkage support: iff r+1 copies of
+    it can be matched alongside the members (surplus form of Hall's theorem),
+    which takes r+1 augmentations from the kept matching. Subsets and rows
+    are int bitmasks (row i is bit i).
+    """
+
+    __slots__ = ("r", "owner", "rows", "matched")
+
+    def __init__(self, m: int, r: int) -> None:
+        self.r = r
+        self.owner = [-1] * m  # owner[i]: the member matched to row i, or -1
+        self.rows: list[int] = []  # row mask of each member
+        self.matched = 0  # mask of the rows with an owner
+
+    def add(self, mask: int) -> bool:
+        """Admit the subset with row mask ``mask`` iff the family stays a linkage support."""
+        owner, rows, matched = self.owner, self.rows, self.matched
+        # Rows reachable from the subset by alternating paths; the members
+        # matched there have no rows outside, so fewer than r+1 unmatched
+        # ones among them is a Hall violator.
+        reach, todo = mask, mask & matched
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = rows[owner[low.bit_length() - 1]] & ~reach
+            reach |= new
+            todo |= new & matched
+        if (reach & ~matched).bit_count() <= self.r:
+            return False
+        k = len(rows)
+        trial = owner[:]
+        rows.extend([mask] * (self.r + 1))  # the copies are members k .. k+r
+        for v in range(k, k + self.r + 1):
+            row = _augment(v, rows, trial)
+            if row < 0:
+                del rows[k:]
+                return False
+            matched |= 1 << row
+        del rows[k + 1 :]
+        # the r+1 copies hold exactly the subset's rows; keep the first one's
+        for i in range(mask.bit_length()):
+            if mask >> i & 1 and trial[i] > k:
+                trial[i] = -1
+                matched ^= 1 << i
+        self.owner, self.matched = trial, matched
+        return True
+
+
+def first_linkage_support(
+    masks: Sequence[int], m: int, r: int, spend: Callable[[], None] = lambda: None
+) -> Optional[list[int]]:
+    """Positions of the lexicographically first m-r of ``masks`` forming a linkage support.
+
+    Greedy over the matroid in the given order yields its first basis. The
+    walk stops once too few candidates are left, or once the rows still
+    reachable miss one. ``spend`` is called once per candidate looked at.
+    None when no m-r of them form one.
+    """
+    needed = m - r
+    if needed == 0:
+        return []
+    if len(masks) < needed:
+        return None
+    full = (1 << m) - 1
+    # suffix_union[idx]: the rows of masks[idx:]
+    suffix_union = list(accumulate(reversed(masks), or_))[::-1]
+    if suffix_union[0] != full:
+        # the complete family must cover every row
+        return None
+    family = HallMatching(m, r)
+    chosen: list[int] = []
+    covered = 0
+    for idx, mask in enumerate(masks):
+        spend()
+        if len(masks) - idx < needed - len(chosen):
+            break
+        if (suffix_union[idx] | covered) != full:
+            # rows missing from everything still available; later
+            # candidates only shrink the reachable union
+            break
+        if family.add(mask):
+            chosen.append(idx)
+            covered |= mask
+            if len(chosen) == needed:
+                return chosen
+    return None
+
+
+def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
+    """Smallest subfamily, then lexicographically first, covering fewer than t + r rows.
+
+    Scans all 2^K - 1 nonempty subfamilies of the K masks, in about 11 bytes
+    per subfamily and 64 rows: its union as uint64 words, and its counts.
+    """
+    K = len(masks)
+    words = -(-max(mask.bit_length() for mask in masks) // 64)
+    # unions[t], sizes[t]: the rows covered by, and the number of, the masks at the bits of t
+    unions = np.zeros((1 << K, words), dtype=np.uint64)
+    sizes = np.zeros(1 << K, dtype=np.uint8)
+    for b, mask in enumerate(masks):
+        lo = 1 << b
+        split = [mask >> 64 * w & (1 << 64) - 1 for w in range(words)]
+        np.bitwise_or(unions[:lo], np.array(split, dtype=np.uint64), out=unions[lo : 2 * lo])
+        np.add(sizes[:lo], 1, out=sizes[lo : 2 * lo])
+    covered = np.bitwise_count(unions).sum(axis=1, dtype=np.int16)
+    del unions
+    violating = covered - r < sizes
+    violating[0] = False
+    cand = np.flatnonzero(violating)
+    if not len(cand):
+        return None
+    cand = cand[sizes[cand] == sizes[cand].min()]
+    return min(tuple(b for b in range(K) if (int(t) >> b) & 1) for t in cand)
+
+
+def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
+    """Exact check of the covering inequality over all nonempty subfamilies.
+
+    The Hall oracle decides; on failure the exhaustive scan returns a
+    violating index set of minimum cardinality, ties broken
+    lexicographically.
     """
     K = len(phi.columns)
     if K > EXHAUSTIVE_COLUMN_LIMIT:
@@ -69,28 +230,12 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
             f"{K} columns exceed the exhaustive limit {EXHAUSTIVE_COLUMN_LIMIT}; "
             "use the randomized check"
         )
-    masks = np.array(
-        [sum(1 << i for i in col) for col in phi.columns], dtype=np.uint64
-    )
-    # unions[t] = union of the columns indexed by the bits of t
-    unions = np.zeros(1 << K, dtype=np.uint64)
-    for b in range(K):
-        lo = 1 << b
-        unions[lo : 2 * lo] = unions[:lo] | masks[b]
-    sizes = np.bitwise_count(np.arange(1 << K, dtype=np.uint64))
-    covered = np.bitwise_count(unions)
-    violating = (covered.astype(np.int64) < sizes.astype(np.int64) + phi.r) & (
-        np.arange(1 << K) > 0
-    )
-    if not violating.any():
+    masks = [sum(1 << i for i in col) for col in phi.columns]
+    if first_linkage_support(masks, phi.m, phi.r) is not None:  # all m-r of them
         return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
-    cand = np.nonzero(violating)[0]
-    smallest = sizes[cand].min()
-    cand = cand[sizes[cand] == smallest]
-    witness = min(
-        tuple(b for b in range(K) if (int(t) >> b) & 1) for t in cand
+    return SlmfVerdict(
+        is_slmf=False, witness=_least_violator(masks, phi.r), method="combinatorial"
     )
-    return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
 
 
 def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator, p: int) -> int:

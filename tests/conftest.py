@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from completable import Slmf, parse_pattern
+from completable import Certificate, Slmf, SlmfWitness, parse_pattern
 
 # 6x5 mask, 18 observed entries, generically finitely completable at rank 2
 GRID_6X5 = """\
@@ -71,3 +71,122 @@ def reference_relaxed_slmf(pattern, r):
     if total_surplus != r * (m - r):
         return False, "equality", tuple(range(m))
     return True, None, None
+
+
+class _ReferenceBudgetExhausted(Exception):
+    pass
+
+
+class ReferenceBudget:
+    """Counts nodes one at a time, as the partition walk spends them."""
+
+    def __init__(self, nodes):
+        self.left = nodes
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise _ReferenceBudgetExhausted
+
+
+def reference_partitions(columns, groups, budget):
+    """Every partition into ``groups`` nonempty parts, walked one first group at a time."""
+    columns = sorted(columns)
+    if groups <= 0 or len(columns) < groups:
+        return
+    if groups == 1:
+        yield [tuple(columns)]
+        return
+    first, rest = columns[0], columns[1:]
+
+    def lex_subsets(prefix, start):
+        yield prefix
+        for idx in range(start, len(rest)):
+            yield from lex_subsets(prefix + [rest[idx]], idx + 1)
+
+    for extra in lex_subsets([], 0):
+        budget.spend()
+        if len(rest) - len(extra) < groups - 1:
+            continue
+        remaining = [c for c in rest if c not in extra]
+        for tail in reference_partitions(remaining, groups - 1, budget):
+            yield [(first, *extra)] + tail
+
+
+def _reference_augment(v, rows_of, owner, seen):
+    for u in rows_of[v]:
+        if not seen[u]:
+            seen[u] = True
+            w = owner[u]
+            if w < 0 or _reference_augment(w, rows_of, owner, seen):
+                owner[u] = v
+                return True
+    return False
+
+
+def _reference_selection(pool, m, r, budget):
+    """Greedy first linkage support of a sorted (subset, source, mask) pool, by Kuhn matchings."""
+    needed = m - r
+    if needed == 0:
+        return SlmfWitness(supports=(), sources=())
+    if len(pool) < needed:
+        return None
+    full = (1 << m) - 1
+    suffix_union = [0] * (len(pool) + 1)
+    for idx in range(len(pool) - 1, -1, -1):
+        suffix_union[idx] = suffix_union[idx + 1] | pool[idx][2]
+    if suffix_union[0] != full:
+        return None
+    chosen, rows_of, owner, covered = [], [], [-1] * m, 0
+    for idx, (subset, _, mask) in enumerate(pool):
+        budget.spend()
+        k = len(chosen)
+        if len(pool) - idx < needed - k or (suffix_union[idx] | covered) != full:
+            break
+        trial = owner[:]
+        copies = rows_of + [subset] * (r + 1)
+        if not all(_reference_augment(v, copies, trial, [False] * m) for v in range(k, k + r + 1)):
+            continue
+        for i in subset:
+            if trial[i] > k:
+                trial[i] = -1
+        owner = trial
+        chosen.append(idx)
+        rows_of.append(subset)
+        covered |= mask
+        if len(chosen) == needed:
+            return SlmfWitness(
+                supports=tuple(pool[c][0] for c in chosen),
+                sources=tuple(pool[c][1] for c in chosen),
+            )
+    return None
+
+
+def reference_enumerate(pattern, r, kind, budget_nodes):
+    """The certificate search as a walk over every partition, each group checked on arrival.
+
+    Returns (certificate, exhausted, nodes) like ``SearchOutcome``.
+    """
+    groups = r if kind == "finite" else r + 1
+    budget = ReferenceBudget(budget_nodes)
+    supports = pattern.column_supports()
+    memo = {}
+    try:
+        for partition in reference_partitions(range(pattern.n), groups, budget):
+            witnesses = []
+            for group in partition:
+                if group not in memo:
+                    pool = {}
+                    for k in group:
+                        for subset in itertools.combinations(sorted(supports[k]), r + 1):
+                            pool.setdefault(subset, (subset, k, sum(1 << i for i in subset)))
+                    memo[group] = _reference_selection(sorted(pool.values()), pattern.m, r, budget)
+                if memo[group] is None:
+                    break
+                witnesses.append(memo[group])
+            else:
+                cert = Certificate(kind, tuple(partition), tuple(witnesses))
+                return cert, False, budget_nodes - budget.left
+    except _ReferenceBudgetExhausted:
+        return None, False, budget_nodes
+    return None, True, budget_nodes - budget.left

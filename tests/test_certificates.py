@@ -18,8 +18,13 @@ from completable import (
     random_pattern,
     verify_certificate,
 )
-from completable.certificates import ROW_SET_LIMIT, _counting_bound, _greedy_counting_set
-from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
+from completable.certificates import (
+    ROW_SET_LIMIT,
+    _counting_bound,
+    _greedy_counting_set,
+    _walk_counter,
+)
+from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C, ReferenceBudget, reference_partitions
 
 
 def _witness(phi, sources):
@@ -382,3 +387,32 @@ def test_unique_certificate_found_within_budget_on_12x12_k5_s4():
     outcome = find_unique_certificate(pattern, 2, budget=100_000)
     assert outcome.status == "found"
     assert verify_certificate(pattern, 2, outcome.certificate).ok
+
+
+def test_walk_counter_matches_a_literal_walk():
+    """The nodes charged under an infeasible group are the nodes the walk would take there."""
+    exact, capped = _walk_counter(10**9), _walk_counter(1000)
+    for c in range(11):
+        for g in range(1, 6):
+            budget = ReferenceBudget(10**9)
+            for _ in reference_partitions(range(c), g, budget):
+                pass
+            walked = 10**9 - budget.left
+            assert exact(c, g) == walked, (c, g)
+            assert capped(c, g) == min(walked, 1000), (c, g)
+
+
+def three_row_chain(n):
+    """3 x n: every column but the last 5 observes rows 1-2, the last 5 observe rows 2-3."""
+    return ObservationPattern(
+        3, n, frozenset((i, j) for j in range(n) for i in ((0, 1) if j < n - 5 else (1, 2)))
+    )
+
+
+def test_unique_search_walks_a_first_group_of_a_thousand_columns():
+    """The lexicographic walk goes 1,095 columns deep with no recursion limit to hit."""
+    pattern = three_row_chain(1100)
+    outcome = find_unique_certificate(pattern, 1)
+    assert (outcome.status, outcome.nodes) == ("found", 1191)
+    assert [len(group) for group in outcome.certificate.partition] == [1095, 5]
+    assert verify_certificate(pattern, 1, outcome.certificate).ok

@@ -564,3 +564,37 @@ def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, monkeypatch, pat
     assert (code, out) == (64, "")
     assert err.startswith(f"error: argument {option}:")
     assert not list(tmp_path.glob("pattern_*.txt"))
+
+
+def test_analyze_a_thousand_column_chain_does_not_exit_70(capsys, tmp_path):
+    """The unique search walks a first group of 995 columns; it must not overflow the stack."""
+    rows = [["0"] * 1000 for _ in range(3)]
+    for j in range(1000):
+        for i in (0, 1) if j < 995 else (1, 2):
+            rows[i][j] = "1"
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{''.join(row)}\n" for row in rows))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["unique_certificate"]["status"] == "present"
+
+
+def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
+    """The finite and unique searches and the necessary condition share one row-set scan."""
+    from completable import certificates, random_pattern
+    from completable.cli import build_analysis_report
+
+    scans = []
+    kernel = certificates._least_row_set
+
+    def counted(pattern, r, score, stop=None):
+        if stop is None:  # the bound scans every row set; the counting test stops early
+            scans.append((pattern, r))
+        return kernel(pattern, r, score, stop)
+
+    monkeypatch.setattr(certificates, "_least_row_set", counted)
+    certificates._counting_bound.cache_clear()
+    pattern = random_pattern(8, 8, 5, seed=1)
+    report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
+    assert report["necessary_condition"]["verdict"] == "pass"
+    assert scans == [(pattern, 2)]

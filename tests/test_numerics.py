@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -238,6 +239,18 @@ def test_export_holds_only_the_row_cells():
     assert (np.diff(system.columns, axis=1) > 0).all()
     with pytest.raises(ValueError, match="read-only"):
         system.values[0, 0] = 1.0
+
+
+def test_index_map_leaves_the_subset_cache_empty():
+    """The index map lists all C(40, 5) subsets without keeping them in a cache."""
+    pattern = ObservationPattern(40, 1, frozenset((i, 0) for i in range(0, 35, 5)))
+    values = {e: float(e[0] + 1) for e in pattern.entries}
+    system = export_plucker_system(ObservedMatrix(pattern, values), 5)
+    index_subsets.cache_clear()
+    index_map = json.loads(system.index_map_json())
+    assert index_subsets.cache_info().currsize == 0
+    assert len(index_map["plucker_subsets"]) == 658008
+    assert index_map["plucker_subsets"][-1] == [36, 37, 38, 39, 40]
 
 
 def test_complete_matrix_roundtrip_on_random_patterns():

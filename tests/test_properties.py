@@ -10,24 +10,19 @@ from completable import (
     ObservationPattern,
     ObservedMatrix,
     Slmf,
-    SlmfWitness,
     check_necessary_condition,
     check_relaxed_slmf,
     check_slmf_combinatorial,
+    check_slmf_randomized,
     export_plucker_system,
     grassmann_section_rank_test,
     jacobian_rank_test,
     random_pattern,
 )
-from completable.certificates import (
-    _Budget,
-    _counting_bound,
-    _enumerate,
-    _first_slmf_selection,
-    _greedy_counting_set,
-)
+from completable.certificates import _counting_bound, _enumerate, _greedy_counting_set
 from completable.plucker import index_subsets
-from conftest import reference_export_csv, reference_relaxed_slmf
+from completable.slmf import _least_violator, first_linkage_support
+from conftest import reference_enumerate, reference_export_csv, reference_relaxed_slmf
 
 
 @st.composite
@@ -239,31 +234,24 @@ def slmf_pools(draw):
             unique=True,
         )
     )
-    pool = [(s, draw(st.integers(0, 5)), sum(1 << i for i in s)) for s in subsets]
-    return pool, m, r
+    return subsets, m, r
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(slmf_pools())
 def test_greedy_selection_is_the_first_slmf_by_brute_force(drawn):
-    """Greedy with the matching oracle returns the lexicographically first SLMF subfamily."""
+    """Greedy with the Hall oracle returns the lexicographically first SLMF subfamily."""
     pool, m, r = drawn
     reference = next(
         (
             picked
             for picked in itertools.combinations(range(len(pool)), m - r)
-            if check_slmf_combinatorial(Slmf(m, r, tuple(pool[i][0] for i in picked))).is_slmf
+            if _least_violator([sum(1 << i for i in pool[t]) for t in picked], r) is None
         ),
         None,
     )
-    witness = _first_slmf_selection(pool, m, r, _Budget(10**6))
-    if reference is None:
-        assert witness is None
-    else:
-        assert witness == SlmfWitness(
-            supports=tuple(pool[i][0] for i in reference),
-            sources=tuple(pool[i][1] for i in reference),
-        )
+    chosen = first_linkage_support([sum(1 << i for i in s) for s in pool], m, r)
+    assert chosen == (None if reference is None else list(reference))
 
 
 @st.composite
@@ -311,3 +299,51 @@ def test_export_matches_the_cell_by_cell_reference(drawn):
     assert system.matrix.shape == expected.shape
     assert system.matrix.tobytes() == expected.tobytes()
     assert system.to_csv() == reference_export_csv(expected)
+
+
+@st.composite
+def search_masks(draw):
+    """(pattern, r) on at most 9 x 10 cells: ``random_pattern`` masks or columns of any size."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, min(m, n, 3)))
+    if draw(st.booleans()):
+        k = draw(st.integers(r, m))
+        return random_pattern(m, n, k, seed=draw(st.integers(0, 2**16))), r
+    entries = set()
+    for j in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+        entries.update((i, j) for i in rows)
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(search_masks(), st.sampled_from(["finite", "unique"]), st.sampled_from([50, 3_000, 20_000]))
+def test_search_equals_the_full_walk(mask, kind, budget):
+    """Counting the nodes under an infeasible group changes no certificate, flag or node count."""
+    pattern, r = mask
+    outcome = _enumerate(pattern, r, kind, budget)
+    expected = reference_enumerate(pattern, r, kind, budget)
+    assert (outcome.certificate, outcome.exhausted, outcome.nodes) == expected
+
+
+@st.composite
+def slmf_families(draw):
+    """An (r, m) family of m-r (r+1)-subsets, m <= 9, drawn from a few subsets so duplicates occur."""
+    m = draw(st.integers(2, 9))
+    r = draw(st.integers(1, m - 1))
+    subset = st.sets(st.integers(0, m - 1), min_size=r + 1, max_size=r + 1)
+    few = draw(st.lists(subset, min_size=1, max_size=m - r))
+    columns = draw(st.lists(st.sampled_from(few), min_size=m - r, max_size=m - r))
+    return Slmf(m, r, tuple(tuple(sorted(c)) for c in columns))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slmf_families())
+def test_hall_oracle_matches_the_scan_and_the_rank_test(phi):
+    """Hall oracle, exhaustive subfamily scan and randomized dual-basis rank agree."""
+    masks = [sum(1 << i for i in col) for col in phi.columns]
+    oracle = first_linkage_support(masks, phi.m, phi.r) is not None
+    assert (_least_violator(masks, phi.r) is None) is oracle
+    assert check_slmf_combinatorial(phi).is_slmf is oracle
+    assert check_slmf_randomized(phi, trials=3, seed=0).is_slmf is oracle

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,26 @@ def test_witness_always_certifies_the_violation():
             continue
         union = set().union(*(phi.columns[t] for t in verdict.witness))
         assert len(union) < len(verdict.witness) + phi.r
+
+
+def test_witness_scan_at_the_column_limit_stays_small():
+    """A refuted 22-column family: the scan holds about 12 bytes for each of 4.2 million subfamilies."""
+    phi = Slmf(m=24, r=2, columns=tuple((i, i + 1, i + 2) for i in range(21)) + ((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        verdict = check_slmf_combinatorial(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.is_slmf, verdict.witness) == (False, (0, 21))
+    assert peak < 14 << 22
+
+
+def test_witness_past_64_rows():
+    """Unions of more than 64 rows span several words; the refutation still names the pair."""
+    columns = ((tuple(range(51)),) * 2) + tuple(tuple(range(i, i + 51)) for i in range(2, 20))
+    verdict = check_slmf_combinatorial(Slmf(m=70, r=50, columns=columns))
+    assert (verdict.is_slmf, verdict.witness) == (False, (0, 1))
 
 
 def test_column_order_invariance():
