@@ -33,12 +33,12 @@ from .numerics import (
     ObservedMatrix,
     RankReport,
     SectionTestError,
+    TangentSizeError,
     complete_column,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,
     jacobian_rank_test,
-    numerical_rank,
     observed_from_csv,
     observed_to_csv,
     sample_generic_subspace,

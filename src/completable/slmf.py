@@ -4,16 +4,17 @@ An (r, m) linkage support is a family of m-r column supports, each an
 (r+1)-subset of range(m), such that every nonempty subfamily of size t covers
 at least t + r rows. The property is equivalent to the induced sparse dual
 basis having full column rank at a generic subspace, which gives a fast
-randomized test alongside the exact combinatorial one.
+randomized test over GF(p) alongside the exact combinatorial one; it shares
+its elimination kernels with the tangent rank tests (``plucker``).
 
 The families meeting the covering inequality are the independent sets of the
 matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
 (``HallMatching``) decides independence by bipartite matchings on row
 bitmasks. Greedy over it (``first_linkage_support``) gives the certificate
 search's selection and, on a family of exactly m-r subsets, the
-combinatorial check's answer. The exhaustive scan of
+combinatorial check's answer, at any size. The exhaustive scan of
 all 2^(m-r) - 1 subfamilies runs only on a refutation, for the minimum
-violating subfamily.
+violating subfamily, and only up to ``EXHAUSTIVE_COLUMN_LIMIT`` columns.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .patterns import parse_pattern
-from .plucker import SubspaceBasis, evaluate_bphi, plucker_of_basis, row_reduce
+from .plucker import (
+    FIELD_PRIME,
+    SubspaceBasis,
+    evaluate_bphi,
+    left_null_mod_p,
+    plucker_of_basis,
+    rank_mod_p,
+)
 
 EXHAUSTIVE_COLUMN_LIMIT = 22
-FIELD_PRIME = (1 << 31) - 1
 FLOAT_RANK_TOL = 1e-9
 
 
@@ -220,33 +227,39 @@ def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
 def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     """Exact check of the covering inequality over all nonempty subfamilies.
 
-    The Hall oracle decides; on failure the exhaustive scan returns a
-    violating index set of minimum cardinality, ties broken
+    The Hall oracle decides, at any size; on failure the exhaustive scan
+    returns a violating index set of minimum cardinality, ties broken
     lexicographically.
+
+    Raises:
+        ValueError: the family is refuted and has more than
+            ``EXHAUSTIVE_COLUMN_LIMIT`` columns, too many to scan.
     """
-    K = len(phi.columns)
-    if K > EXHAUSTIVE_COLUMN_LIMIT:
-        raise ValueError(
-            f"{K} columns exceed the exhaustive limit {EXHAUSTIVE_COLUMN_LIMIT}; "
-            "use the randomized check"
-        )
     masks = [sum(1 << i for i in col) for col in phi.columns]
     if first_linkage_support(masks, phi.m, phi.r) is not None:  # all m-r of them
         return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
+    if len(masks) > EXHAUSTIVE_COLUMN_LIMIT:
+        raise ValueError(
+            f"{len(masks)} columns exceed the exhaustive limit {EXHAUSTIVE_COLUMN_LIMIT} "
+            "of the minimum-witness scan; use the randomized check"
+        )
     return SlmfVerdict(
         is_slmf=False, witness=_least_violator(masks, phi.r), method="combinatorial"
     )
 
 
-def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator, p: int) -> int:
-    """Rank over GF(p) of the dual basis evaluated at a random subspace."""
-    basis = rng.integers(1, p, size=(phi.m, phi.r)).tolist()
-    mat = [[0] * len(phi.columns) for _ in range(phi.m)]
-    for j, col in enumerate(phi.columns):
-        for i, row in enumerate(col):
-            _, minor = row_reduce([basis[t] for t in col if t != row], p)
-            mat[row][j] = (-1) ** i * minor % p
-    return row_reduce(mat, p)[0]
+def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
+    """Rank over GF(p) of the dual basis evaluated at a random subspace.
+
+    Column j is, up to a nonzero scale, the left null vector of the basis
+    rows at its support, and zero where those rows drop rank.
+    """
+    basis = rng.integers(1, FIELD_PRIME, size=(phi.m, phi.r))
+    supports = np.array(phi.columns)
+    null, full = left_null_mod_p(basis[supports])
+    dual = np.zeros((phi.m, len(supports)), dtype=np.int64)
+    dual[supports.T, np.arange(len(supports))] = (null[:, 0] * full[:, None]).T
+    return rank_mod_p(dual)
 
 
 def _dual_basis_rank_float(phi: Slmf, rng: np.random.Generator) -> int:
@@ -278,7 +291,7 @@ def check_slmf_randomized(
     for child in seed.spawn(trials):
         rng = np.random.default_rng(child)
         if field == "prime":
-            rank = _dual_basis_rank_mod_p(phi, rng, FIELD_PRIME)
+            rank = _dual_basis_rank_mod_p(phi, rng)
         else:
             rank = _dual_basis_rank_float(phi, rng)
         if rank == target:

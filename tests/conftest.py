@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from completable import Certificate, Slmf, SlmfWitness, parse_pattern
@@ -42,6 +43,39 @@ def pattern_6x5():
 @pytest.fixture
 def pattern_6x6():
     return parse_pattern(GRID_6X6)
+
+
+def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
+    """Float SVD ranks of the dense factorization Jacobian J and of its section
+    rows S at a standard-normal point, and whether every spectrum shows a gap.
+
+    Row (i, j) of J holds C[:, j] at A's row i and A[i] at C's column j. S
+    stacks N (x) c_j over each column j and each left null vector N of
+    A[omega_j] (from the SVD). A rank counts the singular values above
+    ``tol`` times the largest; the gap is clear when nothing was cut or the
+    last kept value is ``gap`` times the first cut one.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = pattern.m, pattern.n
+    A, C = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    J = np.zeros((pattern.size, r * (m + n)))
+    for row, (i, j) in enumerate(pattern.sorted_entries()):
+        J[row, i * r : (i + 1) * r] = C[:, j]
+        J[row, (m + j) * r : (m + j + 1) * r] = A[i]
+    S = [np.zeros(m * r)]
+    for j, omega in enumerate(pattern.column_supports()):
+        if len(omega) > r:
+            for null in np.linalg.svd(A[list(omega)])[0][:, r:].T:
+                lifted = np.zeros((m, r))
+                lifted[list(omega)] = np.outer(null, C[:, j])
+                S.append(lifted.ravel())
+    ranks, clear = [], True
+    for M in (np.vstack([J, np.zeros(J.shape[1])]), np.array(S)):  # a zero row keeps M nonempty
+        s = np.linalg.svd(M, compute_uv=False)
+        rank = int((s > tol * s[0]).sum())
+        ranks.append(rank)
+        clear &= rank in (0, s.size) or s[rank] == 0 or s[rank - 1] >= gap * s[rank]
+    return ranks, clear
 
 
 def reference_export_csv(matrix):

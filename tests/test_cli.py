@@ -416,6 +416,22 @@ def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
     assert err == ""
 
 
+def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, pattern_file, monkeypatch):
+    import completable.numerics
+
+    monkeypatch.setattr(completable.numerics, "MAX_TANGENT_BYTES", 1000)
+    code, out, err = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--json")
+    assert (code, err) == (0, "")  # the finite certificate still decides
+    report = json.loads(out)
+    for key in ("jacobian_rank", "grassmann_section_rank"):
+        assert report[key] == {
+            "verdict": "inconclusive",
+            "error": "the tangent rank system needs 1632 bytes, more than the supported 1000",
+        }
+    _, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2")
+    assert "jacobian rank: inconclusive (the tangent rank system needs 1632 bytes" in out
+
+
 def test_complete_nan_value_exit_64(capsys, tmp_path):
     values, basis, _ = _observed_csv_file(tmp_path)
     lines = values.read_text().splitlines()
@@ -504,15 +520,28 @@ def test_export_system_past_the_byte_limit_exit_64(capsys, tmp_path):
 
 @pytest.mark.parametrize("method", ["both", "combinatorial"])
 def test_slmf_check_over_column_limit_exit_64(capsys, tmp_path, method):
+    """A refutation past 22 columns has no minimum witness: exit 64."""
     from completable import Slmf
 
     path = tmp_path / "phi.txt"
-    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=tuple((j, j + 1) for j in range(24)))))
+    chain = tuple((j, j + 1) for j in range(23))
+    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=chain + ((0, 1),))))
     code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
     assert code == 64
     assert "22-column limit" in err and "--method randomized" in err
     code, out, _ = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", "randomized")
-    assert (code, out.splitlines()[0]) == (0, "slmf: yes")
+    assert (code, out.splitlines()[0]) == (2, "slmf: no")
+
+
+@pytest.mark.parametrize("method", ["both", "combinatorial"])
+def test_slmf_check_yes_past_the_column_limit(capsys, tmp_path, method):
+    """The Hall oracle answers a 24-column linkage support; no witness scan runs."""
+    from completable import Slmf
+
+    path = tmp_path / "phi.txt"
+    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=tuple((j, j + 1) for j in range(24)))))
+    code, out, _ = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
+    assert (code, out) == (0, "slmf: yes\n")
 
 
 def test_unexpected_exception_is_exit_70(capsys, pattern_file, monkeypatch):

@@ -9,14 +9,15 @@ from completable import (
     InconsistentObservationError,
     ObservationPattern,
     ObservedMatrix,
+    RankReport,
     SectionTestError,
     SubspaceBasis,
+    TangentSizeError,
     complete_column,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,
     jacobian_rank_test,
-    numerical_rank,
     observed_from_csv,
     observed_to_csv,
     plucker_of_basis,
@@ -24,7 +25,7 @@ from completable import (
     random_pattern,
     sample_generic_subspace,
 )
-from completable.numerics import ObservedMatrixFormatError
+from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets
 
 
@@ -163,6 +164,61 @@ def test_grassmann_rank_6x5(pattern_6x5):
     assert report.indeterminate == 0
 
 
+def test_a_passing_rank_test_runs_one_trial(pattern_6x5):
+    """An exact full rank is a proof, so the first full-rank trial ends the test."""
+    jacobian = jacobian_rank_test(pattern_6x5, 2)
+    section = grassmann_section_rank_test(pattern_6x5, 2)
+    assert jacobian == RankReport(tested_rank=18, target=18, trials=1, pass_count=1)
+    assert section == RankReport(tested_rank=8, target=8, trials=1, pass_count=1)
+
+
+def test_a_refuting_rank_test_runs_every_trial(pattern_6x5):
+    smaller = pattern_6x5.without_entry((4, 0))
+    assert jacobian_rank_test(smaller, 2, trials=4) == RankReport(17, 18, 4, 0)
+    assert grassmann_section_rank_test(smaller, 2) == RankReport(7, 8, 3, 0)
+
+
+class _Draws:
+    """Stands in for a Generator: hands out the given arrays as A, then C."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def integers(self, low, high, size):
+        assert self.arrays[0].shape == size
+        return self.arrays.pop(0)
+
+
+def test_a_column_whose_rows_drop_rank_is_left_out():
+    """Rows 0-2 of A are parallel, so column 0 (rows 0-2) drops rank at r = 2:
+    the ranks are those of the mask without that column, at the same point."""
+    supports = ((0, 1, 2), (2, 3, 4, 5), (0, 3, 4, 5))
+    pattern = ObservationPattern(6, 3, frozenset((i, j) for j, rows in enumerate(supports) for i in rows))
+    rng = np.random.default_rng(5)
+    A = rng.integers(1, 1000, size=(6, 2))
+    A[:3] = A[0] * np.array([[1], [2], [3]])
+    C = rng.integers(1, 1000, size=(2, 3))
+    without = pattern.restrict(e for e in pattern.entries if e[1] != 0)
+    ranks = _tangent_ranks(pattern, 2, _Draws(A, C))
+    assert ranks == _tangent_ranks(without, 2, _Draws(A, C)) == (8, 4)
+
+
+def test_tangent_tests_refuse_an_oversized_system_before_allocating():
+    """3000 x 3000, 8 rows per column, r = 3: the section rows alone would be
+    15,000 x 9,000 int64 cells, 1.08 GB."""
+    pattern = random_pattern(3000, 3000, 8, seed=0)
+    pattern.column_supports()
+    tracemalloc.start()
+    try:
+        for test in (jacobian_rank_test, grassmann_section_rank_test):
+            with pytest.raises(TangentSizeError, match="1082112000 bytes"):
+                test(pattern, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):
     smaller = pattern_6x5.without_entry((4, 0))
     report = grassmann_section_rank_test(smaller, 2)
@@ -279,13 +335,6 @@ def test_section_rank_pass_implies_jacobian_pass(pattern_6x5):
         section = grassmann_section_rank_test(pattern, 2, trials=2)
         if section.passed:
             assert jacobian_rank_test(pattern, 2, trials=2).passed
-
-
-def test_numerical_rank_gap_rules():
-    assert numerical_rank(np.array([1.0, 1e-5, 1e-12])) == (2, True)
-    assert numerical_rank(np.array([1.0, 1e-8, 1e-10])) == (2, False)  # gap only 100
-    assert numerical_rank(np.array([1.0, 0.5, 0.25])) == (3, True)
-    assert numerical_rank(np.array([0.0, 0.0])) == (0, True)
 
 
 def test_observed_csv_roundtrip(pattern_6x5):

@@ -23,7 +23,14 @@ from completable import (
     projectively_equal,
     section_functional,
 )
-from completable.plucker import complement_sign, index_subsets, row_reduce
+from completable.plucker import (
+    FIELD_PRIME,
+    complement_sign,
+    index_subsets,
+    left_null_mod_p,
+    rank_mod_p,
+    row_reduce,
+)
 from conftest import PHI_A, PHI_B, REPEATED_COLUMNS
 
 # rank-2 basis of R^4 whose minors are small integers; its coordinate vector
@@ -382,3 +389,24 @@ def test_coordinate_rejects_out_of_range_indices():
     for psi in ((-1, 0), (3, 4), (), (1,)):
         with pytest.raises(ValueError, match="not an r-subset"):
             P.coordinate(psi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_rank_mod_p_is_the_rational_rank_of_small_integer_matrices(rows, cols, seed):
+    """Entries in {0, 1, 2}: every minor is below 2^6 6! < p, so no rank drops mod p."""
+    M = np.random.default_rng(seed).integers(0, 3, size=(rows, cols))
+    assert rank_mod_p(M.copy()) == row_reduce(M.tolist())[0]
+
+
+@pytest.mark.parametrize("k, r", [(6, 3), (4, 4), (2, 3)])
+def test_left_null_mod_p_spans_the_left_null_space(k, r):
+    A = np.random.default_rng(k + r).integers(0, FIELD_PRIME, size=(20, k, r))
+    A[0, :, 0] = 0  # a zero column drops the rank below min(k, r)
+    null, full = left_null_mod_p(A)
+    steps = min(k, r)
+    assert null.shape == (20, k - steps, k)
+    assert full.tolist() == [False] + [True] * 19
+    for N, M in zip(null[1:], A[1:]):
+        assert not (N.astype(object) @ M.astype(object) % FIELD_PRIME).any()
+        assert rank_mod_p(N.copy()) == k - steps
