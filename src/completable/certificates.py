@@ -7,10 +7,12 @@ columns. Verification is exact. The search enumerates partitions
 exhaustively, in lexicographic order of their groups; within a group it
 selects the linkage support greedily, since the candidate families form a
 matroid whose independence test is a bipartite matching (``slmf``'s Hall
-oracle). A group is tested as soon as it is formed. When it holds no linkage
-support, the partitions beneath it are not walked: the nodes the walk would
-take there are counted in one step, so a budget means the same as for a full
-walk. The search is complete at desk scale and budget-bounded beyond it.
+oracle). A node is one first group visited or one pool subset tested. The
+columns a first group leaves must still observe every row once per group
+left, with surpluses (#omega_j - r)^+ summing to m-r per group left; when
+they do not, nor do those any superset leaves, so the branch is cut. A group
+that passes is tested at once, and the walk goes beneath it only when it
+holds a linkage support. Complete at desk scale, budget-bounded beyond it.
 
 One numpy kernel over row bitmasks gives the exact counting test and an upper
 bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
@@ -19,10 +21,9 @@ bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,8 +53,8 @@ class _Budget:
     def __init__(self, nodes: int) -> None:
         self.left = int(nodes)
 
-    def spend(self, nodes: int = 1) -> None:
-        self.left -= nodes
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise _BudgetExhausted
 
@@ -191,117 +192,88 @@ class SearchOutcome:
         return "none" if self.exhausted else "inconclusive"
 
 
-def _lex_subsets(items: Sequence[int]) -> Iterator[list[int]]:
-    """Subsets of ``items`` in lexicographic tuple order (empty set first), without recursion."""
-    picked: list[int] = []  # positions in ``items``, increasing
-    while True:
-        yield [items[t] for t in picked]
-        following = picked[-1] + 1 if picked else 0
-        if following < len(items):
-            picked.append(following)
-        elif len(picked) <= 1:
-            return
-        else:
-            # the last item ends a branch: on to the next sibling of its parent
-            picked.pop()
-            picked[-1] += 1
-
-
-def _walk_counter(cap: int) -> Callable[[int, int], int]:
-    """W(c, g): the nodes ``_partitions`` spends walking c columns into g groups, capped at ``cap``.
-
-    W(c, 1) = 0, W(c, g) = 0 for c < g, and otherwise
-    W(c, g) = 2^(c-1) + sum_e C(c-1, e) W(c-1-e, g-1), one node per first
-    group plus the walks beneath. Memoized for one search.
-    """
-    table: dict[tuple[int, int], int] = {}
-
-    def walked(c: int, g: int) -> int:
-        if g <= 1 or c < g:
-            return 0
-        if (c, g) not in table:
-            total = 1 << (c - 1)
-            for e in range(c - g + 1):
-                if total >= cap:
-                    break
-                total += math.comb(c - 1, e) * walked(c - 1 - e, g - 1)
-            table[c, g] = min(total, cap)
-        return table[c, g]
-
-    return walked
-
-
 def _partitions(
     columns: Sequence[int],
     groups: int,
     budget: _Budget,
     select: Callable[[tuple[int, ...]], Optional[SlmfWitness]],
-    walked: Callable[[int, int], int],
+    fits: Callable[[int, int], bool],
 ) -> Iterator[list[tuple[tuple[int, ...], SlmfWitness]]]:
     """Partitions into ``groups`` parts that each hold a linkage support, with the supports.
 
     Groups are ordered by least member, and enumeration is lexicographic on
     the tuple of groups, so the partition whose leading groups are smallest
-    in tuple order comes first. A node is one choice of a first group. A
-    group is tested by ``select`` as soon as it is formed; when it holds no
-    linkage support, the nodes of the walk beneath it are spent at once.
+    in tuple order comes first. A node is one first group visited. Its
+    supersets follow it in the walk, so when ``fits`` refuses the columns it
+    leaves for the other groups, its branch is cut. Otherwise ``select``
+    tests it, and the walk goes beneath it when it holds a linkage support.
     """
     columns = sorted(columns)
-    if groups <= 0 or len(columns) < groups:
-        return
     if groups == 1:
         witness = select(tuple(columns))
         if witness is not None:
             yield [(tuple(columns), witness)]
         return
     first, rest = columns[0], columns[1:]
-    for extra in _lex_subsets(rest):
+    left = sum(1 << c for c in rest)  # the columns the first group leaves
+    picked: list[int] = []  # the group's other members, as positions in ``rest``, increasing
+    while True:
         budget.spend()
-        if len(rest) - len(extra) < groups - 1:
+        descend = fits(left, groups - 1)
+        if descend:
+            group = (first, *(rest[t] for t in picked))
+            witness = select(group)
+            if witness is not None:
+                remaining = [c for c in rest if left >> c & 1]
+                for tail in _partitions(remaining, groups - 1, budget, select, fits):
+                    yield [(group, witness)] + tail
+        following = picked[-1] + 1 if picked else 0
+        if descend and following < len(rest):
+            picked.append(following)
+            left ^= 1 << rest[following]
             continue
-        group = (first, *extra)
-        taken = set(extra)
-        remaining = [c for c in rest if c not in taken]
-        witness = select(group)
-        if witness is None:
-            budget.spend(walked(len(remaining), groups - 1))
-            continue
-        for tail in _partitions(remaining, groups - 1, budget, select, walked):
-            yield [(group, witness)] + tail
+        # on to the next sibling, or to the parent's when this is the last item
+        if picked and picked[-1] == len(rest) - 1:
+            left ^= 1 << rest[picked.pop()]
+        if not picked:
+            return
+        left ^= 1 << rest[picked[-1]] | 1 << rest[picked[-1] + 1]
+        picked[-1] += 1
 
 
 def _subset_table(
     supports: Sequence[Sequence[int]], r: int
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+) -> tuple[list[tuple[int, ...]], list[int], list[list[int]], list[int]]:
     """The distinct (r+1)-subsets of the column supports in lexicographic order,
-    their row bitmasks, and for each the bitmask of the columns holding it."""
-    sources: dict[tuple[int, ...], int] = {}
-    for j, omega in enumerate(supports):
-        for subset in column_subsets(omega, r + 1):
-            sources[subset] = sources.get(subset, 0) | 1 << j
-    subsets = sorted(sources)
-    return subsets, [sum(1 << i for i in s) for s in subsets], [sources[s] for s in subsets]
+    their row bitmasks, for each column the positions of its subsets
+    (increasing), and each column's row bitmask."""
+    held = [column_subsets(omega, r + 1) for omega in supports]
+    subsets = sorted(set().union(*held))
+    position = {s: t for t, s in enumerate(subsets)}
+    positions = [[position[s] for s in column] for column in held]
+    rows = [sum(1 << i for i in omega) for omega in supports]
+    return subsets, [sum(1 << i for i in s) for s in subsets], positions, rows
 
 
 def _group_witness(
-    table: tuple[list[tuple[int, ...]], list[int], list[int]],
+    table: tuple[list[tuple[int, ...]], list[int], list[list[int]], list[int]],
     group: Sequence[int],
     m: int,
     r: int,
     budget: _Budget,
 ) -> Optional[SlmfWitness]:
     """The group's lexicographically first linkage support, each subset from its least column."""
-    subsets, masks, sources = table
-    group_mask = sum(1 << k for k in group)
-    held = list(map(group_mask.__and__, sources))  # the group's columns holding each subset
-    pool = list(compress(range(len(subsets)), held))
-    chosen = first_linkage_support(list(compress(masks, held)), m, r, budget.spend)
+    subsets, masks, positions, rows = table
+    if m > r and reduce(or_, (rows[k] for k in group)) != (1 << m) - 1:
+        return None  # a linkage support covers every row
+    pool = sorted(set().union(*(positions[k] for k in group)))
+    chosen = first_linkage_support([masks[t] for t in pool], m, r, budget.spend)
     if chosen is None:
         return None
     picked = [pool[c] for c in chosen]
     return SlmfWitness(
         supports=tuple(subsets[t] for t in picked),
-        sources=tuple((held[t] & -held[t]).bit_length() - 1 for t in picked),
+        sources=tuple(next(k for k in group if masks[t] & ~rows[k] == 0) for t in picked),
     )
 
 
@@ -323,11 +295,38 @@ def _find_certificate(
     return _enumerate(pattern, r, kind, budget_nodes)
 
 
+def _covering_test(supports: Sequence[Sequence[int]], m: int, r: int) -> Callable[[int, int], bool]:
+    """fits(left, g): whether the columns in bitmask ``left`` might hold g linkage supports.
+
+    A linkage support's m-r subsets cover all m rows, and at most
+    (#omega_j - r)^+ of them lie in column j. So g of them need every row
+    observed g times, and surpluses summing to g(m-r). At m = r the first
+    part holds for columns of at least r rows, which ``_find_certificate`` checks.
+    """
+    holders = [0] * m  # the columns observing each row
+    by_surplus: dict[int, int] = {}  # the columns with each surplus
+    for j, omega in enumerate(supports):
+        for i in omega:
+            holders[i] |= 1 << j
+        surplus = max(len(omega) - r, 0)
+        by_surplus[surplus] = by_surplus.get(surplus, 0) | 1 << j
+
+    def fits(left: int, groups: int) -> bool:
+        return all((h & left).bit_count() >= groups for h in holders) and sum(
+            s * (cols & left).bit_count() for s, cols in by_surplus.items()
+        ) >= groups * (m - r)
+
+    return fits
+
+
 def _enumerate(
     pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
 ) -> SearchOutcome:
     """The first partition in order whose groups all hold a linkage support; supports memoized."""
     groups = _expected_groups(kind, r)
+    fits = _covering_test(pattern.column_supports(), pattern.m, r)
+    if not fits((1 << pattern.n) - 1, groups):
+        return SearchOutcome(None, exhausted=True, nodes=0)
     budget = _Budget(budget_nodes)
     table = _subset_table(pattern.column_supports(), r)
     memo: dict[tuple[int, ...], Optional[SlmfWitness]] = {}
@@ -337,9 +336,8 @@ def _enumerate(
             memo[group] = _group_witness(table, group, pattern.m, r, budget)
         return memo[group]
 
-    walked = _walk_counter(budget.left + 1)
     try:
-        for found in _partitions(range(pattern.n), groups, budget, select, walked):
+        for found in _partitions(range(pattern.n), groups, budget, select, fits):
             cert = Certificate(
                 kind=kind,
                 partition=tuple(group for group, _ in found),

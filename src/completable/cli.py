@@ -273,7 +273,7 @@ def _cmd_analyze(args) -> int:
         )
     report = build_analysis_report(pattern, args.rank, args.seed, args.budget)
     if args.json:
-        print(json.dumps(report))
+        print(json.dumps(report, separators=(",", ":")))
     else:
         print(_render_report(report))
     return report["exit_code"]

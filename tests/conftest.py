@@ -123,28 +123,37 @@ class ReferenceBudget:
             raise _ReferenceBudgetExhausted
 
 
-def reference_partitions(columns, groups, budget):
-    """Every partition into ``groups`` nonempty parts, walked one first group at a time."""
+def reference_partitions(columns, groups, budget, cut=lambda remaining, g: False, holds=lambda group: True):
+    """Partitions into ``groups`` nonempty parts, walked one first group (one node) at a time.
+
+    By default every partition is walked. A first group for which ``cut``
+    says the columns it leaves cannot form the other groups is charged, and
+    neither it nor its supersets are walked further; one that fails ``holds``
+    on arrival has no partitions beneath it walked.
+    """
     columns = sorted(columns)
     if groups <= 0 or len(columns) < groups:
         return
     if groups == 1:
-        yield [tuple(columns)]
+        if holds(tuple(columns)):
+            yield [tuple(columns)]
         return
     first, rest = columns[0], columns[1:]
 
     def lex_subsets(prefix, start):
-        yield prefix
+        remaining = [c for c in rest if c not in prefix]
+        budget.spend()
+        if cut(remaining, groups - 1):
+            return
+        yield prefix, remaining
         for idx in range(start, len(rest)):
             yield from lex_subsets(prefix + [rest[idx]], idx + 1)
 
-    for extra in lex_subsets([], 0):
-        budget.spend()
-        if len(rest) - len(extra) < groups - 1:
-            continue
-        remaining = [c for c in rest if c not in extra]
-        for tail in reference_partitions(remaining, groups - 1, budget):
-            yield [(first, *extra)] + tail
+    for extra, remaining in lex_subsets([], 0):
+        group = (first, *extra)
+        if holds(group):
+            for tail in reference_partitions(remaining, groups - 1, budget, cut, holds):
+                yield [group] + tail
 
 
 def _reference_augment(v, rows_of, owner, seen):
@@ -196,28 +205,46 @@ def _reference_selection(pool, m, r, budget):
     return None
 
 
-def reference_enumerate(pattern, r, kind, budget_nodes):
-    """The certificate search as a walk over every partition, each group checked on arrival.
+def reference_enumerate(pattern, r, kind, budget_nodes, pruned=True):
+    """The certificate search as a walk over partitions, returning (certificate, exhausted, nodes)
+    like ``SearchOutcome``.
 
-    Returns (certificate, exhausted, nodes) like ``SearchOutcome``.
+    Pruned, it cuts a first group whose leftover columns fail the covering
+    test (every row observed once per group left, column surpluses of
+    (m - r) per group left) and tests each group on arrival. Unpruned, it
+    walks every partition and tests its groups in order.
     """
     groups = r if kind == "finite" else r + 1
     budget = ReferenceBudget(budget_nodes)
     supports = pattern.column_supports()
     memo = {}
+
+    def select(group):
+        if group not in memo:
+            pool = {}
+            for k in group:
+                for subset in itertools.combinations(sorted(supports[k]), r + 1):
+                    pool.setdefault(subset, (subset, k, sum(1 << i for i in subset)))
+            memo[group] = _reference_selection(sorted(pool.values()), pattern.m, r, budget)
+        return memo[group]
+
+    def cut(columns, g):
+        covered = all(sum(i in supports[c] for c in columns) >= g for i in range(pattern.m))
+        surplus = sum(max(len(supports[c]) - r, 0) for c in columns)
+        return not covered or surplus < g * (pattern.m - r)
+
+    walk = {}
+    if pruned:
+        if cut(range(pattern.n), groups):
+            return None, True, 0
+        walk = {"cut": cut, "holds": lambda group: select(group) is not None}
     try:
-        for partition in reference_partitions(range(pattern.n), groups, budget):
+        for partition in reference_partitions(range(pattern.n), groups, budget, **walk):
             witnesses = []
             for group in partition:
-                if group not in memo:
-                    pool = {}
-                    for k in group:
-                        for subset in itertools.combinations(sorted(supports[k]), r + 1):
-                            pool.setdefault(subset, (subset, k, sum(1 << i for i in subset)))
-                    memo[group] = _reference_selection(sorted(pool.values()), pattern.m, r, budget)
-                if memo[group] is None:
+                if select(group) is None:
                     break
-                witnesses.append(memo[group])
+                witnesses.append(select(group))
             else:
                 cert = Certificate(kind, tuple(partition), tuple(witnesses))
                 return cert, False, budget_nodes - budget.left

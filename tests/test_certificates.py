@@ -22,9 +22,8 @@ from completable.certificates import (
     ROW_SET_LIMIT,
     _counting_bound,
     _greedy_counting_set,
-    _walk_counter,
 )
-from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C, ReferenceBudget, reference_partitions
+from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
 
 
 def _witness(phi, sources):
@@ -369,14 +368,14 @@ def test_certificate_json_roundtrip(pattern_6x5):
 @pytest.mark.parametrize(
     "pattern, finite_nodes, unique_nodes",
     [
-        pytest.param(parse_pattern(GRID_6X5), 17, 101, id="6x5"),
-        pytest.param(parse_pattern(GRID_6X6), 17, 61, id="6x6"),
-        pytest.param(random_pattern(8, 8, 5, seed=1), 29, 809, id="8x8-k5-s1"),
-        pytest.param(random_pattern(12, 12, 5, seed=4), 550, 34_698, id="12x12-k5-s4"),
+        pytest.param(parse_pattern(GRID_6X5), 17, 0, id="6x5"),
+        pytest.param(parse_pattern(GRID_6X6), 17, 25, id="6x6"),
+        pytest.param(random_pattern(8, 8, 5, seed=1), 29, 72, id="8x8-k5-s1"),
+        pytest.param(random_pattern(12, 12, 5, seed=4), 67, 956, id="12x12-k5-s4"),
     ],
 )
 def test_search_node_counts_are_pinned(pattern, finite_nodes, unique_nodes):
-    """A node is one partition step or one pool candidate tested; these counts fix that meaning."""
+    """A node is one first group visited or one pool candidate tested; these counts fix that meaning."""
     assert find_finite_certificate(pattern, 2).nodes == finite_nodes
     assert find_unique_certificate(pattern, 2).nodes == unique_nodes
 
@@ -389,17 +388,28 @@ def test_unique_certificate_found_within_budget_on_12x12_k5_s4():
     assert verify_certificate(pattern, 2, outcome.certificate).ok
 
 
-def test_walk_counter_matches_a_literal_walk():
-    """The nodes charged under an infeasible group are the nodes the walk would take there."""
-    exact, capped = _walk_counter(10**9), _walk_counter(1000)
-    for c in range(11):
-        for g in range(1, 6):
-            budget = ReferenceBudget(10**9)
-            for _ in reference_partitions(range(c), g, budget):
-                pass
-            walked = 10**9 - budget.left
-            assert exact(c, g) == walked, (c, g)
-            assert capped(c, g) == min(walked, 1000), (c, g)
+@pytest.mark.parametrize(
+    "search, partition",
+    [
+        pytest.param(
+            find_finite_certificate,
+            ((0, 1, 2, 3, 4, 6), (5, 7, 8, 9, 10, 14), (11, 12, 13, 15)),
+            id="finite",
+        ),
+        pytest.param(
+            find_unique_certificate,
+            ((0, 1, 2, 4, 6), (3, 7, 8, 12), (5, 9, 11), (10, 13, 14, 15)),
+            id="unique",
+        ),
+    ],
+)
+def test_both_certificates_found_within_budget_on_16x16_k8_s0(search, partition):
+    """Both searches decide within 10^5 nodes, on the first partitions in lexicographic order."""
+    pattern = random_pattern(16, 16, 8, seed=0)
+    outcome = search(pattern, 3, budget=100_000)
+    assert outcome.status == "found"
+    assert outcome.certificate.partition == partition
+    assert verify_certificate(pattern, 3, outcome.certificate).ok
 
 
 def three_row_chain(n):
@@ -413,6 +423,6 @@ def test_unique_search_walks_a_first_group_of_a_thousand_columns():
     """The lexicographic walk goes 1,095 columns deep with no recursion limit to hit."""
     pattern = three_row_chain(1100)
     outcome = find_unique_certificate(pattern, 1)
-    assert (outcome.status, outcome.nodes) == ("found", 1191)
+    assert (outcome.status, outcome.nodes) == ("found", 1100)
     assert [len(group) for group in outcome.certificate.partition] == [1095, 5]
     assert verify_certificate(pattern, 1, outcome.certificate).ok

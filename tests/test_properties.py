@@ -15,6 +15,8 @@ from completable import (
     check_slmf_combinatorial,
     check_slmf_randomized,
     export_plucker_system,
+    find_finite_certificate,
+    find_unique_certificate,
     grassmann_section_rank_test,
     jacobian_rank_test,
     random_pattern,
@@ -344,14 +346,27 @@ def search_masks(draw):
     return ObservationPattern(m, n, frozenset(entries)), r
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(search_masks(), st.sampled_from(["finite", "unique"]), st.sampled_from([50, 3_000, 20_000]))
 def test_search_equals_the_full_walk(mask, kind, budget):
-    """Counting the nodes under an infeasible group changes no certificate, flag or node count."""
+    """The search is the recursive walk with the same covering cut, node for node."""
     pattern, r = mask
     outcome = _enumerate(pattern, r, kind, budget)
     expected = reference_enumerate(pattern, r, kind, budget)
     assert (outcome.certificate, outcome.exhausted, outcome.nodes) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_with_r_per_column(), st.sampled_from(["finite", "unique"]), st.sampled_from([50, 3_000, 200_000]))
+def test_covering_cut_changes_no_decided_search(mask, kind, budget):
+    """Where the walk over every partition decides, the search agrees with no more nodes."""
+    pattern, r = mask
+    certificate, exhausted, nodes = reference_enumerate(pattern, r, kind, budget, pruned=False)
+    assume(certificate is not None or exhausted)
+    search = find_finite_certificate if kind == "finite" else find_unique_certificate
+    outcome = search(pattern, r, budget)
+    assert (outcome.certificate, outcome.exhausted) == (certificate, exhausted)
+    assert outcome.nodes <= nodes
 
 
 @st.composite
