@@ -145,31 +145,33 @@ def verify_certificate(
                 f"group {nu + 1}: expected {pattern.m - r} supports, got {len(witness.supports)}",
             )
         for support, source in zip(witness.supports, witness.sources):
+            shown = tuple(s + 1 for s in support)
             if source not in group:
                 return VerificationResult(
                     False, "ii", f"group {nu + 1}: source column {source + 1} is not in the group"
                 )
-            if len(support) != r + 1:
+            if len(support) != r + 1 or len(set(support)) != r + 1:
                 return VerificationResult(
-                    False, "ii", f"group {nu + 1}: support {tuple(s + 1 for s in support)} has size != r+1"
+                    False, "ii", f"group {nu + 1}: support {shown} does not have r+1 distinct rows"
                 )
             if not set(support) <= set(supports[source]):
                 return VerificationResult(
-                    False,
-                    "ii",
-                    f"group {nu + 1}: support {tuple(s + 1 for s in support)} not contained "
-                    f"in column {source + 1}",
+                    False, "ii", f"group {nu + 1}: support {shown} not contained in column {source + 1}"
                 )
-        masks = [sum(1 << i for i in s) for s in witness.supports]
-        if first_linkage_support(masks, pattern.m, r) is None:
-            if len(masks) > EXHAUSTIVE_COLUMN_LIMIT:
-                where = f"(no minimum witness past {EXHAUSTIVE_COLUMN_LIMIT} supports)"
-            else:
-                least = check_slmf_combinatorial(witness.as_slmf(pattern.m, r)).witness
-                where = f"at columns {tuple(t + 1 for t in least)}"
-            return VerificationResult(
-                False, "ii", f"group {nu + 1}: covering inequality fails {where}"
-            )
+        if not witness.supports:
+            continue  # r = m: the empty family is a linkage support
+        phi = witness.as_slmf(pattern.m, r)
+        try:
+            verdict = check_slmf_combinatorial(phi)
+        except ValueError:  # refuted, too large for the minimum witness
+            where = f"(no minimum witness past {EXHAUSTIVE_COLUMN_LIMIT} supports)"
+        else:
+            if verdict.is_slmf:
+                continue
+            where = f"at columns {tuple(t + 1 for t in verdict.witness)}"
+        return VerificationResult(
+            False, "ii", f"group {nu + 1}: covering inequality fails {where}"
+        )
     return VerificationResult(True, None, "all clauses hold")
 
 

@@ -265,8 +265,6 @@ def _render_report(report: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     pattern = _load_pattern_file(args.pattern_file)
-    if args.rank < 1:
-        raise _UsageError("--rank must be at least 1")
     if args.rank > min(pattern.m, pattern.n):
         raise _UsageError(
             f"--rank {args.rank} exceeds min(m, n) = {min(pattern.m, pattern.n)}"
@@ -346,11 +344,9 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        raise _UsageError("--count must be at least 1")
     if args.per_column > args.m:
         raise _UsageError(f"--per-column {args.per_column} exceeds m={args.m}")
-    if args.rank < 1 or args.rank > min(args.m, args.n):
+    if args.rank > min(args.m, args.n):
         raise _UsageError("--rank out of range")
     children = np.random.SeedSequence(args.seed).spawn(args.count)
     cert_hits = 0
@@ -380,7 +376,7 @@ def _cmd_export_system(args) -> int:
         obs = observed_from_csv(_read_text(args.values_file))
     except ObservedMatrixFormatError as exc:
         raise _UsageError(f"{args.values_file}: {exc}") from exc
-    if args.rank < 1 or args.rank > obs.pattern.m:
+    if args.rank > obs.pattern.m:
         raise _UsageError("--rank out of range")
     try:
         system = export_plucker_system(obs, args.rank)
@@ -403,7 +399,7 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="run every completability test on a pattern")
     analyze.add_argument("pattern_file")
-    analyze.add_argument("--rank", type=int, required=True)
+    analyze.add_argument("--rank", type=_int_at_least(1), required=True)
     analyze.add_argument("--seed", type=_int_at_least(0), default=0)
     analyze.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     analyze.add_argument("--json", action="store_true")
@@ -411,7 +407,7 @@ def _build_parser() -> _Parser:
 
     slmf_check = sub.add_parser("slmf-check", help="test the linkage-support property")
     slmf_check.add_argument("phi_file")
-    slmf_check.add_argument("--rank", type=int, required=True)
+    slmf_check.add_argument("--rank", type=_int_at_least(1), required=True)
     slmf_check.add_argument(
         "--method", choices=["both", "combinatorial", "randomized"], default="both"
     )
@@ -420,24 +416,24 @@ def _build_parser() -> _Parser:
 
     complete = sub.add_parser("complete", help="complete a matrix from a known column space")
     complete.add_argument("values_file")
-    complete.add_argument("--rank", type=int, required=True)
+    complete.add_argument("--rank", type=_int_at_least(1), required=True)
     complete.add_argument("--basis", required=True)
     complete.add_argument("--out", required=True)
     complete.set_defaults(func=_cmd_complete)
 
     gen = sub.add_parser("gen", help="generate random patterns, optionally with statistics")
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--rank", type=int, required=True)
+    gen.add_argument("--m", type=_int_at_least(1), required=True)
+    gen.add_argument("--n", type=_int_at_least(1), required=True)
+    gen.add_argument("--rank", type=_int_at_least(1), required=True)
     gen.add_argument("--per-column", type=_int_at_least(1), required=True, dest="per_column")
     gen.add_argument("--seed", type=_int_at_least(0), default=0)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_int_at_least(1), default=1)
     gen.add_argument("--emit-stats", action="store_true", dest="emit_stats")
     gen.set_defaults(func=_cmd_gen)
 
     export = sub.add_parser("export-system", help="export the linear section system")
     export.add_argument("values_file")
-    export.add_argument("--rank", type=int, required=True)
+    export.add_argument("--rank", type=_int_at_least(1), required=True)
     export.add_argument("--out", required=True)
     export.set_defaults(func=_cmd_export_system)
 

@@ -8,6 +8,8 @@ integer point, by block elimination, one column of the mask at a time. Full
 rank there is full rank over the rationals, hence generically, so one
 full-rank trial proves the bound; a deficient rank in t independent trials
 refutes it with error at most (d/p)^t, d the target rank (Schwartz-Zippel).
+Both tests, and the randomized SLMF test, run their trials through one loop
+(``plucker.first_full_rank``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .plucker import (
     SubspaceBasis,
     _coordinate_count,
     _lex_rank,
+    first_full_rank,
     left_null_mod_p,
     rank_mod_p,
 )
@@ -36,13 +39,6 @@ CONSISTENCY_RTOL = 1e-6
 # elimination's temporaries can hold a few times more. The largest benchmark
 # mask (40 x 40, 12 rows per column, r = 5) needs 0.5 MB of them.
 MAX_TANGENT_BYTES = 1 << 26
-
-
-def _trial_seeds(seed, trials: int) -> list[np.random.SeedSequence]:
-    """Independent per-trial seeds split from one master seed."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(trials)
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -170,23 +166,6 @@ def sample_generic_subspace(m: int, r: int, seed=0) -> SubspaceBasis:
     return SubspaceBasis(rng.standard_normal((m, r)))
 
 
-def _pivot_rows(M: np.ndarray, r: int) -> list[int]:
-    """Greedy volume-maximizing choice of r rows (pivoted orthogonalization)."""
-    work = np.array(M, dtype=float)
-    chosen: list[int] = []
-    for _ in range(r):
-        norms = np.linalg.norm(work, axis=1)
-        for c in chosen:
-            norms[c] = -1.0
-        k = int(np.argmax(norms))
-        if norms[k] <= 0:
-            break
-        chosen.append(k)
-        direction = work[k] / np.linalg.norm(work[k])
-        work = work - np.outer(work @ direction, direction)
-    return sorted(chosen)
-
-
 def complete_column(
     basis: SubspaceBasis,
     omega: Sequence[int],
@@ -195,28 +174,31 @@ def complete_column(
 ) -> np.ndarray:
     """The unique subspace vector matching the observations on ``omega``.
 
-    Solves an r x r system on a well-conditioned size-r subset of ``omega``
-    and validates the remaining observed positions against the result.
+    Solves least squares on all of ``omega`` with the SVD of the projected
+    basis that also checks its rank, then validates every observed position
+    against the result. It solves for the observations scaled to at most 1 in
+    magnitude and scales back, so the solve itself cannot overflow.
 
     Raises:
         DegenerateProjectionError: the projection onto ``omega`` has rank < r.
-        InconsistentObservationError: observations disagree with the subspace.
+        InconsistentObservationError: observations disagree with the subspace,
+            or the completed vector is not finite.
     """
     omega = sorted(int(i) for i in omega)
     if set(observed) != set(omega):
         raise ValueError("observed values must cover exactly the support")
     B = basis.matrix
-    proj = B[omega]
-    s = np.linalg.svd(proj, compute_uv=False)
+    U, s, Vt = np.linalg.svd(B[omega], full_matrices=False)
     if s.size < basis.r or s[-1] <= DEFAULT_RANK_TOL * (s[0] if s.size else 0):
         raise DegenerateProjectionError("projection drops dimension")
-    pick = _pivot_rows(proj, basis.r)
-    psi = [omega[t] for t in pick]
-    x_psi = np.array([observed[i] for i in psi])
-    v = B @ np.linalg.solve(B[psi], x_psi)
     x_omega = np.array([observed[i] for i in omega])
-    scale = max(1.0, float(np.abs(x_omega).max()), float(np.abs(v).max()))
-    residual = float(np.abs(v[omega] - x_omega).max())
+    top = float(np.abs(x_omega).max()) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = B @ (Vt.T @ (U.T @ (x_omega / top) / s)) * top
+        if not np.isfinite(v).all():
+            raise InconsistentObservationError("completed values overflow")
+        scale = max(1.0, top, float(np.abs(v).max()))
+        residual = float(np.abs(v[omega] - x_omega).max())
     if residual > rtol * scale:
         raise InconsistentObservationError(
             f"not in projected subspace (residual {residual:.3g})"
@@ -254,10 +236,12 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_tangent_size(pattern, r)
     target = r * (pattern.m + pattern.n - r)
-    return _rank_trials(pattern, r, trials, seed, target, lambda jacobian, section: jacobian)
+    rank, run = first_full_rank(
+        lambda rng: _tangent_ranks(pattern, r, rng)[0], target, trials, seed
+    )
+    return RankReport(rank, target, trials=run, pass_count=int(rank == target))
 
 
 def grassmann_section_rank_test(
@@ -279,8 +263,6 @@ def grassmann_section_rank_test(
     """
     if not 1 <= r <= pattern.m:
         raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     supports = pattern.column_supports()
     for j, omega in enumerate(supports):
         if len(omega) < r:
@@ -289,22 +271,14 @@ def grassmann_section_rank_test(
             )
     target = r * (pattern.m - r)
     if sum(len(omega) - r for omega in supports) == 0:
-        # no column yields a section functional, the system is empty
-        return RankReport(tested_rank=0, target=target, trials=1, pass_count=int(target == 0))
-    return _rank_trials(pattern, r, trials, seed, target, lambda jacobian, section: section)
-
-
-def _rank_trials(pattern, r, trials, seed, target, pick) -> RankReport:
-    """Trials of ``pick(*_tangent_ranks(...))``, one independent rng each, up to the
-    first that reaches ``target``."""
+        # no column yields a section functional: the system is empty, of rank 0
+        # at every point, so one trial decides
+        trials = min(trials, 1)
     _check_tangent_size(pattern, r)
-    best = 0
-    for run, child in enumerate(_trial_seeds(seed, trials), start=1):
-        rank = pick(*_tangent_ranks(pattern, r, np.random.default_rng(child)))
-        if rank == target:
-            return RankReport(tested_rank=rank, target=target, trials=run, pass_count=1)
-        best = max(best, rank)
-    return RankReport(tested_rank=best, target=target, trials=trials, pass_count=0)
+    rank, run = first_full_rank(
+        lambda rng: _tangent_ranks(pattern, r, rng)[1], target, trials, seed
+    )
+    return RankReport(rank, target, trials=run, pass_count=int(rank == target))
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:

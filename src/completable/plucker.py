@@ -23,7 +23,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -220,6 +220,29 @@ def rank_mod_p(M: np.ndarray) -> int:
         M[rows, c:] = (pivot[0] * M[rows, c:] - M[rows, c : c + 1] * pivot) % p
         rank += 1
     return rank
+
+
+def first_full_rank(
+    rank_at: Callable[[np.random.Generator], int], target: int, trials: int, seed
+) -> tuple[int, int]:
+    """Best of ``rank_at`` over up to ``trials`` random points, and the trials run.
+
+    Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
+    ``seed``; the loop stops at the first trial whose rank reaches ``target``.
+    A rank at a point never passes the generic one, so reaching ``target``
+    proves it, while falling short in every trial refutes it up to the
+    Schwartz-Zippel error.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    best = 0
+    for run, child in enumerate(seed.spawn(trials), start=1):
+        best = max(best, rank_at(np.random.default_rng(child)))
+        if best == target:
+            return best, run
+    return best, trials
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ An (r, m) linkage support is a family of m-r column supports, each an
 at least t + r rows. The property is equivalent to the induced sparse dual
 basis having full column rank at a generic subspace, which gives a fast
 randomized test over GF(p) alongside the exact combinatorial one; it shares
-its elimination kernels with the tangent rank tests (``plucker``).
+its elimination kernels and its trial loop (``first_full_rank``) with the
+tangent rank tests (``plucker``).
 
 The families meeting the covering inequality are the independent sets of the
 matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
@@ -27,17 +28,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .patterns import parse_pattern
-from .plucker import (
-    FIELD_PRIME,
-    SubspaceBasis,
-    evaluate_bphi,
-    left_null_mod_p,
-    plucker_of_basis,
-    rank_mod_p,
-)
+from .plucker import FIELD_PRIME, first_full_rank, left_null_mod_p, rank_mod_p
 
 EXHAUSTIVE_COLUMN_LIMIT = 22
-FLOAT_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -262,41 +255,17 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     return rank_mod_p(dual)
 
 
-def _dual_basis_rank_float(phi: Slmf, rng: np.random.Generator) -> int:
-    basis = SubspaceBasis(rng.standard_normal((phi.m, phi.r)))
-    evaluated = evaluate_bphi(phi, plucker_of_basis(basis))
-    s = np.linalg.svd(evaluated, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int((s > FLOAT_RANK_TOL * s[0]).sum())
-
-
-def check_slmf_randomized(
-    phi: Slmf, trials: int = 3, seed=0, field: str = "prime"
-) -> SlmfVerdict:
+def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
     """Randomized rank test of the induced dual basis at random subspaces.
 
-    A single full-rank evaluation certifies the property; rank deficiency in
-    every trial refutes it up to the (tiny) chance that all sampled subspaces
-    were degenerate. Default arithmetic is exact over a large prime field;
-    ``field="float"`` cross-checks with floating point.
+    Exact over GF(p): a single full-rank evaluation certifies the property;
+    rank deficiency in every trial refutes it up to the (tiny) chance that
+    all sampled subspaces were degenerate. The trials run in the loop the
+    tangent rank tests share (``first_full_rank``).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if field not in ("prime", "float"):
-        raise ValueError(f"unknown field {field!r}")
     target = len(phi.columns)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    for child in seed.spawn(trials):
-        rng = np.random.default_rng(child)
-        if field == "prime":
-            rank = _dual_basis_rank_mod_p(phi, rng)
-        else:
-            rank = _dual_basis_rank_float(phi, rng)
-        if rank == target:
-            return SlmfVerdict(is_slmf=True, witness=None, method="randomized-rank")
-    return SlmfVerdict(is_slmf=False, witness=None, method="randomized-rank")
+    rank, _ = first_full_rank(lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed)
+    return SlmfVerdict(is_slmf=rank == target, witness=None, method="randomized-rank")
 
 
 def slmf_from_grid(text: str, r: int) -> Slmf:

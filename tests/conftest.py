@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from completable import Certificate, Slmf, SlmfWitness, parse_pattern
+from completable import (
+    Certificate,
+    Slmf,
+    SlmfWitness,
+    SubspaceBasis,
+    evaluate_bphi,
+    parse_pattern,
+    plucker_of_basis,
+)
 
 # 6x5 mask, 18 observed entries, generically finitely completable at rank 2
 GRID_6X5 = """\
@@ -76,6 +84,15 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
         ranks.append(rank)
         clear &= rank in (0, s.size) or s[rank] == 0 or s[rank - 1] >= gap * s[rank]
     return ranks, clear
+
+
+def reference_float_dual_basis_rank(phi, seed, tol=1e-9):
+    """Float SVD rank of the paper's B_phi, evaluated at the Plucker vector of a
+    standard-normal subspace; a rank counts the singular values above ``tol``
+    times the largest."""
+    basis = SubspaceBasis(np.random.default_rng(seed).standard_normal((phi.m, phi.r)))
+    s = np.linalg.svd(evaluate_bphi(phi, plucker_of_basis(basis)), compute_uv=False)
+    return int((s > tol * s[0]).sum()) if s[0] else 0
 
 
 def reference_export_csv(matrix):

@@ -100,6 +100,17 @@ def test_verify_fails_clause_ii_for_non_slmf(pattern_6x5):
     assert "covering" in result.detail
 
 
+def test_verify_fails_clause_ii_for_a_repeated_row(pattern_6x5):
+    """A support (1,1,3) holds two rows, not r+1: clause (ii) fails instead of raising."""
+    cert = hand_built_finite_certificate()
+    first = cert.slmfs[0]
+    repeated = SlmfWitness(supports=((0, 0, 2),) + first.supports[1:], sources=first.sources)
+    cert = Certificate("finite", cert.partition, (repeated,) + cert.slmfs[1:])
+    result = verify_certificate(pattern_6x5, 2, cert)
+    assert (result.ok, result.failed_clause) == (False, "ii")
+    assert "distinct rows" in result.detail
+
+
 def test_verify_decides_clause_ii_past_the_exhaustive_limit():
     """24 supports per group: the search's matching test decides the clause."""
     pattern = ObservationPattern(25, 25, frozenset((i, j) for i in range(25) for j in range(25)))

@@ -487,6 +487,39 @@ def test_complete_basis_row_mismatch_exit_65(capsys, tmp_path):
     assert "basis has 3 rows, the values have 2" in err
 
 
+def test_complete_overflowing_column_exit_65(capsys, tmp_path):
+    """Completing 1e308 along a basis (1, 10) overflows: a data error naming the column."""
+    values = tmp_path / "values.csv"
+    values.write_text("1e308\n*\n")
+    basis = tmp_path / "basis.csv"
+    basis.write_text("1.0\n10.0\n")
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "complete", str(values), "--rank", "1",
+        "--basis", str(basis), "--out", str(out_file),
+    )
+    assert (code, out) == (65, "")
+    assert err == "error: column 1: completed values overflow\n"
+    assert not out_file.exists()
+
+
+def test_complete_values_near_the_float_limit_stay_finite(capsys, tmp_path):
+    """Observations near the largest float complete finitely, without a warning."""
+    values = tmp_path / "values.csv"
+    values.write_text("1.7e308,1.0\n1.7e308,1.0\n")
+    basis = tmp_path / "basis.csv"
+    basis.write_text("1.0\n1.0\n")
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "complete", str(values), "--rank", "1",
+        "--basis", str(basis), "--out", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    completed = np.loadtxt(out_file, delimiter=",", ndmin=2)
+    assert np.isfinite(completed).all()
+    assert np.allclose(completed, [[1.7e308, 1.0], [1.7e308, 1.0]], rtol=1e-12, atol=0)
+
+
 def test_export_system_too_many_rows_exit_64(capsys, tmp_path):
     values = tmp_path / "values.csv"
     values.write_text("1.0,1.0\n" * 70)
@@ -581,18 +614,31 @@ def test_unexpected_exception_is_exit_70(capsys, pattern_file, monkeypatch):
         pytest.param(
             ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "-1"], "--per-column", id="gen-per-column-neg"
         ),
+        pytest.param(["analyze", "PATTERN", "--rank", "0"], "--rank", id="analyze-rank-0"),
+        pytest.param(["slmf-check", "PHI", "--rank", "0"], "--rank", id="slmf-check-rank-0"),
+        pytest.param(
+            ["complete", "VALUES", "--rank", "0", "--basis", "BASIS", "--out", "out.csv"], "--rank", id="complete-rank-0"
+        ),
+        pytest.param(["export-system", "VALUES", "--rank", "0", "--out", "out"], "--rank", id="export-system-rank-0"),
+        pytest.param(["gen", "--m", "6", "--n", "5", "--rank", "0", "--per-column", "3"], "--rank", id="gen-rank-0"),
+        pytest.param(
+            ["gen", "--m", "6", "--n", "5", "--rank", "2", "--per-column", "3", "--count", "0"], "--count", id="gen-count-0"
+        ),
+        pytest.param(["gen", "--m", "0", "--n", "5", "--rank", "2", "--per-column", "1"], "--m", id="gen-m-0"),
+        pytest.param(["gen", "--m", "6", "--n", "0", "--rank", "2", "--per-column", "3"], "--n", id="gen-n-0"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, monkeypatch, pattern_file, argv, option):
     """Rejected while parsing, before any analysis runs or any file is written."""
     phi = tmp_path / "phi.txt"
     phi.write_text(slmf_to_grid(PHI_A))
+    values, basis, _ = _observed_csv_file(tmp_path)
     monkeypatch.chdir(tmp_path)
-    argv = [{"PATTERN": pattern_file, "PHI": str(phi)}.get(a, a) for a in argv]
-    code, out, err = run_cli(capsys, *argv)
+    files = {"PATTERN": pattern_file, "PHI": str(phi), "VALUES": str(values), "BASIS": str(basis)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
     assert (code, out) == (64, "")
     assert err.startswith(f"error: argument {option}:")
-    assert not list(tmp_path.glob("pattern_*.txt"))
+    assert not list(tmp_path.glob("pattern_*.txt")) and not list(tmp_path.glob("out*"))
 
 
 def test_analyze_a_thousand_column_chain_does_not_exit_70(capsys, tmp_path):

@@ -3,17 +3,21 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from completable import (
+    InconsistentObservationError,
     ObservationPattern,
     ObservedMatrix,
     Slmf,
+    SubspaceBasis,
     check_necessary_condition,
     check_relaxed_slmf,
     check_slmf_combinatorial,
     check_slmf_randomized,
+    complete_matrix,
     export_plucker_system,
     find_finite_certificate,
     find_unique_certificate,
@@ -96,6 +100,26 @@ def assert_necessary_witness(pattern, r, witness):
     assert witness.size == r * (pattern.m + pattern.n - r)
     assert witness.entries <= pattern.entries
     assert check_relaxed_slmf(witness, r).ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_with_r_per_column(), st.integers(0, 2**16), st.data())
+def test_completion_reproduces_the_factors_and_refutes_a_shifted_entry(mask, seed, data):
+    """Least squares on every observed row returns B C; shifting one entry of a
+    column with more than r rows fails that column's residual check."""
+    pattern, r = mask
+    rng = np.random.default_rng(seed)
+    B, C = rng.standard_normal((pattern.m, r)), rng.standard_normal((r, pattern.n))
+    X = B @ C
+    completed = complete_matrix(ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B))
+    assert np.abs(completed - X).max() <= 1e-9 * np.abs(X).max()
+    over = [j for j, omega in enumerate(pattern.column_supports()) if len(omega) > r]
+    assume(over)
+    j = data.draw(st.sampled_from(over))
+    i = data.draw(st.sampled_from(pattern.column_support(j)))
+    X[i, j] += 1 + abs(X[i, j])
+    with pytest.raises(InconsistentObservationError, match=f"^column {j + 1}: not in projected"):
+        complete_matrix(ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
