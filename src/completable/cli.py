@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,12 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextmanager
+def _output(path: Path):
+    """``path`` opened for writing text; failing to open or write it is a usage error."""
     try:
-        path.write_text(text)
+        with path.open("w") as fh:
+            yield fh
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -331,15 +335,14 @@ def _cmd_complete(args) -> int:
     except (NotABasisError, DegenerateProjectionError, InconsistentObservationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    residual = max(
-        abs(completed[i, j] - v) for (i, j), v in obs.values.items()
-    )
+    scale = max(1.0, *(abs(v) for v in obs.values.values()))
+    residual = max(abs(completed[i, j] - v) for (i, j), v in obs.values.items()) / scale
     out = Path(args.out)
-    _write_text(
-        out, "\n".join(",".join(repr(float(v)) for v in row) for row in completed) + "\n"
-    )
+    with _output(out) as fh:
+        for row in completed:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     print(f"wrote {out}")
-    print(f"max observed-entry residual: {residual:.3e}")
+    print(f"max observed-entry residual, relative to max(1, |observed|): {residual:.3e}")
     return EXIT_EVIDENCE
 
 
@@ -355,7 +358,8 @@ def _cmd_gen(args) -> int:
     for idx, child in enumerate(children):
         pattern = random_pattern(args.m, args.n, args.per_column, seed=child)
         name = Path(f"pattern_{idx:03d}.txt")
-        _write_text(name, pattern_to_grid(pattern))
+        with _output(name) as fh:
+            fh.write(pattern_to_grid(pattern))
         print(f"wrote {name}")
         if args.emit_stats:
             outcome = find_finite_certificate(pattern, args.rank)
@@ -384,8 +388,11 @@ def _cmd_export_system(args) -> int:
         raise _UsageError(f"{args.values_file}: {exc}") from exc
     csv_path = Path(args.out + ".csv")
     json_path = Path(args.out + ".json")
-    _write_text(csv_path, system.to_csv())
-    _write_text(json_path, system.index_map_json() + "\n")
+    with _output(csv_path) as fh:
+        system.write_csv(fh)
+    with _output(json_path) as fh:
+        system.write_index_map(fh)
+        fh.write("\n")
     print(f"wrote {csv_path} and {json_path}")
     rows, coords = system.shape
     print(f"system: {rows} linear sections over {coords} coordinates (linear part only)")

@@ -14,11 +14,11 @@ Both tests, and the randomized SLMF test, run their trials through one loop
 
 from __future__ import annotations
 
+import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -329,9 +329,12 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
     return column_ranks + section, section
 
 
-# the dense CSV writes at least 4 bytes ("0.0,") per row and coordinate; the
+# an export writes at least 4 bytes ("0.0,") per row and coordinate to the
+# CSV and 3r bytes ("1, " per index) per coordinate to the index map; the
 # largest benchmark export writes 57 MB, the limit is 4.7 times that
 MAX_EXPORT_BYTES = 1 << 28
+# coordinate subsets or rows per write of ``write_index_map``
+_INDEX_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -371,15 +374,15 @@ class ExportedSystem:
         """The C(m, r) coordinate subsets in lexicographic order, built on each access."""
         return itertools.combinations(range(self.m), self.r)
 
-    def to_csv(self) -> str:
-        """The matrix as dense CSV, one line per row, every cell ``repr(float)``.
+    def write_csv(self, fh: TextIO) -> None:
+        """Write the matrix as dense CSV, one line per row, every cell ``repr(float)``.
 
         Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). A
         line of ``0.0`` cells is built once, and each row splices its r+1
-        cells into it, so the time is linear in the bytes written.
+        cells into it and is written at once, so the time is linear in the
+        bytes written and memory holds one line.
         """
-        zero_line = ",".join(["0.0"] * self.shape[1])
-        lines = []
+        zero_line = "0.0," * (self.shape[1] - 1) + "0.0\n"
         for columns, values in zip(self.columns.tolist(), self.values.tolist()):
             parts = []
             start = 0  # cell c spans zero_line[4c : 4c + 3]
@@ -387,8 +390,12 @@ class ExportedSystem:
                 parts += (zero_line[start : 4 * c], repr(value))
                 start = 4 * c + 3
             parts.append(zero_line[start:])
-            lines.append("".join(parts))
-        return "\n".join(lines) + ("\n" if lines else "")
+            fh.write("".join(parts))
+
+    def to_csv(self) -> str:
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
     def index_map(self) -> dict:
         return {
@@ -401,8 +408,31 @@ class ExportedSystem:
             ],
         }
 
+    def write_index_map(self, fh: TextIO) -> None:
+        """Write ``json.dumps(self.index_map())``, a few thousand list items at a time."""
+        fh.write(f'{{"m": {self.m}, "r": {self.r}, "plucker_subsets": ')
+        subset = ", ".join(["%d"] * self.r)
+        _write_json_list(fh, f"[{subset}]", itertools.combinations(range(1, self.m + 1), self.r))
+        fh.write(', "rows": ')
+        row = f'{{"column": %d, "phi": [{subset}, %d]}}'
+        _write_json_list(fh, row, ((j + 1, *(i + 1 for i in phi)) for j, phi in self.row_origin))
+        fh.write("}")
+
     def index_map_json(self) -> str:
-        return json.dumps(self.index_map())
+        out = io.StringIO()
+        self.write_index_map(out)
+        return out.getvalue()
+
+
+def _write_json_list(fh: TextIO, item_format: str, items: Iterator[tuple[int, ...]]) -> None:
+    """Write the JSON list of ``item_format % item`` for the int tuples ``items``, one
+    chunk of them at a time; %d prints an int exactly as ``json.dumps`` does."""
+    fh.write("[")
+    separator = ""
+    while chunk := list(itertools.islice(items, _INDEX_CHUNK)):
+        fh.write(separator + ", ".join([item_format % item for item in chunk]))
+        separator = ", "
+    fh.write("]")
 
 
 def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
@@ -414,16 +444,17 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
 
     Raises:
         ValueError: (m, r) is not a supported coordinate space, or the dense
-            CSV would pass ``MAX_EXPORT_BYTES``.
+            CSV and the index map would pass ``MAX_EXPORT_BYTES``.
     """
     pattern = obs.pattern
     coords = _coordinate_count(pattern.m, r)
     supports = pattern.column_supports()
     rows = sum(math.comb(len(omega), r + 1) for omega in supports)
-    if rows * 4 * coords > MAX_EXPORT_BYTES:
+    size = coords * (4 * rows + 3 * r)
+    if size > MAX_EXPORT_BYTES:
         raise ValueError(
-            f"{rows} rows over {coords} coordinates need at least {rows * 4 * coords} "
-            f"bytes of CSV, more than the supported {MAX_EXPORT_BYTES}"
+            f"{rows} rows over {coords} coordinates need at least {size} bytes of "
+            f"CSV and index map, more than the supported {MAX_EXPORT_BYTES}"
         )
     origin = tuple(
         (j, phi)

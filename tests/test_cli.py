@@ -503,21 +503,35 @@ def test_complete_overflowing_column_exit_65(capsys, tmp_path):
     assert not out_file.exists()
 
 
-def test_complete_values_near_the_float_limit_stay_finite(capsys, tmp_path):
-    """Observations near the largest float complete finitely, without a warning."""
+def _complete_near_the_float_limit(capsys, tmp_path):
     values = tmp_path / "values.csv"
     values.write_text("1.7e308,1.0\n1.7e308,1.0\n")
     basis = tmp_path / "basis.csv"
     basis.write_text("1.0\n1.0\n")
     out_file = tmp_path / "x.csv"
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "complete", str(values), "--rank", "1",
         "--basis", str(basis), "--out", str(out_file),
     )
+    return code, out, err, out_file
+
+
+def test_complete_values_near_the_float_limit_stay_finite(capsys, tmp_path):
+    """Observations near the largest float complete finitely, without a warning."""
+    code, _, err, out_file = _complete_near_the_float_limit(capsys, tmp_path)
     assert (code, err) == (0, "")
     completed = np.loadtxt(out_file, delimiter=",", ndmin=2)
     assert np.isfinite(completed).all()
     assert np.allclose(completed, [[1.7e308, 1.0], [1.7e308, 1.0]], rtol=1e-12, atol=0)
+
+
+def test_complete_prints_the_residual_relative_to_the_observed_scale(capsys, tmp_path):
+    """An absolute residual of about 6e292 is a relative one of about 3.5e-16."""
+    code, out, _, _ = _complete_near_the_float_limit(capsys, tmp_path)
+    assert code == 0
+    label = "max observed-entry residual, relative to max(1, |observed|): "
+    (line,) = [line for line in out.splitlines() if line.startswith(label)]
+    assert float(line[len(label):]) <= 1e-12
 
 
 def test_export_system_too_many_rows_exit_64(capsys, tmp_path):
@@ -549,6 +563,48 @@ def test_export_system_past_the_byte_limit_exit_64(capsys, tmp_path):
     assert "7624512 rows over 635376 coordinates" in err
     assert peak < 1 << 20
     assert not prefix.with_suffix(".csv").exists()
+
+
+def test_export_system_counts_the_index_map_in_the_byte_limit(capsys, tmp_path):
+    """One row over C(50, 6) coordinates: a 64 MB CSV, but an index map of over 286 MB."""
+    values = tmp_path / "values.csv"
+    values.write_text("1.0\n" * 7 + "*\n" * 43)
+    prefix = tmp_path / "system"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "export-system", str(values), "--rank", "6", "--out", str(prefix)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 64
+    assert "1 rows over 15890700 coordinates" in err
+    assert peak < 1 << 20
+    assert not prefix.with_suffix(".csv").exists()
+
+
+def test_export_system_streams_both_files(capsys, tmp_path):
+    """One row over C(32, 5) = 201,376 coordinates: a 0.8 MB CSV and a 4.1 MB index
+    map, written without holding either file's text, or a list per subset, whole."""
+    text = "1.5\n-2.0\n0.0\n" * 2 + "*\n" * 26
+    values = tmp_path / "values.csv"
+    values.write_text(text)
+    prefix = tmp_path / "system"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "export-system", str(values), "--rank", "5", "--out", str(prefix)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 << 20
+    system = export_plucker_system(observed_from_csv(text), 5)
+    assert system.shape == (1, 201376)
+    assert prefix.with_suffix(".csv").read_text() == system.to_csv()
+    assert prefix.with_suffix(".json").read_text() == json.dumps(system.index_map()) + "\n"
 
 
 @pytest.mark.parametrize("method", ["both", "combinatorial"])

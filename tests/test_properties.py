@@ -1,6 +1,7 @@
 """Property tests of the identities linking the analyses."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -352,6 +353,7 @@ def test_export_matches_the_cell_by_cell_reference(drawn):
     assert system.matrix.shape == expected.shape
     assert system.matrix.tobytes() == expected.tobytes()
     assert system.to_csv() == reference_export_csv(expected)
+    assert system.index_map_json() == json.dumps(system.index_map())
 
 
 @st.composite
