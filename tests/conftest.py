@@ -101,6 +101,19 @@ def reference_export_csv(matrix):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def reference_least_violator(masks, r):
+    """Smallest, then lexicographically first, index tuple whose masks cover fewer
+    than size + r rows, by ``itertools.combinations`` in increasing size; None if none."""
+    for size in range(1, len(masks) + 1):
+        for picked in itertools.combinations(range(len(masks)), size):
+            union = 0
+            for t in picked:
+                union |= masks[t]
+            if union.bit_count() < size + r:
+                return picked
+    return None
+
+
 def reference_relaxed_slmf(pattern, r):
     """(ok, reason, violating_rows) of the counting test, row set by row set."""
     m, n = pattern.m, pattern.n

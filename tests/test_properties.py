@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from completable import (
@@ -33,6 +33,7 @@ from conftest import (
     reference_enumerate,
     reference_export_csv,
     reference_float_tangent_ranks,
+    reference_least_violator,
     reference_relaxed_slmf,
 )
 
@@ -306,6 +307,36 @@ def test_greedy_selection_is_the_first_slmf_by_brute_force(drawn):
     )
     chosen = first_linkage_support([sum(1 << i for i in s) for s in pool], m, r)
     assert chosen == (None if reference is None else list(reference))
+
+
+@st.composite
+def witness_families(draw):
+    """(masks, r): up to 14 (r+1)-subsets of range(m), drawn from a few so repeats occur,
+    with m either at most 9 or past 64 (masks of two words)."""
+    m = draw(st.one_of(st.integers(2, 9), st.integers(65, 80)))
+    r = draw(st.integers(1, min(m - 1, 5)))
+    subset = st.sets(st.integers(0, m - 1), min_size=r + 1, max_size=r + 1)
+    few = draw(st.lists(subset, min_size=1, max_size=14))
+    columns = draw(st.lists(st.sampled_from(few), min_size=1, max_size=14))
+    return [sum(1 << i for i in col) for col in columns], r
+
+
+def _rows(*spans):
+    return sum(1 << i for span in spans for i in span)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(witness_families())
+# three 10-subsets of the 11 rows 58..68, which straddle the 64-bit word edge,
+# among others: the violator is those three
+@example(
+    ([_rows(range(0, 10)), _rows(range(58, 68)), _rows(range(20, 30)), _rows(range(59, 69)),
+      _rows(range(40, 50)), _rows(range(58, 63), range(64, 69))], 9)
+)
+def test_least_violator_matches_brute_force(drawn):
+    """The meet-in-the-middle scan returns the brute-force minimum, lexicographically first, violator."""
+    masks, r = drawn
+    assert _least_violator(masks, r) == reference_least_violator(masks, r)
 
 
 @st.composite

@@ -44,16 +44,20 @@ def test_witness_always_certifies_the_violation():
 
 
 def test_witness_scan_at_the_column_limit_stays_small():
-    """A refuted 22-column family: the scan holds about 12 bytes for each of 4.2 million subfamilies."""
-    phi = Slmf(m=24, r=2, columns=tuple((i, i + 1, i + 2) for i in range(21)) + ((0, 1, 2),))
-    tracemalloc.start()
-    try:
-        verdict = check_slmf_combinatorial(phi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (verdict.is_slmf, verdict.witness) == (False, (0, 21))
-    assert peak < 14 << 22
+    """Refuted 22-column families: the scan holds one block of at most 462 x 462
+    subfamily pairs, whether the witness is a pair or, on a 22-edge cycle at r = 1,
+    all 22 columns."""
+    pair = Slmf(m=24, r=2, columns=tuple((i, i + 1, i + 2) for i in range(21)) + ((0, 1, 2),))
+    cycle = Slmf(m=23, r=1, columns=tuple((i, (i + 1) % 22) for i in range(22)))
+    for phi, witness in ((pair, (0, 21)), (cycle, tuple(range(22)))):
+        tracemalloc.start()
+        try:
+            verdict = check_slmf_combinatorial(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (verdict.is_slmf, verdict.witness) == (False, witness)
+        assert peak < 4 << 20
 
 
 def test_witness_past_64_rows():
