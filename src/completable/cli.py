@@ -8,6 +8,7 @@ inconsistent numerics), 70 internal fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -399,6 +400,7 @@ def _cmd_export_system(args) -> int:
     return EXIT_EVIDENCE
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="completable", description=__doc__)
     parser.add_argument("--version", action="version", version=f"completable {__version__}")

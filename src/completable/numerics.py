@@ -9,7 +9,10 @@ rank there is full rank over the rationals, hence generically, so one
 full-rank trial proves the bound; a deficient rank in t independent trials
 refutes it with error at most (d/p)^t, d the target rank (Schwartz-Zippel).
 Both tests, and the randomized SLMF test, run their trials through one loop
-(``plucker.first_full_rank``).
+(``plucker.first_full_rank``). The two tangent tests read one sequence of
+trials per (pattern, r, seed): trial t of either is one elimination giving
+both ranks, so whichever test runs second reads the trials the first just
+ran and computes only the missing ones.
 """
 
 from __future__ import annotations
@@ -237,11 +240,7 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     _check_tangent_size(pattern, r)
-    target = r * (pattern.m + pattern.n - r)
-    rank, run = first_full_rank(
-        lambda rng: _tangent_ranks(pattern, r, rng)[0], target, trials, seed
-    )
-    return RankReport(rank, target, trials=run, pass_count=int(rank == target))
+    return _tangent_test(pattern, r, 0, r * (pattern.m + pattern.n - r), trials, seed)
 
 
 def grassmann_section_rank_test(
@@ -255,7 +254,10 @@ def grassmann_section_rank_test(
     the rows of N_j span the left null space of A[omega_j]. The test stacks
     these #omega_j - r rows per column and takes their exact rank over GF(p)
     (``_tangent_ranks``). Full rank r(m-r) means the sections pin the
-    subspace down to isolated points.
+    subspace down to isolated points. These rows are the S block of the
+    elimination that gives ``jacobian_rank_test`` its rank, at the same
+    points for the same (pattern, r, seed), so right after that test this
+    one reads its trials instead of eliminating again (``_tangent_test``).
 
     Raises:
         SectionTestError: a column has fewer than r observed rows.
@@ -275,9 +277,42 @@ def grassmann_section_rank_test(
         # at every point, so one trial decides
         trials = min(trials, 1)
     _check_tangent_size(pattern, r)
-    rank, run = first_full_rank(
-        lambda rng: _tangent_ranks(pattern, r, rng)[1], target, trials, seed
-    )
+    return _tangent_test(pattern, r, 1, target, trials, seed)
+
+
+# (part, pattern, r, {trial key: (Jacobian rank, section rank)}) of the last
+# tangent test that read no trials, part 0 for the Jacobian test and 1 for the
+# section test; the next call of the other test on (pattern, r) consumes it.
+_last_trials: tuple | None = None
+
+
+def _tangent_test(
+    pattern: ObservationPattern, r: int, part: int, target: int, trials: int, seed
+) -> RankReport:
+    """``first_full_rank`` over ``_tangent_ranks(pattern, r, rng)[part]``.
+
+    Trial t draws its point from the t-th child seed, whose (entropy,
+    spawn_key) fixes the draws, so its pair of ranks serves both tests. Right
+    after the other test ran on (pattern, r), the pairs of the trials it ran
+    at the same child seeds are read instead of recomputed. The memo holds
+    one call's trials and serves them at most once, and only to the other
+    test, so no repeated call is ever answered from it; ``seed=None`` draws
+    fresh entropy and never shares.
+    """
+    global _last_trials
+    last, _last_trials = _last_trials, None
+    known = last[3] if last is not None and last[:3] == (1 - part, pattern, r) else {}
+    pairs = {}
+
+    def rank_at(rng: np.random.Generator) -> int:
+        child = rng.bit_generator.seed_seq
+        key = (tuple(np.ravel(child.entropy).tolist()), child.spawn_key, child.pool_size)
+        pairs[key] = known[key] if key in known else _tangent_ranks(pattern, r, rng)
+        return pairs[key][part]
+
+    rank, run = first_full_rank(rank_at, target, trials, seed)
+    if not known:
+        _last_trials = (part, pattern, r, pairs)
     return RankReport(rank, target, trials=run, pass_count=int(rank == target))
 
 

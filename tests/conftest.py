@@ -86,6 +86,25 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
     return ranks, clear
 
 
+def reference_rank_report(pattern, r, part, trials, seed):
+    """The tangent test's report from its own trials alone, none read from the
+    other test: ``first_full_rank`` over ``_tangent_ranks(...)[part]``, part 0
+    the Jacobian test and 1 the section test, with the empty-section rule."""
+    from completable import numerics
+    from completable.plucker import first_full_rank
+
+    if part == 0:
+        target = r * (pattern.m + pattern.n - r)
+    else:
+        target = r * (pattern.m - r)
+        if all(len(omega) == r for omega in pattern.column_supports()):
+            trials = min(trials, 1)
+    rank, run = first_full_rank(
+        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part], target, trials, seed
+    )
+    return numerics.RankReport(rank, target, trials=run, pass_count=int(rank == target))
+
+
 def reference_float_dual_basis_rank(phi, seed, tol=1e-9):
     """Float SVD rank of the paper's B_phi, evaluated at the Plucker vector of a
     standard-normal subspace; a rank counts the singular values above ``tol``

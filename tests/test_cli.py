@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import completable
 from completable import (
     ObservedMatrix,
     export_plucker_system,
@@ -319,6 +324,32 @@ def test_export_system_into_missing_directory_exit_64(capsys, tmp_path):
     )
     assert (code, out) == (64, "")
     assert err.startswith(f"error: cannot write {prefix}.csv:")
+
+
+def test_calls_in_one_process_match_single_calls(capsys, tmp_path, pattern_file):
+    """``main`` builds its parser once per process; successive calls with other
+    subcommands print what a fresh process prints, and a usage error still exits 64."""
+    values, basis, _ = _observed_csv_file(tmp_path)
+    phi = tmp_path / "phi.txt"
+    phi.write_text(slmf_to_grid(PHI_A))
+    calls = [
+        ["analyze", pattern_file, "--rank", "2", "--json"],
+        ["slmf-check", str(phi), "--rank", "2", "--method", "combinatorial"],
+        ["export-system", str(values), "--rank", "2", "--out", str(tmp_path / "system")],
+        ["complete", str(values), "--rank", "2", "--basis", str(basis), "--out", str(tmp_path / "x.csv")],
+        ["analyze", pattern_file, "--rank", "1", "--seed", "3"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    env = {**os.environ, "PYTHONPATH": str(Path(completable.__file__).parents[1])}
+    for argv, outcome in zip(calls, in_process):
+        single = subprocess.run(
+            [sys.executable, "-m", "completable", *argv], capture_output=True, text=True, env=env
+        )
+        assert outcome == (single.returncode, single.stdout, single.stderr)
+    code, _, err = run_cli(capsys, "analyze", pattern_file, "--rank", "0")
+    assert (code, err) == (64, "error: argument --rank: must be at least 1, got 0\n")
+    code, _, err = run_cli(capsys, "frobnicate")
+    assert code == 64 and err.startswith("error: argument command: invalid choice")
 
 
 def test_analyze_reproducible_for_a_seed(capsys, pattern_file):

@@ -25,6 +25,7 @@ from completable import (
     random_pattern,
     sample_generic_subspace,
 )
+from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets
 
@@ -176,6 +177,40 @@ def test_a_refuting_rank_test_runs_every_trial(pattern_6x5):
     smaller = pattern_6x5.without_entry((4, 0))
     assert jacobian_rank_test(smaller, 2, trials=4) == RankReport(17, 18, 4, 0)
     assert grassmann_section_rank_test(smaller, 2) == RankReport(7, 8, 3, 0)
+
+
+def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
+    """The section test reads the Jacobian test's trials just run on the same
+    mask; the memo holds one mask and serves a test's trials once, to the other test."""
+    calls = []
+
+    def counted(pattern, r, rng):
+        calls.append(pattern)
+        return _tangent_ranks(pattern, r, rng)
+
+    monkeypatch.setattr(numerics, "_tangent_ranks", counted)
+    monkeypatch.setattr(numerics, "_last_trials", None)
+
+    def computed(test, pattern, seed=0):
+        before = len(calls)
+        return test(pattern, 2, seed=seed), len(calls) - before
+
+    refuted = pattern_6x5.without_entry((4, 0))
+    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 0)
+    assert computed(jacobian_rank_test, pattern_6x5) == (RankReport(18, 18, 1, 1), 1)
+    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
+    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 0)
+    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 3)
+    # section first: the Jacobian test computes only the two trials it lacks
+    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 2)
+    # another seed, or none, draws other points
+    assert computed(jacobian_rank_test, refuted)[1] == 5
+    assert computed(grassmann_section_rank_test, refuted, seed=1)[1] == 3
+    for _ in range(2):
+        assert computed(jacobian_rank_test, refuted, seed=None)[1] == 5
+        assert computed(grassmann_section_rank_test, refuted, seed=None)[1] == 3
 
 
 class _Draws:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,16 +25,20 @@ from completable import (
     find_unique_certificate,
     grassmann_section_rank_test,
     jacobian_rank_test,
+    numerics,
+    parse_pattern,
     random_pattern,
 )
 from completable.certificates import _counting_bound, _enumerate, _greedy_counting_set
 from completable.plucker import index_subsets
 from completable.slmf import _least_violator, first_linkage_support
 from conftest import (
+    GRID_6X5,
     reference_enumerate,
     reference_export_csv,
     reference_float_tangent_ranks,
     reference_least_violator,
+    reference_rank_report,
     reference_relaxed_slmf,
 )
 
@@ -74,6 +79,65 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
     section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
     assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
     assert jacobian.tested_rank == section.tested_rank + r * pattern.n
+
+
+class _ParallelRows:
+    """Wraps a Generator; in its first draw, A, the given rows become multiples
+    of the first of them, so A[omega] drops rank on a column holding them."""
+
+    def __init__(self, rng, rows):
+        self.rng, self.rows = rng, list(rows)
+
+    def integers(self, low, high, size):
+        drawn = self.rng.integers(low, high, size=size)
+        if self.rows:
+            rows, self.rows = self.rows, []
+            drawn[rows] = drawn[rows[0]] * np.arange(1, len(rows) + 1)[:, None] % high
+        return drawn
+
+
+_REFUTED_6X5 = (parse_pattern(GRID_6X5).without_entry((4, 0)), 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(masks_with_r_per_column(), st.integers(0, 2**16), st.booleans(), st.booleans())
+@example(mask=_REFUTED_6X5, seed=0, as_sequence=False, degenerate=False)
+@example(mask=_REFUTED_6X5, seed=0, as_sequence=True, degenerate=True)
+def test_shared_trials_change_no_report(mask, seed, as_sequence, degenerate):
+    """Jacobian then section, section then Jacobian, and the section test alone
+    report what each test reports from its own trials, for int seeds and the
+    ``SeedSequence`` seeds ``gen --emit-stats`` passes; with ``degenerate``,
+    A[omega_1] drops rank in every trial (at r >= 2 and two rows or more)."""
+    pattern, r = mask
+    tangent_ranks = numerics._tangent_ranks
+
+    def ranks(pattern, r, rng):
+        rows = pattern.column_support(0) if degenerate else ()
+        return tangent_ranks(pattern, r, _ParallelRows(rng, rows))
+
+    def fresh():
+        return np.random.SeedSequence(seed) if as_sequence else seed
+
+    with mock.patch.object(numerics, "_tangent_ranks", ranks), mock.patch.object(
+        numerics, "_last_trials", None
+    ):
+        jacobian = reference_rank_report(pattern, r, 0, 5, fresh())
+        section = reference_rank_report(pattern, r, 1, 3, fresh())
+        assert jacobian_rank_test(pattern, r, seed=fresh()) == jacobian
+        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
+        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
+        assert jacobian_rank_test(pattern, r, seed=fresh()) == jacobian
+        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
+        if as_sequence:
+            # one SeedSequence for both: the section test spawns past the
+            # Jacobian test's five children
+            shared, own = np.random.SeedSequence(seed), np.random.SeedSequence(seed)
+            assert jacobian_rank_test(pattern, r, seed=shared) == reference_rank_report(
+                pattern, r, 0, 5, own
+            )
+            assert grassmann_section_rank_test(pattern, r, seed=shared) == reference_rank_report(
+                pattern, r, 1, 3, own
+            )
 
 
 @st.composite
