@@ -14,8 +14,8 @@ they do not, nor do those any superset leaves, so the branch is cut. A group
 that passes is tested at once, and the walk goes beneath it only when it
 holds a linkage support. Complete at desk scale, budget-bounded beyond it.
 
-One numpy kernel over row bitmasks gives the exact counting test and an upper
-bound on passing sub-patterns; a bound below r(m+n-r) rules out certificates.
+One numpy kernel over row bitmasks bounds passing sub-patterns, which decides
+the exact counting test; a bound below r(m+n-r) rules out certificates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ DEFAULT_BUDGET = 10**7
 # most rows for which the bound and the greedy scan all 2^m row sets: on a 2-CPU
 # host they take 0.8 s on a 20 x 20 mask at r = 3, doubling with each row
 ROW_SET_LIMIT = 20
-_ROW_SET_CELLS = 1 << 20  # (row set, column) pairs the kernel evaluates at once
+_ROW_SET_CELLS = 1 << 17  # (row set, column) pairs the kernel evaluates at once
 
 
 class _BudgetExhausted(Exception):
@@ -282,7 +282,7 @@ def _group_witness(
 def _find_certificate(
     pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
 ) -> SearchOutcome:
-    """Enumerate unless a small column or the counting bound rules certificates out.
+    """Enumerate unless a small column, an unobserved row or the counting bound rules them out.
 
     Certificate => finitely completable => full generic Jacobian rank
     r(m+n-r) (Kiraly-Theran-Tomioka) => a row basis of that Jacobian is a
@@ -290,8 +290,10 @@ def _find_certificate(
     (Pimentel-Alarcon-Boston-Nowak). The bound is not charged to the budget.
     """
     target = r * (pattern.m + pattern.n - r)
-    if any(len(omega) < r for omega in pattern.column_supports()) or (
-        pattern.m <= ROW_SET_LIMIT and _counting_bound(pattern, r)[0] < target
+    if (
+        any(len(omega) < r for omega in pattern.column_supports())
+        or len({i for i, _ in pattern.entries}) < pattern.m  # a linkage support covers every row
+        or (pattern.m <= ROW_SET_LIMIT and _counting_bound(pattern, r)[0] < target)
     ):
         return SearchOutcome(None, exhausted=True, nodes=0)
     return _enumerate(pattern, r, kind, budget_nodes)
@@ -414,8 +416,9 @@ def _counting_bound(
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
     sum to at most r(#I - r), so |S| <= |Omega| + slack_Omega(I) for every I.
-    Memoized, so the two certificate searches and the necessary condition of
-    one analysis share one scan.
+    Memoized: the searches, the counting test and the necessary condition of
+    one analysis share one scan. Every counting inequality holds iff the
+    bound reaches |Omega|.
     """
     least = _least_row_set(pattern, r, lambda slack: slack)
     return (pattern.size, None) if least is None else (pattern.size + least[0], least[1])
@@ -454,13 +457,14 @@ class RelaxedSlmfVerdict:
     """Outcome of the exact-size counting test.
 
     ``ok`` is None, with reason "row_limit", for an exact-size pattern of
-    more than ``ROW_SET_LIMIT`` rows, whose 2^m row sets are not scanned.
-    ``violating_rows`` is the first row set (smallest, then lexicographic)
-    breaking the counting inequality, when one exists.
+    more than ``ROW_SET_LIMIT`` rows, whose 2^m row sets are not scanned;
+    otherwise the counting bound decides it. ``violating_rows`` is the first
+    row set (smallest, then lexicographic) breaking the counting inequality,
+    when one exists.
     """
 
     ok: Optional[bool]
-    reason: Optional[str]  # None | "size" | "row_limit" | "inequality" | "equality"
+    reason: Optional[str]  # None | "size" | "row_limit" | "inequality"
     violating_rows: Optional[tuple[int, ...]]
     required_size: int
     actual_size: int
@@ -471,30 +475,23 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
 
     Requires, for every row subset I with at least r+1 rows, that the observed
     surplus sum_j max(#(support_j intersect I) - r, 0) not exceed r(#I - r),
-    with equality at the full row set. Above ``ROW_SET_LIMIT`` rows only the
-    size is checked.
+    which holds iff the counting bound reaches the size. Equality at the full
+    row set follows, as the surplus there is at least r(m - r). Above
+    ``ROW_SET_LIMIT`` rows only the size is checked.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
-    m, n = pattern.m, pattern.n
-    required = r * (m + n - r)
+    required = r * (pattern.m + pattern.n - r)
     actual = pattern.size
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
-    if m > ROW_SET_LIMIT:
+    if pattern.m > ROW_SET_LIMIT:
         return RelaxedSlmfVerdict(None, "row_limit", None, required, actual)
+    if _counting_bound(pattern, r)[0] >= required:
+        return RelaxedSlmfVerdict(True, None, None, required, actual)
     # a violated row set scores 0 (False); none comes before one of r+1 rows
-    least = _least_row_set(pattern, r, lambda slack: slack >= 0, stop=(0, r + 1))
-    if least is not None and least[0] == 0:
-        return RelaxedSlmfVerdict(False, "inequality", least[1], required, actual)
-    total_surplus = sum(
-        max(len(omega) - r, 0) for omega in pattern.column_supports()
-    )
-    if total_surplus != r * (m - r):
-        return RelaxedSlmfVerdict(
-            False, "equality", tuple(range(m)), required, actual
-        )
-    return RelaxedSlmfVerdict(True, None, None, required, actual)
+    first = _least_row_set(pattern, r, lambda slack: slack >= 0, stop=(0, r + 1))[1]
+    return RelaxedSlmfVerdict(False, "inequality", first, required, actual)
 
 
 @dataclass(frozen=True)
@@ -502,10 +499,11 @@ class NecessaryConditionVerdict:
     """Whether the pattern contains an exact-size sub-pattern passing the test.
 
     ``contains_relaxed`` is None when the condition is left undecided: a zero
-    budget, more than ``ROW_SET_LIMIT`` rows, or, at r >= 2, a greedy set
-    short of a bound that does not refute. ``nodes`` is 0 or 1.
-    ``refuting_rows`` (0-based) is set only on a refutation by the counting
-    bound, and names the row set that caps passing sub-patterns below r(m+n-r).
+    budget above the exact size, more than ``ROW_SET_LIMIT`` rows, or, at
+    r >= 2, a greedy set short of a bound that does not refute. ``nodes`` is
+    0 or 1. ``refuting_rows`` (0-based) is set only on a refutation by the
+    counting bound, and names the row set that caps passing sub-patterns
+    below r(m+n-r).
     """
 
     contains_relaxed: Optional[bool]
@@ -521,33 +519,28 @@ def check_necessary_condition(
 
     This is a necessary condition for finite completability, never claimed
     sufficient. A pattern below the exact size fails at 0 nodes; any other
-    pattern of more than ``ROW_SET_LIMIT`` rows is undecided at 0 nodes; one
-    of the exact size is a single direct check.
+    pattern of more than ``ROW_SET_LIMIT`` rows is undecided at 0 nodes.
 
-    A larger pattern of at most ``ROW_SET_LIMIT`` rows costs one node: a
-    counting bound below r(m+n-r) refutes the condition, or a greedy set
-    reaching r(m+n-r) entries, confirmed by ``check_relaxed_slmf``, is the
-    witness. At r = 1 the passing sets are the forests of the bipartite
-    row-column graph, a graphic matroid, so a greedy set short of the target
-    refutes too. Otherwise, or at a zero budget, the verdict is None.
+    Otherwise one node decides: a counting bound below r(m+n-r) refutes the
+    condition, and an exact-size pattern the bound does not refute is its
+    own witness. Above the exact size a greedy set reaching r(m+n-r)
+    entries, confirmed by ``check_relaxed_slmf``, is the witness. At r = 1
+    the passing sets are the forests of the bipartite row-column graph, a
+    graphic matroid, so a greedy set short of the target refutes too.
+    Otherwise, or at a zero budget above the exact size, the verdict is None.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
-    if pattern.m > ROW_SET_LIMIT:
-        return NecessaryConditionVerdict(None, None, 0)
-    if pattern.size == target:
-        verdict = check_relaxed_slmf(pattern, r)
-        return NecessaryConditionVerdict(
-            verdict.ok, pattern if verdict.ok else None, 1
-        )
-    if budget < 1:
+    if pattern.m > ROW_SET_LIMIT or (budget < 1 and pattern.size > target):
         return NecessaryConditionVerdict(None, None, 0)
     bound, rows = _counting_bound(pattern, r)
     if bound < target:
         return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
+    if pattern.size == target:
+        return NecessaryConditionVerdict(True, pattern, 1)
     kept = _greedy_counting_set(pattern, r)
     if len(kept) == target:
         candidate = pattern.restrict(kept)

@@ -38,7 +38,7 @@ from .plucker import (
 
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
-# int64 cells of the section rows and of the per-column eliminations; the
+# int64 cells of the tangent rank system, its point and its column order; the
 # elimination's temporaries can hold a few times more. The largest benchmark
 # mask (40 x 40, 12 rows per column, r = 5) needs 0.5 MB of them.
 MAX_TANGENT_BYTES = 1 << 26
@@ -317,10 +317,14 @@ def _tangent_test(
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
-    """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``."""
+    """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``.
+
+    Counted: the section rows, the per-column eliminations, the point (A, C),
+    and ``rank_mod_p``'s nonzero counts and column order over the m r columns.
+    """
     m = pattern.m
     sizes = [len(omega) for omega in pattern.column_supports()]
-    cells = sum(max(k - r, 0) * m * r + k * (k + r) for k in sizes)
+    cells = sum(max(k - r, 0) * m * r + k * (k + r) for k in sizes) + 3 * m * r + r * pattern.n
     if 8 * cells > MAX_TANGENT_BYTES:
         raise TangentSizeError(
             f"the tangent rank system needs {8 * cells} bytes, "

@@ -345,6 +345,23 @@ def test_necessary_refuted_by_the_bound_in_one_node():
     assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows)
 
 
+def test_necessary_refutes_an_exact_size_mask_by_the_bound():
+    """18 entries, 6 x 5, r = 2: the bound 16 refutes at a zero budget, in one node.
+
+    The refutation names the bound's row set, where the slack is least; the
+    counting test names the first violating row set, a different one.
+    """
+    pattern = parse_pattern("11110\n00111\n00100\n11100\n11110\n10110\n")
+    assert pattern.size == 18
+    assert _counting_bound(pattern, 2) == (16, (0, 3, 4, 5))
+    for budget in (0, 10**5):
+        verdict = check_necessary_condition(pattern, 2, budget=budget)
+        assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
+        assert verdict.refuting_rows == _counting_bound(pattern, 2)[1]
+    relaxed = check_relaxed_slmf(pattern, 2)
+    assert (relaxed.ok, relaxed.reason, relaxed.violating_rows) == (False, "inequality", (0, 3, 4))
+
+
 def test_refuted_counting_condition_ends_both_searches_on_12x12_k7_s3():
     """Bound 62 < 63 at r = 3: no certificate exists, so neither search enumerates."""
     pattern = random_pattern(12, 12, 7, seed=3)

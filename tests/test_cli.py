@@ -457,10 +457,10 @@ def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, patter
     for key in ("jacobian_rank", "grassmann_section_rank"):
         assert report[key] == {
             "verdict": "inconclusive",
-            "error": "the tangent rank system needs 1632 bytes, more than the supported 1000",
+            "error": "the tangent rank system needs 2000 bytes, more than the supported 1000",
         }
     _, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2")
-    assert "jacobian rank: inconclusive (the tangent rank system needs 1632 bytes" in out
+    assert "jacobian rank: inconclusive (the tangent rank system needs 2000 bytes" in out
 
 
 def test_complete_nan_value_exit_64(capsys, tmp_path):
@@ -741,8 +741,35 @@ def test_analyze_a_thousand_column_chain_does_not_exit_70(capsys, tmp_path):
     assert json.loads(out)["unique_certificate"]["status"] == "present"
 
 
+def test_analysis_of_a_mask_with_unobserved_rows_stays_small():
+    """10^7 rows, four entries, r = 1: an unobserved row ends both searches at
+    0 nodes and both tangent tests are refused, all before any O(m) allocation."""
+    from completable import ObservationPattern
+    from completable.cli import build_analysis_report
+
+    pattern = ObservationPattern(10**7, 2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+    tracemalloc.start()
+    try:
+        report = build_analysis_report(pattern, 1, seed=0, budget=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for key in ("finite_certificate", "unique_certificate"):
+        assert report[key] == {"status": "absent", "nodes": 0}
+    for key in ("jacobian_rank", "grassmann_section_rank"):
+        assert report[key]["verdict"] == "inconclusive"
+    assert report["exit_code"] == 2
+
+
 def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
-    """The finite and unique searches and the necessary condition share one row-set scan."""
+    """The searches, the counting test and the necessary condition share one row-set scan.
+
+    Every ``_least_row_set`` call on the analyzed pattern counts, the
+    counting test's early-stopping scan included: above the exact size
+    (8 x 8 k5 s1, whose greedy witness is a different pattern) and at it
+    (the 6 x 5 fixture), one analysis scans the pattern's row sets once.
+    """
     from completable import certificates, random_pattern
     from completable.cli import build_analysis_report
 
@@ -750,13 +777,13 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     kernel = certificates._least_row_set
 
     def counted(pattern, r, score, stop=None):
-        if stop is None:  # the bound scans every row set; the counting test stops early
-            scans.append((pattern, r))
+        scans.append((pattern, r))
         return kernel(pattern, r, score, stop)
 
     monkeypatch.setattr(certificates, "_least_row_set", counted)
-    certificates._counting_bound.cache_clear()
-    pattern = random_pattern(8, 8, 5, seed=1)
-    report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
-    assert report["necessary_condition"]["verdict"] == "pass"
-    assert scans == [(pattern, 2)]
+    for pattern in (random_pattern(8, 8, 5, seed=1), parse_pattern(GRID_6X5)):
+        certificates._counting_bound.cache_clear()
+        scans.clear()
+        report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
+        assert report["necessary_condition"]["verdict"] == "pass"
+        assert scans.count((pattern, 2)) == 1

@@ -246,8 +246,23 @@ def test_tangent_tests_refuse_an_oversized_system_before_allocating():
     tracemalloc.start()
     try:
         for test in (jacobian_rank_test, grassmann_section_rank_test):
-            with pytest.raises(TangentSizeError, match="1082112000 bytes"):
+            with pytest.raises(TangentSizeError, match="1082400000 bytes"):
                 test(pattern, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tangent_size_counts_the_arrays_that_grow_with_m():
+    """2,000,000 x 2, four entries, r = 2: there are no section rows, but the
+    point's A and the column order over the m r columns would take 96 MB."""
+    pattern = ObservationPattern(2 * 10**6, 2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+    tracemalloc.start()
+    try:
+        for test in (jacobian_rank_test, grassmann_section_rank_test):
+            with pytest.raises(TangentSizeError, match="96000160 bytes"):
+                test(pattern, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -399,6 +399,18 @@ def test_rank_mod_p_is_the_rational_rank_of_small_integer_matrices(rows, cols, s
     assert rank_mod_p(M.copy()) == row_reduce(M.tolist())[0]
 
 
+def test_rank_mod_p_visits_no_all_zero_column(monkeypatch):
+    """Three nonzero columns among 10^5: the elimination looks at those three,
+    not at the empty ones that sort before them."""
+    M = np.zeros((2, 10**5), dtype=np.int64)
+    M[:, [70_000, 80_000, 90_000]] = [[1, 2, 3], [2, 4, 5]]
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a.size) or flatnonzero(a))
+    assert rank_mod_p(M) == 2
+    assert len(calls) < 10
+
+
 @pytest.mark.parametrize("k, r", [(6, 3), (4, 4), (2, 3)])
 def test_left_null_mod_p_spans_the_left_null_space(k, r):
     A = np.random.default_rng(k + r).integers(0, FIELD_PRIME, size=(20, k, r))
