@@ -23,12 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
+from math import comb
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .patterns import ObservationPattern, column_subsets
+from .patterns import ObservationPattern
 from .slmf import (
     EXHAUSTIVE_COLUMN_LIMIT,
     Slmf,
@@ -41,6 +43,9 @@ DEFAULT_BUDGET = 10**7
 # host they take 0.8 s on a 20 x 20 mask at r = 3, doubling with each row
 ROW_SET_LIMIT = 20
 _ROW_SET_CELLS = 1 << 17  # (row set, column) pairs the kernel evaluates at once
+# most (r+1)-subsets of distinct column supports the certificate search lists:
+# about 110 bytes each, with a group's pool (traced), so some 60 MB at the limit
+MAX_SEARCH_SUBSETS = 1 << 19
 
 
 class _BudgetExhausted(Exception):
@@ -243,39 +248,24 @@ def _partitions(
         picked[-1] += 1
 
 
-def _subset_table(
-    supports: Sequence[Sequence[int]], r: int
-) -> tuple[list[tuple[int, ...]], list[int], list[list[int]], list[int]]:
-    """The distinct (r+1)-subsets of the column supports in lexicographic order,
-    their row bitmasks, for each column the positions of its subsets
-    (increasing), and each column's row bitmask."""
-    held = [column_subsets(omega, r + 1) for omega in supports]
-    subsets = sorted(set().union(*held))
-    position = {s: t for t, s in enumerate(subsets)}
-    positions = [[position[s] for s in column] for column in held]
-    rows = [sum(1 << i for i in omega) for omega in supports]
-    return subsets, [sum(1 << i for i in s) for s in subsets], positions, rows
-
-
 def _group_witness(
-    table: tuple[list[tuple[int, ...]], list[int], list[list[int]], list[int]],
-    group: Sequence[int],
-    m: int,
-    r: int,
-    budget: _Budget,
+    pools: Sequence[Sequence[int]], rows: Sequence[int], group: Sequence[int], m: int, r: int, budget: _Budget
 ) -> Optional[SlmfWitness]:
-    """The group's lexicographically first linkage support, each subset from its least column."""
-    subsets, masks, positions, rows = table
+    """The group's lexicographically first linkage support, each subset from its least column.
+
+    ``pools[k]`` and ``rows[k]`` are the row masks of column k's (r+1)-subsets
+    and of its support, row i at bit m-1-i: descending masks are in subset order.
+    """
     if m > r and reduce(or_, (rows[k] for k in group)) != (1 << m) - 1:
         return None  # a linkage support covers every row
-    pool = sorted(set().union(*(positions[k] for k in group)))
-    chosen = first_linkage_support([masks[t] for t in pool], m, r, budget.spend)
+    pool = sorted(set().union(*(pools[k] for k in group)), reverse=True)
+    chosen = first_linkage_support(pool, m, r, budget.spend)
     if chosen is None:
         return None
     picked = [pool[c] for c in chosen]
     return SlmfWitness(
-        supports=tuple(subsets[t] for t in picked),
-        sources=tuple(next(k for k in group if masks[t] & ~rows[k] == 0) for t in picked),
+        supports=tuple(tuple(i for i in range(m) if mask >> (m - 1 - i) & 1) for mask in picked),
+        sources=tuple(next(k for k in group if mask & ~rows[k] == 0) for mask in picked),
     )
 
 
@@ -326,18 +316,28 @@ def _covering_test(supports: Sequence[Sequence[int]], m: int, r: int) -> Callabl
 def _enumerate(
     pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
 ) -> SearchOutcome:
-    """The first partition in order whose groups all hold a linkage support; supports memoized."""
+    """The first partition in order whose groups all hold a linkage support; supports memoized.
+
+    Each distinct column support lists its (r+1)-subsets once, and a group's
+    pool joins its columns' lists; past ``MAX_SEARCH_SUBSETS`` listed subsets
+    the search is inconclusive at 0 nodes, before listing any.
+    """
     groups = _expected_groups(kind, r)
-    fits = _covering_test(pattern.column_supports(), pattern.m, r)
+    supports, m = pattern.column_supports(), pattern.m
+    fits = _covering_test(supports, m, r)
     if not fits((1 << pattern.n) - 1, groups):
         return SearchOutcome(None, exhausted=True, nodes=0)
+    bits = {omega: [1 << (m - 1 - i) for i in omega] for omega in set(supports)}
+    if sum(comb(len(b), r + 1) for b in bits.values()) > MAX_SEARCH_SUBSETS:
+        return SearchOutcome(None, exhausted=False, nodes=0)
+    masks = {omega: list(map(sum, combinations(b, r + 1))) for omega, b in bits.items()}
+    pools, rows = [masks[w] for w in supports], [sum(bits[w]) for w in supports]
     budget = _Budget(budget_nodes)
-    table = _subset_table(pattern.column_supports(), r)
     memo: dict[tuple[int, ...], Optional[SlmfWitness]] = {}
 
     def select(group: tuple[int, ...]) -> Optional[SlmfWitness]:
         if group not in memo:
-            memo[group] = _group_witness(table, group, pattern.m, r, budget)
+            memo[group] = _group_witness(pools, rows, group, m, r, budget)
         return memo[group]
 
     try:
@@ -429,11 +429,14 @@ def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int,
 
     Entry (i, j) raises the surplus by one exactly on the row sets containing
     i where column j already keeps r rows; it joins iff each has slack left.
+    So a set of r(m+n-r) entries passes the counting test. The row sets and
+    their slacks are two arrays over all 2^m row sets, int32 and int16: at
+    m <= ``ROW_SET_LIMIT`` the slack lies within r*m <= 400 of 0.
     """
     m = pattern.m
     target = r * (m + pattern.n - r)
-    masks = np.arange(1 << m, dtype=np.int64)
-    slack = r * (np.bitwise_count(masks).astype(np.int64) - r)
+    masks = np.arange(1 << m, dtype=np.int32)
+    slack = r * (np.bitwise_count(masks).astype(np.int16) - r)
     kept_masks = [0] * pattern.n
     kept: list[tuple[int, int]] = []
     for i, j in pattern.sorted_entries():
@@ -524,7 +527,7 @@ def check_necessary_condition(
     Otherwise one node decides: a counting bound below r(m+n-r) refutes the
     condition, and an exact-size pattern the bound does not refute is its
     own witness. Above the exact size a greedy set reaching r(m+n-r)
-    entries, confirmed by ``check_relaxed_slmf``, is the witness. At r = 1
+    entries is the witness, as it passes the test by construction. At r = 1
     the passing sets are the forests of the bipartite row-column graph, a
     graphic matroid, so a greedy set short of the target refutes too.
     Otherwise, or at a zero budget above the exact size, the verdict is None.
@@ -543,10 +546,8 @@ def check_necessary_condition(
         return NecessaryConditionVerdict(True, pattern, 1)
     kept = _greedy_counting_set(pattern, r)
     if len(kept) == target:
-        candidate = pattern.restrict(kept)
-        if check_relaxed_slmf(candidate, r).ok:
-            return NecessaryConditionVerdict(True, candidate, 1)
-    elif r == 1:
+        return NecessaryConditionVerdict(True, pattern.restrict(kept), 1)
+    if r == 1:
         # a greedy forest is a largest forest
         return NecessaryConditionVerdict(False, None, 1)
     return NecessaryConditionVerdict(None, None, 1)

@@ -126,17 +126,39 @@ def pattern_to_json(pattern: ObservationPattern) -> str:
     return json.dumps(payload)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON integer; bool is a subclass of int
+
+
 def pattern_from_json(text: str) -> ObservationPattern:
+    """Parse the JSON pattern format, 1-based; every number must be a JSON integer.
+
+    Raises:
+        PatternFormatError: naming the first bad entry as written, with its
+            1-based position in the list.
+    """
     try:
         payload = json.loads(text)
-        m, n = int(payload["m"]), int(payload["n"])
-        entries = frozenset((int(i) - 1, int(j) - 1) for i, j in payload["entries"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        m, n, pairs = payload["m"], payload["n"], payload["entries"]
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise PatternFormatError(f"bad pattern JSON: {exc}") from exc
-    try:
-        return ObservationPattern(m, n, entries)
-    except ValueError as exc:
-        raise PatternFormatError(str(exc)) from exc
+    for name, value in (("m", m), ("n", n)):
+        if not _is_int(value):
+            raise PatternFormatError(f'bad pattern JSON: "{name}" must be an integer, got {json.dumps(value)}')
+    if m <= 0 or n <= 0:
+        raise PatternFormatError(f"dimensions must be positive, got {m} x {n}")
+    if not isinstance(pairs, list):
+        raise PatternFormatError('bad pattern JSON: "entries" must be a list of [i, j] pairs')
+    entries = set()
+    for t, pair in enumerate(pairs, 1):
+        shown = f"entry {t} {json.dumps(pair)}"
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise PatternFormatError(f"bad pattern JSON: {shown} is not a pair of integers")
+        i, j = pair
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise PatternFormatError(f"{shown} outside a {m} x {n} grid (rows and columns count from 1)")
+        entries.add((i - 1, j - 1))
+    return ObservationPattern(m, n, frozenset(entries))
 
 
 def load_pattern(text: str) -> ObservationPattern:

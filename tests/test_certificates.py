@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from math import comb
 
 import pytest
 
@@ -19,6 +21,7 @@ from completable import (
     verify_certificate,
 )
 from completable.certificates import (
+    MAX_SEARCH_SUBSETS,
     ROW_SET_LIMIT,
     _counting_bound,
     _greedy_counting_set,
@@ -454,3 +457,37 @@ def test_unique_search_walks_a_first_group_of_a_thousand_columns():
     assert (outcome.status, outcome.nodes) == ("found", 1100)
     assert [len(group) for group in outcome.certificate.partition] == [1095, 5]
     assert verify_certificate(pattern, 1, outcome.certificate).ok
+
+
+def fully_observed(m):
+    return ObservationPattern(m, m, frozenset((i, j) for i in range(m) for j in range(m)))
+
+
+def test_search_on_a_fully_observed_16x16_mask_stays_small():
+    """One list of C(16, 8) = 12,870 subset masks, shared by all 16 columns, not a table per column."""
+    pattern = fully_observed(16)
+    tracemalloc.start()
+    try:
+        outcome = find_finite_certificate(pattern, 7, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.nodes) == ("inconclusive", 50)
+    assert peak < 4 << 20
+
+
+def test_search_past_the_subset_limit_is_inconclusive_before_allocating():
+    """C(24, 12) = 2,704,156 subsets are refused at 0 nodes; C(20, 10) = 184,756 are searched."""
+    refused, kept = fully_observed(24), fully_observed(20)
+    assert comb(24, 12) > MAX_SEARCH_SUBSETS > comb(20, 10)
+    tracemalloc.start()
+    try:
+        outcomes = [search(refused, 11) for search in (find_finite_certificate, find_unique_certificate)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(o.status, o.nodes) for o in outcomes] == [("inconclusive", 0)] * 2
+    assert peak < 1 << 20
+    found = [search(kept, 9) for search in (find_finite_certificate, find_unique_certificate)]
+    assert [(o.status, o.nodes) for o in found] == [("found", 107), ("found", 119)]
+    assert all(verify_certificate(kept, 9, o.certificate).ok for o in found)

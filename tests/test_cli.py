@@ -104,6 +104,25 @@ def test_analyze_parse_error_exit_64(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param('{"m": 3, "n": 2, "entries": [[1.5, 1]]}', "entry 1 [1.5, 1] is not a pair of integers", id="float-entry"),
+        pytest.param('{"m": 3.7, "n": 2, "entries": [[1, 1]]}', '"m" must be an integer, got 3.7', id="float-m"),
+        pytest.param('{"m": true, "n": 2, "entries": [[1, 1]]}', '"m" must be an integer, got true', id="bool-m"),
+        pytest.param('{"m": "2", "n": 2, "entries": [[1, 1]]}', '"m" must be an integer, got "2"', id="string-m"),
+        pytest.param('{"m": 3, "n": 2, "entries": [[1, 1], [0, 1]]}', "entry 2 [0, 1] outside a 3 x 2 grid", id="zero-row"),
+    ],
+)
+def test_analyze_json_pattern_takes_integers_only(capsys, tmp_path, payload, message):
+    """A JSON pattern is not coerced: the entry or dimension is named as written, 1-based."""
+    path = tmp_path / "pattern.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "1")
+    assert (code, out) == (64, "")
+    assert message in err
+
+
 def test_analyze_missing_file_exit_64(capsys):
     code, _, err = run_cli(capsys, "analyze", "nope.txt", "--rank", "2")
     assert code == 64
@@ -765,10 +784,11 @@ def test_analysis_of_a_mask_with_unobserved_rows_stays_small():
 def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     """The searches, the counting test and the necessary condition share one row-set scan.
 
-    Every ``_least_row_set`` call on the analyzed pattern counts, the
+    Every ``_least_row_set`` call counts, whatever pattern it scans, the
     counting test's early-stopping scan included: above the exact size
-    (8 x 8 k5 s1, whose greedy witness is a different pattern) and at it
-    (the 6 x 5 fixture), one analysis scans the pattern's row sets once.
+    (8 x 8 k5 s1, whose greedy witness is a different pattern, passing by
+    construction) and at it (the 6 x 5 fixture), one analysis scans row sets
+    once.
     """
     from completable import certificates, random_pattern
     from completable.cli import build_analysis_report
@@ -786,4 +806,4 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         scans.clear()
         report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
         assert report["necessary_condition"]["verdict"] == "pass"
-        assert scans.count((pattern, 2)) == 1
+        assert scans == [(pattern, 2)]

@@ -29,7 +29,13 @@ from completable import (
     parse_pattern,
     random_pattern,
 )
-from completable.certificates import _counting_bound, _enumerate, _greedy_counting_set
+from completable.certificates import (
+    _Budget,
+    _counting_bound,
+    _enumerate,
+    _greedy_counting_set,
+    _group_witness,
+)
 from completable.plucker import index_subsets
 from completable.slmf import _least_violator, first_linkage_support
 from conftest import (
@@ -371,6 +377,51 @@ def test_greedy_selection_is_the_first_slmf_by_brute_force(drawn):
     )
     chosen = first_linkage_support([sum(1 << i for i in s) for s in pool], m, r)
     assert chosen == (None if reference is None else list(reference))
+
+
+@st.composite
+def masks_with_a_group(draw):
+    """(pattern, r, group): at most 7 rows and 6 columns, a sorted nonempty group of columns."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, min(m - 1, 3)))
+    supports = [tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=m)))) for _ in range(n)]
+    group = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    entries = frozenset((i, j) for j, omega in enumerate(supports) for i in omega)
+    return ObservationPattern(m, n, entries), r, group
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(masks_with_a_group())
+def test_group_witness_is_the_first_linkage_support_by_brute_force(drawn):
+    """The group's first m-r distinct (r+1)-subsets in lexicographic order passing the
+    combinatorial check, each sourced from the least group column holding it."""
+    pattern, r, group = drawn
+    m, supports = pattern.m, pattern.column_supports()
+    subsets = sorted(set().union(*(itertools.combinations(supports[k], r + 1) for k in group)))
+    assume(len(subsets) <= 14)
+    reference = next(
+        (
+            picked
+            for picked in itertools.combinations(subsets, m - r)
+            if check_slmf_combinatorial(Slmf(m, r, picked)).is_slmf
+        ),
+        None,
+    )
+    # row i at bit m-1-i, as the search holds them
+    pools = [
+        [sum(1 << (m - 1 - i) for i in s) for s in itertools.combinations(omega, r + 1)]
+        for omega in supports
+    ]
+    rows = [sum(1 << (m - 1 - i) for i in omega) for omega in supports]
+    witness = _group_witness(pools, rows, group, m, r, _Budget(10**6))
+    if reference is None:
+        assert witness is None
+        return
+    assert witness.supports == reference
+    assert witness.sources == tuple(
+        min(k for k in group if set(s) <= set(supports[k])) for s in reference
+    )
 
 
 @st.composite
