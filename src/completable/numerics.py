@@ -6,9 +6,12 @@ with probability 1. The tangent rank tests are exact instead: they take the
 rank over GF(p), p = 2^31 - 1, of the factorization Jacobian at a random
 integer point, by block elimination, one column of the mask at a time. Full
 rank there is full rank over the rationals, hence generically, so one
-full-rank trial proves the bound; a deficient rank in t independent trials
-refutes it with error at most (d/p)^t, d the target rank (Schwartz-Zippel).
-Both tests, and the randomized SLMF test, run their trials through one loop
+full-rank trial proves the bound. The (r+1)-core of the mask bounds the
+rank at every point (``_jacobian_rank_bound``); where that bound is below
+the target, a trial reaching it refutes exactly, and the test stops there.
+Otherwise a deficient rank in t independent trials refutes with error at
+most (d/p)^t, d the target rank (Schwartz-Zippel). Both tests, and the
+randomized SLMF test, run their trials through one loop
 (``plucker.first_full_rank``). The two tangent tests read one sequence of
 trials per (pattern, r, seed): trial t of either is one elimination giving
 both ranks, so whichever test runs second reads the trials the first just
@@ -139,9 +142,11 @@ def observed_to_csv(obs: ObservedMatrix) -> str:
 class RankReport:
     """Outcome of an exact generic-rank test at random points.
 
-    ``trials`` counts the trials run: the test stops at the first full-rank
-    one, so a pass has ``pass_count == 1``. Exact ranks are never
-    indeterminate; ``indeterminate`` stays 0 for readers of that field.
+    ``trials`` counts the trials run: the test stops at the first trial
+    whose rank reaches ``target`` or the (r+1)-core bound below it, so a
+    pass has ``pass_count == 1`` and ``trials == 1``, and so has a
+    refutation the bound proves, with ``pass_count == 0``. Exact ranks are
+    never indeterminate; ``indeterminate`` stays 0 for readers of that field.
     """
 
     tested_rank: int
@@ -271,13 +276,8 @@ def grassmann_section_rank_test(
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    target = r * (pattern.m - r)
-    if sum(len(omega) - r for omega in supports) == 0:
-        # no column yields a section functional: the system is empty, of rank 0
-        # at every point, so one trial decides
-        trials = min(trials, 1)
     _check_tangent_size(pattern, r)
-    return _tangent_test(pattern, r, 1, target, trials, seed)
+    return _tangent_test(pattern, r, 1, r * (pattern.m - r), trials, seed)
 
 
 # (part, pattern, r, {trial key: (Jacobian rank, section rank)}) of the last
@@ -290,6 +290,10 @@ def _tangent_test(
     pattern: ObservationPattern, r: int, part: int, target: int, trials: int, seed
 ) -> RankReport:
     """``first_full_rank`` over ``_tangent_ranks(pattern, r, rng)[part]``.
+
+    It stops at ``target`` or at the (r+1)-core bound on the part's rank,
+    whichever is less (``_jacobian_rank_bound``, minus r n for the section
+    rows), and counts a pass against ``target`` alone.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
     spawn_key) fixes the draws, so its pair of ranks serves both tests. Right
@@ -310,10 +314,41 @@ def _tangent_test(
         pairs[key] = known[key] if key in known else _tangent_ranks(pattern, r, rng)
         return pairs[key][part]
 
-    rank, run = first_full_rank(rank_at, target, trials, seed)
+    ceiling = min(_jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
+    rank, run = first_full_rank(rank_at, ceiling, trials, seed)
     if not known:
         _last_trials = (part, pattern, r, pairs)
     return RankReport(rank, target, trials=run, pass_count=int(rank == target))
+
+
+def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
+    """Upper bound on the Jacobian's rank at every point, from the (r+1)-core of the mask.
+
+    Rows and columns of the mask with at most r entries are peeled until
+    none is left; the rest is the (r+1)-core, whose m_c rows and n_c columns
+    each hold more than r entries. A peeled entry adds at most 1 to the rank,
+    and the core's rows of J at most min(|core|, r(m_c+n_c-r)), since they
+    involve only the core's rows of A and columns of C, up to the gauge
+    (A, C) -> (A G, G^-1 C). The bound also holds for every subset of J's
+    rows, and minus r n it bounds the section rank when every column has r
+    entries or more.
+    """
+    m, n = pattern.m, pattern.n
+    supports = pattern.column_supports()
+    sizes = [len(omega) for omega in supports]
+    rows = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64, count=sum(sizes))
+    cols = np.repeat(np.arange(n), sizes)
+    core = np.ones(rows.size, dtype=bool)
+    while True:
+        row_counts = np.bincount(rows[core], minlength=m)
+        col_counts = np.bincount(cols[core], minlength=n)
+        peel = core & ((row_counts[rows] <= r) | (col_counts[cols] <= r))
+        if not peel.any():
+            break
+        core &= ~peel
+    kept = int(core.sum())
+    core_rank = min(kept, r * (np.count_nonzero(row_counts) + np.count_nonzero(col_counts) - r))
+    return min(rows.size - kept + (core_rank if kept else 0), r * (m + n - r))
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
@@ -341,9 +376,11 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
     the section rows N_j (x) c_j: entry (s, i r + b) is N_j[s, i] C[b, j],
     with N_j the left null vectors of A[omega_j]. Hence rank J = sum_j
     rank A[omega_j] + rank S. Columns of equal support size share one
-    batched elimination. A column where A[omega_j] drops rank is left out
-    with all its rows, so both ranks stay exact ranks of a row subset of J,
-    never above the generic ones.
+    batched elimination. Every row of S annihilates D = A G (N_j A[omega_j]
+    = 0), so where A[:r] is invertible the r^2 columns of D's first r rows
+    are left out of S's elimination without changing its rank. A column
+    where A[omega_j] drops rank is left out with all its rows, so both ranks
+    stay exact ranks of a row subset of J, never above the generic ones.
     """
     m = pattern.m
     A = rng.integers(0, FIELD_PRIME, size=(m, r))
@@ -364,7 +401,12 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
                 null[..., None] * c[:, None, None] % FIELD_PRIME
             )
             blocks.append(block.reshape(-1, m * r))
-    section = rank_mod_p(np.concatenate(blocks))
+    rows = np.concatenate(blocks)
+    if left_null_mod_p(A[None, :r])[1][0]:
+        # D = A G takes every value on D[:r] = A[:r] G and every section row
+        # annihilates it, so D[:r]'s r^2 columns add no rank
+        rows = rows[:, r * r :]
+    section = rank_mod_p(rows)
     return column_ranks + section, section
 
 

@@ -196,31 +196,39 @@ def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rank_mod_p(M: np.ndarray) -> int:
     """Rank over GF(``FIELD_PRIME``) of an int64 matrix with entries in range(p).
 
-    Column by column, the first row at or below the current rank with a
-    nonzero entry becomes the pivot row, and only the rows below it that are
-    nonzero in that column take the division-free update
-    ``row <- piv * row - f * pivot_row``. Every product stays below 2^62, so
-    int64 arithmetic is exact. The columns go in order of increasing nonzero
-    count, which keeps the fill-in of sparse input small: on the section rows
-    of a 40 x 40 mask at r = 5 it cuts the cells updated from 2.5 to 0.9
-    million. All-zero columns hold no pivot and are left out.
+    Column by column, the first free row (one not yet a pivot) with a
+    nonzero entry becomes the pivot row, and only the other free rows that
+    are nonzero in that column take the division-free update
+    ``row <- piv * row - f * pivot_row``, in place on a gathered block of
+    them. Rows are never swapped. Every product stays below 2^62, so int64
+    arithmetic is exact. The columns go in order of increasing nonzero
+    count, which keeps the fill-in of sparse input small: on the gauge-fixed
+    section rows of 40 x 40 masks with 12 rows per column at r = 5 (five
+    seeds) it cuts the cells updated from 1.8-2.2 to 0.4-0.6 million.
+    All-zero columns hold no pivot and are left out.
     """
     p = FIELD_PRIME
     counts = np.count_nonzero(M, axis=0)
     filled = np.flatnonzero(counts)
     M = M[:, filled[np.argsort(counts[filled], kind="stable")]]
+    free = np.ones(M.shape[0], dtype=bool)
     rank = 0
     for c in range(M.shape[1]):
         if rank == M.shape[0]:
             break
-        nonzero = rank + np.flatnonzero(M[rank:, c])
+        nonzero = np.flatnonzero(free & (M[:, c] != 0))
         if not nonzero.size:
             continue
-        M[[rank, nonzero[0]]] = M[[nonzero[0], rank]]
-        pivot = M[rank, c:]
-        rows = nonzero[1:]
-        M[rows, c:] = (pivot[0] * M[rows, c:] - M[rows, c : c + 1] * pivot) % p
+        free[nonzero[0]] = False
         rank += 1
+        rows = nonzero[1:]
+        if rows.size:
+            pivot = M[nonzero[0], c:]
+            block = M[rows, c:]
+            update = block[:, :1] * pivot
+            block *= pivot[0]
+            block -= update
+            M[rows, c:] = np.remainder(block, p, out=block)
     return rank
 
 
@@ -230,10 +238,11 @@ def first_full_rank(
     """Best of ``rank_at`` over up to ``trials`` random points, and the trials run.
 
     Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
-    ``seed``; the loop stops at the first trial whose rank reaches ``target``.
-    A rank at a point never passes the generic one, so reaching ``target``
-    proves it, while falling short in every trial refutes it up to the
-    Schwartz-Zippel error.
+    ``seed``; the loop stops at the first trial whose rank reaches ``target``,
+    which must bound the rank at every point. A rank at a point never passes
+    the generic one, so reaching ``target`` proves the generic rank equals
+    it, while falling short in every trial leaves it unproven: the generic
+    rank is below ``target`` up to the Schwartz-Zippel error.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -89,18 +89,15 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
 def reference_rank_report(pattern, r, part, trials, seed):
     """The tangent test's report from its own trials alone, none read from the
     other test: ``first_full_rank`` over ``_tangent_ranks(...)[part]``, part 0
-    the Jacobian test and 1 the section test, with the empty-section rule."""
+    the Jacobian test and 1 the section test, stopping at the (r+1)-core
+    bound (minus r n for the sections) where it is below the target."""
     from completable import numerics
     from completable.plucker import first_full_rank
 
-    if part == 0:
-        target = r * (pattern.m + pattern.n - r)
-    else:
-        target = r * (pattern.m - r)
-        if all(len(omega) == r for omega in pattern.column_supports()):
-            trials = min(trials, 1)
+    target = r * (pattern.m - r) + (1 - part) * r * pattern.n
+    ceiling = min(numerics._jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
     rank, run = first_full_rank(
-        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part], target, trials, seed
+        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part], ceiling, trials, seed
     )
     return numerics.RankReport(rank, target, trials=run, pass_count=int(rank == target))
 

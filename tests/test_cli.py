@@ -15,6 +15,8 @@ from completable import (
     observed_from_csv,
     observed_to_csv,
     parse_pattern,
+    pattern_to_grid,
+    random_pattern,
     slmf_to_grid,
 )
 from completable.cli import main
@@ -480,6 +482,26 @@ def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, patter
         }
     _, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2")
     assert "jacobian rank: inconclusive (the tangent rank system needs 2000 bytes" in out
+
+
+def test_analyze_refutes_a_thinned_40x40_mask_in_one_trial(capsys, tmp_path):
+    """40 x 40 with 12 rows per column, row 1 thinned to 3 entries, at r = 5:
+    the row is peeled and the rest is an (r+1)-core adding r(39 + 40 - r), so
+    the bound 3 + 370 = 373 is below 375, and the first trial reaching it
+    refutes exactly."""
+    pattern = random_pattern(40, 40, 12, seed=0)
+    dropped = sorted(e for e in pattern.entries if e[0] == 0)[3:]
+    path = tmp_path / "thinned.txt"
+    path.write_text(pattern_to_grid(pattern.restrict(pattern.entries - set(dropped))))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "5", "--json", "--budget", "1000")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["jacobian_rank"] == {
+        "verdict": "fail", "tested_rank": 373, "target": 375, "trials": 1, "pass_count": 0
+    }
+    assert report["grassmann_section_rank"] == {
+        "verdict": "fail", "tested_rank": 173, "target": 175, "trials": 1, "pass_count": 0
+    }
 
 
 def test_complete_nan_value_exit_64(capsys, tmp_path):

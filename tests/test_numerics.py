@@ -20,6 +20,7 @@ from completable import (
     jacobian_rank_test,
     observed_from_csv,
     observed_to_csv,
+    parse_pattern,
     plucker_of_basis,
     projection_nondegenerate,
     random_pattern,
@@ -28,6 +29,10 @@ from completable import (
 from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets
+
+# two rank-1 blocks at r = 1, deficient by one although no row or column has
+# at most r entries
+SPLIT_4X4 = "1100\n1100\n0011\n0011\n"
 
 
 def _rank2_matrix(rng, m=6, n=5):
@@ -173,10 +178,22 @@ def test_a_passing_rank_test_runs_one_trial(pattern_6x5):
     assert section == RankReport(tested_rank=8, target=8, trials=1, pass_count=1)
 
 
-def test_a_refuting_rank_test_runs_every_trial(pattern_6x5):
+def test_a_refuting_rank_test_runs_every_trial():
+    """Two 2 x 2 blocks at r = 1: the Jacobian has rank 3 + 3 of 7, and the
+    (r+1)-core bound is 7, so no trial proves the deficiency."""
+    split = parse_pattern(SPLIT_4X4)
+    assert numerics._jacobian_rank_bound(split, 1) == 7
+    assert jacobian_rank_test(split, 1, trials=4) == RankReport(6, 7, 4, 0)
+    assert grassmann_section_rank_test(split, 1) == RankReport(2, 3, 3, 0)
+
+
+def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
+    """Without (4, 0) the bound is 17 < 18: a trial of rank 17 is an exact
+    refutation, and so is section rank 17 - r n = 7 < 8."""
     smaller = pattern_6x5.without_entry((4, 0))
-    assert jacobian_rank_test(smaller, 2, trials=4) == RankReport(17, 18, 4, 0)
-    assert grassmann_section_rank_test(smaller, 2) == RankReport(7, 8, 3, 0)
+    assert numerics._jacobian_rank_bound(smaller, 2) == 17
+    assert jacobian_rank_test(smaller, 2) == RankReport(17, 18, 1, 0)
+    assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1, 0)
 
 
 def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
@@ -191,26 +208,30 @@ def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
     monkeypatch.setattr(numerics, "_tangent_ranks", counted)
     monkeypatch.setattr(numerics, "_last_trials", None)
 
-    def computed(test, pattern, seed=0):
+    def computed(test, pattern, r=1, seed=0):
         before = len(calls)
-        return test(pattern, 2, seed=seed), len(calls) - before
+        return test(pattern, r, seed=seed), len(calls) - before
 
-    refuted = pattern_6x5.without_entry((4, 0))
-    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 0)
-    assert computed(jacobian_rank_test, pattern_6x5) == (RankReport(18, 18, 1, 1), 1)
-    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
-    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 0)
-    assert computed(grassmann_section_rank_test, refuted) == (RankReport(7, 8, 3, 0), 3)
+    split = parse_pattern(SPLIT_4X4)
+    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 0)
+    assert computed(jacobian_rank_test, pattern_6x5, 2) == (RankReport(18, 18, 1, 1), 1)
+    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
+    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 0)
+    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 3)
     # section first: the Jacobian test computes only the two trials it lacks
-    assert computed(jacobian_rank_test, refuted) == (RankReport(17, 18, 5, 0), 2)
+    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 2)
+    # a refutation at the core bound runs one trial, which the other test reads
+    refuted = pattern_6x5.without_entry((4, 0))
+    assert computed(jacobian_rank_test, refuted, 2) == (RankReport(17, 18, 1, 0), 1)
+    assert computed(grassmann_section_rank_test, refuted, 2) == (RankReport(7, 8, 1, 0), 0)
     # another seed, or none, draws other points
-    assert computed(jacobian_rank_test, refuted)[1] == 5
-    assert computed(grassmann_section_rank_test, refuted, seed=1)[1] == 3
+    assert computed(jacobian_rank_test, split)[1] == 5
+    assert computed(grassmann_section_rank_test, split, seed=1)[1] == 3
     for _ in range(2):
-        assert computed(jacobian_rank_test, refuted, seed=None)[1] == 5
-        assert computed(grassmann_section_rank_test, refuted, seed=None)[1] == 3
+        assert computed(jacobian_rank_test, split, seed=None)[1] == 5
+        assert computed(grassmann_section_rank_test, split, seed=None)[1] == 3
 
 
 class _Draws:

@@ -168,6 +168,20 @@ def test_exact_tangent_ranks_match_the_float_svd(mask, seed):
         assert grassmann_section_rank_test(pattern, r, seed=seed).tested_rank == section
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_up_to_8x8(), st.integers(0, 2**16))
+def test_the_core_bound_is_never_below_the_generic_ranks(mask, seed):
+    """The float SVD ranks stay within the (r+1)-core bound, and the section
+    rank within the bound minus r n, so a trial reaching the bound is exact."""
+    pattern, r = mask
+    (jacobian, section), clear = reference_float_tangent_ranks(pattern, r, seed)
+    assume(clear)
+    bound = numerics._jacobian_rank_bound(pattern, r)
+    assert jacobian <= bound
+    if all(len(omega) >= r for omega in pattern.column_supports()):
+        assert section <= bound - r * pattern.n
+
+
 def assert_necessary_witness(pattern, r, witness):
     assert witness.size == r * (pattern.m + pattern.n - r)
     assert witness.entries <= pattern.entries
