@@ -31,12 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .patterns import ObservationPattern
-from .slmf import (
-    EXHAUSTIVE_COLUMN_LIMIT,
-    Slmf,
-    check_slmf_combinatorial,
-    first_linkage_support,
-)
+from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
 DEFAULT_BUDGET = 10**7
 # most rows for which the bound and the greedy scan all 2^m row sets: on a 2-CPU
@@ -165,18 +160,11 @@ def verify_certificate(
                 )
         if not witness.supports:
             continue  # r = m: the empty family is a linkage support
-        phi = witness.as_slmf(pattern.m, r)
-        try:
-            verdict = check_slmf_combinatorial(phi)
-        except ValueError:  # refuted, too large for the minimum witness
-            where = f"(no minimum witness past {EXHAUSTIVE_COLUMN_LIMIT} supports)"
-        else:
-            if verdict.is_slmf:
-                continue
-            where = f"at columns {tuple(t + 1 for t in verdict.witness)}"
-        return VerificationResult(
-            False, "ii", f"group {nu + 1}: covering inequality fails {where}"
-        )
+        verdict = check_slmf_combinatorial(witness.as_slmf(pattern.m, r))
+        if verdict.is_slmf:
+            continue
+        where = "" if verdict.witness is None else f" at columns {tuple(t + 1 for t in verdict.witness)}"
+        return VerificationResult(False, "ii", f"group {nu + 1}: covering inequality fails{where}")
     return VerificationResult(True, None, "all clauses hold")
 
 
@@ -372,20 +360,22 @@ def find_unique_certificate(
 
 
 def _least_row_set(
-    pattern: ObservationPattern, r: int, score, stop=None
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Least score(slack(I)) over row sets I of r+1 or more rows, and the first I attaining it.
+    pattern: ObservationPattern, r: int
+) -> Optional[tuple[int, tuple[int, ...], Optional[tuple[int, ...]]]]:
+    """Least slack(I) over row sets I of r+1 or more rows, the first I attaining
+    it, and the first I of negative slack, or None when there is none.
 
-    slack(I) = r(#I - r) - sum_j max(#(support_j intersect I) - r, 0). Row i is
-    bit m-1-i, so a larger mask of one size is a lexicographically earlier I;
-    masks run from the largest down in chunks of ``_ROW_SET_CELLS`` (row set,
-    column) pairs, until (score, #I) reaches ``stop``. None when m == r.
+    slack(I) = r(#I - r) - sum_j max(#(support_j intersect I) - r, 0). "First"
+    is the smallest, then the lexicographically first. Row i is bit m-1-i, so a
+    larger mask of one size is a lexicographically earlier I, and the order
+    #I 2^m - mask is least for the first I; masks run from the largest down in
+    chunks of ``_ROW_SET_CELLS`` (row set, column) pairs. None when m == r.
     """
     m, n = pattern.m, pattern.n
     supports = pattern.column_supports()
     columns = np.array([sum(1 << (m - 1 - i) for i in w) for w in supports], dtype=np.int64)
     step = max(1, _ROW_SET_CELLS // n)
-    best = None
+    best = violated = None  # least (slack, order) and least order of a negative slack
     for high in range(1 << m, 0, -step):
         masks = np.arange(high - 1, max(high - step, 0) - 1, -1, dtype=np.int64)
         sizes = np.bitwise_count(masks).astype(np.int64)
@@ -395,23 +385,29 @@ def _least_row_set(
         # sum_j max(c_j, r) - r n is the surplus sum_j max(c_j - r, 0)
         capped = np.bitwise_count(masks & columns[:, None])
         capped = np.maximum(capped, np.uint8(r)).sum(axis=0, dtype=np.int64)
-        values = score(r * (sizes - r + n) - capped)
-        pick = values == values.min()
-        size = sizes[pick].min()
-        key = (int(values.min()), int(size), -int(masks[pick & (sizes == size)][0]))
+        slack = r * (sizes - r + n) - capped
+        order = (sizes << m) - masks
+        least = slack.min()
+        key = (int(least), int(order[slack == least].min()))
         best = key if best is None else min(best, key)
-        if best[:2] == stop:
-            break
+        if least < 0:
+            first = int(order[slack < 0].min())
+            violated = first if violated is None else min(violated, first)
     if best is None:
         return None
-    return best[0], tuple(i for i in range(m) if -best[2] >> (m - 1 - i) & 1)
+
+    def rows(order: int) -> tuple[int, ...]:  # -order's low m bits are the mask
+        return tuple(i for i in range(m) if -order >> (m - 1 - i) & 1)
+
+    return best[0], rows(best[1]), None if violated is None else rows(violated)
 
 
 @lru_cache(maxsize=8)
 def _counting_bound(
     pattern: ObservationPattern, r: int
-) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Upper bound on any sub-pattern passing the counting test, and its row set.
+) -> tuple[int, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """Upper bound on any sub-pattern passing the counting test, its row set,
+    and the first row set breaking a counting inequality (None when none does).
 
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
@@ -420,8 +416,8 @@ def _counting_bound(
     one analysis share one scan. Every counting inequality holds iff the
     bound reaches |Omega|.
     """
-    least = _least_row_set(pattern, r, lambda slack: slack)
-    return (pattern.size, None) if least is None else (pattern.size + least[0], least[1])
+    least = _least_row_set(pattern, r)
+    return (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
 
 
 def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int, int]]:
@@ -490,23 +486,22 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
     if pattern.m > ROW_SET_LIMIT:
         return RelaxedSlmfVerdict(None, "row_limit", None, required, actual)
-    if _counting_bound(pattern, r)[0] >= required:
+    violated = _counting_bound(pattern, r)[2]
+    if violated is None:
         return RelaxedSlmfVerdict(True, None, None, required, actual)
-    # a violated row set scores 0 (False); none comes before one of r+1 rows
-    first = _least_row_set(pattern, r, lambda slack: slack >= 0, stop=(0, r + 1))[1]
-    return RelaxedSlmfVerdict(False, "inequality", first, required, actual)
+    return RelaxedSlmfVerdict(False, "inequality", violated, required, actual)
 
 
 @dataclass(frozen=True)
 class NecessaryConditionVerdict:
     """Whether the pattern contains an exact-size sub-pattern passing the test.
 
-    ``contains_relaxed`` is None when the condition is left undecided: a zero
-    budget above the exact size, more than ``ROW_SET_LIMIT`` rows, or, at
-    r >= 2, a greedy set short of a bound that does not refute. ``nodes`` is
-    0 or 1. ``refuting_rows`` (0-based) is set only on a refutation by the
-    counting bound, and names the row set that caps passing sub-patterns
-    below r(m+n-r).
+    ``contains_relaxed`` is None when the condition is left undecided: more
+    than ``ROW_SET_LIMIT`` rows or, at r >= 2, a greedy set short of a bound
+    that does not refute. ``nodes`` is 1 when the row-set stage ran, else 0.
+    ``refuting_rows`` (0-based) is set only on a refutation by the counting
+    bound, and names the row set that caps passing sub-patterns below
+    r(m+n-r).
     """
 
     contains_relaxed: Optional[bool]
@@ -515,9 +510,7 @@ class NecessaryConditionVerdict:
     refuting_rows: Optional[tuple[int, ...]] = None
 
 
-def check_necessary_condition(
-    pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
-) -> NecessaryConditionVerdict:
+def check_necessary_condition(pattern: ObservationPattern, r: int) -> NecessaryConditionVerdict:
     """Decide whether a size-r(m+n-r) sub-pattern passes the counting test.
 
     This is a necessary condition for finite completability, never claimed
@@ -530,16 +523,16 @@ def check_necessary_condition(
     entries is the witness, as it passes the test by construction. At r = 1
     the passing sets are the forests of the bipartite row-column graph, a
     graphic matroid, so a greedy set short of the target refutes too.
-    Otherwise, or at a zero budget above the exact size, the verdict is None.
+    Otherwise the verdict is None.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
-    if pattern.m > ROW_SET_LIMIT or (budget < 1 and pattern.size > target):
+    if pattern.m > ROW_SET_LIMIT:
         return NecessaryConditionVerdict(None, None, 0)
-    bound, rows = _counting_bound(pattern, r)
+    bound, rows, _ = _counting_bound(pattern, r)
     if bound < target:
         return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
     if pattern.size == target:

@@ -46,12 +46,7 @@ from .patterns import (
     random_pattern,
 )
 from .plucker import NotABasisError, SubspaceBasis
-from .slmf import (
-    EXHAUSTIVE_COLUMN_LIMIT,
-    check_slmf_combinatorial,
-    check_slmf_randomized,
-    slmf_from_grid,
-)
+from .slmf import check_slmf_combinatorial, check_slmf_randomized, slmf_from_grid
 
 EXIT_EVIDENCE = 0
 EXIT_AGAINST = 2
@@ -140,7 +135,7 @@ def build_analysis_report(
     finite = find_finite_certificate(pattern, r, budget=budget)
     unique = find_unique_certificate(pattern, r, budget=budget)
     relaxed = check_relaxed_slmf(pattern, r)
-    necessary = check_necessary_condition(pattern, r, budget=budget)
+    necessary = check_necessary_condition(pattern, r)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -290,14 +285,7 @@ def _cmd_slmf_check(args) -> int:
         raise _UsageError(f"{args.phi_file}: {exc}") from exc
     verdicts = {}
     if args.method in ("combinatorial", "both"):
-        try:
-            verdicts["combinatorial"] = check_slmf_combinatorial(phi)
-        except ValueError as exc:  # refuted, too large for the minimum witness
-            raise _UsageError(
-                f"{args.phi_file}: not a linkage support, and {len(phi.columns)} columns "
-                f"exceed the {EXHAUSTIVE_COLUMN_LIMIT}-column limit of the combinatorial "
-                "check's witness; use --method randomized"
-            ) from exc
+        verdicts["combinatorial"] = check_slmf_combinatorial(phi)
     if args.method in ("randomized", "both"):
         verdicts["randomized"] = check_slmf_randomized(phi, seed=args.seed)
     answers = {v.is_slmf for v in verdicts.values()}

@@ -13,9 +13,10 @@ matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
 (``HallMatching``) decides independence by bipartite matchings on row
 bitmasks. Greedy over it (``first_linkage_support``) gives the certificate
 search's selection and, on a family of exactly m-r subsets, the
-combinatorial check's answer, at any size. Only a refutation scans for the
-minimum violating subfamily, size by size: time grows with its size, memory is
-one block of subfamily pairs, and ``EXHAUSTIVE_COLUMN_LIMIT`` bounds the time.
+combinatorial check's answer, at any size. A refuted family of at most
+``EXHAUSTIVE_COLUMN_LIMIT`` columns is also scanned for its minimum violating
+subfamily, size by size: time grows with its size, and memory is one block of
+subfamily pairs. A larger refuted family gets no witness.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class SlmfVerdict:
     """Outcome of an SLMF test.
 
     ``witness`` is a set of 0-based column indices violating the covering
-    inequality; it is present exactly when the combinatorial method refutes.
+    inequality; it is present exactly when the combinatorial method refutes a
+    family of at most ``EXHAUSTIVE_COLUMN_LIMIT`` columns.
     """
 
     is_slmf: bool
@@ -230,25 +232,17 @@ def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
 def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     """Exact check of the covering inequality over all nonempty subfamilies.
 
-    The Hall oracle decides, at any size; on failure a size-ordered scan
-    returns a violating index set of minimum cardinality, ties broken
-    lexicographically, in time growing with it and a few MB of memory.
-
-    Raises:
-        ValueError: the family is refuted and has more than
-            ``EXHAUSTIVE_COLUMN_LIMIT`` columns, too many to scan in bounded time.
+    The Hall oracle decides, at any size. On failure, at most
+    ``EXHAUSTIVE_COLUMN_LIMIT`` columns, a size-ordered scan returns a
+    violating index set of minimum cardinality, ties broken lexicographically,
+    in time growing with it and a few MB of memory; past the limit its halves
+    would grow as 2^(K/2), so the refutation has no witness.
     """
     masks = [sum(1 << i for i in col) for col in phi.columns]
     if first_linkage_support(masks, phi.m, phi.r) is not None:  # all m-r of them
         return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
-    if len(masks) > EXHAUSTIVE_COLUMN_LIMIT:
-        raise ValueError(
-            f"{len(masks)} columns exceed the exhaustive limit {EXHAUSTIVE_COLUMN_LIMIT} "
-            "of the minimum-witness scan; use the randomized check"
-        )
-    return SlmfVerdict(
-        is_slmf=False, witness=_least_violator(masks, phi.r), method="combinatorial"
-    )
+    witness = _least_violator(masks, phi.r) if len(masks) <= EXHAUSTIVE_COLUMN_LIMIT else None
+    return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
 
 
 def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:

@@ -217,7 +217,7 @@ def test_certificate_implies_necessary_condition_not_false():
     for seed in range(20):
         pattern = random_pattern(6, 5, 4, seed=seed)
         if find_finite_certificate(pattern, 2).status == "found":
-            verdict = check_necessary_condition(pattern, 2, budget=10**5)
+            verdict = check_necessary_condition(pattern, 2)
             assert verdict.contains_relaxed is not False
 
 
@@ -281,11 +281,6 @@ def test_necessary_false_when_pattern_too_small(pattern_6x5):
     assert verdict.witness is None
 
 
-def test_necessary_budget_inconclusive(pattern_6x6):
-    verdict = check_necessary_condition(pattern_6x6, 2, budget=0)
-    assert verdict.contains_relaxed is None
-
-
 def test_necessary_decided_on_8x8_k5_s1():
     """The greedy counting set reaches 28 entries, an exact-size witness, in one node."""
     pattern = random_pattern(8, 8, 5, seed=1)
@@ -325,7 +320,7 @@ def test_necessary_inconclusive_above_the_row_set_limit():
     """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent."""
     pattern = random_pattern(21, 21, 6, seed=1)
     assert pattern.m > ROW_SET_LIMIT and pattern.size > 2 * (21 + 21 - 2)
-    verdict = check_necessary_condition(pattern, 2, budget=10**6)
+    verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes) == (None, 0)
 
 
@@ -342,25 +337,25 @@ def test_exact_size_scan_skipped_above_the_row_set_limit(m):
 def test_necessary_refuted_by_the_bound_in_one_node():
     """The bound caps passing sub-patterns at 13 < 14 entries and names its row set."""
     pattern = random_pattern(8, 7, 3, seed=0)
-    verdict = check_necessary_condition(pattern, 1, budget=10**5)
+    verdict = check_necessary_condition(pattern, 1)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
     assert verdict.refuting_rows == (0, 1, 3, 4, 5, 6, 7)
-    assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows)
+    assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows, (0, 5))
 
 
 def test_necessary_refutes_an_exact_size_mask_by_the_bound():
-    """18 entries, 6 x 5, r = 2: the bound 16 refutes at a zero budget, in one node.
+    """18 entries, 6 x 5, r = 2: the bound 16 refutes in one node.
 
     The refutation names the bound's row set, where the slack is least; the
-    counting test names the first violating row set, a different one.
+    counting test names the first violating row set, a different one, which
+    the same scan records.
     """
     pattern = parse_pattern("11110\n00111\n00100\n11100\n11110\n10110\n")
     assert pattern.size == 18
-    assert _counting_bound(pattern, 2) == (16, (0, 3, 4, 5))
-    for budget in (0, 10**5):
-        verdict = check_necessary_condition(pattern, 2, budget=budget)
-        assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
-        assert verdict.refuting_rows == _counting_bound(pattern, 2)[1]
+    assert _counting_bound(pattern, 2) == (16, (0, 3, 4, 5), (0, 3, 4))
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
+    assert verdict.refuting_rows == _counting_bound(pattern, 2)[1]
     relaxed = check_relaxed_slmf(pattern, 2)
     assert (relaxed.ok, relaxed.reason, relaxed.violating_rows) == (False, "inequality", (0, 3, 4))
 
@@ -371,7 +366,7 @@ def test_refuted_counting_condition_ends_both_searches_on_12x12_k7_s3():
     for search in (find_finite_certificate, find_unique_certificate):
         outcome = search(pattern, 3, budget=100_000)
         assert (outcome.status, outcome.exhausted, outcome.nodes) == ("none", True, 0)
-    verdict = check_necessary_condition(pattern, 3, budget=100_000)
+    verdict = check_necessary_condition(pattern, 3)
     assert (verdict.contains_relaxed, verdict.nodes) == (False, 1)
     assert len(verdict.refuting_rows) == 11
 

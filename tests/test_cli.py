@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -679,19 +680,18 @@ def test_export_system_streams_both_files(capsys, tmp_path):
     assert prefix.with_suffix(".json").read_text() == json.dumps(system.index_map()) + "\n"
 
 
-@pytest.mark.parametrize("method", ["both", "combinatorial"])
-def test_slmf_check_over_column_limit_exit_64(capsys, tmp_path, method):
-    """A refutation past 22 columns has no minimum witness: exit 64."""
-    from completable import Slmf
+@pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])
+def test_slmf_check_no_past_the_column_limit(capsys, tmp_path, method):
+    """A refutation past 22 columns is answered without a minimum witness: exit 2."""
+    from completable import Slmf, SlmfVerdict, check_slmf_combinatorial
 
     path = tmp_path / "phi.txt"
     chain = tuple((j, j + 1) for j in range(23))
-    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=chain + ((0, 1),))))
+    phi = Slmf(m=25, r=1, columns=chain + ((0, 1),))
+    assert check_slmf_combinatorial(phi) == SlmfVerdict(False, None, "combinatorial")
+    path.write_text(slmf_to_grid(phi))
     code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
-    assert code == 64
-    assert "22-column limit" in err and "--method randomized" in err
-    code, out, _ = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", "randomized")
-    assert (code, out.splitlines()[0]) == (2, "slmf: no")
+    assert (code, out, err) == (2, "slmf: no\n", "")
 
 
 @pytest.mark.parametrize("method", ["both", "combinatorial"])
@@ -806,26 +806,48 @@ def test_analysis_of_a_mask_with_unobserved_rows_stays_small():
 def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     """The searches, the counting test and the necessary condition share one row-set scan.
 
-    Every ``_least_row_set`` call counts, whatever pattern it scans, the
-    counting test's early-stopping scan included: above the exact size
-    (8 x 8 k5 s1, whose greedy witness is a different pattern, passing by
-    construction) and at it (the 6 x 5 fixture), one analysis scans row sets
-    once.
+    Every ``_least_row_set`` call counts, whatever pattern it scans: above the
+    exact size (8 x 8 k5 s1, whose greedy witness is a different pattern,
+    passing by construction), at it (the 6 x 5 fixture), and at it refuted,
+    where the same scan names the counting test's first violating rows.
     """
-    from completable import certificates, random_pattern
+    from completable import ObservationPattern, certificates, random_pattern
     from completable.cli import build_analysis_report
 
     scans = []
     kernel = certificates._least_row_set
 
-    def counted(pattern, r, score, stop=None):
+    def counted(pattern, r):
         scans.append((pattern, r))
-        return kernel(pattern, r, score, stop)
+        return kernel(pattern, r)
 
+    supports = [(0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3, 4), (0, 2, 3, 4, 5)]
+    refuted = ObservationPattern(6, 5, frozenset((i, j) for j, sup in enumerate(supports) for i in sup))
     monkeypatch.setattr(certificates, "_least_row_set", counted)
-    for pattern in (random_pattern(8, 8, 5, seed=1), parse_pattern(GRID_6X5)):
+    for pattern, verdict, rows in (
+        (random_pattern(8, 8, 5, seed=1), "pass", None),
+        (parse_pattern(GRID_6X5), "pass", None),
+        (refuted, "fail", [1, 2, 3]),
+    ):
         certificates._counting_bound.cache_clear()
         scans.clear()
         report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
-        assert report["necessary_condition"]["verdict"] == "pass"
+        assert report["necessary_condition"]["verdict"] == verdict
+        assert report["relaxed_slmf"]["violating_rows"] == rows
         assert scans == [(pattern, 2)]
+
+
+def test_readme_analyze_example_is_what_the_cli_prints(capsys, tmp_path):
+    """README's ``analyze mask.txt --rank 2`` transcript is the CLI's output, byte for byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(
+        r"^\$ printf '([01\\n]+)' > mask\.txt\n\$ completable analyze mask\.txt --rank 2\n(.*?)^```",
+        readme,
+        re.M | re.S,
+    )
+    assert example is not None
+    mask = tmp_path / "mask.txt"
+    mask.write_text(example[1].replace("\\n", "\n"))
+    code, out, err = run_cli(capsys, "analyze", str(mask), "--rank", "2")
+    assert (out, err) == (example[2], "")
+    assert f"exit status: {code} " in out

@@ -220,7 +220,7 @@ def test_jacobian_pass_implies_necessary_condition_in_one_node(mask, seed):
     pattern, r = mask
     jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
     assume(jacobian.passed)
-    verdict = check_necessary_condition(pattern, r, budget=1)
+    verdict = check_necessary_condition(pattern, r)
     assert verdict.contains_relaxed is True
     assert_necessary_witness(pattern, r, verdict.witness)
 
@@ -248,7 +248,7 @@ def test_necessary_condition_matches_brute_force(mask):
         check_relaxed_slmf(pattern.restrict(keep), r).ok
         for keep in itertools.combinations(pattern.sorted_entries(), target)
     )
-    verdict = check_necessary_condition(pattern, r, budget=10**6)
+    verdict = check_necessary_condition(pattern, r)
     assert verdict.contains_relaxed is expected
     if expected:
         assert_necessary_witness(pattern, r, verdict.witness)
@@ -286,7 +286,7 @@ def test_rank_one_necessary_condition_is_connectivity(pattern):
     for i, j in pattern.entries:
         parent[find(i)] = find(m + j)
     connected = len({find(v) for v in range(m + n)}) == 1
-    verdict = check_necessary_condition(pattern, 1, budget=10**6)
+    verdict = check_necessary_condition(pattern, 1)
     assert (verdict.contains_relaxed, verdict.nodes) == (connected, 1)
     if connected:
         assert_necessary_witness(pattern, 1, verdict.witness)
@@ -318,7 +318,8 @@ def test_refuting_bound_leaves_no_finite_certificate(mask):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(masks_with_r_per_column())
 def test_greedy_set_stays_within_the_bound(mask):
-    """greedy <= bound, the bound is the first minimum over row sets, a full greedy set passes."""
+    """greedy <= bound, the bound is the first minimum over row sets, the first row set
+    below the size is the first violating one, and a full greedy set passes."""
     pattern, r = mask
     m, target = pattern.m, r * (pattern.m + pattern.n - r)
     supports = pattern.column_supports()
@@ -328,9 +329,10 @@ def test_greedy_set_stays_within_the_bound(mask):
         for size in range(r + 1, m + 1)
         for rows in itertools.combinations(range(m), size)
     ]
-    bound, rows = _counting_bound(pattern, r)
+    bound, rows, violated = _counting_bound(pattern, r)
     assert bound == min((v for v, _ in values), default=pattern.size)
     assert rows == next((i for v, i in values if v == bound), None)
+    assert violated == next((i for v, i in values if v < pattern.size), None)
     kept = _greedy_counting_set(pattern, r)
     assert len(kept) <= bound
     if len(kept) == target:
