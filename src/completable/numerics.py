@@ -182,10 +182,9 @@ def complete_column(
 ) -> np.ndarray:
     """The unique subspace vector matching the observations on ``omega``.
 
-    Solves least squares on all of ``omega`` with the SVD of the projected
-    basis that also checks its rank, then validates every observed position
-    against the result. It solves for the observations scaled to at most 1 in
-    magnitude and scales back, so the solve itself cannot overflow.
+    The one-column call of ``_complete_columns``: least squares on all of
+    ``omega`` with the SVD of the projected basis that also checks its rank,
+    then every observed position is validated against the result.
 
     Raises:
         DegenerateProjectionError: the projection onto ``omega`` has rank < r.
@@ -195,40 +194,95 @@ def complete_column(
     omega = sorted(int(i) for i in omega)
     if set(observed) != set(omega):
         raise ValueError("observed values must cover exactly the support")
-    B = basis.matrix
-    U, s, Vt = np.linalg.svd(B[omega], full_matrices=False)
-    if s.size < basis.r or s[-1] <= DEFAULT_RANK_TOL * (s[0] if s.size else 0):
-        raise DegenerateProjectionError("projection drops dimension")
-    x_omega = np.array([observed[i] for i in omega])
-    top = float(np.abs(x_omega).max()) or 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = B @ (Vt.T @ (U.T @ (x_omega / top) / s)) * top
-        if not np.isfinite(v).all():
-            raise InconsistentObservationError("completed values overflow")
-        scale = max(1.0, top, float(np.abs(v).max()))
-        residual = float(np.abs(v[omega] - x_omega).max())
-    if residual > rtol * scale:
-        raise InconsistentObservationError(
-            f"not in projected subspace (residual {residual:.3g})"
-        )
-    return v
+    x = np.array([observed[i] for i in omega], dtype=float)
+    v, errors = _complete_columns(basis.matrix, np.array([omega], dtype=np.int64), x[None], rtol)
+    if errors:
+        raise errors[0]
+    return v[:, 0]
 
 
 def complete_matrix(
     obs: ObservedMatrix, basis: SubspaceBasis, rtol: float = CONSISTENCY_RTOL
 ) -> np.ndarray:
-    """Column-by-column completion from a known column space."""
+    """Completion from a known column space, one stacked solve per support size.
+
+    The columns with k observed rows are solved together by
+    ``_complete_columns``, with ``complete_column``'s checks; the lowest
+    failing column raises its error, prefixed by ``column j: ``.
+    """
     pattern = obs.pattern
     if basis.m != pattern.m:
         raise ValueError(f"basis has {basis.m} rows, pattern has {pattern.m}")
-    X = np.zeros((pattern.m, pattern.n))
-    for j in range(pattern.n):
-        omega, x = obs.column(j)
-        try:
-            X[:, j] = complete_column(basis, omega, dict(zip(omega, x)), rtol=rtol)
-        except (DegenerateProjectionError, InconsistentObservationError, ValueError) as exc:
-            raise type(exc)(f"column {j + 1}: {exc}") from exc
+    supports = pattern.column_supports()
+    sizes = np.array([len(omega) for omega in supports], dtype=np.int64)
+    # X holds the observed values until each group's columns are overwritten
+    X = _dense_values(obs)
+    failures = {}
+    for k in np.unique(sizes).tolist():
+        cols = np.flatnonzero(sizes == k)
+        omega = np.array([supports[j] for j in cols], dtype=np.int64).reshape(len(cols), k)
+        completed, errors = _complete_columns(basis.matrix, omega, X[omega, cols[:, None]], rtol)
+        X[:, cols] = completed
+        failures.update((int(cols[i]), exc) for i, exc in errors.items())
+    if failures:
+        j = min(failures)
+        exc = failures[j]
+        raise type(exc)(f"column {j + 1}: {exc}") from exc
     return X
+
+
+def _complete_columns(
+    B: np.ndarray, omega: np.ndarray, x: np.ndarray, rtol: float
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Complete b columns that share a support size k with one stacked SVD.
+
+    ``omega`` (b, k) holds each column's observed rows and ``x`` (b, k) their
+    values. The SVD of the stacked B[omega], shape (b, k, r), checks each
+    projection's rank and gives its least-squares solution through two
+    batched contractions; each column is solved scaled to at most 1 in
+    magnitude and scaled back, so the solve itself cannot overflow. Returns
+    the completed columns, shape (m, b), and the error of each failing one
+    by its index in the batch: ``DegenerateProjectionError`` when k < r or
+    the smallest singular value is at most ``DEFAULT_RANK_TOL`` times the
+    largest, else ``InconsistentObservationError`` when the result is not
+    finite or an observed entry is off by more than ``rtol`` times the
+    column's scale.
+    """
+    b, k = omega.shape
+    m, r = B.shape
+    if k < r:
+        error = DegenerateProjectionError("projection drops dimension")
+        return np.zeros((m, b)), dict.fromkeys(range(b), error)
+    U, s, Vt = np.linalg.svd(B[omega], full_matrices=False)
+    top = np.abs(x).max(axis=1)
+    top[top == 0] = 1.0
+    with np.errstate(all="ignore"):
+        coef = ((x / top[:, None])[:, None] @ U / s[:, None] @ Vt)[:, 0]
+        v = coef @ B.T * top[:, None]
+        finite = np.isfinite(v).all(axis=1)
+        scale = np.maximum(np.maximum(top, 1.0), np.abs(v).max(axis=1))
+        residual = np.abs(np.take_along_axis(v, omega, axis=1) - x).max(axis=1)
+    degenerate = s[:, -1] <= DEFAULT_RANK_TOL * s[:, 0]
+    errors = {}
+    for i in np.flatnonzero(degenerate | ~finite | (residual > rtol * scale)).tolist():
+        if degenerate[i]:
+            errors[i] = DegenerateProjectionError("projection drops dimension")
+        elif not finite[i]:
+            errors[i] = InconsistentObservationError("completed values overflow")
+        else:
+            errors[i] = InconsistentObservationError(
+                f"not in projected subspace (residual {residual[i]:.3g})"
+            )
+    return v.T, errors
+
+
+def _dense_values(obs: ObservedMatrix) -> np.ndarray:
+    """The observed values as an m x n array, 0 at unobserved positions."""
+    dense = np.zeros((obs.pattern.m, obs.pattern.n))
+    if obs.values:
+        rows, cols = np.array(list(obs.values), dtype=np.int64).T
+        dense[rows, cols] = list(obs.values.values())
+    return dense
 
 
 def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, seed=0) -> RankReport:
@@ -543,8 +597,9 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
         for phi in itertools.combinations(omega, r + 1)
     )
     # dropping a later element of phi leaves an earlier subset, so k runs down
-    drop = range(r, -1, -1)
+    drop = np.arange(r, -1, -1)
     phis = np.array([phi for _, phi in origin], dtype=np.int64).reshape(-1, r + 1)
     columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
-    values = [[(-1) ** k * obs.values[(phi[k], j)] for k in drop] for j, phi in origin]
-    return ExportedSystem(pattern.m, r, columns, np.reshape(values, columns.shape), origin)
+    js = np.array([j for j, _ in origin], dtype=np.int64)
+    values = _dense_values(obs)[phis[:, drop], js[:, None]] * np.where(drop % 2, -1.0, 1.0)
+    return ExportedSystem(pattern.m, r, columns, values, origin)

@@ -84,32 +84,42 @@ def _lex_blocks(m: int, r: int, k: int) -> Iterator[tuple[int, int, int]]:
 def _laplace_minors(mat: np.ndarray) -> np.ndarray:
     """All r x r row minors of an m x r matrix, lexicographic, by Laplace expansion.
 
-    Level k keeps, per k-set of columns, the k x k minors of the level-k row
-    subsets (``_lex_blocks``); a level-k minor expands along its first row a
-    into minors of level k-1, one contiguous slice per column. That is
-    r 2^(r-1) (m-r+1) slice operations in all. The dtype is kept, so object
-    arrays of ints and Fractions stay exact.
+    Level k is one (C(r, k), C(m-r+k, k)) array P_k: column t holds the k x k
+    minors of the t-th level-k row subset (``_lex_blocks``), one per k-set of
+    columns in lexicographic order, and memory holds one level and the next.
+    A level-k minor expands along its first row a into minors of level k-1.
+    For float input the block of row a is one BLAS product
+    ``W_a @ P_{k-1}[:, -count:]``, where W_a holds row a's entries, signed,
+    at (k-set, (k-1)-set) pairs that differ by one column: (r-1)(m-r+1)
+    products in all. BLAS serves only floats, and numpy's own matmul would
+    multiply W_a's zeros, so int64 and object arrays add up the k terms of
+    each minor one row slice at a time instead; int64 is exact while every
+    partial sum fits (``_fits_int64``), and ints and Fractions always are.
     """
     m, r = mat.shape
-    prev = {1 << j: mat[r - 1 :, j].copy() for j in range(r)}
+    blas = mat.dtype == np.float64
+    prev = mat[r - 1 :].T.copy()
     for k in range(2, r + 1):
-        cur = {}
-        for cols in itertools.combinations(range(r), k):
-            key = sum(1 << j for j in cols)
-            out = np.empty(math.comb(m - r + k, k), dtype=mat.dtype)
-            for a, start, count in _lex_blocks(m, r, k):
-                seg = out[start : start + count]
-                for i, j in enumerate(cols):
-                    term = mat[a, j] * prev[key ^ (1 << j)][-count:]
-                    if i == 0:
-                        seg[...] = term
-                    elif i % 2:
-                        seg -= term
-                    else:
-                        seg += term
-            cur[key] = out
+        sets = np.array(list(itertools.combinations(range(r), k)))
+        # term i of the minor on column set s: (-1)^i B[a, sets[s, i]] times
+        # the level k-1 minor on the column set sub[s, i] = sets[s] minus sets[s, i]
+        sub = _lex_rank(np.stack([np.delete(sets, i, axis=1) for i in range(k)], axis=1), r)
+        sign = np.where(np.arange(k) % 2, -1, 1)
+        W = np.zeros((len(sets), len(prev)))
+        cur = np.empty((len(sets), math.comb(m - r + k, k)), dtype=mat.dtype)
+        for a, start, count in _lex_blocks(m, r, k):
+            entries = sign * mat[a, sets]
+            if blas:
+                W[np.arange(len(sets))[:, None], sub] = entries
+                np.matmul(W, prev[:, -count:], out=cur[:, start : start + count])
+                continue
+            seg = cur[:, start : start + count]
+            for s in range(len(sets)):
+                seg[s] = prev[sub[s, 0], -count:] * entries[s, 0]
+                for i in range(1, k):
+                    seg[s] += prev[sub[s, i], -count:] * entries[s, i]
         prev = cur
-    return prev[(1 << r) - 1]
+    return prev[0]
 
 
 def _subset_sum_parity(m: int, r: int) -> np.ndarray:
@@ -333,10 +343,13 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     """All r x r row minors of the basis, in global subset order.
 
     Every minor comes from ``_laplace_minors``, which builds no subset table
-    and keeps one array per column subset. To hold those at most 2^(m/2),
-    a basis with r > m - r is first traded for its (m-r)-dimensional
-    orthogonal complement (``_minors_by_complement``). Integer or Fraction
-    input is exact, and an integral coordinate is an int.
+    and keeps one level of the recursion and the next. To hold those at most
+    2^(m/2) column sets, a basis with r > m - r is first traded for its
+    (m-r)-dimensional orthogonal complement (``_minors_by_complement``).
+    Integer or Fraction input is exact, and an integral coordinate is a
+    Python int in an object array. Integer input with 2 r <= m runs the
+    recursion in int64 when ``_fits_int64`` proves no sum overflows, and on
+    Python ints otherwise.
     """
     mat = basis.matrix
     m, r = mat.shape
@@ -344,12 +357,34 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     exact = _is_exact_array(mat)
     if exact:
         mat = np.array([[_exact_number(x) for x in row] for row in mat.tolist()], dtype=object)
+        if 2 * r <= m and _fits_int64(mat):
+            mat = mat.astype(np.int64)
     coords = _laplace_minors(mat) if 2 * r <= m else _minors_by_complement(mat)
-    if exact:
+    if mat.dtype == np.int64:
+        coords = coords.astype(object)
+    elif exact:
         for pos, c in enumerate(coords):
-            if isinstance(c, Fraction) and c.denominator == 1:
+            if type(c) is Fraction and c.denominator == 1:
                 coords[pos] = int(c)
     return PluckerVector(r=r, m=m, coords=coords)
+
+
+def _fits_int64(mat: np.ndarray) -> bool:
+    """Whether an object matrix of ints keeps every Laplace sum inside int64.
+
+    A k x k minor is at most the product of its columns' norms (Hadamard),
+    and a nonzero integer column has norm at least 1, so every term
+    B[a, j] times a minor, and every partial sum of at most r of them, is
+    at most r max|B| prod_j ||B_j||. That bound is checked on its square, in
+    Python ints, against 2^126.
+    """
+    entries = mat.ravel().tolist()
+    if not all(type(x) is int for x in entries):
+        return False
+    bound = (mat.shape[1] * max(map(abs, entries))) ** 2
+    for column in mat.T.tolist():
+        bound *= sum(x * x for x in column)
+    return bound < 1 << 126
 
 
 def _minors_by_complement(mat: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from completable import (
+    DegenerateProjectionError,
     InconsistentObservationError,
     ObservationPattern,
     ObservedMatrix,
@@ -19,6 +20,7 @@ from completable import (
     check_relaxed_slmf,
     check_slmf_combinatorial,
     check_slmf_randomized,
+    complete_column,
     complete_matrix,
     export_plucker_system,
     find_finite_certificate,
@@ -206,6 +208,57 @@ def test_completion_reproduces_the_factors_and_refutes_a_shifted_entry(mask, see
     X[i, j] += 1 + abs(X[i, j])
     with pytest.raises(InconsistentObservationError, match=f"^column {j + 1}: not in projected"):
         complete_matrix(ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B))
+
+
+@st.composite
+def mixed_completions(draw):
+    """(observed matrix, basis) whose columns mix support sizes. Values are B C.
+    Each of three draws adds a way to fail: columns with fewer than r rows,
+    empty ones included; zero rows of B, on which supports degenerate; and up
+    to two shifted observed entries."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, min(m, 3)))
+    thin, zeros, shifts = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    entries = set()
+    for j in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), min_size=0 if thin else r, max_size=m))
+        entries.update((i, j) for i in rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    B, C = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    if zeros:
+        B[sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - r)))] = 0
+    X = B @ C
+    if shifts and entries:
+        for i, j in draw(st.sets(st.sampled_from(sorted(entries)), min_size=1, max_size=2)):
+            X[i, j] += 1 + abs(X[i, j])
+    pattern = ObservationPattern(m, n, frozenset(entries))
+    return ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mixed_completions())
+def test_stacked_completion_is_the_column_loop(drawn):
+    """``complete_matrix`` returns what ``complete_column`` gives column by
+    column, to 1e-12 of the scale, and on a failing mask raises the lowest
+    failing column's error type and message, as that loop does."""
+    obs, basis = drawn
+    expected = np.zeros((obs.pattern.m, obs.pattern.n))
+    failure = None
+    for j in range(obs.pattern.n):
+        omega, x = obs.column(j)
+        try:
+            expected[:, j] = complete_column(basis, omega, dict(zip(omega, x)))
+        except (DegenerateProjectionError, InconsistentObservationError) as exc:
+            failure = type(exc), f"column {j + 1}: {exc}"
+            break
+    if failure is not None:
+        with pytest.raises(failure[0]) as raised:
+            complete_matrix(obs, basis)
+        assert str(raised.value) == failure[1]
+        return
+    completed = complete_matrix(obs, basis)
+    assert np.abs(completed - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
