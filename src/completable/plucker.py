@@ -91,10 +91,10 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
     For float input the block of row a is one BLAS product
     ``W_a @ P_{k-1}[:, -count:]``, where W_a holds row a's entries, signed,
     at (k-set, (k-1)-set) pairs that differ by one column: (r-1)(m-r+1)
-    products in all. BLAS serves only floats, and numpy's own matmul would
-    multiply W_a's zeros, so int64 and object arrays add up the k terms of
-    each minor one row slice at a time instead; int64 is exact while every
-    partial sum fits (``_fits_int64``), and ints and Fractions always are.
+    products in all. BLAS serves only floats, so other dtypes add up the k
+    terms of the block, each row a's entry per column set times a gather of
+    P_{k-1}[:, -count:], over all column sets at once. The dtype is kept, so
+    object arrays of ints and Fractions stay exact.
     """
     m, r = mat.shape
     blas = mat.dtype == np.float64
@@ -114,10 +114,9 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
                 np.matmul(W, prev[:, -count:], out=cur[:, start : start + count])
                 continue
             seg = cur[:, start : start + count]
-            for s in range(len(sets)):
-                seg[s] = prev[sub[s, 0], -count:] * entries[s, 0]
-                for i in range(1, k):
-                    seg[s] += prev[sub[s, i], -count:] * entries[s, i]
+            np.multiply(prev[sub[:, 0], -count:], entries[:, :1], out=seg)
+            for i in range(1, k):
+                seg += prev[sub[:, i], -count:] * entries[:, i : i + 1]
         prev = cur
     return prev[0]
 
@@ -346,10 +345,7 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     and keeps one level of the recursion and the next. To hold those at most
     2^(m/2) column sets, a basis with r > m - r is first traded for its
     (m-r)-dimensional orthogonal complement (``_minors_by_complement``).
-    Integer or Fraction input is exact, and an integral coordinate is a
-    Python int in an object array. Integer input with 2 r <= m runs the
-    recursion in int64 when ``_fits_int64`` proves no sum overflows, and on
-    Python ints otherwise.
+    Integer or Fraction input is exact, and an integral coordinate is an int.
     """
     mat = basis.matrix
     m, r = mat.shape
@@ -357,34 +353,12 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     exact = _is_exact_array(mat)
     if exact:
         mat = np.array([[_exact_number(x) for x in row] for row in mat.tolist()], dtype=object)
-        if 2 * r <= m and _fits_int64(mat):
-            mat = mat.astype(np.int64)
     coords = _laplace_minors(mat) if 2 * r <= m else _minors_by_complement(mat)
-    if mat.dtype == np.int64:
-        coords = coords.astype(object)
-    elif exact:
+    if exact:
         for pos, c in enumerate(coords):
-            if type(c) is Fraction and c.denominator == 1:
+            if isinstance(c, Fraction) and c.denominator == 1:
                 coords[pos] = int(c)
     return PluckerVector(r=r, m=m, coords=coords)
-
-
-def _fits_int64(mat: np.ndarray) -> bool:
-    """Whether an object matrix of ints keeps every Laplace sum inside int64.
-
-    A k x k minor is at most the product of its columns' norms (Hadamard),
-    and a nonzero integer column has norm at least 1, so every term
-    B[a, j] times a minor, and every partial sum of at most r of them, is
-    at most r max|B| prod_j ||B_j||. That bound is checked on its square, in
-    Python ints, against 2^126.
-    """
-    entries = mat.ravel().tolist()
-    if not all(type(x) is int for x in entries):
-        return False
-    bound = (mat.shape[1] * max(map(abs, entries))) ** 2
-    for column in mat.T.tolist():
-        bound *= sum(x * x for x in column)
-    return bound < 1 << 126
 
 
 def _minors_by_complement(mat: np.ndarray) -> np.ndarray:

@@ -111,6 +111,33 @@ def reference_float_dual_basis_rank(phi, seed, tol=1e-9):
     return int((s > tol * s[0]).sum()) if s[0] else 0
 
 
+def reference_complete_column(basis, omega, observed, rtol=1e-6):
+    """One column completed on its own: least squares on ``omega`` through the
+    SVD of B[omega], which also checks the rank, solved on the observations
+    scaled to at most 1 and scaled back, then every observed entry checked."""
+    from completable import DegenerateProjectionError, InconsistentObservationError
+    from completable.numerics import DEFAULT_RANK_TOL
+
+    omega = sorted(int(i) for i in omega)
+    B = basis.matrix
+    U, s, Vt = np.linalg.svd(B[omega], full_matrices=False)
+    if s.size < basis.r or s[-1] <= DEFAULT_RANK_TOL * (s[0] if s.size else 0):
+        raise DegenerateProjectionError("projection drops dimension")
+    x_omega = np.array([observed[i] for i in omega])
+    top = float(np.abs(x_omega).max()) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = B @ (Vt.T @ (U.T @ (x_omega / top) / s)) * top
+        if not np.isfinite(v).all():
+            raise InconsistentObservationError("completed values overflow")
+        scale = max(1.0, top, float(np.abs(v).max()))
+        residual = float(np.abs(v[omega] - x_omega).max())
+    if residual > rtol * scale:
+        raise InconsistentObservationError(
+            f"not in projected subspace (residual {residual:.3g})"
+        )
+    return v
+
+
 def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]

@@ -24,10 +24,8 @@ from completable import (
     projectively_equal,
     section_functional,
 )
-from completable import plucker
 from completable.plucker import (
     FIELD_PRIME,
-    _fits_int64,
     _laplace_minors,
     _lex_rank,
     complement_sign,
@@ -378,15 +376,14 @@ def small_integer_matrices(draw):
 @given(small_integer_matrices())
 def test_float_kernel_is_exact_on_small_integers(mat):
     """Every Laplace sum of a small-integer matrix is an integer below 2^53, so
-    the float BLAS products and the int64 slices equal the Python-int
-    arithmetic of the object path bit for bit, at every r. With 2 r <= m, ``plucker_of_basis`` on floats equals the exact
-    path (int64 here) bit for bit; past it, both take the complement route
+    the float BLAS products equal the Python-int arithmetic of the object path
+    bit for bit, at every r. With 2 r <= m, ``plucker_of_basis`` on floats
+    equals the exact path bit for bit; past it, both take the complement route
     (``_minors_by_complement``), whose float elimination divides, and agree to
     1e-12 relative."""
     m, r = mat.shape
     exact = _laplace_minors(mat.astype(object))
     assert _laplace_minors(mat.astype(float)).tolist() == exact.tolist()
-    assert _laplace_minors(mat.astype(np.int64)).tolist() == exact.tolist()
     try:
         basis = SubspaceBasis(mat)
     except NotABasisError:
@@ -399,56 +396,6 @@ def test_float_kernel_is_exact_on_small_integers(mat):
     else:
         expected = exact.astype(float)
         assert np.abs(floats - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def _kernel_dtypes(monkeypatch):
-    """Record the dtype of every matrix ``_laplace_minors`` is called on."""
-    seen = []
-
-    def spy(mat):
-        seen.append(mat.dtype)
-        return _laplace_minors(mat)
-
-    monkeypatch.setattr(plucker, "_laplace_minors", spy)
-    return seen
-
-
-@pytest.mark.parametrize("m, r", [(9, 3), (12, 4), (20, 5)])
-def test_int64_and_object_paths_agree(monkeypatch, m, r):
-    """An integer basis within the bound runs in int64 and returns the Python
-    ints that the same basis as Fractions gets from the object loop."""
-    mat = np.random.default_rng(m).integers(-9, 10, (m, r))
-    seen = _kernel_dtypes(monkeypatch)
-    fast = plucker_of_basis(SubspaceBasis(mat)).coords
-    slow = plucker_of_basis(SubspaceBasis(np.vectorize(Fraction, otypes=[object])(mat))).coords
-    assert seen == [np.dtype(np.int64), np.dtype(object)]
-    assert fast.dtype == object and {type(c) for c in fast} == {int}
-    assert [(c, type(c)) for c in fast] == [(c, type(c)) for c in slow]
-
-
-def test_int64_bound_is_checked_exactly():
-    """r max|B| prod_j ||B_j|| < 2^63: a column (x, 0) gives x^2, and
-    3037000499^2 < 2^63 < 3037000500^2."""
-    assert _fits_int64(np.array([[3_037_000_499], [0]], dtype=object))
-    assert not _fits_int64(np.array([[3_037_000_500], [0]], dtype=object))
-    assert not _fits_int64(np.array([[Fraction(1, 2)], [1]], dtype=object))
-
-
-def test_a_basis_past_the_int64_bound_stays_exact(monkeypatch):
-    """8 x 4 entries near 2^20 have 4 x 4 minors near 2^80: the bound sends the
-    basis to the object loop, which matches one exact determinant per subset,
-    where int64 arithmetic would have wrapped."""
-    rng = np.random.default_rng(67)
-    mat = (1 << 20) + rng.integers(-1000, 1000, (8, 4))
-    mat[np.arange(4), np.arange(4)] += 1 << 21  # full column rank
-    rows = mat.tolist()
-    expected = [row_reduce([rows[i] for i in psi])[1] for psi in itertools.combinations(range(8), 4)]
-    assert max(map(abs, expected)) >= 1 << 63
-    assert _laplace_minors(mat.astype(np.int64)).tolist() != expected
-    seen = _kernel_dtypes(monkeypatch)
-    coords = plucker_of_basis(SubspaceBasis(mat)).coords
-    assert seen == [np.dtype(object)]
-    assert coords.tolist() == expected
 
 
 @pytest.mark.parametrize(

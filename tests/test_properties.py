@@ -20,7 +20,6 @@ from completable import (
     check_relaxed_slmf,
     check_slmf_combinatorial,
     check_slmf_randomized,
-    complete_column,
     complete_matrix,
     export_plucker_system,
     find_finite_certificate,
@@ -42,6 +41,7 @@ from completable.plucker import index_subsets
 from completable.slmf import _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
+    reference_complete_column,
     reference_enumerate,
     reference_export_csv,
     reference_float_tangent_ranks,
@@ -213,13 +213,15 @@ def test_completion_reproduces_the_factors_and_refutes_a_shifted_entry(mask, see
 @st.composite
 def mixed_completions(draw):
     """(observed matrix, basis) whose columns mix support sizes. Values are B C.
-    Each of three draws adds a way to fail: columns with fewer than r rows,
-    empty ones included; zero rows of B, on which supports degenerate; and up
-    to two shifted observed entries."""
+    Each of four draws adds a way to fail: columns with fewer than r rows,
+    empty ones included; zero rows of B, on which supports degenerate; a last
+    column of B within 10^-12 to 10^-6 of its first, which puts the
+    projections' singular value ratios on both sides of the rank tolerance;
+    and up to two shifted observed entries."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 7))
     r = draw(st.integers(1, min(m, 3)))
-    thin, zeros, shifts = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    thin, zeros, near, shifts = (draw(st.booleans()) for _ in range(4))
     entries = set()
     for j in range(n):
         rows = draw(st.sets(st.integers(0, m - 1), min_size=0 if thin else r, max_size=m))
@@ -228,6 +230,8 @@ def mixed_completions(draw):
     B, C = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     if zeros:
         B[sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - r)))] = 0
+    if near and r > 1:
+        B[:, -1] = B[:, 0] + 10.0 ** draw(st.integers(-12, -6)) * rng.standard_normal(m)
     X = B @ C
     if shifts and entries:
         for i, j in draw(st.sets(st.sampled_from(sorted(entries)), min_size=1, max_size=2)):
@@ -239,16 +243,17 @@ def mixed_completions(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mixed_completions())
 def test_stacked_completion_is_the_column_loop(drawn):
-    """``complete_matrix`` returns what ``complete_column`` gives column by
-    column, to 1e-12 of the scale, and on a failing mask raises the lowest
-    failing column's error type and message, as that loop does."""
+    """``complete_matrix`` returns what one SVD per column gives
+    (``reference_complete_column``), to 1e-12 of the scale, and on a failing
+    mask raises the lowest failing column's error type and message, as that
+    loop does."""
     obs, basis = drawn
     expected = np.zeros((obs.pattern.m, obs.pattern.n))
     failure = None
     for j in range(obs.pattern.n):
         omega, x = obs.column(j)
         try:
-            expected[:, j] = complete_column(basis, omega, dict(zip(omega, x)))
+            expected[:, j] = reference_complete_column(basis, omega, dict(zip(omega, x)))
         except (DegenerateProjectionError, InconsistentObservationError) as exc:
             failure = type(exc), f"column {j + 1}: {exc}"
             break
