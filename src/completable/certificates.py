@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .numerics import RankReport, TangentSizeError, jacobian_rank_test
 from .patterns import ObservationPattern
 from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
@@ -496,12 +497,15 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
 class NecessaryConditionVerdict:
     """Whether the pattern contains an exact-size sub-pattern passing the test.
 
-    ``contains_relaxed`` is None when the condition is left undecided: more
-    than ``ROW_SET_LIMIT`` rows or, at r >= 2, a greedy set short of a bound
-    that does not refute. ``nodes`` is 1 when the row-set stage ran, else 0.
-    ``refuting_rows`` (0-based) is set only on a refutation by the counting
-    bound, and names the row set that caps passing sub-patterns below
-    r(m+n-r).
+    ``contains_relaxed`` is None when the condition is left undecided: at
+    r >= 2, a Jacobian that falls short, and then more than
+    ``ROW_SET_LIMIT`` rows or a greedy set short of a bound that does not
+    refute. ``nodes`` is 0 when the size check decides or nothing does
+    above ``ROW_SET_LIMIT`` rows, else 1. ``witness`` is the passing
+    sub-pattern: a spanning tree at r = 1, the entries of a row basis of the
+    Jacobian, the pattern itself, or the greedy set. ``refuting_rows``
+    (0-based) is set only on a refutation by the counting bound, and names
+    the row set that caps passing sub-patterns below r(m+n-r).
     """
 
     contains_relaxed: Optional[bool]
@@ -510,39 +514,88 @@ class NecessaryConditionVerdict:
     refuting_rows: Optional[tuple[int, ...]] = None
 
 
-def check_necessary_condition(pattern: ObservationPattern, r: int) -> NecessaryConditionVerdict:
+def _spanning_tree(pattern: ObservationPattern) -> list[tuple[int, int]]:
+    """Entries, in ``sorted_entries()`` order, that join two components of the row-column graph.
+
+    A spanning forest by union-find, with m+n-1 entries iff the bipartite
+    graph of rows and columns is connected. The caller holds at least
+    m+n-1 entries, so the forest of m+n vertices costs no more than they do.
+    """
+    m = pattern.m
+    parent = list(range(m + pattern.n))  # rows, then columns
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = []
+    for i, j in pattern.sorted_entries():
+        a, b = find(i), find(m + j)
+        if a != b:
+            parent[a] = b
+            tree.append((i, j))
+    return tree
+
+
+def check_necessary_condition(
+    pattern: ObservationPattern, r: int, jacobian: Optional[RankReport] = None
+) -> NecessaryConditionVerdict:
     """Decide whether a size-r(m+n-r) sub-pattern passes the counting test.
 
     This is a necessary condition for finite completability, never claimed
-    sufficient. A pattern below the exact size fails at 0 nodes; any other
-    pattern of more than ``ROW_SET_LIMIT`` rows is undecided at 0 nodes.
+    sufficient. A pattern below the exact size fails at 0 nodes. Otherwise
+    the first of these that decides spends the one node:
 
-    Otherwise one node decides: a counting bound below r(m+n-r) refutes the
-    condition, and an exact-size pattern the bound does not refute is its
-    own witness. Above the exact size a greedy set reaching r(m+n-r)
-    entries is the witness, as it passes the test by construction. At r = 1
-    the passing sets are the forests of the bipartite row-column graph, a
-    graphic matroid, so a greedy set short of the target refutes too.
-    Otherwise the verdict is None.
+    1. At r = 1 the passing sets are the forests of the bipartite row-column
+       graph, a graphic matroid, so the condition holds iff that graph is
+       connected, with a spanning tree as witness, at any size.
+    2. At r >= 2, a pass of ``jacobian``, the pattern's
+       ``jacobian_rank_test`` report (run here when not given), at any
+       size: the entries of its row basis are a finitely completable
+       exact-size sub-pattern (Kiraly-Theran-Tomioka), so they pass the
+       counting test (Pimentel-Alarcon-Boston-Nowak).
+    3. Up to ``ROW_SET_LIMIT`` rows, a counting bound below r(m+n-r)
+       refutes and names its row set. At r = 1 a disconnected graph
+       refutes as well, with or without it.
+    4. An exact-size pattern the bound does not refute is its own witness.
+    5. Above the exact size, a greedy set reaching r(m+n-r) entries is the
+       witness, as it passes the test by construction; this 2^m scan runs
+       only where the Jacobian falls short.
+
+    Otherwise the verdict is None: at 0 nodes above ``ROW_SET_LIMIT`` rows.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
+    if r == 1:
+        tree = _spanning_tree(pattern)
+        if len(tree) == target:
+            return NecessaryConditionVerdict(True, pattern.restrict(tree), 1)
+    else:
+        if jacobian is None:
+            try:
+                jacobian = jacobian_rank_test(pattern, r)
+            except TangentSizeError:  # too large to set up, so no witness from it
+                pass
+        if jacobian is not None and jacobian.row_basis is not None:
+            return NecessaryConditionVerdict(True, pattern.restrict(jacobian.row_basis), 1)
+    if pattern.m <= ROW_SET_LIMIT:
+        bound, rows, _ = _counting_bound(pattern, r)
+        if bound < target:
+            return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
+    if r == 1:
+        return NecessaryConditionVerdict(False, None, 1)
     if pattern.m > ROW_SET_LIMIT:
         return NecessaryConditionVerdict(None, None, 0)
-    bound, rows, _ = _counting_bound(pattern, r)
-    if bound < target:
-        return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
     if pattern.size == target:
         return NecessaryConditionVerdict(True, pattern, 1)
     kept = _greedy_counting_set(pattern, r)
     if len(kept) == target:
         return NecessaryConditionVerdict(True, pattern.restrict(kept), 1)
-    if r == 1:
-        # a greedy forest is a largest forest
-        return NecessaryConditionVerdict(False, None, 1)
     return NecessaryConditionVerdict(None, None, 1)
 
 

@@ -29,6 +29,7 @@ from .numerics import (
     DegenerateProjectionError,
     InconsistentObservationError,
     ObservedMatrixFormatError,
+    RankReport,
     SectionTestError,
     TangentSizeError,
     complete_matrix,
@@ -106,19 +107,20 @@ def _load_pattern_file(path: str) -> ObservationPattern:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _rank_payload(test, pattern: ObservationPattern, r: int, seed: int) -> dict:
-    """The exact rank test's report, or an inconclusive verdict with the reason it could not run."""
+def _rank_test(test, pattern: ObservationPattern, r: int, seed: int) -> tuple[dict, RankReport | None]:
+    """The exact rank test's payload and report; where it could not run, an
+    inconclusive payload with the reason, and None."""
     try:
         report = test(pattern, r, seed=seed)
     except (SectionTestError, TangentSizeError) as exc:
-        return {"verdict": "inconclusive", "error": str(exc)}
+        return {"verdict": "inconclusive", "error": str(exc)}, None
     return {
         "verdict": "pass" if report.passed else "fail",
         "tested_rank": report.tested_rank,
         "target": report.target,
         "trials": report.trials,
         "pass_count": report.pass_count,
-    }
+    }, report
 
 
 # a decision of the counting test or the necessary condition; None is undecided
@@ -135,7 +137,9 @@ def build_analysis_report(
     finite = find_finite_certificate(pattern, r, budget=budget)
     unique = find_unique_certificate(pattern, r, budget=budget)
     relaxed = check_relaxed_slmf(pattern, r)
-    necessary = check_necessary_condition(pattern, r)
+    jacobian, jacobian_report = _rank_test(jacobian_rank_test, pattern, r, seed)
+    # a Jacobian pass carries the necessary condition's witness
+    necessary = check_necessary_condition(pattern, r, jacobian_report)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -174,8 +178,8 @@ def build_analysis_report(
             else None,
             "nodes": necessary.nodes,
         },
-        "jacobian_rank": _rank_payload(jacobian_rank_test, pattern, r, seed),
-        "grassmann_section_rank": _rank_payload(grassmann_section_rank_test, pattern, r, seed),
+        "jacobian_rank": jacobian,
+        "grassmann_section_rank": _rank_test(grassmann_section_rank_test, pattern, r, seed)[0],
     }
     report["exit_code"] = _exit_code(report)
     return report

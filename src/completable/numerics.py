@@ -23,8 +23,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, TextIO
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -147,6 +147,10 @@ class RankReport:
     pass has ``pass_count == 1`` and ``trials == 1``, and so has a
     refutation the bound proves, with ``pass_count == 0``. Exact ranks are
     never indeterminate; ``indeterminate`` stays 0 for readers of that field.
+    ``row_basis`` is set on a pass of ``jacobian_rank_test`` only: the
+    r(m+n-r) observed entries (i, j) whose rows of the Jacobian are a row
+    basis at the passing point (``_tangent_ranks``). It takes no part in
+    comparisons.
     """
 
     tested_rank: int
@@ -154,6 +158,7 @@ class RankReport:
     trials: int
     pass_count: int
     indeterminate: int = 0
+    row_basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pass_count > self.trials:
@@ -334,7 +339,7 @@ def grassmann_section_rank_test(
     return _tangent_test(pattern, r, 1, r * (pattern.m - r), trials, seed)
 
 
-# (part, pattern, r, {trial key: (Jacobian rank, section rank)}) of the last
+# (part, pattern, r, {trial key: ``_tangent_ranks`` result}) of the last
 # tangent test that read no trials, part 0 for the Jacobian test and 1 for the
 # section test; the next call of the other test on (pattern, r) consumes it.
 _last_trials: tuple | None = None
@@ -347,32 +352,38 @@ def _tangent_test(
 
     It stops at ``target`` or at the (r+1)-core bound on the part's rank,
     whichever is less (``_jacobian_rank_bound``, minus r n for the section
-    rows), and counts a pass against ``target`` alone.
+    rows), and counts a pass against ``target`` alone. A pass of the
+    Jacobian test carries the row basis of its passing trial.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
     spawn_key) fixes the draws, so its pair of ranks serves both tests. Right
-    after the other test ran on (pattern, r), the pairs of the trials it ran
-    at the same child seeds are read instead of recomputed. The memo holds
-    one call's trials and serves them at most once, and only to the other
-    test, so no repeated call is ever answered from it; ``seed=None`` draws
-    fresh entropy and never shares.
+    after the other test ran on (pattern, r), the results of the trials it
+    ran at the same child seeds are read instead of recomputed. The memo
+    holds one call's trials and serves them at most once, and only to the
+    other test, so no repeated call is ever answered from it; ``seed=None``
+    draws fresh entropy and never shares.
     """
     global _last_trials
     last, _last_trials = _last_trials, None
     known = last[3] if last is not None and last[:3] == (1 - part, pattern, r) else {}
-    pairs = {}
+    trial_results = {}
+    basis = None
 
     def rank_at(rng: np.random.Generator) -> int:
+        nonlocal basis
         child = rng.bit_generator.seed_seq
         key = (tuple(np.ravel(child.entropy).tolist()), child.spawn_key, child.pool_size)
-        pairs[key] = known[key] if key in known else _tangent_ranks(pattern, r, rng)
-        return pairs[key][part]
+        result = known[key] if key in known else _tangent_ranks(pattern, r, rng)
+        trial_results[key], basis = result, result[2]
+        return result[part]
 
     ceiling = min(_jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
     rank, run = first_full_rank(rank_at, ceiling, trials, seed)
     if not known:
-        _last_trials = (part, pattern, r, pairs)
-    return RankReport(rank, target, trials=run, pass_count=int(rank == target))
+        _last_trials = (part, pattern, r, trial_results)
+    # a pass ends the trials, so the last one run is the passing one
+    row_basis = tuple(map(tuple, basis.tolist())) if part == 0 and rank == target else None
+    return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
 
 
 def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
@@ -421,8 +432,11 @@ def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
         )
 
 
-def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Ranks over GF(p) of the Jacobian J and of its section rows S at one random point.
+def _tangent_ranks(
+    pattern: ObservationPattern, r: int, rng: np.random.Generator
+) -> tuple[int, int, Optional[np.ndarray]]:
+    """Ranks over GF(p) of the Jacobian J and of its section rows S at one random point,
+    and at full rank r(m+n-r) the observed entries whose rows of J are a row basis.
 
     A (m x r) and C (r x n) are drawn uniformly from range(p). The rows of J
     for column j hold A[omega_j] in the coordinates of c_j, which no other
@@ -435,6 +449,9 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
     are left out of S's elimination without changing its rank. A column
     where A[omega_j] drops rank is left out with all its rows, so both ranks
     stay exact ranks of a row subset of J, never above the generic ones.
+
+    The row basis, an (r(m+n-r), 2) array of (i, j), is built only at full
+    rank (``_row_basis``); otherwise the third item is None.
     """
     m = pattern.m
     A = rng.integers(0, FIELD_PRIME, size=(m, r))
@@ -443,13 +460,16 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
     sizes = np.array([len(omega) for omega in supports])
     column_ranks = 0
     blocks = [np.zeros((0, m * r), dtype=np.int64)]
+    eliminated = []  # (columns, supports, row orders) of each size's full-rank columns
     for k in np.unique(sizes[sizes > 0]).tolist():
         cols = np.flatnonzero(sizes == k)
         omega = np.array([supports[j] for j in cols])
-        null, full = left_null_mod_p(A[omega])
+        null, full, order = left_null_mod_p(A[omega])
         column_ranks += min(k, r) * int(full.sum())
+        cols, omega = cols[full], omega[full]
+        eliminated.append((cols, omega, order[full]))
         if k > r:
-            null, omega, c = null[full], omega[full], C[:, cols[full]].T
+            null, c = null[full], C[:, cols].T
             block = np.zeros((len(omega), k - r, m, r), dtype=np.int64)
             block[np.arange(len(omega))[:, None, None], np.arange(k - r)[:, None], omega[:, None]] = (
                 null[..., None] * c[:, None, None] % FIELD_PRIME
@@ -460,8 +480,34 @@ def _tangent_ranks(pattern: ObservationPattern, r: int, rng: np.random.Generator
         # D = A G takes every value on D[:r] = A[:r] G and every section row
         # annihilates it, so D[:r]'s r^2 columns add no rank
         rows = rows[:, r * r :]
-    section = rank_mod_p(rows)
-    return column_ranks + section, section
+    section, pivots = rank_mod_p(rows)
+    jacobian = column_ranks + section
+    if jacobian < r * (m + pattern.n - r):
+        return jacobian, section, None
+    return jacobian, section, _row_basis(eliminated, r, pivots)
+
+
+def _row_basis(
+    eliminated: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], r: int, pivots: np.ndarray
+) -> np.ndarray:
+    """The entries (i, j) of a row basis of J, from the eliminations of ``_tangent_ranks``.
+
+    Per column j of full rank: the rows of ``order[:r]``, which pivot
+    A[omega_j]. Per pivot row of S: its column's row ``order[r + s]``, the
+    one non-pivot row its null vector N_j[s] carries (``left_null_mod_p``).
+    Those rows of J span each column's pivot rows and, as N_j[s] is
+    supported on the pivots and that row, every pivot row of S, which is a
+    row basis of S (``rank_mod_p``): so they span r per column plus rank S
+    dimensions, as many as they are, and are a row basis of J.
+    """
+    pivot_entries, section_entries = [], [np.zeros((0, 2), dtype=np.int64)]
+    for cols, omega, order in eliminated:
+        rows = np.take_along_axis(omega, order, axis=1)  # each column's rows in elimination order
+        k = rows.shape[1]
+        pivot_entries.append(np.stack([rows[:, :r].ravel(), np.repeat(cols, min(k, r))], axis=1))
+        if k > r:  # S's rows, in the order its blocks were stacked
+            section_entries.append(np.stack([rows[:, r:].ravel(), np.repeat(cols, k - r)], axis=1))
+    return np.concatenate(pivot_entries + [np.concatenate(section_entries)[pivots]])
 
 
 # an export writes at least 4 bytes ("0.0,") per row and coordinate to the

@@ -171,7 +171,7 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[int, object]:
     return rank, det
 
 
-def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left null vectors over GF(``FIELD_PRIME``) of a stack of k x r matrices.
 
     ``A`` is a (b, k, r) int64 array with entries in range(p). Each matrix,
@@ -179,15 +179,20 @@ def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns with row swaps and the division-free update
     ``row <- piv * row - f * pivot_row``, all b at once. Returns the identity
     part of the k - min(k, r) rows left over, a (b, k - min(k, r), k) array
-    whose rows N satisfy N A = 0, and a (b,) bool array: whether every one of
-    those columns found a pivot. Where it did, A has rank min(k, r) and, for
-    k >= r, the rows of N span its left null space; elsewhere they are
-    meaningless.
+    whose rows N satisfy N A = 0; a (b,) bool array: whether every one of
+    those columns found a pivot; and the (b, k) row order the swaps made,
+    row t of the elimination being row ``order[t]`` of A. Where every column
+    found a pivot, A has rank min(k, r): the rows ``order[:min(k, r)]`` are
+    its pivot rows, and for k >= r the rows of N span its left null space,
+    null vector s being supported on the pivot rows and on row
+    ``order[min(k, r) + s]``, with a nonzero coefficient there (a product of
+    pivots). Elsewhere N is meaningless.
     """
     p = FIELD_PRIME
     b, k, r = A.shape
     steps = min(k, r)
     M = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (b, k, k))], axis=2)
+    order = np.broadcast_to(np.arange(k), (b, k)).copy()
     full = np.ones(b, dtype=bool)
     batch = np.arange(b)
     for t in range(steps):
@@ -197,13 +202,16 @@ def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row = M[batch, pivot]
         M[batch, pivot] = M[:, t]
         M[:, t] = row
+        moved = order[batch, pivot]
+        order[batch, pivot] = order[:, t]
+        order[:, t] = moved
         below = M[:, t + 1 :, t:]
         below[...] = (row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:]) % p
-    return M[:, steps:, r:], full
+    return M[:, steps:, r:], full, order
 
 
-def rank_mod_p(M: np.ndarray) -> int:
-    """Rank over GF(``FIELD_PRIME``) of an int64 matrix with entries in range(p).
+def rank_mod_p(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank over GF(``FIELD_PRIME``) of an int64 matrix with entries in range(p), and its pivot rows.
 
     Column by column, the first free row (one not yet a pivot) with a
     nonzero entry becomes the pivot row, and only the other free rows that
@@ -214,7 +222,10 @@ def rank_mod_p(M: np.ndarray) -> int:
     count, which keeps the fill-in of sparse input small: on the gauge-fixed
     section rows of 40 x 40 masks with 12 rows per column at r = 5 (five
     seeds) it cuts the cells updated from 1.8-2.2 to 0.4-0.6 million.
-    All-zero columns hold no pivot and are left out.
+    All-zero columns hold no pivot and are left out. The pivot rows,
+    returned in increasing order, are a row basis of M: each pivot row is
+    its input row plus multiples of earlier pivot rows, and each free row
+    ends at zero, a combination of them.
     """
     p = FIELD_PRIME
     counts = np.count_nonzero(M, axis=0)
@@ -238,7 +249,7 @@ def rank_mod_p(M: np.ndarray) -> int:
             block *= pivot[0]
             block -= update
             M[rows, c:] = np.remainder(block, p, out=block)
-    return rank
+    return rank, np.flatnonzero(~free)
 
 
 def first_full_rank(

@@ -253,10 +253,10 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     """
     basis = rng.integers(1, FIELD_PRIME, size=(phi.m, phi.r))
     supports = np.array(phi.columns)
-    null, full = left_null_mod_p(basis[supports])
+    null, full, _ = left_null_mod_p(basis[supports])
     dual = np.zeros((phi.m, len(supports)), dtype=np.int64)
     dual[supports.T, np.arange(len(supports))] = (null[:, 0] * full[:, None]).T
-    return rank_mod_p(dual)
+    return rank_mod_p(dual)[0]
 
 
 def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:

@@ -326,12 +326,16 @@ def test_necessary_inconclusive_above_the_row_set_limit():
 
 @pytest.mark.parametrize("m", [ROW_SET_LIMIT + 1, 64])
 def test_exact_size_scan_skipped_above_the_row_set_limit(m):
-    """An all-ones m x 1 mask has the exact size m at r = 1; its 2^m row sets are not scanned."""
+    """An all-ones m x 1 mask has the exact size m at r = 1; its 2^m row sets are not scanned.
+
+    The counting test is left undecided, while the necessary condition reads
+    connectivity: the mask is a star, its own spanning tree.
+    """
     pattern = parse_pattern("1\n" * m)
     relaxed = check_relaxed_slmf(pattern, 1)
     assert (relaxed.ok, relaxed.reason, relaxed.actual_size) == (None, "row_limit", m)
     verdict = check_necessary_condition(pattern, 1)
-    assert (verdict.contains_relaxed, verdict.nodes) == (None, 0)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (True, 1, pattern)
 
 
 def test_necessary_refuted_by_the_bound_in_one_node():

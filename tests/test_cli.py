@@ -451,8 +451,8 @@ def test_analyze_exact_size_column_above_the_row_limit(capsys, tmp_path, m):
         "row_limit",
     )
     assert (report["necessary_condition"]["verdict"], report["necessary_condition"]["nodes"]) == (
-        "inconclusive",
-        0,
+        "pass",
+        1,
     )
     code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
     assert "relaxed SLMF: inconclusive (row_limit)" in out
@@ -835,6 +835,39 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         assert report["necessary_condition"]["verdict"] == verdict
         assert report["relaxed_slmf"]["violating_rows"] == rows
         assert scans == [(pattern, 2)]
+
+
+def test_one_analysis_reads_the_necessary_witness_off_the_jacobian(monkeypatch):
+    """On the 16 x 16 k8 s0 mask at r = 3 the greedy counting set never runs, and
+    each trial point is eliminated once: the section test and the necessary
+    condition read the Jacobian test's trials."""
+    from completable import certificates, numerics
+    from completable.cli import build_analysis_report
+
+    greedy, trials = [], []
+    kernel, ranks = certificates._greedy_counting_set, numerics._tangent_ranks
+    monkeypatch.setattr(certificates, "_greedy_counting_set", lambda *a: greedy.append(a) or kernel(*a))
+    monkeypatch.setattr(numerics, "_tangent_ranks", lambda *a: trials.append(a) or ranks(*a))
+    monkeypatch.setattr(numerics, "_last_trials", None)
+    report = build_analysis_report(random_pattern(16, 16, 8, seed=0), 3, seed=0, budget=1000)
+    necessary = report["necessary_condition"]
+    assert (necessary["verdict"], len(necessary["witness_entries"]), necessary["nodes"]) == ("pass", 87, 1)
+    assert greedy == []
+    assert len(trials) == report["jacobian_rank"]["trials"] == report["grassmann_section_rank"]["trials"]
+
+
+def test_analyze_at_40x40_reads_the_necessary_condition_off_the_jacobian(capsys, tmp_path):
+    """Above ``ROW_SET_LIMIT`` rows a Jacobian pass decides the necessary condition,
+    at a budget the searches run out of: 5 (40 + 40 - 5) = 375 witness entries."""
+    path = tmp_path / "mask.txt"
+    path.write_text(pattern_to_grid(random_pattern(40, 40, 12, seed=0)))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "5", "--budget", "1000", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["finite_certificate"] == {"status": "inconclusive", "nodes": 1000}
+    necessary = report["necessary_condition"]
+    assert (necessary["verdict"], len(necessary["witness_entries"]), necessary["nodes"]) == ("pass", 375, 1)
+    assert report["jacobian_rank"]["verdict"] == "pass"
 
 
 def test_readme_analyze_example_is_what_the_cli_prints(capsys, tmp_path):

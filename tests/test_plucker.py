@@ -450,9 +450,15 @@ def test_coordinate_rejects_out_of_range_indices():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_rank_mod_p_is_the_rational_rank_of_small_integer_matrices(rows, cols, seed):
-    """Entries in {0, 1, 2}: every minor is below 2^6 6! < p, so no rank drops mod p."""
+    """Entries in {0, 1, 2}: every minor is below 2^6 6! < p, so no rank drops mod p.
+
+    The pivot rows it returns are a row basis: as many as the rank, and independent.
+    """
     M = np.random.default_rng(seed).integers(0, 3, size=(rows, cols))
-    assert rank_mod_p(M.copy()) == row_reduce(M.tolist())[0]
+    rank, pivots = rank_mod_p(M.copy())
+    assert rank == row_reduce(M.tolist())[0] == len(pivots)
+    assert pivots.tolist() == sorted(set(pivots.tolist()))
+    assert row_reduce(M[pivots].tolist())[0] == rank
 
 
 def test_rank_mod_p_visits_no_all_zero_column(monkeypatch):
@@ -463,7 +469,7 @@ def test_rank_mod_p_visits_no_all_zero_column(monkeypatch):
     calls = []
     flatnonzero = np.flatnonzero
     monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a.size) or flatnonzero(a))
-    assert rank_mod_p(M) == 2
+    assert rank_mod_p(M)[0] == 2
     assert len(calls) < 10
 
 
@@ -471,10 +477,17 @@ def test_rank_mod_p_visits_no_all_zero_column(monkeypatch):
 def test_left_null_mod_p_spans_the_left_null_space(k, r):
     A = np.random.default_rng(k + r).integers(0, FIELD_PRIME, size=(20, k, r))
     A[0, :, 0] = 0  # a zero column drops the rank below min(k, r)
-    null, full = left_null_mod_p(A)
+    A[1:, 0, 0] = 0  # row 0 cannot pivot the first column, so rows swap
+    null, full, order = left_null_mod_p(A)
     steps = min(k, r)
     assert null.shape == (20, k - steps, k)
     assert full.tolist() == [False] + [True] * 19
-    for N, M in zip(null[1:], A[1:]):
+    for N, M, rows in zip(null[1:], A[1:], order[1:]):
         assert not (N.astype(object) @ M.astype(object) % FIELD_PRIME).any()
-        assert rank_mod_p(N.copy()) == k - steps
+        assert rank_mod_p(N.copy())[0] == k - steps
+        # the swaps' row order: pivot rows first, then each null vector's own row
+        assert sorted(rows.tolist()) == list(range(k)) and rows[0] != 0
+        assert rank_mod_p(M[rows[:steps]].copy())[0] == steps
+        for s, vector in enumerate(N):
+            assert set(np.flatnonzero(vector).tolist()) <= {*rows[:steps].tolist(), rows[steps + s]}
+            assert vector[rows[steps + s]] != 0

@@ -315,6 +315,56 @@ def test_necessary_condition_matches_brute_force(mask):
 
 
 @st.composite
+def masks_up_to_ten_rows(draw):
+    """(pattern, r) on at most 10 x 8 cells, r <= 3: a ``random_pattern`` mask with
+    k >= r rows per column, less 0 to 3 of its entries."""
+    m = draw(st.integers(3, 10))
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, min(m - 1, n, 3)))
+    k = draw(st.integers(r, m))
+    pattern = random_pattern(m, n, k, seed=draw(st.integers(0, 2**16)))
+    dropped = draw(st.sets(st.sampled_from(pattern.sorted_entries()), max_size=3))
+    return pattern.restrict(pattern.entries - dropped), r
+
+
+def greedy_necessary_verdict(pattern, r):
+    """The necessary condition as the row-set stages alone decide it: the size, the
+    counting bound, the exact size, then the greedy set, which at r = 1 is a
+    largest forest, so short of the target it refutes; None where undecided."""
+    target = r * (pattern.m + pattern.n - r)
+    if pattern.size < target or _counting_bound(pattern, r)[0] < target:
+        return False
+    if pattern.size == target or len(_greedy_counting_set(pattern, r)) == target:
+        return True
+    return False if r == 1 else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_up_to_ten_rows(), st.integers(0, 2**16))
+def test_jacobian_row_basis_is_a_necessary_witness(mask, seed):
+    """A Jacobian pass carries an exact-size sub-mask that passes the counting test,
+    and the verdict is the greedy's wherever the greedy decides.
+
+    The sub-mask is the entries of a row basis of J at the passing point, so
+    its own Jacobian has full rank too.
+    """
+    pattern, r = mask
+    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
+    verdict = check_necessary_condition(pattern, r, jacobian)
+    if jacobian.passed:
+        witness = pattern.restrict(jacobian.row_basis)
+        assert_necessary_witness(pattern, r, witness)
+        assert jacobian_rank_test(witness, r, trials=2, seed=seed).passed
+        if r >= 2:
+            assert (verdict.contains_relaxed, verdict.witness, verdict.nodes) == (True, witness, 1)
+    else:
+        assert jacobian.row_basis is None
+    expected = greedy_necessary_verdict(pattern, r)
+    if expected is not None:
+        assert verdict.contains_relaxed is expected
+
+
+@st.composite
 def rank_one_masks_above_exact_size(draw):
     """Masks on at most 8 x 8 cells with more than m+n-1 entries."""
     m = draw(st.integers(2, 8))
