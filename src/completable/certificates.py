@@ -515,14 +515,14 @@ class NecessaryConditionVerdict:
 
 
 def _spanning_tree(pattern: ObservationPattern) -> list[tuple[int, int]]:
-    """Entries, in ``sorted_entries()`` order, that join two components of the row-column graph.
+    """Entries, in ``sorted_entries()`` order, joining two components of the row-column graph.
 
-    A spanning forest by union-find, with m+n-1 entries iff the bipartite
-    graph of rows and columns is connected. The caller holds at least
-    m+n-1 entries, so the forest of m+n vertices costs no more than they do.
+    A spanning forest by union-find: m+n-1 entries iff the graph is connected.
     """
     m = pattern.m
-    parent = list(range(m + pattern.n))  # rows, then columns
+    # rows, then columns; the caller holds at least m+n-1 entries, so this
+    # costs no more than they do
+    parent = list(range(m + pattern.n))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -546,25 +546,25 @@ def check_necessary_condition(
 
     This is a necessary condition for finite completability, never claimed
     sufficient. A pattern below the exact size fails at 0 nodes. Otherwise
-    the first of these that decides spends the one node:
+    the first of these that decides spends one node:
 
-    1. At r = 1 the passing sets are the forests of the bipartite row-column
-       graph, a graphic matroid, so the condition holds iff that graph is
-       connected, with a spanning tree as witness, at any size.
+    1. At r = 1 the passing sets are the forests of the row-column graph, a
+       graphic matroid, so the condition holds iff that graph is connected,
+       with a spanning tree as witness, at any size.
     2. At r >= 2, a pass of ``jacobian``, the pattern's
-       ``jacobian_rank_test`` report (run here when not given), at any
-       size: the entries of its row basis are a finitely completable
-       exact-size sub-pattern (Kiraly-Theran-Tomioka), so they pass the
-       counting test (Pimentel-Alarcon-Boston-Nowak).
+       ``jacobian_rank_test`` report (run here when not given), at any size:
+       the entries of its row basis are a finitely completable exact-size
+       sub-pattern (Kiraly-Theran-Tomioka), which passes the counting test
+       (Pimentel-Alarcon-Boston-Nowak).
     3. Up to ``ROW_SET_LIMIT`` rows, a counting bound below r(m+n-r)
-       refutes and names its row set. At r = 1 a disconnected graph
-       refutes as well, with or without it.
+       refutes and names its row set. At r = 1 a disconnected graph refutes
+       at any size, with or without it.
     4. An exact-size pattern the bound does not refute is its own witness.
     5. Above the exact size, a greedy set reaching r(m+n-r) entries is the
-       witness, as it passes the test by construction; this 2^m scan runs
-       only where the Jacobian falls short.
+       witness, as it passes the test by construction. This 2^m scan is the
+       one step that runs only where the Jacobian falls short.
 
-    Otherwise the verdict is None: at 0 nodes above ``ROW_SET_LIMIT`` rows.
+    Otherwise the verdict is None, at 0 nodes above ``ROW_SET_LIMIT`` rows.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
