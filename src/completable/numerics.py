@@ -24,7 +24,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, TextIO
+from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .plucker import (
     FIELD_PRIME,
     SubspaceBasis,
     _coordinate_count,
+    _lex_blocks,
     _lex_rank,
     first_full_rank,
     left_null_mod_p,
@@ -118,7 +119,7 @@ def observed_from_csv(text: str) -> ObservedMatrix:
                 raise ObservedMatrixFormatError(
                     f"line {i + 1}, column {j + 1}: bad value {cell!r}"
                 ) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ObservedMatrixFormatError(
                     f"line {i + 1}, column {j + 1}: non-finite value {cell!r}"
                 )
@@ -514,7 +515,7 @@ def _row_basis(
 # CSV and 3r bytes ("1, " per index) per coordinate to the index map; the
 # largest benchmark export writes 57 MB, the limit is 4.7 times that
 MAX_EXPORT_BYTES = 1 << 28
-# coordinate subsets or rows per write of ``write_index_map``
+# rows per write of ``write_index_map``
 _INDEX_CHUNK = 4096
 
 
@@ -555,28 +556,30 @@ class ExportedSystem:
         """The C(m, r) coordinate subsets in lexicographic order, built on each access."""
         return itertools.combinations(range(self.m), self.r)
 
-    def write_csv(self, fh: TextIO) -> None:
-        """Write the matrix as dense CSV, one line per row, every cell ``repr(float)``.
+    def write_csv(self, fh: BinaryIO) -> None:
+        """Write the matrix to a binary file as dense CSV, one ``\\n``-ended line per
+        row, every cell ``repr(float)``.
 
         Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). A
-        line of ``0.0`` cells is built once, and each row splices its r+1
-        cells into it and is written at once, so the time is linear in the
-        bytes written and memory holds one line.
+        line of ``0.0`` cells is built once as bytes, and each row is written
+        as slices of it, taken through a ``memoryview`` without copying, around
+        its r+1 encoded cells: the time is linear in the bytes written and
+        memory holds one line.
         """
-        zero_line = "0.0," * (self.shape[1] - 1) + "0.0\n"
+        zero_line = memoryview(b"0.0," * (self.shape[1] - 1) + b"0.0\n")
         for columns, values in zip(self.columns.tolist(), self.values.tolist()):
             parts = []
             start = 0  # cell c spans zero_line[4c : 4c + 3]
             for c, value in zip(columns, values):
-                parts += (zero_line[start : 4 * c], repr(value))
+                parts += (zero_line[start : 4 * c], repr(value).encode())
                 start = 4 * c + 3
             parts.append(zero_line[start:])
-            fh.write("".join(parts))
+            fh.writelines(parts)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
+        out = io.BytesIO()
         self.write_csv(out)
-        return out.getvalue()
+        return out.getvalue().decode()
 
     def index_map(self) -> dict:
         return {
@@ -590,11 +593,29 @@ class ExportedSystem:
         }
 
     def write_index_map(self, fh: TextIO) -> None:
-        """Write ``json.dumps(self.index_map())``, a few thousand list items at a time."""
-        fh.write(f'{{"m": {self.m}, "r": {self.r}, "plucker_subsets": ')
-        subset = ", ".join(["%d"] * self.r)
-        _write_json_list(fh, f"[{subset}]", itertools.combinations(range(1, self.m + 1), self.r))
-        fh.write(', "rows": ')
+        """Write ``json.dumps(self.index_map())`` to a text file, a block at a time.
+
+        The coordinate subsets are built from the lexicographic levels
+        (``plucker._lex_blocks``): the subsets with leading pair (a, b) are
+        that pair followed by the last C(m-b-1, r-2) entries of level r-2, so
+        only level r-2's item tails are held as strings and each leading
+        pair's block is one write. The rows go out a few thousand at a time.
+        """
+        m, r = self.m, self.r
+        fh.write(f'{{"m": {m}, "r": {r}, "plucker_subsets": [')
+        if r == 1:
+            fh.write(", ".join(f"[{a}]" for a in range(1, m + 1)))
+        else:
+            tails = [", %d" * (r - 2) % tail for tail in itertools.combinations(range(3, m + 1), r - 2)]
+            separator = ""
+            for a, _, _ in _lex_blocks(m, r, r):
+                for b, _, count in _lex_blocks(m, r, r - 1):
+                    if b > a:
+                        head = f"[{a + 1}, {b + 1}"
+                        fh.write(separator + head + f"], {head}".join(tails[-count:]) + "]")
+                        separator = ", "
+        fh.write('], "rows": ')
+        subset = ", ".join(["%d"] * r)
         row = f'{{"column": %d, "phi": [{subset}, %d]}}'
         _write_json_list(fh, row, ((j + 1, *(i + 1 for i in phi)) for j, phi in self.row_origin))
         fh.write("}")

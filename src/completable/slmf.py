@@ -196,9 +196,12 @@ def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
     """Smallest subfamily, then lexicographically first, covering fewer than t + r rows.
 
     Meet in the middle: each half of the K masks gets the unions of its 2^(K/2)
-    subfamilies, grouped by size. For t = 1, 2, ... each low group of size s meets
-    the high group of size t - s, one block at a time: time grows with the witness
-    size, and memory is one block (at K = 22, 462 x 462 pairs: 2 MB, 3 past 64 rows).
+    subfamilies, grouped by size, with their row counts. For t = 1, 2, ... each
+    low group of size s meets the high group of size t - s, one block at a time:
+    time grows with the witness size, and memory is one block (at K = 22, 462 x
+    462 pairs: 2 MB, 3 past 64 rows). A pair covers at least the rows of either
+    half, so halves already covering t + r rows are dropped before the block;
+    the rest keep their order, so the block's first hit is unchanged.
     """
     K = len(masks)
     words = -(-max(mask.bit_length() for mask in masks) // 64)
@@ -210,14 +213,19 @@ def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
         for b, mask in enumerate(reversed(part)):
             split = [mask >> 64 * w & (1 << 64) - 1 for w in range(words)]
             np.bitwise_or(unions[: 1 << b], np.array(split, dtype=np.uint64), out=unions[1 << b : 2 << b])
+        counts = np.bitwise_count(unions).sum(axis=1)
         sizes = np.bitwise_count(np.arange(1 << len(part)))
         groups = (np.flatnonzero(sizes == s)[::-1] for s in range(len(part) + 1))  # larger u first
-        halves.append([(g, unions[g]) for g in groups])
+        halves.append([(g, unions[g], counts[g]) for g in groups])
     (low, high), shift = halves, K - K // 2
     for t in range(1, K + 1):
         found = []
         for s in range(max(0, t - shift), min(K // 2, t) + 1):
-            (lo_ids, lo), (hi_ids, hi) = low[s], high[t - s]
+            (lo_ids, lo, lo_counts), (hi_ids, hi, hi_counts) = low[s], high[t - s]
+            lo_keep, hi_keep = lo_counts < t + r, hi_counts < t + r
+            if not (lo_keep.any() and hi_keep.any()):
+                continue
+            lo_ids, lo, hi_ids, hi = lo_ids[lo_keep], lo[lo_keep], hi_ids[hi_keep], hi[hi_keep]
             covered = 0
             for w in range(words):
                 covered = np.add(covered, np.bitwise_count(lo[:, None, w] | hi[None, :, w]), dtype=np.int32)

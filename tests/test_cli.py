@@ -12,6 +12,8 @@ import pytest
 import completable
 from completable import (
     ObservedMatrix,
+    SubspaceBasis,
+    complete_matrix,
     export_plucker_system,
     observed_from_csv,
     observed_to_csv,
@@ -193,6 +195,23 @@ def test_complete_roundtrip(capsys, tmp_path):
     assert "residual" in out
     completed = np.loadtxt(out_file, delimiter=",")
     assert np.abs(completed - X).max() <= 1e-9 * np.abs(X).max()
+
+
+def test_complete_writes_the_repr_of_every_cell(capsys, tmp_path):
+    """The completed file is ``complete_matrix``'s result, each cell as its ``repr``,
+    byte for byte, with lines ended by ``\\n``."""
+    values, basis, _ = _observed_csv_file(tmp_path)
+    out_file = tmp_path / "completed.csv"
+    code, _, _ = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(basis), "--out", str(out_file),
+    )
+    assert code == 0
+    expected = complete_matrix(
+        observed_from_csv(values.read_text()), SubspaceBasis(np.loadtxt(basis, delimiter=",", ndmin=2))
+    )
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in expected)
+    assert out_file.read_bytes() == text.encode()
 
 
 def test_complete_fully_observed_returns_input(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -29,6 +30,7 @@ from completable import (
 from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets
+from conftest import reference_export_csv
 
 # two rank-1 blocks at r = 1, deficient by one although no row or column has
 # at most r entries
@@ -378,6 +380,51 @@ def test_index_map_leaves_the_subset_cache_empty():
     assert index_subsets.cache_info().currsize == 0
     assert len(index_map["plucker_subsets"]) == 658008
     assert index_map["plucker_subsets"][-1] == [36, 37, 38, 39, 40]
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_index_map_writes_one_leading_pair_block_at_a_time():
+    """C(40, 5) = 658,008 subsets, 13.7 MB of JSON, written holding level 3's 8,436
+    item tails and one block; holding level 4's 82,251 tails would take 6 MB."""
+    pattern = ObservationPattern(40, 1, frozenset((i, 0) for i in range(0, 35, 5)))
+    values = {e: float(e[0] + 1) for e in pattern.entries}
+    system = export_plucker_system(ObservedMatrix(pattern, values), 5)
+    tracemalloc.start()
+    try:
+        system.write_index_map(_Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "m, n, support, r",
+    [(5, 3, 3, 1), (1, 1, 1, 1), (4, 2, 4, 4), (6, 3, 4, 2), (7, 2, 5, 3), (4, 3, 0, 2)],
+    ids=["r=1", "m=r=1", "r=m", "r=2", "r=3", "empty"],
+)
+def test_index_map_json_at_the_edges(m, n, support, r):
+    """The level-built subset list is ``json.dumps``'s, at r = 1 and r = m too, and with no rows."""
+    pattern = ObservationPattern(m, n, frozenset((i, j) for i in range(support) for j in range(n)))
+    system = export_plucker_system(ObservedMatrix(pattern, {e: 1.0 for e in pattern.entries}), r)
+    assert system.index_map_json() == json.dumps(system.index_map())
+
+
+def test_write_csv_writes_bytes_with_newline_ends(pattern_6x5):
+    """Into a binary file the CSV is ``to_csv()`` encoded: observed zeros keep
+    their signs and every line ends in ``\\n`` alone."""
+    values = {(i, j): float(i - 2) for i, j in pattern_6x5.entries}
+    system = export_plucker_system(ObservedMatrix(pattern_6x5, values), 2)
+    out = io.BytesIO()
+    system.write_csv(out)
+    assert out.getvalue() == system.to_csv().encode() == reference_export_csv(system.matrix).encode()
+    assert b"-0.0" in out.getvalue() and b"\r" not in out.getvalue()
 
 
 def test_complete_matrix_roundtrip_on_random_patterns():
