@@ -515,7 +515,7 @@ def _row_basis(
 # CSV and 3r bytes ("1, " per index) per coordinate to the index map; the
 # largest benchmark export writes 57 MB, the limit is 4.7 times that
 MAX_EXPORT_BYTES = 1 << 28
-# rows per write of ``write_index_map``
+# rows per write of ``write_index_map``, cells per write of ``write_csv``
 _INDEX_CHUNK = 4096
 
 
@@ -560,20 +560,33 @@ class ExportedSystem:
         """Write the matrix to a binary file as dense CSV, one ``\\n``-ended line per
         row, every cell ``repr(float)``.
 
-        Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). A
-        line of ``0.0`` cells is built once as bytes, and each row is written
-        as slices of it, taken through a ``memoryview`` without copying, around
-        its r+1 encoded cells: the time is linear in the bytes written and
-        memory holds one line.
+        Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). The
+        coefficients are signed observed values, so few are distinct: each
+        distinct float64 bit pattern (which keeps ``-0.0`` apart from ``0.0``)
+        is encoded once, into a table. A line of ``0.0`` cells is built once as
+        bytes, and each row is spliced from slices of it, taken through a
+        ``memoryview`` without copying, around its r+1 cells from the table.
+        Rows go out a chunk of at most ``_INDEX_CHUNK`` cells per
+        ``writelines``, and only that chunk's positions and table indices are
+        turned into lists: the time is linear in the bytes written, and memory
+        holds one line, the table and one chunk.
         """
+        width = self.r + 1
+        bits = np.ascontiguousarray(self.values, dtype=np.float64).view(np.int64).ravel()
+        patterns, inverse = np.unique(bits, return_inverse=True)
+        table = [repr(value).encode() for value in patterns.view(np.float64).tolist()]
+        inverse = inverse.reshape(-1, width)
         zero_line = memoryview(b"0.0," * (self.shape[1] - 1) + b"0.0\n")
-        for columns, values in zip(self.columns.tolist(), self.values.tolist()):
+        step = max(1, _INDEX_CHUNK // width)
+        for first in range(0, len(inverse), step):
             parts = []
-            start = 0  # cell c spans zero_line[4c : 4c + 3]
-            for c, value in zip(columns, values):
-                parts += (zero_line[start : 4 * c], repr(value).encode())
-                start = 4 * c + 3
-            parts.append(zero_line[start:])
+            chunk = zip(self.columns[first : first + step].tolist(), inverse[first : first + step].tolist())
+            for columns, cells in chunk:
+                start = 0  # cell c spans zero_line[4c : 4c + 3]
+                for c, t in zip(columns, cells):
+                    parts += (zero_line[start : 4 * c], table[t])
+                    start = 4 * c + 3
+                parts.append(zero_line[start:])
             fh.writelines(parts)
 
     def to_csv(self) -> str:
@@ -617,7 +630,7 @@ class ExportedSystem:
         fh.write('], "rows": ')
         subset = ", ".join(["%d"] * r)
         row = f'{{"column": %d, "phi": [{subset}, %d]}}'
-        _write_json_list(fh, row, ((j + 1, *(i + 1 for i in phi)) for j, phi in self.row_origin))
+        _write_json_list(fh, row, iter(self.row_origin))
         fh.write("}")
 
     def index_map_json(self) -> str:
@@ -626,13 +639,16 @@ class ExportedSystem:
         return out.getvalue()
 
 
-def _write_json_list(fh: TextIO, item_format: str, items: Iterator[tuple[int, ...]]) -> None:
-    """Write the JSON list of ``item_format % item`` for the int tuples ``items``, one
-    chunk of them at a time; %d prints an int exactly as ``json.dumps`` does."""
+def _write_json_list(fh: TextIO, item_format: str, items: Iterator[tuple[int, tuple[int, ...]]]) -> None:
+    """Write the JSON list of ``item_format % (j + 1, *(i + 1 for i in phi))`` for the
+    pairs (j, phi) of ``items``, ``_INDEX_CHUNK`` of them at a time: each chunk is
+    taken with ``islice`` and formatted by one ``%`` over the flat tuple of its
+    ints; %d prints an int exactly as ``json.dumps`` does."""
     fh.write("[")
     separator = ""
     while chunk := list(itertools.islice(items, _INDEX_CHUNK)):
-        fh.write(separator + ", ".join([item_format % item for item in chunk]))
+        ints = tuple([x + 1 for j, phi in chunk for x in (j, *phi)])
+        fh.write(separator + ", ".join([item_format] * len(chunk)) % ints)
         separator = ", "
     fh.write("]")
 

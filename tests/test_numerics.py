@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -425,6 +426,97 @@ def test_write_csv_writes_bytes_with_newline_ends(pattern_6x5):
     system.write_csv(out)
     assert out.getvalue() == system.to_csv().encode() == reference_export_csv(system.matrix).encode()
     assert b"-0.0" in out.getvalue() and b"\r" not in out.getvalue()
+
+
+class _DiscardBytes(_Discard):
+    """A binary sink that keeps nothing and counts its ``writelines`` calls."""
+
+    calls = 0
+
+    def writelines(self, parts) -> None:
+        self.calls += 1
+        for _ in parts:
+            pass
+
+
+def _bit_patterns(values: np.ndarray) -> set[str]:
+    """The distinct coefficients, told apart as ``float.hex`` tells -0.0 from 0.0."""
+    return {v.hex() for v in values.ravel().tolist()}
+
+
+def test_write_csv_encodes_each_distinct_coefficient_once(pattern_6x5, monkeypatch):
+    """18 observed values in -2..3 make 66 coefficients but 7 bit patterns, -0.0 and 0.0 among them."""
+    values = {(i, j): float(i - 2) for i, j in pattern_6x5.entries}
+    system = export_plucker_system(ObservedMatrix(pattern_6x5, values), 2)
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(numerics, "repr", counting_repr, raising=False)
+    out = io.BytesIO()
+    system.write_csv(out)
+    monkeypatch.undo()
+    assert out.getvalue() == reference_export_csv(system.matrix).encode()
+    assert len(calls) == len(_bit_patterns(system.values)) == 7 < system.values.size
+
+
+def _export_6x5(pattern_6x5, value):
+    return export_plucker_system(
+        ObservedMatrix(pattern_6x5, {(i, j): value(i, j) for i, j in pattern_6x5.entries}), 2
+    )
+
+
+@pytest.mark.parametrize("case", ["all-equal", "all-distinct", "signed-zeros", "no-rows"])
+def test_write_csv_matches_the_reference_on_every_table(pattern_6x5, case):
+    """One coefficient throughout, none repeated, 0.0 and -0.0 in one file, no rows."""
+    if case == "no-rows":  # every column has exactly r observed rows
+        pattern = ObservationPattern(5, 3, frozenset((i, j) for j in range(3) for i in (j, j + 2)))
+        system = export_plucker_system(ObservedMatrix(pattern, {e: 1.0 for e in pattern.entries}), 2)
+        assert system.shape == (0, 10)
+    elif case == "signed-zeros":
+        system = _export_6x5(pattern_6x5, lambda i, j: float(i % 2))
+        assert {"0x0.0p+0", "-0x0.0p+0"} <= _bit_patterns(system.values)
+    else:
+        system = _export_6x5(pattern_6x5, lambda i, j: 1.0)
+        if case == "all-equal":
+            coefficients = np.full(system.values.shape, -2.5)
+        else:
+            coefficients = np.random.default_rng(3).standard_normal(system.values.shape)
+        system = dataclasses.replace(system, values=coefficients)
+        assert len(_bit_patterns(system.values)) == (1 if case == "all-equal" else system.values.size)
+    out = io.BytesIO()
+    system.write_csv(out)
+    assert out.getvalue() == reference_export_csv(system.matrix).encode()
+
+
+def test_write_csv_writes_a_chunk_of_rows_per_call(pattern_6x5, monkeypatch):
+    """At most ``_INDEX_CHUNK`` cells per ``writelines``, and one row when a row is wider."""
+    system = _export_6x5(pattern_6x5, lambda i, j: float(i - j))
+    rows = system.shape[0]
+    for chunk, calls in ((4096, 1), (9, -(-rows // 3)), (2, rows)):
+        monkeypatch.setattr(numerics, "_INDEX_CHUNK", chunk)
+        sink = _DiscardBytes()
+        system.write_csv(sink)
+        assert sink.calls == calls
+        assert system.to_csv() == reference_export_csv(system.matrix)
+
+
+def test_write_csv_holds_one_chunk_of_rows():
+    """200,000 rows of 2 cells over 5 coordinates: lists of every row's positions
+    and coefficients would take 41.6 MB, one chunk of them and the table far less."""
+    pattern = ObservationPattern(5, 20000, frozenset((i, j) for i in range(5) for j in range(20000)))
+    values = {(i, j): float(i - j % 7) for i, j in pattern.entries}
+    system = export_plucker_system(ObservedMatrix(pattern, values), 1)
+    assert system.shape == (200000, 5)
+    tracemalloc.start()
+    try:
+        system.write_csv(_DiscardBytes())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_complete_matrix_roundtrip_on_random_patterns():
