@@ -312,20 +312,37 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class PluckerVector:
-    """Projective coordinate vector indexed by the r-subsets of range(m)."""
+    """Projective coordinate vector indexed by the r-subsets of range(m).
+
+    The coordinates are read-only. The constructor copies what a caller
+    passes in, so later writes to the caller's array leave the vector as it
+    was; the package's own builders (``plucker_of_basis``, ``dual_plucker``,
+    ``plucker_from_json``) hand over the array they just wrote, which no
+    caller holds, through ``_owning``, without a copy.
+    """
 
     r: int
     m: int
     coords: np.ndarray
 
     def __post_init__(self) -> None:
+        self._keep(np.array(self.coords))
+
+    @classmethod
+    def _owning(cls, r: int, m: int, coords: np.ndarray) -> "PluckerVector":
+        """The vector over ``coords``, an array no caller holds, kept as it is."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "r", r)
+        object.__setattr__(vector, "m", m)
+        vector._keep(coords)
+        return vector
+
+    def _keep(self, coords: np.ndarray) -> None:
         expected = _coordinate_count(self.m, self.r)
-        coords = np.asarray(self.coords)
         if coords.shape != (expected,):
             raise ValueError(f"expected {expected} coordinates, got shape {coords.shape}")
-        if not np.any(coords != 0):
+        if not coords.any():
             raise ValueError("all coordinates are zero")
-        coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -357,6 +374,7 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     2^(m/2) column sets, a basis with r > m - r is first traded for its
     (m-r)-dimensional orthogonal complement (``_minors_by_complement``).
     Integer or Fraction input is exact, and an integral coordinate is an int.
+    The vector owns, read-only and uncopied, the array its kernel wrote.
     """
     mat = basis.matrix
     m, r = mat.shape
@@ -369,7 +387,7 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
         for pos, c in enumerate(coords):
             if isinstance(c, Fraction) and c.denominator == 1:
                 coords[pos] = int(c)
-    return PluckerVector(r=r, m=m, coords=coords)
+    return PluckerVector._owning(r, m, coords)
 
 
 def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
@@ -404,7 +422,8 @@ def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
     comp[others] = np.eye(m - r, dtype=int)
     comp[rows] = -a[:, others]
     dual = _dual_coords(_laplace_minors(comp), m, m - r)
-    return dual * (det * dual[_lex_rank(rows, m)])
+    dual *= det * dual[_lex_rank(rows, m)]
+    return dual
 
 
 def _exact_number(x):
@@ -442,14 +461,17 @@ def dual_plucker(P: PluckerVector) -> PluckerVector:
     undefined result (no decomposability test is attempted).
     """
     _coordinate_count(P.m, P.m - P.r)
-    return PluckerVector(r=P.m - P.r, m=P.m, coords=_dual_coords(P.coords, P.m, P.r))
+    return PluckerVector._owning(P.m - P.r, P.m, _dual_coords(P.coords, P.m, P.r))
 
 
 def _dual_coords(coords: np.ndarray, m: int, r: int) -> np.ndarray:
+    """The complement's coordinates from ``coords``, in one new array."""
     # the t-th r-subset's complement is the (N-1-t)-th (m-r)-subset, and
     # sorting (psi, complement) takes sum(psi) - r(r-1)/2 transpositions
     odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
-    return np.where(odd, -coords, coords)[::-1]
+    dual = coords[::-1].copy()
+    np.negative(dual, out=dual, where=odd[::-1])
+    return dual
 
 
 def projectively_equal(P: PluckerVector, Q: PluckerVector, rtol: float = 1e-9) -> bool:
@@ -566,6 +588,4 @@ def plucker_from_json(text: str) -> PluckerVector:
     expected = index_subsets(m, r)
     if tuple(subsets) != expected:
         raise ValueError("coordinate subsets are not the complete lexicographic family")
-    return PluckerVector(
-        r=r, m=m, coords=np.array([float(item["value"]) for item in items])
-    )
+    return PluckerVector._owning(r, m, np.array([float(item["value"]) for item in items]))

@@ -17,6 +17,7 @@ from completable import (
     evaluate_bphi,
     evaluate_section,
     gr24_relation_residual,
+    plucker,
     plucker_from_json,
     plucker_of_basis,
     plucker_to_json,
@@ -26,8 +27,10 @@ from completable import (
 )
 from completable.plucker import (
     FIELD_PRIME,
+    _dual_coords,
     _laplace_minors,
     _lex_rank,
+    _subset_sum_parity,
     complement_sign,
     index_subsets,
     left_null_mod_p,
@@ -336,13 +339,20 @@ def test_large_rank_minors_come_from_the_small_complement():
     assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_the_recursion_holds_one_level_and_the_next():
-    """At 16 x 8, where the complement does not help, level k holds
-    C(8, k) C(8 + k, k) minors; the traced peak stays within 10 % of the two
-    largest neighbouring levels (1.25 MB), below the 2.2 MB of all levels."""
-    B = np.random.default_rng(71).standard_normal((16, 8))
+@pytest.mark.parametrize(
+    "m, r, psi",
+    [(16, 8, (1, 3, 4, 6, 9, 10, 12, 15)), (40, 5, (2, 11, 17, 30, 39))],
+    ids=["16x8", "40x5"],
+)
+def test_the_recursion_holds_one_level_and_the_next(m, r, psi):
+    """Level k holds C(r, k) C(m - r + k, k) minors; the traced peak stays
+    within 10 % of the two largest neighbouring levels and below all levels.
+    At 16 x 8, where the complement does not help, that is 1.25 MB against
+    2.2 MB. At 40 x 5 the two largest levels are the last two (8.55 MB), so
+    a second full-size copy of the 658,008 coordinates would show."""
+    B = np.random.default_rng(71).standard_normal((m, r))
     basis = SubspaceBasis(B)
-    levels = [math.comb(8, k) * math.comb(8 + k, k) for k in range(1, 9)]
+    levels = [math.comb(r, k) * math.comb(m - r + k, k) for k in range(1, r + 1)]
     pair = 8 * max(a + b for a, b in zip(levels, levels[1:]))
     tracemalloc.start()
     try:
@@ -350,9 +360,78 @@ def test_the_recursion_holds_one_level_and_the_next():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * pair < 8 * sum(levels)
-    psi = (1, 3, 4, 6, 9, 10, 12, 15)
-    assert abs(coords[_lex_rank(psi, 16)] - np.linalg.det(B[list(psi)])) <= 1e-12 * np.abs(coords).max()
+    assert peak <= 1.1 * pair
+    assert peak < 8 * sum(levels)
+    assert abs(coords[_lex_rank(psi, m)] - np.linalg.det(B[list(psi)])) <= 1e-12 * np.abs(coords).max()
+
+
+def _dual_by_where(coords, m, r):
+    """The complement's coordinates as a reversed ``np.where`` of the negated
+    array: the reference formula for ``_dual_coords``."""
+    odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
+    return np.where(odd, -coords, coords)[::-1]
+
+
+@pytest.mark.parametrize("shape, exact", [((9, 6), False), ((12, 7), False), ((9, 6), True)])
+def test_complement_signs_and_scale_written_in_place_match_the_reference(monkeypatch, shape, exact):
+    """The complement route (r > m/2) and ``dual_plucker`` flip signs and
+    scale in one array. Each value equals the reference, where the signs come
+    from ``np.where`` and the scaling ``dual * (det * dual[k])`` makes a new
+    array, with k the position of the pivot rows; float values bit for bit."""
+    m, r = shape
+    rng = np.random.default_rng(89)
+    B = rng.integers(-9, 10, shape) if exact else rng.standard_normal(shape)
+    seen = {}
+
+    def keep_minors(coords, m, r):
+        seen["minors"] = coords.copy()
+        return _dual_coords(coords, m, r)
+
+    def keep_rows(psi, m):
+        if isinstance(psi, list):
+            seen["rows"] = psi
+        return _lex_rank(psi, m)
+
+    monkeypatch.setattr(plucker, "_dual_coords", keep_minors)
+    monkeypatch.setattr(plucker, "_lex_rank", keep_rows)
+    P = plucker_of_basis(SubspaceBasis(B))
+    monkeypatch.undo()
+    rows = seen["rows"]
+    det = row_reduce(B[rows].tolist())[1] if exact else np.linalg.det(B[rows])
+    dual = _dual_by_where(seen["minors"], m, m - r)
+    for got, expected in (
+        (P.coords, dual * (det * dual[_lex_rank(rows, m)])),
+        (dual_plucker(P).coords, _dual_by_where(P.coords, m, r)),
+    ):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        if not exact:
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_the_constructor_copies_callers_arrays_and_builders_hand_over_read_only_ones():
+    a = np.array([1.0, 2.0, 4.0, 0.0, -3.0, -6.0])
+    P = PluckerVector(r=2, m=4, coords=a)
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    F = PluckerVector(r=2, m=4, coords=frozen)
+    a[0] = 99.0
+    frozen.setflags(write=True)
+    frozen[1] = 99.0
+    assert list(P.coords) == list(F.coords) == [1.0, 2.0, 4.0, 0.0, -3.0, -6.0]
+    rng = np.random.default_rng(97)
+    built = [
+        plucker_of_basis(SubspaceBasis(BASIS_4X2)),
+        plucker_of_basis(_random_basis(rng, 7, 3)),
+        plucker_of_basis(_random_basis(rng, 7, 5)),
+        plucker_of_basis(SubspaceBasis(rng.integers(-9, 10, (7, 5)))),
+    ]
+    built += [dual_plucker(Q) for Q in built]
+    built.append(plucker_from_json(plucker_to_json(built[1])))
+    for Q in [P, F, *built]:
+        assert not Q.coords.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            Q.coords[0] = 0
 
 
 def test_complement_elimination_pivots_past_a_tiny_entry():
