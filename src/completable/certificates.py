@@ -539,6 +539,30 @@ def _spanning_tree(pattern: ObservationPattern) -> list[tuple[int, int]]:
     return tree
 
 
+def _degree_refutation(pattern: ObservationPattern, r: int) -> Optional[tuple[int, ...]]:
+    """A row set capping passing sub-patterns below r(m+n-r) by a degree below r, or None.
+
+    For a pattern of r(m+n-r) entries or more, with S = sum_j max(#omega_j
+    - r, 0) and |Omega| <= r n + S. A row i of degree d < r: on the other
+    rows I only the d columns holding i lose a surplus entry, one each, so
+    slack(I) <= r(m-1-r) - S + d and the bound |Omega| + slack(I) is at
+    most r(m+n-r) - r + d. A column of fewer than r rows makes |Omega| <
+    r n + S, so on the full row set the bound is below r(m+n-r) too. The
+    pattern's size makes m >= r+2 in the first case and m >= r+1 in the
+    second, so the row set has r+1 rows or more, as ``_least_row_set`` scans.
+    """
+    m = pattern.m
+    row_degrees = [0] * m
+    for i, _ in pattern.entries:
+        row_degrees[i] += 1
+    for i, degree in enumerate(row_degrees):
+        if degree < r:
+            return tuple(k for k in range(m) if k != i)
+    if any(len(omega) < r for omega in pattern.column_supports()):
+        return tuple(range(m))
+    return None
+
+
 def check_necessary_condition(
     pattern: ObservationPattern, r: int, jacobian: Optional[RankReport] = None
 ) -> NecessaryConditionVerdict:
@@ -558,7 +582,9 @@ def check_necessary_condition(
        (Pimentel-Alarcon-Boston-Nowak).
     3. Up to ``ROW_SET_LIMIT`` rows, a counting bound below r(m+n-r)
        refutes and names its row set. At r = 1 a disconnected graph refutes
-       at any size, with or without it.
+       at any size, with or without it. Above ``ROW_SET_LIMIT`` rows, a row
+       or column of fewer than r entries refutes and names a row set that
+       caps the bound (``_degree_refutation``).
     4. An exact-size pattern the bound does not refute is its own witness.
     5. Above the exact size, a greedy set reaching r(m+n-r) entries is the
        witness, as it passes the test by construction. This 2^m scan is the
@@ -590,6 +616,9 @@ def check_necessary_condition(
     if r == 1:
         return NecessaryConditionVerdict(False, None, 1)
     if pattern.m > ROW_SET_LIMIT:
+        rows = _degree_refutation(pattern, r)
+        if rows is not None:
+            return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
         return NecessaryConditionVerdict(None, None, 0)
     if pattern.size == target:
         return NecessaryConditionVerdict(True, pattern, 1)

@@ -523,27 +523,34 @@ _INDEX_CHUNK = 4096
 class ExportedSystem:
     """Linear part of the hyperplane-section system in Plucker coordinates.
 
-    One row per column j and per (r+1)-subset of its support, over the
+    One row per column j and per (r+1)-subset phi of its support, over the
     lexicographic subset order, each with r+1 cells: ``columns`` holds their
     coordinate positions, increasing along the row, and ``values`` their
-    coefficients, as read-only (rows, r+1) arrays. ``matrix`` is the dense
-    view for tests, built on each access. The quadratic relations cutting out
-    the Grassmannian are intentionally not included.
+    coefficients, as read-only (rows, r+1) arrays. ``origins`` is the
+    read-only (rows, r+2) integer array of each row's origin, 0-based: its
+    column j, then the r+1 rows of phi. ``matrix`` is the dense view for
+    tests, built on each access. The quadratic relations cutting out the
+    Grassmannian are intentionally not included.
     """
 
     m: int
     r: int
     columns: np.ndarray
     values: np.ndarray
-    row_origin: tuple[tuple[int, tuple[int, ...]], ...]
+    origins: np.ndarray
 
     def __post_init__(self) -> None:
-        self.columns.setflags(write=False)
-        self.values.setflags(write=False)
+        for array in (self.columns, self.values, self.origins):
+            array.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and copy restore the fields without __post_init__
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.row_origin), math.comb(self.m, self.r)
+        return len(self.origins), math.comb(self.m, self.r)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -599,10 +606,7 @@ class ExportedSystem:
             "m": self.m,
             "r": self.r,
             "plucker_subsets": [[i + 1 for i in s] for s in self.subsets],
-            "rows": [
-                {"column": j + 1, "phi": [i + 1 for i in phi]}
-                for j, phi in self.row_origin
-            ],
+            "rows": [{"column": j, "phi": phi} for j, *phi in (self.origins + 1).tolist()],
         }
 
     def write_index_map(self, fh: TextIO) -> None:
@@ -612,7 +616,9 @@ class ExportedSystem:
         (``plucker._lex_blocks``): the subsets with leading pair (a, b) are
         that pair followed by the last C(m-b-1, r-2) entries of level r-2, so
         only level r-2's item tails are held as strings and each leading
-        pair's block is one write. The rows go out a few thousand at a time.
+        pair's block is one write. The rows go out ``_INDEX_CHUNK`` at a time,
+        each chunk of ``origins + 1`` formatted by one ``%`` over its ints;
+        %d prints an int exactly as ``json.dumps`` does.
         """
         m, r = self.m, self.r
         fh.write(f'{{"m": {m}, "r": {r}, "plucker_subsets": [')
@@ -627,30 +633,17 @@ class ExportedSystem:
                         head = f"[{a + 1}, {b + 1}"
                         fh.write(separator + head + f"], {head}".join(tails[-count:]) + "]")
                         separator = ", "
-        fh.write('], "rows": ')
-        subset = ", ".join(["%d"] * r)
-        row = f'{{"column": %d, "phi": [{subset}, %d]}}'
-        _write_json_list(fh, row, iter(self.row_origin))
-        fh.write("}")
+        fh.write('], "rows": [')
+        row = '{"column": %d, "phi": [' + ", ".join(["%d"] * (r + 1)) + "]}"
+        for first in range(0, len(self.origins), _INDEX_CHUNK):
+            chunk = self.origins[first : first + _INDEX_CHUNK] + 1
+            fh.write((", " if first else "") + ", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+        fh.write("]}")
 
     def index_map_json(self) -> str:
         out = io.StringIO()
         self.write_index_map(out)
         return out.getvalue()
-
-
-def _write_json_list(fh: TextIO, item_format: str, items: Iterator[tuple[int, tuple[int, ...]]]) -> None:
-    """Write the JSON list of ``item_format % (j + 1, *(i + 1 for i in phi))`` for the
-    pairs (j, phi) of ``items``, ``_INDEX_CHUNK`` of them at a time: each chunk is
-    taken with ``islice`` and formatted by one ``%`` over the flat tuple of its
-    ints; %d prints an int exactly as ``json.dumps`` does."""
-    fh.write("[")
-    separator = ""
-    while chunk := list(itertools.islice(items, _INDEX_CHUNK)):
-        ints = tuple([x + 1 for j, phi in chunk for x in (j, *phi)])
-        fh.write(separator + ", ".join([item_format] * len(chunk)) % ints)
-        separator = ", "
-    fh.write("]")
 
 
 def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
@@ -667,27 +660,26 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
     pattern = obs.pattern
     coords = _coordinate_count(pattern.m, r)
     supports = pattern.column_supports()
-    rows = sum(math.comb(len(omega), r + 1) for omega in supports)
+    counts = [math.comb(len(omega), r + 1) for omega in supports]
+    rows = sum(counts)
     size = coords * (4 * rows + 3 * r)
     if size > MAX_EXPORT_BYTES:
         raise ValueError(
             f"{rows} rows over {coords} coordinates need at least {size} bytes of "
             f"CSV and index map, more than the supported {MAX_EXPORT_BYTES}"
         )
-    origin = tuple(
-        (j, phi)
-        for j, omega in enumerate(supports)
-        for phi in itertools.combinations(omega, r + 1)
-    )
+    origins = np.empty((rows, r + 2), dtype=np.int64)
+    js, phis = origins[:, 0], origins[:, 1:]
+    js[:] = np.repeat(np.arange(pattern.n), counts)
+    subsets = itertools.chain.from_iterable(itertools.combinations(omega, r + 1) for omega in supports)
+    phis[:] = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64, count=phis.size).reshape(phis.shape)
     # dropping a later element of phi leaves an earlier subset, so k runs down
     drop = np.arange(r, -1, -1)
-    phis = np.array([phi for _, phi in origin], dtype=np.int64).reshape(-1, r + 1)
     columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
     # each observed value once, in the supports' order, which sorts the keys j m + i
     cells = [(i, j) for j, omega in enumerate(supports) for i in omega]
     keys = np.array([j * pattern.m + i for i, j in cells], dtype=np.int64)
     observed = np.array([obs.values[cell] for cell in cells], dtype=float)
-    js = np.array([j for j, _ in origin], dtype=np.int64)
     at = np.searchsorted(keys, js[:, None] * pattern.m + phis[:, drop])
     values = observed[at] * np.where(drop % 2, -1.0, 1.0)
-    return ExportedSystem(pattern.m, r, columns, values, origin)
+    return ExportedSystem(pattern.m, r, columns, values, origins)

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +55,11 @@ def _coordinate_count(m: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def index_subsets(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """All r-subsets of range(m), lexicographic; the global coordinate order."""
+    """All r-subsets of range(m), lexicographic; the global coordinate order.
+
+    Cached for the life of the process, so the package itself streams
+    ``itertools.combinations`` instead and leaves this table to callers.
+    """
     _coordinate_count(m, r)
     return tuple(itertools.combinations(range(m), r))
 
@@ -301,6 +306,11 @@ class SubspaceBasis:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    def __setstate__(self, state: dict) -> None:
+        # pickle and copy restore the fields without __post_init__
+        self.__dict__.update(state)
+        self.matrix.setflags(write=False)
+
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
@@ -336,6 +346,11 @@ class PluckerVector:
         object.__setattr__(vector, "m", m)
         vector._keep(coords)
         return vector
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and copy restore the fields without __post_init__
+        self.__dict__.update(state)
+        self._keep(self.coords)
 
     def _keep(self, coords: np.ndarray) -> None:
         expected = _coordinate_count(self.m, self.r)
@@ -569,7 +584,7 @@ def plucker_to_json(P: PluckerVector) -> str:
     the ambient dimension and the subset size are recoverable from it.
     """
     items = []
-    for psi, value in zip(index_subsets(P.m, P.r), P.coords):
+    for psi, value in zip(itertools.combinations(range(P.m), P.r), P.coords):
         if isinstance(value, (Fraction, np.floating)):
             value = float(value)
         elif isinstance(value, np.integer):
@@ -585,7 +600,7 @@ def plucker_from_json(text: str) -> PluckerVector:
     subsets = [tuple(int(i) - 1 for i in item["subset"]) for item in items]
     r = len(subsets[0])
     m = max(subsets[-1]) + 1  # the lex-last subset is the top r indices
-    expected = index_subsets(m, r)
-    if tuple(subsets) != expected:
+    expected = itertools.combinations(range(m), r)  # read after the count is checked
+    if len(subsets) != _coordinate_count(m, r) or any(map(operator.ne, subsets, expected)):
         raise ValueError("coordinate subsets are not the complete lexicographic family")
     return PluckerVector._owning(r, m, np.array([float(item["value"]) for item in items]))

@@ -209,11 +209,11 @@ def test_criterion_09_exported_systems_annihilate_the_truth():
     # signed values at the three complementary subsets
     X = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
     system = export_plucker_system(ObservedMatrix.from_matrix(X, pattern), 2)
-    (k,) = [t for t, (j, _) in enumerate(system.row_origin) if j == 1]
+    (k,) = np.flatnonzero(system.origins[:, 0] == 1)
     row = system.matrix[k]
     pos = {psi: t for t, psi in enumerate(system.subsets)}
     structure = (
-        system.row_origin[k] == (1, (3, 4, 5))
+        system.origins[k].tolist() == [1, 3, 4, 5]
         and row[pos[(4, 5)]] == X[3, 1]
         and row[pos[(3, 5)]] == -X[4, 1]
         and row[pos[(3, 4)]] == X[5, 1]

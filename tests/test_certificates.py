@@ -317,11 +317,44 @@ def test_necessary_short_greedy_set_refutes_at_rank_one():
 
 
 def test_necessary_inconclusive_above_the_row_set_limit():
-    """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent."""
-    pattern = random_pattern(21, 21, 6, seed=1)
+    """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent.
+
+    Two full diagonal blocks, 11 x 11 and 10 x 10, at r = 2: every row and
+    column holds 10 entries or more, so no degree refutes, and the Jacobian
+    falls short (76 of 80), as each block has its own gauge.
+    """
+    entries = [(i, j) for i in range(11) for j in range(11)]
+    entries += [(i, j) for i in range(11, 21) for j in range(11, 21)]
+    pattern = ObservationPattern(21, 21, frozenset(entries))
     assert pattern.m > ROW_SET_LIMIT and pattern.size > 2 * (21 + 21 - 2)
+    assert jacobian_rank_test(pattern, 2).tested_rank == 76
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes) == (None, 0)
+
+
+def test_necessary_refuted_by_a_degree_above_the_row_set_limit():
+    """``random_pattern(21, 21, 6, seed=1)`` at r = 2: row 12 holds one entry, fewer
+    than r, so all the other rows cap passing sub-patterns below 80 entries.
+
+    The Jacobian falls short too (79 of 80), and its core bound refutes it.
+    """
+    pattern = random_pattern(21, 21, 6, seed=1)
+    assert [i for i, _ in pattern.entries].count(11) == 1
+    assert jacobian_rank_test(pattern, 2).tested_rank == 79
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
+    assert verdict.refuting_rows == tuple(i for i in range(21) if i != 11)
+
+
+def test_necessary_refuted_by_a_short_column_above_the_row_set_limit():
+    """All of a 21 x 21 grid but column 5, which keeps only row 8, at r = 2: the
+    full row set caps passing sub-patterns below 80 entries."""
+    pattern = ObservationPattern(
+        21, 21, frozenset((i, j) for i in range(21) for j in range(21) if j != 4 or i == 7)
+    )
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.nodes) == (False, 1)
+    assert verdict.refuting_rows == tuple(range(21))
 
 
 @pytest.mark.parametrize("m", [ROW_SET_LIMIT + 1, 64])

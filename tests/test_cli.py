@@ -504,6 +504,20 @@ def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, patter
     assert "jacobian rank: inconclusive (the tangent rank system needs 2000 bytes" in out
 
 
+def test_analyze_refutes_by_a_degree_where_the_jacobian_cannot_run(capsys, tmp_path, monkeypatch):
+    """``random_pattern(21, 21, 6, seed=1)`` at r = 2, with the tangent systems refused:
+    row 12 holds one entry, fewer than r, so the necessary condition fails above
+    ``ROW_SET_LIMIT`` rows and the report exits 2, not 3."""
+    monkeypatch.setattr(completable.numerics, "MAX_TANGENT_BYTES", 1000)
+    path = tmp_path / "mask.txt"
+    path.write_text(pattern_to_grid(random_pattern(21, 21, 6, seed=1)))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "2", "--budget", "1000", "--json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["jacobian_rank"]["verdict"] == "inconclusive"
+    assert report["necessary_condition"] == {"verdict": "fail", "witness_entries": None, "nodes": 1}
+
+
 def test_analyze_refutes_a_thinned_40x40_mask_in_one_trial(capsys, tmp_path):
     """40 x 40 with 12 rows per column, row 1 thinned to 3 entries, at r = 5:
     the row is peeled and the rest is an (r+1)-core adding r(39 + 40 - r), so

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import io
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -316,10 +318,10 @@ def test_grassmann_rejects_column_below_r(pattern_6x5):
 def test_export_row_for_a_three_row_column(pattern_6x5):
     values = {(i, j): float(10 * (i + 1) + (j + 1)) for i, j in pattern_6x5.entries}
     system = export_plucker_system(ObservedMatrix(pattern_6x5, values), 2)
-    rows = [k for k, (j, _) in enumerate(system.row_origin) if j == 1]
+    rows = np.flatnonzero(system.origins[:, 0] == 1).tolist()
     assert len(rows) == 1  # column 2 has exactly three observed rows
     (k,) = rows
-    assert system.row_origin[k] == (1, (3, 4, 5))
+    assert system.origins[k].tolist() == [1, 3, 4, 5]
     row = system.matrix[k]
     pos = {psi: t for t, psi in enumerate(system.subsets)}
     assert row[pos[(4, 5)]] == 42.0  # + value at row 4
@@ -341,8 +343,8 @@ def test_export_nullspace_contains_the_true_subspace(pattern_6x5):
 def test_export_skips_columns_with_exactly_r_rows(pattern_6x5):
     values = {(i, j): 1.0 for i, j in pattern_6x5.entries}
     system = export_plucker_system(ObservedMatrix(pattern_6x5, values), 2)
-    assert all(j != 2 for j, _ in system.row_origin)  # column 3 has two rows
-    counts = [sum(1 for j, _ in system.row_origin if j == c) for c in range(5)]
+    assert all(j != 2 for j in system.origins[:, 0])  # column 3 has two rows
+    counts = [np.count_nonzero(system.origins[:, 0] == c) for c in range(5)]
     assert counts == [10, 1, 0, 10, 1]
 
 
@@ -369,6 +371,55 @@ def test_export_holds_only_the_row_cells():
     assert (np.diff(system.columns, axis=1) > 0).all()
     with pytest.raises(ValueError, match="read-only"):
         system.values[0, 0] = 1.0
+
+
+def test_export_holds_its_row_origins_in_one_array():
+    """200,000 rows of the fully observed 5 x 20000 mask at r = 1: the system is three
+    integer and float arrays, 11.2 MB, with no Python object per row."""
+    pattern = ObservationPattern(5, 20000, frozenset((i, j) for i in range(5) for j in range(20000)))
+    obs = ObservedMatrix(pattern, {e: 1.0 for e in pattern.entries})
+    tracemalloc.start()
+    try:
+        system = export_plucker_system(obs, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.origins.shape == (200000, 3) and system.origins.dtype == np.int64
+    assert system.origins[-1].tolist() == [19999, 3, 4]
+    assert held <= 16e6
+    assert peak <= 36e6
+
+
+def _basis_4x2():
+    return SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [3.0, 1.0]]))
+
+
+def _system_4x4():
+    pattern = parse_pattern("1111\n1101\n1011\n0111\n")
+    return export_plucker_system(ObservedMatrix(pattern, {e: float(sum(e)) for e in pattern.entries}), 2)
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (_basis_4x2, "matrix"),
+        (lambda: plucker_of_basis(_basis_4x2()), "coords"),
+        (_system_4x4, "columns"),
+        (_system_4x4, "values"),
+        (_system_4x4, "origins"),
+    ],
+    ids=["basis", "plucker", "columns", "values", "origins"],
+)
+def test_read_only_arrays_survive_a_round_trip(round_trip, build, name):
+    """pickle and copy restore the fields without ``__post_init__``; ``__setstate__``
+    marks the arrays read-only again."""
+    original = build()
+    array = getattr(round_trip(original), name)
+    assert np.array_equal(array, getattr(original, name))
+    assert not array.flags.writeable
 
 
 def test_index_map_leaves_the_subset_cache_empty():

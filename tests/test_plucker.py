@@ -278,6 +278,25 @@ def test_plucker_json_rejects_incomplete_lists():
         plucker_from_json(json.dumps(payload[:-1]))
 
 
+def test_plucker_json_rejects_reordered_and_oversized_lists():
+    P = plucker_of_basis(SubspaceBasis(BASIS_4X2.astype(float)))
+    payload = json.loads(plucker_to_json(P))
+    with pytest.raises(ValueError, match="lexicographic"):
+        plucker_from_json(json.dumps([payload[1], payload[0], *payload[2:]]))
+    with pytest.raises(ValueError, match="ambient dimension 65"):
+        plucker_from_json(json.dumps([{"subset": [65], "value": 1.0}]))
+
+
+def test_plucker_json_round_trip_leaves_the_subset_cache_empty():
+    """A C(40, 5) round trip reads the subsets as a stream: a cached table of
+    them would hold about 60 MiB for the life of the process."""
+    P = plucker_of_basis(_random_basis(np.random.default_rng(43), 40, 5))
+    index_subsets.cache_clear()
+    restored = plucker_from_json(plucker_to_json(P))
+    assert index_subsets.cache_info().currsize == 0
+    assert np.array_equal(restored.coords, P.coords)
+
+
 def test_all_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
         PluckerVector(r=2, m=4, coords=np.zeros(6))

@@ -33,6 +33,7 @@ from completable import (
 from completable.certificates import (
     _Budget,
     _counting_bound,
+    _degree_refutation,
     _enumerate,
     _greedy_counting_set,
     _group_witness,
@@ -362,6 +363,42 @@ def test_jacobian_row_basis_is_a_necessary_witness(mask, seed):
     expected = greedy_necessary_verdict(pattern, r)
     if expected is not None:
         assert verdict.contains_relaxed is expected
+
+
+@st.composite
+def masks_with_a_short_row_or_column(draw):
+    """(pattern, r) on at most 10 x 8 cells, r <= 3: a dense ``random_pattern`` mask
+    with one row or one column thinned to fewer than r entries."""
+    m = draw(st.integers(3, 10))
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, min(m - 1, n, 3)))
+    k = draw(st.integers(max(r, m - 2), m))
+    pattern = random_pattern(m, n, k, seed=draw(st.integers(0, 2**16)))
+    keep = draw(st.integers(0, r - 1))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        line = [e for e in pattern.sorted_entries() if e[0] == i]
+    else:
+        j = draw(st.integers(0, n - 1))
+        line = [e for e in pattern.sorted_entries() if e[1] == j]
+    dropped = draw(st.permutations(line))[keep:]
+    return pattern.restrict(pattern.entries - set(dropped)), r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_with_a_short_row_or_column())
+def test_degree_refutation_caps_the_counting_bound(mask):
+    """A row or column of fewer than r entries, in a pattern of r(m+n-r) entries or
+    more, names a row set of r+1 rows or more whose slack caps the counting bound
+    below r(m+n-r)."""
+    pattern, r = mask
+    target = r * (pattern.m + pattern.n - r)
+    assume(pattern.size >= target)
+    rows = _degree_refutation(pattern, r)
+    assert rows is not None and len(rows) > r
+    surplus = sum(max(len(set(omega) & set(rows)) - r, 0) for omega in pattern.column_supports())
+    assert pattern.size + r * (len(rows) - r) - surplus < target
+    assert _counting_bound(pattern, r)[0] < target
 
 
 @st.composite
