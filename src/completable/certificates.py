@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -403,7 +403,6 @@ def _least_row_set(
     return best[0], rows(best[1]), None if violated is None else rows(violated)
 
 
-@lru_cache(maxsize=8)
 def _counting_bound(
     pattern: ObservationPattern, r: int
 ) -> tuple[int, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
@@ -413,12 +412,15 @@ def _counting_bound(
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
     sum to at most r(#I - r), so |S| <= |Omega| + slack_Omega(I) for every I.
-    Memoized: the searches, the counting test and the necessary condition of
-    one analysis share one scan. Every counting inequality holds iff the
-    bound reaches |Omega|.
+    Kept on the pattern object per r: the searches, the counting test and
+    the necessary condition of one analysis share one scan. Every counting
+    inequality holds iff the bound reaches |Omega|.
     """
-    least = _least_row_set(pattern, r)
-    return (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
+    shared, key = pattern._shared, ("counting_bound", r)
+    if key not in shared:
+        least = _least_row_set(pattern, r)
+        shared[key] = (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
+    return shared[key]
 
 
 def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int, int]]:

@@ -14,8 +14,8 @@ most (d/p)^t, d the target rank (Schwartz-Zippel). Both tests, and the
 randomized SLMF test, run their trials through one loop
 (``plucker.first_full_rank``). The two tangent tests read one sequence of
 trials per (pattern, r, seed): trial t of either is one elimination giving
-both ranks, so whichever test runs second reads the trials the first just
-ran and computes only the missing ones.
+both ranks, so whichever test runs second on the same pattern object reads
+the trials the first just ran there and computes only the missing ones.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .plucker import (
     FIELD_PRIME,
     SubspaceBasis,
     _coordinate_count,
+    _fields_equal,
     _lex_blocks,
     _lex_rank,
     first_full_rank,
@@ -321,8 +322,8 @@ def grassmann_section_rank_test(
     (``_tangent_ranks``). Full rank r(m-r) means the sections pin the
     subspace down to isolated points. These rows are the S block of the
     elimination that gives ``jacobian_rank_test`` its rank, at the same
-    points for the same (pattern, r, seed), so right after that test this
-    one reads its trials instead of eliminating again (``_tangent_test``).
+    points for the same (pattern, r, seed), so right after that test on the
+    same pattern object this one reads its trials (``_tangent_test``).
 
     Raises:
         SectionTestError: a column has fewer than r observed rows.
@@ -340,12 +341,6 @@ def grassmann_section_rank_test(
     return _tangent_test(pattern, r, 1, r * (pattern.m - r), trials, seed)
 
 
-# (part, pattern, r, {trial key: ``_tangent_ranks`` result}) of the last
-# tangent test that read no trials, part 0 for the Jacobian test and 1 for the
-# section test; the next call of the other test on (pattern, r) consumes it.
-_last_trials: tuple | None = None
-
-
 def _tangent_test(
     pattern: ObservationPattern, r: int, part: int, target: int, trials: int, seed
 ) -> RankReport:
@@ -357,16 +352,15 @@ def _tangent_test(
     Jacobian test carries the row basis of its passing trial.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
-    spawn_key) fixes the draws, so its pair of ranks serves both tests. Right
-    after the other test ran on (pattern, r), the results of the trials it
-    ran at the same child seeds are read instead of recomputed. The memo
-    holds one call's trials and serves them at most once, and only to the
-    other test, so no repeated call is ever answered from it; ``seed=None``
-    draws fresh entropy and never shares.
+    spawn_key) fixes the draws, so its pair of ranks serves both tests. The
+    pattern object keeps the trials of its last call that read none, as
+    (part, r, {trial key: result}), and serves them once, to the other test
+    at r, which reads the trials at the same child seeds instead of
+    recomputing them. So no repeated call is ever answered from them, nor a
+    value-equal copy; ``seed=None`` draws fresh entropy and never shares.
     """
-    global _last_trials
-    last, _last_trials = _last_trials, None
-    known = last[3] if last is not None and last[:3] == (1 - part, pattern, r) else {}
+    last = pattern._shared.pop("tangent_trials", None)
+    known = last[2] if last is not None and last[:2] == (1 - part, r) else {}
     trial_results = {}
     basis = None
 
@@ -381,7 +375,7 @@ def _tangent_test(
     ceiling = min(_jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
     rank, run = first_full_rank(rank_at, ceiling, trials, seed)
     if not known:
-        _last_trials = (part, pattern, r, trial_results)
+        pattern._shared["tangent_trials"] = (part, r, trial_results)
     # a pass ends the trials, so the last one run is the passing one
     row_basis = tuple(map(tuple, basis.tolist())) if part == 0 and rank == target else None
     return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
@@ -538,6 +532,7 @@ class ExportedSystem:
     columns: np.ndarray
     values: np.ndarray
     origins: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         for array in (self.columns, self.values, self.origins):

@@ -49,6 +49,10 @@ class ObservationPattern:
             rows[j].append(i)
         return tuple(tuple(sorted(r)) for r in rows)
 
+    @cached_property
+    def _shared(self) -> dict:  # results the analysis stages share, kept like _column_supports
+        return {}
+
     def column_support(self, j: int) -> tuple[int, ...]:
         """Sorted observed row indices of column ``j``."""
         if not 0 <= j < self.n:

@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
@@ -33,12 +33,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 MAX_AMBIENT_DIM = 64
 MAX_COORDINATES = 1 << 24
+_JSON_CHUNK = 4096  # coordinates per formatting step of ``plucker_to_json``
 # the exact rank tests' field: a product of two residues stays below 2^62
 FIELD_PRIME = (1 << 31) - 1
 
 
 class NotABasisError(ValueError):
     """The supplied matrix does not have full column rank."""
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` for the dataclasses that hold arrays: same type, equal fields, and
+    arrays of equal shape and entries (the generated ``__eq__`` raises on arrays)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 def _coordinate_count(m: int, r: int) -> int:
@@ -286,6 +296,7 @@ class SubspaceBasis:
     """An m-by-r matrix with finite entries and linearly independent columns."""
 
     matrix: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix)
@@ -334,6 +345,7 @@ class PluckerVector:
     r: int
     m: int
     coords: np.ndarray
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         self._keep(np.array(self.coords))
@@ -581,16 +593,25 @@ def plucker_to_json(P: PluckerVector) -> str:
     """Serialize as a JSON list of {subset, value} objects, 1-based, in order.
 
     The list carries every coordinate in the global lexicographic order, so
-    the ambient dimension and the subset size are recoverable from it.
+    the ambient dimension and the subset size are recoverable from it. The
+    text is ``json.dumps`` of that list, formatted ``_JSON_CHUNK`` coordinates
+    at a time: one ``json.dumps`` of a chunk's values writes each value as it
+    would inside the list, and one ``%`` fills in the chunk's items.
     """
-    items = []
-    for psi, value in zip(itertools.combinations(range(P.m), P.r), P.coords):
-        if isinstance(value, (Fraction, np.floating)):
-            value = float(value)
-        elif isinstance(value, np.integer):
-            value = int(value)
-        items.append({"subset": [i + 1 for i in psi], "value": value})
-    return json.dumps(items)
+    item = '{"subset": [' + ", ".join(["%d"] * P.r) + '], "value": %s}'
+    subsets = itertools.combinations(range(1, P.m + 1), P.r)
+    parts = []
+    for first in range(0, len(P.coords), _JSON_CHUNK):
+        values = P.coords[first : first + _JSON_CHUNK].tolist()
+        texts = json.dumps(values, default=_json_number)[1:-1].split(", ")
+        chunk = zip(itertools.islice(subsets, len(texts)), texts)
+        parts.append(", ".join([item] * len(texts)) % tuple(cell for psi, text in chunk for cell in (*psi, text)))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _json_number(value):
+    """A coordinate ``json`` cannot encode: a Fraction or numpy float as a float, a numpy int as an int."""
+    return float(value) if isinstance(value, (Fraction, np.floating)) else operator.index(value)
 
 
 def plucker_from_json(text: str) -> PluckerVector:

@@ -1,4 +1,6 @@
 import itertools
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +144,19 @@ def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_plucker_json(P):
+    """``json.dumps`` of one {subset, value} dict per coordinate, subsets 1-based;
+    Fractions and numpy floats as floats, numpy ints as ints."""
+    items = []
+    for psi, value in zip(itertools.combinations(range(P.m), P.r), P.coords):
+        if isinstance(value, (Fraction, np.floating)):
+            value = float(value)
+        elif isinstance(value, np.integer):
+            value = int(value)
+        items.append({"subset": [i + 1 for i in psi], "value": value})
+    return json.dumps(items)
 
 
 def reference_least_violator(masks, r):

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -862,12 +864,37 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         (parse_pattern(GRID_6X5), "pass", None),
         (refuted, "fail", [1, 2, 3]),
     ):
-        certificates._counting_bound.cache_clear()
         scans.clear()
         report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
         assert report["necessary_condition"]["verdict"] == verdict
         assert report["relaxed_slmf"]["violating_rows"] == rows
         assert scans == [(pattern, 2)]
+
+
+def test_each_parsed_pattern_runs_its_own_counting_scan(monkeypatch):
+    """Two separately parsed copies of the README mask scan once per analysis:
+    the counting bound lives on the pattern object, not in a process-wide cache."""
+    from completable import certificates
+    from completable.cli import build_analysis_report
+
+    scans = []
+    kernel = certificates._least_row_set
+    monkeypatch.setattr(certificates, "_least_row_set", lambda *a: scans.append(a) or kernel(*a))
+    for analyses in (1, 2):
+        build_analysis_report(parse_pattern(GRID_6X5), 2, seed=0, budget=10**5)
+        assert len(scans) == analyses
+
+
+def test_an_analysis_keeps_no_pattern_alive():
+    """Once the caller drops the pattern, nothing the analysis shared keeps it."""
+    from completable.cli import build_analysis_report
+
+    pattern = random_pattern(7, 7, 4, seed=27)
+    build_analysis_report(pattern, 2, seed=0, budget=10**5)
+    alive = weakref.ref(pattern)
+    del pattern
+    gc.collect()
+    assert alive() is None
 
 
 def test_one_analysis_reads_the_necessary_witness_off_the_jacobian(monkeypatch):
@@ -881,7 +908,6 @@ def test_one_analysis_reads_the_necessary_witness_off_the_jacobian(monkeypatch):
     kernel, ranks = certificates._greedy_counting_set, numerics._tangent_ranks
     monkeypatch.setattr(certificates, "_greedy_counting_set", lambda *a: greedy.append(a) or kernel(*a))
     monkeypatch.setattr(numerics, "_tangent_ranks", lambda *a: trials.append(a) or ranks(*a))
-    monkeypatch.setattr(numerics, "_last_trials", None)
     report = build_analysis_report(random_pattern(16, 16, 8, seed=0), 3, seed=0, budget=1000)
     necessary = report["necessary_condition"]
     assert (necessary["verdict"], len(necessary["witness_entries"]), necessary["nodes"]) == ("pass", 87, 1)

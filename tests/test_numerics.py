@@ -1,9 +1,13 @@
 import copy
 import dataclasses
+import gc
 import io
 import json
 import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from completable import (
     InconsistentObservationError,
     ObservationPattern,
     ObservedMatrix,
+    PluckerVector,
     RankReport,
     SectionTestError,
     SubspaceBasis,
@@ -192,6 +197,73 @@ def test_a_refuting_rank_test_runs_every_trial():
     assert grassmann_section_rank_test(split, 1) == RankReport(2, 3, 3, 0)
 
 
+def test_trials_are_shared_through_the_pattern_object(monkeypatch, pattern_6x5):
+    """A value-equal copy computes its own trials; the object the Jacobian test
+    ran on still serves its trials to the section test."""
+    calls = []
+    monkeypatch.setattr(numerics, "_tangent_ranks", lambda *a: calls.append(a) or _tangent_ranks(*a))
+    jacobian_rank_test(pattern_6x5, 2)
+    before = len(calls)
+    copied = ObservationPattern(pattern_6x5.m, pattern_6x5.n, pattern_6x5.entries)
+    assert copied == pattern_6x5 and copied is not pattern_6x5
+    report = grassmann_section_rank_test(copied, 2)
+    assert len(calls) - before == report.trials == 1
+    assert grassmann_section_rank_test(pattern_6x5, 2) == report
+    assert len(calls) - before == 1
+
+
+def test_threads_sharing_a_pattern_get_the_reports_of_fresh_copies(monkeypatch, pattern_6x5):
+    """Tangent tests run concurrently on one pattern object read only trials
+    drawn at their own seeds, so each report equals that of a fresh copy. A
+    trial here loses one rank at random, as a degenerate point would, so the
+    trial that passes differs between seeds."""
+
+    def ranks(pattern, r, rng):
+        jacobian, section, basis = _tangent_ranks(pattern, r, rng)
+        drop = int(rng.integers(0, 2))
+        return jacobian - drop, section - drop, None if drop else basis
+
+    monkeypatch.setattr(numerics, "_tangent_ranks", ranks)
+    tests = (jacobian_rank_test, grassmann_section_rank_test)
+    expected = {
+        (k, seed): tests[k](ObservationPattern(6, 5, pattern_6x5.entries), 2, seed=seed)
+        for k in (0, 1)
+        for seed in range(4)
+    }
+    assert len({report.trials for report in expected.values()}) > 1
+    wrong = []
+
+    def work(offset):
+        for t in range(30):
+            key = (t + offset) % 2, (t * offset + t // 2) % 4
+            report = tests[key[0]](pattern_6x5, 2, seed=key[1])
+            if (report, report.row_basis) != (expected[key], expected[key].row_basis):
+                wrong.append((key, report))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_a_dropped_pattern_is_freed_after_a_tangent_test():
+    """The trials a tangent test keeps for the other test live on the pattern object."""
+    pattern = parse_pattern("1111\n1101\n1011\n0111\n")
+    jacobian_rank_test(pattern, 2)
+    alive = weakref.ref(pattern)
+    del pattern
+    gc.collect()
+    assert alive() is None
+
+
 def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     """Without (4, 0) the bound is 17 < 18: a trial of rank 17 is an exact
     refutation, and so is section rank 17 - r n = 7 < 8."""
@@ -211,7 +283,6 @@ def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
         return _tangent_ranks(pattern, r, rng)
 
     monkeypatch.setattr(numerics, "_tangent_ranks", counted)
-    monkeypatch.setattr(numerics, "_last_trials", None)
 
     def computed(test, pattern, r=1, seed=0):
         before = len(calls)
@@ -420,6 +491,34 @@ def test_read_only_arrays_survive_a_round_trip(round_trip, build, name):
     array = getattr(round_trip(original), name)
     assert np.array_equal(array, getattr(original, name))
     assert not array.flags.writeable
+
+
+def _changed(original):
+    """A copy with one array entry changed, built through the public constructors."""
+    if isinstance(original, SubspaceBasis):
+        matrix = original.matrix.copy()
+        matrix[0, 0] += 1
+        return SubspaceBasis(matrix)
+    if isinstance(original, PluckerVector):
+        coords = original.coords.copy()
+        coords[-1] += 1
+        return PluckerVector(original.r, original.m, coords)
+    values = original.values.copy()
+    values[0, 0] += 1
+    return dataclasses.replace(original, values=values)
+
+
+@pytest.mark.parametrize(
+    "build", [_basis_4x2, lambda: plucker_of_basis(_basis_4x2()), _system_4x4], ids=["basis", "plucker", "system"]
+)
+def test_equality_compares_the_arrays(build):
+    """``==`` and ``!=`` return a bool between distinct objects holding arrays."""
+    original = build()
+    same, changed = copy.deepcopy(original), _changed(original)
+    assert same is not original
+    assert (original == same, original != same) == (True, False)
+    assert (original == changed, original != changed) == (False, True)
+    assert original != "not a vector"
 
 
 def test_index_map_leaves_the_subset_cache_empty():

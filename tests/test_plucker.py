@@ -37,7 +37,7 @@ from completable.plucker import (
     rank_mod_p,
     row_reduce,
 )
-from conftest import PHI_A, PHI_B, REPEATED_COLUMNS
+from conftest import PHI_A, PHI_B, REPEATED_COLUMNS, reference_plucker_json
 
 # rank-2 basis of R^4 whose minors are small integers; its coordinate vector
 # (1, 2, 4, 0, -3, -6) is reused in many tests below
@@ -295,6 +295,37 @@ def test_plucker_json_round_trip_leaves_the_subset_cache_empty():
     restored = plucker_from_json(plucker_to_json(P))
     assert index_subsets.cache_info().currsize == 0
     assert np.array_equal(restored.coords, P.coords)
+
+
+@pytest.mark.parametrize(
+    "r, m, coords",
+    [
+        (2, 5, np.random.default_rng(5).standard_normal(10)),
+        (2, 5, np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, 1e-300, 5e-324, 1.5, 2.0])),
+        (3, 6, np.array([10**30 * (-1) ** k + k for k in range(20)], dtype=object)),
+        (3, 6, np.array([Fraction(k - 9, 7) for k in range(20)], dtype=object)),
+        (3, 6, np.array([np.float32(k / 3) for k in range(19)] + [np.int64(-2)], dtype=object)),
+        (3, 40, np.arange(9880) - 4000),
+    ],
+    ids=["floats", "non-finite", "exact-ints", "fractions", "numpy-scalars", "int64-chunks"],
+)
+def test_plucker_json_is_json_dumps_of_the_items(r, m, coords):
+    """The chunked text equals ``json.dumps`` of one dict per coordinate, byte for byte."""
+    P = PluckerVector(r=r, m=m, coords=coords)
+    assert plucker_to_json(P) == reference_plucker_json(P)
+
+
+def test_plucker_json_peaks_within_four_times_its_text():
+    """On C(29, 5) = 118,755 coordinates, the traced peak is at most 4x the text;
+    a list of one dict per coordinate peaks at about 7.5x."""
+    P = PluckerVector(r=5, m=29, coords=np.random.default_rng(29).standard_normal(118_755))
+    tracemalloc.start()
+    try:
+        text = plucker_to_json(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_all_zero_vector_rejected():

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from completable import (
+    Certificate,
     DegenerateProjectionError,
     InconsistentObservationError,
     ObservationPattern,
@@ -29,6 +30,7 @@ from completable import (
     numerics,
     parse_pattern,
     random_pattern,
+    verify_certificate,
 )
 from completable.certificates import (
     _Budget,
@@ -118,6 +120,7 @@ def test_shared_trials_change_no_report(mask, seed, as_sequence, degenerate):
     ``SeedSequence`` seeds ``gen --emit-stats`` passes; with ``degenerate``,
     A[omega_1] drops rank in every trial (at r >= 2 and two rows or more)."""
     pattern, r = mask
+    pattern = ObservationPattern(pattern.m, pattern.n, pattern.entries)  # no trials of another example
     tangent_ranks = numerics._tangent_ranks
 
     def ranks(pattern, r, rng):
@@ -127,9 +130,7 @@ def test_shared_trials_change_no_report(mask, seed, as_sequence, degenerate):
     def fresh():
         return np.random.SeedSequence(seed) if as_sequence else seed
 
-    with mock.patch.object(numerics, "_tangent_ranks", ranks), mock.patch.object(
-        numerics, "_last_trials", None
-    ):
+    with mock.patch.object(numerics, "_tangent_ranks", ranks):
         jacobian = reference_rank_report(pattern, r, 0, 5, fresh())
         section = reference_rank_report(pattern, r, 1, 3, fresh())
         assert jacobian_rank_test(pattern, r, seed=fresh()) == jacobian
@@ -458,6 +459,26 @@ def test_refuting_bound_leaves_no_finite_certificate(mask):
     assume(_counting_bound(pattern, r)[0] < r * (pattern.m + pattern.n - r))
     outcome = _enumerate(pattern, r, "finite", 10**6)
     assert outcome.certificate is None and outcome.exhausted
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_with_r_per_column())
+def test_unique_then_finite_then_full_rank_then_necessary(mask):
+    """The theorem chain: a unique certificate with its last group merged into
+    its first is a finite certificate, which the finite search finds too; a
+    finite certificate gives the Jacobian full rank, and the necessary
+    condition then holds."""
+    pattern, r = mask
+    unique = find_unique_certificate(pattern, r, budget=10**6).certificate
+    if unique is not None:
+        first, *middle, last = unique.partition
+        merged = Certificate("finite", (first + last, *middle), unique.slmfs[:-1])
+        assert verify_certificate(pattern, r, merged).ok
+    finite = find_finite_certificate(pattern, r, budget=10**6)
+    assert finite.certificate is not None or unique is None
+    if finite.certificate is not None:
+        assert jacobian_rank_test(pattern, r).passed
+        assert check_necessary_condition(pattern, r).contains_relaxed is True
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
