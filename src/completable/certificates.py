@@ -268,6 +268,8 @@ def _find_certificate(
     finitely completable exact-size sub-pattern => it passes the counting test
     (Pimentel-Alarcon-Boston-Nowak). The bound is not charged to the budget.
     """
+    if not 1 <= r <= min(pattern.m, pattern.n):
+        raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
     if (
         any(len(omega) < r for omega in pattern.column_supports())
@@ -346,8 +348,6 @@ def find_finite_certificate(
     pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Search for an r-group certificate of finite completability."""
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
     return _find_certificate(pattern, r, "finite", budget)
 
 
@@ -355,8 +355,6 @@ def find_unique_certificate(
     pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Search for an (r+1)-group certificate of unique completability."""
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
     return _find_certificate(pattern, r, "unique", budget)
 
 

@@ -28,6 +28,7 @@ from .certificates import (
 from .numerics import (
     DegenerateProjectionError,
     InconsistentObservationError,
+    ObservedMatrix,
     ObservedMatrixFormatError,
     RankReport,
     SectionTestError,
@@ -109,6 +110,13 @@ def _load_pattern_file(path: str) -> ObservationPattern:
     try:
         return load_pattern(_read_text(path))
     except PatternFormatError as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
+
+
+def _load_values_file(path: str) -> ObservedMatrix:
+    try:
+        return observed_from_csv(_read_text(path))
+    except ObservedMatrixFormatError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
@@ -311,10 +319,7 @@ def _cmd_slmf_check(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    try:
-        obs = observed_from_csv(_read_text(args.values_file))
-    except ObservedMatrixFormatError as exc:
-        raise _UsageError(f"{args.values_file}: {exc}") from exc
+    obs = _load_values_file(args.values_file)
     try:
         basis_rows = np.loadtxt(args.basis, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
@@ -322,13 +327,7 @@ def _cmd_complete(args) -> int:
     try:
         basis = SubspaceBasis(basis_rows)
         if basis.r != args.rank:
-            raise NotABasisError(
-                f"basis has {basis.r} columns, expected rank {args.rank}"
-            )
-        if basis.m != obs.pattern.m:
-            raise NotABasisError(
-                f"basis has {basis.m} rows, the values have {obs.pattern.m}"
-            )
+            raise NotABasisError(f"basis has {basis.r} columns, expected rank {args.rank}")
         completed = complete_matrix(obs, basis)
     except (NotABasisError, DegenerateProjectionError, InconsistentObservationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,15 +373,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export_system(args) -> int:
-    try:
-        obs = observed_from_csv(_read_text(args.values_file))
-    except ObservedMatrixFormatError as exc:
-        raise _UsageError(f"{args.values_file}: {exc}") from exc
-    if args.rank > obs.pattern.m:
-        raise _UsageError("--rank out of range")
+    obs = _load_values_file(args.values_file)
     try:
         system = export_plucker_system(obs, args.rank)
-    except ValueError as exc:  # more rows, coordinates or CSV bytes than supported
+    except ValueError as exc:  # r above m, or more rows, coordinates or CSV bytes than supported
         raise _UsageError(f"{args.values_file}: {exc}") from exc
     csv_path = Path(args.out + ".csv")
     json_path = Path(args.out + ".json")

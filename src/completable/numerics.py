@@ -31,11 +31,13 @@ import numpy as np
 from .patterns import ObservationPattern
 from .plucker import (
     FIELD_PRIME,
+    NotABasisError,
     SubspaceBasis,
     _coordinate_count,
     _fields_equal,
     _lex_blocks,
     _lex_rank,
+    _restore,
     first_full_rank,
     left_null_mod_p,
     rank_mod_p,
@@ -104,7 +106,6 @@ def observed_from_csv(text: str) -> ObservedMatrix:
         raise ObservedMatrixFormatError("empty values file")
     cells = [[c.strip() for c in row.split(",")] for row in rows]
     width = len(cells[0])
-    entries = set()
     values = {}
     for i, row in enumerate(cells):
         if len(row) != width:
@@ -125,9 +126,7 @@ def observed_from_csv(text: str) -> ObservedMatrix:
                     f"line {i + 1}, column {j + 1}: non-finite value {cell!r}"
                 )
             values[(i, j)] = value
-            entries.add((i, j))
-    pattern = ObservationPattern(len(cells), width, frozenset(entries))
-    return ObservedMatrix(pattern, values)
+    return ObservedMatrix(ObservationPattern(len(cells), width, frozenset(values)), values)
 
 
 def observed_to_csv(obs: ObservedMatrix) -> str:
@@ -181,12 +180,7 @@ def sample_generic_subspace(m: int, r: int, seed=0) -> SubspaceBasis:
     return SubspaceBasis(rng.standard_normal((m, r)))
 
 
-def complete_column(
-    basis: SubspaceBasis,
-    omega: Sequence[int],
-    observed: Mapping[int, float],
-    rtol: float = CONSISTENCY_RTOL,
-) -> np.ndarray:
+def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mapping[int, float]) -> np.ndarray:
     """The unique subspace vector matching the observations on ``omega``.
 
     The one-column call of ``_complete_columns``: least squares on all of
@@ -202,15 +196,13 @@ def complete_column(
     if set(observed) != set(omega):
         raise ValueError("observed values must cover exactly the support")
     x = np.array([observed[i] for i in omega], dtype=float)
-    v, errors = _complete_columns(basis.matrix, np.array([omega], dtype=np.int64), x[None], rtol)
+    v, errors = _complete_columns(basis.matrix, np.array([omega], dtype=np.int64), x[None])
     if errors:
         raise errors[0]
     return v[:, 0]
 
 
-def complete_matrix(
-    obs: ObservedMatrix, basis: SubspaceBasis, rtol: float = CONSISTENCY_RTOL
-) -> np.ndarray:
+def complete_matrix(obs: ObservedMatrix, basis: SubspaceBasis) -> np.ndarray:
     """Completion from a known column space, one stacked solve per support size.
 
     The columns with k observed rows are solved together by
@@ -219,7 +211,7 @@ def complete_matrix(
     """
     pattern = obs.pattern
     if basis.m != pattern.m:
-        raise ValueError(f"basis has {basis.m} rows, pattern has {pattern.m}")
+        raise NotABasisError(f"basis has {basis.m} rows, the values have {pattern.m}")
     supports = pattern.column_supports()
     sizes = np.array([len(omega) for omega in supports], dtype=np.int64)
     # X holds the observed values until each group's columns are overwritten
@@ -228,7 +220,7 @@ def complete_matrix(
     for k in np.unique(sizes).tolist():
         cols = np.flatnonzero(sizes == k)
         omega = np.array([supports[j] for j in cols], dtype=np.int64).reshape(len(cols), k)
-        completed, errors = _complete_columns(basis.matrix, omega, X[omega, cols[:, None]], rtol)
+        completed, errors = _complete_columns(basis.matrix, omega, X[omega, cols[:, None]])
         X[:, cols] = completed
         failures.update((int(cols[i]), exc) for i, exc in errors.items())
     if failures:
@@ -239,7 +231,7 @@ def complete_matrix(
 
 
 def _complete_columns(
-    B: np.ndarray, omega: np.ndarray, x: np.ndarray, rtol: float
+    B: np.ndarray, omega: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Complete b columns that share a support size k with one stacked SVD.
 
@@ -252,8 +244,8 @@ def _complete_columns(
     by its index in the batch: ``DegenerateProjectionError`` when k < r or
     the smallest singular value is at most ``DEFAULT_RANK_TOL`` times the
     largest, else ``InconsistentObservationError`` when the result is not
-    finite or an observed entry is off by more than ``rtol`` times the
-    column's scale.
+    finite or an observed entry is off by more than ``CONSISTENCY_RTOL``
+    times the column's scale.
     """
     b, k = omega.shape
     m, r = B.shape
@@ -271,7 +263,7 @@ def _complete_columns(
         residual = np.abs(np.take_along_axis(v, omega, axis=1) - x).max(axis=1)
     degenerate = s[:, -1] <= DEFAULT_RANK_TOL * s[:, 0]
     errors = {}
-    for i in np.flatnonzero(degenerate | ~finite | (residual > rtol * scale)).tolist():
+    for i in np.flatnonzero(degenerate | ~finite | (residual > CONSISTENCY_RTOL * scale)).tolist():
         if degenerate[i]:
             errors[i] = DegenerateProjectionError("projection drops dimension")
         elif not finite[i]:
@@ -305,7 +297,6 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
-    _check_tangent_size(pattern, r)
     return _tangent_test(pattern, r, 0, r * (pattern.m + pattern.n - r), trials, seed)
 
 
@@ -337,7 +328,6 @@ def grassmann_section_rank_test(
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    _check_tangent_size(pattern, r)
     return _tangent_test(pattern, r, 1, r * (pattern.m - r), trials, seed)
 
 
@@ -359,6 +349,7 @@ def _tangent_test(
     recomputing them. So no repeated call is ever answered from them, nor a
     value-equal copy; ``seed=None`` draws fresh entropy and never shares.
     """
+    _check_tangent_size(pattern, r)
     last = pattern._shared.pop("tangent_trials", None)
     known = last[2] if last is not None and last[:2] == (1 - part, r) else {}
     trial_results = {}
@@ -533,15 +524,11 @@ class ExportedSystem:
     values: np.ndarray
     origins: np.ndarray
     __eq__ = _fields_equal
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         for array in (self.columns, self.values, self.origins):
             array.setflags(write=False)
-
-    def __setstate__(self, state: dict) -> None:
-        # pickle and copy restore the fields without __post_init__
-        self.__dict__.update(state)
-        self.__post_init__()
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -37,6 +37,10 @@ class ObservationPattern:
                 raise ValueError(f"entry ({i}, {j}) outside a {self.m} x {self.n} grid")
         object.__setattr__(self, "entries", entries)
 
+    def __getstate__(self) -> dict:
+        # pickle and copy take the fields, not the results cached beside them
+        return {"m": self.m, "n": self.n, "entries": self.entries}
+
     @property
     def size(self) -> int:
         return len(self.entries)

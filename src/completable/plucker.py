@@ -36,10 +36,12 @@ MAX_COORDINATES = 1 << 24
 _JSON_CHUNK = 4096  # coordinates per formatting step of ``plucker_to_json``
 # the exact rank tests' field: a product of two residues stays below 2^62
 FIELD_PRIME = (1 << 31) - 1
+# float coordinates closer to 0 than this share of the largest one count as 0
+COORDINATE_RTOL = 1e-9
 
 
 class NotABasisError(ValueError):
-    """The supplied matrix does not have full column rank."""
+    """The supplied matrix does not have full column rank, or not the data's row count."""
 
 
 def _fields_equal(self, other) -> bool:
@@ -49,6 +51,13 @@ def _fields_equal(self, other) -> bool:
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
     return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+def _restore(self, state: dict) -> None:
+    """``__setstate__`` for the same dataclasses: pickle and copy restore the fields
+    without ``__post_init__``, so it runs here, and checks and freezes them again."""
+    self.__dict__.update(state)
+    self.__post_init__()
 
 
 def _coordinate_count(m: int, r: int) -> int:
@@ -297,6 +306,7 @@ class SubspaceBasis:
 
     matrix: np.ndarray
     __eq__ = _fields_equal
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix)
@@ -316,11 +326,6 @@ class SubspaceBasis:
             raise NotABasisError(f"not a basis: column rank {rank} < {r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    def __setstate__(self, state: dict) -> None:
-        # pickle and copy restore the fields without __post_init__
-        self.__dict__.update(state)
-        self.matrix.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -346,6 +351,7 @@ class PluckerVector:
     m: int
     coords: np.ndarray
     __eq__ = _fields_equal
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         self._keep(np.array(self.coords))
@@ -358,11 +364,6 @@ class PluckerVector:
         object.__setattr__(vector, "m", m)
         vector._keep(coords)
         return vector
-
-    def __setstate__(self, state: dict) -> None:
-        # pickle and copy restore the fields without __post_init__
-        self.__dict__.update(state)
-        self._keep(self.coords)
 
     def _keep(self, coords: np.ndarray) -> None:
         expected = _coordinate_count(self.m, self.r)
@@ -459,16 +460,16 @@ def _exact_number(x):
     return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
-def projection_nondegenerate(P: PluckerVector, psi: Sequence[int], rtol: float = 1e-9) -> bool:
+def projection_nondegenerate(P: PluckerVector, psi: Sequence[int]) -> bool:
     """Whether the subspace keeps dimension r when projected onto ``psi``.
 
     True exactly when the coordinate at ``psi`` is nonzero; for float vectors
-    "nonzero" means above ``rtol`` times the largest coordinate magnitude.
+    "nonzero" means above ``COORDINATE_RTOL`` times the largest coordinate magnitude.
     """
     value = P.coordinate(psi)
     if P.is_exact:
         return value != 0
-    return bool(abs(value) > rtol * P.max_abs())
+    return bool(abs(value) > COORDINATE_RTOL * P.max_abs())
 
 
 def complement_sign(psi: Sequence[int], m: int) -> int:
@@ -501,8 +502,9 @@ def _dual_coords(coords: np.ndarray, m: int, r: int) -> np.ndarray:
     return dual
 
 
-def projectively_equal(P: PluckerVector, Q: PluckerVector, rtol: float = 1e-9) -> bool:
-    """Whether two vectors agree up to a nonzero global scale factor."""
+def projectively_equal(P: PluckerVector, Q: PluckerVector) -> bool:
+    """Whether two vectors agree up to a nonzero global scale factor; for float
+    vectors, up to ``COORDINATE_RTOL`` times the largest scaled coordinate."""
     if (P.m, P.r) != (Q.m, Q.r):
         return False
     if P.is_exact and Q.is_exact:
@@ -519,7 +521,7 @@ def projectively_equal(P: PluckerVector, Q: PluckerVector, rtol: float = 1e-9) -
     if q[k] == 0:
         return False
     scale = q[k] / p[k]
-    return bool(np.all(np.abs(q - scale * p) <= rtol * np.abs(scale) * np.abs(p).max()))
+    return bool(np.all(np.abs(q - scale * p) <= COORDINATE_RTOL * np.abs(scale) * np.abs(p).max()))
 
 
 def evaluate_bphi(phi: "Slmf", P: PluckerVector) -> np.ndarray:
@@ -615,13 +617,28 @@ def _json_number(value):
 
 
 def plucker_from_json(text: str) -> PluckerVector:
-    items = json.loads(text)
-    if not isinstance(items, list) or not items:
+    """The vector ``plucker_to_json`` wrote. Each item is decoded straight to a pair
+    (subset, value), its keys in any order, and the subsets are checked as a stream."""
+    items = json.loads(text, object_pairs_hook=_coordinate_item)
+    if not isinstance(items, list) or not items or not all(type(item) is tuple for item in items):
         raise ValueError("expected a nonempty JSON list of {subset, value} entries")
-    subsets = [tuple(int(i) - 1 for i in item["subset"]) for item in items]
-    r = len(subsets[0])
-    m = max(subsets[-1]) + 1  # the lex-last subset is the top r indices
-    expected = itertools.combinations(range(m), r)  # read after the count is checked
-    if len(subsets) != _coordinate_count(m, r) or any(map(operator.ne, subsets, expected)):
-        raise ValueError("coordinate subsets are not the complete lexicographic family")
-    return PluckerVector._owning(r, m, np.array([float(item["value"]) for item in items]))
+    try:
+        r, m = len(items[0][0]), max(map(int, items[-1][0]))  # the lex-last subset is the top r indices
+        expected = itertools.combinations(range(1, m + 1), r)  # read after the count is checked
+        subsets = (tuple(map(int, subset)) for subset, _ in items)
+        if len(items) != _coordinate_count(m, r) or any(map(operator.ne, subsets, expected)):
+            raise ValueError("coordinate subsets are not the complete lexicographic family")
+        coords = np.fromiter((float(value) for _, value in items), dtype=float, count=len(items))
+    except TypeError as exc:
+        raise ValueError(f"bad coordinate item: {exc}") from None
+    return PluckerVector._owning(r, m, coords)
+
+
+def _coordinate_item(pairs: list):
+    """A decoded JSON object as the pair (subset, value) if it has both keys, else as a
+    dict; a subset list becomes a tuple, two thirds of its size at r = 5."""
+    item = dict(pairs)
+    if "subset" not in item or "value" not in item:
+        return item
+    subset = item["subset"]
+    return tuple(subset) if type(subset) is list else subset, item["value"]

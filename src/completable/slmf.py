@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .patterns import parse_pattern
+from .patterns import ObservationPattern, parse_pattern, pattern_to_grid
 from .plucker import FIELD_PRIME, first_full_rank, left_null_mod_p, rank_mod_p
 
 EXHAUSTIVE_COLUMN_LIMIT = 22
@@ -50,7 +50,7 @@ class Slmf:
             raise ValueError(f"expected {self.m - self.r} columns, got {len(cols)}")
         for j, col in enumerate(cols):
             if len(set(col)) != self.r + 1:
-                raise ValueError(f"column {j + 1} must have {self.r + 1} distinct rows, got {col}")
+                raise ValueError(f"column {j + 1} must have {self.r + 1} distinct rows, got {len(set(col))}")
             if col[0] < 0 or col[-1] >= self.m:
                 raise ValueError(f"column {j + 1} has rows outside range({self.m})")
         object.__setattr__(self, "columns", cols)
@@ -281,22 +281,11 @@ def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
 
 
 def slmf_from_grid(text: str, r: int) -> Slmf:
-    """Parse an SLMF from an ASCII grid of m rows and m-r columns."""
+    """Parse an SLMF from an ASCII grid of m rows and m-r columns; ``Slmf`` checks its shape."""
     pattern = parse_pattern(text)
-    m = pattern.m
-    if not 1 <= r < m:
-        raise ValueError(f"need 1 <= r < m, got r={r}, m={m}")
-    if pattern.n != m - r:
-        raise ValueError(f"expected {m - r} columns for r={r}, got {pattern.n}")
-    supports = pattern.column_supports()
-    for j, col in enumerate(supports):
-        if len(col) != r + 1:
-            raise ValueError(f"column {j + 1} has {len(col)} rows, expected {r + 1}")
-    return Slmf(m=m, r=r, columns=supports)
+    return Slmf(m=pattern.m, r=r, columns=pattern.column_supports())
 
 
 def slmf_to_grid(phi: Slmf) -> str:
-    rows = []
-    for i in range(phi.m):
-        rows.append("".join("1" if i in col else "0" for col in phi.columns))
-    return "\n".join(rows) + "\n"
+    entries = frozenset((i, j) for j, col in enumerate(phi.columns) for i in col)
+    return pattern_to_grid(ObservationPattern(phi.m, len(phi.columns), entries))

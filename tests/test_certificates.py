@@ -316,6 +316,17 @@ def test_necessary_short_greedy_set_refutes_at_rank_one():
     assert verdict.refuting_rows is None
 
 
+def test_necessary_undecided_when_the_greedy_set_falls_short_of_a_bound_that_holds():
+    """At r = 2 the Jacobian falls short (21 of 22) and the bound reaches the
+    target 22, but the greedy set stops short of it: one node, no verdict."""
+    pattern = parse_pattern("1101001\n1100101\n0010110\n1111111\n0101100\n0010110\n")
+    assert jacobian_rank_test(pattern, 2).tested_rank == 21
+    assert _counting_bound(pattern, 2)[0] == 22
+    assert len(_greedy_counting_set(pattern, 2)) < 22
+    verdict = check_necessary_condition(pattern, 2)
+    assert (verdict.contains_relaxed, verdict.witness, verdict.nodes, verdict.refuting_rows) == (None, None, 1, None)
+
+
 def test_necessary_inconclusive_above_the_row_set_limit():
     """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent.
 

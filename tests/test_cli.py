@@ -179,6 +179,23 @@ def test_slmf_check_malformed_exit_64(capsys, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("1100\n1010\n1011\n0101\n0010\n0001\n", "column 2 must have 3 distinct rows, got 2"),
+        ("11\n11\n11\n00\n00\n00\n", "expected 4 columns, got 2"),
+    ],
+    ids=["column-size", "column-count"],
+)
+def test_slmf_check_names_what_the_grid_has(capsys, tmp_path, grid, message):
+    """Messages are 1-based and name counts, not rows."""
+    path = tmp_path / "phi.txt"
+    path.write_text(grid)
+    code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "2")
+    assert (code, out) == (64, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_complete_roundtrip(capsys, tmp_path):
     values, basis, X = _observed_csv_file(tmp_path)
     out_file = tmp_path / "completed.csv"
@@ -593,6 +610,65 @@ def test_complete_basis_row_mismatch_exit_65(capsys, tmp_path):
     )
     assert code == 65
     assert "basis has 3 rows, the values have 2" in err
+
+
+def test_complete_basis_with_more_columns_than_the_rank_exit_65(capsys, tmp_path):
+    values, basis, _ = _observed_csv_file(tmp_path)  # a 6 x 2 basis
+    code, _, err = run_cli(
+        capsys, "complete", str(values), "--rank", "1",
+        "--basis", str(basis), "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 65
+    assert "basis has 2 columns, expected rank 1" in err
+
+
+def test_complete_missing_basis_file_exit_64(capsys, tmp_path):
+    values, _, _ = _observed_csv_file(tmp_path)
+    code, out, err = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (64, "")
+    assert "nope.csv" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analyze_rank_above_min_m_n_exit_64(capsys, pattern_file):
+    code, out, err = run_cli(capsys, "analyze", pattern_file, "--rank", "6")
+    assert (code, out) == (64, "")
+    assert "--rank 6 exceeds min(m, n) = 5" in err
+
+
+def test_gen_rank_above_min_m_n_exit_64(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", "--m", "3", "--n", "3", "--rank", "4", "--per-column", "2")
+    assert (code, out) == (64, "")
+    assert "--rank out of range" in err
+    assert not list(tmp_path.glob("pattern_*.txt"))
+
+
+def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):
+    values, _, _ = _observed_csv_file(tmp_path)  # 6 rows
+    code, out, err = run_cli(capsys, "export-system", str(values), "--rank", "7", "--out", str(tmp_path / "sys"))
+    assert (code, out) == (64, "")
+    assert "need 1 <= r <= m, got r=7, m=6" in err
+    assert not list(tmp_path.glob("sys*"))
+
+
+@pytest.mark.parametrize(
+    "grid, line",
+    [
+        ("110\n110\n110\n110\n", "empty columns: 3"),
+        ("1100\n1100\n0011\n0010\n", "relaxed SLMF: fail (inequality, rows {1,2})"),
+    ],
+    ids=["empty-columns", "violating-rows"],
+)
+def test_text_report_line(capsys, tmp_path, grid, line):
+    path = tmp_path / "mask.txt"
+    path.write_text(grid)
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
+    assert code == 2
+    assert line in out.splitlines()
 
 
 def test_complete_overflowing_column_exit_65(capsys, tmp_path):

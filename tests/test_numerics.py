@@ -264,6 +264,22 @@ def test_a_dropped_pattern_is_freed_after_a_tangent_test():
     assert alive() is None
 
 
+def test_copies_and_pickles_of_a_pattern_carry_no_cached_state():
+    """After an analysis the pattern pickles to its fresh size, and a shallow
+    copy computes its own supports and shared results."""
+    pattern = random_pattern(12, 12, 6, seed=0)
+    fresh = pickle.dumps(pattern)
+    jacobian_rank_test(pattern, 2)
+    assert "tangent_trials" in pattern._shared
+    assert pickle.dumps(pattern) == fresh
+    shallow, deep = copy.copy(pattern), copy.deepcopy(pattern)
+    assert shallow._shared is not pattern._shared and shallow._shared == {}
+    assert deep._shared == {}
+    for other in (shallow, deep, pickle.loads(fresh)):
+        assert other == pattern and hash(other) == hash(pattern)
+        assert other.column_supports() == pattern.column_supports()
+
+
 def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     """Without (4, 0) the bound is 17 < 18: a trial of rank 17 is an exact
     refutation, and so is section rank 17 - r n = 7 < 8."""

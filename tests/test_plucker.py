@@ -328,6 +328,32 @@ def test_plucker_json_peaks_within_four_times_its_text():
     assert peak <= 4 * len(text)
 
 
+def test_plucker_json_read_peaks_within_four_times_its_text():
+    """Reading C(29, 5) = 118,755 coordinates peaks at most at 4x the text; a
+    list of one dict per coordinate plus a list of subset tuples peaks at about 7x."""
+    P = PluckerVector(r=5, m=29, coords=np.random.default_rng(29).standard_normal(118_755))
+    text = plucker_to_json(P)
+    tracemalloc.start()
+    try:
+        restored = plucker_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+    assert restored == P
+
+
+def test_plucker_json_reads_items_by_key_name():
+    """Keys may come in any order; an item without both keys, or a list item
+    that is no object, is a ValueError."""
+    P = plucker_of_basis(SubspaceBasis(BASIS_4X2.astype(float)))
+    payload = json.loads(plucker_to_json(P))
+    assert plucker_from_json(json.dumps([{"value": it["value"], "subset": it["subset"]} for it in payload])) == P
+    for bad in ([{"value": 1.0}], [{"subset": [1]}], [{"subset": 1, "value": 1.0}], [[[1], 1.0]], [1.0]):
+        with pytest.raises(ValueError):
+            plucker_from_json(json.dumps(bad))
+
+
 def test_all_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
         PluckerVector(r=2, m=4, coords=np.zeros(6))

@@ -11,6 +11,7 @@ from completable import (
     slmf_from_grid,
     slmf_to_grid,
 )
+from completable.slmf import first_linkage_support
 from conftest import PHI_A, PHI_B, PHI_C, REPEATED_COLUMNS, reference_float_dual_basis_rank
 
 
@@ -139,6 +140,21 @@ def test_grid_wrong_column_size():
     bad = "1100\n1010\n1011\n0101\n0010\n0001\n"
     with pytest.raises(ValueError, match="column 2"):
         slmf_from_grid(bad, 2)
+
+
+def test_greedy_stops_when_too_few_candidates_are_left():
+    """Repeated copies of rows {0, 1, 2} admit one. At m = 5, r = 2 the last
+    candidate is one of the two still needed, so the walk stops at its fourth
+    look; at m = 6 two candidates are left for three, so it stops at its fifth
+    of six."""
+
+    def looks(masks, m, r):
+        spent = []
+        assert first_linkage_support(masks, m, r, lambda: spent.append(1)) is None
+        return len(spent)
+
+    assert looks([0b00111] * 3 + [0b11100], 5, 2) == 4
+    assert looks([0b000111] * 4 + [0b111000] * 2, 6, 2) == 5
 
 
 def test_grid_wrong_column_count():
