@@ -347,7 +347,7 @@ def _cmd_gen(args) -> int:
     if args.per_column > args.m:
         raise _UsageError(f"--per-column {args.per_column} exceeds m={args.m}")
     if args.rank > min(args.m, args.n):
-        raise _UsageError("--rank out of range")
+        raise _UsageError(f"--rank {args.rank} exceeds min(m, n) = {min(args.m, args.n)}")
     children = np.random.SeedSequence(args.seed).spawn(args.count)
     cert_hits = 0
     cert_known = 0

@@ -7,11 +7,12 @@ rank over GF(p), p = 2^31 - 1, of the factorization Jacobian at a random
 integer point, by block elimination, one column of the mask at a time. Full
 rank there is full rank over the rationals, hence generically, so one
 full-rank trial proves the bound. The (r+1)-core of the mask bounds the
-rank at every point (``_jacobian_rank_bound``); where that bound is below
-the target, a trial reaching it refutes exactly, and the test stops there.
-Otherwise a deficient rank in t independent trials refutes with error at
-most (d/p)^t, d the target rank (Schwartz-Zippel). Both tests, and the
-randomized SLMF test, run their trials through one loop
+rank at every point (``_jacobian_rank_bound``), computed only once a trial
+falls short; where that bound is below the target, a trial reaching it
+refutes exactly, and the test stops there. Otherwise a deficient rank in t
+independent trials refutes with error at most (d/p)^t, d the target rank
+(Schwartz-Zippel). Both tests, and the randomized SLMF test with its
+Hall-matroid bound, run their trials through one loop
 (``plucker.first_full_rank``). The two tangent tests read one sequence of
 trials per (pattern, r, seed): trial t of either is one elimination giving
 both ranks, so whichever test runs second on the same pattern object reads
@@ -338,7 +339,8 @@ def _tangent_test(
 
     It stops at ``target`` or at the (r+1)-core bound on the part's rank,
     whichever is less (``_jacobian_rank_bound``, minus r n for the section
-    rows), and counts a pass against ``target`` alone. A pass of the
+    rows, computed only once a trial falls short of ``target``), and counts
+    a pass against ``target`` alone. A pass of the
     Jacobian test carries the row basis of its passing trial.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
@@ -363,8 +365,9 @@ def _tangent_test(
         trial_results[key], basis = result, result[2]
         return result[part]
 
-    ceiling = min(_jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
-    rank, run = first_full_rank(rank_at, ceiling, trials, seed)
+    rank, run = first_full_rank(
+        rank_at, target, trials, seed, bound=lambda: _jacobian_rank_bound(pattern, r) - part * r * pattern.n
+    )
     if not known:
         pattern._shared["tangent_trials"] = (part, r, trial_results)
     # a pass ends the trials, so the last one run is the passing one

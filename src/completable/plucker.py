@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .patterns import _is_int
+
 if TYPE_CHECKING:  # pragma: no cover
     from .slmf import Slmf
 
@@ -277,25 +279,36 @@ def rank_mod_p(M: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def first_full_rank(
-    rank_at: Callable[[np.random.Generator], int], target: int, trials: int, seed
+    rank_at: Callable[[np.random.Generator], int],
+    target: int,
+    trials: int,
+    seed,
+    *,
+    bound: Callable[[], int],
 ) -> tuple[int, int]:
     """Best of ``rank_at`` over up to ``trials`` random points, and the trials run.
 
     Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
-    ``seed``; the loop stops at the first trial whose rank reaches ``target``,
-    which must bound the rank at every point. A rank at a point never passes
-    the generic one, so reaching ``target`` proves the generic rank equals
-    it, while falling short in every trial leaves it unproven: the generic
-    rank is below ``target`` up to the Schwartz-Zippel error.
+    ``seed``. ``target`` is the rank to prove; ``bound()`` returns an upper
+    bound on the rank at every point, and it is called at most once, after
+    the first trial that falls short of ``target``. The loop stops at the
+    first trial whose rank reaches ``target``, or ``bound()`` where that is
+    less. A rank at a point never passes the generic one, so reaching
+    ``target`` proves the generic rank equals it, and reaching a bound below
+    ``target`` proves it falls short, exactly. Falling short of both in
+    every trial leaves the generic rank below ``target`` up to the
+    Schwartz-Zippel error. Only a trial at ``target`` is a pass.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    best = 0
+    best, ceiling = 0, target
     for run, child in enumerate(seed.spawn(trials), start=1):
         best = max(best, rank_at(np.random.default_rng(child)))
-        if best == target:
+        if run == 1 and best < target:
+            ceiling = min(bound(), target)
+        if best >= ceiling:
             return best, run
     return best, trials
 
@@ -617,28 +630,33 @@ def _json_number(value):
 
 
 def plucker_from_json(text: str) -> PluckerVector:
-    """The vector ``plucker_to_json`` wrote. Each item is decoded straight to a pair
-    (subset, value), its keys in any order, and the subsets are checked as a stream."""
+    """The vector ``plucker_to_json`` wrote, and nothing looser: every value a JSON
+    number and every subset a list of JSON integers. Each item is decoded straight
+    to a pair (subset, value), its keys in any order, and the subsets are checked
+    as a stream."""
     items = json.loads(text, object_pairs_hook=_coordinate_item)
     if not isinstance(items, list) or not items or not all(type(item) is tuple for item in items):
-        raise ValueError("expected a nonempty JSON list of {subset, value} entries")
+        raise ValueError("expected a nonempty JSON list of {subset: integers, value: number} entries")
+    first, last = items[0][0], items[-1][0]
+    if not first or len(last) != len(first):
+        raise ValueError("coordinate subsets are not the complete lexicographic family")
+    r, m = len(first), max(last)  # the lex-last subset is the top r indices
+    expected = itertools.combinations(range(1, m + 1), r)  # read after the count is checked
+    if len(items) != _coordinate_count(m, r) or any(map(operator.ne, (subset for subset, _ in items), expected)):
+        raise ValueError("coordinate subsets are not the complete lexicographic family")
     try:
-        r, m = len(items[0][0]), max(map(int, items[-1][0]))  # the lex-last subset is the top r indices
-        expected = itertools.combinations(range(1, m + 1), r)  # read after the count is checked
-        subsets = (tuple(map(int, subset)) for subset, _ in items)
-        if len(items) != _coordinate_count(m, r) or any(map(operator.ne, subsets, expected)):
-            raise ValueError("coordinate subsets are not the complete lexicographic family")
-        coords = np.fromiter((float(value) for _, value in items), dtype=float, count=len(items))
-    except TypeError as exc:
-        raise ValueError(f"bad coordinate item: {exc}") from None
+        coords = np.fromiter((value for _, value in items), dtype=float, count=len(items))
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise ValueError(f"coordinate value out of range: {exc}") from None
     return PluckerVector._owning(r, m, coords)
 
 
 def _coordinate_item(pairs: list):
-    """A decoded JSON object as the pair (subset, value) if it has both keys, else as a
-    dict; a subset list becomes a tuple, two thirds of its size at r = 5."""
+    """A decoded JSON object as the pair (subset, value) if it has both keys, a list
+    of JSON integers and a JSON number, else as a dict, which the reader refuses; a
+    subset list becomes a tuple, two thirds of its size at r = 5."""
     item = dict(pairs)
-    if "subset" not in item or "value" not in item:
+    subset, value = item.get("subset"), item.get("value")
+    if type(subset) is not list or not all(map(_is_int, subset)) or type(value) not in (int, float):
         return item
-    subset = item["subset"]
-    return tuple(subset) if type(subset) is list else subset, item["value"]
+    return tuple(subset), value

@@ -4,7 +4,8 @@ An (r, m) linkage support is a family of m-r column supports, each an
 (r+1)-subset of range(m), such that every nonempty subfamily of size t covers
 at least t + r rows. The property is equivalent to the induced sparse dual
 basis having full column rank at a generic subspace, which gives a fast
-randomized test over GF(p) alongside the exact combinatorial one; it shares
+randomized test over GF(p) alongside the exact combinatorial one, stopped
+exactly at the family's Hall-matroid rank when it falls short; it shares
 its elimination kernels and its trial loop (``first_full_rank``) with the
 tangent rank tests (``plucker``).
 
@@ -267,16 +268,34 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     return rank_mod_p(dual)[0]
 
 
+def _hall_rank(phi: Slmf) -> int:
+    """Rank of the family in the Hall matroid: the size of a largest subfamily
+    meeting the covering inequality, by greedy ``HallMatching.add`` over all columns."""
+    family = HallMatching(phi.m, phi.r)
+    return sum(family.add(sum(1 << i for i in col)) for col in phi.columns)
+
+
 def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
     """Randomized rank test of the induced dual basis at random subspaces.
 
-    Exact over GF(p): a single full-rank evaluation certifies the property;
-    rank deficiency in every trial refutes it up to the (tiny) chance that
-    all sampled subspaces were degenerate. The trials run in the loop the
-    tangent rank tests share (``first_full_rank``).
+    Exact over GF(p): a single full-rank evaluation certifies the property.
+    The family's Hall-matroid rank (``_hall_rank``) bounds the rank at every
+    point. Columns independent at a point are nonzero there, so each
+    ``B[omega_j]`` among them has rank r. For each nonempty subfamily T of
+    them, the columns of T then lie in the left null space of ``B[N(T)]``,
+    of dimension |N(T)| - r, so |N(T)| >= |T| + r: they are independent in
+    the matroid. So the test stops at its first full-rank trial, or else,
+    exactly, at the first trial that reaches the Hall rank below the
+    target, which on a refuted family is the first trial but for a
+    degenerate point. Only on a linkage support can every trial fall
+    short, a wrong "no" with probability at most (d/p)^trials, d = r(m-r)
+    the degree of a full minor (Schwartz-Zippel). The trials run in the
+    loop the tangent rank tests share (``first_full_rank``).
     """
     target = len(phi.columns)
-    rank, _ = first_full_rank(lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed)
+    rank, _ = first_full_rank(
+        lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed, bound=lambda: _hall_rank(phi)
+    )
     return SlmfVerdict(is_slmf=rank == target, witness=None, method="randomized-rank")
 
 

@@ -97,9 +97,12 @@ def reference_rank_report(pattern, r, part, trials, seed):
     from completable.plucker import first_full_rank
 
     target = r * (pattern.m - r) + (1 - part) * r * pattern.n
-    ceiling = min(numerics._jacobian_rank_bound(pattern, r) - part * r * pattern.n, target)
     rank, run = first_full_rank(
-        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part], ceiling, trials, seed
+        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part],
+        target,
+        trials,
+        seed,
+        bound=lambda: numerics._jacobian_rank_bound(pattern, r) - part * r * pattern.n,
     )
     return numerics.RankReport(rank, target, trials=run, pass_count=int(rank == target))
 

@@ -643,8 +643,17 @@ def test_gen_rank_above_min_m_n_exit_64(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "gen", "--m", "3", "--n", "3", "--rank", "4", "--per-column", "2")
     assert (code, out) == (64, "")
-    assert "--rank out of range" in err
+    assert err == "error: --rank 4 exceeds min(m, n) = 3\n"
     assert not list(tmp_path.glob("pattern_*.txt"))
+
+
+def test_gen_and_analyze_name_the_same_rank_bound(capsys, tmp_path, monkeypatch):
+    """Both commands word a rank above min(m, n) alike and exit 64."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mask.txt").write_text("110\n011\n101\n")
+    gen = run_cli(capsys, "gen", "--m", "3", "--n", "3", "--rank", "4", "--per-column", "2")
+    analyze = run_cli(capsys, "analyze", "mask.txt", "--rank", "4")
+    assert gen == analyze == (64, "", "error: --rank 4 exceeds min(m, n) = 3\n")
 
 
 def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):

@@ -289,6 +289,17 @@ def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1, 0)
 
 
+def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6x5):
+    """The bound only matters after a trial falls short, so a pass skips it."""
+
+    def unused(*args):
+        raise AssertionError("the core bound was computed")
+
+    monkeypatch.setattr(numerics, "_jacobian_rank_bound", unused)
+    assert jacobian_rank_test(pattern_6x5, 2) == RankReport(18, 18, 1, 1)
+    assert grassmann_section_rank_test(pattern_6x5, 2) == RankReport(8, 8, 1, 1)
+
+
 def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
     """The section test reads the Jacobian test's trials just run on the same
     mask; the memo holds one mask and serves a test's trials once, to the other test."""

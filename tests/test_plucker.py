@@ -344,14 +344,32 @@ def test_plucker_json_read_peaks_within_four_times_its_text():
 
 
 def test_plucker_json_reads_items_by_key_name():
-    """Keys may come in any order; an item without both keys, or a list item
-    that is no object, is a ValueError."""
+    """Keys may come in any order; an item without both keys, a list item that
+    is no object, a value that is no JSON number or is past the float range,
+    or a subset entry that is no JSON integer is a ValueError."""
     P = plucker_of_basis(SubspaceBasis(BASIS_4X2.astype(float)))
     payload = json.loads(plucker_to_json(P))
     assert plucker_from_json(json.dumps([{"value": it["value"], "subset": it["subset"]} for it in payload])) == P
-    for bad in ([{"value": 1.0}], [{"subset": [1]}], [{"subset": 1, "value": 1.0}], [[[1], 1.0]], [1.0]):
+    for bad in (
+        [{"value": 1.0}],
+        [{"subset": [1]}],
+        [{"subset": 1, "value": 1.0}],
+        [[[1], 1.0]],
+        [1.0],
+        [{"subset": [1.0], "value": 1}, {"subset": ["2"], "value": 0}],
+        [{"subset": [1], "value": "1.5"}, {"subset": [2], "value": 0}],
+        [{"subset": [1], "value": True}, {"subset": [2], "value": 0}],
+        [{"subset": [True], "value": 1}, {"subset": [2], "value": 0}],
+        [{"subset": [1], "value": 10**400}, {"subset": [2], "value": 0}],
+    ):
         with pytest.raises(ValueError):
             plucker_from_json(json.dumps(bad))
+
+
+def test_plucker_json_reads_integer_values():
+    """An exact integer vector is written with JSON integer values, and read back as floats."""
+    P = PluckerVector(r=3, m=6, coords=np.arange(20) - 9)
+    assert np.array_equal(plucker_from_json(plucker_to_json(P)).coords, np.arange(20.0) - 9)
 
 
 def test_all_zero_vector_rejected():

@@ -41,7 +41,7 @@ from completable.certificates import (
     _group_witness,
 )
 from completable.plucker import index_subsets
-from completable.slmf import _least_violator, first_linkage_support
+from completable.slmf import _dual_basis_rank_mod_p, _hall_rank, _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
     reference_complete_column,
@@ -743,3 +743,13 @@ def test_hall_oracle_matches_the_scan_and_the_rank_test(phi):
     assert (_least_violator(masks, phi.r) is None) is oracle
     assert check_slmf_combinatorial(phi).is_slmf is oracle
     assert check_slmf_randomized(phi, trials=3, seed=0).is_slmf is oracle
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slmf_families(), st.integers(0, 2**16))
+def test_the_hall_rank_bounds_the_dual_basis_rank(phi, seed):
+    """The Hall-matroid rank is never below the dual basis's rank over GF(p), and
+    a random point reaches it, so the randomized test may stop there."""
+    points = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)]
+    ranks = [_dual_basis_rank_mod_p(phi, rng) for rng in points]
+    assert ranks[0] == _hall_rank(phi) >= max(ranks)

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from completable import (
@@ -11,7 +12,8 @@ from completable import (
     slmf_from_grid,
     slmf_to_grid,
 )
-from completable.slmf import first_linkage_support
+from completable import slmf
+from completable.slmf import _hall_rank, first_linkage_support
 from conftest import PHI_A, PHI_B, PHI_C, REPEATED_COLUMNS, reference_float_dual_basis_rank
 
 
@@ -94,6 +96,22 @@ def test_randomized_rejects_repeated_columns_every_trial():
         verdict = check_slmf_randomized(REPEATED_COLUMNS, trials=trials, seed=2)
         assert not verdict.is_slmf
         assert verdict.witness is None
+
+
+def test_randomized_test_evaluates_the_dual_basis_once(monkeypatch):
+    """A refuted family reaches its Hall rank at the first trial, an exact "no",
+    and a linkage support reaches full rank there, at any trial count."""
+    rng = np.random.default_rng(0)
+    wide = Slmf(24, 2, tuple(tuple(sorted(rng.choice(24, 3, replace=False).tolist())) for _ in range(22)))
+    assert (check_slmf_combinatorial(wide).is_slmf, _hall_rank(wide)) == (False, 19)
+    calls = []
+    evaluate = slmf._dual_basis_rank_mod_p
+    monkeypatch.setattr(slmf, "_dual_basis_rank_mod_p", lambda phi, rng: calls.append(phi) or evaluate(phi, rng))
+    for phi, expected in ((REPEATED_COLUMNS, False), (wide, False), (PHI_A, True)):
+        for trials in (1, 3, 10):
+            calls.clear()
+            assert check_slmf_randomized(phi, trials=trials, seed=2).is_slmf is expected
+            assert calls == [phi]
 
 
 def test_randomized_float_variant_matches():
