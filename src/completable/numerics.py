@@ -46,9 +46,10 @@ from .plucker import (
 
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
-# int64 cells of the tangent rank system, its point and its column order; the
-# elimination's temporaries can hold a few times more. The largest benchmark
-# mask (40 x 40, 12 rows per column, r = 5) needs 0.5 MB of them.
+# int64 cells of the tangent rank system, its point and its column order. The
+# traced peak of a Jacobian test that passes in one trial is 3.2 times them on
+# the largest benchmark mask (40 x 40, 12 rows per column, r = 5; 0.52 MB
+# counted) and 4.2 times at 64 x 64 with the same k and r (1.26 MB counted).
 MAX_TANGENT_BYTES = 1 << 26
 
 
@@ -405,11 +406,12 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     return min(rows.size - kept + (core_rank if kept else 0), r * (m + n - r))
 
 
-def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
+def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:
     """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``.
 
     Counted: the section rows, the per-column eliminations, the point (A, C),
     and ``rank_mod_p``'s nonzero counts and column order over the m r columns.
+    Returns the bytes counted.
     """
     m = pattern.m
     sizes = [len(omega) for omega in pattern.column_supports()]
@@ -419,6 +421,7 @@ def _check_tangent_size(pattern: ObservationPattern, r: int) -> None:
             f"the tangent rank system needs {8 * cells} bytes, "
             f"more than the supported {MAX_TANGENT_BYTES}"
         )
+    return 8 * cells
 
 
 def _tangent_ranks(

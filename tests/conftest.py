@@ -14,6 +14,7 @@ from completable import (
     parse_pattern,
     plucker_of_basis,
 )
+from completable.plucker import FIELD_PRIME
 
 # 6x5 mask, 18 observed entries, generically finitely completable at rank 2
 GRID_6X5 = """\
@@ -173,6 +174,36 @@ def reference_least_violator(masks, r):
             if union.bit_count() < size + r:
                 return picked
     return None
+
+
+def reference_rank_mod_p(M):
+    """(rank, pivot rows) over GF(p) by the earlier kernel: a free-row mask,
+    columns by increasing nonzero count, all-zero ones left out, and each
+    column's first free nonzero row as the pivot, whose division-free update
+    reaches the other free rows nonzero there, reduced by ``np.remainder``."""
+    p = FIELD_PRIME
+    counts = np.count_nonzero(M, axis=0)
+    filled = np.flatnonzero(counts)
+    M = M[:, filled[np.argsort(counts[filled], kind="stable")]]
+    free = np.ones(M.shape[0], dtype=bool)
+    rank = 0
+    for c in range(M.shape[1]):
+        if rank == M.shape[0]:
+            break
+        nonzero = np.flatnonzero(free & (M[:, c] != 0))
+        if not nonzero.size:
+            continue
+        free[nonzero[0]] = False
+        rank += 1
+        rows = nonzero[1:]
+        if rows.size:
+            pivot = M[nonzero[0], c:]
+            block = M[rows, c:]
+            update = block[:, :1] * pivot
+            block *= pivot[0]
+            block -= update
+            M[rows, c:] = np.remainder(block, p, out=block)
+    return rank, np.flatnonzero(~free)
 
 
 def reference_relaxed_slmf(pattern, r):

@@ -393,6 +393,22 @@ def test_tangent_size_counts_the_arrays_that_grow_with_m():
     assert peak < 1 << 20
 
 
+def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
+    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 4.2
+    times the 1.26 MB ``_check_tangent_size`` counts; the elimination's
+    temporaries may not take it past 4.5 times."""
+    pattern = random_pattern(64, 64, 12, seed=0)
+    counted = numerics._check_tangent_size(pattern, 5)
+    tracemalloc.start()
+    try:
+        report = jacobian_rank_test(pattern, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.pass_count, report.trials, counted) == (1, 1, 1261568)
+    assert peak <= 4.5 * counted
+
+
 def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):
     smaller = pattern_6x5.without_entry((4, 0))
     report = grassmann_section_rank_test(smaller, 2)
