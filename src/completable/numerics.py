@@ -467,7 +467,9 @@ def _tangent_ranks(
                 null[..., None] * c[:, None, None] % FIELD_PRIME
             )
             blocks.append(block.reshape(-1, m * r))
+            del block  # held by blocks alone
     rows = np.concatenate(blocks)
+    del blocks  # copied into rows, so not held through the elimination
     if left_null_mod_p(A[None, :r])[1][0]:
         # D = A G takes every value on D[:r] = A[:r] G and every section row
         # annihilates it, so D[:r]'s r^2 columns add no rank

@@ -13,19 +13,24 @@ The families meeting the covering inequality are the independent sets of the
 matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
 (``HallMatching``) decides independence by bipartite matchings on row
 bitmasks. Greedy over it (``first_linkage_support``) gives the certificate
-search's selection and, on a family of exactly m-r subsets, the
-combinatorial check's answer, at any size. A refuted family of at most
-``EXHAUSTIVE_COLUMN_LIMIT`` columns is also scanned for its minimum violating
-subfamily, size by size: time grows with its size, and memory is one block of
-subfamily pairs. A larger refuted family gets no witness.
+search's selection. One greedy pass over a family's columns, cached on the
+family (``Slmf._hall_pass``), gives the combinatorial check's answer at any
+size and the randomized check's bound. A refuted family of at most
+``EXHAUSTIVE_COLUMN_LIMIT`` columns also gets its minimum violating
+subfamily, a minimum circuit of the matroid: with one column outside the
+pass's basis, that column's fundamental circuit, found by r+1 augmentations;
+with two or more, by a scan, size by size, whose time grows with the witness
+size and whose memory is one block of subfamily pairs. A larger refuted
+family gets no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +61,35 @@ class Slmf:
                 raise ValueError(f"column {j + 1} has rows outside range({self.m})")
         object.__setattr__(self, "columns", cols)
 
+    def __getstate__(self) -> dict:
+        # pickle and copy take the fields, not the pass cached beside them
+        return {"m": self.m, "r": self.r, "columns": self.columns}
+
+    @cached_property
+    def _hall_pass(self) -> _HallPass:
+        # kept in the instance dict, outside the fields that eq, hash and repr read
+        masks = tuple(sum(1 << i for i in col) for col in self.columns)
+        family = HallMatching(self.m, self.r)
+        kept = [family.add(mask) for mask in masks]
+        basis = tuple(j for j, ok in enumerate(kept) if ok)
+        dependent = tuple(j for j, ok in enumerate(kept) if not ok)
+        return _HallPass(masks, basis, dependent, family)
+
+
+class _HallPass(NamedTuple):
+    """Greedy ``HallMatching.add`` over every column of a family, in order.
+
+    ``basis`` holds the positions it kept, a basis of the family in the Hall
+    matroid, so their count is the family's rank; ``dependent`` the positions
+    it turned down. ``family`` is the basis, member t (column ``basis[t]``)
+    matched to one row, which its readers leave as it is.
+    """
+
+    masks: tuple[int, ...]
+    basis: tuple[int, ...]
+    dependent: tuple[int, ...]
+    family: HallMatching
+
 
 @dataclass(frozen=True)
 class SlmfVerdict:
@@ -69,6 +103,19 @@ class SlmfVerdict:
     is_slmf: bool
     witness: Optional[tuple[int, ...]]
     method: str
+
+
+def _reach(mask: int, rows: Sequence[int], owner: list[int], matched: int) -> int:
+    """Rows reachable from the subset ``mask`` by alternating paths: its rows, and
+    the rows of each member that owns a row reached (``matched``: rows with an owner)."""
+    reach, todo = mask, mask & matched
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = rows[owner[low.bit_length() - 1]] & ~reach
+        reach |= new
+        todo |= new & matched
+    return reach
 
 
 def _augment(v: int, rows: Sequence[int], owner: list[int]) -> int:
@@ -122,17 +169,9 @@ class HallMatching:
     def add(self, mask: int) -> bool:
         """Admit the subset with row mask ``mask`` iff the family stays a linkage support."""
         owner, rows, matched = self.owner, self.rows, self.matched
-        # Rows reachable from the subset by alternating paths; the members
-        # matched there have no rows outside, so fewer than r+1 unmatched
-        # ones among them is a Hall violator.
-        reach, todo = mask, mask & matched
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = rows[owner[low.bit_length() - 1]] & ~reach
-            reach |= new
-            todo |= new & matched
-        if (reach & ~matched).bit_count() <= self.r:
+        # the members matched into the subset's reach have no rows outside it,
+        # so fewer than r+1 unmatched rows there is a Hall violator
+        if (_reach(mask, rows, owner, matched) & ~matched).bit_count() <= self.r:
             return False
         k = len(rows)
         trial = owner[:]
@@ -151,6 +190,26 @@ class HallMatching:
                 matched ^= 1 << i
         self.owner, self.matched = trial, matched
         return True
+
+    def least_tight_set(self, mask: int) -> list[int]:
+        """The least set S of members with |N(S + subset)| - |S| least, for a subset
+        with row mask ``mask`` that ``add`` turns down; the family is left as it is.
+
+        Copies of the subset are matched, as in ``add``, up to the first with no
+        augmenting path. The rows reachable from it are all matched, to the
+        copies and to the members S, so N(S + subset) is those rows. Any S' at
+        the least value has N(S' + subset) filled by its members and the
+        copies, so the reach never leaves it, and S lies in S'.
+        """
+        k, matched = len(self.rows), self.matched
+        rows, owner = self.rows + [mask] * (self.r + 1), self.owner[:]
+        for v in range(k, k + self.r + 1):
+            row = _augment(v, rows, owner)
+            if row < 0:
+                break
+            matched |= 1 << row
+        reach = _reach(mask, rows, owner, matched)
+        return [owner[i] for i in range(len(owner)) if reach >> i & 1 and owner[i] < k]
 
 
 def first_linkage_support(
@@ -241,16 +300,41 @@ def _least_violator(masks: Sequence[int], r: int) -> Optional[tuple[int, ...]]:
 def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     """Exact check of the covering inequality over all nonempty subfamilies.
 
-    The Hall oracle decides, at any size. On failure, at most
-    ``EXHAUSTIVE_COLUMN_LIMIT`` columns, a size-ordered scan returns a
-    violating index set of minimum cardinality, ties broken lexicographically,
-    in time growing with it and a few MB of memory; past the limit its halves
-    would grow as 2^(K/2), so the refutation has no witness.
+    The family's greedy Hall pass (``Slmf._hall_pass``) decides, at any size:
+    it is a linkage support iff the pass turns no column down. On failure, at
+    most ``EXHAUSTIVE_COLUMN_LIMIT`` columns, the witness is a violating index
+    set of minimum cardinality, ties broken lexicographically; past the limit
+    the refutation has no witness.
+
+    A violating subfamily is dependent in the Hall matroid, and when it is a
+    smallest one each proper subfamily is independent: a minimum violator is
+    a circuit of least size. When the pass turns down one column d, the
+    family is B + d for its basis B, of nullity one, and holds exactly one
+    circuit C: two would, by circuit elimination on d, leave one inside B.
+    So the minimum violator is C, with no tie to break. For S in B let
+    h(S) = |N(S + d)| - |S|. S + d has rank at most |N(S + d)| - r and
+    nullity at most one, so h(S) >= r, and S + d violates iff h(S) = r: the
+    violators holding d are the minimizers of h, and C is the least of them.
+    As h >= r, r copies of d match alongside B (Hall), and as d is turned
+    down the next copy does not; the rows that copy reaches by alternating
+    paths then give the least minimizer (``HallMatching.least_tight_set``),
+    with no subfamily scan. C lies inside d's alternating reach R in B's
+    matching: the members of C matched outside R hold distinct rows of N(C)
+    outside R, so the rest of C, with its rows in R, violates too, and is C.
+    With two or more columns turned down, a size-ordered scan
+    (``_least_violator``) finds the witness, in time growing with it and a
+    few MB of memory; past the limit its halves would grow as 2^(K/2).
     """
-    masks = [sum(1 << i for i in col) for col in phi.columns]
-    if first_linkage_support(masks, phi.m, phi.r) is not None:  # all m-r of them
+    hall = phi._hall_pass
+    if not hall.dependent:
         return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
-    witness = _least_violator(masks, phi.r) if len(masks) <= EXHAUSTIVE_COLUMN_LIMIT else None
+    if len(hall.masks) > EXHAUSTIVE_COLUMN_LIMIT:
+        witness = None
+    elif len(hall.dependent) == 1:
+        (d,) = hall.dependent
+        witness = tuple(sorted([d, *(hall.basis[t] for t in hall.family.least_tight_set(hall.masks[d]))]))
+    else:
+        witness = _least_violator(hall.masks, phi.r)
     return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
 
 
@@ -268,18 +352,11 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     return rank_mod_p(dual)[0]
 
 
-def _hall_rank(phi: Slmf) -> int:
-    """Rank of the family in the Hall matroid: the size of a largest subfamily
-    meeting the covering inequality, by greedy ``HallMatching.add`` over all columns."""
-    family = HallMatching(phi.m, phi.r)
-    return sum(family.add(sum(1 << i for i in col)) for col in phi.columns)
-
-
 def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
     """Randomized rank test of the induced dual basis at random subspaces.
 
     Exact over GF(p): a single full-rank evaluation certifies the property.
-    The family's Hall-matroid rank (``_hall_rank``) bounds the rank at every
+    The family's Hall-matroid rank (``Slmf._hall_pass``) bounds the rank at every
     point. Columns independent at a point are nonzero there, so each
     ``B[omega_j]`` among them has rank r. For each nonempty subfamily T of
     them, the columns of T then lie in the left null space of ``B[N(T)]``,
@@ -294,7 +371,8 @@ def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
     """
     target = len(phi.columns)
     rank, _ = first_full_rank(
-        lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed, bound=lambda: _hall_rank(phi)
+        lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed,
+        bound=lambda: len(phi._hall_pass.basis),
     )
     return SlmfVerdict(is_slmf=rank == target, witness=None, method="randomized-rank")
 

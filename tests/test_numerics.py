@@ -394,9 +394,10 @@ def test_tangent_size_counts_the_arrays_that_grow_with_m():
 
 
 def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
-    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 4.2
+    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 3.2
     times the 1.26 MB ``_check_tangent_size`` counts; the elimination's
-    temporaries may not take it past 4.5 times."""
+    temporaries may not take it past 3.5 times, which holds only while the
+    section blocks are freed once stacked (4.2 times when they are kept)."""
     pattern = random_pattern(64, 64, 12, seed=0)
     counted = numerics._check_tangent_size(pattern, 5)
     tracemalloc.start()
@@ -406,7 +407,7 @@ def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
     finally:
         tracemalloc.stop()
     assert (report.pass_count, report.trials, counted) == (1, 1, 1261568)
-    assert peak <= 4.5 * counted
+    assert peak <= 3.5 * counted
 
 
 def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +16,7 @@ from completable import (
     slmf_to_grid,
 )
 from completable import slmf
-from completable.slmf import _hall_rank, first_linkage_support
+from completable.slmf import first_linkage_support
 from conftest import PHI_A, PHI_B, PHI_C, REPEATED_COLUMNS, reference_float_dual_basis_rank
 
 
@@ -47,12 +50,15 @@ def test_witness_always_certifies_the_violation():
 
 
 def test_witness_scan_at_the_column_limit_stays_small():
-    """Refuted 22-column families: the scan holds one block of at most 462 x 462
-    subfamily pairs, whether the witness is a pair or, on a 22-edge cycle at r = 1,
-    all 22 columns."""
+    """Refuted 22-column families. With one column the Hall pass turns down, the
+    witness is its fundamental circuit, a pair or, on a 22-edge cycle at r = 1,
+    all 22 columns. With two, two 11-edge cycles at r = 1, the scan holds one
+    block of at most 462 x 462 subfamily pairs."""
     pair = Slmf(m=24, r=2, columns=tuple((i, i + 1, i + 2) for i in range(21)) + ((0, 1, 2),))
     cycle = Slmf(m=23, r=1, columns=tuple((i, (i + 1) % 22) for i in range(22)))
-    for phi, witness in ((pair, (0, 21)), (cycle, tuple(range(22)))):
+    two_cycles = Slmf(m=23, r=1, columns=tuple((h + i, h + (i + 1) % 11) for h in (0, 11) for i in range(11)))
+    assert len(two_cycles._hall_pass.dependent) == 2
+    for phi, witness in ((pair, (0, 21)), (cycle, tuple(range(22))), (two_cycles, tuple(range(11)))):
         tracemalloc.start()
         try:
             verdict = check_slmf_combinatorial(phi)
@@ -61,6 +67,69 @@ def test_witness_scan_at_the_column_limit_stays_small():
             tracemalloc.stop()
         assert (verdict.is_slmf, verdict.witness) == (False, witness)
         assert peak < 4 << 20
+
+
+# the basis kept is columns 0, 1, 2, 3, 5 and column 4 is turned down; the members
+# matched into its alternating reach in the basis's matching are columns 0, 2 and
+# 5, and column 5 is not in the circuit: the augmentations, not that reach, decide
+NULLITY_ONE_REACH = Slmf(
+    9, 3, ((0, 4, 6, 8), (0, 2, 7, 8), (0, 1, 6, 8), (3, 4, 6, 7), (0, 1, 4, 6), (0, 4, 5, 6))
+)
+CYCLE_22 = Slmf(23, 1, tuple((j, j + 1) for j in range(21)) + ((0, 21),))
+
+
+def test_nullity_one_witness_is_a_strict_part_of_the_reach():
+    """The fundamental circuit (0, 2, 4) is a strict subset of the reach (0, 2, 4, 5)."""
+    hall = NULLITY_ONE_REACH._hall_pass
+    family = hall.family
+    assert (hall.basis, hall.dependent) == ((0, 1, 2, 3, 5), (4,))
+    reach = slmf._reach(hall.masks[4], family.rows, family.owner, family.matched) & family.matched
+    assert sorted(hall.basis[family.owner[i]] for i in range(9) if reach >> i & 1) == [0, 2, 5]
+    verdict = check_slmf_combinatorial(NULLITY_ONE_REACH)
+    assert (verdict.is_slmf, verdict.witness) == (False, (0, 2, 4))
+
+
+def test_nullity_one_witness_runs_no_scan(monkeypatch):
+    """The 22-edge cycle at r = 1 has one column outside the greedy basis: its
+    witness, all 22 columns, comes from the Hall oracle, in well under 2 ms."""
+
+    def scan(masks, r):
+        raise AssertionError("the subfamily scan ran")
+
+    monkeypatch.setattr(slmf, "_least_violator", scan)
+    best = float("inf")
+    for _ in range(5):
+        phi = Slmf(CYCLE_22.m, CYCLE_22.r, CYCLE_22.columns)  # a fresh pass each time
+        start = time.perf_counter()
+        verdict = check_slmf_combinatorial(phi)
+        best = min(best, time.perf_counter() - start)
+        assert (verdict.is_slmf, verdict.witness) == (False, tuple(range(22)))
+    assert best < 2e-3
+
+
+def test_pickle_and_copy_carry_only_the_fields():
+    for phi in (PHI_A, REPEATED_COLUMNS, NULLITY_ONE_REACH):
+        expected = check_slmf_combinatorial(phi)  # the pass is now cached on phi
+        assert "_hall_pass" in vars(phi)
+        for twin in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
+            assert vars(twin) == {"m": phi.m, "r": phi.r, "columns": phi.columns}
+            assert twin == phi and hash(twin) == hash(phi)
+            assert check_slmf_combinatorial(twin) == expected
+
+
+@pytest.mark.parametrize(
+    "phi", [PHI_A, PHI_B, REPEATED_COLUMNS, NULLITY_ONE_REACH, CYCLE_22],
+    ids=["PHI_A", "PHI_B", "REPEATED_COLUMNS", "NULLITY_ONE_REACH", "CYCLE_22"],
+)
+def test_no_reader_changes_the_cached_pass(phi):
+    """Both checks read one cached Hall pass; in either order, and twice over,
+    they give what each gives on a fresh family."""
+    checks = (check_slmf_combinatorial, lambda family: check_slmf_randomized(family, trials=3, seed=4))
+    expected = [check(Slmf(phi.m, phi.r, phi.columns)) for check in checks]
+    for order in ((0, 1), (1, 0)):
+        twin = Slmf(phi.m, phi.r, phi.columns)
+        for t in order * 2:
+            assert checks[t](twin) == expected[t]
 
 
 def test_witness_past_64_rows():
@@ -103,7 +172,7 @@ def test_randomized_test_evaluates_the_dual_basis_once(monkeypatch):
     and a linkage support reaches full rank there, at any trial count."""
     rng = np.random.default_rng(0)
     wide = Slmf(24, 2, tuple(tuple(sorted(rng.choice(24, 3, replace=False).tolist())) for _ in range(22)))
-    assert (check_slmf_combinatorial(wide).is_slmf, _hall_rank(wide)) == (False, 19)
+    assert (check_slmf_combinatorial(wide).is_slmf, len(wide._hall_pass.basis)) == (False, 19)
     calls = []
     evaluate = slmf._dual_basis_rank_mod_p
     monkeypatch.setattr(slmf, "_dual_basis_rank_mod_p", lambda phi, rng: calls.append(phi) or evaluate(phi, rng))
