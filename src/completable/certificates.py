@@ -174,12 +174,15 @@ class SearchOutcome:
     """Result of a certificate search.
 
     ``exhausted`` records whether the whole search space was covered; a search
-    that ran out of budget is inconclusive rather than negative.
+    that ran out of budget is inconclusive rather than negative. ``reason`` is
+    None unless the search was refused before it began: ``"subset_limit"``
+    when its subsets would pass ``MAX_SEARCH_SUBSETS``, which no budget lifts.
     """
 
     certificate: Optional[Certificate]
     exhausted: bool
     nodes: int
+    reason: Optional[str] = None
 
     @property
     def status(self) -> str:
@@ -320,7 +323,7 @@ def _enumerate(
         return SearchOutcome(None, exhausted=True, nodes=0)
     bits = {omega: [1 << (m - 1 - i) for i in omega] for omega in set(supports)}
     if sum(comb(len(b), r + 1) for b in bits.values()) > MAX_SEARCH_SUBSETS:
-        return SearchOutcome(None, exhausted=False, nodes=0)
+        return SearchOutcome(None, exhausted=False, nodes=0, reason="subset_limit")
     masks = {omega: list(map(sum, combinations(b, r + 1))) for omega, b in bits.items()}
     pools, rows = [masks[w] for w in supports], [sum(bits[w]) for w in supports]
     budget = _Budget(budget_nodes)

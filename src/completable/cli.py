@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .certificates import (
     DEFAULT_BUDGET,
+    MAX_SEARCH_SUBSETS,
     certificate_to_json,
     check_necessary_condition,
     check_relaxed_slmf,
@@ -91,7 +92,9 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-# write buffer of every output file: an export's 42 KB lines go out 1 MiB per system call
+# write buffer of the output files written through Python: the index map,
+# `complete`'s matrix and `gen`'s patterns; an export's CSV bypasses it, by
+# writev on the file's descriptor (ExportedSystem.write_csv)
 _OUTPUT_BUFFER = 1 << 20
 
 
@@ -202,7 +205,10 @@ def _certificate_payload(outcome) -> dict:
     status = {"found": "present", "none": "absent", "inconclusive": "inconclusive"}[
         outcome.status
     ]
-    payload = {"status": status, "nodes": outcome.nodes}
+    payload = {"status": status}
+    if outcome.reason is not None:
+        payload["reason"] = outcome.reason
+    payload["nodes"] = outcome.nodes
     if outcome.certificate is not None:
         payload["certificate"] = json.loads(certificate_to_json(outcome.certificate))
     return payload
@@ -242,6 +248,8 @@ def _render_report(report: dict) -> str:
     ):
         entry = report[key]
         line = f"{label}: {entry['status']}"
+        if "reason" in entry:
+            line += f" ({entry['reason']}: more than {MAX_SEARCH_SUBSETS} subsets)"
         if entry.get("certificate"):
             groups = " / ".join(
                 "{" + ",".join(str(c) for c in grp) + "}"

@@ -21,9 +21,13 @@ the trials the first just ran there and computes only the missing ones.
 
 from __future__ import annotations
 
+import ctypes
+import errno
+import functools
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -512,6 +516,69 @@ MAX_EXPORT_BYTES = 1 << 28
 _INDEX_CHUNK = 4096
 
 
+def _csv_pieces(columns: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, line: int) -> np.ndarray:
+    """The (offset, length) pieces of some rows' CSV lines, as a (2 cells + 1, 2)
+    ``np.uintp`` array: a run of zeros, a cell, ..., a cell, a run of zeros.
+
+    The runs lie in two copies of a ``line``-byte line of zeros, where the cell
+    at coordinate c replaces bytes [4c, 4c + 3); the cells lie in the table at
+    ``offsets``, ``sizes`` long. Each row's first run starts in the first copy,
+    at the end of the previous row's last cell or, for the first row, at the
+    end of the line, and ends in the second copy; the last row's last run ends
+    with the first copy.
+    """
+    at = 4 * columns
+    starts = np.empty_like(at)
+    starts[:, 1:] = at[:, :-1] + 3
+    starts[1:, 0] = at[:-1, -1] + 3
+    starts[0, 0] = line
+    last = int(at[-1, -1]) + 3
+    at[:, 0] += line
+    pieces = np.empty((2 * at.size + 1, 2), dtype=np.uintp)
+    pieces[:-1:2, 0] = starts.ravel()
+    pieces[:-1:2, 1] = (at - starts).ravel()
+    pieces[1::2, 0] = offsets.ravel()
+    pieces[1::2, 1] = sizes.ravel()
+    pieces[-1] = (last, line - last)
+    return pieces
+
+
+@functools.cache
+def _libc_writev():
+    """libc's ``writev`` and the most pieces it takes per call, or None where
+    there is none; bound on first use."""
+    try:
+        writev = ctypes.CDLL(None, use_errno=True).writev
+        most = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
+    writev.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
+    writev.restype = ctypes.c_ssize_t
+    return writev, max(most, 16)  # -1 is no fixed limit; POSIX allows at least 16
+
+
+def _write_gathered(writev, most: int, fd: int, pieces: np.ndarray) -> None:
+    """Write the (address, length) ``pieces`` to ``fd`` in order, ``most`` per
+    ``writev``: retry on EINTR, resume after a short write, raise ``OSError``
+    on any other error. A partly written piece is cut down in place."""
+    first = 0
+    while first < len(pieces):
+        batch = pieces[first : first + most]
+        done = writev(fd, batch.ctypes.data, len(batch))
+        if done < 0:
+            code = ctypes.get_errno()
+            if code == errno.EINTR:
+                continue
+            raise OSError(code, os.strerror(code))
+        ends = np.cumsum(batch[:, 1])
+        whole = int(np.searchsorted(ends, done, side="right"))
+        first += whole
+        if whole < len(batch):
+            cut = done - (int(ends[whole - 1]) if whole else 0)
+            batch[whole, 0] += cut
+            batch[whole, 1] -= cut
+
+
 @dataclass(frozen=True)
 class ExportedSystem:
     """Linear part of the hyperplane-section system in Plucker coordinates.
@@ -560,31 +627,49 @@ class ExportedSystem:
         Zeros print as ``0.0`` and signed zeros keep their sign (``-0.0``). The
         coefficients are signed observed values, so few are distinct: each
         distinct float64 bit pattern (which keeps ``-0.0`` apart from ``0.0``)
-        is encoded once, into a table. A line of ``0.0`` cells is built once as
-        bytes, and each row is spliced from slices of it, taken through a
-        ``memoryview`` without copying, around its r+1 cells from the table.
-        Rows go out a chunk of at most ``_INDEX_CHUNK`` cells per
-        ``writelines``, and only that chunk's positions and table indices are
-        turned into lists: the time is linear in the bytes written, and memory
-        holds one line, the table and one chunk.
+        is encoded once, into one table of their bytes. A line of ``0.0``
+        cells is built once, twice over, so that a row's last run of zeros and
+        the next row's first run are one piece of it. The rows go out a chunk
+        of at most ``_INDEX_CHUNK`` cells at a time, each chunk as one array
+        of (offset, length) pieces, alternately in the zeros and in the table,
+        built by index arithmetic (``_csv_pieces``). A file whose raw stream
+        is a ``FileIO``, as ``open(path, "wb")`` gives, is flushed and takes
+        the pieces by ``writev`` on its descriptor, with no Python object and
+        no copy per piece (``_write_gathered``); any other binary sink, or a
+        platform without ``writev``, takes them as ``memoryview`` slices, one
+        ``writelines`` per chunk. The time is linear in the bytes written, and
+        memory holds two lines, the table and one chunk's pieces.
         """
         width = self.r + 1
         bits = np.ascontiguousarray(self.values, dtype=np.float64).view(np.int64).ravel()
         patterns, inverse = np.unique(bits, return_inverse=True)
-        table = [repr(value).encode() for value in patterns.view(np.float64).tolist()]
+        cells = [repr(value).encode() for value in patterns.view(np.float64).tolist()]
+        sizes = np.array([len(cell) for cell in cells], dtype=np.uintp)
+        offsets = np.cumsum(sizes) - sizes
         inverse = inverse.reshape(-1, width)
-        zero_line = memoryview(b"0.0," * (self.shape[1] - 1) + b"0.0\n")
+        line = 4 * self.shape[1]
+        zeros = (b"0.0," * (self.shape[1] - 1) + b"0.0\n") * 2
+        table = b"".join(cells)
+        raw = getattr(fh, "raw", fh)  # not a wrapper's descriptor: gzip.GzipFile has one too
+        gather = _libc_writev() if isinstance(raw, io.FileIO) else None
+        if gather is not None:
+            fh.flush()
+            fd = raw.fileno()
+            bases = [np.frombuffer(buf, np.uint8).ctypes.data for buf in (zeros, table)]
+        else:
+            buffers = (memoryview(zeros), memoryview(table))
         step = max(1, _INDEX_CHUNK // width)
         for first in range(0, len(inverse), step):
-            parts = []
-            chunk = zip(self.columns[first : first + step].tolist(), inverse[first : first + step].tolist())
-            for columns, cells in chunk:
-                start = 0  # cell c spans zero_line[4c : 4c + 3]
-                for c, t in zip(columns, cells):
-                    parts += (zero_line[start : 4 * c], table[t])
-                    start = 4 * c + 3
-                parts.append(zero_line[start:])
-            fh.writelines(parts)
+            chunk = inverse[first : first + step]
+            pieces = _csv_pieces(self.columns[first : first + step], offsets[chunk], sizes[chunk], line)
+            if gather is not None:
+                pieces[0::2, 0] += bases[0]
+                pieces[1::2, 0] += bases[1]
+                _write_gathered(*gather, fd, pieces)
+            else:
+                fh.writelines(
+                    [buf[at : at + size] for buf, (at, size) in zip(itertools.cycle(buffers), pieces.tolist())]
+                )
 
     def to_csv(self) -> str:
         out = io.BytesIO()

@@ -557,6 +557,27 @@ def test_analyze_refutes_a_thinned_40x40_mask_in_one_trial(capsys, tmp_path):
     }
 
 
+def test_analyze_names_the_subset_limit_but_not_a_spent_budget(capsys, tmp_path, pattern_file):
+    """The all-ones 24 x 24 mask at r = 11 lists C(24, 12) = 2,704,156 subsets, past
+    ``MAX_SEARCH_SUBSETS``: both searches are refused, which no budget changes, and
+    say so. A search out of budget at 0 nodes reads as before."""
+    path = tmp_path / "dense.txt"
+    path.write_text(("1" * 24 + "\n") * 24)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "11", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    refused = {"status": "inconclusive", "reason": "subset_limit", "nodes": 0}
+    assert report["finite_certificate"] == report["unique_certificate"] == refused
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "11")
+    assert code == 0
+    for label in ("finite", "unique"):
+        assert f"\n{label} certificate: inconclusive (subset_limit: more than 524288 subsets)\n" in out
+    code, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--budget", "0", "--json")
+    assert json.loads(out)["finite_certificate"] == {"status": "inconclusive", "nodes": 0}
+    code, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--budget", "0")
+    assert "\nfinite certificate: inconclusive\n" in out
+
+
 def test_complete_nan_value_exit_64(capsys, tmp_path):
     values, basis, _ = _observed_csv_file(tmp_path)
     lines = values.read_text().splitlines()
@@ -798,6 +819,18 @@ def test_export_system_streams_both_files(capsys, tmp_path):
     assert system.shape == (1, 201376)
     assert prefix.with_suffix(".csv").read_text() == system.to_csv()
     assert prefix.with_suffix(".json").read_text() == json.dumps(system.index_map()) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_export_system_onto_a_full_disk_is_a_write_error(capsys, tmp_path):
+    """``PREFIX.csv`` links to ``/dev/full``, whose every write fails with ENOSPC: exit 64."""
+    values = tmp_path / "values.csv"
+    values.write_text("1.0,2.0\n2.0,4.0\n")
+    prefix = tmp_path / "system"
+    prefix.with_suffix(".csv").symlink_to("/dev/full")
+    code, out, err = run_cli(capsys, "export-system", str(values), "--rank", "1", "--out", str(prefix))
+    assert (code, out) == (64, "")
+    assert f"error: cannot write {prefix}.csv" in err
 
 
 @pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])

@@ -1,8 +1,12 @@
 import copy
+import ctypes
 import dataclasses
+import errno
 import gc
+import gzip
 import io
 import json
+import os
 import pickle
 import sys
 import threading
@@ -711,6 +715,62 @@ def test_write_csv_holds_one_chunk_of_rows():
     finally:
         tracemalloc.stop()
     assert peak < 24 << 20
+
+
+def _writev_fake(fail_at: int, code: int):
+    """A stand-in for libc's ``writev``: it reads the pieces with ``ctypes.string_at``
+    and writes at most 7 bytes of them per call; call ``fail_at`` fails with ``code``."""
+    calls = []
+
+    def writev(fd, iov, count):
+        calls.append(count)
+        if len(calls) == fail_at:
+            ctypes.set_errno(code)
+            return -1
+        pieces = np.frombuffer(ctypes.string_at(iov, 2 * count * ctypes.sizeof(ctypes.c_void_p)), np.uintp)
+        data = b"".join(ctypes.string_at(at, size) for at, size in pieces.reshape(-1, 2).tolist())
+        return os.write(fd, data[:7])
+
+    return writev, calls
+
+
+def _write_through(system, tmp_path, monkeypatch, fake):
+    """``write_csv`` into a file, by ``fake`` 5 pieces at a time, 9 cells per chunk."""
+    monkeypatch.setattr(numerics, "_libc_writev", lambda: (fake, 5))
+    monkeypatch.setattr(numerics, "_INDEX_CHUNK", 9)
+    path = tmp_path / "system.csv"
+    with path.open("wb") as fh:
+        system.write_csv(fh)
+    return path.read_text()
+
+
+def test_write_csv_resumes_short_and_interrupted_writes(pattern_6x5, monkeypatch, tmp_path):
+    """Every call writes at most 7 bytes and the third is interrupted (EINTR): the
+    writer retries it, resumes inside the piece each call stops in, and the file is
+    ``to_csv()``."""
+    system = _export_6x5(pattern_6x5, lambda i, j: float(i - j))
+    fake, calls = _writev_fake(3, errno.EINTR)
+    text = _write_through(system, tmp_path, monkeypatch, fake)
+    assert text == system.to_csv()
+    assert len(calls) >= -(-len(text) // 7) + 1  # every byte went through the fake
+
+
+def test_write_csv_raises_a_failed_write(pattern_6x5, monkeypatch, tmp_path):
+    """A write failing with ENOSPC raises ``OSError`` with that code, and nothing is retried."""
+    system = _export_6x5(pattern_6x5, lambda i, j: float(i - j))
+    fake, calls = _writev_fake(3, errno.ENOSPC)
+    with pytest.raises(OSError) as failure:
+        _write_through(system, tmp_path, monkeypatch, fake)
+    assert failure.value.errno == errno.ENOSPC and len(calls) == 3
+
+
+def test_write_csv_writes_through_a_wrapper_with_a_descriptor(pattern_6x5, tmp_path):
+    """``gzip.GzipFile.fileno()`` is its file's descriptor; the CSV still goes through
+    the wrapper, so it is compressed."""
+    system = _export_6x5(pattern_6x5, lambda i, j: float(i - j))
+    with gzip.open(tmp_path / "system.csv.gz", "wb") as fh:
+        system.write_csv(fh)
+    assert gzip.decompress((tmp_path / "system.csv.gz").read_bytes()) == system.to_csv().encode()
 
 
 def test_complete_matrix_roundtrip_on_random_patterns():
