@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -107,6 +108,22 @@ def _output(path: Path, binary: bool = False):
             yield fh
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _print(*values, **kwargs) -> None:
+    """``print`` to standard output; failing to write it is a usage error.
+
+    Once a write has failed, the descriptor is pointed at ``os.devnull``, so
+    the interpreter's last flush at exit, of what could not be written,
+    succeeds silently instead of printing a second error and exiting 120.
+    """
+    try:
+        print(*values, **kwargs)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UsageError(f"cannot write standard output: {exc}") from exc
 
 
 def _load_pattern_file(path: str) -> ObservationPattern:
@@ -296,9 +313,9 @@ def _cmd_analyze(args) -> int:
         )
     report = build_analysis_report(pattern, args.rank, args.seed, args.budget)
     if args.json:
-        print(json.dumps(report, separators=(",", ":")))
+        _print(json.dumps(report, separators=(",", ":")))
     else:
-        print(_render_report(report))
+        _print(_render_report(report))
     return report["exit_code"]
 
 
@@ -319,10 +336,10 @@ def _cmd_slmf_check(args) -> int:
         return EXIT_FAULT
     verdict = next(iter(verdicts.values()))
     is_slmf = verdict.is_slmf
-    print(f"slmf: {'yes' if is_slmf else 'no'}")
+    _print(f"slmf: {'yes' if is_slmf else 'no'}")
     for name, v in verdicts.items():
         if v.witness is not None:
-            print(f"violating columns ({name}): {{{','.join(str(t + 1) for t in v.witness)}}}")
+            _print(f"violating columns ({name}): {{{','.join(str(t + 1) for t in v.witness)}}}")
     return EXIT_EVIDENCE if is_slmf else EXIT_AGAINST
 
 
@@ -346,8 +363,8 @@ def _cmd_complete(args) -> int:
     with _output(out, binary=True) as fh:
         for row in completed.tolist():
             fh.write((",".join(map(repr, row)) + "\n").encode())
-    print(f"wrote {out}")
-    print(f"max observed-entry residual, relative to max(1, |observed|): {residual:.3e}")
+    _print(f"wrote {out}")
+    _print(f"max observed-entry residual, relative to max(1, |observed|): {residual:.3e}")
     return EXIT_EVIDENCE
 
 
@@ -365,7 +382,7 @@ def _cmd_gen(args) -> int:
         name = Path(f"pattern_{idx:03d}.txt")
         with _output(name) as fh:
             fh.write(pattern_to_grid(pattern))
-        print(f"wrote {name}")
+        _print(f"wrote {name}")
         if args.emit_stats:
             outcome = find_finite_certificate(pattern, args.rank)
             if outcome.status != "inconclusive":
@@ -375,8 +392,8 @@ def _cmd_gen(args) -> int:
             rank_hits += report.passed
     if args.emit_stats:
         frac_cert = cert_hits / cert_known if cert_known else float("nan")
-        print(f"finite-certificate fraction: {frac_cert:.3f} ({cert_hits}/{cert_known} decided)")
-        print(f"full-jacobian-rank fraction: {rank_hits / args.count:.3f}")
+        _print(f"finite-certificate fraction: {frac_cert:.3f} ({cert_hits}/{cert_known} decided)")
+        _print(f"full-jacobian-rank fraction: {rank_hits / args.count:.3f}")
     return EXIT_EVIDENCE
 
 
@@ -393,9 +410,9 @@ def _cmd_export_system(args) -> int:
     with _output(json_path) as fh:
         system.write_index_map(fh)
         fh.write("\n")
-    print(f"wrote {csv_path} and {json_path}")
+    _print(f"wrote {csv_path} and {json_path}")
     rows, coords = system.shape
-    print(f"system: {rows} linear sections over {coords} coordinates (linear part only)")
+    _print(f"system: {rows} linear sections over {coords} coordinates (linear part only)")
     return EXIT_EVIDENCE
 
 
@@ -452,7 +469,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        _print(end="", flush=True)  # a failed write of buffered output fails here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -441,8 +441,11 @@ def _tangent_ranks(
     with N_j the left null vectors of A[omega_j]. Hence rank J = sum_j
     rank A[omega_j] + rank S. Columns of equal support size share one
     batched elimination. Every row of S annihilates D = A G (N_j A[omega_j]
-    = 0), so where A[:r] is invertible the r^2 columns of D's first r rows
-    are left out of S's elimination without changing its rank. A column
+    = 0). So for any r rows P with A[P] invertible, the r^2 columns of D's
+    rows P are combinations of the other columns of S, and leaving them out
+    of its elimination keeps its column space, hence its rank and its row
+    rank profile. P is taken from a block already eliminated: the pivot
+    rows of the first full-rank column with r rows or more. A column
     where A[omega_j] drops rank is left out with all its rows, so both ranks
     stay exact ranks of a row subset of J, never above the generic ones.
 
@@ -457,13 +460,16 @@ def _tangent_ranks(
     column_ranks = 0
     blocks = [np.zeros((0, m * r), dtype=np.int64)]
     eliminated = []  # (columns, supports, row orders) of each size's full-rank columns
-    for k in np.unique(sizes[sizes > 0]).tolist():
+    gauge = None  # r rows P of A with A[P] invertible
+    for k in sorted(set(sizes.tolist()) - {0}):
         cols = np.flatnonzero(sizes == k)
         omega = np.array([supports[j] for j in cols])
         null, full, order = left_null_mod_p(A[omega])
         column_ranks += min(k, r) * int(full.sum())
-        cols, omega = cols[full], omega[full]
-        eliminated.append((cols, omega, order[full]))
+        cols, omega, order = cols[full], omega[full], order[full]
+        eliminated.append((cols, omega, order))
+        if gauge is None and k >= r and cols.size:
+            gauge = omega[0, order[0, :r]]
         if k > r:
             null, c = null[full], C[:, cols].T
             block = np.zeros((len(omega), k - r, m, r), dtype=np.int64)
@@ -474,10 +480,8 @@ def _tangent_ranks(
             del block  # held by blocks alone
     rows = np.concatenate(blocks)
     del blocks  # copied into rows, so not held through the elimination
-    if left_null_mod_p(A[None, :r])[1][0]:
-        # D = A G takes every value on D[:r] = A[:r] G and every section row
-        # annihilates it, so D[:r]'s r^2 columns add no rank
-        rows = rows[:, r * r :]
+    if gauge is not None:  # D[P]'s r^2 columns add no rank; zeroed, rank_mod_p leaves them out
+        rows[:, (r * gauge[:, None] + np.arange(r)).ravel()] = 0
     section, pivots = rank_mod_p(rows)
     jacobian = column_ranks + section
     if jacobian < r * (m + pattern.n - r):

@@ -202,35 +202,41 @@ def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``A`` is a (b, k, r) int64 array with entries in range(p). Each matrix,
     augmented by the k x k identity, is eliminated on its first min(k, r)
-    columns with row swaps and the division-free update
-    ``row <- piv * row - f * pivot_row``, all b at once. Returns the identity
-    part of the k - min(k, r) rows left over, a (b, k - min(k, r), k) array
-    whose rows N satisfy N A = 0; a (b,) bool array: whether every one of
-    those columns found a pivot; and the (b, k) row order the swaps made,
-    row t of the elimination being row ``order[t]`` of A. Where every column
-    found a pivot, A has rank min(k, r): the rows ``order[:min(k, r)]`` are
-    its pivot rows, and for k >= r the rows of N span its left null space,
-    null vector s being supported on the pivot rows and on row
-    ``order[min(k, r) + s]``, with a nonzero coefficient there (a product of
-    pivots). Elsewhere N is meaningless.
+    columns with the division-free update ``row <- piv * row - f * pivot_row``,
+    all b at once. Column t's pivot is the first row from t on nonzero there,
+    swapped into row t. Rows are searched and exchanged only in a step where
+    some member's diagonal entry is zero: elsewhere that row is row t, so
+    the exchange would move nothing, and at a generic point no step needs
+    one. Returns the identity part of the k - min(k, r) rows left over, a
+    (b, k - min(k, r), k) array whose rows N satisfy N A = 0; a (b,) bool
+    array: whether every one of those columns found a pivot; and the (b, k)
+    row order the swaps made, row t of the elimination being row
+    ``order[t]`` of A. Where every column found a pivot, A has rank
+    min(k, r): the rows ``order[:min(k, r)]`` are its pivot rows, and for
+    k >= r the rows of N span its left null space, null vector s being
+    supported on the pivot rows and on row ``order[min(k, r) + s]``, with a
+    nonzero coefficient there (a product of pivots). Elsewhere N is
+    meaningless.
     """
     p = FIELD_PRIME
     b, k, r = A.shape
     steps = min(k, r)
-    M = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (b, k, k))], axis=2)
-    order = np.broadcast_to(np.arange(k), (b, k)).copy()
+    M = np.concatenate([A, np.eye(k, dtype=np.int64)[None].repeat(b, axis=0)], axis=2)
+    order = np.arange(k)[None].repeat(b, axis=0)
     full = np.ones(b, dtype=bool)
     batch = np.arange(b)
     for t in range(steps):
-        nonzero = M[:, t:, t] != 0
-        full &= nonzero.any(axis=1)
-        pivot = t + nonzero.argmax(axis=1)
-        row = M[batch, pivot]
-        M[batch, pivot] = M[:, t]
-        M[:, t] = row
-        moved = order[batch, pivot]
-        order[batch, pivot] = order[:, t]
-        order[:, t] = moved
+        if not M[:, t, t].all():
+            nonzero = M[:, t:, t] != 0
+            full &= nonzero.any(axis=1)
+            pivot = t + nonzero.argmax(axis=1)
+            row = M[batch, pivot]
+            M[batch, pivot] = M[:, t]
+            M[:, t] = row
+            moved = order[batch, pivot]
+            order[batch, pivot] = order[:, t]
+            order[:, t] = moved
+        row = M[:, t]
         below = M[:, t + 1 :, t:]
         below[...] = (row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:]) % p
     return M[:, steps:, r:], full, order
@@ -289,7 +295,11 @@ def first_full_rank(
     """Best of ``rank_at`` over up to ``trials`` random points, and the trials run.
 
     Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
-    ``seed``. ``target`` is the rank to prove; ``bound()`` returns an upper
+    ``seed``, spawned as the trial starts, so a test that stops early spawns
+    no child it does not use. A ``SeedSequence`` the caller passed in is
+    then advanced past all ``trials`` children, as if each had been spawned,
+    so what the caller spawns from it next does not depend on where the test
+    stopped. ``target`` is the rank to prove; ``bound()`` returns an upper
     bound on the rank at every point, and it is called at most once, after
     the first trial that falls short of ``target``. The loop stops at the
     first trial whose rank reaches ``target``, or ``bound()`` where that is
@@ -301,16 +311,19 @@ def first_full_rank(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not isinstance(seed, np.random.SeedSequence):
+    owned = not isinstance(seed, np.random.SeedSequence)
+    if owned:
         seed = np.random.SeedSequence(seed)
     best, ceiling = 0, target
-    for run, child in enumerate(seed.spawn(trials), start=1):
-        best = max(best, rank_at(np.random.default_rng(child)))
+    for run in range(1, trials + 1):
+        best = max(best, rank_at(np.random.default_rng(seed.spawn(1)[0])))
         if run == 1 and best < target:
             ceiling = min(bound(), target)
         if best >= ceiling:
-            return best, run
-    return best, trials
+            break
+    if not owned:
+        seed.spawn(trials - run)
+    return best, run
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,66 @@ def reference_rank_mod_p(M):
     return rank, np.flatnonzero(~free)
 
 
+def reference_left_null_mod_p(A):
+    """(null, full, order) over GF(p) by the earlier kernel: every step searches
+    each member's column t from row t on for its first nonzero entry and swaps
+    that row into row t, a no-op where row t is nonzero, then takes the
+    division-free update."""
+    p = FIELD_PRIME
+    b, k, r = A.shape
+    steps = min(k, r)
+    M = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), (b, k, k))], axis=2)
+    order = np.broadcast_to(np.arange(k), (b, k)).copy()
+    full = np.ones(b, dtype=bool)
+    batch = np.arange(b)
+    for t in range(steps):
+        nonzero = M[:, t:, t] != 0
+        full &= nonzero.any(axis=1)
+        pivot = t + nonzero.argmax(axis=1)
+        row = M[batch, pivot]
+        M[batch, pivot] = M[:, t]
+        M[:, t] = row
+        moved = order[batch, pivot]
+        order[batch, pivot] = order[:, t]
+        order[:, t] = moved
+        below = M[:, t + 1 :, t:]
+        below[...] = (row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:]) % p
+    return M[:, steps:, r:], full, order
+
+
+def reference_tangent_ranks(pattern, r, rng):
+    """``_tangent_ranks`` one column at a time with the earlier kernels, every
+    column of S kept: no gauge columns are left out. Columns go by support
+    size, then index, as the blocks do, so the row basis lists the same
+    entries in the same order."""
+    p = FIELD_PRIME
+    m, n = pattern.m, pattern.n
+    A = rng.integers(0, p, size=(m, r))
+    C = rng.integers(0, p, size=(r, n))
+    supports = pattern.column_supports()
+    column_ranks, S, pivot_entries, section_entries = 0, [], [], []
+    for j in sorted(range(n), key=lambda j: len(supports[j])):
+        omega = np.array(supports[j], dtype=np.intp)
+        if not omega.size:
+            continue
+        (null,), (full,), (order,) = reference_left_null_mod_p(A[None, omega])
+        if not full:
+            continue
+        rows = omega[order]
+        column_ranks += min(len(omega), r)
+        pivot_entries += [(i, j) for i in rows[:r].tolist()]
+        for s, vector in enumerate(null):
+            lifted = np.zeros((m, r), dtype=np.int64)
+            lifted[omega] = vector[:, None] * C[:, j] % p
+            S.append(lifted.ravel())
+            section_entries.append((int(rows[r + s]), j))
+    section, pivots = reference_rank_mod_p(np.array(S, dtype=np.int64).reshape(-1, m * r))
+    jacobian = column_ranks + section
+    if jacobian < r * (m + n - r):
+        return jacobian, section, None
+    return jacobian, section, np.array(pivot_entries + [section_entries[i] for i in pivots.tolist()])
+
+
 def reference_relaxed_slmf(pattern, r):
     """(ok, reason, violating_rows) of the counting test, row set by row set."""
     m, n = pattern.m, pattern.n

@@ -833,6 +833,39 @@ def test_export_system_onto_a_full_disk_is_a_write_error(capsys, tmp_path):
     assert f"error: cannot write {prefix}.csv" in err
 
 
+def _stdout_full():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    return open("/dev/full", "wb")
+
+
+def _stdout_closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", [_stdout_full, _stdout_closed_pipe], ids=["dev-full", "closed-pipe"])
+def test_a_failed_write_to_standard_output_is_exit_64(pattern_file, stdout, unbuffered):
+    """Standard output on ``/dev/full`` (ENOSPC) or on a pipe whose reader has
+    closed it (EPIPE), buffered or not: one line on stderr and exit 64, not
+    the interpreter's 120 after a failed flush at exit, nor a fault's 70."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(completable.__file__).parents[1]),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    with stdout() as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "completable", "analyze", pattern_file, "--rank", "3", "--json"],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 64
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write standard output: [Errno ")
+
+
 @pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])
 def test_slmf_check_no_past_the_column_limit(capsys, tmp_path, method):
     """A refutation past 22 columns is answered without a minimum witness: exit 2."""

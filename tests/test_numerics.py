@@ -41,8 +41,8 @@ from completable import (
 )
 from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
-from completable.plucker import index_subsets
-from conftest import reference_export_csv
+from completable.plucker import index_subsets, rank_mod_p
+from conftest import reference_export_csv, reference_tangent_ranks
 
 # two rank-1 blocks at r = 1, deficient by one although no row or column has
 # at most r entries
@@ -364,6 +364,27 @@ def test_a_column_whose_rows_drop_rank_is_left_out():
     without = pattern.restrict(e for e in pattern.entries if e[1] != 0)
     ranks = _tangent_ranks(pattern, 2, _Draws(A, C))
     assert ranks == _tangent_ranks(without, 2, _Draws(A, C)) == (8, 4, None)
+
+
+def test_the_gauge_rows_are_the_pivot_rows_of_an_eliminated_column(monkeypatch):
+    """8 x 8, 4 rows per column, r = 2, with rows 2 and 3 of A parallel: the first
+    column, on rows (2, 3, 4, 6), exchanges rows in its second step, so its
+    pivot rows, and the gauge, are rows 2 and 4, not its first two rows. The
+    columns of S left out are those of rows 2 and 4, and the ranks and the row
+    basis are those of the eliminations that keep every column."""
+    pattern = random_pattern(8, 8, 4, seed=0)
+    assert pattern.column_supports()[0] == (2, 3, 4, 6)
+    rng = np.random.default_rng(0)
+    A, C = rng.integers(1, 1000, size=(8, 2)), rng.integers(1, 1000, size=(2, 8))
+    A[3] = 2 * A[2]
+    seen = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append(M.copy()) or rank_mod_p(M))
+    jacobian, section, basis = _tangent_ranks(pattern, 2, _Draws(A.copy(), C.copy()))
+    (rows,) = seen
+    assert np.flatnonzero(~rows.any(axis=0)).tolist() == [4, 5, 8, 9]  # D[2] and D[4]
+    expected = reference_tangent_ranks(pattern, 2, _Draws(A, C))
+    assert (jacobian, section) == expected[:2] == (28, 12)
+    assert basis.tolist() == expected[2].tolist()
 
 
 def test_tangent_tests_refuse_an_oversized_system_before_allocating():

@@ -36,12 +36,20 @@ from completable.plucker import (
     _lex_rank,
     _subset_sum_parity,
     complement_sign,
+    first_full_rank,
     index_subsets,
     left_null_mod_p,
     rank_mod_p,
     row_reduce,
 )
-from conftest import PHI_A, PHI_B, REPEATED_COLUMNS, reference_plucker_json, reference_rank_mod_p
+from conftest import (
+    PHI_A,
+    PHI_B,
+    REPEATED_COLUMNS,
+    reference_left_null_mod_p,
+    reference_plucker_json,
+    reference_rank_mod_p,
+)
 
 # rank-2 basis of R^4 whose minors are small integers; its coordinate vector
 # (1, 2, 4, 0, -3, -6) is reused in many tests below
@@ -731,3 +739,64 @@ def test_left_null_mod_p_spans_the_left_null_space(k, r):
         for s, vector in enumerate(N):
             assert set(np.flatnonzero(vector).tolist()) <= {*rows[:steps].tolist(), rows[steps + s]}
             assert vector[rows[steps + s]] != 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_left_null_mod_p_matches_the_exchanging_kernel(b, k, r, seed, data):
+    """Full-range stacks of b k x r matrices, with zeros forced where rows must
+    be exchanged: for each drawn (member, step t), row t of that member is zero
+    up to column t, so its diagonal entry is still zero when step t comes, and
+    whole drawn columns are zero, so no row pivots them. The kernel that
+    exchanges only in steps with a zero diagonal entry gives what the one
+    exchanging in every step gives."""
+    A = np.random.default_rng(seed).integers(0, FIELD_PRIME, size=(b, k, r))
+    steps = min(k, r)
+    for member, t in data.draw(st.sets(st.tuples(st.integers(0, b - 1), st.integers(0, steps - 1)))):
+        A[member, t, : t + 1] = 0
+    for member, c in data.draw(st.sets(st.tuples(st.integers(0, b - 1), st.integers(0, r - 1)), max_size=2)):
+        A[member, :, c] = 0
+    got = left_null_mod_p(A.copy())
+    expected = reference_left_null_mod_p(A.copy())
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape and np.array_equal(a, e)
+
+
+@pytest.mark.parametrize(
+    "ranks, bound, run",
+    [([5], 5, 1), ([3], 3, 1), ([3, 3, 3], 4, 3)],
+    ids=["pass-at-trial-1", "refuted-at-the-bound", "short-in-every-trial"],
+)
+def test_first_full_rank_spawns_a_child_per_trial_and_leaves_a_passed_sequence_past_all(ranks, bound, run):
+    """Target 5 over 3 trials: each trial draws from the next child, spawned as it
+    starts, and a ``SeedSequence`` passed in is left past all 3 children however
+    early the loop stops, so the caller's next spawn is the one it was before."""
+    seed = np.random.SeedSequence(7)
+    seed.spawn(2)
+    keys, spawned = [], []
+
+    def rank_at(rng):
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        spawned.append(seed.n_children_spawned)
+        return ranks[len(keys) - 1]
+
+    assert first_full_rank(rank_at, 5, 3, seed, bound=lambda: bound) == (max(ranks), run)
+    assert keys == [(2,), (3,), (4,)][:run]
+    assert spawned == [3, 4, 5][:run]
+    assert seed.n_children_spawned == 5
+
+
+def test_first_full_rank_draws_the_children_of_an_int_seed_in_order():
+    """An int seed's trials draw from spawn keys (0,), (1,), ..., the children
+    ``SeedSequence(seed).spawn(trials)`` lists, in order."""
+    keys, drawn = [], []
+
+    def rank_at(rng):
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        drawn.append(rng.integers(0, 2**32))
+        return 0
+
+    assert first_full_rank(rank_at, 1, 4, 11, bound=lambda: 1) == (0, 4)
+    assert keys == [(0,), (1,), (2,), (3,)]
+    children = np.random.SeedSequence(11).spawn(4)
+    assert drawn == [np.random.default_rng(child).integers(0, 2**32) for child in children]

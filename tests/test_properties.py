@@ -53,6 +53,7 @@ from conftest import (
     reference_least_violator,
     reference_rank_report,
     reference_relaxed_slmf,
+    reference_tangent_ranks,
 )
 
 
@@ -186,6 +187,34 @@ def test_the_core_bound_is_never_below_the_generic_ranks(mask, seed):
     assert jacobian <= bound
     if all(len(omega) >= r for omega in pattern.column_supports()):
         assert section <= bound - r * pattern.n
+
+
+@st.composite
+def masks_up_to_10x10(draw):
+    """(pattern, r) on at most 10 x 10 cells, r at most 3: half ``random_pattern``
+    masks with k >= r rows per column, which often reach full rank, half any entries."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, min(m, n, 3)))
+    if draw(st.booleans()):
+        return random_pattern(m, n, draw(st.integers(r, m)), seed=draw(st.integers(0, 2**16))), r
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    return ObservationPattern(m, n, frozenset(draw(st.sets(st.sampled_from(cells))))), r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(masks_up_to_10x10())
+def test_the_gauge_columns_left_out_change_no_rank_nor_row_basis(mask):
+    """At a fixed point, the Jacobian rank, the section rank and the row basis are
+    those of the eliminations that keep every column of S, whichever invertible
+    rows of A the gauge is taken from."""
+    pattern, r = mask
+    jacobian, section, basis = numerics._tangent_ranks(pattern, r, np.random.default_rng(0))
+    expected = reference_tangent_ranks(pattern, r, np.random.default_rng(0))
+    assert (jacobian, section) == expected[:2]
+    assert (basis is None) == (expected[2] is None)
+    if basis is not None:
+        assert basis.tolist() == expected[2].tolist()
 
 
 def assert_necessary_witness(pattern, r, witness):
