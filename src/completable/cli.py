@@ -70,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):  # argparse hook: help, usage and version
+        # argparse drops a failed write; on standard output it is a usage error
+        if file is sys.stdout:
+            _print(message, end="", flush=True)
+        else:
+            super()._print_message(message, file)
+
 
 def _int_at_least(low: int):
     """argparse type for an integer option with a lower bound."""
@@ -89,7 +96,7 @@ def _int_at_least(low: int):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -345,9 +352,13 @@ def _cmd_slmf_check(args) -> int:
 
 def _cmd_complete(args) -> int:
     obs = _load_values_file(args.values_file)
+    lines = _read_text(args.basis).splitlines()
+    # loadtxt warns on a file with no data, and the check runs first to keep it quiet
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise _UsageError(f"{args.basis}: empty basis file")
     try:
-        basis_rows = np.loadtxt(args.basis, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        basis_rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
         raise _UsageError(f"{args.basis}: {exc}") from exc
     try:
         basis = SubspaceBasis(basis_rows)

@@ -162,39 +162,32 @@ def _is_exact_array(a: np.ndarray) -> bool:
     return a.dtype == object or np.issubdtype(a.dtype, np.integer)
 
 
-def row_reduce(rows: Sequence[Sequence]) -> tuple[int, object]:
-    """Rank and determinant by exact Gaussian elimination over the rationals.
+def _gauss_jordan(a: np.ndarray) -> tuple[list[int], object]:
+    """Gauss-Jordan elimination of a float or Fraction matrix, in place.
 
-    Entries are integers or Fractions; the determinant is an int when
-    integral. It is the signed product of the pivots, and 0 unless the matrix
-    is square of full rank.
+    Step i swaps the row holding the largest remaining entry in absolute value
+    (complete pivoting) into row i, scales that row so the entry is 1, and
+    clears its column in every other row; it stops when the rows from i on
+    are all zero. Returns the pivot columns in step order, as many as the
+    rank, and the product of the pivots, negated per row exchange: for as
+    many pivot columns p as rows, ``det a[:, p]``, exact for Fractions.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    det = 1
-    for c in range(ncols):
-        pivot = next((k for k in range(rank, nrows) if mat[k][c]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            det = -det
-        det = det * mat[rank][c]
-        inv = 1 / mat[rank][c]
-        for k in range(rank + 1, nrows):
-            f = mat[k][c] * inv
-            if f:
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[rank])]
-        rank += 1
-        if rank == nrows:
+    n, m = a.shape
+    pivots, det = [], 1
+    for i in range(n):
+        k, j = divmod(int(np.argmax(np.abs(a[i:]))), m)
+        if not a[i + k, j]:
             break
-    if rank < nrows or nrows != ncols:
-        det = 0
-    if isinstance(det, Fraction) and det.denominator == 1:
-        det = int(det)
-    return rank, det
+        if k:
+            a[[i, i + k]] = a[[i + k, i]]
+            det = -det
+        det = det * a[i, j]
+        a[i] = a[i] / a[i, j]
+        for t in range(n):
+            if t != i:
+                a[t] = a[t] - a[t, j] * a[i]
+        pivots.append(j)
+    return pivots, det
 
 
 def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,7 +335,8 @@ class SubspaceBasis:
         if r > m:
             raise NotABasisError(f"not a basis: {r} columns cannot be independent in dimension {m}")
         if _is_exact_array(mat):
-            rank, _ = row_reduce(mat.tolist())
+            rational = np.array([[Fraction(x) for x in row] for row in mat.tolist()], dtype=object)
+            rank = len(_gauss_jordan(rational.T)[0])
         else:
             mat = mat.astype(float)
             if not np.isfinite(mat).all():
@@ -447,28 +441,24 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
 def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
     """All r x r row minors of an m x r matrix, read off its complement.
 
-    Gauss-Jordan elimination on the transpose, with complete pivoting, picks
-    rows I with B[I] invertible and gives B' = B B[I]^-1, the identity on I
-    and N on the other rows J. The columns of C with C[J] = identity and
-    C[I] = -N^T span the orthogonal complement, so the dual of C's minors is
+    Gauss-Jordan elimination on the transpose (``_gauss_jordan``) picks rows
+    I with B[I] invertible and gives B' = B B[I]^-1, the identity on I and N
+    on the other rows J. The columns of C with C[J] = identity and C[I] =
+    -N^T span the orthogonal complement, so the dual of C's minors is
     proportional to the minors of B'. Those are 1 at I, and the minors of B
-    are det B[I] times them. Object input stays exact (Fractions).
+    are det B[I] times them: exact for object input (Fractions), from the
+    elimination's pivots, and for floats from ``np.linalg.det``.
     """
     m, r = mat.shape
     exact = mat.dtype == object
     a = mat.T * (Fraction(1) if exact else 1.0)  # a copy; Fractions divide exactly
-    pivots = []
-    for i in range(r):
-        k, j = divmod(int(np.argmax(np.abs(a[i:]))), m)
-        a[[i, i + k]] = a[[i + k, i]]
-        a[i] = a[i] / a[i, j]
-        for t in range(r):
-            if t != i:
-                a[t] = a[t] - a[t, j] * a[i]
-        pivots.append(j)
+    pivots, det = _gauss_jordan(a)
     rows = sorted(pivots)
     a = a[np.argsort(pivots)]
-    det = row_reduce(mat[rows].tolist())[1] if exact else np.linalg.det(mat[rows])
+    if exact:  # the pivot product is det B[pivots]; sorting the rows flips it once per inversion
+        det *= (-1) ** sum(p > q for p, q in itertools.combinations(pivots, 2))
+    else:
+        det = np.linalg.det(mat[rows])
     if r == m:
         return np.array([det], dtype=mat.dtype)
     others = [i for i in range(m) if i not in pivots]

@@ -654,6 +654,35 @@ def test_complete_missing_basis_file_exit_64(capsys, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text", ["", "# a comment\n", "\n  \n# two\n# comments\n"], ids=["empty", "comment", "blank-and-comments"]
+)
+def test_complete_basis_file_without_data_exit_64(capsys, tmp_path, text):
+    """A basis file with no data row is a usage error in one line, with no
+    warning from the CSV reader (an error under this suite's warning filter)."""
+    values, basis, _ = _observed_csv_file(tmp_path)
+    basis.write_text(text)
+    code, out, err = run_cli(
+        capsys, "complete", str(values), "--rank", "2",
+        "--basis", str(basis), "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out, err) == (64, "", f"error: {basis}: empty basis file\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_input_files_that_are_not_text_exit_64(capsys, tmp_path):
+    values, _, _ = _observed_csv_file(tmp_path)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe1,2\n")
+    for argv in (
+        ["analyze", str(binary), "--rank", "1"],
+        ["complete", str(values), "--rank", "2", "--basis", str(binary), "--out", str(tmp_path / "x.csv")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot read {binary}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_analyze_rank_above_min_m_n_exit_64(capsys, pattern_file):
     code, out, err = run_cli(capsys, "analyze", pattern_file, "--rank", "6")
     assert (code, out) == (64, "")
@@ -864,6 +893,31 @@ def test_a_failed_write_to_standard_output_is_exit_64(pattern_file, stdout, unbu
     assert proc.returncode == 64
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: cannot write standard output: [Errno ")
+
+
+@pytest.mark.parametrize("stdout", [_stdout_full, _stdout_closed_pipe], ids=["dev-full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["analyze", "--help"]], ids=" ".join)
+def test_help_and_version_onto_an_unwritable_standard_output_exit_64(stdout, argv):
+    """argparse drops a failed write of its help or version text and exits 0:
+    here, as for a report, the failure is one line on stderr and exit 64."""
+    env = {**os.environ, "PYTHONPATH": str(Path(completable.__file__).parents[1])}
+    with stdout() as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "completable", *argv], stdout=out, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert proc.returncode == 64
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write standard output: [Errno ")
+
+
+def test_help_and_version_print_and_exit_0(capsys):
+    version = f"completable {completable.__version__}"
+    for argv, first in ((["--version"], version), (["analyze", "--help"], "usage: completable analyze")):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (stop.value.code, err) == (0, "")
+        assert out.startswith(first) and out.endswith("\n")
 
 
 @pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -32,6 +33,7 @@ from completable import (
 from completable.plucker import (
     FIELD_PRIME,
     _dual_coords,
+    _gauss_jordan,
     _laplace_minors,
     _lex_rank,
     _subset_sum_parity,
@@ -40,7 +42,6 @@ from completable.plucker import (
     index_subsets,
     left_null_mod_p,
     rank_mod_p,
-    row_reduce,
 )
 from conftest import (
     PHI_A,
@@ -54,6 +55,27 @@ from conftest import (
 # rank-2 basis of R^4 whose minors are small integers; its coordinate vector
 # (1, 2, 4, 0, -3, -6) is reused in many tests below
 BASIS_4X2 = np.array([[1, 0], [0, 1], [0, 2], [3, 4]])
+
+
+def _det_by_permutations(rows):
+    """Determinant of a square list of int or Fraction rows by the permutation
+    expansion, summed row by row with each set of columns left to the later
+    rows expanded once; an int where the value is integral."""
+
+    @functools.cache
+    def expand(cols):
+        if not cols:
+            return 1
+        row = rows[len(rows) - len(cols)]
+        return sum((-1) ** k * row[c] * expand(cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols) if row[c])
+
+    det = expand(tuple(range(len(rows))))
+    return int(det) if det.denominator == 1 else det
+
+
+def _rational_rank(M):
+    """Rank over the rationals of an integer matrix, from the package's exact elimination."""
+    return len(_gauss_jordan(np.array(M.tolist(), dtype=object).reshape(M.shape) * Fraction(1))[0])
 
 
 def _random_basis(rng, m, r):
@@ -106,6 +128,46 @@ def test_rank_deficient_matrix_rejected():
         SubspaceBasis(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     with pytest.raises(NotABasisError):
         SubspaceBasis(np.array([[1, 2], [2, 4], [3, 6]]))  # exact path too
+
+
+def test_an_exact_basis_is_checked_at_its_exact_rank():
+    """Exact entries are read as their exact rationals. The float nearest 1/3 is
+    not 1/3, so the object matrix has determinant 3 fl(1/3) - 1, not 0, and
+    rank 2, where its float64 copy has rank 1 to working precision."""
+    mat = np.array([[3.0, 1.0], [1.0, 1 / 3]], dtype=object)
+    (det,) = plucker_of_basis(SubspaceBasis(mat)).coords
+    assert det == 3 * Fraction(1 / 3) - 1 != 0
+    with pytest.raises(NotABasisError, match=r"^not a basis: column rank 1 < 2$"):
+        SubspaceBasis(mat.astype(float))
+    thirds = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)], [Fraction(-1, 6), Fraction(-1, 9)]]
+    with pytest.raises(NotABasisError, match=r"^not a basis: column rank 1 < 2$"):
+        SubspaceBasis(np.array(thirds, dtype=object))
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, dtype, kind",
+    [
+        ([[-7]], None, int),
+        ([[2, -1, 0], [4, 3, -5], [1, 0, 6]], None, int),
+        (np.random.default_rng(5).integers(-9, 10, (6, 6)).tolist(), None, int),
+        ([[-_THIRD]], object, Fraction),
+        ([[_HALF, 0, 0], [_THIRD, 2, 0], [5, _HALF, 4]], object, int),
+        ([[_HALF, _THIRD, 1], [2, -_HALF, _THIRD], [0, 3, -_THIRD]], object, Fraction),
+    ],
+    ids=["1x1-int", "3x3-int", "6x6-int", "1x1-Fraction", "3x3-Fraction-integral", "3x3-Fraction"],
+)
+def test_a_square_exact_basis_has_its_determinant_as_its_coordinate(rows, dtype, kind):
+    """At r == m the one coordinate is det B, which the complement route reads
+    off its elimination's pivots: equal to the permutation expansion and to
+    the Laplace recursion, an int where integral and a Fraction otherwise."""
+    det = _det_by_permutations(rows)
+    assert det != 0 and type(det) is kind
+    (coord,) = plucker_of_basis(SubspaceBasis(np.array(rows, dtype=dtype))).coords
+    assert (coord, type(coord)) == (det, kind)
+    assert _laplace_minors(np.array(rows, dtype=object)).tolist() == [det]
 
 
 def test_projection_nondegenerate_fixture():
@@ -418,7 +480,7 @@ def test_minors_match_the_per_subset_determinants(drawn):
         except NotABasisError:
             continue
         coords = plucker_of_basis(basis).coords
-        expected = [row_reduce([rows[i] for i in psi])[1] for psi in itertools.combinations(range(m), r)]
+        expected = [_det_by_permutations([rows[i] for i in psi]) for psi in itertools.combinations(range(m), r)]
         assert [(c, type(c)) for c in coords] == [(e, type(e)) for e in expected]
 
 
@@ -503,7 +565,7 @@ def test_complement_signs_and_scale_written_in_place_match_the_reference(monkeyp
     P = plucker_of_basis(SubspaceBasis(B))
     monkeypatch.undo()
     rows = seen["rows"]
-    det = row_reduce(B[rows].tolist())[1] if exact else np.linalg.det(B[rows])
+    det = _det_by_permutations(B[rows].tolist()) if exact else np.linalg.det(B[rows])
     dual = _dual_by_where(seen["minors"], m, m - r)
     for got, expected in (
         (P.coords, dual * (det * dual[_lex_rank(rows, m)])),
@@ -641,9 +703,9 @@ def test_rank_mod_p_is_the_rational_rank_of_small_integer_matrices(rows, cols, s
     """
     M = np.random.default_rng(seed).integers(0, 3, size=(rows, cols))
     rank, pivots = rank_mod_p(M.copy())
-    assert rank == row_reduce(M.tolist())[0] == len(pivots)
+    assert rank == _rational_rank(M) == len(pivots)
     assert pivots.tolist() == sorted(set(pivots.tolist()))
-    assert row_reduce(M[pivots].tolist())[0] == rank
+    assert _rational_rank(M[pivots]) == rank
 
 
 def test_rank_mod_p_visits_no_all_zero_column():
@@ -670,7 +732,7 @@ def test_rank_mod_p_pivots_are_the_first_row_basis_in_any_column_order(M, data):
     rows, cols = M.shape
     M[sorted(data.draw(st.sets(st.integers(0, rows - 1))))] = 0
     M[:, sorted(data.draw(st.sets(st.integers(0, cols - 1))))] = 0
-    ranks = [0] + [row_reduce(M[: i + 1].tolist())[0] for i in range(rows)]
+    ranks = [0] + [_rational_rank(M[: i + 1]) for i in range(rows)]
     first_basis = [i for i in range(rows) if ranks[i + 1] > ranks[i]]
     permuted = M[:, data.draw(st.permutations(range(cols)))]
     for matrix in (M, permuted):
