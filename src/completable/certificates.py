@@ -15,12 +15,14 @@ that passes is tested at once, and the walk goes beneath it only when it
 holds a linkage support. Complete at desk scale, budget-bounded beyond it.
 
 One numpy kernel over row bitmasks bounds passing sub-patterns, which decides
-the exact counting test; a bound below r(m+n-r) rules out certificates.
+the exact counting test; above ``ROW_SET_LIMIT`` rows the row sets that miss
+at most one row bound them. A bound below r(m+n-r) rules out certificates.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -264,21 +266,19 @@ def _group_witness(
 def _find_certificate(
     pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
 ) -> SearchOutcome:
-    """Enumerate unless a small column, an unobserved row or the counting bound rules them out.
+    """Enumerate unless the counting bound rules certificates out.
 
     Certificate => finitely completable => full generic Jacobian rank
     r(m+n-r) (Kiraly-Theran-Tomioka) => a row basis of that Jacobian is a
     finitely completable exact-size sub-pattern => it passes the counting test
-    (Pimentel-Alarcon-Boston-Nowak). The bound is not charged to the budget.
+    (Pimentel-Alarcon-Boston-Nowak). The line bound comes first: it caps a
+    column of fewer than r rows on all rows, and a row no column observes on
+    all the others, with no scan of row sets. Neither is charged to the budget.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
-    if (
-        any(len(omega) < r for omega in pattern.column_supports())
-        or len({i for i, _ in pattern.entries}) < pattern.m  # a linkage support covers every row
-        or (pattern.m <= ROW_SET_LIMIT and _counting_bound(pattern, r)[0] < target)
-    ):
+    if _line_bound(pattern, r)[0] < target or _counting_bound(pattern, r)[0] < target:
         return SearchOutcome(None, exhausted=True, nodes=0)
     return _enumerate(pattern, r, kind, budget_nodes)
 
@@ -289,7 +289,7 @@ def _covering_test(supports: Sequence[Sequence[int]], m: int, r: int) -> Callabl
     A linkage support's m-r subsets cover all m rows, and at most
     (#omega_j - r)^+ of them lie in column j. So g of them need every row
     observed g times, and surpluses summing to g(m-r). At m = r the first
-    part holds for columns of at least r rows, which ``_find_certificate`` checks.
+    part holds for columns of at least r rows, which the counting bound checks.
     """
     holders = [0] * m  # the columns observing each row
     by_surplus: dict[int, int] = {}  # the columns with each surplus
@@ -404,6 +404,27 @@ def _least_row_set(
     return best[0], rows(best[1]), None if violated is None else rows(violated)
 
 
+def _line_bound(pattern: ObservationPattern, r: int) -> tuple[int, Optional[int]]:
+    """|Omega| + slack(I), least over I all rows and all rows but one, and the row
+    the first I attaining it leaves out: m when it is all rows, None at m == r,
+    where neither has r+1 rows and the bound is |Omega|.
+
+    On all rows it is sum_j min(#omega_j, r) + r(m-r). Leaving out row i lowers
+    the slack by r and raises it by c_i, the columns of r+1 rows or more
+    holding i, so the least is at the least c_i, on ties at the largest i, as
+    ``_least_row_set`` orders row sets. O(|Omega|) time and memory.
+    """
+    m, supports = pattern.m, pattern.column_supports()
+    if m == r:
+        return pattern.size, None
+    bound = sum(min(len(omega), r) for omega in supports) + r * (m - r)
+    held = Counter(i for omega in supports if len(omega) > r for i in omega)
+    least = min(held.values()) if len(held) == m else 0
+    if least > r or m == r + 1:  # at m = r+1 all rows but one are only r rows
+        return bound, m
+    return bound + least - r, next(i for i in reversed(range(m)) if held[i] == least)
+
+
 def _counting_bound(
     pattern: ObservationPattern, r: int
 ) -> tuple[int, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
@@ -413,14 +434,20 @@ def _counting_bound(
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
     sum to at most r(#I - r), so |S| <= |Omega| + slack_Omega(I) for every I.
-    Kept on the pattern object per r: the searches, the counting test and
-    the necessary condition of one analysis share one scan. Every counting
-    inequality holds iff the bound reaches |Omega|.
+    Up to ``ROW_SET_LIMIT`` rows it is the least over all row sets, and every
+    counting inequality holds iff it reaches |Omega|. Above, it is the line
+    bound, and the first breaking row set is left None, unscanned. Kept on
+    the pattern object per r: the searches, the counting test and the
+    necessary condition of one analysis share one scan.
     """
     shared, key = pattern._shared, ("counting_bound", r)
     if key not in shared:
-        least = _least_row_set(pattern, r)
-        shared[key] = (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
+        if pattern.m > ROW_SET_LIMIT:
+            bound, out = _line_bound(pattern, r)
+            shared[key] = (bound, None if out is None else tuple(i for i in range(pattern.m) if i != out), None)
+        else:
+            least = _least_row_set(pattern, r)
+            shared[key] = (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
     return shared[key]
 
 
@@ -542,30 +569,6 @@ def _spanning_tree(pattern: ObservationPattern) -> list[tuple[int, int]]:
     return tree
 
 
-def _degree_refutation(pattern: ObservationPattern, r: int) -> Optional[tuple[int, ...]]:
-    """A row set capping passing sub-patterns below r(m+n-r) by a degree below r, or None.
-
-    For a pattern of r(m+n-r) entries or more, with S = sum_j max(#omega_j
-    - r, 0) and |Omega| <= r n + S. A row i of degree d < r: on the other
-    rows I only the d columns holding i lose a surplus entry, one each, so
-    slack(I) <= r(m-1-r) - S + d and the bound |Omega| + slack(I) is at
-    most r(m+n-r) - r + d. A column of fewer than r rows makes |Omega| <
-    r n + S, so on the full row set the bound is below r(m+n-r) too. The
-    pattern's size makes m >= r+2 in the first case and m >= r+1 in the
-    second, so the row set has r+1 rows or more, as ``_least_row_set`` scans.
-    """
-    m = pattern.m
-    row_degrees = [0] * m
-    for i, _ in pattern.entries:
-        row_degrees[i] += 1
-    for i, degree in enumerate(row_degrees):
-        if degree < r:
-            return tuple(k for k in range(m) if k != i)
-    if any(len(omega) < r for omega in pattern.column_supports()):
-        return tuple(range(m))
-    return None
-
-
 def check_necessary_condition(
     pattern: ObservationPattern, r: int, jacobian: Optional[RankReport] = None
 ) -> NecessaryConditionVerdict:
@@ -583,11 +586,9 @@ def check_necessary_condition(
        the entries of its row basis are a finitely completable exact-size
        sub-pattern (Kiraly-Theran-Tomioka), which passes the counting test
        (Pimentel-Alarcon-Boston-Nowak).
-    3. Up to ``ROW_SET_LIMIT`` rows, a counting bound below r(m+n-r)
-       refutes and names its row set. At r = 1 a disconnected graph refutes
-       at any size, with or without it. Above ``ROW_SET_LIMIT`` rows, a row
-       or column of fewer than r entries refutes and names a row set that
-       caps the bound (``_degree_refutation``).
+    3. A counting bound below r(m+n-r) refutes and names its row set, at
+       any size: above ``ROW_SET_LIMIT`` rows it is the line bound. At r = 1
+       a disconnected graph refutes at any size, with or without it.
     4. An exact-size pattern the bound does not refute is its own witness.
     5. Above the exact size, a greedy set reaching r(m+n-r) entries is the
        witness, as it passes the test by construction. This 2^m scan is the
@@ -612,16 +613,12 @@ def check_necessary_condition(
                 pass
         if jacobian is not None and jacobian.row_basis is not None:
             return NecessaryConditionVerdict(True, pattern.restrict(jacobian.row_basis), 1)
-    if pattern.m <= ROW_SET_LIMIT:
-        bound, rows, _ = _counting_bound(pattern, r)
-        if bound < target:
-            return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
+    bound, rows, _ = _counting_bound(pattern, r)
+    if bound < target:
+        return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
     if r == 1:
         return NecessaryConditionVerdict(False, None, 1)
     if pattern.m > ROW_SET_LIMIT:
-        rows = _degree_refutation(pattern, r)
-        if rows is not None:
-            return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
         return NecessaryConditionVerdict(None, None, 0)
     if pattern.size == target:
         return NecessaryConditionVerdict(True, pattern, 1)

@@ -755,10 +755,6 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
     # dropping a later element of phi leaves an earlier subset, so k runs down
     drop = np.arange(r, -1, -1)
     columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
-    # each observed value once, in the supports' order, which sorts the keys j m + i
-    cells = [(i, j) for j, omega in enumerate(supports) for i in omega]
-    keys = np.array([j * pattern.m + i for i, j in cells], dtype=np.int64)
-    observed = np.array([obs.values[cell] for cell in cells], dtype=float)
-    at = np.searchsorted(keys, js[:, None] * pattern.m + phis[:, drop])
-    values = observed[at] * np.where(drop % 2, -1.0, 1.0)
+    # the value at row phi_k of column j, signed (-1)^k
+    values = _dense_values(obs)[phis[:, drop], js[:, None]] * np.where(drop % 2, -1.0, 1.0)
     return ExportedSystem(pattern.m, r, columns, values, origins)

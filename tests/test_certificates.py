@@ -328,17 +328,18 @@ def test_necessary_undecided_when_the_greedy_set_falls_short_of_a_bound_that_hol
 
 
 def test_necessary_inconclusive_above_the_row_set_limit():
-    """21 rows exceed ``ROW_SET_LIMIT``: no bound, no greedy set, no node spent.
+    """21 rows exceed ``ROW_SET_LIMIT``: no scan of row sets, no greedy set, no node spent.
 
-    Two full diagonal blocks, 11 x 11 and 10 x 10, at r = 2: every row and
-    column holds 10 entries or more, so no degree refutes, and the Jacobian
-    falls short (76 of 80), as each block has its own gauge.
+    Two full diagonal blocks, 11 x 11 and 10 x 10, at r = 2: every row lies in
+    10 columns of 10 rows or more, so the line bound reaches the target 80,
+    and the Jacobian falls short (76 of 80), as each block has its own gauge.
     """
     entries = [(i, j) for i in range(11) for j in range(11)]
     entries += [(i, j) for i in range(11, 21) for j in range(11, 21)]
     pattern = ObservationPattern(21, 21, frozenset(entries))
     assert pattern.m > ROW_SET_LIMIT and pattern.size > 2 * (21 + 21 - 2)
     assert jacobian_rank_test(pattern, 2).tested_rank == 76
+    assert _counting_bound(pattern, 2)[0] == 80
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes) == (None, 0)
 

@@ -537,6 +537,35 @@ def test_analyze_refutes_by_a_degree_where_the_jacobian_cannot_run(capsys, tmp_p
     assert report["necessary_condition"] == {"verdict": "fail", "witness_entries": None, "nodes": 1}
 
 
+def test_analyze_refutes_by_the_line_bound_where_no_degree_does(capsys, tmp_path):
+    """``random_pattern(24, 24, 6, seed=0)`` with row 1 kept only in columns 1 and 2,
+    each cut to r = 2 rows, at r = 2: every row holds two entries or more, but
+    no column of three rows or more holds row 1, so the bound on all the other
+    rows is 24 * 2 + 2 (24 - 2) - 2 = 90 < 92. The necessary condition fails in
+    one node and names that row set, and both searches end at 0 nodes."""
+    from completable import ObservationPattern, check_necessary_condition
+
+    base = random_pattern(24, 24, 6, seed=0)
+    entries = {(i, j) for i, j in base.entries if i != 0 and j not in (0, 1)}
+    pattern = ObservationPattern(24, 24, frozenset(entries | {(0, 0), (1, 0), (0, 1), (2, 1)}))
+    assert min([i for i, _ in pattern.entries].count(i) for i in range(24)) >= 2
+    path = tmp_path / "mask.txt"
+    path.write_text(pattern_to_grid(pattern))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "2", "--budget", "100000", "--json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["necessary_condition"] == {"verdict": "fail", "witness_entries": None, "nodes": 1}
+    for key in ("finite_certificate", "unique_certificate"):
+        assert report[key] == {"status": "absent", "nodes": 0}
+    assert report["jacobian_rank"] == {
+        "verdict": "fail", "tested_rank": 90, "target": 92, "trials": 1, "pass_count": 0
+    }
+    assert report["grassmann_section_rank"] == {
+        "verdict": "fail", "tested_rank": 42, "target": 44, "trials": 1, "pass_count": 0
+    }
+    assert check_necessary_condition(pattern, 2).refuting_rows == tuple(range(1, 24))
+
+
 def test_analyze_refutes_a_thinned_40x40_mask_in_one_trial(capsys, tmp_path):
     """40 x 40 with 12 rows per column, row 1 thinned to 3 entries, at r = 5:
     the row is peeled and the rest is an (r+1)-core adding r(39 + 40 - r), so

@@ -37,10 +37,10 @@ from completable import (
 from completable.certificates import (
     _Budget,
     _counting_bound,
-    _degree_refutation,
     _enumerate,
     _greedy_counting_set,
     _group_witness,
+    _line_bound,
 )
 from completable.plucker import index_subsets
 from completable.slmf import _dual_basis_rank_mod_p, _least_violator, first_linkage_support
@@ -417,20 +417,98 @@ def masks_with_a_short_row_or_column(draw):
     return pattern.restrict(pattern.entries - set(dropped)), r
 
 
+def line_rows(pattern, r):
+    """The row set ``_line_bound`` names: all rows but the one it leaves out."""
+    out = _line_bound(pattern, r)[1]
+    return None if out is None else tuple(i for i in range(pattern.m) if i != out)
+
+
+def bound_at(pattern, r, rows):
+    """|Omega| + slack(I) at the row set I = ``rows``."""
+    surplus = sum(max(len(set(omega) & set(rows)) - r, 0) for omega in pattern.column_supports())
+    return pattern.size + r * (len(rows) - r) - surplus
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(masks_with_a_short_row_or_column())
-def test_degree_refutation_caps_the_counting_bound(mask):
+def test_line_bound_refutes_a_short_row_or_column(mask):
     """A row or column of fewer than r entries, in a pattern of r(m+n-r) entries or
-    more, names a row set of r+1 rows or more whose slack caps the counting bound
-    below r(m+n-r)."""
+    more, makes the line bound name a row set of r+1 rows or more whose slack
+    caps the counting bound below r(m+n-r)."""
     pattern, r = mask
     target = r * (pattern.m + pattern.n - r)
     assume(pattern.size >= target)
-    rows = _degree_refutation(pattern, r)
+    rows = line_rows(pattern, r)
     assert rows is not None and len(rows) > r
-    surplus = sum(max(len(set(omega) & set(rows)) - r, 0) for omega in pattern.column_supports())
-    assert pattern.size + r * (len(rows) - r) - surplus < target
+    assert bound_at(pattern, r, rows) == _line_bound(pattern, r)[0] < target
     assert _counting_bound(pattern, r)[0] < target
+
+
+@st.composite
+def masks_of_mixed_column_sizes(draw):
+    """(pattern, r) on at most 8 x 8 cells, r <= 3, each column's size drawn from 0 to m."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(m, n, 3)))
+    entries = set()
+    for j in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+        entries.update((i, j) for i in rows)
+    return ObservationPattern(m, n, frozenset(entries)), r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masks_of_mixed_column_sizes())
+def test_line_bound_caps_the_exact_bound_and_refutes_only_the_incompletable(mask):
+    """The line bound is |Omega| + slack of the row set it names, the first of all
+    rows and all rows but one in the exact scan's order (least, then smallest,
+    then lexicographic), and never below the exact bound; where it refutes, no
+    Jacobian trial passes and the enumeration, unguarded by any bound, finds no
+    finite certificate that verifies (it takes a column of fewer than r rows
+    for one, which clause (i) turns down)."""
+    pattern, r = mask
+    m = pattern.m
+    lines = [tuple(range(m))] + [tuple(k for k in range(m) if k != i) for i in range(m)]
+    first = min((rows for rows in lines if len(rows) > r), default=None,
+                key=lambda rows: (bound_at(pattern, r, rows), len(rows), rows))
+    bound = _line_bound(pattern, r)[0]
+    assert line_rows(pattern, r) == first
+    assert bound == (pattern.size if first is None else bound_at(pattern, r, first))
+    assert bound >= _counting_bound(pattern, r)[0]
+    if bound < r * (pattern.m + pattern.n - r):
+        assert not jacobian_rank_test(pattern, r, trials=2).passed
+        cert = _enumerate(pattern, r, "finite", 20_000).certificate
+        assert cert is None or not verify_certificate(pattern, r, cert).ok
+
+
+@st.composite
+def masks_with_a_short_column_or_an_unobserved_row(draw):
+    """(pattern, r) on r+2 to 10 rows and at most 8 columns: a dense ``random_pattern``
+    mask with one column thinned below r entries or one row emptied."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(r + 2, 10))
+    n = draw(st.integers(r, 8))
+    pattern = random_pattern(m, n, draw(st.integers(max(r, m - 2), m)), seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        line = [e for e in pattern.sorted_entries() if e[1] == j]
+        dropped = draw(st.permutations(line))[draw(st.integers(0, r - 1)):]
+    else:
+        i = draw(st.integers(0, m - 1))
+        dropped = [e for e in pattern.entries if e[0] == i]
+    return pattern.restrict(pattern.entries - set(dropped)), r
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(masks_with_a_short_column_or_an_unobserved_row())
+def test_search_ends_a_short_column_or_an_unobserved_row_without_a_row_set_scan(mask):
+    """The line bound caps such a mask on all rows or on all rows but the empty one,
+    so the finite search is absent at 0 nodes before any scan of 2^m row sets."""
+    pattern, r = mask
+    with mock.patch("completable.certificates._least_row_set") as scan:
+        outcome = find_finite_certificate(pattern, r)
+    assert (outcome.status, outcome.exhausted, outcome.nodes) == ("none", True, 0)
+    assert scan.call_count == 0
 
 
 @st.composite
