@@ -271,14 +271,19 @@ def _find_certificate(
     Certificate => finitely completable => full generic Jacobian rank
     r(m+n-r) (Kiraly-Theran-Tomioka) => a row basis of that Jacobian is a
     finitely completable exact-size sub-pattern => it passes the counting test
-    (Pimentel-Alarcon-Boston-Nowak). The line bound comes first: it caps a
-    column of fewer than r rows on all rows, and a row no column observes on
-    all the others, with no scan of row sets. Neither is charged to the budget.
+    (Pimentel-Alarcon-Boston-Nowak). So where a Jacobian pass on this pattern
+    object recorded that it is finitely completable at r, the bound reaches
+    r(m+n-r) and neither bound is computed. Otherwise the line bound comes
+    first: it caps a column of fewer than r rows on all rows, and a row no
+    column observes on all the others, with no scan of row sets. Neither is
+    charged to the budget.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
-    if _line_bound(pattern, r)[0] < target or _counting_bound(pattern, r)[0] < target:
+    if not pattern._shared.get(("finitely_completable", r)) and (
+        _line_bound(pattern, r)[0] < target or _counting_bound(pattern, r)[0] < target
+    ):
         return SearchOutcome(None, exhausted=True, nodes=0)
     return _enumerate(pattern, r, kind, budget_nodes)
 
@@ -487,10 +492,11 @@ class RelaxedSlmfVerdict:
     """Outcome of the exact-size counting test.
 
     ``ok`` is None, with reason "row_limit", for an exact-size pattern of
-    more than ``ROW_SET_LIMIT`` rows, whose 2^m row sets are not scanned;
-    otherwise the counting bound decides it. ``violating_rows`` is the first
-    row set (smallest, then lexicographic) breaking the counting inequality,
-    when one exists.
+    more than ``ROW_SET_LIMIT`` rows whose line bound does not refute it, as
+    its 2^m row sets are not scanned; otherwise the counting bound decides
+    it. ``violating_rows`` is the first row set (smallest, then
+    lexicographic) breaking the counting inequality, when one exists and
+    the pattern has at most ``ROW_SET_LIMIT`` rows.
     """
 
     ok: Optional[bool]
@@ -506,8 +512,11 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
     Requires, for every row subset I with at least r+1 rows, that the observed
     surplus sum_j max(#(support_j intersect I) - r, 0) not exceed r(#I - r),
     which holds iff the counting bound reaches the size. Equality at the full
-    row set follows, as the surplus there is at least r(m - r). Above
-    ``ROW_SET_LIMIT`` rows only the size is checked.
+    row set follows, as the surplus there is at least r(m - r). Up to
+    ``ROW_SET_LIMIT`` rows, a Jacobian pass recorded on this pattern object
+    at r decides it with no scan: the exact-size pattern is then its own
+    finitely completable sub-pattern (see ``_find_certificate``). Above the
+    limit the line bound refutes or nothing decides, whatever ran before.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
@@ -515,12 +524,14 @@ def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdic
     actual = pattern.size
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
+    if pattern.m <= ROW_SET_LIMIT and pattern._shared.get(("finitely_completable", r)):
+        return RelaxedSlmfVerdict(True, None, None, required, actual)
+    bound, _, violated = _counting_bound(pattern, r)
+    if bound < actual:
+        return RelaxedSlmfVerdict(False, "inequality", violated, required, actual)
     if pattern.m > ROW_SET_LIMIT:
         return RelaxedSlmfVerdict(None, "row_limit", None, required, actual)
-    violated = _counting_bound(pattern, r)[2]
-    if violated is None:
-        return RelaxedSlmfVerdict(True, None, None, required, actual)
-    return RelaxedSlmfVerdict(False, "inequality", violated, required, actual)
+    return RelaxedSlmfVerdict(True, None, None, required, actual)
 
 
 @dataclass(frozen=True)

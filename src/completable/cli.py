@@ -174,11 +174,12 @@ def build_analysis_report(
     supports = pattern.column_supports()
     size_check = minimum_size_check(pattern, r)
 
+    # cheapest proof first: a Jacobian pass carries the necessary condition's
+    # witness and spares the searches and the counting test their row-set scan
+    jacobian, jacobian_report = _rank_test(jacobian_rank_test, pattern, r, seed)
     finite = find_finite_certificate(pattern, r, budget=budget)
     unique = find_unique_certificate(pattern, r, budget=budget)
     relaxed = check_relaxed_slmf(pattern, r)
-    jacobian, jacobian_report = _rank_test(jacobian_rank_test, pattern, r, seed)
-    # a Jacobian pass carries the necessary condition's witness
     necessary = check_necessary_condition(pattern, r, jacobian_report)
 
     report = {
@@ -395,12 +396,12 @@ def _cmd_gen(args) -> int:
             fh.write(pattern_to_grid(pattern))
         _print(f"wrote {name}")
         if args.emit_stats:
+            report = jacobian_rank_test(pattern, args.rank, trials=3, seed=child)
+            rank_hits += report.passed
             outcome = find_finite_certificate(pattern, args.rank)
             if outcome.status != "inconclusive":
                 cert_known += 1
                 cert_hits += outcome.status == "found"
-            report = jacobian_rank_test(pattern, args.rank, trials=3, seed=child)
-            rank_hits += report.passed
     if args.emit_stats:
         frac_cert = cert_hits / cert_known if cert_known else float("nan")
         _print(f"finite-certificate fraction: {frac_cert:.3f} ({cert_hits}/{cert_known} decided)")

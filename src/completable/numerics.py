@@ -28,6 +28,7 @@ import io
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -346,7 +347,9 @@ def _tangent_test(
     whichever is less (``_jacobian_rank_bound``, minus r n for the section
     rows, computed only once a trial falls short of ``target``), and counts
     a pass against ``target`` alone. A pass of the
-    Jacobian test carries the row basis of its passing trial.
+    Jacobian test carries the row basis of its passing trial, and records on
+    the pattern object, as ("finitely_completable", r), that the mask is
+    finitely completable at r.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
     spawn_key) fixes the draws, so its pair of ranks serves both tests. The
@@ -375,8 +378,11 @@ def _tangent_test(
     )
     if not known:
         pattern._shared["tangent_trials"] = (part, r, trial_results)
+    passed = part == 0 and rank == target
+    if passed:  # the searches and the counting test read it to skip their row-set scans
+        pattern._shared[("finitely_completable", r)] = True
     # a pass ends the trials, so the last one run is the passing one
-    row_basis = tuple(map(tuple, basis.tolist())) if part == 0 and rank == target else None
+    row_basis = tuple(map(tuple, basis.tolist())) if passed else None
     return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
 
 
@@ -385,12 +391,12 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
 
     Rows and columns of the mask with at most r entries are peeled until
     none is left; the rest is the (r+1)-core, whose m_c rows and n_c columns
-    each hold more than r entries. A peeled entry adds at most 1 to the rank,
-    and the core's rows of J at most min(|core|, r(m_c+n_c-r)), since they
-    involve only the core's rows of A and columns of C, up to the gauge
-    (A, C) -> (A G, G^-1 C). The bound also holds for every subset of J's
-    rows, and minus r n it bounds the section rank when every column has r
-    entries or more.
+    each hold more than r entries. A peeled entry adds at most 1 to the rank.
+    The rows of J at the entries of one connected component c of the core
+    add at most min(|c|, r(m_c+n_c-r)), since they involve only c's rows of
+    A and columns of C, up to c's own gauge (A_c, C_c) -> (A_c G, G^-1 C_c).
+    The bound also holds for every subset of J's rows, and minus r n it
+    bounds the section rank when every column has r entries or more.
     """
     m, n = pattern.m, pattern.n
     supports = pattern.column_supports()
@@ -405,9 +411,22 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
         if not peel.any():
             break
         core &= ~peel
-    kept = int(core.sum())
-    core_rank = min(kept, r * (np.count_nonzero(row_counts) + np.count_nonzero(col_counts) - r))
-    return min(rows.size - kept + (core_rank if kept else 0), r * (m + n - r))
+    core_rows, core_cols = rows[core].tolist(), cols[core].tolist()
+    parent: dict[int, int] = {}  # union-find over the core's rows i and columns ~j
+
+    def find(v: int) -> int:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in zip(core_rows, core_cols):
+        parent[find(i)] = find(~j)
+    entries = Counter(find(i) for i in core_rows)
+    lines = Counter(find(v) for v in list(parent))  # m_c + n_c
+    core_rank = sum(min(size, r * (lines[c] - r)) for c, size in entries.items())
+    return min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:

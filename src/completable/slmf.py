@@ -154,24 +154,43 @@ class HallMatching:
 
     A subset joins iff the family stays a linkage support: iff r+1 copies of
     it can be matched alongside the members (surplus form of Hall's theorem),
-    which takes r+1 augmentations from the kept matching. Subsets and rows
-    are int bitmasks (row i is bit i).
+    which takes r+1 augmentations from the kept matching. Two cases need
+    none. A subset with r+1 rows no member holds joins at once: for any
+    members T, N(T + subset) holds T's |T| matched rows and those r+1. And a
+    subset inside a reach R that ``add`` once turned down on its unmatched
+    rows is turned down again: the members T owning R's matched rows then
+    had N(T) in R and |R| <= |T| + r, and members are never removed. Those
+    reaches are kept as an antichain. Subsets and rows are int bitmasks
+    (row i is bit i).
     """
 
-    __slots__ = ("r", "owner", "rows", "matched")
+    __slots__ = ("r", "owner", "rows", "matched", "reaches")
 
     def __init__(self, m: int, r: int) -> None:
         self.r = r
         self.owner = [-1] * m  # owner[i]: the member matched to row i, or -1
         self.rows: list[int] = []  # row mask of each member
         self.matched = 0  # mask of the rows with an owner
+        self.reaches: list[int] = []  # row masks inside which no subset joins
 
     def add(self, mask: int) -> bool:
         """Admit the subset with row mask ``mask`` iff the family stays a linkage support."""
         owner, rows, matched = self.owner, self.rows, self.matched
+        free = mask & ~matched
+        if free.bit_count() > self.r:
+            low = free & -free
+            owner[low.bit_length() - 1] = len(rows)
+            rows.append(mask)
+            self.matched = matched | low
+            return True
+        for reach in self.reaches:
+            if not mask & ~reach:
+                return False
         # the members matched into the subset's reach have no rows outside it,
         # so fewer than r+1 unmatched rows there is a Hall violator
-        if (_reach(mask, rows, owner, matched) & ~matched).bit_count() <= self.r:
+        reach = _reach(mask, rows, owner, matched)
+        if (reach & ~matched).bit_count() <= self.r:
+            self.reaches = [old for old in self.reaches if old & ~reach] + [reach]
             return False
         k = len(rows)
         trial = owner[:]

@@ -1,12 +1,14 @@
 import json
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import pytest
 
 from completable import (
     Certificate,
     ObservationPattern,
+    RelaxedSlmfVerdict,
     SlmfWitness,
     certificate_from_json,
     certificate_to_json,
@@ -381,6 +383,21 @@ def test_exact_size_scan_skipped_above_the_row_set_limit(m):
     assert (relaxed.ok, relaxed.reason, relaxed.actual_size) == (None, "row_limit", m)
     verdict = check_necessary_condition(pattern, 1)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (True, 1, pattern)
+
+
+def test_exact_size_refuted_by_the_line_bound_above_the_row_set_limit():
+    """Row 1 across columns 2..21, column 2 down rows 2..21, and (2, 3), at r = 1:
+    41 entries in a 21 x 21 grid whose column 1 is empty. The line bound on
+    rows 1..20 caps passing sub-patterns at 40 < 41, so the counting test
+    fails with no row set scanned, and names none."""
+    entries = {(0, j) for j in range(1, 21)} | {(i, 1) for i in range(1, 21)} | {(1, 2)}
+    pattern = ObservationPattern(21, 21, frozenset(entries))
+    with mock.patch("completable.certificates._least_row_set") as scan:
+        relaxed = check_relaxed_slmf(pattern, 1)
+        verdict = check_necessary_condition(pattern, 1)
+    assert scan.call_count == 0
+    assert relaxed == RelaxedSlmfVerdict(False, "inequality", None, 41, 41)
+    assert (verdict.contains_relaxed, verdict.refuting_rows) == (False, tuple(range(20)))
 
 
 def test_necessary_refuted_by_the_bound_in_one_node():

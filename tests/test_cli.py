@@ -13,6 +13,7 @@ import pytest
 
 import completable
 from completable import (
+    ObservationPattern,
     ObservedMatrix,
     SubspaceBasis,
     complete_matrix,
@@ -494,6 +495,27 @@ def test_analyze_exact_size_column_above_the_row_limit(capsys, tmp_path, m):
     )
     code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
     assert "relaxed SLMF: inconclusive (row_limit)" in out
+
+
+def test_analyze_exact_size_refuted_above_the_row_limit(capsys, tmp_path):
+    """A 21 x 21 mask of the exact size 41 at r = 1 whose line bound is 40: the
+    counting test fails on the inequality, with no violating rows named."""
+    entries = {(0, j) for j in range(1, 21)} | {(i, 1) for i in range(1, 21)} | {(1, 2)}
+    path = tmp_path / "star.txt"
+    path.write_text(pattern_to_grid(ObservationPattern(21, 21, frozenset(entries))))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "1", "--json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["relaxed_slmf"] == {
+        "verdict": "fail",
+        "reason": "inequality",
+        "violating_rows": None,
+        "required_size": 41,
+        "actual_size": 41,
+    }
+    assert report["necessary_condition"]["verdict"] == "fail"
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
+    assert "relaxed SLMF: fail (inequality)\n" in out
 
 
 def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
@@ -1072,15 +1094,23 @@ def test_analysis_of_a_mask_with_unobserved_rows_stays_small():
     assert report["exit_code"] == 2
 
 
-def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
-    """The searches, the counting test and the necessary condition share one row-set scan.
+def _refuted_6x5():
+    """A 6 x 5 mask of the exact size 18 at r = 2 whose rows {1,2,3} break the
+    counting inequality, so its Jacobian falls short and its row sets are scanned."""
+    supports = [(0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3, 4), (0, 2, 3, 4, 5)]
+    return ObservationPattern(6, 5, frozenset((i, j) for j, sup in enumerate(supports) for i in sup))
 
-    Every ``_least_row_set`` call counts, whatever pattern it scans: above the
-    exact size (8 x 8 k5 s1, whose greedy witness is a different pattern,
-    passing by construction), at it (the 6 x 5 fixture), and at it refuted,
-    where the same scan names the counting test's first violating rows.
+
+def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
+    """The searches, the counting test and the necessary condition share one
+    row-set scan, which runs only where the Jacobian falls short.
+
+    Every ``_least_row_set`` call counts, whatever pattern it scans. Above the
+    exact size (8 x 8 k5 s1) and at it (the 6 x 5 fixture) the Jacobian
+    passes, which proves the bound, so nothing is scanned. Refuted at the
+    exact size, the one scan names the counting test's first violating rows.
     """
-    from completable import ObservationPattern, certificates, random_pattern
+    from completable import certificates
     from completable.cli import build_analysis_report
 
     scans = []
@@ -1090,23 +1120,22 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         scans.append((pattern, r))
         return kernel(pattern, r)
 
-    supports = [(0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3, 4), (0, 2, 3, 4, 5)]
-    refuted = ObservationPattern(6, 5, frozenset((i, j) for j, sup in enumerate(supports) for i in sup))
+    refuted = _refuted_6x5()
     monkeypatch.setattr(certificates, "_least_row_set", counted)
-    for pattern, verdict, rows in (
-        (random_pattern(8, 8, 5, seed=1), "pass", None),
-        (parse_pattern(GRID_6X5), "pass", None),
-        (refuted, "fail", [1, 2, 3]),
+    for pattern, verdict, rows, scanned in (
+        (random_pattern(8, 8, 5, seed=1), "pass", None, []),
+        (parse_pattern(GRID_6X5), "pass", None, []),
+        (refuted, "fail", [1, 2, 3], [(refuted, 2)]),
     ):
         scans.clear()
         report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
         assert report["necessary_condition"]["verdict"] == verdict
         assert report["relaxed_slmf"]["violating_rows"] == rows
-        assert scans == [(pattern, 2)]
+        assert scans == scanned
 
 
 def test_each_parsed_pattern_runs_its_own_counting_scan(monkeypatch):
-    """Two separately parsed copies of the README mask scan once per analysis:
+    """Two separately built copies of a refuted mask scan once per analysis:
     the counting bound lives on the pattern object, not in a process-wide cache."""
     from completable import certificates
     from completable.cli import build_analysis_report
@@ -1115,8 +1144,24 @@ def test_each_parsed_pattern_runs_its_own_counting_scan(monkeypatch):
     kernel = certificates._least_row_set
     monkeypatch.setattr(certificates, "_least_row_set", lambda *a: scans.append(a) or kernel(*a))
     for analyses in (1, 2):
-        build_analysis_report(parse_pattern(GRID_6X5), 2, seed=0, budget=10**5)
+        build_analysis_report(_refuted_6x5(), 2, seed=0, budget=10**5)
         assert len(scans) == analyses
+
+
+def test_a_jacobian_pass_spares_the_20x20_row_set_scan(monkeypatch):
+    """On 20 x 20 k8 s0 at r = 3 the Jacobian passes, so no analysis stage
+    scans its 2^20 row sets."""
+    from completable import certificates
+    from completable.cli import build_analysis_report
+
+    def unused(*args):
+        raise AssertionError("the row sets were scanned")
+
+    monkeypatch.setattr(certificates, "_least_row_set", unused)
+    report = build_analysis_report(random_pattern(20, 20, 8, seed=0), 3, seed=0, budget=1000)
+    assert report["jacobian_rank"]["verdict"] == "pass"
+    assert report["relaxed_slmf"]["reason"] == "size"
+    assert report["necessary_condition"]["verdict"] == "pass"
 
 
 def test_an_analysis_keeps_no_pattern_alive():

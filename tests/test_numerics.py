@@ -45,8 +45,11 @@ from completable.plucker import index_subsets, rank_mod_p
 from conftest import reference_export_csv, reference_tangent_ranks
 
 # two rank-1 blocks at r = 1, deficient by one although no row or column has
-# at most r entries
+# at most r entries; each block is a component of the core, with its own gauge
 SPLIT_4X4 = "1100\n1100\n0011\n0011\n"
+# two full 3 x 3 blocks joined by entry (2, 3), at r = 2: the core is the
+# whole connected mask, so its bound is its 19 entries, above the rank 17 of 20
+JOINED_6X6 = "111000\n111000\n111100\n000111\n000111\n000111\n"
 
 
 def _rank2_matrix(rng, m=6, n=5):
@@ -193,12 +196,36 @@ def test_a_passing_rank_test_runs_one_trial(pattern_6x5):
 
 
 def test_a_refuting_rank_test_runs_every_trial():
-    """Two 2 x 2 blocks at r = 1: the Jacobian has rank 3 + 3 of 7, and the
-    (r+1)-core bound is 7, so no trial proves the deficiency."""
-    split = parse_pattern(SPLIT_4X4)
-    assert numerics._jacobian_rank_bound(split, 1) == 7
-    assert jacobian_rank_test(split, 1, trials=4) == RankReport(6, 7, 4, 0)
-    assert grassmann_section_rank_test(split, 1) == RankReport(2, 3, 3, 0)
+    """Two full 3 x 3 blocks joined by one entry at r = 2: the Jacobian has rank
+    17 of 20, and the (r+1)-core bound is 19, so no trial proves the deficiency."""
+    joined = parse_pattern(JOINED_6X6)
+    assert numerics._jacobian_rank_bound(joined, 2) == 19
+    assert jacobian_rank_test(joined, 2, trials=4) == RankReport(17, 20, 4, 0)
+    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 3, 0)
+
+
+def _blocks(*parts):
+    """The masks ``parts`` down the diagonal of one mask."""
+    m, n, entries = 0, 0, set()
+    for part in parts:
+        entries |= {(m + i, n + j) for i, j in part.entries}
+        m, n = m + part.m, n + part.n
+    return ObservationPattern(m, n, frozenset(entries))
+
+
+@pytest.mark.parametrize(
+    "pattern, r, bound, target",
+    [
+        (parse_pattern(SPLIT_4X4), 1, 6, 7),
+        (_blocks(parse_pattern(("1" * 11 + "\n") * 11), parse_pattern(("1" * 10 + "\n") * 10)), 2, 76, 80),
+        (_blocks(random_pattern(21, 21, 6, seed=1), random_pattern(21, 21, 6, seed=2)), 2, 159, 164),
+    ],
+)
+def test_each_core_component_carries_its_own_gauge(pattern, r, bound, target):
+    """A core of two components bounds the rank by the sum of their bounds, so
+    a first trial reaching that sum refutes."""
+    assert numerics._jacobian_rank_bound(pattern, r) == bound
+    assert jacobian_rank_test(pattern, r) == RankReport(bound, target, 1, 0)
 
 
 def test_trials_are_shared_through_the_pattern_object(monkeypatch, pattern_6x5):
@@ -315,30 +342,30 @@ def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
 
     monkeypatch.setattr(numerics, "_tangent_ranks", counted)
 
-    def computed(test, pattern, r=1, seed=0):
+    def computed(test, pattern, r=2, seed=0):
         before = len(calls)
         return test(pattern, r, seed=seed), len(calls) - before
 
-    split = parse_pattern(SPLIT_4X4)
-    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 0)
+    joined = parse_pattern(JOINED_6X6)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 0)
     assert computed(jacobian_rank_test, pattern_6x5, 2) == (RankReport(18, 18, 1, 1), 1)
-    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
-    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 0)
-    assert computed(grassmann_section_rank_test, split) == (RankReport(2, 3, 3, 0), 3)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 0)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 3)
     # section first: the Jacobian test computes only the two trials it lacks
-    assert computed(jacobian_rank_test, split) == (RankReport(6, 7, 5, 0), 2)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 2)
     # a refutation at the core bound runs one trial, which the other test reads
     refuted = pattern_6x5.without_entry((4, 0))
     assert computed(jacobian_rank_test, refuted, 2) == (RankReport(17, 18, 1, 0), 1)
     assert computed(grassmann_section_rank_test, refuted, 2) == (RankReport(7, 8, 1, 0), 0)
     # another seed, or none, draws other points
-    assert computed(jacobian_rank_test, split)[1] == 5
-    assert computed(grassmann_section_rank_test, split, seed=1)[1] == 3
+    assert computed(jacobian_rank_test, joined)[1] == 5
+    assert computed(grassmann_section_rank_test, joined, seed=1)[1] == 3
     for _ in range(2):
-        assert computed(jacobian_rank_test, split, seed=None)[1] == 5
-        assert computed(grassmann_section_rank_test, split, seed=None)[1] == 3
+        assert computed(jacobian_rank_test, joined, seed=None)[1] == 5
+        assert computed(grassmann_section_rank_test, joined, seed=None)[1] == 3
 
 
 class _Draws:

@@ -1,7 +1,9 @@
 """Property tests of the identities linking the analyses."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 import tempfile
 from unittest import mock
@@ -43,7 +45,7 @@ from completable.certificates import (
     _line_bound,
 )
 from completable.plucker import index_subsets
-from completable.slmf import _dual_basis_rank_mod_p, _least_violator, first_linkage_support
+from completable.slmf import HallMatching, _dual_basis_rank_mod_p, _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
     reference_complete_column,
@@ -892,3 +894,81 @@ def test_the_hall_rank_bounds_the_dual_basis_rank(phi, seed):
     points = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)]
     ranks = [_dual_basis_rank_mod_p(phi, rng) for rng in points]
     assert ranks[0] == len(phi._hall_pass.basis) >= max(ranks)
+
+
+@st.composite
+def subset_sequences(draw):
+    """(masks, m, r): up to 24 (r+1)-subsets of range(m) as row masks, m <= 10,
+    drawn from a few so that repeats, and subsets inside turned-down reaches, occur."""
+    m = draw(st.integers(2, 10))
+    r = draw(st.integers(1, min(m - 1, 4)))
+    subset = st.sets(st.integers(0, m - 1), min_size=r + 1, max_size=r + 1)
+    few = draw(st.lists(subset.map(lambda s: sum(1 << i for i in s)), min_size=2, max_size=2 * m))
+    return draw(st.lists(st.sampled_from(few), min_size=m, max_size=24)), m, r
+
+
+class _BruteForceHall:
+    """``HallMatching`` by definition: a subset joins iff every subfamily of the
+    members plus it covers at least its size plus r rows."""
+
+    def __init__(self, m, r):
+        self.r, self.members = r, []
+
+    def add(self, mask):
+        joins = all(
+            functools.reduce(operator.or_, sub, mask).bit_count() >= t + 1 + self.r
+            for t in range(len(self.members) + 1)
+            for sub in itertools.combinations(self.members, t)
+        )
+        if joins:
+            self.members.append(mask)
+        return joins
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subset_sequences())
+def test_the_hall_oracle_shortcuts_match_brute_force(drawn):
+    """Each ``add``, whether free rows accept it, a kept reach turns it down, or a
+    matching decides, equals the covering inequality checked over every
+    subfamily; so the greedy picks the same positions with the same spends."""
+    masks, m, r = drawn
+    family, reference = HallMatching(m, r), _BruteForceHall(m, r)
+    for mask in masks:
+        assert family.add(mask) is reference.add(mask)
+    spent = {True: 0, False: 0}
+
+    def greedy(brute):
+        def spend():
+            spent[brute] += 1
+
+        return first_linkage_support(masks, m, r, spend)
+
+    with mock.patch("completable.slmf.HallMatching", _BruteForceHall):
+        expected = greedy(True)
+    assert greedy(False) == expected
+    assert spent[False] == spent[True]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(masks_up_to_8x8(), masks_with_r_per_column(), masks_of_exact_size()))
+def test_no_result_depends_on_a_jacobian_run_before_it(mask):
+    """The searches, the counting test and the necessary condition answer alike on
+    a fresh pattern and on a copy whose Jacobian test ran first, which records
+    a pass. Where it passes, the counting bound reaches r(m+n-r): a row basis
+    of the Jacobian is a finitely completable exact-size sub-pattern."""
+    pattern, r = mask
+    ran = ObservationPattern(pattern.m, pattern.n, pattern.entries)
+    passed = jacobian_rank_test(ran, r).passed
+
+    def outcomes(p):
+        return (
+            find_finite_certificate(p, r, budget=300),
+            find_unique_certificate(p, r, budget=300),
+            check_relaxed_slmf(p, r),
+            check_necessary_condition(p, r),
+        )
+
+    assert outcomes(pattern) == outcomes(ran)
+    if passed:
+        fresh = ObservationPattern(pattern.m, pattern.n, pattern.entries)
+        assert _counting_bound(fresh, r)[0] >= r * (pattern.m + pattern.n - r)
