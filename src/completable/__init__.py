@@ -4,9 +4,9 @@ The library decides, for a 0/1 observation mask and a target rank, what can
 be said about the number of rank-r matrices agreeing with the observed
 positions: exact partition-plus-linkage-support certificates for finite and
 unique completability, a counting-based necessary test, randomized tangent
-rank tests, and exact completion once a column space is known. Plucker
-coordinates of subspaces and the sparse dual bases they support are exposed
-as a small geometry toolkit of their own.
+rank tests, exact completion once a column space is known, and the linear
+system of hyperplane sections in Plucker coordinates. The Plucker
+coordinates of a subspace basis are exposed as well (``plucker_of_basis``).
 """
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ from .patterns import (
     MinimumSizeCheck,
     ObservationPattern,
     PatternFormatError,
-    column_subsets,
     load_pattern,
     minimum_size_check,
     parse_pattern,
@@ -59,18 +58,8 @@ from .patterns import (
 from .plucker import (
     NotABasisError,
     PluckerVector,
-    SectionFunctional,
     SubspaceBasis,
-    dual_plucker,
-    evaluate_bphi,
-    evaluate_section,
-    gr24_relation_residual,
-    plucker_from_json,
     plucker_of_basis,
-    plucker_to_json,
-    projection_nondegenerate,
-    projectively_equal,
-    section_functional,
 )
 from .slmf import (
     Slmf,

@@ -391,17 +391,23 @@ def _cmd_gen(args) -> int:
     rank_hits = 0
     for idx, child in enumerate(children):
         pattern = random_pattern(args.m, args.n, args.per_column, seed=child)
-        name = Path(f"pattern_{idx:03d}.txt")
-        with _output(name) as fh:
-            fh.write(pattern_to_grid(pattern))
-        _print(f"wrote {name}")
         if args.emit_stats:
-            report = jacobian_rank_test(pattern, args.rank, trials=3, seed=child)
+            # every pattern has --per-column entries in each column, so a tangent
+            # system too large for the first is too large for all: the statistics
+            # come before the pattern's file, and a refusal leaves no file
+            try:
+                report = jacobian_rank_test(pattern, args.rank, trials=3, seed=child)
+            except TangentSizeError as exc:
+                raise _UsageError(f"--emit-stats: {exc}") from exc
             rank_hits += report.passed
             outcome = find_finite_certificate(pattern, args.rank)
             if outcome.status != "inconclusive":
                 cert_known += 1
                 cert_hits += outcome.status == "found"
+        name = Path(f"pattern_{idx:03d}.txt")
+        with _output(name) as fh:
+            fh.write(pattern_to_grid(pattern))
+        _print(f"wrote {name}")
     if args.emit_stats:
         frac_cert = cert_hits / cert_known if cert_known else float("nan")
         _print(f"finite-certificate fraction: {frac_cert:.3f} ({cert_hits}/{cert_known} decided)")

@@ -7,7 +7,6 @@ interface speaks 1-based, matching the usual mathematical convention.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,17 +173,6 @@ def load_pattern(text: str) -> ObservationPattern:
     if text.lstrip().startswith("{"):
         return pattern_from_json(text)
     return parse_pattern(text)
-
-
-def column_subsets(omega: Iterable[int], k: int) -> list[tuple[int, ...]]:
-    """All size-``k`` subsets of ``omega`` in lexicographic order.
-
-    Empty when ``omega`` has fewer than ``k`` elements. Lexicographic order on
-    sorted elements is the one global subset order used across the library.
-    """
-    if k <= 0:
-        raise ValueError(f"subset size must be positive, got {k}")
-    return list(itertools.combinations(sorted(omega), k))
 
 
 def random_pattern(m: int, n: int, k: int, seed=0) -> ObservationPattern:

@@ -1,6 +1,4 @@
 import itertools
-import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from completable import (
     Slmf,
     SlmfWitness,
     SubspaceBasis,
-    evaluate_bphi,
     parse_pattern,
     plucker_of_basis,
 )
@@ -108,13 +105,63 @@ def reference_rank_report(pattern, r, part, trials, seed):
     return numerics.RankReport(rank, target, trials=run, pass_count=int(rank == target))
 
 
+def reference_coordinates(P):
+    """A Plucker vector as a dict from each sorted r-subset to its coordinate, a float."""
+    return dict(zip(itertools.combinations(range(P.m), P.r), P.coords.tolist()))
+
+
+def reference_bphi(phi, P):
+    """The paper's dual-basis matrix B_phi at the Plucker vector P.
+
+    Column j is supported on the rows of the j-th column support of ``phi``;
+    its entry at the i-th smallest such row is (-1)**i times the coordinate at
+    the support with that row removed. For a subspace avoiding the degenerate
+    locus of ``phi``, the columns span the orthogonal complement.
+    """
+    coordinate = reference_coordinates(P)
+    out = np.zeros((phi.m, len(phi.columns)))
+    for j, col in enumerate(phi.columns):
+        for i, row in enumerate(col):
+            out[row, j] = (-1) ** i * coordinate[col[:i] + col[i + 1 :]]
+    return out
+
+
 def reference_float_dual_basis_rank(phi, seed, tol=1e-9):
     """Float SVD rank of the paper's B_phi, evaluated at the Plucker vector of a
     standard-normal subspace; a rank counts the singular values above ``tol``
     times the largest."""
     basis = SubspaceBasis(np.random.default_rng(seed).standard_normal((phi.m, phi.r)))
-    s = np.linalg.svd(evaluate_bphi(phi, plucker_of_basis(basis)), compute_uv=False)
+    s = np.linalg.svd(reference_bphi(phi, plucker_of_basis(basis)), compute_uv=False)
     return int((s > tol * s[0]).sum()) if s[0] else 0
+
+
+def reference_section_value(phi, x, P):
+    """The hyperplane section of the sorted (r+1)-subset ``phi`` with values ``x``
+    at P: sum_k (-1)**k x[phi_k] times the coordinate at phi minus phi_k. It
+    vanishes at a subspace exactly when x restricted to phi lies in its projection
+    onto phi (where that projection keeps dimension r)."""
+    coordinate = reference_coordinates(P)
+    return sum((-1) ** k * x[i] * coordinate[phi[:k] + phi[k + 1 :]] for k, i in enumerate(phi))
+
+
+def reference_gr24_residual(P):
+    """The one quadratic Plucker relation of 2-planes in 4-space, at a (2, 4)
+    vector: zero exactly on the vectors of actual 2-dimensional subspaces."""
+    c = reference_coordinates(P)
+    return c[0, 3] * c[1, 2] + c[0, 1] * c[2, 3] - c[0, 2] * c[1, 3]
+
+
+def reference_degenerate_projections(P, rtol=1e-9):
+    """The r-subsets psi onto which the subspace loses dimension: those whose
+    coordinate is at most ``rtol`` times the largest one in magnitude."""
+    top = float(np.abs(P.coords).max())
+    return [psi for psi, c in reference_coordinates(P).items() if abs(c) <= rtol * top]
+
+
+def reference_complement_sign(psi, m):
+    """Sign of the permutation sorting the concatenation (psi, complement)."""
+    comp = [i for i in range(m) if i not in psi]
+    return -1 if sum(p > c for p in psi for c in comp) % 2 else 1
 
 
 def reference_complete_column(basis, omega, observed, rtol=1e-6):
@@ -148,19 +195,6 @@ def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def reference_plucker_json(P):
-    """``json.dumps`` of one {subset, value} dict per coordinate, subsets 1-based;
-    Fractions and numpy floats as floats, numpy ints as ints."""
-    items = []
-    for psi, value in zip(itertools.combinations(range(P.m), P.r), P.coords):
-        if isinstance(value, (Fraction, np.floating)):
-            value = float(value)
-        elif isinstance(value, np.integer):
-            value = int(value)
-        items.append({"subset": [i + 1 for i in psi], "value": value})
-    return json.dumps(items)
 
 
 def reference_least_violator(masks, r):

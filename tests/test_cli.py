@@ -321,6 +321,21 @@ def test_gen_per_column_too_large_exit_64(capsys, tmp_path, monkeypatch):
     assert code == 64
 
 
+def test_gen_emit_stats_past_the_tangent_size_limit_exit_64_before_writing(capsys, tmp_path, monkeypatch):
+    """Every generated pattern has --per-column entries in each column, so the
+    tangent size check refuses all of them or none: a refusal is one usage
+    error, and no pattern file is written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "gen", "--m", "700", "--n", "700", "--rank", "5", "--per-column", "12", "--emit-stats"
+    )
+    assert (code, out) == (64, "")
+    assert err == (
+        "error: --emit-stats: the tangent rank system needs 138454400 bytes, more than the supported 67108864\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_system_files(capsys, tmp_path):
     values, _, _ = _observed_csv_file(tmp_path)
     prefix = tmp_path / "system"
@@ -1222,3 +1237,71 @@ def test_readme_analyze_example_is_what_the_cli_prints(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(mask), "--rank", "2")
     assert (out, err) == (example[2], "")
     assert f"exit status: {code} " in out
+
+
+def test_readme_library_entry_points_run():
+    """README's "Library entry points" block runs as written, so it names no
+    function the package does not export."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library entry points\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None and "from completable import" in block[1]
+    exec(compile(block[1], "README.md", "exec"), {})
+
+
+def test_the_public_api_is_this_list():
+    """A name added to or removed from the package's API shows in this list."""
+    assert completable.__all__ == [
+        "Certificate",
+        "DegenerateProjectionError",
+        "ExportedSystem",
+        "InconsistentObservationError",
+        "MinimumSizeCheck",
+        "NecessaryConditionVerdict",
+        "NotABasisError",
+        "ObservationPattern",
+        "ObservedMatrix",
+        "PatternFormatError",
+        "PluckerVector",
+        "RankReport",
+        "RelaxedSlmfVerdict",
+        "SearchOutcome",
+        "SectionTestError",
+        "Slmf",
+        "SlmfVerdict",
+        "SlmfWitness",
+        "SubspaceBasis",
+        "TangentSizeError",
+        "VerificationResult",
+        "certificate_from_json",
+        "certificate_to_json",
+        "certificates",
+        "check_necessary_condition",
+        "check_relaxed_slmf",
+        "check_slmf_combinatorial",
+        "check_slmf_randomized",
+        "complete_column",
+        "complete_matrix",
+        "export_plucker_system",
+        "find_finite_certificate",
+        "find_unique_certificate",
+        "grassmann_section_rank_test",
+        "jacobian_rank_test",
+        "load_pattern",
+        "minimum_size_check",
+        "numerics",
+        "observed_from_csv",
+        "observed_to_csv",
+        "parse_pattern",
+        "pattern_from_json",
+        "pattern_to_grid",
+        "pattern_to_json",
+        "patterns",
+        "plucker",
+        "plucker_of_basis",
+        "random_pattern",
+        "sample_generic_subspace",
+        "slmf",
+        "slmf_from_grid",
+        "slmf_to_grid",
+        "verify_certificate",
+    ]

@@ -35,14 +35,13 @@ from completable import (
     observed_to_csv,
     parse_pattern,
     plucker_of_basis,
-    projection_nondegenerate,
     random_pattern,
     sample_generic_subspace,
 )
 from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets, rank_mod_p
-from conftest import reference_export_csv, reference_tangent_ranks
+from conftest import reference_degenerate_projections, reference_export_csv, reference_tangent_ranks
 
 # two rank-1 blocks at r = 1, deficient by one although no row or column has
 # at most r entries; each block is a component of the core, with its own gauge
@@ -73,7 +72,7 @@ def test_sample_generic_subspace_always_full_rank():
 def test_sampled_subspaces_have_no_vanishing_coordinates():
     for seed in range(100):
         P = plucker_of_basis(sample_generic_subspace(6, 2, seed=seed))
-        assert all(projection_nondegenerate(P, psi) for psi in index_subsets(6, 2))
+        assert reference_degenerate_projections(P) == []
 
 
 def test_complete_column_coordinate_basis():

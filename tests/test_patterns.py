@@ -5,7 +5,6 @@ import pytest
 from completable import (
     ObservationPattern,
     PatternFormatError,
-    column_subsets,
     minimum_size_check,
     parse_pattern,
     pattern_from_json,
@@ -71,22 +70,6 @@ def test_json_rejects_garbage():
 def test_entry_bounds_validated():
     with pytest.raises(ValueError):
         ObservationPattern(2, 2, frozenset({(2, 0)}))
-
-
-def test_column_subsets_lexicographic():
-    subs = column_subsets({1, 2, 3, 4, 5}, 3)
-    assert len(subs) == 10
-    assert subs[0] == (1, 2, 3)
-    assert subs[-1] == (3, 4, 5)
-    assert subs == sorted(subs)
-
-
-def test_column_subsets_exact_size():
-    assert column_subsets({4, 5, 6}, 3) == [(4, 5, 6)]
-
-
-def test_column_subsets_source_too_small():
-    assert column_subsets({2, 4}, 3) == []
 
 
 def test_random_pattern_deterministic():
