@@ -80,7 +80,7 @@ class ObservedMatrixFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ObservedMatrix:
-    """Values attached to exactly the observed positions of a pattern."""
+    """Finite values attached to exactly the observed positions of a pattern."""
 
     pattern: ObservationPattern
     values: Mapping[tuple[int, int], float]
@@ -89,6 +89,9 @@ class ObservedMatrix:
         values = {(int(i), int(j)): float(v) for (i, j), v in self.values.items()}
         if set(values) != set(self.pattern.entries):
             raise ValueError("values must be defined exactly on the observed entries")
+        for (i, j), v in values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"entry ({i}, {j}): non-finite value {v!r}")
         object.__setattr__(self, "values", values)
 
     def column(self, j: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -195,11 +198,14 @@ def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mappin
     then every observed position is validated against the result.
 
     Raises:
+        ValueError: ``omega`` has a row outside ``range(basis.m)``, or other rows than ``observed``.
         DegenerateProjectionError: the projection onto ``omega`` has rank < r.
         InconsistentObservationError: observations disagree with the subspace,
             or the completed vector is not finite.
     """
     omega = sorted(int(i) for i in omega)
+    if omega and (omega[0] < 0 or omega[-1] >= basis.m):
+        raise ValueError(f"support rows must lie in range({basis.m}), got {omega}")
     if set(observed) != set(omega):
         raise ValueError("observed values must cover exactly the support")
     x = np.array([observed[i] for i in omega], dtype=float)

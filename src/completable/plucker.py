@@ -1,8 +1,8 @@
 """Plucker coordinates of linear subspaces, and the exact kernels of the rank tests.
 
-The module holds a subspace basis with its exact rank check, the float
-Plucker coordinates of a basis, and the eliminations over GF(p) and the
-randomized rank loop that the tangent tests (``numerics``) and the
+The module holds a subspace basis, read as float64 and rank-checked once,
+the float Plucker coordinates of a basis, and the eliminations over GF(p)
+and the randomized rank loop that the tangent tests (``numerics``) and the
 linkage-support oracle (``slmf``) run. Conventions, fixed once and used
 everywhere:
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -140,13 +139,15 @@ def _subset_sum_parity(m: int, r: int) -> np.ndarray:
 
 
 def _gauss_jordan(a: np.ndarray) -> list[int]:
-    """Gauss-Jordan elimination of a float or Fraction matrix, in place.
+    """Gauss-Jordan elimination of a float or rational matrix, in place.
 
     Step i swaps the row holding the largest remaining entry in absolute value
     (complete pivoting) into row i, scales that row so the entry is 1, and
     clears its column in every other row; it stops when the rows from i on
     are all zero. Returns the pivot columns in step order, as many as the
-    rank, which is exact for Fractions.
+    rank. The package runs it in float64, on the complement route only; the
+    tests run it over the rationals, where the rank is exact, as the oracle
+    for ``rank_mod_p``.
     """
     n, m = a.shape
     pivots = []
@@ -295,29 +296,28 @@ def first_full_rank(
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An m-by-r matrix with finite entries and linearly independent columns."""
+    """An m-by-r matrix with finite entries and linearly independent columns,
+    read once from any real input as a new, read-only float64 array."""
 
     matrix: np.ndarray
     __eq__ = _fields_equal
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix)
+        try:
+            mat = np.asarray(self.matrix)
+            if np.iscomplexobj(mat):
+                raise TypeError("complex entries")
+            mat = mat.astype(float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NotABasisError(f"not a basis: entries must be real numbers in float64 range ({exc})") from exc
         if mat.ndim != 2 or min(mat.shape) < 1:
             raise NotABasisError("not a basis: expected a nonempty m x r matrix")
-        m, r = mat.shape
-        if r > m:
-            raise NotABasisError(f"not a basis: {r} columns cannot be independent in dimension {m}")
-        if mat.dtype == object or np.issubdtype(mat.dtype, np.integer):
-            rational = np.array([[Fraction(x) for x in row] for row in mat.tolist()], dtype=object)
-            rank = len(_gauss_jordan(rational.T))
-        else:
-            mat = mat.astype(float)
-            if not np.isfinite(mat).all():
-                raise NotABasisError("not a basis: entries must be finite")
-            rank = int(np.linalg.matrix_rank(mat))
-        if rank != r:
-            raise NotABasisError(f"not a basis: column rank {rank} < {r}")
+        if not np.isfinite(mat).all():
+            raise NotABasisError("not a basis: entries must be finite")
+        rank = int(np.linalg.matrix_rank(mat))
+        if rank != mat.shape[1]:
+            raise NotABasisError(f"not a basis: column rank {rank} < {mat.shape[1]}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -375,18 +375,11 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
     and keeps one level of the recursion and the next. To hold those at most
     2^(m/2) column sets, a basis with r > m - r is first traded for its
     (m-r)-dimensional orthogonal complement (``_minors_by_complement``).
-    An integer or rational basis is read as float64, and refused
-    (``NotABasisError``) where that copy is singular to working precision.
     The vector owns, read-only and uncopied, the array its kernel wrote.
     """
     m, r = basis.matrix.shape
     _coordinate_count(m, r)
-    mat = np.asarray(basis.matrix, dtype=float)
-    if basis.matrix.dtype != np.float64:  # checked at its exact rank, not at this copy's
-        rank = int(np.linalg.matrix_rank(mat))
-        if rank < r:
-            raise NotABasisError(f"not a basis in float64: column rank {rank} < {r}")
-    coords = _laplace_minors(mat) if 2 * r <= m else _minors_by_complement(mat)
+    coords = _laplace_minors(basis.matrix) if 2 * r <= m else _minors_by_complement(basis.matrix)
     return PluckerVector._owning(r, m, coords)
 
 

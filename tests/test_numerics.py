@@ -12,6 +12,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_complete_column_inconsistent_observations():
     basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [0, 2], [3, 4]]))
     with pytest.raises(InconsistentObservationError, match="projected subspace"):
         complete_column(basis, [0, 1, 2], {0: 1.0, 1: 1.0, 2: 99.0})
+
+
+@pytest.mark.parametrize("omega", [[-1, 0], [0, 5]])
+def test_complete_column_refuses_rows_outside_the_basis(omega):
+    basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [1, 1]]))
+    with pytest.raises(ValueError, match=r"^support rows must lie in range\(3\)"):
+        complete_column(basis, omega, dict.fromkeys(omega, 1.0))
+
+
+def test_exact_bases_complete_to_their_float_copies_values(pattern_6x5):
+    """An int or Fraction basis is read as float64 at construction, so both
+    completions from it equal those from that float basis, bit for bit."""
+    A = np.array([[1, 0], [0, 1], [2, 1], [1, 3], [-1, 2], [3, -2]])
+    X = A @ np.array([[1, 0, 2, -1, 1], [0, 1, 1, 2, -3]])
+    obs = ObservedMatrix.from_matrix(X, pattern_6x5)
+    omega, x = obs.column(0)
+    column = dict(zip(omega, x))
+    for exact, floats in ((A, A.astype(float)), (A * Fraction(1, 3), A / 3)):
+        basis, reference = SubspaceBasis(exact), SubspaceBasis(floats)
+        assert np.array_equal(complete_matrix(obs, basis), complete_matrix(obs, reference))
+        assert np.array_equal(complete_column(basis, omega, column), complete_column(reference, omega, column))
 
 
 def test_complete_matrix_roundtrip_6x5(pattern_6x5):
@@ -867,3 +889,13 @@ def test_observed_csv_bad_cell():
 def test_observed_values_must_match_pattern(pattern_6x5):
     with pytest.raises(ValueError, match="exactly"):
         ObservedMatrix(pattern_6x5, {(0, 0): 1.0})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_observed_values_must_be_finite(pattern_6x5, value):
+    """A NaN or inf is refused when the values are built, naming its entry."""
+    X = np.ones((6, 5))
+    i, j = min(pattern_6x5.entries)
+    X[i, j] = value
+    with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): non-finite value {value!r}$"):
+        ObservedMatrix.from_matrix(X, pattern_6x5)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -122,25 +123,24 @@ def test_rank_deficient_matrix_rejected():
     with pytest.raises(NotABasisError, match="not a basis"):
         SubspaceBasis(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     with pytest.raises(NotABasisError):
-        SubspaceBasis(np.array([[1, 2], [2, 4], [3, 6]]))  # exact path too
+        SubspaceBasis(np.array([[1, 2], [2, 4], [3, 6]]))  # int input too
 
 
-def test_an_exact_basis_is_checked_at_its_exact_rank():
-    """Exact entries are read as their exact rationals. The float nearest 1/3 is
-    not 1/3, so the object matrix has determinant 3 fl(1/3) - 1, not 0, and
-    rank 2, where its float64 copy has rank 1 to working precision; its
-    coordinates, computed in float64, are refused."""
+def test_an_exact_basis_is_checked_at_its_float64_rank():
+    """Exact entries are read as float64 at construction, and the rank checked is
+    that copy's. The float nearest 1/3 is not 1/3, so the object matrix has
+    determinant 3 fl(1/3) - 1, not 0, and exact rank 2, where its float64 copy
+    has rank 1 to working precision: it is refused, as are its rational and
+    float forms, the object matrix with zero rows appended, and a rational
+    matrix of exact rank 1."""
     mat = np.array([[3.0, 1.0], [1.0, 1 / 3]], dtype=object)
     assert 3 * Fraction(1 / 3) - 1 != 0
-    assert SubspaceBasis(mat).r == 2
-    for rows in (mat, np.vstack([mat, np.zeros((2, 2), dtype=int)])):  # complement and Laplace route
-        with pytest.raises(NotABasisError, match=r"^not a basis in float64: column rank 1 < 2$"):
-            plucker_of_basis(SubspaceBasis(rows))
-    with pytest.raises(NotABasisError, match=r"^not a basis: column rank 1 < 2$"):
-        SubspaceBasis(mat.astype(float))
+    rational = np.array([[Fraction(x) for x in row] for row in mat], dtype=object)
     thirds = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)], [Fraction(-1, 6), Fraction(-1, 9)]]
-    with pytest.raises(NotABasisError, match=r"^not a basis: column rank 1 < 2$"):
-        SubspaceBasis(np.array(thirds, dtype=object))
+    tall = np.vstack([mat, np.zeros((2, 2), dtype=int)])
+    for rows in (mat, rational, mat.astype(float), tall, np.array(thirds, dtype=object)):
+        with pytest.raises(NotABasisError, match=r"^not a basis: column rank 1 < 2$"):
+            SubspaceBasis(rows)
 
 
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -167,6 +167,42 @@ def test_a_square_exact_basis_has_its_determinant_as_its_coordinate(rows, dtype,
     (coord,) = plucker_of_basis(SubspaceBasis(np.array(rows, dtype=dtype))).coords
     assert coord == pytest.approx(float(det), rel=1e-12)
     assert _laplace_minors(np.array(rows, dtype=float)).tolist() == pytest.approx([float(det)], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[True, False], [False, True], [True, True]]),
+        np.array([[1, 0], [0, 1], [3, -4]]),
+        np.array([[_HALF, 0], [0, _THIRD], [3, -_HALF]], dtype=object),
+        np.array([[0.5, 0.0], [0.0, 1 / 3], [3.0, -0.5]]),
+    ],
+    ids=["bool", "int", "Fraction", "float"],
+)
+def test_a_basis_holds_its_entries_as_read_only_float64(rows):
+    """Every real input is read once as a new float64 array, which stays
+    read-only through pickle, whose restore reruns the constructor."""
+    basis = SubspaceBasis(rows)
+    for held in (basis, pickle.loads(pickle.dumps(basis))):
+        assert held.matrix.dtype == np.float64
+        assert not held.matrix.flags.writeable
+        assert held.matrix.tolist() == rows.astype(float).tolist()
+    assert not np.shares_memory(basis.matrix, rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[10**400, 0], [0, 1], [1, 1]], dtype=object),
+        np.array([[1 + 1j, 0], [0, 1], [1, 1]]),
+        np.array([[1j, 0], [0, 1], [1, 1]], dtype=object),
+        [["1", "x"], ["0", "1"]],
+    ],
+    ids=["overflowing-int", "complex", "complex-object", "non-numeric"],
+)
+def test_entries_that_are_not_float64_reals_are_refused(rows):
+    with pytest.raises(NotABasisError, match=r"^not a basis: entries must be real numbers in float64 range \("):
+        SubspaceBasis(rows)
 
 
 def test_projection_nondegenerate_fixture():
