@@ -8,8 +8,9 @@ integer point, by block elimination, one column of the mask at a time. Full
 rank there is full rank over the rationals, hence generically, so one
 full-rank trial proves the bound. The (r+1)-core of the mask bounds the
 rank at every point (``_jacobian_rank_bound``), computed only once a trial
-falls short; where that bound is below the target, a trial reaching it
-refutes exactly, and the test stops there. Otherwise a deficient rank in t
+falls short, and then kept on the pattern object for both tests at that r;
+where that bound is below the target, a trial reaching it refutes exactly,
+and the test stops there. Otherwise a deficient rank in t
 independent trials refutes with error at most (d/p)^t, d the target rank
 (Schwartz-Zippel). Both tests, and the randomized SLMF test with its
 Hall-matroid bound, run their trials through one loop
@@ -30,7 +31,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -52,9 +53,9 @@ from .plucker import (
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
 # int64 cells of the tangent rank system, its point and its column order. The
-# traced peak of a Jacobian test that passes in one trial is 3.2 times them on
+# traced peak of a Jacobian test that passes in one trial is 2.4 times them on
 # the largest benchmark mask (40 x 40, 12 rows per column, r = 5; 0.52 MB
-# counted) and 4.2 times at 64 x 64 with the same k and r (1.26 MB counted).
+# counted) and at 64 x 64 with the same k and r (1.26 MB counted).
 MAX_TANGENT_BYTES = 1 << 26
 
 
@@ -87,11 +88,11 @@ class ObservedMatrix:
 
     def __post_init__(self) -> None:
         values = {(int(i), int(j)): float(v) for (i, j), v in self.values.items()}
-        if set(values) != set(self.pattern.entries):
+        if values.keys() != self.pattern.entries:
             raise ValueError("values must be defined exactly on the observed entries")
-        for (i, j), v in values.items():
-            if not math.isfinite(v):
-                raise ValueError(f"entry ({i}, {j}): non-finite value {v!r}")
+        if not all(map(math.isfinite, values.values())):
+            (i, j), v = next(item for item in values.items() if not math.isfinite(item[1]))
+            raise ValueError(f"entry ({i}, {j}): non-finite value {v!r}")
         object.__setattr__(self, "values", values)
 
     def column(self, j: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -103,7 +104,8 @@ class ObservedMatrix:
         X = np.asarray(X, dtype=float)
         if X.shape != (pattern.m, pattern.n):
             raise ValueError(f"matrix shape {X.shape} does not match the pattern")
-        return cls(pattern, {(i, j): X[i, j] for i, j in pattern.entries})
+        rows, cols = _index_pairs(pattern.entries, pattern.size)
+        return cls(pattern, dict(zip(pattern.entries, X[rows, cols].tolist())))
 
 
 def observed_from_csv(text: str) -> ObservedMatrix:
@@ -198,7 +200,8 @@ def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mappin
     then every observed position is validated against the result.
 
     Raises:
-        ValueError: ``omega`` has a row outside ``range(basis.m)``, or other rows than ``observed``.
+        ValueError: ``omega`` has a row outside ``range(basis.m)``, or other rows
+            than ``observed``, or an observed value is not finite.
         DegenerateProjectionError: the projection onto ``omega`` has rank < r.
         InconsistentObservationError: observations disagree with the subspace,
             or the completed vector is not finite.
@@ -209,6 +212,9 @@ def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mappin
     if set(observed) != set(omega):
         raise ValueError("observed values must cover exactly the support")
     x = np.array([observed[i] for i in omega], dtype=float)
+    for i, value in zip(omega, x.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"row {i}: non-finite value {value!r}")
     v, errors = _complete_columns(basis.matrix, np.array([omega], dtype=np.int64), x[None])
     if errors:
         raise errors[0]
@@ -232,7 +238,8 @@ def complete_matrix(obs: ObservedMatrix, basis: SubspaceBasis) -> np.ndarray:
     failures = {}
     for k in np.unique(sizes).tolist():
         cols = np.flatnonzero(sizes == k)
-        omega = np.array([supports[j] for j in cols], dtype=np.int64).reshape(len(cols), k)
+        flat = itertools.chain.from_iterable(supports[j] for j in cols.tolist())
+        omega = np.fromiter(flat, dtype=np.int64, count=len(cols) * k).reshape(len(cols), k)
         completed, errors = _complete_columns(basis.matrix, omega, X[omega, cols[:, None]])
         X[:, cols] = completed
         failures.update((int(cols[i]), exc) for i, exc in errors.items())
@@ -291,10 +298,14 @@ def _complete_columns(
 def _dense_values(obs: ObservedMatrix) -> np.ndarray:
     """The observed values as an m x n array, 0 at unobserved positions."""
     dense = np.zeros((obs.pattern.m, obs.pattern.n))
-    if obs.values:
-        rows, cols = np.array(list(obs.values), dtype=np.int64).T
-        dense[rows, cols] = list(obs.values.values())
+    rows, cols = _index_pairs(obs.values, len(obs.values))
+    dense[rows, cols] = np.fromiter(obs.values.values(), dtype=float, count=len(obs.values))
     return dense
+
+
+def _index_pairs(pairs: Iterable[tuple[int, int]], count: int) -> np.ndarray:
+    """The ``count`` pairs (i, j) as a (2, count) int64 array: the i, then the j."""
+    return np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * count).reshape(count, 2).T
 
 
 def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, seed=0) -> RankReport:
@@ -402,8 +413,13 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     add at most min(|c|, r(m_c+n_c-r)), since they involve only c's rows of
     A and columns of C, up to c's own gauge (A_c, C_c) -> (A_c G, G^-1 C_c).
     The bound also holds for every subset of J's rows, and minus r n it
-    bounds the section rank when every column has r entries or more.
+    bounds the section rank when every column has r entries or more. Kept
+    on the pattern object per r: the second tangent test on a mask that
+    falls short reads the bound the first computed.
     """
+    shared, key = pattern._shared, ("core_bound", r)
+    if key in shared:
+        return shared[key]
     m, n = pattern.m, pattern.n
     supports = pattern.column_supports()
     sizes = [len(omega) for omega in supports]
@@ -432,7 +448,8 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     entries = Counter(find(i) for i in core_rows)
     lines = Counter(find(v) for v in list(parent))  # m_c + n_c
     core_rank = sum(min(size, r * (lines[c] - r)) for c, size in entries.items())
-    return min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
+    shared[key] = min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
+    return shared[key]
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:
@@ -465,7 +482,8 @@ def _tangent_ranks(
     the section rows N_j (x) c_j: entry (s, i r + b) is N_j[s, i] C[b, j],
     with N_j the left null vectors of A[omega_j]. Hence rank J = sum_j
     rank A[omega_j] + rank S. Columns of equal support size share one
-    batched elimination. Every row of S annihilates D = A G (N_j A[omega_j]
+    batched elimination, and their rows of S are written in place into one
+    array allocated for every column's rows, size after size. Every row of S annihilates D = A G (N_j A[omega_j]
     = 0). So for any r rows P with A[P] invertible, the r^2 columns of D's
     rows P are combinations of the other columns of S, and leaving them out
     of its elimination keeps its column space, hence its rank and its row
@@ -482,8 +500,8 @@ def _tangent_ranks(
     C = rng.integers(0, FIELD_PRIME, size=(r, pattern.n))
     supports = pattern.column_supports()
     sizes = np.array([len(omega) for omega in supports])
-    column_ranks = 0
-    blocks = [np.zeros((0, m * r), dtype=np.int64)]
+    column_ranks = filled = 0
+    S = np.zeros((int(np.maximum(sizes - r, 0).sum()), m, r), dtype=np.int64)
     eliminated = []  # (columns, supports, row orders) of each size's full-rank columns
     gauge = None  # r rows P of A with A[P] invertible
     for k in sorted(set(sizes.tolist()) - {0}):
@@ -491,20 +509,17 @@ def _tangent_ranks(
         omega = np.array([supports[j] for j in cols])
         null, full, order = left_null_mod_p(A[omega])
         column_ranks += min(k, r) * int(full.sum())
-        cols, omega, order = cols[full], omega[full], order[full]
+        null, cols, omega, order = null[full], cols[full], omega[full], order[full]
         eliminated.append((cols, omega, order))
         if gauge is None and k >= r and cols.size:
             gauge = omega[0, order[0, :r]]
-        if k > r:
-            null, c = null[full], C[:, cols].T
-            block = np.zeros((len(omega), k - r, m, r), dtype=np.int64)
+        if k > r:  # this size's rows of S, written in place after the sizes before it
+            block = S[filled : filled + len(omega) * (k - r)].reshape(len(omega), k - r, m, r)
             block[np.arange(len(omega))[:, None, None], np.arange(k - r)[:, None], omega[:, None]] = (
-                null[..., None] * c[:, None, None] % FIELD_PRIME
+                null[..., None] * C[:, cols].T[:, None, None] % FIELD_PRIME
             )
-            blocks.append(block.reshape(-1, m * r))
-            del block  # held by blocks alone
-    rows = np.concatenate(blocks)
-    del blocks  # copied into rows, so not held through the elimination
+            filled += len(omega) * (k - r)
+    rows = S[:filled].reshape(filled, m * r)
     if gauge is not None:  # D[P]'s r^2 columns add no rank; zeroed, rank_mod_p leaves them out
         rows[:, (r * gauge[:, None] + np.arange(r)).ravel()] = 0
     section, pivots = rank_mod_p(rows)

@@ -108,7 +108,9 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
     A level-k minor expands along its first row a into minors of level k-1,
     so the block of row a is one BLAS product ``W_a @ P_{k-1}[:, -count:]``,
     where W_a holds row a's entries, signed, at (k-set, (k-1)-set) pairs that
-    differ by one column: (r-1)(m-r+1) products in all.
+    differ by one column: (r-1)(m-r+1) products in all. Each level builds
+    once the table of every row's signed entries, an (m, C(r, k), k) array,
+    and the pairs W_a fills; a block then refills one W from the table.
     """
     m, r = mat.shape
     prev = mat[r - 1 :].T.copy()
@@ -117,11 +119,12 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
         # term i of the minor on column set s: (-1)^i B[a, sets[s, i]] times
         # the level k-1 minor on the column set sub[s, i] = sets[s] minus sets[s, i]
         sub = _lex_rank(np.stack([np.delete(sets, i, axis=1) for i in range(k)], axis=1), r)
-        sign = np.where(np.arange(k) % 2, -1, 1)
+        terms = mat[:, sets] * np.where(np.arange(k) % 2, -1, 1)
+        at = np.arange(len(sets))[:, None], sub
         W = np.zeros((len(sets), len(prev)))
         cur = np.empty((len(sets), math.comb(m - r + k, k)))
         for a, start, count in _lex_blocks(m, r, k):
-            W[np.arange(len(sets))[:, None], sub] = sign * mat[a, sets]
+            W[at] = terms[a]
             np.matmul(W, prev[:, -count:], out=cur[:, start : start + count])
         prev = cur
     return prev[0]
@@ -297,7 +300,8 @@ def first_full_rank(
 @dataclass(frozen=True)
 class SubspaceBasis:
     """An m-by-r matrix with finite entries and linearly independent columns,
-    read once from any real input as a new, read-only float64 array."""
+    read once from any real input as a new, read-only float64 array. Text,
+    even text that spells a number, is not a real input."""
 
     matrix: np.ndarray
     __eq__ = _fields_equal
@@ -308,6 +312,8 @@ class SubspaceBasis:
             mat = np.asarray(self.matrix)
             if np.iscomplexobj(mat):
                 raise TypeError("complex entries")
+            if mat.dtype.kind in "SU" or mat.dtype == object and any(isinstance(v, (str, bytes)) for v in mat.flat):
+                raise TypeError("text entries")
             mat = mat.astype(float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise NotABasisError(f"not a basis: entries must be real numbers in float64 range ({exc})") from exc

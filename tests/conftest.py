@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from completable import (
     parse_pattern,
     plucker_of_basis,
 )
-from completable.plucker import FIELD_PRIME
+from completable.plucker import FIELD_PRIME, _lex_blocks, _lex_rank
 
 # 6x5 mask, 18 observed entries, generically finitely completable at rank 2
 GRID_6X5 = """\
@@ -298,6 +299,55 @@ def reference_tangent_ranks(pattern, r, rng):
     if jacobian < r * (m + n - r):
         return jacobian, section, None
     return jacobian, section, np.array(pivot_entries + [section_entries[i] for i in pivots.tolist()])
+
+
+def reference_section_rows(pattern, r, rng):
+    """The section rows S that ``_tangent_ranks`` eliminates, one column at a
+    time: columns by support size, then index, each of full rank stacking
+    N_j (x) c_j, a column where A[omega_j] drops rank none. Then the r^2
+    columns of S at the gauge rows P are zeroed: the pivot rows of the
+    first column of full rank with r rows or more, in that order."""
+    p = FIELD_PRIME
+    m, n = pattern.m, pattern.n
+    A = rng.integers(0, p, size=(m, r))
+    C = rng.integers(0, p, size=(r, n))
+    supports = pattern.column_supports()
+    S, gauge = [np.zeros((0, m * r), dtype=np.int64)], None
+    for j in sorted(range(n), key=lambda j: len(supports[j])):
+        omega = np.array(supports[j], dtype=np.intp)
+        if not omega.size:
+            continue
+        (null,), (full,), (order,) = reference_left_null_mod_p(A[None, omega])
+        if not full:
+            continue
+        if gauge is None and omega.size >= r:
+            gauge = omega[order[:r]]
+        for vector in null:
+            lifted = np.zeros((m, r), dtype=np.int64)
+            lifted[omega] = vector[:, None] * C[:, j] % p
+            S.append(lifted.reshape(1, m * r))
+    S = np.concatenate(S)
+    if gauge is not None:
+        S.reshape(-1, m, r)[:, gauge] = 0
+    return S
+
+
+def reference_laplace_minors(mat):
+    """``plucker._laplace_minors`` with W filled block by block: each block of
+    row a gathers and signs row a's entries anew, then takes its product."""
+    m, r = mat.shape
+    prev = mat[r - 1 :].T.copy()
+    for k in range(2, r + 1):
+        sets = np.array(list(itertools.combinations(range(r), k)))
+        sub = _lex_rank(np.stack([np.delete(sets, i, axis=1) for i in range(k)], axis=1), r)
+        sign = np.where(np.arange(k) % 2, -1, 1)
+        W = np.zeros((len(sets), len(prev)))
+        cur = np.empty((len(sets), math.comb(m - r + k, k)))
+        for a, start, count in _lex_blocks(m, r, k):
+            W[np.arange(len(sets))[:, None], sub] = sign * mat[a, sets]
+            np.matmul(W, prev[:, -count:], out=cur[:, start : start + count])
+        prev = cur
+    return prev[0]
 
 
 def reference_relaxed_slmf(pattern, r):

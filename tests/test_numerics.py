@@ -1,3 +1,4 @@
+import collections
 import copy
 import ctypes
 import dataclasses
@@ -42,7 +43,12 @@ from completable import (
 from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets, rank_mod_p
-from conftest import reference_degenerate_projections, reference_export_csv, reference_tangent_ranks
+from conftest import (
+    reference_degenerate_projections,
+    reference_export_csv,
+    reference_section_rows,
+    reference_tangent_ranks,
+)
 
 # two rank-1 blocks at r = 1, deficient by one although no row or column has
 # at most r entries; each block is a component of the core, with its own gauge
@@ -117,6 +123,17 @@ def test_complete_column_refuses_rows_outside_the_basis(omega):
     basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [1, 1]]))
     with pytest.raises(ValueError, match=r"^support rows must lie in range\(3\)"):
         complete_column(basis, omega, dict.fromkeys(omega, 1.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_complete_column_refuses_non_finite_values(monkeypatch, value):
+    """A NaN or inf observed is refused naming its row, before any solve."""
+    basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [1, 1]]))
+    monkeypatch.setattr(numerics, "_complete_columns", None)  # not reached
+    with pytest.raises(ValueError, match=rf"^row 2: non-finite value {value!r}$"):
+        complete_column(basis, [0, 2], {0: 1.0, 2: value})
+    with pytest.raises(ValueError, match=rf"^row 0: non-finite value {value!r}$"):
+        complete_column(basis, [1, 0], {0: value, 1: value})
 
 
 def test_exact_bases_complete_to_their_float_copies_values(pattern_6x5):
@@ -341,6 +358,33 @@ def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1, 0)
 
 
+def test_the_core_bound_is_computed_once_per_pattern_object_and_r(monkeypatch, pattern_6x5):
+    """The union-find behind the (r+1)-core bound tallies the core's components
+    in two Counters per computation. On a mask that falls short the first
+    tangent test computes the bound and the second reads it, whichever runs
+    first; a pass computes none, and a re-parsed pattern or another r its own."""
+    tallies = []
+    monkeypatch.setattr(numerics, "Counter", lambda items: tallies.append(1) or collections.Counter(items))
+
+    def computed(*calls):
+        before = len(tallies)
+        for test, pattern, r in calls:
+            test(pattern, r)
+        return (len(tallies) - before) // 2
+
+    joined = parse_pattern(JOINED_6X6)
+    assert computed((jacobian_rank_test, joined, 2), (grassmann_section_rank_test, joined, 2)) == 1
+    assert computed((jacobian_rank_test, joined, 2), (grassmann_section_rank_test, joined, 2)) == 0
+    assert computed((jacobian_rank_test, joined, 1)) == 0  # rank 1 passes
+    again = parse_pattern(JOINED_6X6)
+    assert computed((grassmann_section_rank_test, again, 2), (jacobian_rank_test, again, 2)) == 1
+    refuted = pattern_6x5.without_entry((4, 0))
+    assert computed((jacobian_rank_test, refuted, 2), (grassmann_section_rank_test, refuted, 2)) == 1
+    assert computed((jacobian_rank_test, pattern_6x5, 2), (grassmann_section_rank_test, pattern_6x5, 2)) == 0
+    assert (joined._shared[("core_bound", 2)], refuted._shared[("core_bound", 2)]) == (19, 17)
+    assert ("core_bound", 2) not in pattern_6x5._shared
+
+
 def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6x5):
     """The bound only matters after a trial falls short, so a pass skips it."""
 
@@ -435,6 +479,26 @@ def test_the_gauge_rows_are_the_pivot_rows_of_an_eliminated_column(monkeypatch):
     assert basis.tolist() == expected[2].tolist()
 
 
+def test_section_rows_are_written_in_place_as_the_columns_stack_them(monkeypatch):
+    """Supports of 3, 4 and 5 rows at r = 2, with rows 0-2 of A equal: column 0
+    drops rank in the first size group, column 1 of the same size does not.
+    The S that reaches ``rank_mod_p`` is the reference's stack, row for row,
+    with no row for column 0, and the ranks are the reference's."""
+    supports = ((0, 1, 2), (2, 3, 4), (0, 3, 5, 6), (1, 2, 6, 7), (0, 2, 4, 5, 7), (3, 4, 5, 6, 7))
+    pattern = ObservationPattern(8, 6, frozenset((i, j) for j, rows in enumerate(supports) for i in rows))
+    rng = np.random.default_rng(3)
+    A, C = rng.integers(1, 1000, size=(8, 2)), rng.integers(1, 1000, size=(2, 6))
+    A[1:3] = A[0]
+    seen = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append(M.copy()) or rank_mod_p(M))
+    ranks = _tangent_ranks(pattern, 2, _Draws(A.copy(), C.copy()))
+    (rows,) = seen
+    expected = reference_section_rows(pattern, 2, _Draws(A.copy(), C.copy()))
+    assert rows.shape == expected.shape == (1 + 2 + 2 + 3 + 3, 16)
+    assert np.array_equal(rows, expected)
+    assert ranks == reference_tangent_ranks(pattern, 2, _Draws(A, C)) == (2 * 5 + 11, 11, None)
+
+
 def test_tangent_tests_refuse_an_oversized_system_before_allocating():
     """3000 x 3000, 8 rows per column, r = 3: the section rows alone would be
     15,000 x 9,000 int64 cells, 1.08 GB."""
@@ -467,10 +531,11 @@ def test_tangent_size_counts_the_arrays_that_grow_with_m():
 
 
 def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
-    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 3.2
-    times the 1.26 MB ``_check_tangent_size`` counts; the elimination's
-    temporaries may not take it past 3.5 times, which holds only while the
-    section blocks are freed once stacked (4.2 times when they are kept)."""
+    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 2.4
+    times the 1.26 MB ``_check_tangent_size`` counts, inside ``rank_mod_p``,
+    which eliminates a copy of the section rows S; the elimination's
+    temporaries may not take it past 2.6 times, which holds only while S is
+    written in place, once (a second copy kept adds about 0.9 times)."""
     pattern = random_pattern(64, 64, 12, seed=0)
     counted = numerics._check_tangent_size(pattern, 5)
     tracemalloc.start()
@@ -480,7 +545,7 @@ def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
     finally:
         tracemalloc.stop()
     assert (report.pass_count, report.trials, counted) == (1, 1, 1261568)
-    assert peak <= 3.5 * counted
+    assert peak <= 2.6 * counted
 
 
 def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):
@@ -884,6 +949,19 @@ def test_observed_csv_roundtrip(pattern_6x5):
 def test_observed_csv_bad_cell():
     with pytest.raises(ObservedMatrixFormatError, match="line 1, column 2"):
         observed_from_csv("1.0,oops\n2.0,3.0\n")
+
+
+def test_from_matrix_gathers_the_per_entry_values_in_entry_order():
+    """One gather gives the dict the per-entry loop built: the same items, in
+    ``pattern.entries`` order, as Python floats of the same bits."""
+    pattern = random_pattern(9, 7, 4, seed=2)
+    X = np.random.default_rng(2).standard_normal((9, 7))
+    X[next(iter(pattern.entries))] = -0.0
+    values = ObservedMatrix.from_matrix(X, pattern).values
+    expected = {(i, j): X[i, j] for i, j in pattern.entries}
+    assert list(values) == list(expected)
+    assert all(type(v) is float for v in values.values())
+    assert np.array(list(values.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
 def test_observed_values_must_match_pattern(pattern_6x5):

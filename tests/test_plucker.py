@@ -42,6 +42,7 @@ from conftest import (
     reference_coordinates,
     reference_degenerate_projections,
     reference_gr24_residual,
+    reference_laplace_minors,
     reference_left_null_mod_p,
     reference_rank_mod_p,
     reference_section_value,
@@ -202,6 +203,24 @@ def test_a_basis_holds_its_entries_as_read_only_float64(rows):
 )
 def test_entries_that_are_not_float64_reals_are_refused(rows):
     with pytest.raises(NotABasisError, match=r"^not a basis: entries must be real numbers in float64 range \("):
+        SubspaceBasis(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1", "0"], ["0", "1"]],
+        np.array([["1.5", "0"], ["0", "1"]]),
+        [[b"1", b"0"], [b"0", b"1"]],
+        np.array([["1", "0"], ["0", "1"]], dtype=object),
+        np.array([[1, np.str_("0")], [0, 1]], dtype=object),
+        np.array([[1.0, b"0"], [0.0, 1.0]], dtype=object),
+    ],
+    ids=["str-lists", "str-array", "bytes", "str-objects", "one-numpy-str", "one-bytes-object"],
+)
+def test_text_is_refused_even_where_it_spells_a_number(rows):
+    """Text is not a real input, though ``astype(float)`` would parse it."""
+    with pytest.raises(NotABasisError, match=r"^not a basis: entries must be real numbers in float64 range \(text"):
         SubspaceBasis(rows)
 
 
@@ -407,6 +426,27 @@ def test_the_recursion_holds_one_level_and_the_next(m, r, psi):
     assert peak <= 1.1 * pair
     assert peak < 8 * sum(levels)
     assert abs(coords[_lex_rank(psi, m)] - np.linalg.det(B[list(psi)])) <= 1e-12 * np.abs(coords).max()
+
+
+def _bases_of_every_shape():
+    rng = np.random.default_rng(83)
+    for m in range(1, 17):
+        for r in range(1, m + 1):
+            yield rng.standard_normal((m, r))
+    yield from (rng.standard_normal(shape) for shape in ((40, 5), (36, 5)))
+
+
+def test_laplace_levels_match_the_block_by_block_fill_bit_for_bit(monkeypatch):
+    """Each level reads W's entries from one table built for all rows; the
+    minors, and the coordinates on both routes, are those of filling W block
+    by block, bit for bit, at m from 1 to 16 at every r, 40 x 5 and 36 x 5."""
+    bases = list(_bases_of_every_shape())
+    assert len(bases) == 138
+    fast = [(_laplace_minors(B), plucker_of_basis(SubspaceBasis(B)).coords) for B in bases]
+    monkeypatch.setattr(plucker, "_laplace_minors", reference_laplace_minors)
+    for B, (minors, coords) in zip(bases, fast):
+        assert minors.tobytes() == reference_laplace_minors(B).tobytes(), B.shape
+        assert coords.tobytes() == plucker_of_basis(SubspaceBasis(B)).coords.tobytes(), B.shape
 
 
 def _dual_by_where(coords, m, r):
