@@ -41,7 +41,6 @@ from .numerics import (
     jacobian_rank_test,
     observed_from_csv,
     observed_to_csv,
-    sample_generic_subspace,
 )
 from .patterns import (
     MinimumSizeCheck,
@@ -52,7 +51,6 @@ from .patterns import (
     parse_pattern,
     pattern_from_json,
     pattern_to_grid,
-    pattern_to_json,
     random_pattern,
 )
 from .plucker import (

@@ -640,7 +640,12 @@ def check_necessary_condition(
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    payload = {
+    return json.dumps(_certificate_dict(cert))
+
+
+def _certificate_dict(cert: Certificate) -> dict:
+    """The JSON object of a certificate, 1-based, as ``certificate_to_json`` writes it."""
+    return {
         "kind": cert.kind,
         "partition": [[c + 1 for c in group] for group in cert.partition],
         "slmfs": [
@@ -653,7 +658,6 @@ def certificate_to_json(cert: Certificate) -> str:
             for w in cert.slmfs
         ],
     }
-    return json.dumps(payload)
 
 
 def certificate_from_json(text: str) -> Certificate:

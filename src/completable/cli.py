@@ -21,7 +21,7 @@ from . import __version__
 from .certificates import (
     DEFAULT_BUDGET,
     MAX_SEARCH_SUBSETS,
-    certificate_to_json,
+    _certificate_dict,
     check_necessary_condition,
     check_relaxed_slmf,
     find_finite_certificate,
@@ -235,7 +235,7 @@ def _certificate_payload(outcome) -> dict:
         payload["reason"] = outcome.reason
     payload["nodes"] = outcome.nodes
     if outcome.certificate is not None:
-        payload["certificate"] = json.loads(certificate_to_json(outcome.certificate))
+        payload["certificate"] = _certificate_dict(outcome.certificate)
     return payload
 
 

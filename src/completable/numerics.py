@@ -1,16 +1,15 @@
-"""Generic sampling, exact tangent rank tests, exact completion, and system export.
+"""Exact tangent rank tests, completion from a known column space, and system export.
 
-Genericity for completion is realized by standard-normal sampling plus
-explicit nondegeneracy checks; a randomly drawn subspace misses the bad loci
-with probability 1. The tangent rank tests are exact instead: they take the
-rank over GF(p), p = 2^31 - 1, of the factorization Jacobian at a random
-integer point, by block elimination, one column of the mask at a time. Full
-rank there is full rank over the rationals, hence generically, so one
-full-rank trial proves the bound. The (r+1)-core of the mask bounds the
-rank at every point (``_jacobian_rank_bound``), computed only once a trial
-falls short, and then kept on the pattern object for both tests at that r;
-where that bound is below the target, a trial reaching it refutes exactly,
-and the test stops there. Otherwise a deficient rank in t
+Completion checks every projection of the basis for nondegeneracy, which a
+randomly drawn subspace passes with probability 1. The tangent rank tests
+are exact: they take the rank over GF(p), p = 2^31 - 1, of the factorization
+Jacobian at a random integer point, by block elimination, one column of the
+mask at a time. Full rank there is full rank over the rationals, hence
+generically, so one full-rank trial proves the bound. The (r+1)-core of the
+mask bounds the rank at every point (``_jacobian_rank_bound``), computed
+only once a trial falls short, and then kept on the pattern object for both
+tests at that r; where that bound is below the target, a trial reaching it
+refutes exactly, and the test stops there. Otherwise a deficient rank in t
 independent trials refutes with error at most (d/p)^t, d the target rank
 (Schwartz-Zippel). Both tests, and the randomized SLMF test with its
 Hall-matroid bound, run their trials through one loop
@@ -95,10 +94,6 @@ class ObservedMatrix:
             raise ValueError(f"entry ({i}, {j}): non-finite value {v!r}")
         object.__setattr__(self, "values", values)
 
-    def column(self, j: int) -> tuple[tuple[int, ...], np.ndarray]:
-        omega = self.pattern.column_support(j)
-        return omega, np.array([self.values[(i, j)] for i in omega])
-
     @classmethod
     def from_matrix(cls, X: np.ndarray, pattern: ObservationPattern) -> "ObservedMatrix":
         X = np.asarray(X, dtype=float)
@@ -182,14 +177,6 @@ class RankReport:
     @property
     def passed(self) -> bool:
         return self.tested_rank == self.target and self.pass_count >= 1
-
-
-def sample_generic_subspace(m: int, r: int, seed=0) -> SubspaceBasis:
-    """Basis with independent standard-normal entries; deterministic per seed."""
-    if not 1 <= r <= m:
-        raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-    rng = np.random.default_rng(seed)
-    return SubspaceBasis(rng.standard_normal((m, r)))
 
 
 def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mapping[int, float]) -> np.ndarray:

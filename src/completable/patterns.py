@@ -73,11 +73,6 @@ class ObservationPattern:
     def sorted_entries(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
 
-    def without_entry(self, entry: tuple[int, int]) -> "ObservationPattern":
-        if entry not in self.entries:
-            raise ValueError(f"entry {entry} not observed")
-        return ObservationPattern(self.m, self.n, self.entries - {entry})
-
     def restrict(self, keep: Iterable[tuple[int, int]]) -> "ObservationPattern":
         """Sub-pattern on the same grid containing only ``keep`` entries."""
         keep = frozenset(keep)
@@ -121,16 +116,6 @@ def pattern_to_grid(pattern: ObservationPattern) -> str:
             "".join("1" if (i, j) in pattern.entries else "0" for j in range(pattern.n))
         )
     return "\n".join(rows) + "\n"
-
-
-def pattern_to_json(pattern: ObservationPattern) -> str:
-    """JSON form with 1-based entries, sorted for reproducible output."""
-    payload = {
-        "m": pattern.m,
-        "n": pattern.n,
-        "entries": [[i + 1, j + 1] for i, j in pattern.sorted_entries()],
-    }
-    return json.dumps(payload)
 
 
 def _is_int(value) -> bool:

@@ -1,10 +1,11 @@
 """Plucker coordinates of linear subspaces, and the exact kernels of the rank tests.
 
 The module holds a subspace basis, read as float64 and rank-checked once,
-the float Plucker coordinates of a basis, and the eliminations over GF(p)
-and the randomized rank loop that the tangent tests (``numerics``) and the
-linkage-support oracle (``slmf``) run. Conventions, fixed once and used
-everywhere:
+the float Plucker coordinates of a basis (a Laplace recursion, run on the
+orthogonal complement from numpy's QR where r > m/2), and the two
+eliminations over GF(p) and the randomized rank loop that the tangent tests
+(``numerics``) and the linkage-support oracle (``slmf``) run. Conventions,
+fixed once and used everywhere:
 
 * r-subsets of ``range(m)`` are ordered lexicographically on their sorted
   elements; a Plucker vector stores one coordinate per subset in that order.
@@ -139,33 +140,6 @@ def _subset_sum_parity(m: int, r: int) -> np.ndarray:
             np.logical_xor(prev[-count:], a % 2, out=cur[start : start + count])
         prev = cur
     return prev
-
-
-def _gauss_jordan(a: np.ndarray) -> list[int]:
-    """Gauss-Jordan elimination of a float or rational matrix, in place.
-
-    Step i swaps the row holding the largest remaining entry in absolute value
-    (complete pivoting) into row i, scales that row so the entry is 1, and
-    clears its column in every other row; it stops when the rows from i on
-    are all zero. Returns the pivot columns in step order, as many as the
-    rank. The package runs it in float64, on the complement route only; the
-    tests run it over the rationals, where the rank is exact, as the oracle
-    for ``rank_mod_p``.
-    """
-    n, m = a.shape
-    pivots = []
-    for i in range(n):
-        k, j = divmod(int(np.argmax(np.abs(a[i:]))), m)
-        if not a[i + k, j]:
-            break
-        if k:
-            a[[i, i + k]] = a[[i + k, i]]
-        a[i] = a[i] / a[i, j]
-        for t in range(n):
-            if t != i:
-                a[t] = a[t] - a[t, j] * a[i]
-        pivots.append(j)
-    return pivots
 
 
 def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,27 +366,19 @@ def plucker_of_basis(basis: SubspaceBasis) -> PluckerVector:
 def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
     """All r x r row minors of an m x r float matrix, read off its complement.
 
-    Gauss-Jordan elimination on the transpose (``_gauss_jordan``) picks rows
-    I with B[I] invertible and gives B' = B B[I]^-1, the identity on I and N
-    on the other rows J. The columns of C with C[J] = identity and C[I] =
-    -N^T span the orthogonal complement, so the dual of C's minors is
-    proportional to the minors of B'. Those are 1 at I, and the minors of B
-    are det B[I] (``np.linalg.det``) times them.
+    The complete QR factorization B = Q R gives the minors of B as det R[:r]
+    = prod(diag R) times those of Q[:, :r]. As Q is orthogonal, Jacobi's
+    complementary-minor identity takes the minor of Q[:, :r] at rows I to
+    det Q times the signed minor of Q[:, r:] at the other rows: the dual of
+    the complement's minors, with (-1)^(r(m-r)) to turn the order (I^c, I)
+    that ``_dual_coords`` sorts into (I, I^c).
     """
     m, r = mat.shape
-    a = mat.T.copy()
-    pivots = _gauss_jordan(a)
-    rows = sorted(pivots)
-    a = a[np.argsort(pivots)]
-    det = np.linalg.det(mat[rows])
     if r == m:
-        return np.array([det])
-    others = [i for i in range(m) if i not in pivots]
-    comp = np.zeros((m, m - r))
-    comp[others] = np.eye(m - r)
-    comp[rows] = -a[:, others]
-    dual = _dual_coords(_laplace_minors(comp), m, m - r)
-    dual *= det * dual[_lex_rank(rows, m)]
+        return np.array([np.linalg.det(mat)])
+    Q, R = np.linalg.qr(mat, mode="complete")
+    dual = _dual_coords(_laplace_minors(Q[:, r:]), m, m - r)
+    dual *= (-1) ** (r * (m - r)) * np.linalg.det(Q) * np.prod(np.diag(R))
     return dual
 
 

@@ -211,6 +211,32 @@ def reference_least_violator(masks, r):
     return None
 
 
+def _gauss_jordan(a: np.ndarray) -> list[int]:
+    """Gauss-Jordan elimination of a float or rational matrix, in place.
+
+    Step i swaps the row holding the largest remaining entry in absolute value
+    (complete pivoting) into row i, scales that row so the entry is 1, and
+    clears its column in every other row; it stops when the rows from i on
+    are all zero. Returns the pivot columns in step order, as many as the
+    rank. The tests run it over the rationals, where the rank is exact, as
+    the oracle for ``rank_mod_p``.
+    """
+    n, m = a.shape
+    pivots = []
+    for i in range(n):
+        k, j = divmod(int(np.argmax(np.abs(a[i:]))), m)
+        if not a[i + k, j]:
+            break
+        if k:
+            a[[i, i + k]] = a[[i + k, i]]
+        a[i] = a[i] / a[i, j]
+        for t in range(n):
+            if t != i:
+                a[t] = a[t] - a[t, j] * a[i]
+        pivots.append(j)
+    return pivots
+
+
 def reference_rank_mod_p(M):
     """(rank, pivot rows) over GF(p) by the earlier kernel: a free-row mask,
     columns by increasing nonzero count, all-zero ones left out, and each

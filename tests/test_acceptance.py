@@ -83,7 +83,7 @@ def test_criterion_02_every_single_entry_deletion_is_detected():
     pattern = parse_pattern(GRID_6X5)
     ok = True
     for entry in pattern.sorted_entries():
-        smaller = pattern.without_entry(entry)
+        smaller = pattern.restrict(pattern.entries - {entry})
         from completable import minimum_size_check
 
         if minimum_size_check(smaller, 2).passed:

@@ -156,7 +156,7 @@ def test_find_finite_certificate_6x5(pattern_6x5):
 def test_find_finite_none_after_any_single_deletion(pattern_6x5):
     """Removing any observed entry destroys every two-group certificate."""
     for entry in pattern_6x5.sorted_entries():
-        outcome = find_finite_certificate(pattern_6x5.without_entry(entry), 2)
+        outcome = find_finite_certificate(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2)
         assert outcome.status == "none"
         assert outcome.exhausted
 
@@ -242,7 +242,7 @@ def test_relaxed_counterexample_names_first_violating_rows():
 
 
 def test_relaxed_size_mismatch(pattern_6x5):
-    verdict = check_relaxed_slmf(pattern_6x5.without_entry((0, 0)), 2)
+    verdict = check_relaxed_slmf(pattern_6x5.restrict(pattern_6x5.entries - {(0, 0)}), 2)
     assert (verdict.ok, verdict.reason) == (False, "size")
 
 
@@ -278,7 +278,7 @@ def test_necessary_finds_exact_size_witness_in_6x6(pattern_6x6):
 
 
 def test_necessary_false_when_pattern_too_small(pattern_6x5):
-    verdict = check_necessary_condition(pattern_6x5.without_entry((0, 0)), 2)
+    verdict = check_necessary_condition(pattern_6x5.restrict(pattern_6x5.entries - {(0, 0)}), 2)
     assert verdict.contains_relaxed is False
     assert verdict.witness is None
 

@@ -16,8 +16,11 @@ from completable import (
     ObservationPattern,
     ObservedMatrix,
     SubspaceBasis,
+    certificate_to_json,
     complete_matrix,
     export_plucker_system,
+    find_finite_certificate,
+    find_unique_certificate,
     observed_from_csv,
     observed_to_csv,
     parse_pattern,
@@ -93,11 +96,22 @@ def test_analyze_6x6_has_unique_certificate(capsys, tmp_path):
     assert sorted(map(tuple, partition)) == [(1, 2), (3, 6), (4, 5)]
 
 
-def test_analyze_json_pattern_input(capsys, tmp_path, pattern_file):
-    from completable import pattern_to_json
+def test_analyze_embeds_the_certificates_json(capsys, tmp_path):
+    """The report's finite and unique certificates are the objects that
+    ``certificate_to_json`` writes, for one finite and one unique certificate."""
+    for grid, kind, find in ((GRID_6X5, "finite", find_finite_certificate), (GRID_6X6, "unique", find_unique_certificate)):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(grid)
+        _, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "2", "--json")
+        cert = find(parse_pattern(grid), 2).certificate
+        assert cert is not None and cert.kind == kind
+        assert json.loads(out)[f"{kind}_certificate"]["certificate"] == json.loads(certificate_to_json(cert))
 
+
+def test_analyze_json_pattern_input(capsys, tmp_path, pattern_file):
+    entries = [[i + 1, j + 1] for i, j in parse_pattern(GRID_6X5).sorted_entries()]
     path = tmp_path / "pattern.json"
-    path.write_text(pattern_to_json(parse_pattern(GRID_6X5)))
+    path.write_text(json.dumps({"m": 6, "n": 5, "entries": entries}))
     code_json, out_json, _ = run_cli(capsys, "analyze", str(path), "--rank", "2", "--json")
     code_grid, out_grid, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--json")
     assert code_json == code_grid == 0
@@ -1294,12 +1308,10 @@ def test_the_public_api_is_this_list():
         "parse_pattern",
         "pattern_from_json",
         "pattern_to_grid",
-        "pattern_to_json",
         "patterns",
         "plucker",
         "plucker_of_basis",
         "random_pattern",
-        "sample_generic_subspace",
         "slmf",
         "slmf_from_grid",
         "slmf_to_grid",

@@ -24,7 +24,6 @@ from completable import (
 from completable.plucker import (
     FIELD_PRIME,
     _dual_coords,
-    _gauss_jordan,
     _laplace_minors,
     _lex_rank,
     _subset_sum_parity,
@@ -37,6 +36,7 @@ from conftest import (
     PHI_A,
     PHI_B,
     REPEATED_COLUMNS,
+    _gauss_jordan,
     reference_bphi,
     reference_complement_sign,
     reference_coordinates,
@@ -70,7 +70,7 @@ def _det_by_permutations(rows):
 
 
 def _rational_rank(M):
-    """Rank over the rationals of an integer matrix, from the package's exact elimination."""
+    """Rank over the rationals of an integer matrix, by Gauss-Jordan elimination in Fractions."""
     return len(_gauss_jordan(np.array(M.tolist(), dtype=object).reshape(M.shape) * Fraction(1)))
 
 
@@ -457,40 +457,43 @@ def _dual_by_where(coords, m, r):
 
 
 @pytest.mark.parametrize("shape, integral", [((9, 6), False), ((12, 7), False), ((9, 6), True)])
-def test_complement_signs_and_scale_written_in_place_match_the_reference(monkeypatch, shape, integral):
-    """The complement route (r > m/2) and ``_dual_coords`` flip signs and
-    scale in one array. Each value equals the reference, where the signs come
-    from ``np.where`` and the scaling ``dual * (det * dual[k])`` makes a new
-    array, with k the position of the pivot rows, bit for bit; an integer
-    basis is read as float64."""
+def test_complement_signs_and_scale_written_in_place_match_the_reference(shape, integral):
+    """The complement route (r > m/2) is (-1)^(r(m-r)) det Q prod(diag R)
+    times the dual of the minors of Q[:, r:], for the complete QR of the
+    basis read as float64, bit for bit; ``_dual_coords`` flips signs in one
+    array, as the reference ``np.where`` does. An integer basis is read as
+    float64."""
     m, r = shape
     rng = np.random.default_rng(89)
     B = rng.integers(-9, 10, shape) if integral else rng.standard_normal(shape)
-    seen = {}
-
-    def keep_minors(coords, m, r):
-        seen["minors"] = coords.copy()
-        return _dual_coords(coords, m, r)
-
-    def keep_rows(psi, m):
-        if isinstance(psi, list):
-            seen["rows"] = psi
-        return _lex_rank(psi, m)
-
-    monkeypatch.setattr(plucker, "_dual_coords", keep_minors)
-    monkeypatch.setattr(plucker, "_lex_rank", keep_rows)
     P = plucker_of_basis(SubspaceBasis(B))
-    monkeypatch.undo()
-    rows = seen["rows"]
-    det = np.linalg.det(B[rows].astype(float))
-    dual = _dual_by_where(seen["minors"], m, m - r)
+    Q, R = np.linalg.qr(B.astype(float), mode="complete")
+    scale = (-1) ** (r * (m - r)) * np.linalg.det(Q) * np.prod(np.diag(R))
     for got, expected in (
-        (P.coords, dual * (det * dual[_lex_rank(rows, m)])),
+        (P.coords, _dual_by_where(_laplace_minors(Q[:, r:]), m, m - r) * scale),
         (_dual_coords(P.coords, m, r), _dual_by_where(P.coords, m, r)),
     ):
         assert got.dtype == expected.dtype == np.float64
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()
+
+
+def test_complement_route_matches_the_laplace_recursion():
+    """For m <= 10 and every r > m/2, r == m - 1 and r == m among them, the
+    complement route equals ``_laplace_minors`` run on the same float basis
+    to 1e-12 relative. The bases give det Q both signs, so the parity factor
+    and det Q are each checked without the integer oracle."""
+    rng = np.random.default_rng(101)
+    signs = set()
+    for m in range(1, 11):
+        for r in range(m // 2 + 1, m + 1):
+            for _ in range(3):
+                B = rng.standard_normal((m, r))
+                coords = plucker_of_basis(SubspaceBasis(B)).coords
+                expected = _laplace_minors(B)
+                assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max(), (m, r)
+                signs.add(np.sign(np.linalg.det(np.linalg.qr(B, mode="complete")[0])))
+    assert signs == {-1.0, 1.0}
 
 
 def test_the_constructor_copies_callers_arrays_and_builders_hand_over_read_only_ones():
@@ -516,8 +519,10 @@ def test_the_constructor_copies_callers_arrays_and_builders_hand_over_read_only_
             Q.coords[0] = 0
 
 
-def test_complement_elimination_pivots_past_a_tiny_entry():
-    """A 1e-12 leading entry taken as the pivot would cost about 1e-4 in accuracy."""
+def test_complement_route_is_accurate_past_a_tiny_leading_entry():
+    """A 1e-12 leading entry, which an elimination taking it as the pivot
+    would pay for with about 1e-4 in accuracy, leaves the QR route within
+    1e-12 of the per-subset determinants."""
     B = np.random.default_rng(61).standard_normal((7, 5))
     B[0, 0] = 1e-12
     coords = plucker_of_basis(SubspaceBasis(B)).coords

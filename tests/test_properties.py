@@ -112,7 +112,7 @@ class _ParallelRows:
         return drawn
 
 
-_REFUTED_6X5 = (parse_pattern(GRID_6X5).without_entry((4, 0)), 2)
+_REFUTED_6X5 = (parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries - {(4, 0)}), 2)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -275,20 +275,41 @@ def mixed_completions(draw):
     return ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B)
 
 
+# a 2 x 2 basis of condition number 2.9e6, both columns observed in full:
+# the stacked solve and the column loop differ by 1.5e-10 here, and are
+# 4.8e-10 and 3.3e-10 from the exact completion, the observed values
+_NEAR_PARALLEL_VALUES = {
+    (0, 0): 1.1932029351774438,
+    (1, 0): 0.49205471524961636,
+    (0, 1): 0.16453945859338576,
+    (1, 1): 0.8381045655873364,
+}
+_NEAR_PARALLEL = (
+    ObservedMatrix(ObservationPattern(2, 2, frozenset(_NEAR_PARALLEL_VALUES)), _NEAR_PARALLEL_VALUES),
+    SubspaceBasis([[0.1257302210933933, 0.1257295173581575], [0.6404226504432821, 0.640421385021811]]),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mixed_completions())
+@example(_NEAR_PARALLEL)
 def test_stacked_completion_is_the_column_loop(drawn):
     """``complete_matrix`` returns what one SVD per column gives
-    (``reference_complete_column``), to 1e-12 of the scale, and on a failing
-    mask raises the lowest failing column's error type and message, as that
-    loop does."""
+    (``reference_complete_column``), to 1e-12 of the scale where every
+    projection B[omega] is well conditioned, and on a failing mask raises
+    the lowest failing column's error type and message, as that loop does.
+    The near-parallel bases put a projection's condition number kappa up to
+    1 / DEFAULT_RANK_TOL, where two backward-stable solves agree only to
+    about kappa eps: the bound is then 8 eps kappa of the scale."""
     obs, basis = drawn
     expected = np.zeros((obs.pattern.m, obs.pattern.n))
-    failure = None
+    failure, kappa = None, 1.0
     for j in range(obs.pattern.n):
-        omega, x = obs.column(j)
+        omega = obs.pattern.column_support(j)
+        if len(omega) >= basis.r:
+            kappa = max(kappa, np.linalg.cond(basis.matrix[list(omega)]))
         try:
-            expected[:, j] = reference_complete_column(basis, omega, dict(zip(omega, x)))
+            expected[:, j] = reference_complete_column(basis, omega, {i: obs.values[i, j] for i in omega})
         except (DegenerateProjectionError, InconsistentObservationError) as exc:
             failure = type(exc), f"column {j + 1}: {exc}"
             break
@@ -298,7 +319,8 @@ def test_stacked_completion_is_the_column_loop(drawn):
         assert str(raised.value) == failure[1]
         return
     completed = complete_matrix(obs, basis)
-    assert np.abs(completed - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+    tol = max(1e-12, 8 * np.finfo(float).eps * kappa)
+    assert np.abs(completed - expected).max() <= tol * max(1.0, np.abs(expected).max())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -792,8 +814,8 @@ def reference_export_matrix(obs, r):
     pos = {s: t for t, s in enumerate(index_subsets(obs.pattern.m, r))}
     rows = []
     for j in range(obs.pattern.n):
-        omega, x = obs.column(j)
-        lookup = dict(zip(omega, x))
+        omega = obs.pattern.column_support(j)
+        lookup = {i: obs.values[i, j] for i in omega}
         for phi in itertools.combinations(omega, r + 1):
             row = np.zeros(len(pos))
             for k, i in enumerate(phi):
