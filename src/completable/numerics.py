@@ -244,15 +244,16 @@ def _complete_columns(
 
     ``omega`` (b, k) holds each column's observed rows and ``x`` (b, k) their
     values. The SVD of the stacked B[omega], shape (b, k, r), checks each
-    projection's rank and gives its least-squares solution through two
-    batched contractions; each column is solved scaled to at most 1 in
-    magnitude and scaled back, so the solve itself cannot overflow. Returns
-    the completed columns, shape (m, b), and the error of each failing one
-    by its index in the batch: ``DegenerateProjectionError`` when k < r or
-    the smallest singular value is at most ``DEFAULT_RANK_TOL`` times the
-    largest, else ``InconsistentObservationError`` when the result is not
-    finite or an observed entry is off by more than ``CONSISTENCY_RTOL``
-    times the column's scale.
+    projection's rank and gives its least-squares solution through batched
+    contractions, each a (1, .) row product per column, so a column's bits
+    do not depend on the others in the batch; each column is solved scaled
+    to at most 1 in magnitude and scaled back, so the solve itself cannot
+    overflow. Returns the completed columns, shape (m, b), and the error of
+    each failing one by its index in the batch: ``DegenerateProjectionError``
+    when k < r or the smallest singular value is at most ``DEFAULT_RANK_TOL``
+    times the largest, else ``InconsistentObservationError`` when the result
+    is not finite or an observed entry is off by more than
+    ``CONSISTENCY_RTOL`` times the column's scale.
     """
     b, k = omega.shape
     m, r = B.shape
@@ -263,8 +264,8 @@ def _complete_columns(
     top = np.abs(x).max(axis=1)
     top[top == 0] = 1.0
     with np.errstate(all="ignore"):
-        coef = ((x / top[:, None])[:, None] @ U / s[:, None] @ Vt)[:, 0]
-        v = coef @ B.T * top[:, None]
+        coef = (x / top[:, None])[:, None] @ U / s[:, None] @ Vt
+        v = (coef @ B.T)[:, 0] * top[:, None]
         finite = np.isfinite(v).all(axis=1)
         scale = np.maximum(np.maximum(top, 1.0), np.abs(v).max(axis=1))
         residual = np.abs(np.take_along_axis(v, omega, axis=1) - x).max(axis=1)
