@@ -263,25 +263,47 @@ def _group_witness(
     )
 
 
+def _jacobian_proves(pattern: ObservationPattern, r: int, jacobian: Optional[RankReport]) -> bool:
+    """Whether ``jacobian``, a ``jacobian_rank_test`` report, proves the pattern
+    finitely completable at r, which spares a stage its row-set scan.
+
+    A pass at r on the pattern, or on a sub-mask of it, does: its row basis
+    is r(m+n-r) entries of the pattern whose rows of the Jacobian are
+    independent, so they are a finitely completable exact-size sub-pattern
+    (Kiraly-Theran-Tomioka), which passes the counting test
+    (Pimentel-Alarcon-Boston-Nowak), and the counting bound reaches
+    r(m+n-r). None or a report at r without a row basis proves nothing.
+
+    Raises:
+        ValueError: the report's target is not r(m+n-r), or its row basis is
+            not r(m+n-r) entries of the pattern: it is of another rank or mask.
+    """
+    if jacobian is None:
+        return False
+    target, basis = r * (pattern.m + pattern.n - r), jacobian.row_basis
+    if jacobian.target != target or basis is not None and (
+        len(set(basis)) != target or not pattern.entries.issuperset(basis)
+    ):
+        raise ValueError(f"the Jacobian report is not of this mask at rank r={r}")
+    return basis is not None
+
+
 def _find_certificate(
-    pattern: ObservationPattern, r: int, kind: str, budget_nodes: int
+    pattern: ObservationPattern, r: int, kind: str, budget_nodes: int, jacobian: Optional[RankReport]
 ) -> SearchOutcome:
     """Enumerate unless the counting bound rules certificates out.
 
-    Certificate => finitely completable => full generic Jacobian rank
-    r(m+n-r) (Kiraly-Theran-Tomioka) => a row basis of that Jacobian is a
-    finitely completable exact-size sub-pattern => it passes the counting test
-    (Pimentel-Alarcon-Boston-Nowak). So where a Jacobian pass on this pattern
-    object recorded that it is finitely completable at r, the bound reaches
-    r(m+n-r) and neither bound is computed. Otherwise the line bound comes
-    first: it caps a column of fewer than r rows on all rows, and a row no
-    column observes on all the others, with no scan of row sets. Neither is
-    charged to the budget.
+    Certificate => finitely completable => the counting bound reaches
+    r(m+n-r) (see ``_jacobian_proves``). So where ``jacobian`` proves the
+    pattern finitely completable, neither bound is computed. Otherwise the
+    line bound comes first: it caps a column of fewer than r rows on all
+    rows, and a row no column observes on all the others, with no scan of
+    row sets. Neither is charged to the budget.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
-    if not pattern._shared.get(("finitely_completable", r)) and (
+    if not _jacobian_proves(pattern, r, jacobian) and (
         _line_bound(pattern, r)[0] < target or _counting_bound(pattern, r)[0] < target
     ):
         return SearchOutcome(None, exhausted=True, nodes=0)
@@ -353,17 +375,19 @@ def _enumerate(
 
 
 def find_finite_certificate(
-    pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
+    pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET, jacobian: Optional[RankReport] = None
 ) -> SearchOutcome:
-    """Search for an r-group certificate of finite completability."""
-    return _find_certificate(pattern, r, "finite", budget)
+    """Search for an r-group certificate of finite completability; a pass of
+    ``jacobian``, the pattern's ``jacobian_rank_test`` report at r, spares the row-set scan."""
+    return _find_certificate(pattern, r, "finite", budget, jacobian)
 
 
 def find_unique_certificate(
-    pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET
+    pattern: ObservationPattern, r: int, budget: int = DEFAULT_BUDGET, jacobian: Optional[RankReport] = None
 ) -> SearchOutcome:
-    """Search for an (r+1)-group certificate of unique completability."""
-    return _find_certificate(pattern, r, "unique", budget)
+    """Search for an (r+1)-group certificate of unique completability; a pass
+    of ``jacobian`` spares the row-set scan, as in ``find_finite_certificate``."""
+    return _find_certificate(pattern, r, "unique", budget, jacobian)
 
 
 def _least_row_set(
@@ -506,25 +530,28 @@ class RelaxedSlmfVerdict:
     actual_size: int
 
 
-def check_relaxed_slmf(pattern: ObservationPattern, r: int) -> RelaxedSlmfVerdict:
+def check_relaxed_slmf(
+    pattern: ObservationPattern, r: int, jacobian: Optional[RankReport] = None
+) -> RelaxedSlmfVerdict:
     """Counting test for patterns of exact size r(m+n-r).
 
     Requires, for every row subset I with at least r+1 rows, that the observed
     surplus sum_j max(#(support_j intersect I) - r, 0) not exceed r(#I - r),
     which holds iff the counting bound reaches the size. Equality at the full
     row set follows, as the surplus there is at least r(m - r). Up to
-    ``ROW_SET_LIMIT`` rows, a Jacobian pass recorded on this pattern object
-    at r decides it with no scan: the exact-size pattern is then its own
-    finitely completable sub-pattern (see ``_find_certificate``). Above the
-    limit the line bound refutes or nothing decides, whatever ran before.
+    ``ROW_SET_LIMIT`` rows, a pass of ``jacobian``, the pattern's
+    ``jacobian_rank_test`` report at r, decides it with no scan (see
+    ``_jacobian_proves``). Above the limit the line bound refutes or nothing
+    decides.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     required = r * (pattern.m + pattern.n - r)
     actual = pattern.size
+    proved = _jacobian_proves(pattern, r, jacobian)
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
-    if pattern.m <= ROW_SET_LIMIT and pattern._shared.get(("finitely_completable", r)):
+    if pattern.m <= ROW_SET_LIMIT and proved:
         return RelaxedSlmfVerdict(True, None, None, required, actual)
     bound, _, violated = _counting_bound(pattern, r)
     if bound < actual:
@@ -593,10 +620,10 @@ def check_necessary_condition(
        graphic matroid, so the condition holds iff that graph is connected,
        with a spanning tree as witness, at any size.
     2. At r >= 2, a pass of ``jacobian``, the pattern's
-       ``jacobian_rank_test`` report (run here when not given), at any size:
-       the entries of its row basis are a finitely completable exact-size
-       sub-pattern (Kiraly-Theran-Tomioka), which passes the counting test
-       (Pimentel-Alarcon-Boston-Nowak).
+       ``jacobian_rank_test`` report at r (run here when not given), at any
+       size: the entries of its row basis are a finitely completable
+       exact-size sub-pattern, which passes the counting test
+       (``_jacobian_proves``).
     3. A counting bound below r(m+n-r) refutes and names its row set, at
        any size: above ``ROW_SET_LIMIT`` rows it is the line bound. At r = 1
        a disconnected graph refutes at any size, with or without it.
@@ -610,20 +637,20 @@ def check_necessary_condition(
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     target = r * (pattern.m + pattern.n - r)
+    if jacobian is None and r > 1 and pattern.size >= target:
+        try:
+            jacobian = jacobian_rank_test(pattern, r)
+        except TangentSizeError:  # too large to set up, so no witness from it
+            pass
+    proved = _jacobian_proves(pattern, r, jacobian)
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
     if r == 1:
         tree = _spanning_tree(pattern)
         if len(tree) == target:
             return NecessaryConditionVerdict(True, pattern.restrict(tree), 1)
-    else:
-        if jacobian is None:
-            try:
-                jacobian = jacobian_rank_test(pattern, r)
-            except TangentSizeError:  # too large to set up, so no witness from it
-                pass
-        if jacobian is not None and jacobian.row_basis is not None:
-            return NecessaryConditionVerdict(True, pattern.restrict(jacobian.row_basis), 1)
+    elif proved:
+        return NecessaryConditionVerdict(True, pattern.restrict(jacobian.row_basis), 1)
     bound, rows, _ = _counting_bound(pattern, r)
     if bound < target:
         return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)

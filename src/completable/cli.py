@@ -177,9 +177,9 @@ def build_analysis_report(
     # cheapest proof first: a Jacobian pass carries the necessary condition's
     # witness and spares the searches and the counting test their row-set scan
     jacobian, jacobian_report = _rank_test(jacobian_rank_test, pattern, r, seed)
-    finite = find_finite_certificate(pattern, r, budget=budget)
-    unique = find_unique_certificate(pattern, r, budget=budget)
-    relaxed = check_relaxed_slmf(pattern, r)
+    finite = find_finite_certificate(pattern, r, budget=budget, jacobian=jacobian_report)
+    unique = find_unique_certificate(pattern, r, budget=budget, jacobian=jacobian_report)
+    relaxed = check_relaxed_slmf(pattern, r, jacobian_report)
     necessary = check_necessary_condition(pattern, r, jacobian_report)
 
     report = {
@@ -400,7 +400,7 @@ def _cmd_gen(args) -> int:
             except TangentSizeError as exc:
                 raise _UsageError(f"--emit-stats: {exc}") from exc
             rank_hits += report.passed
-            outcome = find_finite_certificate(pattern, args.rank)
+            outcome = find_finite_certificate(pattern, args.rank, jacobian=report)
             if outcome.status != "inconclusive":
                 cert_known += 1
                 cert_hits += outcome.status == "found"

@@ -351,10 +351,8 @@ def _tangent_test(
     It stops at ``target`` or at the (r+1)-core bound on the part's rank,
     whichever is less (``_jacobian_rank_bound``, minus r n for the section
     rows, computed only once a trial falls short of ``target``), and counts
-    a pass against ``target`` alone. A pass of the
-    Jacobian test carries the row basis of its passing trial, and records on
-    the pattern object, as ("finitely_completable", r), that the mask is
-    finitely completable at r.
+    a pass against ``target`` alone. A pass of the Jacobian test carries the
+    row basis of its passing trial.
 
     Trial t draws its point from the t-th child seed, whose (entropy,
     spawn_key) fixes the draws, so its pair of ranks serves both tests. The
@@ -384,8 +382,6 @@ def _tangent_test(
     if not known:
         pattern._shared["tangent_trials"] = (part, r, trial_results)
     passed = part == 0 and rank == target
-    if passed:  # the searches and the counting test read it to skip their row-set scans
-        pattern._shared[("finitely_completable", r)] = True
     # a pass ends the trials, so the last one run is the passing one
     row_basis = tuple(map(tuple, basis.tolist())) if passed else None
     return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)

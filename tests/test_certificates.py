@@ -16,6 +16,7 @@ from completable import (
     check_relaxed_slmf,
     find_finite_certificate,
     find_unique_certificate,
+    grassmann_section_rank_test,
     jacobian_rank_test,
     minimum_size_check,
     parse_pattern,
@@ -435,6 +436,47 @@ def test_refuted_counting_condition_ends_both_searches_on_12x12_k7_s3():
     verdict = check_necessary_condition(pattern, 3)
     assert (verdict.contains_relaxed, verdict.nodes) == (False, 1)
     assert len(verdict.refuting_rows) == 11
+
+
+# the four stages that take a Jacobian report, each called as (pattern, r, report)
+_REPORT_STAGES = {
+    "finite": lambda p, r, j: find_finite_certificate(p, r, budget=10**4, jacobian=j),
+    "unique": lambda p, r, j: find_unique_certificate(p, r, budget=10**4, jacobian=j),
+    "counting": lambda p, r, j: check_relaxed_slmf(p, r, j),
+    "necessary": lambda p, r, j: check_necessary_condition(p, r, j),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_REPORT_STAGES))
+def test_a_stage_refuses_a_report_of_another_rank_or_mask(stage):
+    """8 x 8 k6 s1 passes at r = 3, with a row basis of 39 entries where r = 2
+    needs 28 (the necessary condition once took it as a 39-entry witness);
+    the full 8 x 8 mask passes at r = 2 with a row basis holding entries this
+    mask does not observe; the section test's target is r(m-r). None of them
+    is of this mask at r = 2, so each stage refuses it."""
+    pattern = random_pattern(8, 8, 6, seed=1)
+    full = ObservationPattern(8, 8, frozenset((i, j) for i in range(8) for j in range(8)))
+    larger = jacobian_rank_test(full, 2)
+    assert larger.passed and not pattern.entries.issuperset(larger.row_basis)
+    for report in (jacobian_rank_test(pattern, 3), larger, grassmann_section_rank_test(pattern, 2)):
+        with pytest.raises(ValueError, match="not of this mask at rank r=2"):
+            _REPORT_STAGES[stage](pattern, 2, report)
+
+
+@pytest.mark.parametrize("stage", sorted(_REPORT_STAGES))
+def test_a_stage_takes_the_pass_of_a_sub_mask_without_a_row_set_scan(stage):
+    """The row basis of 8 x 8 k6 s1 at r = 2 is a 28-entry sub-mask whose own
+    pass proves the bound for both masks: with it, each stage gives the result
+    it gives alone on a fresh copy, and no row set is scanned."""
+    pattern = random_pattern(8, 8, 6, seed=1)
+    sub = pattern.restrict(jacobian_rank_test(pattern, 2).row_basis)
+    report = jacobian_rank_test(sub, 2)
+    assert report.passed and sub.size == 28
+    for mask in (pattern, sub):
+        alone = _REPORT_STAGES[stage](ObservationPattern(8, 8, mask.entries), 2, None)
+        with mock.patch("completable.certificates._least_row_set") as scan:
+            assert _REPORT_STAGES[stage](mask, 2, report) == alone
+        assert scan.call_count == 0
 
 
 def test_unique_certificate_implies_finite_one(pattern_6x6):

@@ -311,6 +311,8 @@ def test_gen_writes_deterministic_pattern(capsys, tmp_path, monkeypatch):
 
 
 def test_gen_emit_stats(capsys, tmp_path, monkeypatch):
+    """The statistics of 20 seeded draws, pinned: each draw's finite search
+    takes its Jacobian report, whose pass spares the search its row-set scan."""
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         capsys, "gen", "--m", "6", "--n", "5", "--rank", "2",
@@ -318,13 +320,10 @@ def test_gen_emit_stats(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(list(tmp_path.glob("pattern_*.txt"))) == 20
-    fractions = [
-        float(line.split(":")[1].split()[0])
-        for line in out.splitlines()
-        if "fraction" in line
+    assert [line for line in out.splitlines() if "fraction" in line] == [
+        "finite-certificate fraction: 0.750 (15/20 decided)",
+        "full-jacobian-rank fraction: 0.750",
     ]
-    assert len(fractions) == 2
-    assert all(0.0 <= f <= 1.0 for f in fractions)
 
 
 def test_gen_per_column_too_large_exit_64(capsys, tmp_path, monkeypatch):
@@ -1135,9 +1134,11 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     row-set scan, which runs only where the Jacobian falls short.
 
     Every ``_least_row_set`` call counts, whatever pattern it scans. Above the
-    exact size (8 x 8 k5 s1) and at it (the 6 x 5 fixture) the Jacobian
-    passes, which proves the bound, so nothing is scanned. Refuted at the
-    exact size, the one scan names the counting test's first violating rows.
+    exact size (8 x 8 k5 s1) and at it (the 6 x 5 fixture, and 20 x 20 k15 s0
+    at r = 10, 300 entries on ``ROW_SET_LIMIT`` rows) the Jacobian passes,
+    which proves the bound, so nothing is scanned and the counting test
+    passes. Refuted at the exact size, the one scan names the counting test's
+    first violating rows.
     """
     from completable import certificates
     from completable.cli import build_analysis_report
@@ -1151,14 +1152,16 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
 
     refuted = _refuted_6x5()
     monkeypatch.setattr(certificates, "_least_row_set", counted)
-    for pattern, verdict, rows, scanned in (
-        (random_pattern(8, 8, 5, seed=1), "pass", None, []),
-        (parse_pattern(GRID_6X5), "pass", None, []),
-        (refuted, "fail", [1, 2, 3], [(refuted, 2)]),
+    for pattern, r, verdict, counting, rows, scanned in (
+        (random_pattern(8, 8, 5, seed=1), 2, "pass", "fail", None, []),
+        (parse_pattern(GRID_6X5), 2, "pass", "pass", None, []),
+        (random_pattern(20, 20, 15, seed=0), 10, "pass", "pass", None, []),
+        (refuted, 2, "fail", "fail", [1, 2, 3], [(refuted, 2)]),
     ):
         scans.clear()
-        report = build_analysis_report(pattern, 2, seed=0, budget=10**5)
+        report = build_analysis_report(pattern, r, seed=0, budget=10**5)
         assert report["necessary_condition"]["verdict"] == verdict
+        assert report["relaxed_slmf"]["verdict"] == counting
         assert report["relaxed_slmf"]["violating_rows"] == rows
         assert scans == scanned
 

@@ -970,9 +970,9 @@ def test_the_hall_oracle_shortcuts_match_brute_force(drawn):
 @given(st.one_of(masks_up_to_8x8(), masks_with_r_per_column(), masks_of_exact_size()))
 def test_no_result_depends_on_a_jacobian_run_before_it(mask):
     """The searches, the counting test and the necessary condition answer alike on
-    a fresh pattern and on a copy whose Jacobian test ran first, which records
-    a pass. Where it passes, the counting bound reaches r(m+n-r): a row basis
-    of the Jacobian is a finitely completable exact-size sub-pattern."""
+    a fresh pattern and on a copy whose Jacobian test ran first. Where it
+    passes, the counting bound reaches r(m+n-r): a row basis of the Jacobian
+    is a finitely completable exact-size sub-pattern."""
     pattern, r = mask
     ran = ObservationPattern(pattern.m, pattern.n, pattern.entries)
     passed = jacobian_rank_test(ran, r).passed
@@ -989,3 +989,57 @@ def test_no_result_depends_on_a_jacobian_run_before_it(mask):
     if passed:
         fresh = ObservationPattern(pattern.m, pattern.n, pattern.entries)
         assert _counting_bound(fresh, r)[0] >= r * (pattern.m + pattern.n - r)
+
+
+# every public analysis stage, called as (pattern, r); the searches at 300 nodes
+_PUBLIC_STAGES = {
+    "jacobian": jacobian_rank_test,
+    "section": grassmann_section_rank_test,
+    "finite": functools.partial(find_finite_certificate, budget=300),
+    "unique": functools.partial(find_unique_certificate, budget=300),
+    "counting": check_relaxed_slmf,
+    "necessary": check_necessary_condition,
+}
+
+
+def _stage_result(stage, pattern, r):
+    """A stage's result with the row basis a report leaves out of comparisons,
+    or the type of the error it raised."""
+    try:
+        result = _PUBLIC_STAGES[stage](pattern, r)
+    except numerics.SectionTestError as exc:
+        return type(exc)
+    return result, getattr(result, "row_basis", None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(masks_up_to_8x8(), masks_with_r_per_column(), masks_of_exact_size()),
+    st.permutations(sorted(_PUBLIC_STAGES)),
+)
+def test_each_stage_answers_alike_first_last_or_alone(mask, order):
+    """Every public stage, run in a drawn order on one pattern object and then
+    in the reverse order on it again, gives the result it gives alone on a
+    fresh copy, and the object keeps only the trial hand-off and the two
+    bounds. Each search and the counting test give the same result with and
+    without the pattern's own Jacobian report."""
+    pattern, r = mask
+
+    def fresh():
+        return ObservationPattern(pattern.m, pattern.n, pattern.entries)
+
+    alone = {stage: _stage_result(stage, fresh(), r) for stage in order}
+    shared = fresh()
+    for stage in order + order[::-1]:
+        assert _stage_result(stage, shared, r) == alone[stage], stage
+    assert {key if key == "tangent_trials" else key[0] for key in shared._shared} <= {
+        "tangent_trials", "core_bound", "counting_bound"
+    }
+    own = fresh()
+    report = jacobian_rank_test(own, r)
+    assert (
+        find_finite_certificate(own, r, budget=300, jacobian=report),
+        find_unique_certificate(own, r, budget=300, jacobian=report),
+        check_relaxed_slmf(own, r, report),
+        check_necessary_condition(own, r, report),
+    ) == tuple(alone[stage][0] for stage in ("finite", "unique", "counting", "necessary"))
