@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numerics import RankReport, TangentSizeError, jacobian_rank_test
+from .numerics import RankReport, TangentSizeError, _row_column_forest, jacobian_rank_test
 from .patterns import ObservationPattern
 from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
@@ -249,9 +249,9 @@ def _group_witness(
 
     ``pools[k]`` and ``rows[k]`` are the row masks of column k's (r+1)-subsets
     and of its support, row i at bit m-1-i: descending masks are in subset order.
+    ``_enumerate`` memoizes it, as the greedy may spend budget, after testing
+    that the group observes every row, a test that spends none.
     """
-    if m > r and reduce(or_, (rows[k] for k in group)) != (1 << m) - 1:
-        return None  # a linkage support covers every row
     pool = sorted(set().union(*(pools[k] for k in group)), reverse=True)
     chosen = first_linkage_support(pool, m, r, budget.spend)
     if chosen is None:
@@ -341,7 +341,10 @@ def _enumerate(
 
     Each distinct column support lists its (r+1)-subsets once, and a group's
     pool joins its columns' lists; past ``MAX_SEARCH_SUBSETS`` listed subsets
-    the search is inconclusive at 0 nodes, before listing any.
+    the search is inconclusive at 0 nodes, before listing any. At m > r a
+    linkage support covers every row, so a group missing a row holds none:
+    that test spends no node and runs before the memo, which keeps a result
+    only because computing it (``_group_witness``) may spend budget.
     """
     groups = _expected_groups(kind, r)
     supports, m = pattern.column_supports(), pattern.m
@@ -357,6 +360,8 @@ def _enumerate(
     memo: dict[tuple[int, ...], Optional[SlmfWitness]] = {}
 
     def select(group: tuple[int, ...]) -> Optional[SlmfWitness]:
+        if m > r and reduce(or_, (rows[k] for k in group)) != (1 << m) - 1:
+            return None  # the memo holds only groups observing every row
         if group not in memo:
             memo[group] = _group_witness(pools, rows, group, m, r, budget)
         return memo[group]
@@ -582,31 +587,6 @@ class NecessaryConditionVerdict:
     refuting_rows: Optional[tuple[int, ...]] = None
 
 
-def _spanning_tree(pattern: ObservationPattern) -> list[tuple[int, int]]:
-    """Entries, in ``sorted_entries()`` order, joining two components of the row-column graph.
-
-    A spanning forest by union-find: m+n-1 entries iff the graph is connected.
-    """
-    m = pattern.m
-    # rows, then columns; the caller holds at least m+n-1 entries, so this
-    # costs no more than they do
-    parent = list(range(m + pattern.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for i, j in pattern.sorted_entries():
-        a, b = find(i), find(m + j)
-        if a != b:
-            parent[a] = b
-            tree.append((i, j))
-    return tree
-
-
 def check_necessary_condition(
     pattern: ObservationPattern, r: int, jacobian: Optional[RankReport] = None
 ) -> NecessaryConditionVerdict:
@@ -646,7 +626,7 @@ def check_necessary_condition(
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
     if r == 1:
-        tree = _spanning_tree(pattern)
+        tree, _ = _row_column_forest(pattern.sorted_entries())
         if len(tree) == target:
             return NecessaryConditionVerdict(True, pattern.restrict(tree), 1)
     elif proved:

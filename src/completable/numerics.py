@@ -387,6 +387,31 @@ def _tangent_test(
     return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
 
 
+def _row_column_forest(entries: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The entries, in the given order, that join two components of the row-column graph
+    (a spanning forest: m+n-1 entries iff it is connected), and each line's root.
+
+    A union-find over row i as node i and column j as node ~j, keyed by dict:
+    nothing is allocated for a line the entries miss.
+    """
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest = []
+    for i, j in entries:
+        a, b = find(i), find(~j)
+        if a != b:
+            parent[a] = b
+            forest.append((i, j))
+    return forest, {v: find(v) for v in parent}
+
+
 def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     """Upper bound on the Jacobian's rank at every point, from the (r+1)-core of the mask.
 
@@ -418,19 +443,9 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
             break
         core &= ~peel
     core_rows, core_cols = rows[core].tolist(), cols[core].tolist()
-    parent: dict[int, int] = {}  # union-find over the core's rows i and columns ~j
-
-    def find(v: int) -> int:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in zip(core_rows, core_cols):
-        parent[find(i)] = find(~j)
-    entries = Counter(find(i) for i in core_rows)
-    lines = Counter(find(v) for v in list(parent))  # m_c + n_c
+    _, root = _row_column_forest(zip(core_rows, core_cols))
+    entries = Counter(root[i] for i in core_rows)
+    lines = Counter(root.values())  # m_c + n_c
     core_rank = sum(min(size, r * (lines[c] - r)) for c, size in entries.items())
     shared[key] = min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
     return shared[key]

@@ -497,6 +497,31 @@ def _reference_selection(pool, m, r, budget):
     return None
 
 
+def reference_spanning_tree(pattern):
+    """Entries, in ``sorted_entries()`` order, joining two components of the row-column graph.
+
+    A spanning forest by union-find: m+n-1 entries iff the graph is connected.
+    """
+    m = pattern.m
+    # rows, then columns; the caller holds at least m+n-1 entries, so this
+    # costs no more than they do
+    parent = list(range(m + pattern.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = []
+    for i, j in pattern.sorted_entries():
+        a, b = find(i), find(m + j)
+        if a != b:
+            parent[a] = b
+            tree.append((i, j))
+    return tree
+
+
 def reference_enumerate(pattern, r, kind, budget_nodes, pruned=True):
     """The certificate search as a walk over partitions, returning (certificate, exhausted, nodes)
     like ``SearchOutcome``.

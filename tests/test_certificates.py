@@ -12,6 +12,7 @@ from completable import (
     SlmfWitness,
     certificate_from_json,
     certificate_to_json,
+    certificates,
     check_necessary_condition,
     check_relaxed_slmf,
     find_finite_certificate,
@@ -577,6 +578,24 @@ def test_search_on_a_fully_observed_16x16_mask_stays_small():
         tracemalloc.stop()
     assert (outcome.status, outcome.nodes) == ("inconclusive", 50)
     assert peak < 4 << 20
+
+
+def test_the_search_memo_sees_only_groups_that_observe_every_row():
+    """The row-cover test spends no node, so it runs before the memo: every group the
+    greedy (``_group_witness``) receives, and the memo keeps, observes all m rows.
+    The node counts do not move."""
+    pattern = random_pattern(64, 64, 12, seed=0)
+    supports, received = pattern.column_supports(), []
+    group_witness = certificates._group_witness
+
+    def spy(pools, rows, group, m, r, budget):
+        received.append(set().union(*(supports[k] for k in group)))
+        return group_witness(pools, rows, group, m, r, budget)
+
+    with mock.patch.object(certificates, "_group_witness", spy):
+        outcomes = [search(pattern, 5, budget=2000) for search in (find_finite_certificate, find_unique_certificate)]
+    assert [(o.status, o.nodes) for o in outcomes] == [("inconclusive", 2000)] * 2
+    assert received and all(rows == set(range(64)) for rows in received)
 
 
 def test_search_past_the_subset_limit_is_inconclusive_before_allocating():

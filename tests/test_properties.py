@@ -55,6 +55,7 @@ from conftest import (
     reference_least_violator,
     reference_rank_report,
     reference_relaxed_slmf,
+    reference_spanning_tree,
     reference_tangent_ranks,
 )
 
@@ -564,6 +565,20 @@ def test_rank_one_necessary_condition_is_connectivity(pattern):
     assert (verdict.contains_relaxed, verdict.nodes) == (connected, 1)
     if connected:
         assert_necessary_witness(pattern, 1, verdict.witness)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(masks_up_to_8x8())
+def test_row_column_forest_is_the_reference_spanning_tree(mask):
+    """The dict-based union-find keeps the list-based reference's forest edge for edge,
+    in ``sorted_entries()`` order, and the r = 1 necessary condition takes it as witness."""
+    pattern, _ = mask
+    tree = reference_spanning_tree(pattern)
+    forest, root = numerics._row_column_forest(pattern.sorted_entries())
+    assert forest == tree
+    assert len(set(root.values())) == len(root) - len(tree)  # one root per component
+    if len(tree) == pattern.m + pattern.n - 1:
+        assert check_necessary_condition(pattern, 1).witness == pattern.restrict(tree)
 
 
 @st.composite
