@@ -520,12 +520,12 @@ def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int,
 class RelaxedSlmfVerdict:
     """Outcome of the exact-size counting test.
 
-    ``ok`` is None, with reason "row_limit", for an exact-size pattern of
-    more than ``ROW_SET_LIMIT`` rows whose line bound does not refute it, as
-    its 2^m row sets are not scanned; otherwise the counting bound decides
-    it. ``violating_rows`` is the first row set (smallest, then
-    lexicographic) breaking the counting inequality, when one exists and
-    the pattern has at most ``ROW_SET_LIMIT`` rows.
+    ``ok`` is None, with reason "row_limit", where ``check_necessary_condition``
+    leaves an exact-size pattern undecided: more than ``ROW_SET_LIMIT`` rows,
+    a Jacobian that falls short and a line bound that does not refute.
+    ``violating_rows`` is the first row set (smallest, then lexicographic)
+    breaking the counting inequality, when one exists and the pattern has at
+    most ``ROW_SET_LIMIT`` rows.
     """
 
     ok: Optional[bool]
@@ -543,27 +543,24 @@ def check_relaxed_slmf(
     Requires, for every row subset I with at least r+1 rows, that the observed
     surplus sum_j max(#(support_j intersect I) - r, 0) not exceed r(#I - r),
     which holds iff the counting bound reaches the size. Equality at the full
-    row set follows, as the surplus there is at least r(m - r). Up to
-    ``ROW_SET_LIMIT`` rows, a pass of ``jacobian``, the pattern's
-    ``jacobian_rank_test`` report at r, decides it with no scan (see
-    ``_jacobian_proves``). Above the limit the line bound refutes or nothing
-    decides.
+    row set follows, as the surplus there is at least r(m - r). At the exact
+    size the pattern is its only exact-size sub-pattern, so this reads the
+    verdict of ``check_necessary_condition`` with ``jacobian`` (run at seed 0
+    when not given): a Jacobian pass, or at r = 1 a connected row-column
+    graph, decides it at any size. A report of another mask or rank raises
+    ValueError at any size.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     required = r * (pattern.m + pattern.n - r)
     actual = pattern.size
-    proved = _jacobian_proves(pattern, r, jacobian)
+    _jacobian_proves(pattern, r, jacobian)  # refuses a report of another mask or rank
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
-    if pattern.m <= ROW_SET_LIMIT and proved:
-        return RelaxedSlmfVerdict(True, None, None, required, actual)
-    bound, _, violated = _counting_bound(pattern, r)
-    if bound < actual:
-        return RelaxedSlmfVerdict(False, "inequality", violated, required, actual)
-    if pattern.m > ROW_SET_LIMIT:
-        return RelaxedSlmfVerdict(None, "row_limit", None, required, actual)
-    return RelaxedSlmfVerdict(True, None, None, required, actual)
+    ok = check_necessary_condition(pattern, r, jacobian).contains_relaxed
+    violated = _counting_bound(pattern, r)[2] if ok is False else None
+    reason = {True: None, False: "inequality", None: "row_limit"}[ok]
+    return RelaxedSlmfVerdict(ok, reason, violated, required, actual)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from completable import (
     SubspaceBasis,
     parse_pattern,
     plucker_of_basis,
+    random_pattern,
 )
 from completable.plucker import FIELD_PRIME, _lex_blocks, _lex_rank
 
@@ -52,6 +53,22 @@ def pattern_6x5():
 @pytest.fixture
 def pattern_6x6():
     return parse_pattern(GRID_6X6)
+
+
+def exact_size_trim(m, r, k, seed):
+    """``random_pattern(m, m, k, seed=seed)`` trimmed to r(2m-r) entries, as
+    perfbench's ``exact_size_pattern`` builds it: entries leave in a seeded
+    order, skipping any whose column is already down to r entries."""
+    pattern = random_pattern(m, m, k, seed=seed)
+    entries = sorted(pattern.entries)
+    counts = [len(w) for w in pattern.column_supports()]
+    keep = set(entries)
+    for idx in np.random.default_rng(seed).permutation(len(entries)):
+        i, j = entries[idx]
+        if len(keep) > r * (2 * m - r) and counts[j] > r:
+            keep.discard((i, j))
+            counts[j] -= 1
+    return pattern.restrict(keep)
 
 
 def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):

@@ -30,7 +30,7 @@ from completable.certificates import (
     _counting_bound,
     _greedy_counting_set,
 )
-from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C
+from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C, exact_size_trim
 
 
 def _witness(phi, sources):
@@ -374,17 +374,58 @@ def test_necessary_refuted_by_a_short_column_above_the_row_set_limit():
 
 
 @pytest.mark.parametrize("m", [ROW_SET_LIMIT + 1, 64])
-def test_exact_size_scan_skipped_above_the_row_set_limit(m):
+def test_exact_size_column_passes_above_the_row_set_limit(m):
     """An all-ones m x 1 mask has the exact size m at r = 1; its 2^m row sets are not scanned.
 
-    The counting test is left undecided, while the necessary condition reads
-    connectivity: the mask is a star, its own spanning tree.
+    The mask is a star, its own spanning tree, so the necessary condition reads
+    connectivity, and at the exact size the counting test reads it too.
     """
     pattern = parse_pattern("1\n" * m)
-    relaxed = check_relaxed_slmf(pattern, 1)
-    assert (relaxed.ok, relaxed.reason, relaxed.actual_size) == (None, "row_limit", m)
-    verdict = check_necessary_condition(pattern, 1)
+    with mock.patch("completable.certificates._least_row_set") as scan:
+        relaxed = check_relaxed_slmf(pattern, 1)
+        verdict = check_necessary_condition(pattern, 1)
+    assert scan.call_count == 0
+    assert relaxed == RelaxedSlmfVerdict(True, None, None, m, m)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (True, 1, pattern)
+
+
+@pytest.mark.parametrize("m, k, r", [(24, 8, 3), (40, 12, 5), (64, 12, 5)])
+def test_jacobian_row_basis_passes_the_counting_test_above_the_row_set_limit(m, k, r):
+    """The entries of a Jacobian row basis are a finitely completable exact-size
+    mask (135, 375 and 615 entries), so the counting test passes, with its
+    report or running the Jacobian test itself, and scans no row set."""
+    pattern = random_pattern(m, m, k, seed=0)
+    basis = pattern.restrict(jacobian_rank_test(pattern, r).row_basis)
+    assert basis.size == r * (2 * m - r)
+    report = jacobian_rank_test(basis, r)
+    with mock.patch("completable.certificates._least_row_set") as scan:
+        for relaxed in check_relaxed_slmf(basis, r, report), check_relaxed_slmf(basis, r):
+            assert relaxed == RelaxedSlmfVerdict(True, None, None, basis.size, basis.size)
+    assert scan.call_count == 0
+
+
+def test_exact_size_row_limit_where_the_jacobian_falls_short():
+    """The 21 x 21 k4 s7 mask trimmed to the exact size 80 at r = 2: its Jacobian
+    stops at 79 of 80 and its line bound is 80, so above ``ROW_SET_LIMIT``
+    rows nothing decides the necessary condition, nor the counting test."""
+    pattern = exact_size_trim(21, 2, 4, 7)
+    assert pattern.size == 80 and _counting_bound(pattern, 2)[0] == 80
+    report = jacobian_rank_test(pattern, 2)
+    assert (report.tested_rank, report.target) == (79, 80)
+    assert check_necessary_condition(pattern, 2, report).contains_relaxed is None
+    for relaxed in check_relaxed_slmf(pattern, 2, report), check_relaxed_slmf(pattern, 2):
+        assert relaxed == RelaxedSlmfVerdict(None, "row_limit", None, 80, 80)
+
+
+def test_exact_size_disconnected_fails_above_the_row_set_limit():
+    """Rows 1-2 on columns 1-2 (a cycle) and rows 3-21 on column 3, at r = 1:
+    the exact size 23 on 21 rows, whose line bound 23 does not refute. The
+    graph is disconnected, so both tests fail, and no row set is named."""
+    entries = {(i, j) for i in range(2) for j in range(2)} | {(i, 2) for i in range(2, 21)}
+    pattern = ObservationPattern(21, 3, frozenset(entries))
+    assert _counting_bound(pattern, 1)[0] == 23
+    assert check_relaxed_slmf(pattern, 1) == RelaxedSlmfVerdict(False, "inequality", None, 23, 23)
+    assert check_necessary_condition(pattern, 1).contains_relaxed is False
 
 
 def test_exact_size_refuted_by_the_line_bound_above_the_row_set_limit():

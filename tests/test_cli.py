@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from completable import (
     export_plucker_system,
     find_finite_certificate,
     find_unique_certificate,
+    jacobian_rank_test,
     observed_from_csv,
     observed_to_csv,
     parse_pattern,
@@ -29,7 +31,7 @@ from completable import (
     slmf_to_grid,
 )
 from completable.cli import main
-from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS, reference_export_csv
+from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS, exact_size_trim, reference_export_csv
 
 
 def run_cli(capsys, *argv):
@@ -507,22 +509,57 @@ def test_analyze_rank_equal_to_m_fully_observed(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("m", [21, 64])
-def test_analyze_exact_size_column_above_the_row_limit(capsys, tmp_path, m):
+def test_analyze_exact_size_column_passes_above_the_row_limit(capsys, tmp_path, monkeypatch, m):
+    """An all-ones m x 1 column at r = 1 is connected, so the necessary condition
+    and the counting test pass, and no row set is scanned."""
+    from completable import certificates
+
+    scan = mock.Mock()
+    monkeypatch.setattr(certificates, "_least_row_set", scan)
     path = tmp_path / "column.txt"
     path.write_text("1\n" * m)
     code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "1", "--json")
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert (report["relaxed_slmf"]["verdict"], report["relaxed_slmf"]["reason"]) == (
-        "inconclusive",
-        "row_limit",
-    )
+    assert (report["relaxed_slmf"]["verdict"], report["relaxed_slmf"]["reason"]) == ("pass", None)
     assert (report["necessary_condition"]["verdict"], report["necessary_condition"]["nodes"]) == (
         "pass",
         1,
     )
     code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
-    assert "relaxed SLMF: inconclusive (row_limit)" in out
+    assert "relaxed SLMF: pass\n" in out
+    assert scan.call_count == 0
+
+
+def test_analyze_jacobian_row_basis_of_the_64x64_mask(capsys, tmp_path):
+    """The 615 entries of a Jacobian row basis of 64 x 64 k12 s0 at r = 5, as a
+    JSON pattern: the counting test reads the necessary condition's pass."""
+    pattern = random_pattern(64, 64, 12, seed=0)
+    basis = sorted(jacobian_rank_test(pattern, 5).row_basis)
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"m": 64, "n": 64, "entries": [[i + 1, j + 1] for i, j in basis]}))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "5", "--budget", "1000")
+    assert (code, err) == (0, "")
+    assert "relaxed SLMF: pass\n" in out
+    assert "necessary condition: pass" in out
+
+
+def test_analyze_exact_size_row_limit_where_the_jacobian_falls_short(capsys, tmp_path):
+    """The 21 x 21 k4 s7 mask trimmed to the exact size 80 at r = 2: its Jacobian
+    stops at 79 of 80 and its line bound does not refute, so the counting test
+    is left to the row-set limit."""
+    path = tmp_path / "trimmed.txt"
+    path.write_text(pattern_to_grid(exact_size_trim(21, 2, 4, 7)))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "2", "--budget", "1000", "--json")
+    assert err == ""
+    report = json.loads(out)
+    assert (report["relaxed_slmf"]["verdict"], report["relaxed_slmf"]["reason"]) == (
+        "inconclusive",
+        "row_limit",
+    )
+    assert report["necessary_condition"]["verdict"] == "inconclusive"
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "2", "--budget", "1000")
+    assert "relaxed SLMF: inconclusive (row_limit)\n" in out
 
 
 def test_analyze_exact_size_refuted_above_the_row_limit(capsys, tmp_path):
