@@ -34,7 +34,6 @@ from .numerics import (
     RankReport,
     SectionTestError,
     TangentSizeError,
-    complete_column,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,

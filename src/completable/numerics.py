@@ -179,41 +179,13 @@ class RankReport:
         return self.tested_rank == self.target and self.pass_count >= 1
 
 
-def complete_column(basis: SubspaceBasis, omega: Sequence[int], observed: Mapping[int, float]) -> np.ndarray:
-    """The unique subspace vector matching the observations on ``omega``.
-
-    The one-column call of ``_complete_columns``: least squares on all of
-    ``omega`` with the SVD of the projected basis that also checks its rank,
-    then every observed position is validated against the result.
-
-    Raises:
-        ValueError: ``omega`` has a row outside ``range(basis.m)``, or other rows
-            than ``observed``, or an observed value is not finite.
-        DegenerateProjectionError: the projection onto ``omega`` has rank < r.
-        InconsistentObservationError: observations disagree with the subspace,
-            or the completed vector is not finite.
-    """
-    omega = sorted(int(i) for i in omega)
-    if omega and (omega[0] < 0 or omega[-1] >= basis.m):
-        raise ValueError(f"support rows must lie in range({basis.m}), got {omega}")
-    if set(observed) != set(omega):
-        raise ValueError("observed values must cover exactly the support")
-    x = np.array([observed[i] for i in omega], dtype=float)
-    for i, value in zip(omega, x.tolist()):
-        if not math.isfinite(value):
-            raise ValueError(f"row {i}: non-finite value {value!r}")
-    v, errors = _complete_columns(basis.matrix, np.array([omega], dtype=np.int64), x[None])
-    if errors:
-        raise errors[0]
-    return v[:, 0]
-
-
 def complete_matrix(obs: ObservedMatrix, basis: SubspaceBasis) -> np.ndarray:
     """Completion from a known column space, one stacked solve per support size.
 
-    The columns with k observed rows are solved together by
-    ``_complete_columns``, with ``complete_column``'s checks; the lowest
-    failing column raises its error, prefixed by ``column j: ``.
+    The one completion entry point: a single column is a one-column
+    ``ObservedMatrix``, whose constructor checked its values. The columns
+    with k observed rows are solved together by ``_complete_columns``; the
+    lowest failing column raises its error, prefixed by ``column j: ``.
     """
     pattern = obs.pattern
     if basis.m != pattern.m:
@@ -645,6 +617,21 @@ class ExportedSystem:
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
+        """Check the arrays, since ``write_csv`` turns ``columns`` into addresses
+        in its two buffers, then freeze them."""
+        coords, width, rows = _coordinate_count(self.m, self.r), self.r + 1, len(self.origins)
+        for name, cells in (("columns", width), ("values", width), ("origins", width + 1)):
+            if getattr(self, name).shape != (rows, cells):
+                raise ValueError(f"{name} must have shape ({rows}, {cells}), got {getattr(self, name).shape}")
+        if self.columns.dtype != np.int64 or self.origins.dtype != np.int64:
+            raise ValueError("columns and origins must be int64 arrays")
+        for name, array, bound in (("positions", self.columns, coords), ("phi", self.origins[:, 1:], self.m)):
+            if not ((array[:, 0] >= 0).all() and (array[:, -1] < bound).all() and (np.diff(array) > 0).all()):
+                raise ValueError(f"each row's {name} must strictly increase within range({bound})")
+        if not (self.origins[:, 0] >= 0).all():
+            raise ValueError("each row's column j must be at least 0")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
         for array in (self.columns, self.values, self.origins):
             array.setflags(write=False)
 

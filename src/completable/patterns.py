@@ -123,7 +123,8 @@ def _is_int(value) -> bool:
 
 
 def pattern_from_json(text: str) -> ObservationPattern:
-    """Parse the JSON pattern format, 1-based; every number must be a JSON integer.
+    """Parse the JSON pattern format, 1-based; every number must be a JSON integer,
+    and each pair appear once.
 
     Raises:
         PatternFormatError: naming the first bad entry as written, with its
@@ -141,7 +142,7 @@ def pattern_from_json(text: str) -> ObservationPattern:
         raise PatternFormatError(f"dimensions must be positive, got {m} x {n}")
     if not isinstance(pairs, list):
         raise PatternFormatError('bad pattern JSON: "entries" must be a list of [i, j] pairs')
-    entries = set()
+    entries = {}  # each pair's 1-based position in the list
     for t, pair in enumerate(pairs, 1):
         shown = f"entry {t} {json.dumps(pair)}"
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
@@ -149,7 +150,9 @@ def pattern_from_json(text: str) -> ObservationPattern:
         i, j = pair
         if not (1 <= i <= m and 1 <= j <= n):
             raise PatternFormatError(f"{shown} outside a {m} x {n} grid (rows and columns count from 1)")
-        entries.add((i - 1, j - 1))
+        if (i - 1, j - 1) in entries:
+            raise PatternFormatError(f"bad pattern JSON: {shown} repeats entry {entries[i - 1, j - 1]}")
+        entries[i - 1, j - 1] = t
     return ObservationPattern(m, n, frozenset(entries))
 
 

@@ -136,6 +136,7 @@ def test_analyze_parse_error_exit_64(capsys, tmp_path):
         pytest.param('{"m": true, "n": 2, "entries": [[1, 1]]}', '"m" must be an integer, got true', id="bool-m"),
         pytest.param('{"m": "2", "n": 2, "entries": [[1, 1]]}', '"m" must be an integer, got "2"', id="string-m"),
         pytest.param('{"m": 3, "n": 2, "entries": [[1, 1], [0, 1]]}', "entry 2 [0, 1] outside a 3 x 2 grid", id="zero-row"),
+        pytest.param('{"m": 2, "n": 2, "entries": [[1, 1], [1, 1], [2, 2]]}', "entry 2 [1, 1] repeats entry 1", id="repeated-pair"),
     ],
 )
 def test_analyze_json_pattern_takes_integers_only(capsys, tmp_path, payload, message):
@@ -1333,7 +1334,6 @@ def test_the_public_api_is_this_list():
         "check_relaxed_slmf",
         "check_slmf_combinatorial",
         "check_slmf_randomized",
-        "complete_column",
         "complete_matrix",
         "export_plucker_system",
         "find_finite_certificate",

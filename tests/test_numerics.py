@@ -20,6 +20,7 @@ import pytest
 
 from completable import (
     DegenerateProjectionError,
+    ExportedSystem,
     InconsistentObservationError,
     ObservationPattern,
     ObservedMatrix,
@@ -28,7 +29,6 @@ from completable import (
     SectionTestError,
     SubspaceBasis,
     TangentSizeError,
-    complete_column,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,
@@ -68,15 +68,22 @@ def test_sampled_subspaces_have_no_vanishing_coordinates():
         assert reference_degenerate_projections(P) == []
 
 
+def _complete_one(basis, column):
+    """``complete_matrix`` on a one-column ``ObservedMatrix`` holding ``column``,
+    a dict from observed row to value: the completed column."""
+    pattern = ObservationPattern(basis.m, 1, frozenset((i, 0) for i in column))
+    return complete_matrix(ObservedMatrix(pattern, {(i, 0): v for i, v in column.items()}), basis)[:, 0]
+
+
 def test_complete_column_coordinate_basis():
     basis = SubspaceBasis(np.vstack([np.eye(2), np.zeros((3, 2))]))
-    v = complete_column(basis, [0, 1], {0: 4.0, 1: -1.0})
+    v = _complete_one(basis, {0: 4.0, 1: -1.0})
     assert np.allclose(v, [4.0, -1.0, 0, 0, 0])
 
 
 def test_complete_column_two_observed_rows():
     basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [0, 2], [3, 4]]))
-    v = complete_column(basis, [0, 1], {0: 1.0, 1: 1.0})
+    v = _complete_one(basis, {0: 1.0, 1: 1.0})
     assert np.allclose(v, [1.0, 1.0, 2.0, 7.0])
 
 
@@ -87,39 +94,21 @@ def test_complete_column_roundtrip():
         basis = SubspaceBasis(rng.standard_normal((7, 2)))
         v = basis.matrix @ rng.standard_normal(2)
         omega = sorted(rng.choice(7, size=3, replace=False))
-        rebuilt = complete_column(basis, omega, {i: v[i] for i in omega})
+        rebuilt = _complete_one(basis, {i: v[i] for i in omega})
         assert np.abs(rebuilt - v).max() <= 1e-10 * np.abs(v).max()
 
 
 def test_complete_column_degenerate_projection():
-    matrix = np.vstack([np.eye(2), np.zeros((3, 2))])
-    basis = SubspaceBasis(matrix)
-    with pytest.raises(DegenerateProjectionError, match="drops dimension"):
-        complete_column(basis, [2, 3, 4], {2: 0.0, 3: 0.0, 4: 0.0})
+    """Three observed rows, k >= r, on which the basis has rank 0."""
+    basis = SubspaceBasis(np.vstack([np.eye(2), np.zeros((3, 2))]))
+    with pytest.raises(DegenerateProjectionError, match="^column 1: projection drops dimension$"):
+        _complete_one(basis, {2: 0.0, 3: 0.0, 4: 0.0})
 
 
 def test_complete_column_inconsistent_observations():
     basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [0, 2], [3, 4]]))
-    with pytest.raises(InconsistentObservationError, match="projected subspace"):
-        complete_column(basis, [0, 1, 2], {0: 1.0, 1: 1.0, 2: 99.0})
-
-
-@pytest.mark.parametrize("omega", [[-1, 0], [0, 5]])
-def test_complete_column_refuses_rows_outside_the_basis(omega):
-    basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [1, 1]]))
-    with pytest.raises(ValueError, match=r"^support rows must lie in range\(3\)"):
-        complete_column(basis, omega, dict.fromkeys(omega, 1.0))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_complete_column_refuses_non_finite_values(monkeypatch, value):
-    """A NaN or inf observed is refused naming its row, before any solve."""
-    basis = SubspaceBasis(np.array([[1.0, 0], [0, 1], [1, 1]]))
-    monkeypatch.setattr(numerics, "_complete_columns", None)  # not reached
-    with pytest.raises(ValueError, match=rf"^row 2: non-finite value {value!r}$"):
-        complete_column(basis, [0, 2], {0: 1.0, 2: value})
-    with pytest.raises(ValueError, match=rf"^row 0: non-finite value {value!r}$"):
-        complete_column(basis, [1, 0], {0: value, 1: value})
+    with pytest.raises(InconsistentObservationError, match="^column 1: not in projected subspace"):
+        _complete_one(basis, {0: 1.0, 1: 1.0, 2: 99.0})
 
 
 def test_exact_bases_complete_to_their_float_copies_values(pattern_6x5):
@@ -128,12 +117,9 @@ def test_exact_bases_complete_to_their_float_copies_values(pattern_6x5):
     A = np.array([[1, 0], [0, 1], [2, 1], [1, 3], [-1, 2], [3, -2]])
     X = A @ np.array([[1, 0, 2, -1, 1], [0, 1, 1, 2, -3]])
     obs = ObservedMatrix.from_matrix(X, pattern_6x5)
-    omega = pattern_6x5.column_support(0)
-    column = {i: obs.values[i, 0] for i in omega}
     for exact, floats in ((A, A.astype(float)), (A * Fraction(1, 3), A / 3)):
         basis, reference = SubspaceBasis(exact), SubspaceBasis(floats)
         assert np.array_equal(complete_matrix(obs, basis), complete_matrix(obs, reference))
-        assert np.array_equal(complete_column(basis, omega, column), complete_column(reference, omega, column))
 
 
 def test_complete_matrix_roundtrip_6x5(pattern_6x5):
@@ -165,7 +151,7 @@ def test_complete_matrix_small_column_names_it(pattern_6x5):
 
 
 def test_a_completed_column_does_not_depend_on_the_columns_solved_with_it():
-    """Each column of ``complete_matrix`` equals ``complete_column`` on that
+    """Each column of ``complete_matrix`` equals ``complete_matrix`` on that
     column alone, bit for bit, though the columns of a support size are
     solved together: on near-parallel bases the coefficients cancel, and a
     product summed in another order for a batch than for one column moved
@@ -180,7 +166,7 @@ def test_a_completed_column_does_not_depend_on_the_columns_solved_with_it():
         basis = SubspaceBasis(B)
         completed = complete_matrix(obs, basis)
         for j, omega in enumerate(supports):
-            alone = complete_column(basis, omega, {i: obs.values[i, j] for i in omega})
+            alone = _complete_one(basis, {i: obs.values[i, j] for i in omega})
             assert np.array_equal(completed[:, j], alone)
 
 
@@ -679,6 +665,56 @@ def test_read_only_arrays_survive_a_round_trip(round_trip, build, name):
     array = getattr(round_trip(original), name)
     assert np.array_equal(array, getattr(original, name))
     assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[[0, 1], [6, 7], [4, 5], [2, 3]], [[0, 1], [10, 11], [8, 9], [6, 7], [4, 5], [2, 3]], [[2, 0]]],
+    ids=["past-the-end", "past-the-end-six-rows", "decreasing"],
+)
+def test_an_exported_system_refuses_positions_outside_a_line(columns):
+    """``write_csv`` turns the positions into addresses in its buffers, so the
+    constructor refuses a row whose positions decrease or pass C(m, r)."""
+    rows = len(columns)
+    origins = np.array([[j, 0, 1] for j in range(rows)])
+    with pytest.raises(ValueError, match=r"^each row's positions must strictly increase within range\(4\)$"):
+        ExportedSystem(4, 1, np.array(columns), np.ones((rows, 2)), origins)
+
+
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("columns", lambda a: _with(a, (0, -1), 6), r"positions must strictly increase within range\(6\)"),
+        ("columns", lambda a: a.astype(np.int32), "must be int64 arrays"),
+        ("values", lambda a: a[:, :-1], r"^values must have shape \(\d+, 3\)"),
+        ("values", lambda a: _with(a, (0, 0), np.nan), "^values must be finite$"),
+        ("origins", lambda a: a.astype(float), "must be int64 arrays"),
+        ("origins", lambda a: _with(a, (0, -1), 4), r"phi must strictly increase within range\(4\)"),
+        ("origins", lambda a: _with(a, (0, 0), -1), "column j must be at least 0"),
+    ],
+    ids=["position", "position-dtype", "shape", "non-finite", "origin-dtype", "phi", "column"],
+)
+def test_an_exported_system_checks_each_array(name, change, message):
+    system = _system_4x4()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(system, **{name: change(getattr(system, name))})
+
+
+def test_a_tampered_pickle_of_an_exported_system_is_refused():
+    """Unpickling reruns the constructor's checks: a system whose pickled
+    positions were swapped within a row does not load."""
+    system = _system_4x4()
+    tampered = _with(system.columns, (0, slice(0, 2)), system.columns[0, 1::-1])
+    blob = pickle.dumps(system)
+    assert blob.count(system.columns.tobytes()) == 1
+    with pytest.raises(ValueError, match="positions must strictly increase"):
+        pickle.loads(blob.replace(system.columns.tobytes(), tampered.tobytes()))
 
 
 def _changed(original):

@@ -65,6 +65,12 @@ def test_json_rejects_garbage():
         pattern_from_json('{"m": 2, "n": 2}')
 
 
+def test_json_refuses_a_repeated_pair():
+    """A pair listed twice is named with the entry it repeats, not read once."""
+    with pytest.raises(PatternFormatError, match=r"^bad pattern JSON: entry 2 \[1, 1\] repeats entry 1$"):
+        pattern_from_json('{"m": 2, "n": 2, "entries": [[1, 1], [1, 1], [2, 2]]}')
+
+
 def test_entry_bounds_validated():
     with pytest.raises(ValueError):
         ObservationPattern(2, 2, frozenset({(2, 0)}))
