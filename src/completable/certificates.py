@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import or_
+from operator import index, or_
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, nodes: int) -> None:
-        self.left = int(nodes)
+        self.left = nodes
 
     def spend(self) -> None:
         self.left -= 1
@@ -302,6 +302,9 @@ def _find_certificate(
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
+    budget_nodes = index(budget_nodes)
+    if budget_nodes < 0:
+        raise ValueError(f"budget must be at least 0, got {budget_nodes}")
     target = r * (pattern.m + pattern.n - r)
     if not _jacobian_proves(pattern, r, jacobian) and (
         _line_bound(pattern, r)[0] < target or _counting_bound(pattern, r)[0] < target

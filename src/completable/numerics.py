@@ -40,7 +40,6 @@ from .plucker import (
     NotABasisError,
     SubspaceBasis,
     _coordinate_count,
-    _fields_equal,
     _lex_blocks,
     _lex_rank,
     _restore,
@@ -84,6 +83,7 @@ class ObservedMatrix:
 
     pattern: ObservationPattern
     values: Mapping[tuple[int, int], float]
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         values = {(int(i), int(j)): float(v) for (i, j), v in self.values.items()}
@@ -603,37 +603,47 @@ class ExportedSystem:
     coordinate positions, increasing along the row, and ``values`` their
     coefficients, as read-only (rows, r+1) arrays. ``origins`` is the
     read-only (rows, r+2) integer array of each row's origin, 0-based: its
-    column j, then the r+1 rows of phi. ``matrix`` is the dense view for
-    tests, built on each access. The quadratic relations cutting out the
-    Grassmannian are intentionally not included.
+    column j, then the r+1 rows of phi. These and ``m`` are derived from
+    ``obs`` and r, never accepted, so every position ``write_csv`` turns into
+    an address comes from a checked pattern; pickle and copy carry (obs, r)
+    and derive them again. ``matrix`` is the dense view for tests, built on
+    each access. The Grassmannian's quadratic relations are not included.
     """
 
-    m: int
+    obs: ObservedMatrix
     r: int
-    columns: np.ndarray
-    values: np.ndarray
-    origins: np.ndarray
-    __eq__ = _fields_equal
     __setstate__ = _restore
 
+    def __getstate__(self) -> dict:
+        return {"obs": self.obs, "r": self.r}
+
     def __post_init__(self) -> None:
-        """Check the arrays, since ``write_csv`` turns ``columns`` into addresses
-        in its two buffers, then freeze them."""
-        coords, width, rows = _coordinate_count(self.m, self.r), self.r + 1, len(self.origins)
-        for name, cells in (("columns", width), ("values", width), ("origins", width + 1)):
-            if getattr(self, name).shape != (rows, cells):
-                raise ValueError(f"{name} must have shape ({rows}, {cells}), got {getattr(self, name).shape}")
-        if self.columns.dtype != np.int64 or self.origins.dtype != np.int64:
-            raise ValueError("columns and origins must be int64 arrays")
-        for name, array, bound in (("positions", self.columns, coords), ("phi", self.origins[:, 1:], self.m)):
-            if not ((array[:, 0] >= 0).all() and (array[:, -1] < bound).all() and (np.diff(array) > 0).all()):
-                raise ValueError(f"each row's {name} must strictly increase within range({bound})")
-        if not (self.origins[:, 0] >= 0).all():
-            raise ValueError("each row's column j must be at least 0")
-        if not np.isfinite(self.values).all():
-            raise ValueError("values must be finite")
-        for array in (self.columns, self.values, self.origins):
+        """Derive ``m`` and the three arrays; raises as ``export_plucker_system`` does."""
+        pattern, r = self.obs.pattern, self.r
+        coords = _coordinate_count(pattern.m, r)
+        supports = pattern.column_supports()
+        counts = [math.comb(len(omega), r + 1) for omega in supports]
+        rows = sum(counts)
+        size = coords * (4 * rows + 3 * r)
+        if size > MAX_EXPORT_BYTES:
+            raise ValueError(
+                f"{rows} rows over {coords} coordinates need at least {size} bytes of "
+                f"CSV and index map, more than the supported {MAX_EXPORT_BYTES}"
+            )
+        origins = np.empty((rows, r + 2), dtype=np.int64)
+        js, phis = origins[:, 0], origins[:, 1:]
+        js[:] = np.repeat(np.arange(pattern.n), counts)
+        subsets = itertools.chain.from_iterable(itertools.combinations(omega, r + 1) for omega in supports)
+        flat = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64, count=phis.size)
+        phis[:] = flat.reshape(phis.shape)
+        # dropping a later element of phi leaves an earlier subset, so k runs down
+        drop = np.arange(r, -1, -1)
+        columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
+        # the value at row phi_k of column j, signed (-1)^k
+        values = _dense_values(self.obs)[phis[:, drop], js[:, None]] * np.where(drop % 2, -1.0, 1.0)
+        for array in (columns, values, origins):
             array.setflags(write=False)
+        vars(self).update(m=pattern.m, columns=columns, values=values, origins=origins)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -762,25 +772,4 @@ def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
         ValueError: (m, r) is not a supported coordinate space, or the dense
             CSV and the index map would pass ``MAX_EXPORT_BYTES``.
     """
-    pattern = obs.pattern
-    coords = _coordinate_count(pattern.m, r)
-    supports = pattern.column_supports()
-    counts = [math.comb(len(omega), r + 1) for omega in supports]
-    rows = sum(counts)
-    size = coords * (4 * rows + 3 * r)
-    if size > MAX_EXPORT_BYTES:
-        raise ValueError(
-            f"{rows} rows over {coords} coordinates need at least {size} bytes of "
-            f"CSV and index map, more than the supported {MAX_EXPORT_BYTES}"
-        )
-    origins = np.empty((rows, r + 2), dtype=np.int64)
-    js, phis = origins[:, 0], origins[:, 1:]
-    js[:] = np.repeat(np.arange(pattern.n), counts)
-    subsets = itertools.chain.from_iterable(itertools.combinations(omega, r + 1) for omega in supports)
-    phis[:] = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64, count=phis.size).reshape(phis.shape)
-    # dropping a later element of phi leaves an earlier subset, so k runs down
-    drop = np.arange(r, -1, -1)
-    columns = _lex_rank(np.stack([np.delete(phis, k, axis=1) for k in drop], axis=1), pattern.m)
-    # the value at row phi_k of column j, signed (-1)^k
-    values = _dense_values(obs)[phis[:, drop], js[:, None]] * np.where(drop % 2, -1.0, 1.0)
-    return ExportedSystem(pattern.m, r, columns, values, origins)
+    return ExportedSystem(obs, r)

@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .plucker import _restore
+
 
 class PatternFormatError(ValueError):
     """A pattern grid or JSON document could not be parsed."""
@@ -26,6 +28,7 @@ class ObservationPattern:
     m: int
     n: int
     entries: frozenset[tuple[int, int]]
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         if self.m <= 0 or self.n <= 0:

@@ -46,8 +46,8 @@ def _fields_equal(self, other) -> bool:
 
 
 def _restore(self, state: dict) -> None:
-    """``__setstate__`` for the same dataclasses: pickle and copy restore the fields
-    without ``__post_init__``, so it runs here, and checks and freezes them again."""
+    """``__setstate__`` for the frozen value types: pickle and copy restore the state
+    without ``__post_init__``, so it reruns here, and checks or derives it again."""
     self.__dict__.update(state)
     self.__post_init__()
 

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .patterns import ObservationPattern, parse_pattern, pattern_to_grid
-from .plucker import FIELD_PRIME, first_full_rank, left_null_mod_p, rank_mod_p
+from .plucker import FIELD_PRIME, _restore, first_full_rank, left_null_mod_p, rank_mod_p
 
 EXHAUSTIVE_COLUMN_LIMIT = 22
 
@@ -47,6 +47,7 @@ class Slmf:
     m: int
     r: int
     columns: tuple[tuple[int, ...], ...]
+    __setstate__ = _restore
 
     def __post_init__(self) -> None:
         if not 1 <= self.r < self.m:

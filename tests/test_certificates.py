@@ -199,6 +199,15 @@ def test_budget_exhaustion_is_inconclusive(pattern_6x5):
     assert not outcome.exhausted
 
 
+@pytest.mark.parametrize("search", [find_finite_certificate, find_unique_certificate])
+def test_the_searches_refuse_a_budget_that_is_not_a_non_negative_integer(pattern_6x5, search):
+    """An exhausted search reports its budget as its node count, so -5 or 2.5 is refused, not echoed."""
+    with pytest.raises(ValueError, match="^budget must be at least 0, got -5$"):
+        search(pattern_6x5, 2, budget=-5)
+    with pytest.raises(TypeError):
+        search(pattern_6x5, 2, budget=2.5)
+
+
 def test_search_results_always_verify():
     hits = 0
     for seed in range(40):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 import tempfile
@@ -44,7 +45,7 @@ from completable.certificates import (
     _group_witness,
     _line_bound,
 )
-from completable.plucker import index_subsets
+from completable.plucker import _lex_rank, index_subsets
 from completable.slmf import HallMatching, _dual_basis_rank_mod_p, _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
@@ -855,6 +856,19 @@ def test_export_matches_the_cell_by_cell_reference(drawn):
         fh.seek(0)
         assert fh.read() == csv.encode()
     assert system.index_map_json() == json.dumps(system.index_map())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(observed_masks())
+def test_export_positions_are_the_ranks_of_phi_less_each_row(drawn):
+    """The positions ``write_csv`` turns into addresses: each row's strictly
+    increase within range(C(m, r)), and are the ranks of phi without each of its rows."""
+    obs, r = drawn
+    system = export_plucker_system(obs, r)
+    m = obs.pattern.m
+    for row, (j, *phi) in zip(system.columns.tolist(), system.origins.tolist()):
+        assert 0 <= row[0] and row[-1] < math.comb(m, r) and all(a < b for a, b in zip(row, row[1:]))
+        assert row == sorted(int(_lex_rank([t for t in phi if t != i], m)) for i in phi)
 
 
 @st.composite
