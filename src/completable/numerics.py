@@ -7,16 +7,15 @@ Jacobian at a random integer point, by block elimination, one column of the
 mask at a time. Full rank there is full rank over the rationals, hence
 generically, so one full-rank trial proves the bound. The (r+1)-core of the
 mask bounds the rank at every point (``_jacobian_rank_bound``), computed
-only once a trial falls short, and then kept on the pattern object for both
-tests at that r; where that bound is below the target, a trial reaching it
-refutes exactly, and the test stops there. Otherwise a deficient rank in t
-independent trials refutes with error at most (d/p)^t, d the target rank
-(Schwartz-Zippel). Both tests, and the randomized SLMF test with its
-Hall-matroid bound, run their trials through one loop
-(``plucker.first_full_rank``). The two tangent tests read one sequence of
-trials per (pattern, r, seed): trial t of either is one elimination giving
-both ranks, so whichever test runs second on the same pattern object reads
-the trials the first just ran there and computes only the missing ones.
+only once a trial falls short; where that bound is below the target, a
+trial reaching it refutes exactly, and the test stops there. Otherwise a
+deficient rank in t independent trials refutes with error at most
+(d/p)^t, d the target rank (Schwartz-Zippel). The Jacobian test and the
+randomized SLMF test with its Hall-matroid bound run their trials through
+one loop (``plucker.first_full_rank``). The section test runs no trial: the
+section rank is the Jacobian rank minus r n, so it reads the Jacobian
+report at its (r, trials, seed), 5 trials by default for both, over the
+same range 1 <= r <= min(m, n).
 """
 
 from __future__ import annotations
@@ -158,7 +157,9 @@ class RankReport:
     ``row_basis`` is set on a pass of ``jacobian_rank_test`` only: the
     r(m+n-r) observed entries (i, j) whose rows of the Jacobian are a row
     basis at the passing point (``_tangent_ranks``). It takes no part in
-    comparisons.
+    comparisons. A ``grassmann_section_rank_test`` report is the Jacobian
+    report at the same (r, trials, seed) with r n taken off both ranks: its
+    trials and pass count are the Jacobian test's.
     """
 
     tested_rank: int
@@ -272,91 +273,79 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
     """Rank of the differential of the observed bilinear factorization map.
 
     The rank over GF(p) of the Jacobian of (A, C) -> observed entries of
-    A @ C at random integer points (``_tangent_ranks``). A rank of r(m+n-r)
-    proves that the observed projection has full-dimensional image, the
-    tangent criterion for generic finite completability.
+    A @ C at random integer points (``_tangent_ranks``), through
+    ``first_full_rank``: it stops at the target r(m+n-r) or at the
+    (r+1)-core bound below it (``_jacobian_rank_bound``), and a pass carries
+    the row basis of its passing trial. A rank of r(m+n-r) proves that the
+    observed projection has full-dimensional image, the tangent criterion
+    for generic finite completability.
+
+    At an int seed the pattern object keeps the report, keyed by (r,
+    trials, seed), in one slot that ``grassmann_section_rank_test`` takes
+    on its next call at that key. No other seed is kept: a ``SeedSequence``
+    is advanced by each call, and None draws fresh entropy.
 
     Raises:
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
-    return _tangent_test(pattern, r, 0, r * (pattern.m + pattern.n - r), trials, seed)
+    _check_tangent_size(pattern, r)
+    target = r * (pattern.m + pattern.n - r)
+    basis = None
+
+    def rank_at(rng: np.random.Generator) -> int:
+        nonlocal basis
+        rank, _, basis = _tangent_ranks(pattern, r, rng)
+        return rank
+
+    rank, run = first_full_rank(rank_at, target, trials, seed, bound=lambda: _jacobian_rank_bound(pattern, r))
+    # a pass ends the trials, so the last one run is the passing one
+    row_basis = tuple(map(tuple, basis.tolist())) if rank == target else None
+    report = RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
+    if isinstance(seed, int):
+        pattern._shared["jacobian_report"] = ((r, trials, seed), report)
+    return report
 
 
 def grassmann_section_rank_test(
-    pattern: ObservationPattern, r: int, trials: int = 3, seed=0
+    pattern: ObservationPattern, r: int, trials: int = 5, seed=0
 ) -> RankReport:
     """Tangent-space rank of the hyperplane-section system on the Grassmannian.
 
     At a subspace spanned by A with consistent data x_j = A c_j, column j
     keeps x_j on its support omega_j inside the projected subspace; to first
     order in a perturbation D of A that reads N_j (D c_j)[omega_j] = 0, where
-    the rows of N_j span the left null space of A[omega_j]. The test stacks
-    these #omega_j - r rows per column and takes their exact rank over GF(p)
-    (``_tangent_ranks``). Full rank r(m-r) means the sections pin the
-    subspace down to isolated points. These rows are the S block of the
-    elimination that gives ``jacobian_rank_test`` its rank, at the same
-    points for the same (pattern, r, seed), so right after that test on the
-    same pattern object this one reads its trials (``_tangent_test``).
+    the rows of N_j span the left null space of A[omega_j]. These
+    #omega_j - r rows per column are the S block of the elimination that
+    gives ``jacobian_rank_test`` its rank, J = sum_j rank A[omega_j] +
+    rank S, so with r rows or more in every column the section rank is the
+    Jacobian rank minus r n, and this test reads it off the Jacobian
+    report at (r, trials, seed): the one that test left on this pattern
+    object, which it takes where all three are ints, or else a fresh one,
+    which it leaves nowhere. Full rank r(m-r) means the sections pin the
+    subspace down to isolated points. At a point where some A[omega_j] drops
+    rank the rank read is below that of S, so never a pass that S would lack.
 
     Raises:
         SectionTestError: a column has fewer than r observed rows.
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
-    if not 1 <= r <= pattern.m:
-        raise ValueError(f"rank r={r} out of range for {pattern.m} rows")
-    supports = pattern.column_supports()
-    for j, omega in enumerate(supports):
+    if not 1 <= r <= min(pattern.m, pattern.n):
+        raise ValueError(f"rank r={r} out of range")
+    for j, omega in enumerate(pattern.column_supports()):
         if len(omega) < r:
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    return _tangent_test(pattern, r, 1, r * (pattern.m - r), trials, seed)
-
-
-def _tangent_test(
-    pattern: ObservationPattern, r: int, part: int, target: int, trials: int, seed
-) -> RankReport:
-    """``first_full_rank`` over ``_tangent_ranks(pattern, r, rng)[part]``.
-
-    It stops at ``target`` or at the (r+1)-core bound on the part's rank,
-    whichever is less (``_jacobian_rank_bound``, minus r n for the section
-    rows, computed only once a trial falls short of ``target``), and counts
-    a pass against ``target`` alone. A pass of the Jacobian test carries the
-    row basis of its passing trial.
-
-    Trial t draws its point from the t-th child seed, whose (entropy,
-    spawn_key) fixes the draws, so its pair of ranks serves both tests. The
-    pattern object keeps the trials of its last call that read none, as
-    (part, r, {trial key: result}), and serves them once, to the other test
-    at r, which reads the trials at the same child seeds instead of
-    recomputing them. So no repeated call is ever answered from them, nor a
-    value-equal copy; ``seed=None`` draws fresh entropy and never shares.
-    """
-    _check_tangent_size(pattern, r)
-    last = pattern._shared.pop("tangent_trials", None)
-    known = last[2] if last is not None and last[:2] == (1 - part, r) else {}
-    trial_results = {}
-    basis = None
-
-    def rank_at(rng: np.random.Generator) -> int:
-        nonlocal basis
-        child = rng.bit_generator.seed_seq
-        key = (tuple(np.ravel(child.entropy).tolist()), child.spawn_key, child.pool_size)
-        result = known[key] if key in known else _tangent_ranks(pattern, r, rng)
-        trial_results[key], basis = result, result[2]
-        return result[part]
-
-    rank, run = first_full_rank(
-        rank_at, target, trials, seed, bound=lambda: _jacobian_rank_bound(pattern, r) - part * r * pattern.n
-    )
-    if not known:
-        pattern._shared["tangent_trials"] = (part, r, trial_results)
-    passed = part == 0 and rank == target
-    # a pass ends the trials, so the last one run is the passing one
-    row_basis = tuple(map(tuple, basis.tolist())) if passed else None
-    return RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
+    key, left = (r, trials, seed), pattern._shared.pop("jacobian_report", None)
+    if all(type(arg) is int for arg in key) and left is not None and left[0] == key:
+        jacobian = left[1]
+    else:
+        jacobian = jacobian_rank_test(pattern, r, trials, seed)
+        pattern._shared.pop("jacobian_report", None)
+    rn = r * pattern.n
+    return RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials, jacobian.pass_count)
 
 
 def _row_column_forest(entries: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict[int, int]]:
@@ -394,13 +383,10 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     add at most min(|c|, r(m_c+n_c-r)), since they involve only c's rows of
     A and columns of C, up to c's own gauge (A_c, C_c) -> (A_c G, G^-1 C_c).
     The bound also holds for every subset of J's rows, and minus r n it
-    bounds the section rank when every column has r entries or more. Kept
-    on the pattern object per r: the second tangent test on a mask that
-    falls short reads the bound the first computed.
+    bounds the section rank when every column has r entries or more.
+    Computed afresh, at most once per ``jacobian_rank_test`` call, and only
+    once a trial falls short.
     """
-    shared, key = pattern._shared, ("core_bound", r)
-    if key in shared:
-        return shared[key]
     m, n = pattern.m, pattern.n
     supports = pattern.column_supports()
     sizes = [len(omega) for omega in supports]
@@ -419,8 +405,7 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     entries = Counter(root[i] for i in core_rows)
     lines = Counter(root.values())  # m_c + n_c
     core_rank = sum(min(size, r * (lines[c] - r)) for c, size in entries.items())
-    shared[key] = min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
-    return shared[key]
+    return min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
 
 
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:

@@ -56,7 +56,7 @@ class ObservationPattern:
         return tuple(tuple(sorted(r)) for r in rows)
 
     @cached_property
-    def _shared(self) -> dict:  # tangent trials and bounds the stages share, kept like _column_supports
+    def _shared(self) -> dict:  # one Jacobian report and the counting bounds, kept like _column_supports
         return {}
 
     def column_support(self, j: int) -> tuple[int, ...]:

@@ -105,10 +105,11 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
 
 
 def reference_rank_report(pattern, r, part, trials, seed):
-    """The tangent test's report from its own trials alone, none read from the
-    other test: ``first_full_rank`` over ``_tangent_ranks(...)[part]``, part 0
-    the Jacobian test and 1 the section test, stopping at the (r+1)-core
-    bound (minus r n for the sections) where it is below the target."""
+    """A rank report from its own trials: ``first_full_rank`` over
+    ``_tangent_ranks(...)[part]``, part 0 the Jacobian rank and 1 the rank of
+    the section rows S alone, a direct elimination that the section test does
+    not read, stopping at the (r+1)-core bound (minus r n for S) where it is
+    below the target."""
     from completable import numerics
     from completable.plucker import first_full_rank
 

@@ -1,4 +1,3 @@
-import collections
 import copy
 import ctypes
 import errno
@@ -43,6 +42,7 @@ from completable import numerics
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets, rank_mod_p
 from conftest import (
+    GRID_6X5,
     reference_degenerate_projections,
     reference_export_csv,
     reference_section_rows,
@@ -231,7 +231,7 @@ def test_a_refuting_rank_test_runs_every_trial():
     joined = parse_pattern(JOINED_6X6)
     assert numerics._jacobian_rank_bound(joined, 2) == 19
     assert jacobian_rank_test(joined, 2, trials=4) == RankReport(17, 20, 4, 0)
-    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 3, 0)
+    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 5, 0)
 
 
 def _blocks(*parts):
@@ -258,26 +258,108 @@ def test_each_core_component_carries_its_own_gauge(pattern, r, bound, target):
     assert jacobian_rank_test(pattern, r) == RankReport(bound, target, 1, 0)
 
 
-def test_trials_are_shared_through_the_pattern_object(monkeypatch, pattern_6x5):
-    """A value-equal copy computes its own trials; the object the Jacobian test
-    ran on still serves its trials to the section test."""
+def _counted_trials(monkeypatch):
+    """The list ``_tangent_ranks`` appends each pattern it runs on to, from now on."""
     calls = []
-    monkeypatch.setattr(numerics, "_tangent_ranks", lambda *a: calls.append(a) or _tangent_ranks(*a))
-    jacobian_rank_test(pattern_6x5, 2)
+
+    def counted(pattern, r, rng):
+        calls.append(pattern)
+        return _tangent_ranks(pattern, r, rng)
+
+    monkeypatch.setattr(numerics, "_tangent_ranks", counted)
+    return calls
+
+
+_REFUTED_6X5 = parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries - {(4, 0)})
+
+
+@pytest.mark.parametrize(
+    "mask, r, trials, seed",
+    [
+        (parse_pattern(JOINED_6X6), 2, 5, 0),
+        (parse_pattern(JOINED_6X6), 2, 3, 7),
+        (parse_pattern(GRID_6X5), 2, 5, 1),
+        (_REFUTED_6X5, 2, 5, 0),
+        (random_pattern(8, 8, 4, seed=0), 3, 2, 5),
+    ],
+    ids=["fails", "fails in 3", "passes", "refuted at the bound", "8x8 at r=3"],
+)
+def test_a_section_call_reads_the_jacobian_report_just_left(monkeypatch, mask, r, trials, seed):
+    """Right after the Jacobian test at the same (r, trials, int seed) on the same
+    pattern object, the section test runs no trial, takes the report, and
+    answers as on a fresh copy."""
+    expected = grassmann_section_rank_test(ObservationPattern(mask.m, mask.n, mask.entries), r, trials, seed)
+    pattern = ObservationPattern(mask.m, mask.n, mask.entries)
+    calls = _counted_trials(monkeypatch)
+    jacobian = jacobian_rank_test(pattern, r, trials, seed)
+    assert len(calls) == jacobian.trials
+    assert grassmann_section_rank_test(pattern, r, trials, seed) == expected
+    assert len(calls) == jacobian.trials
+    rn = r * pattern.n
+    assert expected == RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials, jacobian.pass_count)
+    assert "jacobian_report" not in pattern._shared
+
+
+@pytest.mark.parametrize(
+    "r, trials, seed",
+    [(2, 5, 1), (2, 4, 0), (1, 5, 0), (2, 5, "sequence"), (2, 5, None), (2, 5, "entropy")],
+    ids=["seed", "trials", "r", "SeedSequence", "None", "entropy array"],
+)
+def test_a_section_call_at_another_key_computes_afresh(monkeypatch, r, trials, seed):
+    """After the Jacobian test at r = 2, 5 trials and seed 0, and then at the
+    section call's seed where that is not an int, which it never keeps, a
+    section call at another key runs its own trials, keeps no report, and
+    answers as on a fresh copy."""
+
+    def fresh_seed():
+        return {"sequence": np.random.SeedSequence(0), "entropy": np.array([0, 1])}.get(seed, seed)
+
+    expected = grassmann_section_rank_test(parse_pattern(JOINED_6X6), r, trials, fresh_seed())
+    joined = parse_pattern(JOINED_6X6)
+    calls = _counted_trials(monkeypatch)
+    jacobian_rank_test(joined, 2, 5, 0)
+    if not isinstance(seed, int):
+        jacobian_rank_test(joined, 2, 5, fresh_seed())
     before = len(calls)
-    copied = ObservationPattern(pattern_6x5.m, pattern_6x5.n, pattern_6x5.entries)
-    assert copied == pattern_6x5 and copied is not pattern_6x5
-    report = grassmann_section_rank_test(copied, 2)
-    assert len(calls) - before == report.trials == 1
-    assert grassmann_section_rank_test(pattern_6x5, 2) == report
-    assert len(calls) - before == 1
+    report = grassmann_section_rank_test(joined, r, trials, fresh_seed())
+    assert report == expected and len(calls) - before == report.trials
+    assert joined._shared == {}
+
+
+@pytest.mark.parametrize("r, trials", [(2.0, 5), (2, 5.0)])
+def test_a_section_call_at_a_value_equal_float_key_is_refused_as_on_a_fresh_copy(r, trials):
+    """A float r or trials equals the int key of the report left behind, yet
+    the test refuses it there as it does on a fresh copy."""
+    joined = parse_pattern(JOINED_6X6)
+    jacobian_rank_test(joined, 2, 5, 0)
+    for pattern in (parse_pattern(JOINED_6X6), joined):
+        with pytest.raises(TypeError):
+            grassmann_section_rank_test(pattern, r, trials)
+
+
+def test_a_repeated_section_call_or_a_copy_computes_afresh(monkeypatch):
+    """The report the Jacobian test leaves serves one section call on the
+    object it ran on: a value-equal copy, and a second call, run their own trials."""
+    joined, copied = parse_pattern(JOINED_6X6), parse_pattern(JOINED_6X6)
+    calls = _counted_trials(monkeypatch)
+
+    def computed(test, pattern):
+        before = len(calls)
+        return test(pattern, 2), len(calls) - before
+
+    assert copied == joined and copied is not joined
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, copied) == (RankReport(5, 8, 5, 0), 5)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5, 0), 0)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5, 0), 5)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
 
 
 def test_threads_sharing_a_pattern_get_the_reports_of_fresh_copies(monkeypatch, pattern_6x5):
-    """Tangent tests run concurrently on one pattern object read only trials
-    drawn at their own seeds, so each report equals that of a fresh copy. A
-    trial here loses one rank at random, as a degenerate point would, so the
-    trial that passes differs between seeds."""
+    """Tangent tests run concurrently on one pattern object read only a
+    Jacobian report at their own (r, trials, seed), so each report equals
+    that of a fresh copy. A trial here loses one rank at random, as a
+    degenerate point would, so the trial that passes differs between seeds."""
 
     def ranks(pattern, r, rng):
         jacobian, section, basis = _tangent_ranks(pattern, r, rng)
@@ -316,7 +398,7 @@ def test_threads_sharing_a_pattern_get_the_reports_of_fresh_copies(monkeypatch, 
 
 
 def test_a_dropped_pattern_is_freed_after_a_tangent_test():
-    """The trials a tangent test keeps for the other test live on the pattern object."""
+    """The report the Jacobian test keeps for the section test lives on the pattern object."""
     pattern = parse_pattern("1111\n1101\n1011\n0111\n")
     jacobian_rank_test(pattern, 2)
     alive = weakref.ref(pattern)
@@ -331,7 +413,7 @@ def test_copies_and_pickles_of_a_pattern_carry_no_cached_state():
     pattern = random_pattern(12, 12, 6, seed=0)
     fresh = pickle.dumps(pattern)
     jacobian_rank_test(pattern, 2)
-    assert "tangent_trials" in pattern._shared
+    assert "jacobian_report" in pattern._shared
     assert pickle.dumps(pattern) == fresh
     shallow, deep = copy.copy(pattern), copy.deepcopy(pattern)
     assert shallow._shared is not pattern._shared and shallow._shared == {}
@@ -350,33 +432,6 @@ def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1, 0)
 
 
-def test_the_core_bound_is_computed_once_per_pattern_object_and_r(monkeypatch, pattern_6x5):
-    """The union-find behind the (r+1)-core bound tallies the core's components
-    in two Counters per computation. On a mask that falls short the first
-    tangent test computes the bound and the second reads it, whichever runs
-    first; a pass computes none, and a re-parsed pattern or another r its own."""
-    tallies = []
-    monkeypatch.setattr(numerics, "Counter", lambda items: tallies.append(1) or collections.Counter(items))
-
-    def computed(*calls):
-        before = len(tallies)
-        for test, pattern, r in calls:
-            test(pattern, r)
-        return (len(tallies) - before) // 2
-
-    joined = parse_pattern(JOINED_6X6)
-    assert computed((jacobian_rank_test, joined, 2), (grassmann_section_rank_test, joined, 2)) == 1
-    assert computed((jacobian_rank_test, joined, 2), (grassmann_section_rank_test, joined, 2)) == 0
-    assert computed((jacobian_rank_test, joined, 1)) == 0  # rank 1 passes
-    again = parse_pattern(JOINED_6X6)
-    assert computed((grassmann_section_rank_test, again, 2), (jacobian_rank_test, again, 2)) == 1
-    refuted = pattern_6x5.restrict(pattern_6x5.entries - {(4, 0)})
-    assert computed((jacobian_rank_test, refuted, 2), (grassmann_section_rank_test, refuted, 2)) == 1
-    assert computed((jacobian_rank_test, pattern_6x5, 2), (grassmann_section_rank_test, pattern_6x5, 2)) == 0
-    assert (joined._shared[("core_bound", 2)], refuted._shared[("core_bound", 2)]) == (19, 17)
-    assert ("core_bound", 2) not in pattern_6x5._shared
-
-
 def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6x5):
     """The bound only matters after a trial falls short, so a pass skips it."""
 
@@ -386,43 +441,6 @@ def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6
     monkeypatch.setattr(numerics, "_jacobian_rank_bound", unused)
     assert jacobian_rank_test(pattern_6x5, 2) == RankReport(18, 18, 1, 1)
     assert grassmann_section_rank_test(pattern_6x5, 2) == RankReport(8, 8, 1, 1)
-
-
-def test_the_shared_trials_serve_no_repeated_call(monkeypatch, pattern_6x5):
-    """The section test reads the Jacobian test's trials just run on the same
-    mask; the memo holds one mask and serves a test's trials once, to the other test."""
-    calls = []
-
-    def counted(pattern, r, rng):
-        calls.append(pattern)
-        return _tangent_ranks(pattern, r, rng)
-
-    monkeypatch.setattr(numerics, "_tangent_ranks", counted)
-
-    def computed(test, pattern, r=2, seed=0):
-        before = len(calls)
-        return test(pattern, r, seed=seed), len(calls) - before
-
-    joined = parse_pattern(JOINED_6X6)
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 0)
-    assert computed(jacobian_rank_test, pattern_6x5, 2) == (RankReport(18, 18, 1, 1), 1)
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 0)
-    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 3, 0), 3)
-    # section first: the Jacobian test computes only the two trials it lacks
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 2)
-    # a refutation at the core bound runs one trial, which the other test reads
-    refuted = pattern_6x5.restrict(pattern_6x5.entries - {(4, 0)})
-    assert computed(jacobian_rank_test, refuted, 2) == (RankReport(17, 18, 1, 0), 1)
-    assert computed(grassmann_section_rank_test, refuted, 2) == (RankReport(7, 8, 1, 0), 0)
-    # another seed, or none, draws other points
-    assert computed(jacobian_rank_test, joined)[1] == 5
-    assert computed(grassmann_section_rank_test, joined, seed=1)[1] == 3
-    for _ in range(2):
-        assert computed(jacobian_rank_test, joined, seed=None)[1] == 5
-        assert computed(grassmann_section_rank_test, joined, seed=None)[1] == 3
 
 
 class _Draws:
@@ -547,11 +565,11 @@ def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):
 
 
 def test_grassmann_single_column_is_bounded_by_its_sections():
-    # one fully observed column yields m - r sections, below r(m - r) for r >= 2
+    """One fully observed column yields m - r sections, below r(m - r) for
+    r >= 2, so it can never pass there; r > n is out of the test's range."""
     single = ObservationPattern(6, 1, frozenset((i, 0) for i in range(6)))
-    report = grassmann_section_rank_test(single, 2)
-    assert report.tested_rank == 4
-    assert not report.passed
+    with pytest.raises(ValueError, match="out of range"):
+        grassmann_section_rank_test(single, 2)
 
 
 def test_grassmann_rejects_column_below_r(pattern_6x5):

@@ -82,23 +82,6 @@ def masks_with_r_per_column(draw):
     return ObservationPattern(m, n, frozenset(entries)), r
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(masks_with_r_per_column(), st.integers(0, 2**16))
-def test_jacobian_rank_is_section_rank_plus_rn(mask, seed):
-    """rank J(A, C) = rank of the section tangent + r n.
-
-    With every column observed on at least r rows, the coefficients c_j of a
-    column are fixed by the column space, so the factorization Jacobian
-    splits into the Grassmannian directions the sections see and r n
-    coefficient directions.
-    """
-    pattern, r = mask
-    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
-    section = grassmann_section_rank_test(pattern, r, trials=2, seed=seed)
-    assume(jacobian.indeterminate == 0 and section.indeterminate == 0)
-    assert jacobian.tested_rank == section.tested_rank + r * pattern.n
-
-
 class _ParallelRows:
     """Wraps a Generator; in its first draw, A, the given rows become multiples
     of the first of them, so A[omega] drops rank on a column holding them."""
@@ -117,17 +100,26 @@ class _ParallelRows:
 _REFUTED_6X5 = (parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries - {(4, 0)}), 2)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(masks_with_r_per_column(), st.integers(0, 2**16), st.booleans(), st.booleans())
 @example(mask=_REFUTED_6X5, seed=0, as_sequence=False, degenerate=False)
 @example(mask=_REFUTED_6X5, seed=0, as_sequence=True, degenerate=True)
-def test_shared_trials_change_no_report(mask, seed, as_sequence, degenerate):
-    """Jacobian then section, section then Jacobian, and the section test alone
-    report what each test reports from its own trials, for int seeds and the
-    ``SeedSequence`` seeds ``gen --emit-stats`` passes; with ``degenerate``,
-    A[omega_1] drops rank in every trial (at r >= 2 and two rows or more)."""
+def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, as_sequence, degenerate):
+    """rank J(A, C) = rank S + r n where every column has r rows or more and
+    every A[omega_j] has full rank: the coefficients c_j of a column are then
+    fixed by the column space, so the factorization Jacobian splits into the
+    Grassmannian directions the sections see and r n coefficient directions.
+
+    So the section report, read off the Jacobian report, equals
+    ``reference_rank_report`` over the rank of S alone at the same points,
+    for int seeds and the ``SeedSequence`` seeds ``gen --emit-stats``
+    passes, one fresh or one shared with a Jacobian call before it. With
+    ``degenerate``, A[omega_1] drops rank in every trial (at r >= 2 and two
+    rows or more): the rank read is then never above the reference's, and
+    never a pass where the reference has none.
+    """
     pattern, r = mask
-    pattern = ObservationPattern(pattern.m, pattern.n, pattern.entries)  # no trials of another example
+    pattern = ObservationPattern(pattern.m, pattern.n, pattern.entries)  # no report of another example
     tangent_ranks = numerics._tangent_ranks
 
     def ranks(pattern, r, rng):
@@ -138,23 +130,22 @@ def test_shared_trials_change_no_report(mask, seed, as_sequence, degenerate):
         return np.random.SeedSequence(seed) if as_sequence else seed
 
     with mock.patch.object(numerics, "_tangent_ranks", ranks):
-        jacobian = reference_rank_report(pattern, r, 0, 5, fresh())
-        section = reference_rank_report(pattern, r, 1, 3, fresh())
-        assert jacobian_rank_test(pattern, r, seed=fresh()) == jacobian
-        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
-        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
-        assert jacobian_rank_test(pattern, r, seed=fresh()) == jacobian
-        assert grassmann_section_rank_test(pattern, r, seed=fresh()) == section
+        section = grassmann_section_rank_test(pattern, r, seed=fresh())
+        pairs = [(section, reference_rank_report(pattern, r, 1, 5, fresh()))]
         if as_sequence:
             # one SeedSequence for both: the section test spawns past the
             # Jacobian test's five children
             shared, own = np.random.SeedSequence(seed), np.random.SeedSequence(seed)
-            assert jacobian_rank_test(pattern, r, seed=shared) == reference_rank_report(
-                pattern, r, 0, 5, own
-            )
-            assert grassmann_section_rank_test(pattern, r, seed=shared) == reference_rank_report(
-                pattern, r, 1, 3, own
-            )
+            jacobian_rank_test(pattern, r, seed=shared)
+            reference_rank_report(pattern, r, 0, 5, own)
+            section = grassmann_section_rank_test(pattern, r, seed=shared)
+            pairs.append((section, reference_rank_report(pattern, r, 1, 5, own)))
+    for section, reference in pairs:
+        if degenerate:
+            assert section.tested_rank <= reference.tested_rank
+            assert reference.passed or not section.passed
+        else:
+            assert section == reference
 
 
 @st.composite
@@ -1049,8 +1040,8 @@ def _stage_result(stage, pattern, r):
 def test_each_stage_answers_alike_first_last_or_alone(mask, order):
     """Every public stage, run in a drawn order on one pattern object and then
     in the reverse order on it again, gives the result it gives alone on a
-    fresh copy, and the object keeps only the trial hand-off and the two
-    bounds. Each search and the counting test give the same result with and
+    fresh copy, and the object keeps only the Jacobian report slot and the
+    counting bounds. Each search and the counting test give the same result with and
     without the pattern's own Jacobian report."""
     pattern, r = mask
 
@@ -1061,8 +1052,8 @@ def test_each_stage_answers_alike_first_last_or_alone(mask, order):
     shared = fresh()
     for stage in order + order[::-1]:
         assert _stage_result(stage, shared, r) == alone[stage], stage
-    assert {key if key == "tangent_trials" else key[0] for key in shared._shared} <= {
-        "tangent_trials", "core_bound", "counting_bound"
+    assert {key if key == "jacobian_report" else key[0] for key in shared._shared} <= {
+        "jacobian_report", "counting_bound"
     }
     own = fresh()
     report = jacobian_rank_test(own, r)
