@@ -159,7 +159,7 @@ def _rank_test(test, pattern: ObservationPattern, r: int, seed: int) -> tuple[di
         "tested_rank": report.tested_rank,
         "target": report.target,
         "trials": report.trials,
-        "pass_count": report.pass_count,
+        "pass_count": int(report.passed),
     }, report
 
 
@@ -396,7 +396,7 @@ def _cmd_gen(args) -> int:
             # system too large for the first is too large for all: the statistics
             # come before the pattern's file, and a refusal leaves no file
             try:
-                report = jacobian_rank_test(pattern, args.rank, trials=3, seed=child)
+                report = jacobian_rank_test(pattern, args.rank, seed=child)
             except TangentSizeError as exc:
                 raise _UsageError(f"--emit-stats: {exc}") from exc
             rank_hits += report.passed

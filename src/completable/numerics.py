@@ -10,12 +10,12 @@ mask bounds the rank at every point (``_jacobian_rank_bound``), computed
 only once a trial falls short; where that bound is below the target, a
 trial reaching it refutes exactly, and the test stops there. Otherwise a
 deficient rank in t independent trials refutes with error at most
-(d/p)^t, d the target rank (Schwartz-Zippel). The Jacobian test and the
-randomized SLMF test with its Hall-matroid bound run their trials through
-one loop (``plucker.first_full_rank``). The section test runs no trial: the
-section rank is the Jacobian rank minus r n, so it reads the Jacobian
-report at its (r, trials, seed), 5 trials by default for both, over the
-same range 1 <= r <= min(m, n).
+(d/p)^t, d the target rank (Schwartz-Zippel), t = ``plucker.TRIALS``.
+The Jacobian test and the randomized SLMF test with its Hall-matroid bound
+run their trials through one loop (``plucker.first_full_rank``), which
+holds that one trial count. The section test runs no trial: the section
+rank is the Jacobian rank minus r n, so it reads the Jacobian report at its
+(r, seed), over the same range 1 <= r <= min(m, n).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -149,35 +150,32 @@ def observed_to_csv(obs: ObservedMatrix) -> str:
 class RankReport:
     """Outcome of an exact generic-rank test at random points.
 
-    ``trials`` counts the trials run: the test stops at the first trial
-    whose rank reaches ``target`` or the (r+1)-core bound below it, so a
-    pass has ``pass_count == 1`` and ``trials == 1``, and so has a
-    refutation the bound proves, with ``pass_count == 0``. Exact ranks are
-    never indeterminate; ``indeterminate`` stays 0 for readers of that field.
+    ``trials`` counts the trials run, at most ``plucker.TRIALS``: the test
+    stops at the first trial whose rank reaches ``target`` or the (r+1)-core
+    bound below it, at a generic point the first. So only the last trial can
+    pass, and the report passes iff ``tested_rank == target``. Exact ranks
+    are never indeterminate; ``indeterminate`` stays 0 for its readers.
     ``row_basis`` is set on a pass of ``jacobian_rank_test`` only: the
     r(m+n-r) observed entries (i, j) whose rows of the Jacobian are a row
     basis at the passing point (``_tangent_ranks``). It takes no part in
     comparisons. A ``grassmann_section_rank_test`` report is the Jacobian
-    report at the same (r, trials, seed) with r n taken off both ranks: its
-    trials and pass count are the Jacobian test's.
+    report at the same (r, seed) with r n taken off both ranks: its trials
+    are the Jacobian test's.
     """
 
     tested_rank: int
     target: int
     trials: int
-    pass_count: int
     indeterminate: int = 0
     row_basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.pass_count > self.trials:
-            raise ValueError("pass_count exceeds trials")
         if self.tested_rank > self.target:
             raise ValueError("measured rank exceeds the dimension bound")
 
     @property
     def passed(self) -> bool:
-        return self.tested_rank == self.target and self.pass_count >= 1
+        return self.tested_rank == self.target
 
 
 def complete_matrix(obs: ObservedMatrix, basis: SubspaceBasis) -> np.ndarray:
@@ -269,7 +267,7 @@ def _index_pairs(pairs: Iterable[tuple[int, int]], count: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * count).reshape(count, 2).T
 
 
-def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, seed=0) -> RankReport:
+def jacobian_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankReport:
     """Rank of the differential of the observed bilinear factorization map.
 
     The rank over GF(p) of the Jacobian of (A, C) -> observed entries of
@@ -280,14 +278,16 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
     observed projection has full-dimensional image, the tangent criterion
     for generic finite completability.
 
-    At an int seed the pattern object keeps the report, keyed by (r,
-    trials, seed), in one slot that ``grassmann_section_rank_test`` takes
-    on its next call at that key. No other seed is kept: a ``SeedSequence``
-    is advanced by each call, and None draws fresh entropy.
+    At an int seed the pattern object keeps the report, keyed by (r, seed),
+    in one slot that ``grassmann_section_rank_test`` takes on its next call
+    at that key. No other seed is kept: a ``SeedSequence`` is advanced by
+    each call, and None draws fresh entropy.
 
     Raises:
+        TypeError: r is not an integer (``operator.index``).
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
+    r = operator.index(r)
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     _check_tangent_size(pattern, r)
@@ -299,18 +299,16 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, trials: int = 5, see
         rank, _, basis = _tangent_ranks(pattern, r, rng)
         return rank
 
-    rank, run = first_full_rank(rank_at, target, trials, seed, bound=lambda: _jacobian_rank_bound(pattern, r))
+    rank, run = first_full_rank(rank_at, target, seed, bound=lambda: _jacobian_rank_bound(pattern, r))
     # a pass ends the trials, so the last one run is the passing one
     row_basis = tuple(map(tuple, basis.tolist())) if rank == target else None
-    report = RankReport(rank, target, trials=run, pass_count=int(rank == target), row_basis=row_basis)
+    report = RankReport(rank, target, trials=run, row_basis=row_basis)
     if isinstance(seed, int):
-        pattern._shared["jacobian_report"] = ((r, trials, seed), report)
+        pattern._shared["jacobian_report"] = ((r, seed), report)
     return report
 
 
-def grassmann_section_rank_test(
-    pattern: ObservationPattern, r: int, trials: int = 5, seed=0
-) -> RankReport:
+def grassmann_section_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankReport:
     """Tangent-space rank of the hyperplane-section system on the Grassmannian.
 
     At a subspace spanned by A with consistent data x_j = A c_j, column j
@@ -321,16 +319,18 @@ def grassmann_section_rank_test(
     gives ``jacobian_rank_test`` its rank, J = sum_j rank A[omega_j] +
     rank S, so with r rows or more in every column the section rank is the
     Jacobian rank minus r n, and this test reads it off the Jacobian
-    report at (r, trials, seed): the one that test left on this pattern
-    object, which it takes where all three are ints, or else a fresh one,
-    which it leaves nowhere. Full rank r(m-r) means the sections pin the
-    subspace down to isolated points. At a point where some A[omega_j] drops
-    rank the rank read is below that of S, so never a pass that S would lack.
+    report at (r, seed): the one that test left on this pattern object,
+    which it takes at an int seed, or else a fresh one, which it leaves
+    nowhere. Full rank r(m-r) means the sections pin the subspace down to
+    isolated points. At a point where some A[omega_j] drops rank the rank
+    read is below that of S, so never a pass that S would lack.
 
     Raises:
+        TypeError: r is not an integer (``operator.index``).
         SectionTestError: a column has fewer than r observed rows.
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
+    r = operator.index(r)
     if not 1 <= r <= min(pattern.m, pattern.n):
         raise ValueError(f"rank r={r} out of range")
     for j, omega in enumerate(pattern.column_supports()):
@@ -338,14 +338,14 @@ def grassmann_section_rank_test(
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    key, left = (r, trials, seed), pattern._shared.pop("jacobian_report", None)
-    if all(type(arg) is int for arg in key) and left is not None and left[0] == key:
+    left = pattern._shared.pop("jacobian_report", None)
+    if type(seed) is int and left is not None and left[0] == (r, seed):
         jacobian = left[1]
     else:
-        jacobian = jacobian_rank_test(pattern, r, trials, seed)
+        jacobian = jacobian_rank_test(pattern, r, seed)
         pattern._shared.pop("jacobian_report", None)
     rn = r * pattern.n
-    return RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials, jacobian.pass_count)
+    return RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials)
 
 
 def _row_column_forest(entries: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict[int, int]]:

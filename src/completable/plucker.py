@@ -3,9 +3,9 @@
 The module holds a subspace basis, read as float64 and rank-checked once,
 the float Plucker coordinates of a basis (a Laplace recursion, run on the
 orthogonal complement from numpy's QR where r > m/2), and the two
-eliminations over GF(p) and the randomized rank loop that the tangent tests
-(``numerics``) and the linkage-support oracle (``slmf``) run. Conventions,
-fixed once and used everywhere:
+eliminations over GF(p) and the randomized rank loop of ``TRIALS`` trials
+that the tangent tests (``numerics``) and the linkage-support oracle
+(``slmf``) run. Conventions, fixed once and used everywhere:
 
 * r-subsets of ``range(m)`` are ordered lexicographically on their sorted
   elements; a Plucker vector stores one coordinate per subset in that order.
@@ -30,6 +30,8 @@ MAX_AMBIENT_DIM = 64
 MAX_COORDINATES = 1 << 24
 # the exact rank tests' field: a product of two residues stays below 2^62
 FIELD_PRIME = (1 << 31) - 1
+# the most random points an exact rank test tries; it refutes with error <= (d/p)^TRIALS
+TRIALS = 5
 
 
 class NotABasisError(ValueError):
@@ -230,19 +232,14 @@ def rank_mod_p(M: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def first_full_rank(
-    rank_at: Callable[[np.random.Generator], int],
-    target: int,
-    trials: int,
-    seed,
-    *,
-    bound: Callable[[], int],
+    rank_at: Callable[[np.random.Generator], int], target: int, seed, *, bound: Callable[[], int]
 ) -> tuple[int, int]:
-    """Best of ``rank_at`` over up to ``trials`` random points, and the trials run.
+    """Best of ``rank_at`` over up to ``TRIALS`` random points, and the trials run.
 
     Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
     ``seed``, spawned as the trial starts, so a test that stops early spawns
     no child it does not use. A ``SeedSequence`` the caller passed in is
-    then advanced past all ``trials`` children, as if each had been spawned,
+    then advanced past all ``TRIALS`` children, as if each had been spawned,
     so what the caller spawns from it next does not depend on where the test
     stopped. ``target`` is the rank to prove; ``bound()`` returns an upper
     bound on the rank at every point, and it is called at most once, after
@@ -254,20 +251,18 @@ def first_full_rank(
     every trial leaves the generic rank below ``target`` up to the
     Schwartz-Zippel error. Only a trial at ``target`` is a pass.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     owned = not isinstance(seed, np.random.SeedSequence)
     if owned:
         seed = np.random.SeedSequence(seed)
     best, ceiling = 0, target
-    for run in range(1, trials + 1):
+    for run in range(1, TRIALS + 1):
         best = max(best, rank_at(np.random.default_rng(seed.spawn(1)[0])))
         if run == 1 and best < target:
             ceiling = min(bound(), target)
         if best >= ceiling:
             break
     if not owned:
-        seed.spawn(trials - run)
+        seed.spawn(TRIALS - run)
     return best, run
 
 

@@ -15,13 +15,13 @@ matroid induced by |N(S)| - r (Edmonds), and one Hall oracle
 bitmasks. Greedy over it (``first_linkage_support``) gives the certificate
 search's selection. One greedy pass over a family's columns, cached on the
 family (``Slmf._hall_pass``), gives the combinatorial check's answer at any
-size and the randomized check's bound. A refuted family of at most
-``EXHAUSTIVE_COLUMN_LIMIT`` columns also gets its minimum violating
-subfamily, a minimum circuit of the matroid: with one column outside the
-pass's basis, that column's fundamental circuit, found by r+1 augmentations;
-with two or more, by a scan, size by size, whose time grows with the witness
-size and whose memory is one block of subfamily pairs. A larger refuted
-family gets no witness.
+size and the randomized check's bound. A refuted family also gets its
+minimum violating subfamily, a minimum circuit of the matroid: with one
+column outside the pass's basis, that column's fundamental circuit, found
+by r+1 augmentations, at any size; with two or more, by a scan, size by
+size, whose time grows with the witness size and whose memory is one block
+of subfamily pairs, only up to ``EXHAUSTIVE_COLUMN_LIMIT`` columns. A larger
+refuted family with two or more columns outside the basis gets no witness.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class SlmfVerdict:
 
     ``witness`` is a set of 0-based column indices violating the covering
     inequality; it is present exactly when the combinatorial method refutes a
-    family of at most ``EXHAUSTIVE_COLUMN_LIMIT`` columns.
+    family whose Hall pass turns down one column, or a family of at most
+    ``EXHAUSTIVE_COLUMN_LIMIT`` columns.
     """
 
     is_slmf: bool
@@ -193,21 +194,16 @@ class HallMatching:
         if (reach & ~matched).bit_count() <= self.r:
             self.reaches = [old for old in self.reaches if old & ~reach] + [reach]
             return False
+        _, trial, matched, joined = self._match_copies(mask)
+        if not joined:
+            return False
         k = len(rows)
-        trial = owner[:]
-        rows.extend([mask] * (self.r + 1))  # the copies are members k .. k+r
-        for v in range(k, k + self.r + 1):
-            row = _augment(v, rows, trial)
-            if row < 0:
-                del rows[k:]
-                return False
-            matched |= 1 << row
-        del rows[k + 1 :]
         # the r+1 copies hold exactly the subset's rows; keep the first one's
         for i in range(mask.bit_length()):
             if mask >> i & 1 and trial[i] > k:
                 trial[i] = -1
                 matched ^= 1 << i
+        rows.append(mask)
         self.owner, self.matched = trial, matched
         return True
 
@@ -221,15 +217,22 @@ class HallMatching:
         the least value has N(S' + subset) filled by its members and the
         copies, so the reach never leaves it, and S lies in S'.
         """
-        k, matched = len(self.rows), self.matched
-        rows, owner = self.rows + [mask] * (self.r + 1), self.owner[:]
+        rows, owner, matched, _ = self._match_copies(mask)
+        reach = _reach(mask, rows, owner, matched)
+        return [owner[i] for i in range(len(owner)) if reach >> i & 1 and owner[i] < len(self.rows)]
+
+    def _match_copies(self, mask: int) -> tuple[list[int], list[int], int, bool]:
+        """Match r+1 copies of the subset after the members, in copies of the family's
+        lists, up to the first with no augmenting path: the rows, owners and matched
+        rows of that matching, and whether every copy was matched."""
+        k = len(self.rows)
+        rows, owner, matched = self.rows + [mask] * (self.r + 1), self.owner[:], self.matched
         for v in range(k, k + self.r + 1):
             row = _augment(v, rows, owner)
             if row < 0:
-                break
+                return rows, owner, matched, False
             matched |= 1 << row
-        reach = _reach(mask, rows, owner, matched)
-        return [owner[i] for i in range(len(owner)) if reach >> i & 1 and owner[i] < k]
+        return rows, owner, matched, True
 
 
 def first_linkage_support(
@@ -321,10 +324,11 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     """Exact check of the covering inequality over all nonempty subfamilies.
 
     The family's greedy Hall pass (``Slmf._hall_pass``) decides, at any size:
-    it is a linkage support iff the pass turns no column down. On failure, at
-    most ``EXHAUSTIVE_COLUMN_LIMIT`` columns, the witness is a violating index
-    set of minimum cardinality, ties broken lexicographically; past the limit
-    the refutation has no witness.
+    it is a linkage support iff the pass turns no column down. On failure
+    the witness is a violating index set of minimum cardinality, ties broken
+    lexicographically: at any size when the pass turns down one column, and
+    up to ``EXHAUSTIVE_COLUMN_LIMIT`` columns when it turns down more; past
+    the limit such a refutation has no witness.
 
     A violating subfamily is dependent in the Hall matroid, and when it is a
     smallest one each proper subfamily is independent: a minimum violator is
@@ -348,13 +352,13 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     hall = phi._hall_pass
     if not hall.dependent:
         return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
-    if len(hall.masks) > EXHAUSTIVE_COLUMN_LIMIT:
-        witness = None
-    elif len(hall.dependent) == 1:
+    if len(hall.dependent) == 1:
         (d,) = hall.dependent
         witness = tuple(sorted([d, *(hall.basis[t] for t in hall.family.least_tight_set(hall.masks[d]))]))
-    else:
+    elif len(hall.masks) <= EXHAUSTIVE_COLUMN_LIMIT:
         witness = _least_violator(hall.masks, phi.r)
+    else:
+        witness = None
     return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
 
 
@@ -372,7 +376,7 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     return rank_mod_p(dual)[0]
 
 
-def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
+def check_slmf_randomized(phi: Slmf, seed=0) -> SlmfVerdict:
     """Randomized rank test of the induced dual basis at random subspaces.
 
     Exact over GF(p): a single full-rank evaluation certifies the property.
@@ -385,14 +389,13 @@ def check_slmf_randomized(phi: Slmf, trials: int = 3, seed=0) -> SlmfVerdict:
     exactly, at the first trial that reaches the Hall rank below the
     target, which on a refuted family is the first trial but for a
     degenerate point. Only on a linkage support can every trial fall
-    short, a wrong "no" with probability at most (d/p)^trials, d = r(m-r)
-    the degree of a full minor (Schwartz-Zippel). The trials run in the
-    loop the tangent rank tests share (``first_full_rank``).
+    short, a wrong "no" with probability at most (d/p)^5, d = r(m-r) the
+    degree of a full minor (Schwartz-Zippel), over the ``plucker.TRIALS`` = 5
+    trials of the loop the tangent rank tests share (``first_full_rank``).
     """
     target = len(phi.columns)
     rank, _ = first_full_rank(
-        lambda rng: _dual_basis_rank_mod_p(phi, rng), target, trials, seed,
-        bound=lambda: len(phi._hall_pass.basis),
+        lambda rng: _dual_basis_rank_mod_p(phi, rng), target, seed, bound=lambda: len(phi._hall_pass.basis)
     )
     return SlmfVerdict(is_slmf=rank == target, witness=None, method="randomized-rank")
 

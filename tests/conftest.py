@@ -104,7 +104,7 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
     return ranks, clear
 
 
-def reference_rank_report(pattern, r, part, trials, seed):
+def reference_rank_report(pattern, r, part, seed):
     """A rank report from its own trials: ``first_full_rank`` over
     ``_tangent_ranks(...)[part]``, part 0 the Jacobian rank and 1 the rank of
     the section rows S alone, a direct elimination that the section test does
@@ -117,11 +117,10 @@ def reference_rank_report(pattern, r, part, trials, seed):
     rank, run = first_full_rank(
         lambda rng: numerics._tangent_ranks(pattern, r, rng)[part],
         target,
-        trials,
         seed,
         bound=lambda: numerics._jacobian_rank_bound(pattern, r) - part * r * pattern.n,
     )
-    return numerics.RankReport(rank, target, trials=run, pass_count=int(rank == target))
+    return numerics.RankReport(rank, target, trials=run)
 
 
 def reference_coordinates(P):

@@ -90,7 +90,7 @@ def test_criterion_02_every_single_entry_deletion_is_detected():
             ok = False
             break
         for seed in range(10):
-            report = jacobian_rank_test(smaller, 2, trials=1, seed=seed)
+            report = jacobian_rank_test(smaller, 2, seed=seed)
             if report.tested_rank != 17:
                 ok = False
                 break
@@ -152,7 +152,7 @@ def test_criterion_06_combinatorial_and_randomized_oracles_agree():
     for idx, choice in enumerate(itertools.product(pairs, repeat=3)):
         phi = Slmf(m=4, r=1, columns=choice)
         exact = check_slmf_combinatorial(phi).is_slmf
-        sampled = check_slmf_randomized(phi, trials=3, seed=idx).is_slmf
+        sampled = check_slmf_randomized(phi, seed=idx).is_slmf
         disagreements += exact != sampled
 
     rng = np.random.default_rng(102)
@@ -161,7 +161,7 @@ def test_criterion_06_combinatorial_and_randomized_oracles_agree():
         cols = tuple(triples[rng.integers(len(triples))] for _ in range(4))
         phi = Slmf(m=6, r=2, columns=cols)
         exact = check_slmf_combinatorial(phi).is_slmf
-        sampled = check_slmf_randomized(phi, trials=3, seed=1000 + idx).is_slmf
+        sampled = check_slmf_randomized(phi, seed=1000 + idx).is_slmf
         disagreements += exact != sampled
 
     _verdict(6, disagreements == 0, f"716 support families, {disagreements} disagreements")
@@ -232,7 +232,7 @@ def test_criterion_10_random_patterns_are_usually_full_rank():
     draws = 100
     for idx, child in enumerate(np.random.SeedSequence(105).spawn(draws)):
         pattern = random_pattern(m, n, k, seed=child)
-        report = jacobian_rank_test(pattern, r, trials=1, seed=idx)
+        report = jacobian_rank_test(pattern, r, seed=idx)
         hits += report.passed
     fraction = hits / draws
     _verdict(10, fraction > 0.5, f"full jacobian rank in {fraction:.2f} of {draws} draws")

@@ -1039,16 +1039,30 @@ def test_help_and_version_print_and_exit_0(capsys):
 
 @pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])
 def test_slmf_check_no_past_the_column_limit(capsys, tmp_path, method):
-    """A refutation past 22 columns is answered without a minimum witness: exit 2."""
+    """A refutation past 22 columns whose Hall pass turns down two columns is
+    answered without a minimum witness: exit 2."""
     from completable import Slmf, SlmfVerdict, check_slmf_combinatorial
 
     path = tmp_path / "phi.txt"
     chain = tuple((j, j + 1) for j in range(23))
-    phi = Slmf(m=25, r=1, columns=chain + ((0, 1),))
+    phi = Slmf(m=26, r=1, columns=chain + ((0, 1), (1, 2)))
     assert check_slmf_combinatorial(phi) == SlmfVerdict(False, None, "combinatorial")
     path.write_text(slmf_to_grid(phi))
     code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
     assert (code, out, err) == (2, "slmf: no\n", "")
+
+
+@pytest.mark.parametrize("method", ["both", "combinatorial", "randomized"])
+def test_slmf_check_names_a_nullity_one_witness_past_the_column_limit(capsys, tmp_path, method):
+    """Past 22 columns, a refutation whose Hall pass turns down one column names
+    that column's fundamental circuit, here the repeated pair: exit 2."""
+    from completable import Slmf
+
+    path = tmp_path / "phi.txt"
+    path.write_text(slmf_to_grid(Slmf(m=25, r=1, columns=tuple((j, j + 1) for j in range(23)) + ((0, 1),))))
+    code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
+    witness = "" if method == "randomized" else "violating columns (combinatorial): {1,24}\n"
+    assert (code, out, err) == (2, "slmf: no\n" + witness, "")
 
 
 @pytest.mark.parametrize("method", ["both", "combinatorial"])

@@ -38,7 +38,7 @@ from completable import (
     plucker_of_basis,
     random_pattern,
 )
-from completable import numerics
+from completable import numerics, plucker
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets, rank_mod_p
 from conftest import (
@@ -173,19 +173,19 @@ def test_a_completed_column_does_not_depend_on_the_columns_solved_with_it():
 def test_jacobian_rank_6x5_full(pattern_6x5):
     report = jacobian_rank_test(pattern_6x5, 2)
     assert (report.tested_rank, report.target) == (18, 18)
-    assert report.pass_count == report.trials
+    assert report.trials == 1
     assert report.passed
 
 
 def test_jacobian_rank_fully_observed():
     full = ObservationPattern(6, 5, frozenset((i, j) for i in range(6) for j in range(5)))
-    assert jacobian_rank_test(full, 2, trials=2).passed
-    assert jacobian_rank_test(full, 3, trials=2).passed
+    assert jacobian_rank_test(full, 2).passed
+    assert jacobian_rank_test(full, 3).passed
 
 
 def test_jacobian_rank_drops_after_any_deletion(pattern_6x5):
     for entry in pattern_6x5.sorted_entries():
-        report = jacobian_rank_test(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2, trials=2, seed=1)
+        report = jacobian_rank_test(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2, seed=1)
         assert report.tested_rank == 17
         assert not report.passed
 
@@ -194,17 +194,17 @@ def test_jacobian_rank_monotone_under_additions():
     """Observing one more position never lowers the measured generic rank."""
     rng = np.random.default_rng(21)
     pattern = random_pattern(6, 5, 3, seed=2)
-    base = jacobian_rank_test(pattern, 2, trials=2).tested_rank
+    base = jacobian_rank_test(pattern, 2).tested_rank
     missing = [e for e in np.ndindex(6, 5) if tuple(e) not in pattern.entries]
     for _ in range(10):
         extra = tuple(missing[rng.integers(len(missing))])
         grown = ObservationPattern(6, 5, pattern.entries | {extra})
-        assert jacobian_rank_test(grown, 2, trials=2).tested_rank >= base
+        assert jacobian_rank_test(grown, 2).tested_rank >= base
 
 
 def test_jacobian_rank_stable_across_seeds(pattern_6x5):
     ranks = {
-        jacobian_rank_test(pattern_6x5, 2, trials=2, seed=seed).tested_rank
+        jacobian_rank_test(pattern_6x5, 2, seed=seed).tested_rank
         for seed in range(10)
     }
     assert ranks == {18}
@@ -221,8 +221,8 @@ def test_a_passing_rank_test_runs_one_trial(pattern_6x5):
     """An exact full rank is a proof, so the first full-rank trial ends the test."""
     jacobian = jacobian_rank_test(pattern_6x5, 2)
     section = grassmann_section_rank_test(pattern_6x5, 2)
-    assert jacobian == RankReport(tested_rank=18, target=18, trials=1, pass_count=1)
-    assert section == RankReport(tested_rank=8, target=8, trials=1, pass_count=1)
+    assert jacobian == RankReport(tested_rank=18, target=18, trials=1)
+    assert section == RankReport(tested_rank=8, target=8, trials=1)
 
 
 def test_a_refuting_rank_test_runs_every_trial():
@@ -230,8 +230,19 @@ def test_a_refuting_rank_test_runs_every_trial():
     17 of 20, and the (r+1)-core bound is 19, so no trial proves the deficiency."""
     joined = parse_pattern(JOINED_6X6)
     assert numerics._jacobian_rank_bound(joined, 2) == 19
-    assert jacobian_rank_test(joined, 2, trials=4) == RankReport(17, 20, 4, 0)
-    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 5, 0)
+    assert jacobian_rank_test(joined, 2) == RankReport(17, 20, 5)
+    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 5)
+
+
+def test_a_refutation_off_the_core_bound_runs_the_one_trial_count(monkeypatch):
+    """Every exact rank test reads the trial count ``plucker.TRIALS`` when it
+    runs: at 2, ``JOINED_6X6`` at r = 2, short of its core bound, runs 2
+    trials in the Jacobian test and reports them from the section test too."""
+    monkeypatch.setattr(plucker, "TRIALS", 2)
+    joined = parse_pattern(JOINED_6X6)
+    assert jacobian_rank_test(joined, 2) == RankReport(17, 20, 2)
+    assert grassmann_section_rank_test(joined, 2) == RankReport(5, 8, 2)
+    assert grassmann_section_rank_test(parse_pattern(JOINED_6X6), 2, seed=3).trials == 2
 
 
 def _blocks(*parts):
@@ -255,7 +266,7 @@ def test_each_core_component_carries_its_own_gauge(pattern, r, bound, target):
     """A core of two components bounds the rank by the sum of their bounds, so
     a first trial reaching that sum refutes."""
     assert numerics._jacobian_rank_bound(pattern, r) == bound
-    assert jacobian_rank_test(pattern, r) == RankReport(bound, target, 1, 0)
+    assert jacobian_rank_test(pattern, r) == RankReport(bound, target, 1)
 
 
 def _counted_trials(monkeypatch):
@@ -274,7 +285,7 @@ _REFUTED_6X5 = parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries 
 
 
 @pytest.mark.parametrize(
-    "mask, r, trials, seed",
+    "mask, r, trials, seed",  # trials: the value of plucker.TRIALS
     [
         (parse_pattern(JOINED_6X6), 2, 5, 0),
         (parse_pattern(JOINED_6X6), 2, 3, 7),
@@ -285,28 +296,29 @@ _REFUTED_6X5 = parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries 
     ids=["fails", "fails in 3", "passes", "refuted at the bound", "8x8 at r=3"],
 )
 def test_a_section_call_reads_the_jacobian_report_just_left(monkeypatch, mask, r, trials, seed):
-    """Right after the Jacobian test at the same (r, trials, int seed) on the same
+    """Right after the Jacobian test at the same (r, int seed) on the same
     pattern object, the section test runs no trial, takes the report, and
     answers as on a fresh copy."""
-    expected = grassmann_section_rank_test(ObservationPattern(mask.m, mask.n, mask.entries), r, trials, seed)
+    monkeypatch.setattr(plucker, "TRIALS", trials)
+    expected = grassmann_section_rank_test(ObservationPattern(mask.m, mask.n, mask.entries), r, seed)
     pattern = ObservationPattern(mask.m, mask.n, mask.entries)
     calls = _counted_trials(monkeypatch)
-    jacobian = jacobian_rank_test(pattern, r, trials, seed)
+    jacobian = jacobian_rank_test(pattern, r, seed)
     assert len(calls) == jacobian.trials
-    assert grassmann_section_rank_test(pattern, r, trials, seed) == expected
+    assert grassmann_section_rank_test(pattern, r, seed) == expected
     assert len(calls) == jacobian.trials
     rn = r * pattern.n
-    assert expected == RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials, jacobian.pass_count)
+    assert expected == RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials)
     assert "jacobian_report" not in pattern._shared
 
 
 @pytest.mark.parametrize(
-    "r, trials, seed",
-    [(2, 5, 1), (2, 4, 0), (1, 5, 0), (2, 5, "sequence"), (2, 5, None), (2, 5, "entropy")],
-    ids=["seed", "trials", "r", "SeedSequence", "None", "entropy array"],
+    "r, seed",
+    [(2, 1), (1, 0), (2, "sequence"), (2, None), (2, "entropy")],
+    ids=["seed", "r", "SeedSequence", "None", "entropy array"],
 )
-def test_a_section_call_at_another_key_computes_afresh(monkeypatch, r, trials, seed):
-    """After the Jacobian test at r = 2, 5 trials and seed 0, and then at the
+def test_a_section_call_at_another_key_computes_afresh(monkeypatch, r, seed):
+    """After the Jacobian test at r = 2 and seed 0, and then at the
     section call's seed where that is not an int, which it never keeps, a
     section call at another key runs its own trials, keeps no report, and
     answers as on a fresh copy."""
@@ -314,27 +326,47 @@ def test_a_section_call_at_another_key_computes_afresh(monkeypatch, r, trials, s
     def fresh_seed():
         return {"sequence": np.random.SeedSequence(0), "entropy": np.array([0, 1])}.get(seed, seed)
 
-    expected = grassmann_section_rank_test(parse_pattern(JOINED_6X6), r, trials, fresh_seed())
+    expected = grassmann_section_rank_test(parse_pattern(JOINED_6X6), r, fresh_seed())
     joined = parse_pattern(JOINED_6X6)
     calls = _counted_trials(monkeypatch)
-    jacobian_rank_test(joined, 2, 5, 0)
+    jacobian_rank_test(joined, 2, 0)
     if not isinstance(seed, int):
-        jacobian_rank_test(joined, 2, 5, fresh_seed())
+        jacobian_rank_test(joined, 2, fresh_seed())
     before = len(calls)
-    report = grassmann_section_rank_test(joined, r, trials, fresh_seed())
+    report = grassmann_section_rank_test(joined, r, fresh_seed())
     assert report == expected and len(calls) - before == report.trials
     assert joined._shared == {}
 
 
-@pytest.mark.parametrize("r, trials", [(2.0, 5), (2, 5.0)])
-def test_a_section_call_at_a_value_equal_float_key_is_refused_as_on_a_fresh_copy(r, trials):
-    """A float r or trials equals the int key of the report left behind, yet
+@pytest.mark.parametrize("r", [2.0, Fraction(2)], ids=["2.0", "Fraction(2)"])
+def test_a_section_call_at_a_value_equal_float_key_is_refused_as_on_a_fresh_copy(r):
+    """A float or fraction r equals the int key of the report left behind, yet
     the test refuses it there as it does on a fresh copy."""
     joined = parse_pattern(JOINED_6X6)
-    jacobian_rank_test(joined, 2, 5, 0)
+    jacobian_rank_test(joined, 2, 0)
     for pattern in (parse_pattern(JOINED_6X6), joined):
         with pytest.raises(TypeError):
-            grassmann_section_rank_test(pattern, r, trials)
+            grassmann_section_rank_test(pattern, r)
+
+
+def test_r_is_read_as_an_index(monkeypatch):
+    """Both tangent tests read r through ``operator.index``: r = 2.0 raises a
+    plain ``TypeError`` before any trial runs, and ``np.int64(2)`` is r = 2,
+    with the same report and the same key for the report the section test reads."""
+    calls = _counted_trials(monkeypatch)
+    for test in (jacobian_rank_test, grassmann_section_rank_test):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            test(random_pattern(6, 5, 3, seed=1), 2.0)
+    assert calls == []
+    expected = jacobian_rank_test(random_pattern(6, 5, 3, seed=1), 2)
+    section = grassmann_section_rank_test(random_pattern(6, 5, 3, seed=1), 2)
+    pattern = random_pattern(6, 5, 3, seed=1)
+    report = jacobian_rank_test(pattern, np.int64(2))
+    assert (report, report.row_basis) == (expected, expected.row_basis)
+    assert pattern._shared["jacobian_report"] == ((2, 0), expected)
+    before = len(calls)
+    assert grassmann_section_rank_test(pattern, np.int64(2)) == section
+    assert len(calls) == before and "jacobian_report" not in pattern._shared
 
 
 def test_a_repeated_section_call_or_a_copy_computes_afresh(monkeypatch):
@@ -348,16 +380,16 @@ def test_a_repeated_section_call_or_a_copy_computes_afresh(monkeypatch):
         return test(pattern, 2), len(calls) - before
 
     assert copied == joined and copied is not joined
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, copied) == (RankReport(5, 8, 5, 0), 5)
-    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5, 0), 0)
-    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5, 0), 5)
-    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5, 0), 5)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5), 5)
+    assert computed(grassmann_section_rank_test, copied) == (RankReport(5, 8, 5), 5)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5), 0)
+    assert computed(grassmann_section_rank_test, joined) == (RankReport(5, 8, 5), 5)
+    assert computed(jacobian_rank_test, joined) == (RankReport(17, 20, 5), 5)
 
 
 def test_threads_sharing_a_pattern_get_the_reports_of_fresh_copies(monkeypatch, pattern_6x5):
     """Tangent tests run concurrently on one pattern object read only a
-    Jacobian report at their own (r, trials, seed), so each report equals
+    Jacobian report at their own (r, seed), so each report equals
     that of a fresh copy. A trial here loses one rank at random, as a
     degenerate point would, so the trial that passes differs between seeds."""
 
@@ -428,8 +460,8 @@ def test_a_refutation_at_the_core_bound_runs_one_trial(pattern_6x5):
     refutation, and so is section rank 17 - r n = 7 < 8."""
     smaller = pattern_6x5.restrict(pattern_6x5.entries - {(4, 0)})
     assert numerics._jacobian_rank_bound(smaller, 2) == 17
-    assert jacobian_rank_test(smaller, 2) == RankReport(17, 18, 1, 0)
-    assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1, 0)
+    assert jacobian_rank_test(smaller, 2) == RankReport(17, 18, 1)
+    assert grassmann_section_rank_test(smaller, 2, seed=1) == RankReport(7, 8, 1)
 
 
 def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6x5):
@@ -439,8 +471,8 @@ def test_a_first_trial_pass_never_computes_the_core_bound(monkeypatch, pattern_6
         raise AssertionError("the core bound was computed")
 
     monkeypatch.setattr(numerics, "_jacobian_rank_bound", unused)
-    assert jacobian_rank_test(pattern_6x5, 2) == RankReport(18, 18, 1, 1)
-    assert grassmann_section_rank_test(pattern_6x5, 2) == RankReport(8, 8, 1, 1)
+    assert jacobian_rank_test(pattern_6x5, 2) == RankReport(18, 18, 1)
+    assert grassmann_section_rank_test(pattern_6x5, 2) == RankReport(8, 8, 1)
 
 
 class _Draws:
@@ -554,7 +586,7 @@ def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (report.pass_count, report.trials, counted) == (1, 1, 1261568)
+    assert (report.passed, report.trials, counted) == (True, 1, 1261568)
     assert peak <= 2.6 * counted
 
 
@@ -984,16 +1016,16 @@ def test_certificate_implies_full_jacobian_rank():
     for seed in range(25):
         pattern = random_pattern(6, 5, 4, seed=seed)
         if find_finite_certificate(pattern, 2).status == "found":
-            assert jacobian_rank_test(pattern, 2, trials=2).passed
+            assert jacobian_rank_test(pattern, 2).passed
 
 
 def test_section_rank_pass_implies_jacobian_pass(pattern_6x5):
     """The tangent test on the Grassmannian never outruns the one upstairs."""
     fixtures = [pattern_6x5] + [random_pattern(6, 5, 4, seed=s) for s in range(10)]
     for pattern in fixtures:
-        section = grassmann_section_rank_test(pattern, 2, trials=2)
+        section = grassmann_section_rank_test(pattern, 2)
         if section.passed:
-            assert jacobian_rank_test(pattern, 2, trials=2).passed
+            assert jacobian_rank_test(pattern, 2).passed
 
 
 def test_observed_csv_roundtrip(pattern_6x5):

@@ -733,14 +733,18 @@ def test_left_null_mod_p_matches_the_exchanging_kernel(b, k, r, seed, data):
 
 
 @pytest.mark.parametrize(
-    "ranks, bound, run",
-    [([5], 5, 1), ([3], 3, 1), ([3, 3, 3], 4, 3)],
-    ids=["pass-at-trial-1", "refuted-at-the-bound", "short-in-every-trial"],
+    "ranks, bound, trials",
+    [([5], 5, 3), ([3], 3, 3), ([3, 3, 3], 4, 3), ([3, 3], 4, 2)],
+    ids=["pass-at-trial-1", "refuted-at-the-bound", "short-in-every-trial", "short-in-every-trial-at-2"],
 )
-def test_first_full_rank_spawns_a_child_per_trial_and_leaves_a_passed_sequence_past_all(ranks, bound, run):
-    """Target 5 over 3 trials: each trial draws from the next child, spawned as it
-    starts, and a ``SeedSequence`` passed in is left past all 3 children however
-    early the loop stops, so the caller's next spawn is the one it was before."""
+def test_first_full_rank_spawns_a_child_per_trial_and_leaves_a_passed_sequence_past_all(
+    monkeypatch, ranks, bound, trials
+):
+    """Target 5 over ``TRIALS`` trials: each trial draws from the next child,
+    spawned as it starts, and a ``SeedSequence`` passed in is left past all
+    ``TRIALS`` children however early the loop stops, so the caller's next
+    spawn is the one it was before."""
+    monkeypatch.setattr(plucker, "TRIALS", trials)
     seed = np.random.SeedSequence(7)
     seed.spawn(2)
     keys, spawned = [], []
@@ -750,15 +754,16 @@ def test_first_full_rank_spawns_a_child_per_trial_and_leaves_a_passed_sequence_p
         spawned.append(seed.n_children_spawned)
         return ranks[len(keys) - 1]
 
-    assert first_full_rank(rank_at, 5, 3, seed, bound=lambda: bound) == (max(ranks), run)
-    assert keys == [(2,), (3,), (4,)][:run]
-    assert spawned == [3, 4, 5][:run]
-    assert seed.n_children_spawned == 5
+    assert first_full_rank(rank_at, 5, seed, bound=lambda: bound) == (max(ranks), len(ranks))
+    assert keys == [(2 + t,) for t in range(len(ranks))]
+    assert spawned == [3 + t for t in range(len(ranks))]
+    assert seed.n_children_spawned == 2 + trials
 
 
-def test_first_full_rank_draws_the_children_of_an_int_seed_in_order():
+def test_first_full_rank_draws_the_children_of_an_int_seed_in_order(monkeypatch):
     """An int seed's trials draw from spawn keys (0,), (1,), ..., the children
-    ``SeedSequence(seed).spawn(trials)`` lists, in order."""
+    ``SeedSequence(seed).spawn(TRIALS)`` lists, in order."""
+    monkeypatch.setattr(plucker, "TRIALS", 4)
     keys, drawn = [], []
 
     def rank_at(rng):
@@ -766,7 +771,7 @@ def test_first_full_rank_draws_the_children_of_an_int_seed_in_order():
         drawn.append(rng.integers(0, 2**32))
         return 0
 
-    assert first_full_rank(rank_at, 1, 4, 11, bound=lambda: 1) == (0, 4)
+    assert first_full_rank(rank_at, 1, 11, bound=lambda: 1) == (0, 4)
     assert keys == [(0,), (1,), (2,), (3,)]
     children = np.random.SeedSequence(11).spawn(4)
     assert drawn == [np.random.default_rng(child).integers(0, 2**32) for child in children]

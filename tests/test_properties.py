@@ -131,15 +131,15 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, as_sequence, degenera
 
     with mock.patch.object(numerics, "_tangent_ranks", ranks):
         section = grassmann_section_rank_test(pattern, r, seed=fresh())
-        pairs = [(section, reference_rank_report(pattern, r, 1, 5, fresh()))]
+        pairs = [(section, reference_rank_report(pattern, r, 1, fresh()))]
         if as_sequence:
             # one SeedSequence for both: the section test spawns past the
             # Jacobian test's five children
             shared, own = np.random.SeedSequence(seed), np.random.SeedSequence(seed)
             jacobian_rank_test(pattern, r, seed=shared)
-            reference_rank_report(pattern, r, 0, 5, own)
+            reference_rank_report(pattern, r, 0, own)
             section = grassmann_section_rank_test(pattern, r, seed=shared)
-            pairs.append((section, reference_rank_report(pattern, r, 1, 5, own)))
+            pairs.append((section, reference_rank_report(pattern, r, 1, own)))
     for section, reference in pairs:
         if degenerate:
             assert section.tested_rank <= reference.tested_rank
@@ -321,7 +321,7 @@ def test_jacobian_pass_implies_necessary_condition_in_one_node(mask, seed):
     set finds such a sub-pattern.
     """
     pattern, r = mask
-    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
+    jacobian = jacobian_rank_test(pattern, r, seed=seed)
     assume(jacobian.passed)
     verdict = check_necessary_condition(pattern, r)
     assert verdict.contains_relaxed is True
@@ -394,12 +394,12 @@ def test_jacobian_row_basis_is_a_necessary_witness(mask, seed):
     its own Jacobian has full rank too.
     """
     pattern, r = mask
-    jacobian = jacobian_rank_test(pattern, r, trials=2, seed=seed)
+    jacobian = jacobian_rank_test(pattern, r, seed=seed)
     verdict = check_necessary_condition(pattern, r, jacobian)
     if jacobian.passed:
         witness = pattern.restrict(jacobian.row_basis)
         assert_necessary_witness(pattern, r, witness)
-        assert jacobian_rank_test(witness, r, trials=2, seed=seed).passed
+        assert jacobian_rank_test(witness, r, seed=seed).passed
         if r >= 2:
             assert (verdict.contains_relaxed, verdict.witness, verdict.nodes) == (True, witness, 1)
     else:
@@ -488,7 +488,7 @@ def test_line_bound_caps_the_exact_bound_and_refutes_only_the_incompletable(mask
     assert bound == (pattern.size if first is None else bound_at(pattern, r, first))
     assert bound >= _counting_bound(pattern, r)[0]
     if bound < r * (pattern.m + pattern.n - r):
-        assert not jacobian_rank_test(pattern, r, trials=2).passed
+        assert not jacobian_rank_test(pattern, r).passed
         cert = _enumerate(pattern, r, "finite", 20_000).certificate
         assert cert is None or not verify_certificate(pattern, r, cert).ok
 
@@ -920,7 +920,7 @@ def test_hall_oracle_matches_the_scan_and_the_rank_test(phi):
     oracle = first_linkage_support(masks, phi.m, phi.r) is not None
     assert (_least_violator(masks, phi.r) is None) is oracle
     assert check_slmf_combinatorial(phi).is_slmf is oracle
-    assert check_slmf_randomized(phi, trials=3, seed=0).is_slmf is oracle
+    assert check_slmf_randomized(phi, seed=0).is_slmf is oracle
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

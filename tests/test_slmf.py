@@ -15,7 +15,7 @@ from completable import (
     slmf_from_grid,
     slmf_to_grid,
 )
-from completable import slmf
+from completable import plucker, slmf
 from completable.slmf import first_linkage_support
 from conftest import PHI_A, PHI_B, PHI_C, REPEATED_COLUMNS, reference_float_dual_basis_rank
 
@@ -67,6 +67,23 @@ def test_witness_scan_at_the_column_limit_stays_small():
             tracemalloc.stop()
         assert (verdict.is_slmf, verdict.witness) == (False, witness)
         assert peak < 4 << 20
+
+
+def test_witness_past_the_column_limit_only_at_nullity_one(monkeypatch):
+    """Past 22 columns no subfamily is scanned. A 59-edge chain at r = 1 and its
+    first edge again: the pass turns down one column, and the witness is its
+    fundamental circuit, the pair. With the second edge again too, it turns down
+    two, and the refutation has no witness."""
+
+    def scan(masks, r):
+        raise AssertionError("the subfamily scan ran")
+
+    monkeypatch.setattr(slmf, "_least_violator", scan)
+    chain = tuple((j, j + 1) for j in range(59))
+    one, two = Slmf(61, 1, chain + ((0, 1),)), Slmf(62, 1, chain + ((0, 1), (1, 2)))
+    assert (one._hall_pass.dependent, two._hall_pass.dependent) == ((59,), (59, 60))
+    assert check_slmf_combinatorial(one) == slmf.SlmfVerdict(False, (0, 59), "combinatorial")
+    assert check_slmf_combinatorial(two) == slmf.SlmfVerdict(False, None, "combinatorial")
 
 
 # the basis kept is columns 0, 1, 2, 3, 5 and column 4 is turned down; the members
@@ -124,7 +141,7 @@ def test_pickle_and_copy_carry_only_the_fields():
 def test_no_reader_changes_the_cached_pass(phi):
     """Both checks read one cached Hall pass; in either order, and twice over,
     they give what each gives on a fresh family."""
-    checks = (check_slmf_combinatorial, lambda family: check_slmf_randomized(family, trials=3, seed=4))
+    checks = (check_slmf_combinatorial, lambda family: check_slmf_randomized(family, seed=4))
     expected = [check(Slmf(phi.m, phi.r, phi.columns)) for check in checks]
     for order in ((0, 1), (1, 0)):
         twin = Slmf(phi.m, phi.r, phi.columns)
@@ -152,17 +169,18 @@ def test_column_order_invariance():
 
 def test_randomized_accepts_known_supports():
     for phi in (PHI_A, PHI_B):
-        verdict = check_slmf_randomized(phi, trials=5, seed=1)
+        verdict = check_slmf_randomized(phi, seed=1)
         assert verdict.is_slmf
         assert verdict.method == "randomized-rank"
         assert verdict.witness is None
 
 
-def test_randomized_rejects_repeated_columns_every_trial():
+def test_randomized_rejects_repeated_columns_every_trial(monkeypatch):
     # the evaluated dual basis is rank deficient at every subspace here, so a
     # single trial already refutes; several trials must still agree
     for trials in (1, 3, 10):
-        verdict = check_slmf_randomized(REPEATED_COLUMNS, trials=trials, seed=2)
+        monkeypatch.setattr(plucker, "TRIALS", trials)
+        verdict = check_slmf_randomized(REPEATED_COLUMNS, seed=2)
         assert not verdict.is_slmf
         assert verdict.witness is None
 
@@ -178,15 +196,16 @@ def test_randomized_test_evaluates_the_dual_basis_once(monkeypatch):
     monkeypatch.setattr(slmf, "_dual_basis_rank_mod_p", lambda phi, rng: calls.append(phi) or evaluate(phi, rng))
     for phi, expected in ((REPEATED_COLUMNS, False), (wide, False), (PHI_A, True)):
         for trials in (1, 3, 10):
+            monkeypatch.setattr(plucker, "TRIALS", trials)
             calls.clear()
-            assert check_slmf_randomized(phi, trials=trials, seed=2).is_slmf is expected
+            assert check_slmf_randomized(phi, seed=2).is_slmf is expected
             assert calls == [phi]
 
 
 def test_randomized_float_variant_matches():
     """The exact test agrees with B_phi evaluated in floating point."""
     for phi in (PHI_A, PHI_B, PHI_C, REPEATED_COLUMNS):
-        exact = check_slmf_randomized(phi, trials=3, seed=3)
+        exact = check_slmf_randomized(phi, seed=3)
         assert exact.is_slmf == (reference_float_dual_basis_rank(phi, seed=3) == len(phi.columns))
 
 
@@ -197,14 +216,9 @@ def test_exhaustive_sweep_rank_one_ambient_four():
     for idx, choice in enumerate(itertools.product(pairs, repeat=3)):
         phi = Slmf(m=4, r=1, columns=choice)
         exact = check_slmf_combinatorial(phi).is_slmf
-        sampled = check_slmf_randomized(phi, trials=3, seed=idx).is_slmf
+        sampled = check_slmf_randomized(phi, seed=idx).is_slmf
         disagreements += exact != sampled
     assert disagreements == 0
-
-
-def test_randomized_validates_trials():
-    with pytest.raises(ValueError):
-        check_slmf_randomized(PHI_A, trials=0)
 
 
 def test_slmf_validation():
