@@ -60,6 +60,9 @@ EXIT_DATA = 65
 EXIT_FAULT = 70
 
 SCHEMA_VERSION = 1
+# the most columns ``analyze`` reads and ``gen --n`` draws: a report holds memory and
+# prints lines per column, about 172 MB at 10^6 columns; rows are not limited
+MAX_COLUMNS = 1 << 20
 
 
 class _UsageError(Exception):
@@ -315,6 +318,8 @@ def _render_report(report: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     pattern = _load_pattern_file(args.pattern_file)
+    if pattern.n > MAX_COLUMNS:
+        raise _UsageError(f"{args.pattern_file}: {pattern.n} columns, more than the supported {MAX_COLUMNS}")
     if args.rank > min(pattern.m, pattern.n):
         raise _UsageError(
             f"--rank {args.rank} exceeds min(m, n) = {min(pattern.m, pattern.n)}"
@@ -381,6 +386,8 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.n > MAX_COLUMNS:
+        raise _UsageError(f"--n {args.n} columns, more than the supported {MAX_COLUMNS}")
     if args.per_column > args.m:
         raise _UsageError(f"--per-column {args.per_column} exceeds m={args.m}")
     if args.rank > min(args.m, args.n):

@@ -3,9 +3,12 @@
 Completion checks every projection of the basis for nondegeneracy, which a
 randomly drawn subspace passes with probability 1. The tangent rank tests
 are exact: they take the rank over GF(p), p = 2^31 - 1, of the factorization
-Jacobian at a random integer point, by block elimination, one column of the
-mask at a time. Full rank there is full rank over the rationals, hence
-generically, so one full-rank trial proves the bound. The (r+1)-core of the
+Jacobian at a random integer point, by block elimination in two levels:
+per column of the mask, then, past desk scale, per loose row of the
+section rows, so that ``rank_mod_p`` sees only what is left on a small set
+of hub rows (``_tangent_ranks``). Full rank there is full rank over the
+rationals, hence generically, so one full-rank trial proves the bound.
+The (r+1)-core of the
 mask bounds the rank at every point (``_jacobian_rank_bound``), computed
 only once a trial falls short; where that bound is below the target, a
 trial reaching it refutes exactly, and the test stops there. Otherwise a
@@ -51,10 +54,14 @@ from .plucker import (
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
 # int64 cells of the tangent rank system, its point and its column order. The
-# traced peak of a Jacobian test that passes in one trial is 2.4 times them on
+# traced peak of a Jacobian test that passes in one trial is 1.8 times them on
 # the largest benchmark mask (40 x 40, 12 rows per column, r = 5; 0.52 MB
-# counted) and at 64 x 64 with the same k and r (1.26 MB counted).
+# counted), at 64 x 64 with the same k and r (1.26 MB counted) and at 128 x 128
+# (4.8 MB); eliminated in one level it was 2.4 times them.
 MAX_TANGENT_BYTES = 1 << 26
+# the columns of S (m r) from which ``_tangent_ranks`` eliminates in two levels:
+# below them the batch costs more to set up than ``rank_mod_p`` spends on S
+TWO_LEVEL_COLUMNS = 64
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -157,10 +164,12 @@ class RankReport:
     are never indeterminate; ``indeterminate`` stays 0 for its readers.
     ``row_basis`` is set on a pass of ``jacobian_rank_test`` only: the
     r(m+n-r) observed entries (i, j) whose rows of the Jacobian are a row
-    basis at the passing point (``_tangent_ranks``). It takes no part in
-    comparisons. A ``grassmann_section_rank_test`` report is the Jacobian
-    report at the same (r, seed) with r n taken off both ranks: its trials
-    are the Jacobian test's.
+    basis at the passing point, assembled from the pivots of both levels of
+    ``_tangent_ranks``. It is one row basis, not a canonical one: which
+    depends on the elimination order. It takes no part in comparisons. A
+    ``grassmann_section_rank_test`` report is the Jacobian report at the
+    same (r, seed) with r n taken off both ranks: its trials are the
+    Jacobian test's.
     """
 
     tested_rank: int
@@ -271,7 +280,8 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankRepor
     """Rank of the differential of the observed bilinear factorization map.
 
     The rank over GF(p) of the Jacobian of (A, C) -> observed entries of
-    A @ C at random integer points (``_tangent_ranks``), through
+    A @ C at random integer points, eliminated per column and, past desk
+    scale, per loose row of the section rows (``_tangent_ranks``), through
     ``first_full_rank``: it stops at the target r(m+n-r) or at the
     (r+1)-core bound below it (``_jacobian_rank_bound``), and a pass carries
     the row basis of its passing trial. A rank of r(m+n-r) proves that the
@@ -432,80 +442,201 @@ def _tangent_ranks(
     """Ranks over GF(p) of the Jacobian J and of its section rows S at one random point,
     and at full rank r(m+n-r) the observed entries whose rows of J are a row basis.
 
-    A (m x r) and C (r x n) are drawn uniformly from range(p). The rows of J
-    for column j hold A[omega_j] in the coordinates of c_j, which no other
-    column's rows touch, so eliminating that block leaves r pivot rows and
-    the section rows N_j (x) c_j: entry (s, i r + b) is N_j[s, i] C[b, j],
-    with N_j the left null vectors of A[omega_j]. Hence rank J = sum_j
-    rank A[omega_j] + rank S. Columns of equal support size share one
-    batched elimination, and their rows of S are written in place into one
-    array allocated for every column's rows, size after size. Every row of S annihilates D = A G (N_j A[omega_j]
-    = 0). So for any r rows P with A[P] invertible, the r^2 columns of D's
-    rows P are combinations of the other columns of S, and leaving them out
-    of its elimination keeps its column space, hence its rank and its row
-    rank profile. P is taken from a block already eliminated: the pivot
-    rows of the first full-rank column with r rows or more. A column
-    where A[omega_j] drops rank is left out with all its rows, so both ranks
-    stay exact ranks of a row subset of J, never above the generic ones.
+    A (m x r) and C (r x n) are drawn uniformly from range(p). The first
+    level eliminates per column: the rows of J for column j hold A[omega_j]
+    in the coordinates of c_j, which no other column's rows touch, so
+    eliminating that block leaves r pivot rows and the section rows
+    N_j (x) c_j: entry (s, i r + b) is N_j[s, i] C[b, j], with N_j the left
+    null vectors of A[omega_j]. Hence rank J = sum_j rank A[omega_j] +
+    rank S. Columns of equal support size share one batched elimination,
+    and N_j[s] is supported on the column's pivot rows and on one own row,
+    ``order[r + s]``, with a nonzero coefficient there (``left_null_mod_p``).
+    From ``TWO_LEVEL_COLUMNS`` columns of S (m r) on, each support is first
+    sorted by row priority, rows observed by more columns first, ties by
+    index, so that the pivot rows fall in a small hub set; S is then laid
+    out around it (``_section_layout``) and its rank taken in a second
+    level (``_section_rank``). Below that, ``rank_mod_p`` eliminates S whole.
 
-    The row basis, an (r(m+n-r), 2) array of (i, j), is built only at full
-    rank (``_row_basis``); otherwise the third item is None.
+    Every row of S annihilates D = A G (N_j A[omega_j] = 0). So for any r
+    rows P with A[P] invertible, the r^2 columns of D's rows P are
+    combinations of the other columns of S, and leaving them out of its
+    elimination keeps its column space, hence its rank and which of its row
+    sets are independent. P is taken from a block already eliminated: the
+    pivot rows of the first full-rank column with r rows or more, all hub
+    rows. A column where A[omega_j] drops rank is left out with all its
+    rows, so both ranks stay exact ranks of a row subset of J, never above
+    the generic ones.
+
+    At full rank the third item is an (r(m+n-r), 2) array of entries (i, j):
+    each column's pivot rows, then for each row of a row basis of S the
+    entry it carries, its own row in its column. Those rows of J span each
+    column's r pivot rows and, with them, every row of the basis of S: as
+    many dimensions as they are, a row basis of J. Otherwise it is None.
     """
-    m = pattern.m
-    A = rng.integers(0, FIELD_PRIME, size=(m, r))
-    C = rng.integers(0, FIELD_PRIME, size=(r, pattern.n))
+    p = FIELD_PRIME
+    m, n = pattern.m, pattern.n
+    A = rng.integers(0, p, size=(m, r))
+    C = rng.integers(0, p, size=(r, n))
     supports = pattern.column_supports()
     sizes = np.array([len(omega) for omega in supports])
-    column_ranks = filled = 0
-    S = np.zeros((int(np.maximum(sizes - r, 0).sum()), m, r), dtype=np.int64)
-    eliminated = []  # (columns, supports, row orders) of each size's full-rank columns
-    gauge = None  # r rows P of A with A[P] invertible
+    flat = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64, count=int(sizes.sum()))
+    two_level = m * r >= TWO_LEVEL_COLUMNS
+    if two_level:  # each support by row priority
+        observed = np.bincount(flat, minlength=m)
+        flat = flat[np.argsort(np.repeat(np.arange(n) * (n + 1), sizes) - observed[flat], kind="stable")]
+    starts = np.cumsum(sizes) - sizes
+    column_ranks = 0
+    blocks = []  # (columns, supports, null vectors, row orders), each of full rank
     for k in sorted(set(sizes.tolist()) - {0}):
         cols = np.flatnonzero(sizes == k)
-        omega = np.array([supports[j] for j in cols])
+        omega = flat[starts[cols][:, None] + np.arange(k)]
         null, full, order = left_null_mod_p(A[omega])
         column_ranks += min(k, r) * int(full.sum())
-        null, cols, omega, order = null[full], cols[full], omega[full], order[full]
-        eliminated.append((cols, omega, order))
-        if gauge is None and k >= r and cols.size:
-            gauge = omega[0, order[0, :r]]
-        if k > r:  # this size's rows of S, written in place after the sizes before it
-            block = S[filled : filled + len(omega) * (k - r)].reshape(len(omega), k - r, m, r)
-            block[np.arange(len(omega))[:, None, None], np.arange(k - r)[:, None], omega[:, None]] = (
-                null[..., None] * C[:, cols].T[:, None, None] % FIELD_PRIME
-            )
-            filled += len(omega) * (k - r)
-    rows = S[:filled].reshape(filled, m * r)
+        blocks.append((cols[full], omega[full], null[full], order[full]))
+    ordered = [np.take_along_axis(omega, order, axis=1) for _, omega, _, order in blocks]  # pivot rows first
+    own = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows[:, r:].ravel() for rows in ordered])
+    if two_level:
+        h, slot, at, owners, depths = _section_layout(ordered, own, m, r)
+    else:
+        h, slot, at, owners, depths = m, np.arange(m), np.arange(own.size), 0, 0
+    hubbed = own.size - int(np.sum(owners))
+    S = np.zeros((hubbed + int(np.sum(depths)), h + two_level, r), dtype=np.int64)  # no loose slot in one level
+    done, gauge = 0, None
+    for (cols, omega, null, order), rows in zip(blocks, ordered):
+        b, k = omega.shape
+        if gauge is None and k >= r and b:
+            gauge = rows[0, :r]
+        if k > r:  # this size's rows of S, each at its place
+            t = at[done : done + b * (k - r)].reshape(b, k - r)
+            c = C[:, cols].T[:, None]
+            if two_level:  # the entries on the pivot rows, then on the own row, at their slots
+                null = np.take_along_axis(null, order[:, None], axis=2)
+                S[t[..., None], slot[rows[:, None, :r]]] = null[..., :r, None] * c[..., None, :] % p
+                S[t, slot[rows[:, r:]]] = np.diagonal(null[..., r:], axis1=1, axis2=2)[..., None] * c % p
+            else:
+                S[t[..., None], omega[:, None]] = null[..., None] * c[..., None, :] % p
+            done += b * (k - r)
     if gauge is not None:  # D[P]'s r^2 columns add no rank; zeroed, rank_mod_p leaves them out
-        rows[:, (r * gauge[:, None] + np.arange(r)).ravel()] = 0
-    section, pivots = rank_mod_p(rows)
+        S[:, slot[gauge]] = 0
+    if two_level:
+        section, basis = _section_rank(S, hubbed, owners, depths)
+    else:
+        section, basis = rank_mod_p(S.reshape(len(S), m * r))
     jacobian = column_ranks + section
-    if jacobian < r * (m + pattern.n - r):
+    if jacobian < r * (m + n - r):
         return jacobian, section, None
-    return jacobian, section, _row_basis(eliminated, r, pivots)
+    # each column's rows in elimination order, as entries (i, j): its pivot rows, then the own rows of its rows of S
+    entries = [
+        np.stack([rows, np.broadcast_to(cols[:, None], rows.shape)], axis=2) for (cols, *_), rows in zip(blocks, ordered)
+    ]
+    carried = np.empty((len(S), 2), dtype=np.int64)  # the entry each row of S carries: its own row's
+    carried[at] = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + [e[:, r:].reshape(-1, 2) for e in entries])
+    return jacobian, section, np.concatenate([e[:, :r].reshape(-1, 2) for e in entries] + [carried[basis]])
 
 
-def _row_basis(
-    eliminated: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], r: int, pivots: np.ndarray
-) -> np.ndarray:
-    """The entries (i, j) of a row basis of J, from the eliminations of ``_tangent_ranks``.
+def _section_layout(
+    ordered: Sequence[np.ndarray], own: np.ndarray, m: int, r: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each row of S goes, for the two levels of ``_section_rank``.
 
-    Per column j of full rank: the rows of ``order[:r]``, which pivot
-    A[omega_j]. Per pivot row of S: its column's row ``order[r + s]``, the
-    one non-pivot row its null vector N_j[s] carries (``left_null_mod_p``).
-    Those rows of J span each column's pivot rows and, as N_j[s] is
-    supported on the pivots and that row, every pivot row of S, which is a
-    row basis of S (``rank_mod_p``): so they span r per column plus rank S
-    dimensions, as many as they are, and are a row basis of J.
+    ``ordered`` holds each size's supports in elimination order, pivot rows
+    first, and ``own`` the own row of each row of S, as the sizes stack
+    them. A row's owners are the rows of S it is the own row of. The hub
+    rows are the pivot rows and the rows of more than min(m r, 2^14)
+    owners; the other rows with owners are loose. A row of S is nonzero on
+    hub rows and on its own row only, so on a loose row's coordinates only
+    its owners are. S is laid out as (rows, h + 1, r): the coordinates of
+    the h hub rows, then the own row's where that is loose. The rows
+    owning a hub row come first, in order. Then each loose row's owners,
+    in one block padded with zero rows to its depth: its owner count d
+    where d <= r, else the most owners of any loose row past r owners whose
+    owner count has the same next power of two, so below 2 d. The blocks go
+    by depth. The bound on d keeps a block's elimination within a small
+    multiple of the cells counted for its rows of S (d <= m r), and a sum
+    of its limb products below 2^62 (depth < 2^15).
+    Returns h, each row's slot (h for a loose row), the place of each row
+    of S, and the owner count and depth of each block, in order.
     """
-    pivot_entries, section_entries = [], [np.zeros((0, 2), dtype=np.int64)]
-    for cols, omega, order in eliminated:
-        rows = np.take_along_axis(omega, order, axis=1)  # each column's rows in elimination order
-        k = rows.shape[1]
-        pivot_entries.append(np.stack([rows[:, :r].ravel(), np.repeat(cols, min(k, r))], axis=1))
-        if k > r:  # S's rows, in the order its blocks were stacked
-            section_entries.append(np.stack([rows[:, r:].ravel(), np.repeat(cols, k - r)], axis=1))
-    return np.concatenate(pivot_entries + [np.concatenate(section_entries)[pivots]])
+    owners = np.bincount(own, minlength=m)
+    hub = owners > min(m * r, 1 << 14)
+    for rows in ordered:
+        hub[rows[:, :r]] = True
+    slot = np.cumsum(hub) - 1
+    h = int(slot[-1]) + 1
+    slot[~hub] = h
+    loose = np.flatnonzero(~hub & (owners > 0))
+    depth = owners[loose]
+    tall = depth > r
+    bucket = np.ceil(np.log2(depth[tall])).astype(np.int64)
+    top = np.zeros(64, dtype=np.int64)
+    np.maximum.at(top, bucket, depth[tall])
+    depth[tall] = top[bucket]
+    by_depth = np.argsort(depth, kind="stable")
+    loose, depth = loose[by_depth], depth[by_depth]
+    start = np.zeros(m, dtype=np.int64)
+    start[loose] = np.cumsum(depth) - depth
+    key = np.where(slot[own] < h, -1, own)
+    by_row = np.argsort(key, kind="stable")
+    key = key[by_row]
+    within = np.arange(own.size) - np.searchsorted(key, key)  # the place among its row's owners
+    at = np.empty(own.size, dtype=np.int64)
+    at[by_row] = np.where(key < 0, within, int(np.count_nonzero(key < 0)) + start[key] + within)
+    return h, slot, at, owners[loose], depth
+
+
+def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank over GF(p) of the section rows S laid out by ``_section_layout``, and the
+    places of a row basis of S in that layout.
+
+    Only a loose row's owners are nonzero on its r coordinates, so S is a
+    block arrow: rank S = sum_i rank X_i + rank H, X_i being loose row i's
+    owners on its coordinates and H what elimination leaves on the hub
+    coordinates. The blocks of one depth share one batched
+    ``left_null_mod_p`` of their X_i; padding rows are zero and last, so
+    they never pivot. An X_i of full rank min(d, r) counts that many pivot
+    rows. Each of its null vectors, supported on them and on one more
+    owner ``order[r + s]`` with a nonzero coefficient there, combines the
+    owners' hub entries into a row of H that carries that owner. An X_i
+    that drops rank goes into H whole, with its own coordinates. H also
+    holds the rows owning a hub row, and ``rank_mod_p`` eliminates it
+    alone. The basis is the pivots of the X_i and the rows the pivots of H
+    carry: with the pivots of their X_i these span every pivot row of H,
+    hence S, and they are as many as rank S.
+    """
+    p = FIELD_PRIME
+    _, width, r = S.shape
+    h = width - 1
+    rank, parts, carried, basis, dropped = 0, [], [], [], []
+    at = hubbed
+    for depth in sorted(set(depths.tolist())):
+        counts = owners[depths == depth]
+        block = S[at : at + counts.size * depth].reshape(counts.size, depth, width, r)
+        null, full, order = left_null_mod_p(block[:, :, h])
+        first = at + depth * np.arange(counts.size)[:, None]  # each block's first row of S
+        steps = min(depth, r)
+        rank += steps * int(full.sum())
+        basis.append((first + order[:, :steps])[full].ravel())
+        # the null vectors' combinations of the owners' hub entries, exact in int64: Y is split
+        # into 16-bit limbs, so a product is below 2^47 and a sum of depth < 2^15 below 2^62
+        real = full[:, None] & (np.arange(depth - steps) < counts[:, None] - steps)  # not a padding row's
+        Y = block[:, :, :h].reshape(counts.size, depth, h * r)
+        parts.append((((null @ (Y >> 16))[real] % p << 16) + (null @ (Y & 0xFFFF))[real]) % p)
+        carried.append((first + order[:, steps:])[real])
+        dropped += [first[i, 0] + np.arange(counts[i]) for i in np.flatnonzero(~full).tolist()]
+        at += counts.size * depth
+    hubs = S[:hubbed, :h].reshape(hubbed, h * r)
+    M = np.concatenate(parts + [hubs])
+    carried.append(np.arange(hubbed))
+    if dropped:  # each X_i that drops rank, on its own r coordinates too
+        rows = np.concatenate(dropped)
+        own = np.zeros((rows.size, r * len(dropped)), dtype=np.int64)
+        blocks = np.repeat(np.arange(len(dropped)), [len(block) for block in dropped])
+        own[np.arange(rows.size)[:, None], r * blocks[:, None] + np.arange(r)] = S[rows, h]
+        hub_part = S[rows, :h].reshape(rows.size, h * r)
+        M = np.block([[M, np.zeros((len(M), own.shape[1]), dtype=np.int64)], [hub_part, own]])
+        carried.append(rows)
+    section, pivots = rank_mod_p(M)
+    return rank + section, np.concatenate(basis + [np.concatenate(carried)[pivots]])
 
 
 # an export writes at least 4 bytes ("0.0,") per row and coordinate to the

@@ -344,20 +344,25 @@ def reference_tangent_ranks(pattern, r, rng):
     return jacobian, section, np.array(pivot_entries + [section_entries[i] for i in pivots.tolist()])
 
 
-def reference_section_rows(pattern, r, rng):
+def reference_section_rows(pattern, r, rng, by_priority=False):
     """The section rows S that ``_tangent_ranks`` eliminates, one column at a
     time: columns by support size, then index, each of full rank stacking
-    N_j (x) c_j, a column where A[omega_j] drops rank none. Then the r^2
-    columns of S at the gauge rows P are zeroed: the pivot rows of the
-    first column of full rank with r rows or more, in that order."""
+    N_j (x) c_j, a column where A[omega_j] drops rank none. With
+    ``by_priority``, each support is first sorted as the two-level
+    elimination sorts it: rows observed by more columns first, ties by
+    index. Then the r^2 columns of S at the gauge rows P are zeroed: the
+    pivot rows of the first column of full rank with r rows or more, in that
+    order."""
     p = FIELD_PRIME
     m, n = pattern.m, pattern.n
     A = rng.integers(0, p, size=(m, r))
     C = rng.integers(0, p, size=(r, n))
     supports = pattern.column_supports()
+    observed = np.bincount([i for omega in supports for i in omega], minlength=m)
     S, gauge = [np.zeros((0, m * r), dtype=np.int64)], None
     for j in sorted(range(n), key=lambda j: len(supports[j])):
-        omega = np.array(supports[j], dtype=np.intp)
+        rows = sorted(supports[j], key=lambda i: (-observed[i], i)) if by_priority else supports[j]
+        omega = np.array(rows, dtype=np.intp)
         if not omega.size:
             continue
         (null,), (full,), (order,) = reference_left_null_mod_p(A[None, omega])
@@ -373,6 +378,22 @@ def reference_section_rows(pattern, r, rng):
     if gauge is not None:
         S.reshape(-1, m, r)[:, gauge] = 0
     return S
+
+
+def reference_is_row_basis(pattern, r, A, C, entries):
+    """Whether ``entries`` are r(m+n-r) distinct observed entries whose rows of
+    the factorization Jacobian at (A, C) have full rank, by
+    ``reference_rank_mod_p``: row (i, j) holds C[:, j] at A's row i and A[i] at
+    C's column j, reduced mod p."""
+    m, n = pattern.m, pattern.n
+    entries = [tuple(e) for e in np.asarray(entries).tolist()]
+    if len(entries) != r * (m + n - r) or len(set(entries)) != len(entries) or not set(entries) <= pattern.entries:
+        return False
+    J = np.zeros((len(entries), r * (m + n)), dtype=np.int64)
+    for row, (i, j) in enumerate(entries):
+        J[row, i * r : (i + 1) * r] = C[:, j] % FIELD_PRIME
+        J[row, (m + j) * r : (m + j + 1) * r] = A[i] % FIELD_PRIME
+    return reference_rank_mod_p(J)[0] == len(entries)
 
 
 def reference_laplace_minors(mat):

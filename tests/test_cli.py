@@ -30,7 +30,7 @@ from completable import (
     random_pattern,
     slmf_to_grid,
 )
-from completable.cli import main
+from completable.cli import MAX_COLUMNS, main
 from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS, exact_size_trim, reference_export_csv
 
 
@@ -821,6 +821,21 @@ def test_gen_and_analyze_name_the_same_rank_bound(capsys, tmp_path, monkeypatch)
     gen = run_cli(capsys, "gen", "--m", "3", "--n", "3", "--rank", "4", "--per-column", "2")
     analyze = run_cli(capsys, "analyze", "mask.txt", "--rank", "4")
     assert gen == analyze == (64, "", "error: --rank 4 exceeds min(m, n) = 3\n")
+
+
+def test_analyze_and_gen_past_the_column_limit_exit_64_before_any_column_is_built(capsys, tmp_path, monkeypatch):
+    """A mask of MAX_COLUMNS + 1 columns, and a ``gen --n`` of as many, are one
+    usage error each, named before the pattern's column supports are built;
+    no pattern file is written. Rows have no such limit."""
+    monkeypatch.chdir(tmp_path)
+    n = MAX_COLUMNS + 1
+    (tmp_path / "wide.json").write_text(json.dumps({"m": 2, "n": n, "entries": [[1, 1], [2, 1]]}))
+    with mock.patch.object(ObservationPattern, "column_supports", side_effect=AssertionError("columns built")):
+        analyze = run_cli(capsys, "analyze", "wide.json", "--rank", "1")
+        gen = run_cli(capsys, "gen", "--m", "2", "--n", str(n), "--rank", "1", "--per-column", "1")
+    assert analyze == (64, "", f"error: wide.json: {n} columns, more than the supported {MAX_COLUMNS}\n")
+    assert gen == (64, "", f"error: --n {n} columns, more than the supported {MAX_COLUMNS}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["wide.json"]
 
 
 def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):

@@ -45,6 +45,8 @@ from conftest import (
     GRID_6X5,
     reference_degenerate_projections,
     reference_export_csv,
+    reference_is_row_basis,
+    reference_rank_mod_p,
     reference_section_rows,
     reference_tangent_ranks,
 )
@@ -500,45 +502,113 @@ def test_a_column_whose_rows_drop_rank_is_left_out():
     assert ranks == _tangent_ranks(without, 2, _Draws(A, C)) == (8, 4, None)
 
 
+def _spied(monkeypatch, name):
+    """The list each call of ``numerics.<name>`` appends its result to, from now on."""
+    calls, function = [], getattr(numerics, name)
+    monkeypatch.setattr(numerics, name, lambda *args: calls.append(function(*args)) or calls[-1])
+    return calls
+
+
 def test_the_gauge_rows_are_the_pivot_rows_of_an_eliminated_column(monkeypatch):
-    """8 x 8, 4 rows per column, r = 2, with rows 2 and 3 of A parallel: the first
-    column, on rows (2, 3, 4, 6), exchanges rows in its second step, so its
-    pivot rows, and the gauge, are rows 2 and 4, not its first two rows. The
-    columns of S left out are those of rows 2 and 4, and the ranks and the row
-    basis are those of the eliminations that keep every column."""
+    """8 x 8, 4 rows per column, r = 2, in two levels, with rows 3 and 4 of A
+    parallel: the first column, on rows (2, 3, 4, 6), is eliminated in row
+    priority order (3, 4, 6, 2) and exchanges rows in its second step, so its
+    pivot rows, and the gauge, are rows 3 and 6, not its first two. The hub
+    rows are 0 and 3-7, so the hub system has their 12 columns, and those
+    left out are rows 3 and 6's, at hub places 1 and 4. The ranks are those
+    of the eliminations that keep every column, and the row basis is one."""
+    monkeypatch.setattr(numerics, "TWO_LEVEL_COLUMNS", 1)
     pattern = random_pattern(8, 8, 4, seed=0)
     assert pattern.column_supports()[0] == (2, 3, 4, 6)
     rng = np.random.default_rng(0)
     A, C = rng.integers(1, 1000, size=(8, 2)), rng.integers(1, 1000, size=(2, 8))
-    A[3] = 2 * A[2]
+    A[4] = 2 * A[3]
     seen = []
     monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append(M.copy()) or rank_mod_p(M))
     jacobian, section, basis = _tangent_ranks(pattern, 2, _Draws(A.copy(), C.copy()))
     (rows,) = seen
-    assert np.flatnonzero(~rows.any(axis=0)).tolist() == [4, 5, 8, 9]  # D[2] and D[4]
-    expected = reference_tangent_ranks(pattern, 2, _Draws(A, C))
-    assert (jacobian, section) == expected[:2] == (28, 12)
-    assert basis.tolist() == expected[2].tolist()
+    assert rows.shape[1] == 12
+    assert np.flatnonzero(~rows.any(axis=0)).tolist() == [2, 3, 8, 9]  # D[3] and D[6]
+    assert (jacobian, section) == reference_tangent_ranks(pattern, 2, _Draws(A, C))[:2] == (28, 12)
+    assert basis[:2].tolist() == [[3, 0], [6, 0]]  # the first column's pivot rows
+    assert reference_is_row_basis(pattern, 2, A, C, basis)
 
 
 def test_section_rows_are_written_in_place_as_the_columns_stack_them(monkeypatch):
-    """Supports of 3, 4 and 5 rows at r = 2, with rows 0-2 of A equal: column 0
-    drops rank in the first size group, column 1 of the same size does not.
-    The S that reaches ``rank_mod_p`` is the reference's stack, row for row,
-    with no row for column 0, and the ranks are the reference's."""
-    supports = ((0, 1, 2), (2, 3, 4), (0, 3, 5, 6), (1, 2, 6, 7), (0, 2, 4, 5, 7), (3, 4, 5, 6, 7))
+    """Supports of 3, 4 and 5 rows at r = 2, in two levels, with rows 0-2 of A
+    equal: column 0 drops rank and adds no row. Rows 0, 1 and 4 are the hub;
+    the loose rows 2, 3, 5, 6 and 7 own 1, 1, 2, 3 and 4 rows of S, in blocks
+    of depth 1, 1, 2, 4 and 4. The S that reaches ``_section_rank`` is the
+    reference's stack, supports in priority order, with each row at its
+    place: its hub entries first, its loose own row's in the last slot, and
+    the one padding row zero. The ranks are the reference's."""
+    monkeypatch.setattr(numerics, "TWO_LEVEL_COLUMNS", 1)
+    supports = ((0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 4, 5, 7), (0, 3, 4, 5), (0, 1, 4, 5, 6), (1, 3, 4, 5, 6))
     pattern = ObservationPattern(8, 6, frozenset((i, j) for j, rows in enumerate(supports) for i in rows))
     rng = np.random.default_rng(3)
     A, C = rng.integers(1, 1000, size=(8, 2)), rng.integers(1, 1000, size=(2, 6))
     A[1:3] = A[0]
+    layouts = _spied(monkeypatch, "_section_layout")
     seen = []
-    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append(M.copy()) or rank_mod_p(M))
+    section_rank = numerics._section_rank
+    monkeypatch.setattr(numerics, "_section_rank", lambda S, *rest: seen.append(S.copy()) or section_rank(S, *rest))
     ranks = _tangent_ranks(pattern, 2, _Draws(A.copy(), C.copy()))
-    (rows,) = seen
-    expected = reference_section_rows(pattern, 2, _Draws(A.copy(), C.copy()))
-    assert rows.shape == expected.shape == (1 + 2 + 2 + 3 + 3, 16)
-    assert np.array_equal(rows, expected)
-    assert ranks == reference_tangent_ranks(pattern, 2, _Draws(A, C)) == (2 * 5 + 11, 11, None)
+    ((h, slot, at, owners, depths),), (S,) = layouts, seen
+    assert (h, slot.tolist()) == (3, [0, 1, 3, 3, 2, 3, 3, 3])
+    assert (owners.tolist(), depths.tolist()) == ([1, 1, 2, 3, 4], [1, 1, 2, 4, 4])
+    reference = reference_section_rows(pattern, 2, _Draws(A.copy(), C.copy()), by_priority=True).reshape(-1, 8, 2)
+    assert S.shape == (len(reference) + 1, h + 1, 2) == (15, 4, 2)
+    expected = np.zeros_like(S)
+    for t, row in enumerate(reference):
+        for i in np.flatnonzero(row.any(axis=1)).tolist():
+            expected[at[t], slot[i]] = row[i]
+    assert np.array_equal(S, expected)
+    assert ranks == reference_tangent_ranks(pattern, 2, _Draws(A, C)) == (2 * 5 + 10, 10, None)
+
+
+def test_rank_mod_p_sees_only_the_hub_system(monkeypatch):
+    """``random_pattern(40, 40, 12, seed=0)`` at r = 5: the 280 section rows
+    have m r = 200 columns, and 20 hub rows hold every column's pivot rows.
+    ``rank_mod_p`` gets what the second level leaves on their 100 columns,
+    at most half of S's, and the test passes as before."""
+    pattern = random_pattern(40, 40, 12, seed=0)
+    shapes = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: shapes.append(M.shape) or rank_mod_p(M))
+    assert jacobian_rank_test(pattern, 5) == RankReport(375, 375, 1)
+    ((rows, columns),) = shapes
+    assert columns <= 40 * 5 // 2 and rows < 280
+
+
+@pytest.mark.parametrize("few", [True, False], ids=["at most r owners", "more than r owners"])
+def test_a_loose_block_that_drops_rank_keeps_both_ranks_exact(monkeypatch, few):
+    """``random_pattern(40, 40, 12, seed=0)`` at r = 5, with the columns of C
+    that a loose row's owners carry made parallel: that row's block X_i drops
+    rank at the point, the batch reads it as not full, and the block goes
+    into the hub system whole. Every column still has full rank, so the
+    Jacobian rank is the rank of J's rows at the point, by direct
+    elimination, and both ranks are those of the one-column-at-a-time
+    reference: exact, never above. One loose row has at most r owners,
+    the others more."""
+    pattern = random_pattern(40, 40, 12, seed=0)
+    rng = np.random.default_rng(1)
+    A, C = rng.integers(0, plucker.FIELD_PRIME, size=(40, 5)), rng.integers(0, plucker.FIELD_PRIME, size=(5, 40))
+    layouts = _spied(monkeypatch, "_section_layout")
+    _tangent_ranks(pattern, 5, _Draws(A.copy(), C.copy()))
+    ((h, slot, *_),) = layouts
+    supports = pattern.column_supports()
+    loose = [i for i in np.flatnonzero(slot == h).tolist() if (sum(i in omega for omega in supports) <= 5) == few]
+    owners = [j for j, omega in enumerate(supports) if loose[0] in omega]
+    C[:, owners] = C[:, owners[:1]] * np.arange(1, len(owners) + 1) % plucker.FIELD_PRIME
+    fulls = []
+    left_null = numerics.left_null_mod_p
+    monkeypatch.setattr(numerics, "left_null_mod_p", lambda X: fulls.append(left_null(X)[1]) or left_null(X))
+    jacobian, section, _ = _tangent_ranks(pattern, 5, _Draws(A.copy(), C.copy()))
+    assert all(map(np.all, fulls[:1])) and not all(map(np.all, fulls[1:]))  # the columns, then the blocks
+    J = np.zeros((pattern.size, 5 * 80), dtype=np.int64)
+    for row, (i, j) in enumerate(pattern.sorted_entries()):
+        J[row, 5 * i : 5 * i + 5], J[row, 5 * (40 + j) : 5 * (40 + j) + 5] = C[:, j], A[i]
+    assert jacobian == reference_rank_mod_p(J)[0]
+    assert (jacobian, section) == reference_tangent_ranks(pattern, 5, _Draws(A, C))[:2]
 
 
 def test_tangent_tests_refuse_an_oversized_system_before_allocating():

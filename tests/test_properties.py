@@ -45,7 +45,7 @@ from completable.certificates import (
     _group_witness,
     _line_bound,
 )
-from completable.plucker import _lex_rank, index_subsets
+from completable.plucker import FIELD_PRIME, _lex_rank, index_subsets
 from completable.slmf import HallMatching, _dual_basis_rank_mod_p, _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
@@ -53,6 +53,7 @@ from conftest import (
     reference_enumerate,
     reference_export_csv,
     reference_float_tangent_ranks,
+    reference_is_row_basis,
     reference_least_violator,
     reference_rank_report,
     reference_relaxed_slmf,
@@ -200,16 +201,23 @@ def masks_up_to_10x10(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(masks_up_to_10x10())
 def test_the_gauge_columns_left_out_change_no_rank_nor_row_basis(mask):
-    """At a fixed point, the Jacobian rank, the section rank and the row basis are
-    those of the eliminations that keep every column of S, whichever invertible
-    rows of A the gauge is taken from."""
+    """At a fixed point, in one level and in two, the Jacobian rank and the
+    section rank are those of the eliminations that keep every column of S,
+    whichever invertible rows of A the gauge is taken from; at full rank
+    the row basis is r(m+n-r) distinct observed entries whose rows of J at
+    that point have full rank. It need not be S's lexicographically first:
+    the two levels pivot in another order."""
     pattern, r = mask
-    jacobian, section, basis = numerics._tangent_ranks(pattern, r, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    A, C = rng.integers(0, FIELD_PRIME, size=(pattern.m, r)), rng.integers(0, FIELD_PRIME, size=(r, pattern.n))
     expected = reference_tangent_ranks(pattern, r, np.random.default_rng(0))
-    assert (jacobian, section) == expected[:2]
-    assert (basis is None) == (expected[2] is None)
-    if basis is not None:
-        assert basis.tolist() == expected[2].tolist()
+    for two_level in (numerics.TWO_LEVEL_COLUMNS, 1):
+        with mock.patch.object(numerics, "TWO_LEVEL_COLUMNS", two_level):
+            jacobian, section, basis = numerics._tangent_ranks(pattern, r, np.random.default_rng(0))
+        assert (jacobian, section) == expected[:2]
+        assert (basis is None) == (expected[2] is None)
+        if basis is not None:
+            assert reference_is_row_basis(pattern, r, A, C, basis)
 
 
 def assert_necessary_witness(pattern, r, witness):
