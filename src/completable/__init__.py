@@ -1,11 +1,11 @@
 """Completability analysis of low-rank matrix observation patterns.
 
-The library decides, for a 0/1 observation mask and a target rank, what can
-be said about the number of rank-r matrices agreeing with the observed
-positions: exact partition-plus-linkage-support certificates for finite and
-unique completability, a counting-based necessary test, randomized tangent
-rank tests, exact completion once a column space is known, and the linear
-system of hyperplane sections in Plucker coordinates. The Plucker
+The library decides, for a 0/1 observation mask and a target rank, what can be
+said about the number of rank-r matrices agreeing with the observed positions:
+exact partition-plus-linkage-support certificates for finite and unique
+completability, a counting-based necessary test, exact GF(p) tangent rank
+tests at random points, exact completion once a column space is known, and the
+linear system of hyperplane sections in Plucker coordinates. The Plucker
 coordinates of a subspace basis are exposed as well (``plucker_of_basis``).
 """
 

@@ -3,22 +3,21 @@
 Completion checks every projection of the basis for nondegeneracy, which a
 randomly drawn subspace passes with probability 1. The tangent rank tests
 are exact: they take the rank over GF(p), p = 2^31 - 1, of the factorization
-Jacobian at a random integer point, by block elimination in two levels:
-per column of the mask, then, past desk scale, per loose row of the
-section rows, so that ``rank_mod_p`` sees only what is left on a small set
-of hub rows (``_tangent_ranks``). Full rank there is full rank over the
-rationals, hence generically, so one full-rank trial proves the bound.
-The (r+1)-core of the
+Jacobian at a random integer point, by block elimination in two levels: per
+column of the mask, then per loose row of the section rows (none below desk
+scale), so that ``rank_mod_p`` sees only what is left on the hub rows
+(``_tangent_ranks``). Full rank there is full rank over the rationals, hence
+generically, so one full-rank trial proves the bound. The (r+1)-core of the
 mask bounds the rank at every point (``_jacobian_rank_bound``), computed
-only once a trial falls short; where that bound is below the target, a
-trial reaching it refutes exactly, and the test stops there. Otherwise a
-deficient rank in t independent trials refutes with error at most
-(d/p)^t, d the target rank (Schwartz-Zippel), t = ``plucker.TRIALS``.
-The Jacobian test and the randomized SLMF test with its Hall-matroid bound
-run their trials through one loop (``plucker.first_full_rank``), which
-holds that one trial count. The section test runs no trial: the section
-rank is the Jacobian rank minus r n, so it reads the Jacobian report at its
-(r, seed), over the same range 1 <= r <= min(m, n).
+only once a trial falls short; where that bound is below the target, a trial
+reaching it refutes exactly, and the test stops there. Otherwise a deficient
+rank in t independent trials refutes with error at most (d/p)^t, d the
+target rank (Schwartz-Zippel), t = ``plucker.TRIALS``. The Jacobian test and
+the randomized SLMF test with its Hall-matroid bound run their trials
+through one loop (``plucker.first_full_rank``), which holds that one trial
+count. The section test runs no trial: the section rank is the Jacobian rank
+minus r n, so it reads the Jacobian report at its (r, seed), over the same
+range 1 <= r <= min(m, n).
 """
 
 from __future__ import annotations
@@ -54,13 +53,13 @@ from .plucker import (
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
 # int64 cells of the tangent rank system, its point and its column order. The
-# traced peak of a Jacobian test that passes in one trial is 1.8 times them on
-# the largest benchmark mask (40 x 40, 12 rows per column, r = 5; 0.52 MB
-# counted), at 64 x 64 with the same k and r (1.26 MB counted) and at 128 x 128
-# (4.8 MB); eliminated in one level it was 2.4 times them.
+# traced peak of a Jacobian test that passes in one trial is about 1.8 times
+# them at 64 x 64, 12 rows per column, r = 5 (1.26 MB counted), as at 40 x 40
+# and 128 x 128, and 2.5 to 2.7 times them at desk width with many columns
+# (4 x 40000 and 3 x 60000, 3 rows per column, r = 1; 6.7 and 9.1 MB counted).
 MAX_TANGENT_BYTES = 1 << 26
-# the columns of S (m r) from which ``_tangent_ranks`` eliminates in two levels:
-# below them the batch costs more to set up than ``rank_mod_p`` spends on S
+# the columns of S (m r) from which supports go by row priority and rows of few
+# owners are loose: below them every row is a hub, as a block costs more to set up
 TWO_LEVEL_COLUMNS = 64
 
 
@@ -421,9 +420,11 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
 def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:
     """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``.
 
-    Counted: the section rows, the per-column eliminations, the point (A, C),
-    and ``rank_mod_p``'s nonzero counts and column order over the m r columns.
-    Returns the bytes counted.
+    Counted: the section rows S at the full m r width, the width S takes
+    when every row is a hub (an over-count past ``TWO_LEVEL_COLUMNS``: 1.15
+    MB for 0.69 at 64 x 64, 12 rows per column, r = 5), the per-column
+    eliminations, the point (A, C), and ``rank_mod_p``'s nonzero counts and
+    column order over the m r columns. Returns the bytes counted.
     """
     m = pattern.m
     sizes = [len(omega) for omega in pattern.column_supports()]
@@ -451,11 +452,12 @@ def _tangent_ranks(
     rank S. Columns of equal support size share one batched elimination,
     and N_j[s] is supported on the column's pivot rows and on one own row,
     ``order[r + s]``, with a nonzero coefficient there (``left_null_mod_p``).
-    From ``TWO_LEVEL_COLUMNS`` columns of S (m r) on, each support is first
-    sorted by row priority, rows observed by more columns first, ties by
-    index, so that the pivot rows fall in a small hub set; S is then laid
-    out around it (``_section_layout``) and its rank taken in a second
-    level (``_section_rank``). Below that, ``rank_mod_p`` eliminates S whole.
+    S is laid out around hub rows (``_section_layout``), each row written
+    once at its place, and its rank taken in a second level
+    (``_section_rank``). From ``TWO_LEVEL_COLUMNS`` columns of S (m r) on,
+    each support is first sorted by row priority, rows observed by more
+    columns first, ties by index, so that the pivot rows fall in a small hub
+    set; below that supports keep index order and every row is a hub.
 
     Every row of S annihilates D = A G (N_j A[omega_j] = 0). So for any r
     rows P with A[P] invertible, the r^2 columns of D's rows P are
@@ -495,12 +497,9 @@ def _tangent_ranks(
         blocks.append((cols[full], omega[full], null[full], order[full]))
     ordered = [np.take_along_axis(omega, order, axis=1) for _, omega, _, order in blocks]  # pivot rows first
     own = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows[:, r:].ravel() for rows in ordered])
-    if two_level:
-        h, slot, at, owners, depths = _section_layout(ordered, own, m, r)
-    else:
-        h, slot, at, owners, depths = m, np.arange(m), np.arange(own.size), 0, 0
+    h, slot, at, owners, depths = _section_layout(ordered, own, m, r, two_level)
     hubbed = own.size - int(np.sum(owners))
-    S = np.zeros((hubbed + int(np.sum(depths)), h + two_level, r), dtype=np.int64)  # no loose slot in one level
+    S = np.zeros((hubbed + int(np.sum(depths)), h + bool(depths.size), r), dtype=np.int64)  # a loose slot if loose rows
     done, gauge = 0, None
     for (cols, omega, null, order), rows in zip(blocks, ordered):
         b, k = omega.shape
@@ -508,20 +507,14 @@ def _tangent_ranks(
             gauge = rows[0, :r]
         if k > r:  # this size's rows of S, each at its place
             t = at[done : done + b * (k - r)].reshape(b, k - r)
-            c = C[:, cols].T[:, None]
-            if two_level:  # the entries on the pivot rows, then on the own row, at their slots
-                null = np.take_along_axis(null, order[:, None], axis=2)
-                S[t[..., None], slot[rows[:, None, :r]]] = null[..., :r, None] * c[..., None, :] % p
-                S[t, slot[rows[:, r:]]] = np.diagonal(null[..., r:], axis1=1, axis2=2)[..., None] * c % p
-            else:
-                S[t[..., None], omega[:, None]] = null[..., None] * c[..., None, :] % p
+            c = C[:, cols].T[:, None, None]
+            # at their slots, the entries on the pivot rows, null[s, order[:r]], then on the own row's
+            S[t[..., None], slot[rows[:, None, :r]]] = np.take_along_axis(null, order[:, None, :r], axis=2)[..., None] * c % p
+            S[t, slot[rows[:, r:]]] = np.take_along_axis(null, order[:, r:, None], axis=2) * c[:, 0] % p
             done += b * (k - r)
     if gauge is not None:  # D[P]'s r^2 columns add no rank; zeroed, rank_mod_p leaves them out
         S[:, slot[gauge]] = 0
-    if two_level:
-        section, basis = _section_rank(S, hubbed, owners, depths)
-    else:
-        section, basis = rank_mod_p(S.reshape(len(S), m * r))
+    section, basis = _section_rank(S, hubbed, owners, depths)
     jacobian = column_ranks + section
     if jacobian < r * (m + n - r):
         return jacobian, section, None
@@ -535,36 +528,40 @@ def _tangent_ranks(
 
 
 def _section_layout(
-    ordered: Sequence[np.ndarray], own: np.ndarray, m: int, r: int
+    ordered: Sequence[np.ndarray], own: np.ndarray, m: int, r: int, two_level: bool
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where each row of S goes, for the two levels of ``_section_rank``.
 
     ``ordered`` holds each size's supports in elimination order, pivot rows
     first, and ``own`` the own row of each row of S, as the sizes stack
-    them. A row's owners are the rows of S it is the own row of. The hub
-    rows are the pivot rows and the rows of more than min(m r, 2^14)
-    owners; the other rows with owners are loose. A row of S is nonzero on
-    hub rows and on its own row only, so on a loose row's coordinates only
-    its owners are. S is laid out as (rows, h + 1, r): the coordinates of
-    the h hub rows, then the own row's where that is loose. The rows
-    owning a hub row come first, in order. Then each loose row's owners,
-    in one block padded with zero rows to its depth: its owner count d
-    where d <= r, else the most owners of any loose row past r owners whose
-    owner count has the same next power of two, so below 2 d. The blocks go
-    by depth. The bound on d keeps a block's elimination within a small
-    multiple of the cells counted for its rows of S (d <= m r), and a sum
-    of its limb products below 2^62 (depth < 2^15).
-    Returns h, each row's slot (h for a loose row), the place of each row
-    of S, and the owner count and depth of each block, in order.
+    them. A row's owners are the rows of S it is the own row of. Without
+    ``two_level`` every row is a hub; with it the hub rows are the pivot
+    rows and the rows of more than min(m r, 2^14) owners, and the other
+    rows with owners are loose. A row of S is nonzero on hub rows and on
+    its own row only, so on a loose row's coordinates only its owners are.
+    S is laid out as (rows, h + 1, r), or (rows, h, r) where no row is
+    loose: the coordinates of the h hub rows, then the own row's where that
+    is loose. The rows owning a hub row come first, in order (where no row
+    is loose, that is all). Then each loose row's owners, in one block
+    padded with zero rows to its depth: its owner count d where d <= r,
+    else the most owners of any loose row past r owners whose owner count
+    has the same next power of two, so below 2 d. The blocks go by depth.
+    The bound on d keeps a block's elimination within a small multiple of
+    the cells counted for its rows of S (d <= m r), and a sum of its limb
+    products below 2^62 (depth < 2^15). Returns h, each row's slot (h for
+    a loose row), the place of each row of S, and the owner count and
+    depth of each block, in order.
     """
     owners = np.bincount(own, minlength=m)
-    hub = owners > min(m * r, 1 << 14)
+    hub = owners > (min(m * r, 1 << 14) if two_level else -1)
     for rows in ordered:
         hub[rows[:, :r]] = True
     slot = np.cumsum(hub) - 1
     h = int(slot[-1]) + 1
     slot[~hub] = h
     loose = np.flatnonzero(~hub & (owners > 0))
+    if not loose.size:  # no block: S is the hub system, in stack order
+        return h, slot, np.arange(own.size), loose, loose
     depth = owners[loose]
     tall = depth > r
     bucket = np.ceil(np.log2(depth[tall])).astype(np.int64)
@@ -599,12 +596,14 @@ def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.nda
     owners' hub entries into a row of H that carries that owner. An X_i
     that drops rank goes into H whole, with its own coordinates. H also
     holds the rows owning a hub row, and ``rank_mod_p`` eliminates it
-    alone. The basis is the pivots of the X_i and the rows the pivots of H
-    carry: with the pivots of their X_i these span every pivot row of H,
-    hence S, and they are as many as rank S.
+    alone: with no block, S itself, as a view. The basis is the pivots of
+    the X_i and the rows the pivots of H carry: with the pivots of their X_i
+    these span every pivot row of H, hence S, and they are as many as rank S.
     """
     p = FIELD_PRIME
     _, width, r = S.shape
+    if not depths.size:  # S is the hub system, eliminated as it lies
+        return rank_mod_p(S.reshape(len(S), width * r))
     h = width - 1
     rank, parts, carried, basis, dropped = 0, [], [], [], []
     at = hubbed

@@ -3,6 +3,7 @@ import ctypes
 import errno
 import gc
 import gzip
+import hashlib
 import io
 import json
 import os
@@ -579,6 +580,57 @@ def test_rank_mod_p_sees_only_the_hub_system(monkeypatch):
     assert columns <= 40 * 5 // 2 and rows < 280
 
 
+def _desk_tangent_digest():
+    """sha256 over (Jacobian rank, section rank, row basis) of ``_tangent_ranks`` on
+    120 seeded masks up to 9 x 9 with m r < 64, half ``random_pattern`` draws and
+    half of mixed support sizes, each at a ``default_rng`` point and at a point
+    where rows 0 and 1 of A are parallel, so that a column on both exchanges rows."""
+    digest = hashlib.sha256()
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(2, 10, size=2))
+        r = int(rng.integers(1, min(m, n, 63 // m) + 1))
+        if seed % 2:
+            pattern = random_pattern(m, n, int(rng.integers(r, m + 1)), seed=seed)
+        else:
+            rows, cols = np.nonzero(rng.random((m, n)) < rng.uniform(0.3, 1.0))
+            pattern = ObservationPattern(m, n, frozenset(zip(rows.tolist(), cols.tolist())))
+        A, C = rng.integers(0, plucker.FIELD_PRIME, size=(m, r)), rng.integers(0, plucker.FIELD_PRIME, size=(r, n))
+        A[1] = 2 * A[0] % plucker.FIELD_PRIME
+        for point in (np.random.default_rng(seed), _Draws(A, C)):
+            jacobian, section, basis = _tangent_ranks(pattern, r, point)
+            digest.update(json.dumps([jacobian, section, None if basis is None else basis.tolist()]).encode())
+    return digest.hexdigest()
+
+
+def test_desk_tangent_ranks_and_row_bases_are_pinned():
+    """Below ``TWO_LEVEL_COLUMNS`` the section rows keep index order and every
+    row is a hub, so the ranks and the row bases are those the one-level
+    elimination gave, byte for byte: a route that pivots or orders the rows
+    of S otherwise changes the digest."""
+    assert _desk_tangent_digest() == "cad23dd549c160bb70ea1872e51988640304f55cb0a98500d36cc8e6c46b9eb3"
+
+
+def test_below_the_threshold_every_trial_takes_the_hub_route(monkeypatch):
+    """JOINED_6X6 at r = 2 (m r = 12) falls short in every trial. Each lays S out
+    with every row a hub, in stack order and with no loose block, calls
+    ``_section_rank`` once, and ``rank_mod_p`` eliminates S's own memory, not
+    a copy."""
+    pattern = parse_pattern(JOINED_6X6)
+    layouts = _spied(monkeypatch, "_section_layout")
+    seen = []
+    section_rank, rank = numerics._section_rank, numerics.rank_mod_p
+    monkeypatch.setattr(numerics, "_section_rank", lambda S, *rest: seen.append([S]) or section_rank(S, *rest))
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen[-1].append(M) or rank(M))
+    report = jacobian_rank_test(pattern, 2)
+    assert report.trials == len(layouts) == len(seen) == plucker.TRIALS
+    for (h, slot, at, owners, depths), (S, *eliminated) in zip(layouts, seen):
+        assert (h, slot.tolist(), at.tolist()) == (6, list(range(6)), list(range(len(S))))
+        assert owners.size == depths.size == 0 and S.shape[1:] == (6, 2)
+        (M,) = eliminated
+        assert np.shares_memory(M, S)
+
+
 @pytest.mark.parametrize("few", [True, False], ids=["at most r owners", "more than r owners"])
 def test_a_loose_block_that_drops_rank_keeps_both_ranks_exact(monkeypatch, few):
     """``random_pattern(40, 40, 12, seed=0)`` at r = 5, with the columns of C
@@ -642,12 +694,32 @@ def test_tangent_size_counts_the_arrays_that_grow_with_m():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("m, n", [(4, 40000), (3, 60000)])
+def test_desk_width_trial_peak_is_a_bounded_multiple_of_the_counted_bytes(m, n):
+    """m x n, 3 rows per column, r = 1: m r is below ``TWO_LEVEL_COLUMNS``, so
+    every row is a hub, and the one trial that passes peaks at 2.53 and 2.69
+    times the 6.7 and 9.1 MB ``_check_tangent_size`` counts, while S is
+    filled. It may not pass 2.8 times, which holds only while the fill takes
+    no reordered copy of the null vectors (2.82 and 3.01 times with one) and
+    no unfiltered copy of the last support size outlives its elimination."""
+    pattern = random_pattern(m, n, 3, seed=0)
+    counted = numerics._check_tangent_size(pattern, 1)
+    tracemalloc.start()
+    try:
+        report = jacobian_rank_test(pattern, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.passed, report.trials) == (True, 1)
+    assert peak <= 2.8 * counted
+
+
 def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
-    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 2.4
-    times the 1.26 MB ``_check_tangent_size`` counts, inside ``rank_mod_p``,
-    which eliminates a copy of the section rows S; the elimination's
+    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 1.8
+    times the 1.26 MB ``_check_tangent_size`` counts, which count S at its full
+    m r width, where its two-level layout takes 0.69 MB; the elimination's
     temporaries may not take it past 2.6 times, which holds only while S is
-    written in place, once (a second copy kept adds about 0.9 times)."""
+    written in place, once (a second copy kept adds about 0.5 times)."""
     pattern = random_pattern(64, 64, 12, seed=0)
     counted = numerics._check_tangent_size(pattern, 5)
     tracemalloc.start()

@@ -201,12 +201,13 @@ def masks_up_to_10x10(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(masks_up_to_10x10())
 def test_the_gauge_columns_left_out_change_no_rank_nor_row_basis(mask):
-    """At a fixed point, in one level and in two, the Jacobian rank and the
-    section rank are those of the eliminations that keep every column of S,
-    whichever invertible rows of A the gauge is taken from; at full rank
-    the row basis is r(m+n-r) distinct observed entries whose rows of J at
-    that point have full rank. It need not be S's lexicographically first:
-    the two levels pivot in another order."""
+    """At a fixed point, at the default ``TWO_LEVEL_COLUMNS`` (every row a hub
+    below m r = 64) and with the loose rows it makes when patched to 1, the
+    Jacobian rank and the section rank are those of the eliminations that
+    keep every column of S, whichever invertible rows of A the gauge is taken
+    from; at full rank the row basis is r(m+n-r) distinct observed entries
+    whose rows of J at that point have full rank. It need not be S's
+    lexicographically first: loose blocks pivot in another order."""
     pattern, r = mask
     rng = np.random.default_rng(0)
     A, C = rng.integers(0, FIELD_PRIME, size=(pattern.m, r)), rng.integers(0, FIELD_PRIME, size=(r, pattern.n))
