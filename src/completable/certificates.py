@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import RankReport, TangentSizeError, _row_column_forest, jacobian_rank_test
-from .patterns import ObservationPattern
+from .patterns import ObservationPattern, _checked_rank
 from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
 DEFAULT_BUDGET = 10**7
@@ -300,8 +300,7 @@ def _find_certificate(
     rows, and a row no column observes on all the others, with no scan of
     row sets. Neither is charged to the budget.
     """
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
+    r = _checked_rank(pattern, r)
     budget_nodes = index(budget_nodes)
     if budget_nodes < 0:
         raise ValueError(f"budget must be at least 0, got {budget_nodes}")
@@ -553,8 +552,7 @@ def check_relaxed_slmf(
     graph, decides it at any size. A report of another mask or rank raises
     ValueError at any size.
     """
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
+    r = _checked_rank(pattern, r)
     required = r * (pattern.m + pattern.n - r)
     actual = pattern.size
     _jacobian_proves(pattern, r, jacobian)  # refuses a report of another mask or rank
@@ -614,8 +612,7 @@ def check_necessary_condition(
 
     Otherwise the verdict is None, at 0 nodes above ``ROW_SET_LIMIT`` rows.
     """
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
+    r = _checked_rank(pattern, r)
     target = r * (pattern.m + pattern.n - r)
     if jacobian is None and r > 1 and pattern.size >= target:
         try:

@@ -403,7 +403,7 @@ def _cmd_gen(args) -> int:
             # system too large for the first is too large for all: the statistics
             # come before the pattern's file, and a refusal leaves no file
             try:
-                report = jacobian_rank_test(pattern, args.rank, seed=child)
+                report = jacobian_rank_test(pattern, args.rank, seed=int(child.generate_state(1)[0]))
             except TangentSizeError as exc:
                 raise _UsageError(f"--emit-stats: {exc}") from exc
             rank_hits += report.passed

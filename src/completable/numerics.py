@@ -15,9 +15,9 @@ rank in t independent trials refutes with error at most (d/p)^t, d the
 target rank (Schwartz-Zippel), t = ``plucker.TRIALS``. The Jacobian test and
 the randomized SLMF test with its Hall-matroid bound run their trials
 through one loop (``plucker.first_full_rank``), which holds that one trial
-count. The section test runs no trial: the section rank is the Jacobian rank
-minus r n, so it reads the Jacobian report at its (r, seed), over the same
-range 1 <= r <= min(m, n).
+count, and takes an int seed: a report's last point is redrawn from (seed,
+trials). The section test runs no trial: the section rank is the Jacobian
+rank minus r n, so it reads the Jacobian report at its (r, seed).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Te
 
 import numpy as np
 
-from .patterns import ObservationPattern
+from .patterns import ObservationPattern, _checked_rank
 from .plucker import (
     FIELD_PRIME,
     NotABasisError,
@@ -275,7 +275,7 @@ def _index_pairs(pairs: Iterable[tuple[int, int]], count: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * count).reshape(count, 2).T
 
 
-def jacobian_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankReport:
+def jacobian_rank_test(pattern: ObservationPattern, r: int, seed: int = 0) -> RankReport:
     """Rank of the differential of the observed bilinear factorization map.
 
     The rank over GF(p) of the Jacobian of (A, C) -> observed entries of
@@ -287,18 +287,17 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankRepor
     observed projection has full-dimensional image, the tangent criterion
     for generic finite completability.
 
-    At an int seed the pattern object keeps the report, keyed by (r, seed),
-    in one slot that ``grassmann_section_rank_test`` takes on its next call
-    at that key. No other seed is kept: a ``SeedSequence`` is advanced by
-    each call, and None draws fresh entropy.
+    The seed is an int: the last point tried, on a pass the passing one, is
+    redrawn from (seed, ``trials``) as ``first_full_rank`` draws it. Every
+    call runs its trials and leaves its report on the pattern object, keyed
+    by (r, seed), in one slot that ``grassmann_section_rank_test`` takes on
+    its next call at that key.
 
     Raises:
-        TypeError: r is not an integer (``operator.index``).
+        TypeError: r or the seed is not an integer (``operator.index``).
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
-    r = operator.index(r)
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
+    r, seed = _checked_rank(pattern, r), operator.index(seed)
     _check_tangent_size(pattern, r)
     target = r * (pattern.m + pattern.n - r)
     basis = None
@@ -312,12 +311,11 @@ def jacobian_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankRepor
     # a pass ends the trials, so the last one run is the passing one
     row_basis = tuple(map(tuple, basis.tolist())) if rank == target else None
     report = RankReport(rank, target, trials=run, row_basis=row_basis)
-    if isinstance(seed, int):
-        pattern._shared["jacobian_report"] = ((r, seed), report)
+    pattern._shared["jacobian_report"] = ((r, seed), report)
     return report
 
 
-def grassmann_section_rank_test(pattern: ObservationPattern, r: int, seed=0) -> RankReport:
+def grassmann_section_rank_test(pattern: ObservationPattern, r: int, seed: int = 0) -> RankReport:
     """Tangent-space rank of the hyperplane-section system on the Grassmannian.
 
     At a subspace spanned by A with consistent data x_j = A c_j, column j
@@ -329,28 +327,24 @@ def grassmann_section_rank_test(pattern: ObservationPattern, r: int, seed=0) -> 
     rank S, so with r rows or more in every column the section rank is the
     Jacobian rank minus r n, and this test reads it off the Jacobian
     report at (r, seed): the one that test left on this pattern object,
-    which it takes at an int seed, or else a fresh one, which it leaves
-    nowhere. Full rank r(m-r) means the sections pin the subspace down to
-    isolated points. At a point where some A[omega_j] drops rank the rank
-    read is below that of S, so never a pass that S would lack.
+    which it takes, or else a fresh one, which it leaves nowhere. Full rank
+    r(m-r) means the sections pin the subspace down to isolated points. At
+    a point where some A[omega_j] drops rank the rank read is below that of
+    S, so never a pass that S would lack.
 
     Raises:
-        TypeError: r is not an integer (``operator.index``).
+        TypeError: r or the seed is not an integer (``operator.index``).
         SectionTestError: a column has fewer than r observed rows.
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
-    r = operator.index(r)
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range")
+    r, seed = _checked_rank(pattern, r), operator.index(seed)
     for j, omega in enumerate(pattern.column_supports()):
         if len(omega) < r:
             raise SectionTestError(
                 f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
             )
-    left = pattern._shared.pop("jacobian_report", None)
-    if type(seed) is int and left is not None and left[0] == (r, seed):
-        jacobian = left[1]
-    else:
+    key, jacobian = pattern._shared.pop("jacobian_report", (None, None))
+    if key != (r, seed):
         jacobian = jacobian_rank_test(pattern, r, seed)
         pattern._shared.pop("jacobian_report", None)
     rn = r * pattern.n

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -31,13 +32,14 @@ class ObservationPattern:
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
-        if self.m <= 0 or self.n <= 0:
-            raise ValueError(f"dimensions must be positive, got {self.m} x {self.n}")
-        entries = frozenset((int(i), int(j)) for i, j in self.entries)
+        m, n = index(self.m), index(self.n)
+        if m <= 0 or n <= 0:
+            raise ValueError(f"dimensions must be positive, got {m} x {n}")
+        entries = frozenset((index(i), index(j)) for i, j in self.entries)
         for i, j in entries:
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValueError(f"entry ({i}, {j}) outside a {self.m} x {self.n} grid")
-        object.__setattr__(self, "entries", entries)
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) outside a {m} x {n} grid")
+        self.__dict__.update(m=m, n=n, entries=entries)
 
     def __getstate__(self) -> dict:
         # pickle and copy take the fields, not the results cached beside them
@@ -183,6 +185,14 @@ def random_pattern(m: int, n: int, k: int, seed=0) -> ObservationPattern:
     return ObservationPattern(m, n, frozenset(entries))
 
 
+def _checked_rank(pattern: ObservationPattern, r) -> int:
+    """r read as every stage reads it: by ``operator.index``, in range 1 <= r <= min(m, n)."""
+    r = index(r)
+    if not 1 <= r <= min(pattern.m, pattern.n):
+        raise ValueError(f"rank r={r} out of range for a {pattern.m} x {pattern.n} pattern")
+    return r
+
+
 @dataclass(frozen=True)
 class MinimumSizeCheck:
     """Comparison of the observed count against the r(m+n-r) lower bound."""
@@ -198,8 +208,7 @@ def minimum_size_check(pattern: ObservationPattern, r: int) -> MinimumSizeCheck:
     Any pattern observing fewer positions admits infinitely many rank-r
     completions, so this is the cheapest necessary test.
     """
-    if not 1 <= r <= min(pattern.m, pattern.n):
-        raise ValueError(f"rank r={r} out of range for a {pattern.m} x {pattern.n} pattern")
+    r = _checked_rank(pattern, r)
     required = r * (pattern.m + pattern.n - r)
     actual = pattern.size
     return MinimumSizeCheck(required=required, actual=actual, passed=actual >= required)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -232,37 +233,31 @@ def rank_mod_p(M: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def first_full_rank(
-    rank_at: Callable[[np.random.Generator], int], target: int, seed, *, bound: Callable[[], int]
+    rank_at: Callable[[np.random.Generator], int], target: int, seed: int, *, bound: Callable[[], int]
 ) -> tuple[int, int]:
     """Best of ``rank_at`` over up to ``TRIALS`` random points, and the trials run.
 
-    Trial t draws from the t-th child ``SeedSequence.spawn`` splits from
-    ``seed``, spawned as the trial starts, so a test that stops early spawns
-    no child it does not use. A ``SeedSequence`` the caller passed in is
-    then advanced past all ``TRIALS`` children, as if each had been spawned,
-    so what the caller spawns from it next does not depend on where the test
-    stopped. ``target`` is the rank to prove; ``bound()`` returns an upper
-    bound on the rank at every point, and it is called at most once, after
-    the first trial that falls short of ``target``. The loop stops at the
-    first trial whose rank reaches ``target``, or ``bound()`` where that is
-    less. A rank at a point never passes the generic one, so reaching
-    ``target`` proves the generic rank equals it, and reaching a bound below
-    ``target`` proves it falls short, exactly. Falling short of both in
-    every trial leaves the generic rank below ``target`` up to the
+    ``seed`` is an int, read by ``operator.index``. Trial t draws from
+    ``SeedSequence(seed).spawn(t)[t - 1]``, spawned as the trial starts, so
+    the last point tried is redrawn from (seed, trials run). ``target`` is
+    the rank to prove; ``bound()`` returns an upper bound on the rank at
+    every point, and it is called at most once, after the first trial that
+    falls short of ``target``. The loop stops at the first trial whose rank
+    reaches ``target``, or ``bound()`` where that is less. A rank at a point
+    never passes the generic one, so reaching ``target`` proves the generic
+    rank equals it, and reaching a bound below ``target`` proves it falls
+    short, exactly: both rest on the last point alone. Falling short of
+    both in every trial leaves the generic rank below ``target`` up to the
     Schwartz-Zippel error. Only a trial at ``target`` is a pass.
     """
-    owned = not isinstance(seed, np.random.SeedSequence)
-    if owned:
-        seed = np.random.SeedSequence(seed)
+    sequence = np.random.SeedSequence(operator.index(seed))
     best, ceiling = 0, target
     for run in range(1, TRIALS + 1):
-        best = max(best, rank_at(np.random.default_rng(seed.spawn(1)[0])))
+        best = max(best, rank_at(np.random.default_rng(sequence.spawn(1)[0])))
         if run == 1 and best < target:
             ceiling = min(bound(), target)
         if best >= ceiling:
             break
-    if not owned:
-        seed.spawn(TRIALS - run)
     return best, run
 
 

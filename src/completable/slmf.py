@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
+from operator import index, or_
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,17 +50,18 @@ class Slmf:
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
-        if not 1 <= self.r < self.m:
-            raise ValueError(f"need 1 <= r < m, got r={self.r}, m={self.m}")
-        cols = tuple(tuple(sorted(int(i) for i in col)) for col in self.columns)
-        if len(cols) != self.m - self.r:
-            raise ValueError(f"expected {self.m - self.r} columns, got {len(cols)}")
+        m, r = index(self.m), index(self.r)
+        if not 1 <= r < m:
+            raise ValueError(f"need 1 <= r < m, got r={r}, m={m}")
+        cols = tuple(tuple(sorted(index(i) for i in col)) for col in self.columns)
+        if len(cols) != m - r:
+            raise ValueError(f"expected {m - r} columns, got {len(cols)}")
         for j, col in enumerate(cols):
-            if len(set(col)) != self.r + 1:
-                raise ValueError(f"column {j + 1} must have {self.r + 1} distinct rows, got {len(set(col))}")
-            if col[0] < 0 or col[-1] >= self.m:
-                raise ValueError(f"column {j + 1} has rows outside range({self.m})")
-        object.__setattr__(self, "columns", cols)
+            if len(set(col)) != r + 1:
+                raise ValueError(f"column {j + 1} must have {r + 1} distinct rows, got {len(set(col))}")
+            if col[0] < 0 or col[-1] >= m:
+                raise ValueError(f"column {j + 1} has rows outside range({m})")
+        self.__dict__.update(m=m, r=r, columns=cols)
 
     def __getstate__(self) -> dict:
         # pickle and copy take the fields, not the pass cached beside them
@@ -376,7 +377,7 @@ def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
     return rank_mod_p(dual)[0]
 
 
-def check_slmf_randomized(phi: Slmf, seed=0) -> SlmfVerdict:
+def check_slmf_randomized(phi: Slmf, seed: int = 0) -> SlmfVerdict:
     """Randomized rank test of the induced dual basis at random subspaces.
 
     Exact over GF(p): a single full-rank evaluation certifies the property.
@@ -391,7 +392,8 @@ def check_slmf_randomized(phi: Slmf, seed=0) -> SlmfVerdict:
     degenerate point. Only on a linkage support can every trial fall
     short, a wrong "no" with probability at most (d/p)^5, d = r(m-r) the
     degree of a full minor (Schwartz-Zippel), over the ``plucker.TRIALS`` = 5
-    trials of the loop the tangent rank tests share (``first_full_rank``).
+    trials of the loop the tangent rank tests share (``first_full_rank``),
+    which reads the seed as an int (``TypeError`` otherwise).
     """
     target = len(phi.columns)
     rank, _ = first_full_rank(

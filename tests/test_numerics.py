@@ -29,6 +29,7 @@ from completable import (
     Slmf,
     SubspaceBasis,
     TangentSizeError,
+    check_slmf_randomized,
     complete_matrix,
     export_plucker_system,
     grassmann_section_rank_test,
@@ -39,11 +40,12 @@ from completable import (
     plucker_of_basis,
     random_pattern,
 )
-from completable import numerics, plucker
+from completable import numerics, plucker, slmf
 from completable.numerics import ObservedMatrixFormatError, _tangent_ranks
 from completable.plucker import index_subsets, rank_mod_p
 from conftest import (
     GRID_6X5,
+    PHI_A,
     reference_degenerate_projections,
     reference_export_csv,
     reference_is_row_basis,
@@ -315,30 +317,97 @@ def test_a_section_call_reads_the_jacobian_report_just_left(monkeypatch, mask, r
     assert "jacobian_report" not in pattern._shared
 
 
-@pytest.mark.parametrize(
-    "r, seed",
-    [(2, 1), (1, 0), (2, "sequence"), (2, None), (2, "entropy")],
-    ids=["seed", "r", "SeedSequence", "None", "entropy array"],
-)
+@pytest.mark.parametrize("r, seed", [(2, 1), (1, 0)], ids=["seed", "r"])
 def test_a_section_call_at_another_key_computes_afresh(monkeypatch, r, seed):
-    """After the Jacobian test at r = 2 and seed 0, and then at the
-    section call's seed where that is not an int, which it never keeps, a
-    section call at another key runs its own trials, keeps no report, and
-    answers as on a fresh copy."""
-
-    def fresh_seed():
-        return {"sequence": np.random.SeedSequence(0), "entropy": np.array([0, 1])}.get(seed, seed)
-
-    expected = grassmann_section_rank_test(parse_pattern(JOINED_6X6), r, fresh_seed())
+    """After the Jacobian test at r = 2 and seed 0, a section call at another
+    key runs its own trials, keeps no report, and answers as on a fresh copy."""
+    expected = grassmann_section_rank_test(parse_pattern(JOINED_6X6), r, seed)
     joined = parse_pattern(JOINED_6X6)
     calls = _counted_trials(monkeypatch)
     jacobian_rank_test(joined, 2, 0)
-    if not isinstance(seed, int):
-        jacobian_rank_test(joined, 2, fresh_seed())
     before = len(calls)
-    report = grassmann_section_rank_test(joined, r, fresh_seed())
+    report = grassmann_section_rank_test(joined, r, seed)
     assert report == expected and len(calls) - before == report.trials
     assert joined._shared == {}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [np.random.SeedSequence(0), None, np.array([0, 1]), 0.0],
+    ids=["SeedSequence", "None", "entropy array", "0.0"],
+)
+def test_a_seed_that_is_not_an_int_is_refused_before_any_trial(monkeypatch, seed):
+    """The exact rank tests read the seed through ``operator.index``: a
+    ``SeedSequence``, None, an array or a float raises ``TypeError`` before
+    any trial, and the section test leaves the report at key (2, 0) in its
+    slot, which 0.0 would equal."""
+    joined = parse_pattern(JOINED_6X6)
+    jacobian_rank_test(joined, 2, 0)
+    left = joined._shared["jacobian_report"]
+    calls = _counted_trials(monkeypatch)
+    dual_ranks = []
+    monkeypatch.setattr(slmf, "_dual_basis_rank_mod_p", lambda phi, rng: dual_ranks.append(phi))
+    for test, args in (
+        (jacobian_rank_test, (joined, 2)),
+        (grassmann_section_rank_test, (joined, 2)),
+        (check_slmf_randomized, (PHI_A,)),
+    ):
+        with pytest.raises(TypeError):
+            test(*args, seed)
+    assert calls == dual_ranks == []
+    assert joined._shared == {"jacobian_report": left}
+
+
+def test_an_int64_seed_fills_the_slot_as_an_int_does(monkeypatch):
+    """``np.int64(3)`` is seed 3: the Jacobian test leaves its report at key
+    (2, 3), and the section call at ``np.int64(3)`` takes it with no trial."""
+    expected = jacobian_rank_test(parse_pattern(JOINED_6X6), 2, 3)
+    section = grassmann_section_rank_test(parse_pattern(JOINED_6X6), 2, 3)
+    joined = parse_pattern(JOINED_6X6)
+    report = jacobian_rank_test(joined, 2, np.int64(3))
+    (key, kept), = joined._shared.values()
+    assert report == kept == expected and key == (2, 3) and type(key[1]) is int
+    calls = _counted_trials(monkeypatch)
+    assert grassmann_section_rank_test(joined, 2, np.int64(3)) == section
+    assert calls == [] and joined._shared == {}
+
+
+def test_every_jacobian_call_runs_its_trials_and_never_reads_the_slot(monkeypatch):
+    """A spy on the pattern's shared results: repeated Jacobian calls on one
+    pattern object, as a benchmark repeats a job, each run their own trials
+    and only write the slot, also after a section call took the report."""
+
+    class Spy(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def pop(self, key, *default):
+            reads.append(key)
+            return super().pop(key, *default)
+
+        def __contains__(self, key):
+            reads.append(key)
+            return super().__contains__(key)
+
+    reads = []
+    joined = parse_pattern(JOINED_6X6)
+    joined.__dict__["_shared"] = Spy()
+    calls = _counted_trials(monkeypatch)
+    for seed in (0, 0, 1, 0):
+        before = len(calls)
+        report = jacobian_rank_test(joined, 2, seed)
+        assert len(calls) - before == report.trials == 5 and reads == []
+        assert dict(joined._shared) == {"jacobian_report": ((2, seed), report)}
+    grassmann_section_rank_test(joined, 2, 0)
+    assert reads == ["jacobian_report"] and len(joined._shared) == 0
+    before = len(calls)
+    assert jacobian_rank_test(joined, 2, 0).trials == len(calls) - before == 5
+    assert reads == ["jacobian_report"]
 
 
 @pytest.mark.parametrize("r", [2.0, Fraction(2)], ids=["2.0", "Fraction(2)"])

@@ -1,16 +1,28 @@
+import copy
+import dataclasses
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from completable import (
     ObservationPattern,
     PatternFormatError,
+    Slmf,
+    check_necessary_condition,
+    check_relaxed_slmf,
+    find_finite_certificate,
+    find_unique_certificate,
+    grassmann_section_rank_test,
+    jacobian_rank_test,
     minimum_size_check,
     parse_pattern,
     pattern_from_json,
     pattern_to_grid,
     random_pattern,
 )
+from conftest import GRID_6X5
 
 
 def test_parse_6x5_grid(pattern_6x5):
@@ -120,3 +132,73 @@ def test_minimum_size_fully_observed_rank_one():
 def test_minimum_size_rank_out_of_range(pattern_6x5):
     with pytest.raises(ValueError):
         minimum_size_check(pattern_6x5, 6)
+
+
+_PATTERN = ObservationPattern(6, 5, frozenset({(0, 0), (5, 4)}))
+_PHI = Slmf(5, 2, ((0, 1, 2), (0, 1, 3), (1, 2, 4)))
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(_PATTERN, "m"), (_PATTERN, "n"), (_PHI, "m"), (_PHI, "r")],
+    ids=["pattern m", "pattern n", "slmf m", "slmf r"],
+)
+def test_value_types_read_their_integer_fields_through_operator_index(monkeypatch, value, name):
+    """``ObservationPattern`` and ``Slmf`` read m, n and r once, through
+    ``operator.index``: a numpy integer is kept as an int, and a float raises
+    ``TypeError``, also where pickle or copy restores the fields (``_restore``)."""
+    kind, fields = type(value), value.__getstate__()
+    made = kind(**{**fields, name: np.int64(fields[name])})
+    assert made == value and type(getattr(made, name)) is int
+    with pytest.raises(TypeError):
+        kind(**{**fields, name: float(fields[name])})
+    monkeypatch.setattr(kind, "__getstate__", lambda self: {**fields, name: float(fields[name])})
+    for restore in (pickle.loads, copy.copy, copy.deepcopy):
+        with pytest.raises(TypeError):
+            restore(pickle.dumps(value) if restore is pickle.loads else value)
+
+
+def test_pattern_entries_and_slmf_rows_are_read_as_indices():
+    """A float row or column is refused, not truncated: (2.5, 0) is no (2, 0)."""
+    with pytest.raises(TypeError):
+        ObservationPattern(6, 5, {(2.5, 0)})
+    with pytest.raises(TypeError):
+        Slmf(5, 2, ((0, 1, 2.0), (0, 1, 3), (1, 2, 4)))
+    assert ObservationPattern(6, 5, {(np.int64(5), np.int32(4))}).entries == {(5, 4)}
+
+
+_ENTRY_POINTS = (
+    minimum_size_check,
+    check_relaxed_slmf,
+    check_necessary_condition,
+    find_finite_certificate,
+    find_unique_certificate,
+    jacobian_rank_test,
+    grassmann_section_rank_test,
+)
+
+
+def _numpy_scalars(value) -> list:
+    """The numpy scalars anywhere in a result: in its dataclass fields and containers."""
+    if isinstance(value, np.generic):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return [s for v in value for s in _numpy_scalars(v)]
+    return []
+
+
+@pytest.mark.parametrize("entry_point", _ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_every_entry_point_reads_r_alike(entry_point):
+    """r = np.int64(2) gives the result of r = 2, with Python-int fields, and
+    r = 2.0 raises ``TypeError`` before any work: the pattern object computes
+    nothing, not even its column supports."""
+    expected = entry_point(parse_pattern(GRID_6X5), 2)
+    got = entry_point(parse_pattern(GRID_6X5), np.int64(2))
+    assert got == expected and getattr(got, "row_basis", None) == getattr(expected, "row_basis", None)
+    assert _numpy_scalars(got) == []
+    pattern = parse_pattern(GRID_6X5)
+    with pytest.raises(TypeError):
+        entry_point(pattern, 2.0)
+    assert not {"_column_supports", "_shared"} & pattern.__dict__.keys()

@@ -737,27 +737,22 @@ def test_left_null_mod_p_matches_the_exchanging_kernel(b, k, r, seed, data):
     [([5], 5, 3), ([3], 3, 3), ([3, 3, 3], 4, 3), ([3, 3], 4, 2)],
     ids=["pass-at-trial-1", "refuted-at-the-bound", "short-in-every-trial", "short-in-every-trial-at-2"],
 )
-def test_first_full_rank_spawns_a_child_per_trial_and_leaves_a_passed_sequence_past_all(
-    monkeypatch, ranks, bound, trials
-):
-    """Target 5 over ``TRIALS`` trials: each trial draws from the next child,
-    spawned as it starts, and a ``SeedSequence`` passed in is left past all
-    ``TRIALS`` children however early the loop stops, so the caller's next
-    spawn is the one it was before."""
+def test_first_full_rank_draws_trial_t_from_child_t_of_an_int_seed(monkeypatch, ranks, bound, trials):
+    """Target 5 over ``TRIALS`` trials at seed 7: trial t draws from
+    ``SeedSequence(7).spawn(t)[t - 1]``, however early the loop stops, so the
+    last point tried is redrawn from the seed and the trials run."""
     monkeypatch.setattr(plucker, "TRIALS", trials)
-    seed = np.random.SeedSequence(7)
-    seed.spawn(2)
-    keys, spawned = [], []
+    keys, drawn = [], []
 
     def rank_at(rng):
         keys.append(rng.bit_generator.seed_seq.spawn_key)
-        spawned.append(seed.n_children_spawned)
+        drawn.append(rng.integers(0, 2**32))
         return ranks[len(keys) - 1]
 
-    assert first_full_rank(rank_at, 5, seed, bound=lambda: bound) == (max(ranks), len(ranks))
-    assert keys == [(2 + t,) for t in range(len(ranks))]
-    assert spawned == [3 + t for t in range(len(ranks))]
-    assert seed.n_children_spawned == 2 + trials
+    assert first_full_rank(rank_at, 5, 7, bound=lambda: bound) == (max(ranks), len(ranks))
+    assert keys == [(t,) for t in range(len(ranks))]
+    children = [np.random.SeedSequence(7).spawn(t)[t - 1] for t in range(1, len(ranks) + 1)]
+    assert drawn == [np.random.default_rng(child).integers(0, 2**32) for child in children]
 
 
 def test_first_full_rank_draws_the_children_of_an_int_seed_in_order(monkeypatch):

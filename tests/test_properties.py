@@ -102,10 +102,10 @@ _REFUTED_6X5 = (parse_pattern(GRID_6X5).restrict(parse_pattern(GRID_6X5).entries
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(masks_with_r_per_column(), st.integers(0, 2**16), st.booleans(), st.booleans())
-@example(mask=_REFUTED_6X5, seed=0, as_sequence=False, degenerate=False)
-@example(mask=_REFUTED_6X5, seed=0, as_sequence=True, degenerate=True)
-def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, as_sequence, degenerate):
+@given(masks_with_r_per_column(), st.integers(0, 2**16), st.booleans())
+@example(mask=_REFUTED_6X5, seed=0, degenerate=False)
+@example(mask=_REFUTED_6X5, seed=0, degenerate=True)
+def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, degenerate):
     """rank J(A, C) = rank S + r n where every column has r rows or more and
     every A[omega_j] has full rank: the coefficients c_j of a column are then
     fixed by the column space, so the factorization Jacobian splits into the
@@ -113,11 +113,10 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, as_sequence, degenera
 
     So the section report, read off the Jacobian report, equals
     ``reference_rank_report`` over the rank of S alone at the same points,
-    for int seeds and the ``SeedSequence`` seeds ``gen --emit-stats``
-    passes, one fresh or one shared with a Jacobian call before it. With
-    ``degenerate``, A[omega_1] drops rank in every trial (at r >= 2 and two
-    rows or more): the rank read is then never above the reference's, and
-    never a pass where the reference has none.
+    from a fresh Jacobian report or from the one a Jacobian call at the same
+    seed left before it. With ``degenerate``, A[omega_1] drops rank in every
+    trial (at r >= 2 and two rows or more): the rank read is then never
+    above the reference's, and never a pass where the reference has none.
     """
     pattern, r = mask
     pattern = ObservationPattern(pattern.m, pattern.n, pattern.entries)  # no report of another example
@@ -127,21 +126,12 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, as_sequence, degenera
         rows = pattern.column_support(0) if degenerate else ()
         return tangent_ranks(pattern, r, _ParallelRows(rng, rows))
 
-    def fresh():
-        return np.random.SeedSequence(seed) if as_sequence else seed
-
     with mock.patch.object(numerics, "_tangent_ranks", ranks):
-        section = grassmann_section_rank_test(pattern, r, seed=fresh())
-        pairs = [(section, reference_rank_report(pattern, r, 1, fresh()))]
-        if as_sequence:
-            # one SeedSequence for both: the section test spawns past the
-            # Jacobian test's five children
-            shared, own = np.random.SeedSequence(seed), np.random.SeedSequence(seed)
-            jacobian_rank_test(pattern, r, seed=shared)
-            reference_rank_report(pattern, r, 0, own)
-            section = grassmann_section_rank_test(pattern, r, seed=shared)
-            pairs.append((section, reference_rank_report(pattern, r, 1, own)))
-    for section, reference in pairs:
+        fresh = grassmann_section_rank_test(pattern, r, seed=seed)
+        jacobian_rank_test(pattern, r, seed=seed)
+        left = grassmann_section_rank_test(pattern, r, seed=seed)
+        reference = reference_rank_report(pattern, r, 1, seed)
+    for section in (fresh, left):
         if degenerate:
             assert section.tested_rank <= reference.tested_rank
             assert reference.passed or not section.passed
@@ -157,6 +147,38 @@ def masks_up_to_8x8(draw):
     r = draw(st.integers(1, min(m, n, 3)))
     cells = [(i, j) for i in range(m) for j in range(n)]
     return ObservationPattern(m, n, frozenset(draw(st.sets(st.sampled_from(cells))))), r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks_up_to_8x8(), st.integers(0, 2**16), st.integers(0, 4))
+def test_a_decided_jacobian_report_is_redrawn_from_its_seed_and_trials(mask, seed, short):
+    """A Jacobian report that passes or stops at the (r+1)-core bound names
+    its last point by (seed, trials): ``SeedSequence(seed).spawn(trials)[-1]``.
+    There ``_tangent_ranks`` gives the report's rank and, on a pass, its row
+    basis, and the section rank equals the reference's own elimination of S.
+    The first ``short`` trials read one rank short, as degenerate points
+    would, so that the last point is not always the first."""
+    pattern, r = mask
+    tangent_ranks = numerics._tangent_ranks
+
+    def ranks(pattern, r, rng):
+        jacobian, section, basis = tangent_ranks(pattern, r, rng)
+        if rng.bit_generator.seed_seq.spawn_key[0] < short:
+            return max(jacobian - 1, 0), section, None
+        return jacobian, section, basis
+
+    with mock.patch.object(numerics, "_tangent_ranks", ranks):
+        report = jacobian_rank_test(pattern, r, seed)
+    assume(report.passed or report.tested_rank == numerics._jacobian_rank_bound(pattern, r))
+
+    def point():
+        return np.random.default_rng(np.random.SeedSequence(seed).spawn(report.trials)[-1])
+
+    jacobian, section, basis = numerics._tangent_ranks(pattern, r, point())
+    assert jacobian == report.tested_rank
+    if report.passed:
+        assert tuple(map(tuple, basis.tolist())) == report.row_basis
+    assert section == reference_tangent_ranks(pattern, r, point())[1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
