@@ -396,24 +396,23 @@ def _cmd_gen(args) -> int:
     cert_hits = 0
     cert_known = 0
     rank_hits = 0
-    for idx, child in enumerate(children):
+    # the statistics of every pattern come before any pattern's file, so a
+    # tangent system too large for one of them leaves no file
+    for child in children if args.emit_stats else ():
         pattern = random_pattern(args.m, args.n, args.per_column, seed=child)
-        if args.emit_stats:
-            # every pattern has --per-column entries in each column, so a tangent
-            # system too large for the first is too large for all: the statistics
-            # come before the pattern's file, and a refusal leaves no file
-            try:
-                report = jacobian_rank_test(pattern, args.rank, seed=int(child.generate_state(1)[0]))
-            except TangentSizeError as exc:
-                raise _UsageError(f"--emit-stats: {exc}") from exc
-            rank_hits += report.passed
-            outcome = find_finite_certificate(pattern, args.rank, jacobian=report)
-            if outcome.status != "inconclusive":
-                cert_known += 1
-                cert_hits += outcome.status == "found"
+        try:
+            report = jacobian_rank_test(pattern, args.rank, seed=int(child.generate_state(1)[0]))
+        except TangentSizeError as exc:
+            raise _UsageError(f"--emit-stats: {exc}") from exc
+        rank_hits += report.passed
+        outcome = find_finite_certificate(pattern, args.rank, jacobian=report)
+        if outcome.status != "inconclusive":
+            cert_known += 1
+            cert_hits += outcome.status == "found"
+    for idx, child in enumerate(children):
         name = Path(f"pattern_{idx:03d}.txt")
         with _output(name) as fh:
-            fh.write(pattern_to_grid(pattern))
+            fh.write(pattern_to_grid(random_pattern(args.m, args.n, args.per_column, seed=child)))
         _print(f"wrote {name}")
     if args.emit_stats:
         frac_cert = cert_hits / cert_known if cert_known else float("nan")

@@ -6,7 +6,8 @@ are exact: they take the rank over GF(p), p = 2^31 - 1, of the factorization
 Jacobian at a random integer point, by block elimination in two levels: per
 column of the mask, then per loose row of the section rows (none below desk
 scale), so that ``rank_mod_p`` sees only what is left on the hub rows
-(``_tangent_ranks``). Full rank there is full rank over the rationals, hence
+(``_tangent_ranks``), at scale first a prefix from their dense end
+(``_section_rank``). Full rank there is full rank over the rationals, hence
 generically, so one full-rank trial proves the bound. The (r+1)-core of the
 mask bounds the rank at every point (``_jacobian_rank_bound``), computed
 only once a trial falls short; where that bound is below the target, a trial
@@ -52,11 +53,11 @@ from .plucker import (
 
 DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
-# int64 cells of the tangent rank system, its point and its column order. The
-# traced peak of a Jacobian test that passes in one trial is about 1.8 times
-# them at 64 x 64, 12 rows per column, r = 5 (1.26 MB counted), as at 40 x 40
-# and 128 x 128, and 2.5 to 2.7 times them at desk width with many columns
-# (4 x 40000 and 3 x 60000, 3 rows per column, r = 1; 6.7 and 9.1 MB counted).
+# int64 cells of the tangent rank system as allocated: the first level, the
+# point, the column order and S as laid out. A Jacobian test that passes in one
+# trial peaks at 2.1 to 2.4 times them from 40 x 40 to 128 x 128, r = 5 (0.80 MB
+# counted at 64 x 64, 12 rows per column), and 2.5 to 2.7 times them at desk
+# width (4 x 40000 and 3 x 60000, 3 rows per column, r = 1; 6.7 and 9.1 MB).
 MAX_TANGENT_BYTES = 1 << 26
 # the columns of S (m r) from which supports go by row priority and rows of few
 # owners are loose: below them every row is a hub, as a block costs more to set up
@@ -92,13 +93,15 @@ class ObservedMatrix:
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
-        values = {(int(i), int(j)): float(v) for (i, j), v in self.values.items()}
+        values = self.values  # read once: positions by operator.index, as the pattern reads them
+        if type(values) is not _Read:  # what this module builds is read already
+            values = {(operator.index(i), operator.index(j)): float(v) for (i, j), v in values.items()}
         if values.keys() != self.pattern.entries:
             raise ValueError("values must be defined exactly on the observed entries")
         if not all(map(math.isfinite, values.values())):
             (i, j), v = next(item for item in values.items() if not math.isfinite(item[1]))
             raise ValueError(f"entry ({i}, {j}): non-finite value {v!r}")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", dict(values))
 
     @classmethod
     def from_matrix(cls, X: np.ndarray, pattern: ObservationPattern) -> "ObservedMatrix":
@@ -106,7 +109,11 @@ class ObservedMatrix:
         if X.shape != (pattern.m, pattern.n):
             raise ValueError(f"matrix shape {X.shape} does not match the pattern")
         rows, cols = _index_pairs(pattern.entries, pattern.size)
-        return cls(pattern, dict(zip(pattern.entries, X[rows, cols].tolist())))
+        return cls(pattern, _Read(zip(pattern.entries, X[rows, cols].tolist())))
+
+
+class _Read(dict):
+    """Values built here with int positions and float values, which ``ObservedMatrix`` copies unread."""
 
 
 def observed_from_csv(text: str) -> ObservedMatrix:
@@ -139,7 +146,7 @@ def observed_from_csv(text: str) -> ObservedMatrix:
                     f"line {i + 1}, column {j + 1}: non-finite value {cell!r}"
                 )
             values[(i, j)] = value
-    return ObservedMatrix(ObservationPattern(len(cells), width, frozenset(values)), values)
+    return ObservedMatrix(ObservationPattern(len(cells), width, frozenset(values)), _Read(values))
 
 
 def observed_to_csv(obs: ObservedMatrix) -> str:
@@ -178,6 +185,7 @@ class RankReport:
     row_basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.__dict__.update({k: operator.index(v) for k, v in vars(self).items() if k != "row_basis"})
         if self.tested_rank > self.target:
             raise ValueError("measured rank exceeds the dimension bound")
 
@@ -411,18 +419,17 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     return min(rows.size - len(core_rows) + core_rank, r * (m + n - r))
 
 
-def _check_tangent_size(pattern: ObservationPattern, r: int) -> int:
+def _check_tangent_size(pattern: ObservationPattern, r: int, section: int = 0) -> int:
     """Refuse, before allocating, a mask whose elimination passes ``MAX_TANGENT_BYTES``.
 
-    Counted: the section rows S at the full m r width, the width S takes
-    when every row is a hub (an over-count past ``TWO_LEVEL_COLUMNS``: 1.15
-    MB for 0.69 at 64 x 64, 12 rows per column, r = 5), the per-column
-    eliminations, the point (A, C), and ``rank_mod_p``'s nonzero counts and
-    column order over the m r columns. Returns the bytes counted.
+    Counted: the per-column eliminations, the point (A, C), ``rank_mod_p``'s
+    nonzero counts and column order over at most m r columns, and the
+    ``section`` cells of S as ``_section_layout`` lays it out, which
+    ``_tangent_ranks`` checks before it allocates S; 0 up front, before any
+    trial. Returns the bytes counted.
     """
-    m = pattern.m
-    sizes = [len(omega) for omega in pattern.column_supports()]
-    cells = sum(max(k - r, 0) * m * r + k * (k + r) for k in sizes) + 3 * m * r + r * pattern.n
+    sizes = np.fromiter(map(len, pattern.column_supports()), dtype=np.int64, count=pattern.n)
+    cells = int(sizes @ (sizes + r)) + 3 * pattern.m * r + r * pattern.n + section
     if 8 * cells > MAX_TANGENT_BYTES:
         raise TangentSizeError(
             f"the tangent rank system needs {8 * cells} bytes, "
@@ -493,7 +500,9 @@ def _tangent_ranks(
     own = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows[:, r:].ravel() for rows in ordered])
     h, slot, at, owners, depths = _section_layout(ordered, own, m, r, two_level)
     hubbed = own.size - int(np.sum(owners))
-    S = np.zeros((hubbed + int(np.sum(depths)), h + bool(depths.size), r), dtype=np.int64)  # a loose slot if loose rows
+    shape = (hubbed + int(np.sum(depths)), h + bool(depths.size), r)  # a loose slot if loose rows
+    _check_tangent_size(pattern, r, math.prod(shape))
+    S = np.zeros(shape, dtype=np.int64)
     done, gauge = 0, None
     for (cols, omega, null, order), rows in zip(blocks, ordered):
         b, k = omega.shape
@@ -590,9 +599,12 @@ def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.nda
     owners' hub entries into a row of H that carries that owner. An X_i
     that drops rank goes into H whole, with its own coordinates. H also
     holds the rows owning a hub row, and ``rank_mod_p`` eliminates it
-    alone: with no block, S itself, as a view. The basis is the pivots of
-    the X_i and the rows the pivots of H carry: with the pivots of their X_i
-    these span every pivot row of H, hence S, and they are as many as rank S.
+    alone: with no block, S itself, as a view; else first its last nz +
+    max(8, nz // 8) rows, last first, nz its nonzero columns: a prefix of
+    rank nz has rank H, which no row set passes, and only a prefix short of
+    it leaves every row to eliminate. The basis is the pivots of the X_i and
+    the rows the pivots of H carry: with the pivots of their X_i these span
+    every pivot row of H, hence S, and they are as many as rank S.
     """
     p = FIELD_PRIME
     _, width, r = S.shape
@@ -628,8 +640,12 @@ def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.nda
         hub_part = S[rows, :h].reshape(rows.size, h * r)
         M = np.block([[M, np.zeros((len(M), own.shape[1]), dtype=np.int64)], [hub_part, own]])
         carried.append(rows)
-    section, pivots = rank_mod_p(M)
-    return rank + section, np.concatenate(basis + [np.concatenate(carried)[pivots]])
+    nonzero = int(np.count_nonzero(M.any(axis=0)))  # the most rank M can have
+    cut, M = nonzero + max(8, nonzero // 8), M[::-1]  # the dense end first
+    section, pivots = rank_mod_p(M[:cut])
+    if section < nonzero and cut < len(M):  # the prefix falls short: every row
+        section, pivots = rank_mod_p(M)
+    return rank + section, np.concatenate(basis + [np.concatenate(carried)[::-1][pivots]])
 
 
 # an export writes at least 4 bytes ("0.0,") per row and coordinate to the

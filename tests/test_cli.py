@@ -338,17 +338,33 @@ def test_gen_per_column_too_large_exit_64(capsys, tmp_path, monkeypatch):
 
 
 def test_gen_emit_stats_past_the_tangent_size_limit_exit_64_before_writing(capsys, tmp_path, monkeypatch):
-    """Every generated pattern has --per-column entries in each column, so the
-    tangent size check refuses all of them or none: a refusal is one usage
-    error, and no pattern file is written."""
+    """The tangent size check counts the section rows as the first pattern's
+    layout takes them, 80 of the 138 MB their full width would take, and
+    refuses it: a refusal is one usage error, and no pattern file is written."""
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
         capsys, "gen", "--m", "700", "--n", "700", "--rank", "5", "--per-column", "12", "--emit-stats"
     )
     assert (code, out) == (64, "")
     assert err == (
-        "error: --emit-stats: the tangent rank system needs 138454400 bytes, more than the supported 67108864\n"
+        "error: --emit-stats: the tangent rank system needs 80360400 bytes, more than the supported 67108864\n"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_emit_stats_refusing_a_later_pattern_writes_no_file(capsys, tmp_path, monkeypatch):
+    """The section rows' count depends on each pattern's hub rows: at seed 2 the
+    first three 24 x 24 draws count 52-54 kB and the fourth 65 kB. With a cap
+    between them, the fourth is refused after the first three passed, and
+    still no pattern file is written: every statistic comes first."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(completable.numerics, "MAX_TANGENT_BYTES", 60000)
+    code, out, err = run_cli(
+        capsys, "gen", "--m", "24", "--n", "24", "--rank", "3", "--per-column", "8", "--seed", "2", "--count", "4",
+        "--emit-stats",
+    )
+    assert (code, out) == (64, "")
+    assert err == "error: --emit-stats: the tangent rank system needs 65232 bytes, more than the supported 60000\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -596,16 +612,18 @@ def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
 
 
 def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, pattern_file, monkeypatch):
+    """The 6 x 5 fixture at r = 2 counts 1232 bytes up front, and 2000 with its
+    section rows, so a cap of 1500 refuses it in the trial, before S."""
     import completable.numerics
 
-    monkeypatch.setattr(completable.numerics, "MAX_TANGENT_BYTES", 1000)
+    monkeypatch.setattr(completable.numerics, "MAX_TANGENT_BYTES", 1500)
     code, out, err = run_cli(capsys, "analyze", pattern_file, "--rank", "2", "--json")
     assert (code, err) == (0, "")  # the finite certificate still decides
     report = json.loads(out)
     for key in ("jacobian_rank", "grassmann_section_rank"):
         assert report[key] == {
             "verdict": "inconclusive",
-            "error": "the tangent rank system needs 2000 bytes, more than the supported 1000",
+            "error": "the tangent rank system needs 2000 bytes, more than the supported 1500",
         }
     _, out, _ = run_cli(capsys, "analyze", pattern_file, "--rank", "2")
     assert "jacobian rank: inconclusive (the tangent rank system needs 2000 bytes" in out

@@ -649,6 +649,87 @@ def test_rank_mod_p_sees_only_the_hub_system(monkeypatch):
     assert columns <= 40 * 5 // 2 and rows < 280
 
 
+def _prefix_cut(M):
+    """The rows ``_section_rank`` first hands ``rank_mod_p``: nz + max(8, nz // 8),
+    nz the count of nonzero columns of the hub system M."""
+    nonzero = int(np.count_nonzero(M.any(axis=0)))
+    return nonzero, nonzero + max(8, nonzero // 8)
+
+
+def _thinned(m, k, keep, seed):
+    """``random_pattern(m, m, k, seed)`` with the first ``keep(j)`` rows of each column j."""
+    base = random_pattern(m, m, k, seed=seed)
+    return ObservationPattern(m, m, frozenset((i, j) for j in range(m) for i in base.column_support(j)[: keep(j)]))
+
+
+@pytest.mark.parametrize(
+    "pattern, r",
+    [
+        (random_pattern(40, 40, 12, seed=0), 5),
+        (random_pattern(30, 60, 9, seed=0), 4),
+        (random_pattern(24, 24, 8, seed=1), 3),
+        (random_pattern(50, 50, 10, seed=2), 4),
+        (_thinned(48, 12, lambda j: 5 + j % 8, 5), 4),
+        (_thinned(40, 12, lambda j: 6 + j % 3, 1), 5),
+    ],
+    ids=["40x40 k12 r5", "30x60 k9 r4", "24x24 k8 r3", "50x50 k10 r4", "48x48 fail r4", "40x40 fail r5"],
+)
+def test_the_hub_prefix_keeps_the_ranks_and_a_row_basis_exact(monkeypatch, pattern, r):
+    """Two-level masks at a seeded point: ``rank_mod_p`` sees the hub system's
+    rows last first, cut to the prefix, once. The prefix reaches the count of
+    nonzero columns, on the 48 x 48 failing mask too, or it holds every row
+    of a hub system shorter than the cut, as on the 40 x 40 one; both stop at
+    the (r+1)-core bound. Both ranks are those of the reference, which
+    eliminates every row of S, and a pass's row basis is a row basis of J
+    at the point."""
+    m, n = pattern.m, pattern.n
+    rng = np.random.default_rng(7)
+    A, C = rng.integers(0, plucker.FIELD_PRIME, size=(m, r)), rng.integers(0, plucker.FIELD_PRIME, size=(r, n))
+    seen = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append((M.copy(), rank_mod_p(M)[0])) or rank_mod_p(M))
+    jacobian, section, basis = _tangent_ranks(pattern, r, _Draws(A.copy(), C.copy()))
+    assert (jacobian, section) == reference_tangent_ranks(pattern, r, _Draws(A.copy(), C.copy()))[:2]
+    ((prefix, rank),) = seen
+    nonzero, cut = _prefix_cut(prefix)
+    assert len(prefix) <= cut and (rank == nonzero or len(prefix) < cut)
+    if jacobian == r * (m + n - r):
+        assert reference_is_row_basis(pattern, r, A, C, basis)
+    else:
+        assert jacobian == numerics._jacobian_rank_bound(pattern, r) and basis is None
+
+
+def test_a_prefix_that_falls_short_sends_every_row_to_rank_mod_p(monkeypatch):
+    """``random_pattern(40, 40, 12, seed=0)`` at r = 5, at a point where every
+    column of C is a multiple of the first: each loose block drops rank and
+    goes into the hub system whole, whose rank falls far below its nonzero
+    columns. The prefix falls short, ``rank_mod_p`` then eliminates every
+    row, last first, and both ranks are the reference's."""
+    pattern, p = random_pattern(40, 40, 12, seed=0), plucker.FIELD_PRIME
+    rng = np.random.default_rng(3)
+    A, C = rng.integers(0, p, size=(40, 5)), rng.integers(0, p, size=(5, 40))
+    C[:] = C[:, :1] * np.arange(1, 41) % p
+    seen = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append((M.copy(), rank_mod_p(M)[0])) or rank_mod_p(M))
+    jacobian, section, basis = _tangent_ranks(pattern, 5, _Draws(A.copy(), C.copy()))
+    assert (jacobian, section, basis) == (*reference_tangent_ranks(pattern, 5, _Draws(A.copy(), C.copy()))[:2], None)
+    (prefix, short), (whole, rank) = seen
+    nonzero, cut = _prefix_cut(whole)
+    assert short < nonzero and len(prefix) == cut < len(whole)
+    assert np.array_equal(prefix, whole[:cut]) and rank == reference_rank_mod_p(whole)[0] < nonzero
+
+
+def test_rank_mod_p_sees_the_prefix_of_the_hub_system_at_scale(monkeypatch):
+    """``random_pattern(200, 200, 20, seed=0)`` at r = 5 passes in one trial,
+    and ``rank_mod_p`` sees one matrix of at most nz + max(8, nz // 8) rows,
+    nz its nonzero columns: 382 of the hub system's 2,365 rows."""
+    seen = []
+    monkeypatch.setattr(numerics, "rank_mod_p", lambda M: seen.append(M.copy()) or rank_mod_p(M))
+    assert jacobian_rank_test(random_pattern(200, 200, 20, seed=0), 5) == RankReport(1975, 1975, 1)
+    (prefix,) = seen
+    nonzero, cut = _prefix_cut(prefix)
+    assert len(prefix) <= cut and cut < 1.15 * nonzero
+
+
 def _desk_tangent_digest():
     """sha256 over (Jacobian rank, section rank, row basis) of ``_tangent_ranks`` on
     120 seeded masks up to 9 x 9 with m r < 64, half ``random_pattern`` draws and
@@ -733,19 +814,21 @@ def test_a_loose_block_that_drops_rank_keeps_both_ranks_exact(monkeypatch, few):
 
 
 def test_tangent_tests_refuse_an_oversized_system_before_allocating():
-    """3000 x 3000, 8 rows per column, r = 3: the section rows alone would be
-    15,000 x 9,000 int64 cells, 1.08 GB."""
+    """3000 x 3000, 8 rows per column, r = 3: the first level passes the check
+    up front, and the section rows as laid out, 15,000 rows over the hub
+    rows' coordinates, are refused at 588 MB before S is allocated. Nothing
+    near that size is traced: the peak is the first level's."""
     pattern = random_pattern(3000, 3000, 8, seed=0)
     pattern.column_supports()
     tracemalloc.start()
     try:
         for test in (jacobian_rank_test, grassmann_section_rank_test):
-            with pytest.raises(TangentSizeError, match="1082400000 bytes"):
+            with pytest.raises(TangentSizeError, match="587941704 bytes"):
                 test(pattern, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 1 << 24
 
 
 def test_tangent_size_counts_the_arrays_that_grow_with_m():
@@ -763,41 +846,45 @@ def test_tangent_size_counts_the_arrays_that_grow_with_m():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("m, n", [(4, 40000), (3, 60000)])
-def test_desk_width_trial_peak_is_a_bounded_multiple_of_the_counted_bytes(m, n):
-    """m x n, 3 rows per column, r = 1: m r is below ``TWO_LEVEL_COLUMNS``, so
-    every row is a hub, and the one trial that passes peaks at 2.53 and 2.69
-    times the 6.7 and 9.1 MB ``_check_tangent_size`` counts, while S is
-    filled. It may not pass 2.8 times, which holds only while the fill takes
-    no reordered copy of the null vectors (2.82 and 3.01 times with one) and
-    no unfiltered copy of the last support size outlives its elimination."""
-    pattern = random_pattern(m, n, 3, seed=0)
-    counted = numerics._check_tangent_size(pattern, 1)
+def _traced_trial(monkeypatch, pattern, r):
+    """The report of ``jacobian_rank_test``, its traced peak, and the most bytes
+    ``_check_tangent_size`` counted: in its trial, with the section rows. The
+    pattern's column supports are built before the trace."""
+    pattern.column_supports()
+    counted = _spied(monkeypatch, "_check_tangent_size")
     tracemalloc.start()
     try:
-        report = jacobian_rank_test(pattern, 1)
+        report = jacobian_rank_test(pattern, r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak, max(counted)
+
+
+@pytest.mark.parametrize("m, n", [(4, 40000), (3, 60000)])
+def test_desk_width_trial_peak_is_a_bounded_multiple_of_the_counted_bytes(monkeypatch, m, n):
+    """m x n, 3 rows per column, r = 1: m r is below ``TWO_LEVEL_COLUMNS``, so
+    every row is a hub, and the one trial that passes peaks at 2.53 and 2.69
+    times the 6.7 and 9.1 MB ``_check_tangent_size`` counts with S, while S
+    is filled. It may not pass 2.8 times, which holds only while the fill
+    takes no reordered copy of the null vectors (2.82 and 3.01 times with
+    one) and no unfiltered copy of the last support size outlives its
+    elimination."""
+    report, peak, counted = _traced_trial(monkeypatch, random_pattern(m, n, 3, seed=0), 1)
     assert (report.passed, report.trials) == (True, 1)
     assert peak <= 2.8 * counted
 
 
-def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes():
-    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at 1.8
-    times the 1.26 MB ``_check_tangent_size`` counts, which count S at its full
-    m r width, where its two-level layout takes 0.69 MB; the elimination's
-    temporaries may not take it past 2.6 times, which holds only while S is
-    written in place, once (a second copy kept adds about 0.5 times)."""
-    pattern = random_pattern(64, 64, 12, seed=0)
-    counted = numerics._check_tangent_size(pattern, 5)
-    tracemalloc.start()
-    try:
-        report = jacobian_rank_test(pattern, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (report.passed, report.trials, counted) == (True, 1, 1261568)
+def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes(monkeypatch):
+    """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at
+    2.25 times the 0.80 MB ``_check_tangent_size`` counts with S as its
+    two-level layout takes it (0.69 MB; 1.15 at the full m r width). The
+    elimination's temporaries may not take it past 2.6 times, which holds
+    only while S is written in place, once (a second copy kept adds about
+    0.8 times) and ``rank_mod_p`` copies no more than the hub system's
+    prefix."""
+    report, peak, counted = _traced_trial(monkeypatch, random_pattern(64, 64, 12, seed=0), 5)
+    assert (report.passed, report.trials, counted) == (True, 1, 803488)
     assert peak <= 2.6 * counted
 
 
@@ -1281,3 +1368,32 @@ def test_observed_values_must_be_finite(pattern_6x5, value):
     X[i, j] = value
     with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): non-finite value {value!r}$"):
         ObservedMatrix.from_matrix(X, pattern_6x5)
+
+
+@pytest.mark.parametrize("position", [(0.7, 0), (0, 0.0)])
+def test_observed_values_read_positions_through_operator_index(position):
+    """A float position raises ``TypeError``, as it does in the pattern; it is
+    not truncated to (0, 0). An ``np.int64`` position is kept as an int."""
+    pattern = ObservationPattern(2, 2, {(0, 0)})
+    with pytest.raises(TypeError):
+        ObservedMatrix(pattern, {position: 1.0})
+    ((key, value),) = ObservedMatrix(pattern, {(np.int64(0), np.int64(0)): np.float64(1.0)}).values.items()
+    assert (key, value) == ((0, 0), 1.0) and list(map(type, key + (value,))) == [int, int, float]
+
+
+def test_observed_values_from_a_matrix_are_read_once():
+    """``from_matrix`` keys its values by the pattern's own position tuples, and
+    the observed matrix keeps them as built: no position is read a second
+    time into a new tuple."""
+    pattern = random_pattern(12, 10, 4, seed=0)
+    observed = ObservedMatrix.from_matrix(np.arange(120.0).reshape(12, 10), pattern)
+    assert sorted(map(id, observed.values)) == sorted(map(id, pattern.entries))
+
+
+def test_rank_report_reads_its_counts_through_operator_index():
+    """Float counts raise ``TypeError``; ``np.int64`` counts are stored as ints."""
+    with pytest.raises(TypeError):
+        RankReport(17.0, 20, 5.0)
+    report = RankReport(np.int64(17), np.int64(20), np.int64(5), np.int64(0))
+    assert report == RankReport(17, 20, 5)
+    assert [type(v) for v in (report.tested_rank, report.target, report.trials, report.indeterminate)] == [int] * 4
