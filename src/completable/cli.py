@@ -150,41 +150,121 @@ def _load_values_file(path: str) -> ObservedMatrix:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _rank_test(test, pattern: ObservationPattern, r: int, seed: int) -> tuple[dict, RankReport | None]:
-    """The exact rank test's payload and report; where it could not run, an
-    inconclusive payload with the reason, and None."""
-    try:
-        report = test(pattern, r, seed=seed)
-    except (SectionTestError, TangentSizeError) as exc:
-        return {"verdict": "inconclusive", "error": str(exc)}, None
-    return {
-        "verdict": "pass" if report.passed else "fail",
-        "tested_rank": report.tested_rank,
-        "target": report.target,
-        "trials": report.trials,
-        "pass_count": int(report.passed),
-    }, report
-
-
-# a decision of the counting test or the necessary condition; None is undecided
+# a stage's decision; None is undecided
 _VERDICT = {True: "pass", False: "fail", None: "inconclusive"}
 
 
-def build_analysis_report(
-    pattern: ObservationPattern, r: int, seed: int, budget: int
-) -> dict:
+class _Analysis:
+    """One analysis's inputs and stage payloads; the Jacobian test runs on first read."""
+
+    def __init__(self, pattern: ObservationPattern, r: int, seed: int, budget: int):
+        self.pattern, self.r, self.seed, self.budget = pattern, r, seed, budget
+
+    @functools.cached_property
+    def jacobian(self) -> tuple[dict, RankReport | None]:
+        return self.rank_test(jacobian_rank_test)
+
+    def rank_test(self, test) -> tuple[dict, RankReport | None]:
+        """The payload and report of ``test``; an inconclusive payload and None where it cannot run."""
+        try:
+            report = test(self.pattern, self.r, seed=self.seed)
+        except (SectionTestError, TangentSizeError) as exc:
+            return {"verdict": "inconclusive", "error": str(exc)}, None
+        return {
+            "verdict": "pass" if report.passed else "fail",
+            "tested_rank": report.tested_rank,
+            "target": report.target,
+            "trials": report.trials,
+            "pass_count": int(report.passed),
+        }, report
+
+    def search(self, find) -> dict:
+        """The payload of the certificate search ``find``."""
+        outcome = find(self.pattern, self.r, budget=self.budget, jacobian=self.jacobian[1])
+        status = {"found": "present", "none": "absent", "inconclusive": "inconclusive"}
+        payload = {"status": status[outcome.status]}
+        if outcome.reason is not None:
+            payload["reason"] = outcome.reason
+        payload["nodes"] = outcome.nodes
+        if outcome.certificate is not None:
+            payload["certificate"] = _certificate_dict(outcome.certificate)
+        return payload
+
+    def minimum_size(self) -> dict:
+        check = minimum_size_check(self.pattern, self.r)
+        return {"verdict": _VERDICT[check.passed], "required": check.required, "actual": check.actual}
+
+    def relaxed_slmf(self) -> dict:
+        relaxed = check_relaxed_slmf(self.pattern, self.r, self.jacobian[1])
+        return {
+            "verdict": _VERDICT[relaxed.ok],
+            "reason": relaxed.reason,
+            "violating_rows": [i + 1 for i in relaxed.violating_rows] if relaxed.violating_rows else None,
+            "required_size": relaxed.required_size,
+            "actual_size": relaxed.actual_size,
+        }
+
+    def necessary_condition(self) -> dict:
+        necessary = check_necessary_condition(self.pattern, self.r, self.jacobian[1])
+        witness = necessary.witness
+        return {
+            "verdict": _VERDICT[necessary.contains_relaxed],
+            "witness_entries": [[i + 1, j + 1] for i, j in witness.sorted_entries()] if witness else None,
+            "nodes": necessary.nodes,
+        }
+
+
+def _search_line(label: str, entry: dict) -> str:
+    line = f"{label}: {entry['status']}"
+    if "reason" in entry:
+        line += f" ({entry['reason']}: more than {MAX_SEARCH_SUBSETS} subsets)"
+    if entry.get("certificate"):
+        groups = " / ".join("{" + ",".join(map(str, g)) + "}" for g in entry["certificate"]["partition"])
+        line += f" (partition {groups})"
+    return line
+
+
+def _relaxed_line(entry: dict) -> str:
+    if not entry["reason"]:
+        return f"relaxed SLMF: {entry['verdict']}"
+    rows = entry["violating_rows"]
+    rows = f", rows {{{','.join(map(str, rows))}}}" if rows else ""
+    return f"relaxed SLMF: {entry['verdict']} ({entry['reason']}{rows})"
+
+
+def _rank_line(label: str, entry: dict) -> str:
+    if "error" in entry:
+        return f"{label}: {entry['verdict']} ({entry['error']})"
+    counts = f"{entry['tested_rank']}/{entry['target']}, {entry['pass_count']}/{entry['trials']} trials"
+    return f"{label}: {entry['verdict']} ({counts})"
+
+
+# The stages of ``analyze``: a report key, the function from an ``_Analysis`` to its
+# payload, and the payload's text line. Three conditions must hold:
+# - report order: the JSON keys and text lines follow the tuple, and both are pinned;
+# - the Jacobian test runs on the first read of ``_Analysis.jacobian``, the finite
+#   search's: its pass spares the later stages their row-set scans, yet its key is later;
+# - each stage function is named in a function body, looked up in this module at call
+#   time: perfbench's --trace spans wrap it on ``completable.cli``, which a function
+#   object captured at import would bypass.
+_STAGES = (
+    ("minimum_size", _Analysis.minimum_size,
+     lambda e: f"minimum size: {e['verdict']} ({e['actual']} observed, {e['required']} required)"),
+    ("finite_certificate", lambda a: a.search(find_finite_certificate),
+     lambda e: _search_line("finite certificate", e)),
+    ("unique_certificate", lambda a: a.search(find_unique_certificate),
+     lambda e: _search_line("unique certificate", e)),
+    ("relaxed_slmf", _Analysis.relaxed_slmf, _relaxed_line),
+    ("necessary_condition", _Analysis.necessary_condition,
+     lambda e: f"necessary condition: {e['verdict']}"),
+    ("jacobian_rank", lambda a: a.jacobian[0], lambda e: _rank_line("jacobian rank", e)),
+    ("grassmann_section_rank", lambda a: a.rank_test(grassmann_section_rank_test)[0],
+     lambda e: _rank_line("section jacobian rank", e)),
+)
+
+
+def build_analysis_report(pattern: ObservationPattern, r: int, seed: int, budget: int) -> dict:
     """Run every analysis on the pattern and assemble the JSON-ready report."""
-    supports = pattern.column_supports()
-    size_check = minimum_size_check(pattern, r)
-
-    # cheapest proof first: a Jacobian pass carries the necessary condition's
-    # witness and spares the searches and the counting test their row-set scan
-    jacobian, jacobian_report = _rank_test(jacobian_rank_test, pattern, r, seed)
-    finite = find_finite_certificate(pattern, r, budget=budget, jacobian=jacobian_report)
-    unique = find_unique_certificate(pattern, r, budget=budget, jacobian=jacobian_report)
-    relaxed = check_relaxed_slmf(pattern, r, jacobian_report)
-    necessary = check_necessary_condition(pattern, r, jacobian_report)
-
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "completable", "version": __version__},
@@ -194,65 +274,21 @@ def build_analysis_report(
             "m": pattern.m,
             "n": pattern.n,
             "observed": pattern.size,
-            "column_support_sizes": [len(w) for w in supports],
+            "column_support_sizes": [len(w) for w in pattern.column_supports()],
             "empty_columns": [j + 1 for j in pattern.empty_columns()],
         },
-        "minimum_size": {
-            "verdict": "pass" if size_check.passed else "fail",
-            "required": size_check.required,
-            "actual": size_check.actual,
-        },
-        "finite_certificate": _certificate_payload(finite),
-        "unique_certificate": _certificate_payload(unique),
-        "relaxed_slmf": {
-            "verdict": _VERDICT[relaxed.ok],
-            "reason": relaxed.reason,
-            "violating_rows": [i + 1 for i in relaxed.violating_rows]
-            if relaxed.violating_rows
-            else None,
-            "required_size": relaxed.required_size,
-            "actual_size": relaxed.actual_size,
-        },
-        "necessary_condition": {
-            "verdict": _VERDICT[necessary.contains_relaxed],
-            "witness_entries": [
-                [i + 1, j + 1] for i, j in necessary.witness.sorted_entries()
-            ]
-            if necessary.witness
-            else None,
-            "nodes": necessary.nodes,
-        },
-        "jacobian_rank": jacobian,
-        "grassmann_section_rank": _rank_test(grassmann_section_rank_test, pattern, r, seed)[0],
     }
+    analysis = _Analysis(pattern, r, seed, budget)
+    report.update({key: payload(analysis) for key, payload, _ in _STAGES})
     report["exit_code"] = _exit_code(report)
     return report
 
 
-def _certificate_payload(outcome) -> dict:
-    status = {"found": "present", "none": "absent", "inconclusive": "inconclusive"}[
-        outcome.status
-    ]
-    payload = {"status": status}
-    if outcome.reason is not None:
-        payload["reason"] = outcome.reason
-    payload["nodes"] = outcome.nodes
-    if outcome.certificate is not None:
-        payload["certificate"] = _certificate_dict(outcome.certificate)
-    return payload
-
-
 def _exit_code(report: dict) -> int:
-    if (
-        report["finite_certificate"]["status"] == "present"
-        or report["jacobian_rank"]["verdict"] == "pass"
-    ):
+    jacobian = report["jacobian_rank"]["verdict"]
+    if report["finite_certificate"]["status"] == "present" or jacobian == "pass":
         return EXIT_EVIDENCE
-    if (
-        report["minimum_size"]["verdict"] == "fail"
-        or report["necessary_condition"]["verdict"] == "fail"
-        or report["jacobian_rank"]["verdict"] == "fail"
-    ):
+    if "fail" in (report["minimum_size"]["verdict"], report["necessary_condition"]["verdict"], jacobian):
         return EXIT_AGAINST
     return EXIT_INCONCLUSIVE
 
@@ -265,48 +301,8 @@ def _render_report(report: dict) -> str:
     ]
     if p["empty_columns"]:
         lines.append(f"empty columns: {' '.join(str(j) for j in p['empty_columns'])}")
-    ms = report["minimum_size"]
     lines.append(f"rank: {report['rank']}")
-    lines.append(
-        f"minimum size: {ms['verdict']} ({ms['actual']} observed, {ms['required']} required)"
-    )
-    for key, label in (
-        ("finite_certificate", "finite certificate"),
-        ("unique_certificate", "unique certificate"),
-    ):
-        entry = report[key]
-        line = f"{label}: {entry['status']}"
-        if "reason" in entry:
-            line += f" ({entry['reason']}: more than {MAX_SEARCH_SUBSETS} subsets)"
-        if entry.get("certificate"):
-            groups = " / ".join(
-                "{" + ",".join(str(c) for c in grp) + "}"
-                for grp in entry["certificate"]["partition"]
-            )
-            line += f" (partition {groups})"
-        lines.append(line)
-    rel = report["relaxed_slmf"]
-    line = f"relaxed SLMF: {rel['verdict']}"
-    if rel["reason"]:
-        line += f" ({rel['reason']}"
-        if rel["violating_rows"]:
-            line += f", rows {{{','.join(str(i) for i in rel['violating_rows'])}}}"
-        line += ")"
-    lines.append(line)
-    nec = report["necessary_condition"]
-    lines.append(f"necessary condition: {nec['verdict']}")
-    for key, label in (
-        ("jacobian_rank", "jacobian rank"),
-        ("grassmann_section_rank", "section jacobian rank"),
-    ):
-        entry = report[key]
-        if "tested_rank" in entry:
-            lines.append(
-                f"{label}: {entry['verdict']} ({entry['tested_rank']}/{entry['target']}, "
-                f"{entry['pass_count']}/{entry['trials']} trials)"
-            )
-        else:
-            lines.append(f"{label}: {entry['verdict']} ({entry.get('error', '')})")
+    lines += [line(report[key]) for key, _, line in _STAGES]
     meaning = {
         EXIT_EVIDENCE: "finite-completability evidence found",
         EXIT_AGAINST: "evidence against",
@@ -392,13 +388,17 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"--per-column {args.per_column} exceeds m={args.m}")
     if args.rank > min(args.m, args.n):
         raise _UsageError(f"--rank {args.rank} exceeds min(m, n) = {min(args.m, args.n)}")
-    children = np.random.SeedSequence(args.seed).spawn(args.count)
+
+    def children():  # the children of spawn(count), made one at a time instead of held at once
+        sequence = np.random.SeedSequence(args.seed)
+        return (sequence.spawn(1)[0] for _ in range(args.count))
+
     cert_hits = 0
     cert_known = 0
     rank_hits = 0
     # the statistics of every pattern come before any pattern's file, so a
     # tangent system too large for one of them leaves no file
-    for child in children if args.emit_stats else ():
+    for child in children() if args.emit_stats else ():
         pattern = random_pattern(args.m, args.n, args.per_column, seed=child)
         try:
             report = jacobian_rank_test(pattern, args.rank, seed=int(child.generate_state(1)[0]))
@@ -406,10 +406,9 @@ def _cmd_gen(args) -> int:
             raise _UsageError(f"--emit-stats: {exc}") from exc
         rank_hits += report.passed
         outcome = find_finite_certificate(pattern, args.rank, jacobian=report)
-        if outcome.status != "inconclusive":
-            cert_known += 1
-            cert_hits += outcome.status == "found"
-    for idx, child in enumerate(children):
+        cert_known += outcome.status != "inconclusive"
+        cert_hits += outcome.status == "found"
+    for idx, child in enumerate(children()):
         name = Path(f"pattern_{idx:03d}.txt")
         with _output(name) as fh:
             fh.write(pattern_to_grid(random_pattern(args.m, args.n, args.per_column, seed=child)))

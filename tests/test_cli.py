@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import re
@@ -327,6 +328,9 @@ def test_gen_emit_stats(capsys, tmp_path, monkeypatch):
         "finite-certificate fraction: 0.750 (15/20 decided)",
         "full-jacobian-rank fraction: 0.750",
     ]
+    for idx, child in enumerate(np.random.SeedSequence(1).spawn(20)):  # draw idx seeds from child idx
+        expected = pattern_to_grid(random_pattern(6, 5, 4, seed=child))
+        assert (tmp_path / f"pattern_{idx:03d}.txt").read_text() == expected
 
 
 def test_gen_per_column_too_large_exit_64(capsys, tmp_path, monkeypatch):
@@ -480,6 +484,23 @@ def test_slmf_check_method_disagreement_is_a_tool_fault(capsys, tmp_path, monkey
     code, _, err = run_cli(capsys, "slmf-check", str(path), "--rank", "2")
     assert code == 70
     assert "disagree" in err
+
+
+def test_gen_refuses_the_first_draw_before_seeding_the_others(capsys, tmp_path, monkeypatch):
+    """The draws' seeds are made one at a time: refusing the first of 200,000 draws
+    holds no seed of the others, which all at once took 76 MiB, 352 B each."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["--m", "700", "--n", "700", "--rank", "5", "--per-column", "12", "--emit-stats", "--count", "200000"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (64, "")
+    assert err.startswith("error: --emit-stats: the tangent rank system needs 80360400 bytes")
+    assert peak < 16 << 20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_flags_empty_columns(capsys, tmp_path):
@@ -865,19 +886,46 @@ def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grid, line",
+    "grid, r, line, code, text_sha, json_sha",
     [
-        ("110\n110\n110\n110\n", "empty columns: 3"),
-        ("1100\n1100\n0011\n0010\n", "relaxed SLMF: fail (inequality, rows {1,2})"),
+        (
+            "110\n110\n110\n110\n", 1, "empty columns: 3", 2,
+            "6d20eaad4e3e6ad4e67c0cb3d0623dc5dec14ed1729f4e68b519463f12736e72",
+            "855a46a1463ce6251efc53429d65b1ca67a34b3eb8617c84a46e5b9552f7708d",
+        ),
+        (
+            "110\n110\n110\n110\n", 2,
+            "section jacobian rank: inconclusive (column 3 has 0 observed rows, fewer than r=2)", 2,
+            "959695766946a7906242b4b5fe3b29f1ab0bfe4e431d49df629adf7746e206f8",
+            "431ed7c921e62dc073bc4106aa51a14f3171c5cea19c138d6e2c9cc490f81f03",
+        ),
+        (
+            "1100\n1100\n0011\n0010\n", 1, "relaxed SLMF: fail (inequality, rows {1,2})", 2,
+            "4ce260d71ff2b2f9ed5d9567f1e7d0bd8e0d80acc779f356dc0073a9fdff2446",
+            "24f773a828557a94259f6c47a4745459043d5c57b2c2f36012d6623bcbbe9988",
+        ),
+        (
+            GRID_6X5, 2, "finite certificate: present (partition {1,2} / {3,4,5})", 0,
+            "551a0dc11b5bc35aa92ddc13ac8f18a64289ba9f3e147c499a8227a91c09142a",
+            "132f9d4eef339d2a15c65efb18cf8ed03b873d76a10d6d51b24e7028816aa63c",
+        ),
+        (
+            ("1" * 24 + "\n") * 24, 11, "finite certificate: inconclusive (subset_limit: more than 524288 subsets)", 0,
+            "3a966f3057e2aeb02077788760754955bba66da7d1ba5d68d5b9dd004199d703",
+            "3f7ff37c5834b2d65a579d4019ab30a484a896e9f6d1ff1e31884959e5ff7197",
+        ),
     ],
-    ids=["empty-columns", "violating-rows"],
+    ids=["empty-columns", "empty-column-section-inconclusive", "violating-rows", "partition", "subset-limit"],
 )
-def test_text_report_line(capsys, tmp_path, grid, line):
+def test_text_report_line(capsys, tmp_path, grid, r, line, code, text_sha, json_sha):
+    """A line of each optional form in the text report; every other byte of the text
+    and JSON reports is pinned by its sha256, with the exit code."""
     path = tmp_path / "mask.txt"
     path.write_text(grid)
-    code, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1")
-    assert code == 2
-    assert line in out.splitlines()
+    runs = [run_cli(capsys, "analyze", str(path), "--rank", str(r), *flag) for flag in ([], ["--json"])]
+    assert line in runs[0][1].splitlines()
+    digests = [(c, hashlib.sha256(out.encode()).hexdigest()) for c, out, _ in runs]
+    assert digests == [(code, text_sha), (code, json_sha)]
 
 
 def test_complete_overflowing_column_exit_65(capsys, tmp_path):
@@ -1249,6 +1297,27 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         assert report["relaxed_slmf"]["verdict"] == counting
         assert report["relaxed_slmf"]["violating_rows"] == rows
         assert scans == scanned
+
+
+@pytest.mark.parametrize("grid, r", [(GRID_6X5, 2), ("110\n110\n110\n110\n", 2)], ids=["6x5", "empty-column"])
+def test_one_analysis_calls_each_stage_once_through_the_cli_module(grid, r, monkeypatch):
+    """Every stage function is looked up on ``completable.cli`` when called, where
+    perfbench's spans wrap it, and runs once, the Jacobian test before the searches."""
+    from completable import cli
+
+    calls = []
+
+    def counted(name, stage):
+        return lambda *args, **kwargs: calls.append(name) or stage(*args, **kwargs)
+
+    stages = (
+        "minimum_size_check", "jacobian_rank_test", "find_finite_certificate", "find_unique_certificate",
+        "check_relaxed_slmf", "check_necessary_condition", "grassmann_section_rank_test",
+    )
+    for name in stages:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cli.build_analysis_report(parse_pattern(grid), r, seed=0, budget=10**5)
+    assert calls == list(stages)
 
 
 def test_each_parsed_pattern_runs_its_own_counting_scan(monkeypatch):
