@@ -45,6 +45,7 @@ from .plucker import (
     _coordinate_count,
     _lex_blocks,
     _lex_rank,
+    _mod_p,
     _restore,
     first_full_rank,
     left_null_mod_p,
@@ -55,7 +56,7 @@ DEFAULT_RANK_TOL = 1e-9
 CONSISTENCY_RTOL = 1e-6
 # int64 cells of the tangent rank system as allocated: the first level, the
 # point, the column order and S as laid out. A Jacobian test that passes in one
-# trial peaks at 2.1 to 2.4 times them from 40 x 40 to 128 x 128, r = 5 (0.80 MB
+# trial peaks at 1.7 to 1.9 times them from 40 x 40 to 128 x 128, r = 5 (0.80 MB
 # counted at 64 x 64, 12 rows per column), and 2.5 to 2.7 times them at desk
 # width (4 x 40000 and 3 x 60000, 3 rows per column, r = 1; 6.7 and 9.1 MB).
 MAX_TANGENT_BYTES = 1 << 26
@@ -512,8 +513,8 @@ def _tangent_ranks(
             t = at[done : done + b * (k - r)].reshape(b, k - r)
             c = C[:, cols].T[:, None, None]
             # at their slots, the entries on the pivot rows, null[s, order[:r]], then on the own row's
-            S[t[..., None], slot[rows[:, None, :r]]] = np.take_along_axis(null, order[:, None, :r], axis=2)[..., None] * c % p
-            S[t, slot[rows[:, r:]]] = np.take_along_axis(null, order[:, r:, None], axis=2) * c[:, 0] % p
+            S[t[..., None], slot[rows[:, None, :r]]] = _mod_p(np.take_along_axis(null, order[:, None, :r], axis=2)[..., None] * c)
+            S[t, slot[rows[:, r:]]] = _mod_p(np.take_along_axis(null, order[:, r:, None], axis=2) * c[:, 0])
             done += b * (k - r)
     if gauge is not None:  # D[P]'s r^2 columns add no rank; zeroed, rank_mod_p leaves them out
         S[:, slot[gauge]] = 0
@@ -599,19 +600,20 @@ def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.nda
     owners' hub entries into a row of H that carries that owner. An X_i
     that drops rank goes into H whole, with its own coordinates. H also
     holds the rows owning a hub row, and ``rank_mod_p`` eliminates it
-    alone: with no block, S itself, as a view; else first its last nz +
-    max(8, nz // 8) rows, last first, nz its nonzero columns: a prefix of
-    rank nz has rank H, which no row set passes, and only a prefix short of
-    it leaves every row to eliminate. The basis is the pivots of the X_i and
-    the rows the pivots of H carry: with the pivots of their X_i these span
-    every pivot row of H, hence S, and they are as many as rank S.
+    alone: with no block, S itself, as a view. Else H stays in pieces: nz,
+    its nonzero columns, is read piece by piece, and only its last nz +
+    max(8, nz // 8) rows are copied, last first (``_tail_reversed``), and
+    eliminated: a prefix of rank nz has rank H, which no row set passes,
+    and only a prefix short of it copies every row to eliminate. The basis
+    is the pivots of the X_i and the rows the pivots of H carry: with the
+    pivots of their X_i these span every pivot row of H, hence S, and they
+    are as many as rank S.
     """
-    p = FIELD_PRIME
     _, width, r = S.shape
     if not depths.size:  # S is the hub system, eliminated as it lies
         return rank_mod_p(S.reshape(len(S), width * r))
     h = width - 1
-    rank, parts, carried, basis, dropped = 0, [], [], [], []
+    rank, pieces, carried, basis, dropped = 0, [], [], [], []
     at = hubbed
     for depth in sorted(set(depths.tolist())):
         counts = owners[depths == depth]
@@ -621,31 +623,52 @@ def _section_rank(S: np.ndarray, hubbed: int, owners: np.ndarray, depths: np.nda
         steps = min(depth, r)
         rank += steps * int(full.sum())
         basis.append((first + order[:, :steps])[full].ravel())
-        # the null vectors' combinations of the owners' hub entries, exact in int64: Y is split
-        # into 16-bit limbs, so a product is below 2^47 and a sum of depth < 2^15 below 2^62
+        # the null vectors' combinations of the owners' hub entries Y, a view of S, exact in int64:
+        # the null vectors are split into 16-bit limbs, so a product is below 2^47 and a sum of
+        # depth < 2^15 below 2^62; each combination is written into one array, reduced in place
         real = full[:, None] & (np.arange(depth - steps) < counts[:, None] - steps)  # not a padding row's
         Y = block[:, :, :h].reshape(counts.size, depth, h * r)
-        parts.append((((null @ (Y >> 16))[real] % p << 16) + (null @ (Y & 0xFFFF))[real]) % p)
+        combined = _mod_p(np.matmul(null >> 16, Y))
+        combined <<= 16
+        combined += np.matmul(null & 0xFFFF, Y)
+        combined = _mod_p(combined)[real]  # the name holds no full-size array past its block
+        pieces.append(combined.reshape(-1, h, r))
         carried.append((first + order[:, steps:])[real])
         dropped += [first[i, 0] + np.arange(counts[i]) for i in np.flatnonzero(~full).tolist()]
         at += counts.size * depth
-    hubs = S[:hubbed, :h].reshape(hubbed, h * r)
-    M = np.concatenate(parts + [hubs])
+    pieces.append(S[:hubbed, :h])
     carried.append(np.arange(hubbed))
     if dropped:  # each X_i that drops rank, on its own r coordinates too
         rows = np.concatenate(dropped)
-        own = np.zeros((rows.size, r * len(dropped)), dtype=np.int64)
         blocks = np.repeat(np.arange(len(dropped)), [len(block) for block in dropped])
-        own[np.arange(rows.size)[:, None], r * blocks[:, None] + np.arange(r)] = S[rows, h]
-        hub_part = S[rows, :h].reshape(rows.size, h * r)
-        M = np.block([[M, np.zeros((len(M), own.shape[1]), dtype=np.int64)], [hub_part, own]])
+        own = np.zeros((rows.size, h + len(dropped), r), dtype=np.int64)
+        own[:, :h] = S[rows, :h]
+        own[np.arange(rows.size), h + blocks] = S[rows, h]
+        pieces.append(own)
         carried.append(rows)
-    nonzero = int(np.count_nonzero(M.any(axis=0)))  # the most rank M can have
-    cut, M = nonzero + max(8, nonzero // 8), M[::-1]  # the dense end first
-    section, pivots = rank_mod_p(M[:cut])
-    if section < nonzero and cut < len(M):  # the prefix falls short: every row
-        section, pivots = rank_mod_p(M)
+    filled = np.zeros((h + len(dropped), r), dtype=bool)
+    for piece in pieces:
+        filled[: piece.shape[1]] |= piece.any(axis=0)
+    nonzero = int(np.count_nonzero(filled))  # the most rank H can have
+    total = sum(map(len, pieces))
+    cut = min(nonzero + max(8, nonzero // 8), total)  # the dense end first
+    section, pivots = rank_mod_p(_tail_reversed(pieces, cut, filled.shape))
+    if section < nonzero and cut < total:  # the prefix falls short: every row
+        section, pivots = rank_mod_p(_tail_reversed(pieces, total, filled.shape))
     return rank + section, np.concatenate(basis + [np.concatenate(carried)[::-1][pivots]])
+
+
+def _tail_reversed(pieces: Sequence[np.ndarray], count: int, shape: tuple[int, int]) -> np.ndarray:
+    """The last ``count`` rows of the (rows, slots, r) ``pieces`` stacked in order,
+    last first, as one new (count, slots r) array; a piece with fewer slots is
+    zero on the rest."""
+    out = np.zeros((count, *shape), dtype=np.int64)
+    done = 0
+    for piece in reversed(pieces):
+        take = min(len(piece), count - done)
+        out[done : done + take, : piece.shape[1]] = piece[len(piece) - take :][::-1]
+        done += take
+    return out.reshape(count, math.prod(shape))
 
 
 # an export writes at least 4 bytes ("0.0,") per row and coordinate to the

@@ -103,6 +103,26 @@ def _lex_blocks(m: int, r: int, k: int) -> Iterator[tuple[int, int, int]]:
         start += count
 
 
+@lru_cache(maxsize=None)
+def _laplace_level(r: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The tables of level k of ``_laplace_minors`` on r columns, read-only.
+
+    They depend on (r, k) alone, so each is built once in a process: the
+    k-subsets ``sets`` of range(r), lexicographic; the pair ``(rows, sub)``
+    of W's places, row s and, at term i, the lexicographic position of
+    sets[s] minus sets[s, i] among the (k-1)-subsets; and the signs (-1)^i.
+    The recursion runs where C(m, r) <= 2^24 and 2 r <= m, so r <= 13 and
+    the largest table holds C(13, 6) 6 entries.
+    """
+    sets = np.array(list(itertools.combinations(range(r), k)))
+    sub = _lex_rank(np.stack([np.delete(sets, i, axis=1) for i in range(k)], axis=1), r)
+    rows = np.arange(len(sets))[:, None]
+    signs = np.where(np.arange(k) % 2, -1, 1)
+    for table in (sets, rows, sub, signs):
+        table.setflags(write=False)
+    return sets, (rows, sub), signs
+
+
 def _laplace_minors(mat: np.ndarray) -> np.ndarray:
     """All r x r row minors of an m x r float matrix, lexicographic, by Laplace expansion.
 
@@ -112,19 +132,18 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
     A level-k minor expands along its first row a into minors of level k-1,
     so the block of row a is one BLAS product ``W_a @ P_{k-1}[:, -count:]``,
     where W_a holds row a's entries, signed, at (k-set, (k-1)-set) pairs that
-    differ by one column: (r-1)(m-r+1) products in all. Each level builds
-    once the table of every row's signed entries, an (m, C(r, k), k) array,
-    and the pairs W_a fills; a block then refills one W from the table.
+    differ by one column: (r-1)(m-r+1) products in all. The column sets,
+    W's places and the signs come from ``_laplace_level``, built once per
+    (r, k) in a process; each level builds the table of every row's signed
+    entries, an (m, C(r, k), k) array, and a block then refills one W from it.
     """
     m, r = mat.shape
     prev = mat[r - 1 :].T.copy()
     for k in range(2, r + 1):
-        sets = np.array(list(itertools.combinations(range(r), k)))
         # term i of the minor on column set s: (-1)^i B[a, sets[s, i]] times
-        # the level k-1 minor on the column set sub[s, i] = sets[s] minus sets[s, i]
-        sub = _lex_rank(np.stack([np.delete(sets, i, axis=1) for i in range(k)], axis=1), r)
-        terms = mat[:, sets] * np.where(np.arange(k) % 2, -1, 1)
-        at = np.arange(len(sets))[:, None], sub
+        # the level k-1 minor on the column set sets[s] minus sets[s, i]
+        sets, at, signs = _laplace_level(r, k)
+        terms = mat[:, sets] * signs
         W = np.zeros((len(sets), len(prev)))
         cur = np.empty((len(sets), math.comb(m - r + k, k)))
         for a, start, count in _lex_blocks(m, r, k):
@@ -145,28 +164,42 @@ def _subset_sum_parity(m: int, r: int) -> np.ndarray:
     return prev
 
 
+def _mod_p(x: np.ndarray) -> np.ndarray:
+    """``x % FIELD_PRIME`` of an int64 array, written into ``x``, which it returns.
+
+    It reduces by floor division, x - (x // p) p, which floors as ``%``
+    does, so every residue is the same. numpy divides int64 by a scalar with
+    a multiply and a shift, so this is the cheaper from about 10^3 cells on
+    (1.4 against 3.3 ns a cell at 10^4 on a 2-CPU host), and ``%`` below
+    about 10^2. The quotient is the one temporary, of x's size.
+    """
+    q = x // FIELD_PRIME
+    q *= FIELD_PRIME
+    x -= q
+    return x
+
+
 def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left null vectors over GF(``FIELD_PRIME``) of a stack of k x r matrices.
 
     ``A`` is a (b, k, r) int64 array with entries in range(p). Each matrix,
     augmented by the k x k identity, is eliminated on its first min(k, r)
     columns with the division-free update ``row <- piv * row - f * pivot_row``,
-    all b at once. Column t's pivot is the first row from t on nonzero there,
-    swapped into row t. Rows are searched and exchanged only in a step where
-    some member's diagonal entry is zero: elsewhere that row is row t, so
-    the exchange would move nothing, and at a generic point no step needs
-    one. Returns the identity part of the k - min(k, r) rows left over, a
-    (b, k - min(k, r), k) array whose rows N satisfy N A = 0; a (b,) bool
-    array: whether every one of those columns found a pivot; and the (b, k)
-    row order the swaps made, row t of the elimination being row
-    ``order[t]`` of A. Where every column found a pivot, A has rank
-    min(k, r): the rows ``order[:min(k, r)]`` are its pivot rows, and for
-    k >= r the rows of N span its left null space, null vector s being
+    reduced by ``_mod_p``, all b at once. Column t's pivot is the first row
+    from t on nonzero there, swapped into row t. Rows are searched and
+    exchanged only in a step where some member's diagonal entry is zero:
+    elsewhere that row is row t, so the exchange would move nothing, and at a
+    generic point no step needs one. Returns the identity part of the
+    k - min(k, r) rows left over, a (b, k - min(k, r), k) array whose rows N
+    satisfy N A = 0; a (b,) bool array: whether every one of those columns
+    found a pivot; and the (b, k) row order the swaps made, row t of the
+    elimination being row ``order[t]`` of A. Where every column found a pivot,
+    A has rank min(k, r): the rows ``order[:min(k, r)]`` are its pivot rows,
+    and for k >= r the rows of N span its left null space, null vector s being
     supported on the pivot rows and on row ``order[min(k, r) + s]``, with a
     nonzero coefficient there (a product of pivots). Elsewhere N is
     meaningless.
     """
-    p = FIELD_PRIME
     b, k, r = A.shape
     steps = min(k, r)
     M = np.concatenate([A, np.eye(k, dtype=np.int64)[None].repeat(b, axis=0)], axis=2)
@@ -186,7 +219,7 @@ def left_null_mod_p(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             order[:, t] = moved
         row = M[:, t]
         below = M[:, t + 1 :, t:]
-        below[...] = (row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:]) % p
+        below[...] = _mod_p(row[:, None, t : t + 1] * below - below[:, :, :1] * row[:, None, t:])
     return M[:, steps:, r:], full, order
 
 

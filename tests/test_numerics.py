@@ -877,7 +877,7 @@ def test_desk_width_trial_peak_is_a_bounded_multiple_of_the_counted_bytes(monkey
 
 def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes(monkeypatch):
     """64 x 64, 12 rows per column, r = 5: the one trial that passes peaks at
-    2.25 times the 0.80 MB ``_check_tangent_size`` counts with S as its
+    1.77 times the 0.80 MB ``_check_tangent_size`` counts with S as its
     two-level layout takes it (0.69 MB; 1.15 at the full m r width). The
     elimination's temporaries may not take it past 2.6 times, which holds
     only while S is written in place, once (a second copy kept adds about
@@ -886,6 +886,18 @@ def test_tangent_trial_peak_is_a_pinned_multiple_of_the_counted_bytes(monkeypatc
     report, peak, counted = _traced_trial(monkeypatch, random_pattern(64, 64, 12, seed=0), 5)
     assert (report.passed, report.trials, counted) == (True, 1, 803488)
     assert peak <= 2.6 * counted
+
+
+def test_two_level_trial_peak_copies_only_the_prefix_of_the_hub_system(monkeypatch):
+    """200 x 200, 20 rows per column, r = 5: the one trial that passes peaks at
+    1.93 times the 10.4 MB ``_check_tangent_size`` counts in it. It may not
+    pass 2.05 times, which holds only while the hub system H is copied no
+    further than the reversed prefix ``rank_mod_p`` eliminates, and each
+    depth's limb products are written into one array (2.23 times with H
+    built whole; 2.36 with the limbs of Y, each product copied, as well)."""
+    report, peak, counted = _traced_trial(monkeypatch, random_pattern(200, 200, 20, seed=0), 5)
+    assert (report.passed, report.trials, counted) == (True, 1, 10416480)
+    assert peak <= 2.05 * counted
 
 
 def test_grassmann_rank_drops_by_one_after_deletion(pattern_6x5):

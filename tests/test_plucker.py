@@ -26,6 +26,7 @@ from completable.plucker import (
     _dual_coords,
     _laplace_minors,
     _lex_rank,
+    _mod_p,
     _subset_sum_parity,
     first_full_rank,
     index_subsets,
@@ -386,6 +387,30 @@ def test_laplace_path_builds_no_subset_table():
     assert index_subsets.cache_info().currsize == 0
 
 
+def test_laplace_level_tables_are_built_once_per_shape_and_read_only():
+    """The recursion on r = 4 columns builds the tables of levels 2 to 4 once:
+    a second basis of that width reads the same objects, which refuse writes,
+    and its minors are those of the first call's tables. No subset table of
+    the coordinates is built."""
+    index_subsets.cache_clear()
+    plucker._laplace_level.cache_clear()
+    rng = np.random.default_rng(47)
+    plucker_of_basis(_random_basis(rng, 12, 4))
+    tables = [plucker._laplace_level(4, k) for k in (2, 3, 4)]
+    assert plucker._laplace_level.cache_info().misses == 3
+    B = rng.standard_normal((9, 4))
+    assert _laplace_minors(B).tobytes() == reference_laplace_minors(B).tobytes()
+    assert plucker._laplace_level.cache_info().misses == 3
+    for k, (sets, (rows, sub), signs) in zip((2, 3, 4), tables):
+        again = plucker._laplace_level(4, k)
+        assert again[0] is sets and again[1][0] is rows and again[1][1] is sub and again[2] is signs
+        assert sets.shape == (math.comb(4, k), k) and sub.shape == sets.shape
+        for table in (sets, rows, sub, signs):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1
+    assert index_subsets.cache_info().currsize == 0
+
+
 def test_large_rank_minors_come_from_the_small_complement():
     """At 18 x 14 the recursion over 2^14 column sets would trace tens of MB;
     through the 4-dimensional complement it stays under 1 MB."""
@@ -417,6 +442,7 @@ def test_the_recursion_holds_one_level_and_the_next(m, r, psi):
     basis = SubspaceBasis(B)
     levels = [math.comb(r, k) * math.comb(m - r + k, k) for k in range(1, r + 1)]
     pair = 8 * max(a + b for a, b in zip(levels, levels[1:]))
+    plucker._laplace_level.cache_clear()  # the peak includes building the level tables
     tracemalloc.start()
     try:
         coords = plucker_of_basis(basis).coords
@@ -711,16 +737,34 @@ def test_left_null_mod_p_spans_the_left_null_space(k, r):
             assert vector[rows[steps + s]] != 0
 
 
+_RESIDUE_RANGE = st.integers(-(2**62) + 1, 2**62 - 1)
+_MULTIPLES_OF_P = st.integers(-(2**62) // FIELD_PRIME, 2**62 // FIELD_PRIME).map(lambda q: q * FIELD_PRIME)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(np.int64, st.integers(0, 40), elements=st.one_of(_RESIDUE_RANGE, _MULTIPLES_OF_P, st.integers(-3, 3))))
+def test_mod_p_by_floor_division_equals_the_remainder(x):
+    """``_mod_p`` writes x % p into x and returns it, on int64 arrays over
+    (-2^62, 2^62), with 0, multiples of p and negatives among the entries."""
+    expected = x % FIELD_PRIME
+    got = _mod_p(x)
+    assert got is x
+    assert np.array_equal(got, expected)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
-def test_left_null_mod_p_matches_the_exchanging_kernel(b, k, r, seed, data):
-    """Full-range stacks of b k x r matrices, with zeros forced where rows must
-    be exchanged: for each drawn (member, step t), row t of that member is zero
-    up to column t, so its diagonal entry is still zero when step t comes, and
-    whole drawn columns are zero, so no row pivots them. The kernel that
-    exchanges only in steps with a zero diagonal entry gives what the one
-    exchanging in every step gives."""
-    A = np.random.default_rng(seed).integers(0, FIELD_PRIME, size=(b, k, r))
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_left_null_mod_p_matches_the_exchanging_kernel(b, k, r, seed, top, data):
+    """Full-range stacks of b k x r matrices, or with ``top`` stacks of entries
+    p - 4 to p - 1, whose products are the largest, with zeros forced where
+    rows must be exchanged: for each drawn (member, step t), row t of that
+    member is zero up to column t, so its diagonal entry is still zero when
+    step t comes, and whole drawn columns are zero, so no row pivots them.
+    The kernel that exchanges only in steps with a zero diagonal entry, and
+    reduces by floor division, gives what the one exchanging in every step,
+    reducing by ``%``, gives."""
+    rng = np.random.default_rng(seed)
+    A = FIELD_PRIME - 1 - rng.integers(0, 4, size=(b, k, r)) if top else rng.integers(0, FIELD_PRIME, size=(b, k, r))
     steps = min(k, r)
     for member, t in data.draw(st.sets(st.tuples(st.integers(0, b - 1), st.integers(0, steps - 1)))):
         A[member, t, : t + 1] = 0
