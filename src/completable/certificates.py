@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import RankReport, TangentSizeError, _row_column_forest, jacobian_rank_test
-from .patterns import ObservationPattern, _checked_rank
+from .patterns import ObservationPattern, _checked_rank, _is_int
 from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
 DEFAULT_BUDGET = 10**7
@@ -73,9 +73,9 @@ class SlmfWitness:
         if len(self.supports) != len(self.sources):
             raise ValueError("each support needs exactly one source column")
         object.__setattr__(
-            self, "supports", tuple(tuple(sorted(s)) for s in self.supports)
+            self, "supports", tuple(tuple(sorted(map(index, s))) for s in self.supports)
         )
-        object.__setattr__(self, "sources", tuple(int(k) for k in self.sources))
+        object.__setattr__(self, "sources", tuple(map(index, self.sources)))
 
     def as_slmf(self, m: int, r: int) -> Slmf:
         return Slmf(m=m, r=r, columns=self.supports)
@@ -95,7 +95,7 @@ class Certificate:
         if len(self.partition) != len(self.slmfs):
             raise ValueError("one SLMF witness is required per group")
         object.__setattr__(
-            self, "partition", tuple(tuple(sorted(g)) for g in self.partition)
+            self, "partition", tuple(tuple(sorted(map(index, g))) for g in self.partition)
         )
 
 
@@ -664,15 +664,21 @@ def _certificate_dict(cert: Certificate) -> dict:
     }
 
 
+def _json_index(value) -> int:
+    """A 1-based JSON integer as a 0-based index; any other number, a bool too, is refused."""
+    if not _is_int(value):
+        raise ValueError(f"bad certificate JSON: {json.dumps(value)} is not an integer")
+    return value - 1
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """A certificate as ``certificate_to_json`` writes it; ``ValueError`` where an index is no JSON integer."""
     payload = json.loads(text)
-    partition = tuple(tuple(int(c) - 1 for c in group) for group in payload["partition"])
+    partition = tuple(tuple(map(_json_index, group)) for group in payload["partition"])
     slmfs = tuple(
         SlmfWitness(
-            supports=tuple(
-                tuple(int(i) - 1 for i in col["support"]) for col in item["columns"]
-            ),
-            sources=tuple(int(col["source_column"]) - 1 for col in item["columns"]),
+            supports=tuple(tuple(map(_json_index, col["support"])) for col in item["columns"]),
+            sources=tuple(_json_index(col["source_column"]) for col in item["columns"]),
         )
         for item in payload["slmfs"]
     )

@@ -766,8 +766,8 @@ class ExportedSystem:
         return {"obs": self.obs, "r": self.r}
 
     def __post_init__(self) -> None:
-        """Derive ``m`` and the three arrays; raises as ``export_plucker_system`` does."""
-        pattern, r = self.obs.pattern, self.r
+        """Read r by ``operator.index``, derive ``m`` and the three arrays; raise as ``export_plucker_system`` does."""
+        pattern, r = self.obs.pattern, operator.index(self.r)
         coords = _coordinate_count(pattern.m, r)
         supports = pattern.column_supports()
         counts = [math.comb(len(omega), r + 1) for omega in supports]
@@ -791,7 +791,7 @@ class ExportedSystem:
         values = _dense_values(self.obs)[phis[:, drop], js[:, None]] * np.where(drop % 2, -1.0, 1.0)
         for array in (columns, values, origins):
             array.setflags(write=False)
-        vars(self).update(m=pattern.m, columns=columns, values=values, origins=origins)
+        vars(self).update(r=r, m=pattern.m, columns=columns, values=values, origins=origins)
 
     @property
     def shape(self) -> tuple[int, int]:

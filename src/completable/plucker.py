@@ -11,9 +11,6 @@ that the tangent tests (``numerics``) and the linkage-support oracle
   elements; a Plucker vector stores one coordinate per subset in that order.
 * The coordinate at subset ``psi`` of a basis ``B`` is the determinant of the
   row-submatrix ``B[psi]`` with rows taken in increasing order.
-* The dual correspondence maps the coordinate at ``psi`` to the coordinate of
-  the orthogonal complement at the complementary subset, multiplied by the
-  sign of the permutation that sorts the concatenation (psi, complement).
 """
 
 from __future__ import annotations
@@ -151,17 +148,6 @@ def _laplace_minors(mat: np.ndarray) -> np.ndarray:
             np.matmul(W, prev[:, -count:], out=cur[:, start : start + count])
         prev = cur
     return prev[0]
-
-
-def _subset_sum_parity(m: int, r: int) -> np.ndarray:
-    """Parity of the element sum of each r-subset of range(m), lexicographic."""
-    prev = np.arange(r - 1, m) % 2 == 1
-    for k in range(2, r + 1):
-        cur = np.empty(math.comb(m - r + k, k), dtype=bool)
-        for a, start, count in _lex_blocks(m, r, k):
-            np.logical_xor(prev[-count:], a % 2, out=cur[start : start + count])
-        prev = cur
-    return prev
 
 
 def _mod_p(x: np.ndarray) -> np.ndarray:
@@ -337,10 +323,11 @@ class SubspaceBasis:
 class PluckerVector:
     """Projective coordinate vector indexed by the r-subsets of range(m).
 
-    The coordinates are read-only. The constructor copies what a caller
-    passes in, so later writes to the caller's array leave the vector as it
-    was; ``plucker_of_basis`` hands over the array its kernel just wrote,
-    which no caller holds, through ``_owning``, without a copy.
+    r and m are read by ``operator.index``; the coordinates are read-only.
+    The constructor copies what a caller passes in, so later writes to the
+    caller's array leave the vector as it was; ``plucker_of_basis`` hands
+    over the array its kernel just wrote, which no caller holds, through
+    ``_owning``, without a copy.
     """
 
     r: int
@@ -350,6 +337,7 @@ class PluckerVector:
     __setstate__ = _restore
 
     def __post_init__(self) -> None:
+        self.__dict__.update(r=operator.index(self.r), m=operator.index(self.m))
         self._keep(np.array(self.coords))
 
     @classmethod
@@ -392,24 +380,15 @@ def _minors_by_complement(mat: np.ndarray) -> np.ndarray:
     The complete QR factorization B = Q R gives the minors of B as det R[:r]
     = prod(diag R) times those of Q[:, :r]. As Q is orthogonal, Jacobi's
     complementary-minor identity takes the minor of Q[:, :r] at rows I to
-    det Q times the signed minor of Q[:, r:] at the other rows: the dual of
-    the complement's minors, with (-1)^(r(m-r)) to turn the order (I^c, I)
-    that ``_dual_coords`` sorts into (I, I^c).
+    det Q times (-1)^(sum I - r(r-1)/2) times the minor of Q[:, r:] at the
+    other rows J, and sum I = m(m-1)/2 - sum J. Row i of Q[:, r:] signed by
+    (-1)^i signs its minor at J by (-1)^(sum J), exactly; the t-th r-subset's
+    complement is the (N-1-t)-th (m-r)-subset, so the minors come reversed.
     """
     m, r = mat.shape
     if r == m:
         return np.array([np.linalg.det(mat)])
     Q, R = np.linalg.qr(mat, mode="complete")
-    dual = _dual_coords(_laplace_minors(Q[:, r:]), m, m - r)
-    dual *= (-1) ** (r * (m - r)) * np.linalg.det(Q) * np.prod(np.diag(R))
-    return dual
-
-
-def _dual_coords(coords: np.ndarray, m: int, r: int) -> np.ndarray:
-    """The complement's coordinates from ``coords``, in one new array."""
-    # the t-th r-subset's complement is the (N-1-t)-th (m-r)-subset, and
-    # sorting (psi, complement) takes sum(psi) - r(r-1)/2 transpositions
-    odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
-    dual = coords[::-1].copy()
-    np.negative(dual, out=dual, where=odd[::-1])
-    return dual
+    signed = Q[:, r:] * np.where(np.arange(m) % 2, -1.0, 1.0)[:, None]
+    scale = (-1) ** ((m * (m - 1) + r * (r - 1)) // 2) * np.linalg.det(Q) * np.prod(np.diag(R))
+    return _laplace_minors(signed)[::-1] * scale

@@ -182,6 +182,16 @@ def reference_complement_sign(psi, m):
     return -1 if sum(p > c for p in psi for c in comp) % 2 else 1
 
 
+def reference_dual_coords(coords, m, r):
+    """The dual correspondence, subset by subset: the coordinate at each r-subset
+    psi, times ``reference_complement_sign(psi, m)``, placed at its complement;
+    a float array over the (m-r)-subsets in lexicographic order."""
+    dual = {}
+    for psi, value in zip(itertools.combinations(range(m), r), coords.tolist()):
+        dual[tuple(i for i in range(m) if i not in psi)] = reference_complement_sign(psi, m) * value
+    return np.array([dual[comp] for comp in itertools.combinations(range(m), m - r)])
+
+
 def reference_complete_column(basis, omega, observed, rtol=1e-6):
     """One column completed on its own: least squares on ``omega`` through the
     SVD of B[omega], which also checks the rank, solved on the observations

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from completable import (
+    Certificate,
     ObservationPattern,
+    ObservedMatrix,
     PatternFormatError,
+    PluckerVector,
     Slmf,
+    SlmfWitness,
+    certificate_from_json,
     check_necessary_condition,
     check_relaxed_slmf,
+    export_plucker_system,
     find_finite_certificate,
     find_unique_certificate,
     grassmann_section_rank_test,
@@ -136,26 +142,38 @@ def test_minimum_size_rank_out_of_range(pattern_6x5):
 
 _PATTERN = ObservationPattern(6, 5, frozenset({(0, 0), (5, 4)}))
 _PHI = Slmf(5, 2, ((0, 1, 2), (0, 1, 3), (1, 2, 4)))
+_OBSERVED = ObservedMatrix(parse_pattern("11\n10\n01\n"), {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (2, 1): 4.0})
+_SYSTEM = export_plucker_system(_OBSERVED, 1)
+_VECTOR = PluckerVector(r=2, m=4, coords=np.array([1.0, 2.0, 4.0, 0.0, -3.0, -6.0]))
 
 
 @pytest.mark.parametrize(
     "value, name",
-    [(_PATTERN, "m"), (_PATTERN, "n"), (_PHI, "m"), (_PHI, "r")],
-    ids=["pattern m", "pattern n", "slmf m", "slmf r"],
+    [(_PATTERN, "m"), (_PATTERN, "n"), (_PHI, "m"), (_PHI, "r"), (_SYSTEM, "r"), (_VECTOR, "r"), (_VECTOR, "m")],
+    ids=["pattern m", "pattern n", "slmf m", "slmf r", "system r", "vector r", "vector m"],
 )
 def test_value_types_read_their_integer_fields_through_operator_index(monkeypatch, value, name):
-    """``ObservationPattern`` and ``Slmf`` read m, n and r once, through
-    ``operator.index``: a numpy integer is kept as an int, and a float raises
-    ``TypeError``, also where pickle or copy restores the fields (``_restore``)."""
-    kind, fields = type(value), value.__getstate__()
+    """``ObservationPattern``, ``Slmf``, ``ExportedSystem`` and ``PluckerVector``
+    read m, n and r once, through ``operator.index``: a numpy integer is kept
+    as an int, and a float raises ``TypeError``, also where pickle or copy
+    restores the fields (``_restore``)."""
+    kind, fields = type(value), {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     made = kind(**{**fields, name: np.int64(fields[name])})
     assert made == value and type(getattr(made, name)) is int
     with pytest.raises(TypeError):
         kind(**{**fields, name: float(fields[name])})
-    monkeypatch.setattr(kind, "__getstate__", lambda self: {**fields, name: float(fields[name])})
+    # PluckerVector defines no __getstate__, and object has none before Python 3.11
+    monkeypatch.setattr(kind, "__getstate__", lambda self: {**fields, name: float(fields[name])}, raising=False)
     for restore in (pickle.loads, copy.copy, copy.deepcopy):
         with pytest.raises(TypeError):
             restore(pickle.dumps(value) if restore is pickle.loads else value)
+
+
+def test_an_exported_system_reads_r_true_as_r_1():
+    """``True`` is an index, 1, so the index map is that of r = 1, and valid JSON."""
+    text = export_plucker_system(_OBSERVED, True).index_map_json()
+    assert text == _SYSTEM.index_map_json()
+    assert json.loads(text)["r"] == 1
 
 
 def test_pattern_entries_and_slmf_rows_are_read_as_indices():
@@ -165,6 +183,39 @@ def test_pattern_entries_and_slmf_rows_are_read_as_indices():
     with pytest.raises(TypeError):
         Slmf(5, 2, ((0, 1, 2.0), (0, 1, 3), (1, 2, 4)))
     assert ObservationPattern(6, 5, {(np.int64(5), np.int32(4))}).entries == {(5, 4)}
+    # a certificate's witness sources and supports, and its partition, likewise
+    with pytest.raises(TypeError):
+        SlmfWitness(((0, 1, 2),), (0.9,))
+    with pytest.raises(TypeError):
+        SlmfWitness(((0, 1, 2.0),), (0,))
+    with pytest.raises(TypeError):
+        Certificate("finite", ((0, 1.7),), (SlmfWitness(((0, 1, 2),), (0,)),))
+    witness = SlmfWitness(((np.int64(2), 0, 1),), (np.int32(4),))
+    assert witness == SlmfWitness(((0, 1, 2),), (4,))
+    assert type(witness.supports[0][0]) is type(witness.sources[0]) is int
+    cert = Certificate("finite", ((np.int64(1), 0),), (witness,))
+    assert cert.partition == ((0, 1),) and type(cert.partition[0][0]) is int
+
+
+_CERTIFICATE = {"kind": "finite", "partition": [[1, 2]], "slmfs": [{"columns": [{"support": [1, 2], "source_column": 1}]}]}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("partition", 0, 0), 1.7), (("slmfs", 0, "columns", 0, "support", 1), 2.9), (("slmfs", 0, "columns", 0, "source_column"), True)],
+    ids=["partition 1.7", "support 2.9", "source true"],
+)
+def test_a_certificate_file_is_refused_where_an_index_is_no_json_integer(path, value):
+    """1.7, 2.9 and true are no column or row: ``certificate_from_json`` refuses
+    them, as ``pattern_from_json`` does, instead of reading 1, 2 and 1."""
+    assert certificate_from_json(json.dumps(_CERTIFICATE)).partition == ((0, 1),)
+    edited = copy.deepcopy(_CERTIFICATE)
+    target = edited
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=f"{json.dumps(value)} is not an integer"):
+        certificate_from_json(json.dumps(edited))
 
 
 _ENTRY_POINTS = (

@@ -23,11 +23,9 @@ from completable import (
 )
 from completable.plucker import (
     FIELD_PRIME,
-    _dual_coords,
     _laplace_minors,
     _lex_rank,
     _mod_p,
-    _subset_sum_parity,
     first_full_rank,
     index_subsets,
     left_null_mod_p,
@@ -42,6 +40,7 @@ from conftest import (
     reference_complement_sign,
     reference_coordinates,
     reference_degenerate_projections,
+    reference_dual_coords,
     reference_gr24_residual,
     reference_laplace_minors,
     reference_left_null_mod_p,
@@ -239,22 +238,22 @@ def test_projection_nondegenerate_coordinate_subspace():
 
 def test_dual_of_coordinate_plane():
     B = SubspaceBasis(np.vstack([np.eye(2), np.zeros((2, 2))]))
-    Q = _dual_coords(plucker_of_basis(B).coords, 4, 2)
+    Q = reference_dual_coords(plucker_of_basis(B).coords, 4, 2)
     assert abs(dict(zip(index_subsets(4, 2), Q))[2, 3]) == pytest.approx(1.0)
     assert np.abs(Q).sum() == pytest.approx(1.0)
 
 
 def test_dual_matches_orthogonal_complement_oracle():
-    """``_dual_coords`` of a subspace's coordinates is proportional to the
-    coordinates of its orthogonal complement."""
-    Q = _dual_coords(plucker_of_basis(SubspaceBasis(BASIS_4X2.astype(float))).coords, 4, 2)
+    """The dual of a subspace's coordinates is proportional to the coordinates
+    of its orthogonal complement."""
+    Q = reference_dual_coords(plucker_of_basis(SubspaceBasis(BASIS_4X2.astype(float))).coords, 4, 2)
     oracle = plucker_of_basis(SubspaceBasis(_orthogonal_complement(BASIS_4X2)))
     assert _proportional(Q, oracle.coords)
 
     rng = np.random.default_rng(9)
     for _ in range(25):
         B = rng.standard_normal((5, 2))
-        Q = _dual_coords(plucker_of_basis(SubspaceBasis(B)).coords, 5, 2)
+        Q = reference_dual_coords(plucker_of_basis(SubspaceBasis(B)).coords, 5, 2)
         oracle = plucker_of_basis(SubspaceBasis(_orthogonal_complement(B)))
         assert _proportional(Q, oracle.coords)
 
@@ -263,7 +262,7 @@ def test_dual_involution():
     rng = np.random.default_rng(17)
     for _ in range(25):
         P = plucker_of_basis(_random_basis(rng, 5, 2))
-        assert _proportional(_dual_coords(_dual_coords(P.coords, 5, 2), 5, 3), P.coords)
+        assert _proportional(reference_dual_coords(reference_dual_coords(P.coords, 5, 2), 5, 3), P.coords)
 
 
 def test_bphi_template_layout():
@@ -475,27 +474,22 @@ def test_laplace_levels_match_the_block_by_block_fill_bit_for_bit(monkeypatch):
         assert coords.tobytes() == plucker_of_basis(SubspaceBasis(B)).coords.tobytes(), B.shape
 
 
-def _dual_by_where(coords, m, r):
-    """The complement's coordinates as a reversed ``np.where`` of the negated
-    array: the reference formula for ``_dual_coords``."""
-    odd = _subset_sum_parity(m, r) ^ bool(r * (r - 1) // 2 % 2)
-    return np.where(odd, -coords, coords)[::-1]
-
-
 @pytest.mark.parametrize("shape, integral", [((9, 6), False), ((12, 7), False), ((9, 6), True)])
-def test_complement_signs_and_scale_written_in_place_match_the_reference(shape, integral):
-    """``_dual_coords`` flips the complement route's signs in one array, and
-    each value equals the reference ``np.where`` of the negated array, bit
-    for bit; an integer basis is read as float64. The route's scale, det Q
-    prod(diag R), is checked against the Laplace recursion below."""
+def test_complement_route_is_the_scaled_dual_of_the_complement_minors(shape, integral):
+    """Past 2 r = m the coordinates equal det Q prod(diag R) times the dual of
+    the minors of Q[:, r:], from the complete QR factorization B = Q R, with
+    (-1)^(r(m-r)) to turn the order (complement, psi) into (psi, complement).
+    Every sign is exact, so the values are equal, not close; an integer basis
+    is read as float64."""
     m, r = shape
     rng = np.random.default_rng(89)
     B = rng.integers(-9, 10, shape) if integral else rng.standard_normal(shape)
-    P = plucker_of_basis(SubspaceBasis(B))
-    got, expected = _dual_coords(P.coords, m, r), _dual_by_where(P.coords, m, r)
+    Q, R = np.linalg.qr(B.astype(float), mode="complete")
+    scale = (-1) ** (r * (m - r)) * np.linalg.det(Q) * np.prod(np.diag(R))
+    expected = scale * reference_dual_coords(_laplace_minors(Q[:, r:]), m, m - r)
+    got = plucker_of_basis(SubspaceBasis(B)).coords
     assert got.dtype == expected.dtype == np.float64
     assert np.array_equal(got, expected)
-    assert got.tobytes() == expected.tobytes()
 
 
 def test_complement_route_matches_the_laplace_recursion():
@@ -604,18 +598,23 @@ def test_unsupported_shapes_raise_before_allocating(shape, message):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_dual_signs_match_complement_sign(m):
+    """The dual places each coordinate, signed by ``reference_complement_sign``,
+    at its complement; paired with the coordinates of any m x (m - r) matrix C,
+    it is det [B | C], the Laplace expansion along the first r columns."""
     rng = np.random.default_rng(53 + m)
     for r in range(1, m):
-        for P in (
-            plucker_of_basis(_random_basis(rng, m, r)),
-            plucker_of_basis(SubspaceBasis(np.eye(m, r, dtype=int) + np.tril(rng.integers(-3, 4, (m, r)), -1))),
-        ):
-            dual = dict(zip(index_subsets(m, m - r), _dual_coords(P.coords, m, r).tolist()))
+        for B in (rng.standard_normal((m, r)), np.eye(m, r, dtype=int) + np.tril(rng.integers(-3, 4, (m, r)), -1)):
+            P = plucker_of_basis(SubspaceBasis(B))
+            dual = dict(zip(index_subsets(m, m - r), reference_dual_coords(P.coords, m, r).tolist()))
             for psi, value in zip(index_subsets(m, r), P.coords.tolist()):
                 comp = tuple(i for i in range(m) if i not in psi)
                 expected = reference_complement_sign(psi, m) * value
                 assert dual[comp] == expected
                 assert type(dual[comp]) is type(expected)
+            C = rng.standard_normal((m, m - r))
+            terms = np.array(list(dual.values())) * plucker_of_basis(SubspaceBasis(C)).coords
+            det = np.linalg.det(np.hstack([B, C]))
+            assert abs(terms.sum() - det) <= 1e-12 * np.abs(terms).sum()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
