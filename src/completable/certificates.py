@@ -37,10 +37,10 @@ from .patterns import ObservationPattern, _checked_rank, _is_int
 from .slmf import Slmf, check_slmf_combinatorial, first_linkage_support
 
 DEFAULT_BUDGET = 10**7
-# most rows for which the bound and the greedy scan all 2^m row sets: on a 2-CPU
-# host they take 0.8 s on a 20 x 20 mask at r = 3, doubling with each row
+# most rows for which the counting bound scans all 2^m row sets, once per distinct
+# column support: 0.06 s on a 20 x 20 mask at r = 3 on a 2-CPU host, doubling with each row
 ROW_SET_LIMIT = 20
-_ROW_SET_CELLS = 1 << 17  # (row set, column) pairs the kernel evaluates at once
+_ROW_SET_CELLS = 1 << 17  # (row set, support) pairs the kernel evaluates at once
 # most (r+1)-subsets of distinct column supports the certificate search lists:
 # about 110 bytes each, with a group's pool (traced), so some 60 MB at the limit
 MAX_SEARCH_SUBSETS = 1 << 19
@@ -406,13 +406,16 @@ def _least_row_set(
     slack(I) = r(#I - r) - sum_j max(#(support_j intersect I) - r, 0). "First"
     is the smallest, then the lexicographically first. Row i is bit m-1-i, so a
     larger mask of one size is a lexicographically earlier I, and the order
-    #I 2^m - mask is least for the first I; masks run from the largest down in
-    chunks of ``_ROW_SET_CELLS`` (row set, column) pairs. None when m == r.
+    #I 2^m - mask is least for the first I. Each distinct column support is
+    evaluated once, weighted by the columns sharing it; masks run from the
+    largest down in chunks of ``_ROW_SET_CELLS`` (row set, support) pairs.
+    None when m == r.
     """
     m, n = pattern.m, pattern.n
-    supports = pattern.column_supports()
-    columns = np.array([sum(1 << (m - 1 - i) for i in w) for w in supports], dtype=np.int64)
-    step = max(1, _ROW_SET_CELLS // n)
+    columns, weights = np.unique(
+        [sum(1 << (m - 1 - i) for i in w) for w in pattern.column_supports()], return_counts=True
+    )
+    step = max(1, _ROW_SET_CELLS // len(columns))
     best = violated = None  # least (slack, order) and least order of a negative slack
     for high in range(1 << m, 0, -step):
         masks = np.arange(high - 1, max(high - step, 0) - 1, -1, dtype=np.int64)
@@ -421,8 +424,7 @@ def _least_row_set(
         if not len(masks):
             continue
         # sum_j max(c_j, r) - r n is the surplus sum_j max(c_j - r, 0)
-        capped = np.bitwise_count(masks & columns[:, None])
-        capped = np.maximum(capped, np.uint8(r)).sum(axis=0, dtype=np.int64)
+        capped = weights @ np.maximum(np.bitwise_count(masks & columns[:, None]), np.uint8(r))
         slack = r * (sizes - r + n) - capped
         order = (sizes << m) - masks
         least = slack.min()
@@ -487,37 +489,6 @@ def _counting_bound(
     return shared[key]
 
 
-def _greedy_counting_set(pattern: ObservationPattern, r: int) -> list[tuple[int, int]]:
-    """Entries kept, in ``sorted_entries()`` order, while every counting inequality holds.
-
-    Entry (i, j) raises the surplus by one exactly on the row sets containing
-    i where column j already keeps r rows; it joins iff each has slack left.
-    So a set of r(m+n-r) entries passes the counting test. The row sets and
-    their slacks are two arrays over all 2^m row sets, int32 and int16: at
-    m <= ``ROW_SET_LIMIT`` the slack lies within r*m <= 400 of 0.
-    """
-    m = pattern.m
-    target = r * (m + pattern.n - r)
-    masks = np.arange(1 << m, dtype=np.int32)
-    slack = r * (np.bitwise_count(masks).astype(np.int16) - r)
-    kept_masks = [0] * pattern.n
-    kept: list[tuple[int, int]] = []
-    for i, j in pattern.sorted_entries():
-        bit = 1 << (m - 1 - i)
-        if kept_masks[j].bit_count() >= r:
-            # row sets containing row i, as views into the full arrays
-            room = slack.reshape(-1, 2, bit)[:, 1]
-            hit = np.bitwise_count(masks.reshape(-1, 2, bit)[:, 1] & kept_masks[j]) >= r
-            if room.min(initial=1, where=hit) < 1:
-                continue
-            np.subtract(room, 1, out=room, where=hit)
-        kept_masks[j] |= bit
-        kept.append((i, j))
-        if len(kept) == target:
-            break
-    return kept
-
-
 @dataclass(frozen=True)
 class RelaxedSlmfVerdict:
     """Outcome of the exact-size counting test.
@@ -569,12 +540,12 @@ class NecessaryConditionVerdict:
     """Whether the pattern contains an exact-size sub-pattern passing the test.
 
     ``contains_relaxed`` is None when the condition is left undecided: at
-    r >= 2, a Jacobian that falls short, and then more than
-    ``ROW_SET_LIMIT`` rows or a greedy set short of a bound that does not
-    refute. ``nodes`` is 0 when the size check decides or nothing does
-    above ``ROW_SET_LIMIT`` rows, else 1. ``witness`` is the passing
+    r >= 2, a Jacobian that falls short or is refused, a counting bound that
+    does not refute, and more than ``ROW_SET_LIMIT`` rows or more than
+    r(m+n-r) entries. ``nodes`` is 0 when the size check decides or nothing
+    does above ``ROW_SET_LIMIT`` rows, else 1. ``witness`` is the passing
     sub-pattern: a spanning tree at r = 1, the entries of a row basis of the
-    Jacobian, the pattern itself, or the greedy set. ``refuting_rows``
+    Jacobian, or the pattern itself. ``refuting_rows``
     (0-based) is set only on a refutation by the counting bound, and names
     the row set that caps passing sub-patterns below r(m+n-r).
     """
@@ -606,11 +577,10 @@ def check_necessary_condition(
        any size: above ``ROW_SET_LIMIT`` rows it is the line bound. At r = 1
        a disconnected graph refutes at any size, with or without it.
     4. An exact-size pattern the bound does not refute is its own witness.
-    5. Above the exact size, a greedy set reaching r(m+n-r) entries is the
-       witness, as it passes the test by construction. This 2^m scan is the
-       one step that runs only where the Jacobian falls short.
 
-    Otherwise the verdict is None, at 0 nodes above ``ROW_SET_LIMIT`` rows.
+    Otherwise the verdict is None, at 0 nodes above ``ROW_SET_LIMIT`` rows:
+    above the exact size no step searches for a passing sub-pattern once the
+    Jacobian falls short or is refused.
     """
     r = _checked_rank(pattern, r)
     target = r * (pattern.m + pattern.n - r)
@@ -637,9 +607,6 @@ def check_necessary_condition(
         return NecessaryConditionVerdict(None, None, 0)
     if pattern.size == target:
         return NecessaryConditionVerdict(True, pattern, 1)
-    kept = _greedy_counting_set(pattern, r)
-    if len(kept) == target:
-        return NecessaryConditionVerdict(True, pattern.restrict(kept), 1)
     return NecessaryConditionVerdict(None, None, 1)
 
 
@@ -672,14 +639,23 @@ def _json_index(value) -> int:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """A certificate as ``certificate_to_json`` writes it; ``ValueError`` where an index is no JSON integer."""
+    """A certificate as ``certificate_to_json`` writes it.
+
+    Raises:
+        ValueError: where an index is no JSON integer, or the document is not
+            of that shape, as ``pattern_from_json`` refuses a bad pattern.
+    """
     payload = json.loads(text)
-    partition = tuple(tuple(map(_json_index, group)) for group in payload["partition"])
-    slmfs = tuple(
-        SlmfWitness(
-            supports=tuple(tuple(map(_json_index, col["support"])) for col in item["columns"]),
-            sources=tuple(_json_index(col["source_column"]) for col in item["columns"]),
+    try:
+        partition = tuple(tuple(map(_json_index, group)) for group in payload["partition"])
+        slmfs = tuple(
+            SlmfWitness(
+                supports=tuple(tuple(map(_json_index, col["support"])) for col in item["columns"]),
+                sources=tuple(_json_index(col["source_column"]) for col in item["columns"]),
+            )
+            for item in payload["slmfs"]
         )
-        for item in payload["slmfs"]
-    )
-    return Certificate(kind=str(payload["kind"]), partition=partition, slmfs=slmfs)
+        kind = str(payload["kind"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad certificate JSON: {exc!r}") from exc
+    return Certificate(kind=kind, partition=partition, slmfs=slmfs)

@@ -28,8 +28,10 @@ from completable.certificates import (
     MAX_SEARCH_SUBSETS,
     ROW_SET_LIMIT,
     _counting_bound,
-    _greedy_counting_set,
+    _line_bound,
 )
+from completable.cli import build_analysis_report
+from completable.numerics import _jacobian_rank_bound
 from conftest import GRID_6X5, GRID_6X6, PHI_A, PHI_B, PHI_C, exact_size_trim
 
 
@@ -295,7 +297,7 @@ def test_necessary_false_when_pattern_too_small(pattern_6x5):
 
 
 def test_necessary_decided_on_8x8_k5_s1():
-    """The greedy counting set reaches 28 entries, an exact-size witness, in one node."""
+    """The Jacobian's row basis, 28 entries, is an exact-size witness, in one node."""
     pattern = random_pattern(8, 8, 5, seed=1)
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes) == (True, 1)
@@ -306,24 +308,27 @@ def test_necessary_decided_on_8x8_k5_s1():
 
 
 def test_necessary_greedy_decides_below_full_jacobian_rank():
-    """Jacobian rank 17 of 18, yet the greedy counting set reaches 18 entries in one node."""
+    """Jacobian rank 17 of 18 above the exact size, and a bound that does not
+    refute: one node, no verdict.
+
+    A greedy counting set, no longer computed, once kept 18 entries here, all
+    but (4, 4), and passed the condition with them as its witness.
+    """
     pattern = parse_pattern("01011\n10111\n01011\n11100\n01011\n11100\n")
     assert jacobian_rank_test(pattern, 2).tested_rank == 17
+    assert pattern.size > 18 and _counting_bound(pattern, 2)[0] >= 18
     verdict = check_necessary_condition(pattern, 2)
-    assert (verdict.contains_relaxed, verdict.nodes) == (True, 1)
-    assert verdict.witness.entries == pattern.entries - {(4, 4)}
-    assert check_relaxed_slmf(verdict.witness, 2).ok
+    assert (verdict.contains_relaxed, verdict.witness, verdict.nodes) == (None, None, 1)
+    assert check_relaxed_slmf(pattern.restrict(pattern.entries - {(4, 4)}), 2).ok
 
 
 def test_necessary_short_greedy_set_refutes_at_rank_one():
-    """Two disjoint 2 x 2 blocks at r = 1: the bound reaches the target 7, the greedy keeps 6.
-
-    At r = 1 the greedy set is a largest spanning forest of the row-column
-    graph, and two components leave it one edge short, so one node refutes.
+    """Two disjoint 2 x 2 blocks at r = 1: the bound reaches the target 7, yet
+    a largest spanning forest of the row-column graph keeps 6 entries, as two
+    components leave it one edge short, so one node refutes.
     """
     pattern = parse_pattern("0011\n0011\n1100\n1100\n")
     assert _counting_bound(pattern, 1)[0] == 7
-    assert len(_greedy_counting_set(pattern, 1)) == 6
     verdict = check_necessary_condition(pattern, 1)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
     assert verdict.refuting_rows is None
@@ -331,17 +336,43 @@ def test_necessary_short_greedy_set_refutes_at_rank_one():
 
 def test_necessary_undecided_when_the_greedy_set_falls_short_of_a_bound_that_holds():
     """At r = 2 the Jacobian falls short (21 of 22) and the bound reaches the
-    target 22, but the greedy set stops short of it: one node, no verdict."""
+    target 22 above the exact size: one node, no verdict."""
     pattern = parse_pattern("1101001\n1100101\n0010110\n1111111\n0101100\n0010110\n")
     assert jacobian_rank_test(pattern, 2).tested_rank == 21
     assert _counting_bound(pattern, 2)[0] == 22
-    assert len(_greedy_counting_set(pattern, 2)) < 22
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.witness, verdict.nodes, verdict.refuting_rows) == (None, None, 1, None)
 
 
+def test_only_the_row_set_scan_refutes_this_exact_size_mask():
+    """A 9 x 10 mask of 60 entries at r = 4 that the row-set scan alone refutes exactly.
+
+    The Jacobian reads 59 of 60 after 5 trials, short of the target, which
+    proves nothing; its (r+1)-core bound and its line bound both reach 60.
+    Only rows {1, 2, 3, 4, 5, 8} cap passing sub-patterns at 59, so the
+    necessary condition and the counting test fail there, and both
+    searches are ruled out at 0 nodes.
+    """
+    pattern = parse_pattern(
+        "1011110111\n0011100110\n1011101101\n0110101111\n0111111111\n"
+        "1100011001\n1011110001\n0111110111\n1100011100\n"
+    )
+    rows = (0, 1, 2, 3, 4, 7)
+    assert pattern.size == 4 * (9 + 10 - 4) == 60
+    assert _counting_bound(pattern, 4) == (59, rows, rows)
+    assert _line_bound(pattern, 4)[0] == _jacobian_rank_bound(pattern, 4) == 60
+    jacobian = jacobian_rank_test(pattern, 4)
+    assert (jacobian.passed, jacobian.tested_rank, jacobian.target, jacobian.trials) == (False, 59, 60, 5)
+    verdict = check_necessary_condition(pattern, 4, jacobian)
+    assert (verdict.contains_relaxed, verdict.nodes, verdict.refuting_rows) == (False, 1, rows)
+    counting = check_relaxed_slmf(pattern, 4, jacobian)
+    assert (counting.ok, counting.reason, counting.violating_rows) == (False, "inequality", rows)
+    report = build_analysis_report(pattern, 4, seed=0, budget=10**5)
+    assert report["finite_certificate"] == report["unique_certificate"] == {"status": "absent", "nodes": 0}
+
+
 def test_necessary_inconclusive_above_the_row_set_limit():
-    """21 rows exceed ``ROW_SET_LIMIT``: no scan of row sets, no greedy set, no node spent.
+    """21 rows exceed ``ROW_SET_LIMIT``: no scan of row sets, no node spent.
 
     Two full diagonal blocks, 11 x 11 and 10 x 10, at r = 2: every row lies in
     10 columns of 10 rows or more, so the line bound reaches the target 80,

@@ -1363,20 +1363,20 @@ def test_an_analysis_keeps_no_pattern_alive():
 
 
 def test_one_analysis_reads_the_necessary_witness_off_the_jacobian(monkeypatch):
-    """On the 16 x 16 k8 s0 mask at r = 3 the greedy counting set never runs, and
-    each trial point is eliminated once: the section test and the necessary
-    condition read the Jacobian test's trials."""
+    """On the 16 x 16 k8 s0 mask at r = 3 no row set is scanned, and each trial
+    point is eliminated once: the section test and the necessary condition
+    read the Jacobian test's trials."""
     from completable import certificates, numerics
     from completable.cli import build_analysis_report
 
-    greedy, trials = [], []
-    kernel, ranks = certificates._greedy_counting_set, numerics._tangent_ranks
-    monkeypatch.setattr(certificates, "_greedy_counting_set", lambda *a: greedy.append(a) or kernel(*a))
+    scans, trials = [], []
+    kernel, ranks = certificates._least_row_set, numerics._tangent_ranks
+    monkeypatch.setattr(certificates, "_least_row_set", lambda *a: scans.append(a) or kernel(*a))
     monkeypatch.setattr(numerics, "_tangent_ranks", lambda *a: trials.append(a) or ranks(*a))
     report = build_analysis_report(random_pattern(16, 16, 8, seed=0), 3, seed=0, budget=1000)
     necessary = report["necessary_condition"]
     assert (necessary["verdict"], len(necessary["witness_entries"]), necessary["nodes"]) == ("pass", 87, 1)
-    assert greedy == []
+    assert scans == []
     assert len(trials) == report["jacobian_rank"]["trials"] == report["grassmann_section_rank"]["trials"]
 
 

@@ -218,6 +218,23 @@ def test_a_certificate_file_is_refused_where_an_index_is_no_json_integer(path, v
         certificate_from_json(json.dumps(edited))
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"kind": "finite", "slmfs": []},
+        {**_CERTIFICATE, "partition": 5},
+        [],
+        {**_CERTIFICATE, "slmfs": [{"rows": []}]},
+    ],
+    ids=["no partition", "partition 5", "a list", "slmf without columns"],
+)
+def test_a_certificate_file_of_the_wrong_shape_is_refused_as_a_value_error(document):
+    """A missing key or a value of the wrong type is a ``ValueError``, as in
+    ``pattern_from_json``, not the ``KeyError`` or ``TypeError`` of a lookup."""
+    with pytest.raises(ValueError, match="bad certificate JSON"):
+        certificate_from_json(json.dumps(document))
+
+
 _ENTRY_POINTS = (
     minimum_size_check,
     check_relaxed_slmf,

@@ -41,7 +41,6 @@ from completable.certificates import (
     _Budget,
     _counting_bound,
     _enumerate,
-    _greedy_counting_set,
     _group_witness,
     _line_bound,
 )
@@ -348,8 +347,7 @@ def test_jacobian_pass_implies_necessary_condition_in_one_node(mask, seed):
     """Full Jacobian rank => the counting condition holds, decided within one node.
 
     A row basis of the Jacobian is then an exact-size finitely completable
-    sub-pattern, which satisfies the counting condition; the greedy counting
-    set finds such a sub-pattern.
+    sub-pattern, which satisfies the counting condition.
     """
     pattern, r = mask
     jacobian = jacobian_rank_test(pattern, r, seed=seed)
@@ -403,23 +401,20 @@ def masks_up_to_ten_rows(draw):
     return pattern.restrict(pattern.entries - dropped), r
 
 
-def greedy_necessary_verdict(pattern, r):
+def row_set_necessary_verdict(pattern, r):
     """The necessary condition as the row-set stages alone decide it: the size, the
-    counting bound, the exact size, then the greedy set, which at r = 1 is a
-    largest forest, so short of the target it refutes; None where undecided."""
+    counting bound, then the exact size; None where undecided."""
     target = r * (pattern.m + pattern.n - r)
     if pattern.size < target or _counting_bound(pattern, r)[0] < target:
         return False
-    if pattern.size == target or len(_greedy_counting_set(pattern, r)) == target:
-        return True
-    return False if r == 1 else None
+    return True if pattern.size == target else None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(masks_up_to_ten_rows(), st.integers(0, 2**16))
 def test_jacobian_row_basis_is_a_necessary_witness(mask, seed):
     """A Jacobian pass carries an exact-size sub-mask that passes the counting test,
-    and the verdict is the greedy's wherever the greedy decides.
+    and the verdict is the row-set stages' wherever they decide.
 
     The sub-mask is the entries of a row basis of J at the passing point, so
     its own Jacobian has full rank too.
@@ -435,7 +430,7 @@ def test_jacobian_row_basis_is_a_necessary_witness(mask, seed):
             assert (verdict.contains_relaxed, verdict.witness, verdict.nodes) == (True, witness, 1)
     else:
         assert jacobian.row_basis is None
-    expected = greedy_necessary_verdict(pattern, r)
+    expected = row_set_necessary_verdict(pattern, r)
     if expected is not None:
         assert verdict.contains_relaxed is expected
 
@@ -647,13 +642,25 @@ def test_unique_then_finite_then_full_rank_then_necessary(mask):
         assert check_necessary_condition(pattern, r).contains_relaxed is True
 
 
+@st.composite
+def masks_with_repeated_supports(draw):
+    """(pattern, r) from ``masks_with_r_per_column`` with up to 6 of its columns
+    drawn again and appended, so several columns share one support."""
+    pattern, r = draw(masks_with_r_per_column())
+    supports = pattern.column_supports()
+    copies = draw(st.lists(st.integers(0, pattern.n - 1), max_size=6))
+    entries = pattern.entries | {(i, pattern.n + t) for t, j in enumerate(copies) for i in supports[j]}
+    return ObservationPattern(pattern.m, pattern.n + len(copies), frozenset(entries)), r
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(masks_with_r_per_column())
-def test_greedy_set_stays_within_the_bound(mask):
-    """greedy <= bound, the bound is the first minimum over row sets, the first row set
-    below the size is the first violating one, and a full greedy set passes."""
+@given(masks_with_repeated_supports(), st.sampled_from([1 << 17, 5]))
+def test_counting_bound_is_the_first_least_row_set(mask, cells):
+    """The bound is the first minimum over row sets by the row-set loop, and the first
+    row set below the size is the first violating one, with each distinct support
+    scanned once and weighted by its columns, in one chunk or in many."""
     pattern, r = mask
-    m, target = pattern.m, r * (pattern.m + pattern.n - r)
+    m = pattern.m
     supports = pattern.column_supports()
     values = [
         (pattern.size + r * (len(rows) - r)
@@ -661,14 +668,11 @@ def test_greedy_set_stays_within_the_bound(mask):
         for size in range(r + 1, m + 1)
         for rows in itertools.combinations(range(m), size)
     ]
-    bound, rows, violated = _counting_bound(pattern, r)
+    with mock.patch("completable.certificates._ROW_SET_CELLS", cells):
+        bound, rows, violated = _counting_bound(pattern, r)
     assert bound == min((v for v, _ in values), default=pattern.size)
     assert rows == next((i for v, i in values if v == bound), None)
     assert violated == next((i for v, i in values if v < pattern.size), None)
-    kept = _greedy_counting_set(pattern, r)
-    assert len(kept) <= bound
-    if len(kept) == target:
-        assert check_relaxed_slmf(pattern.restrict(kept), r).ok
 
 
 @st.composite
