@@ -176,7 +176,8 @@ class SearchOutcome:
     """Result of a certificate search.
 
     ``exhausted`` records whether the whole search space was covered; a search
-    that ran out of budget is inconclusive rather than negative. ``reason`` is
+    that ran out of budget is inconclusive rather than negative. ``status`` is
+    ``present``, ``absent`` or ``inconclusive``, as ``analyze`` reports it. ``reason`` is
     None unless the search was refused before it began: ``"subset_limit"``
     when its subsets would pass ``MAX_SEARCH_SUBSETS``, which no budget lifts.
     """
@@ -189,8 +190,8 @@ class SearchOutcome:
     @property
     def status(self) -> str:
         if self.certificate is not None:
-            return "found"
-        return "none" if self.exhausted else "inconclusive"
+            return "present"
+        return "absent" if self.exhausted else "inconclusive"
 
 
 def _partitions(
@@ -397,11 +398,10 @@ def find_unique_certificate(
     return _find_certificate(pattern, r, "unique", budget, jacobian)
 
 
-def _least_row_set(
-    pattern: ObservationPattern, r: int
-) -> Optional[tuple[int, tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """Least slack(I) over row sets I of r+1 or more rows, the first I attaining
-    it, and the first I of negative slack, or None when there is none.
+def _least_row_set(pattern: ObservationPattern, r: int, below: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Least slack(I) over row sets I of r+1 or more rows, and the first I whose
+    slack is below ``below``, or None when none is; (0, None) at m == r, where no
+    row set has r+1 rows.
 
     slack(I) = r(#I - r) - sum_j max(#(support_j intersect I) - r, 0). "First"
     is the smallest, then the lexicographically first. Row i is bit m-1-i, so a
@@ -409,14 +409,15 @@ def _least_row_set(
     #I 2^m - mask is least for the first I. Each distinct column support is
     evaluated once, weighted by the columns sharing it; masks run from the
     largest down in chunks of ``_ROW_SET_CELLS`` (row set, support) pairs.
-    None when m == r.
     """
     m, n = pattern.m, pattern.n
+    if m == r:
+        return 0, None
     columns, weights = np.unique(
         [sum(1 << (m - 1 - i) for i in w) for w in pattern.column_supports()], return_counts=True
     )
     step = max(1, _ROW_SET_CELLS // len(columns))
-    best = violated = None  # least (slack, order) and least order of a negative slack
+    least = first = None  # least slack, and least order of a slack below ``below``
     for high in range(1 << m, 0, -step):
         masks = np.arange(high - 1, max(high - step, 0) - 1, -1, dtype=np.int64)
         sizes = np.bitwise_count(masks).astype(np.int64)
@@ -426,20 +427,14 @@ def _least_row_set(
         # sum_j max(c_j, r) - r n is the surplus sum_j max(c_j - r, 0)
         capped = weights @ np.maximum(np.bitwise_count(masks & columns[:, None]), np.uint8(r))
         slack = r * (sizes - r + n) - capped
-        order = (sizes << m) - masks
-        least = slack.min()
-        key = (int(least), int(order[slack == least].min()))
-        best = key if best is None else min(best, key)
-        if least < 0:
-            first = int(order[slack < 0].min())
-            violated = first if violated is None else min(violated, first)
-    if best is None:
-        return None
-
-    def rows(order: int) -> tuple[int, ...]:  # -order's low m bits are the mask
-        return tuple(i for i in range(m) if -order >> (m - 1 - i) & 1)
-
-    return best[0], rows(best[1]), None if violated is None else rows(violated)
+        chunk = int(slack.min())
+        least = chunk if least is None else min(least, chunk)
+        if chunk < below:
+            order = int(((sizes << m) - masks)[slack < below].min())
+            first = order if first is None else min(first, order)
+    if first is None:
+        return least, None
+    return least, tuple(i for i in range(m) if -first >> (m - 1 - i) & 1)  # -first's low m bits are the mask
 
 
 def _line_bound(pattern: ObservationPattern, r: int) -> tuple[int, Optional[int]]:
@@ -463,29 +458,28 @@ def _line_bound(pattern: ObservationPattern, r: int) -> tuple[int, Optional[int]
     return bound + least - r, next(i for i in reversed(range(m)) if held[i] == least)
 
 
-def _counting_bound(
-    pattern: ObservationPattern, r: int
-) -> tuple[int, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """Upper bound on any sub-pattern passing the counting test, its row set,
-    and the first row set breaking a counting inequality (None when none does).
+def _counting_bound(pattern: ObservationPattern, r: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Upper bound on any sub-pattern passing the counting test, and the first
+    row set that caps it below r(m+n-r) (None when none does).
 
     In a row set I a passing S keeps at most min(#(omega_j intersect I), r) +
     max(#(S_j intersect I) - r, 0) entries of column j, and those surpluses
     sum to at most r(#I - r), so |S| <= |Omega| + slack_Omega(I) for every I.
     Up to ``ROW_SET_LIMIT`` rows it is the least over all row sets, and every
-    counting inequality holds iff it reaches |Omega|. Above, it is the line
-    bound, and the first breaking row set is left None, unscanned. Kept on
-    the pattern object per r: the searches, the counting test and the
-    necessary condition of one analysis share one scan.
+    counting inequality holds iff it reaches |Omega|; at the exact size the
+    row set is the first breaking one. Above, it is the line bound and the
+    row set its own, whether or not it refutes. Kept on the pattern object
+    per r: the searches, the counting test and the necessary condition of
+    one analysis share one scan.
     """
     shared, key = pattern._shared, ("counting_bound", r)
     if key not in shared:
         if pattern.m > ROW_SET_LIMIT:
             bound, out = _line_bound(pattern, r)
-            shared[key] = (bound, None if out is None else tuple(i for i in range(pattern.m) if i != out), None)
+            shared[key] = (bound, None if out is None else tuple(i for i in range(pattern.m) if i != out))
         else:
-            least = _least_row_set(pattern, r)
-            shared[key] = (pattern.size, None, None) if least is None else (pattern.size + least[0], *least[1:])
+            slack, rows = _least_row_set(pattern, r, r * (pattern.m + pattern.n - r) - pattern.size)
+            shared[key] = (pattern.size + slack, rows)
     return shared[key]
 
 
@@ -529,10 +523,11 @@ def check_relaxed_slmf(
     _jacobian_proves(pattern, r, jacobian)  # refuses a report of another mask or rank
     if actual != required:
         return RelaxedSlmfVerdict(False, "size", None, required, actual)
-    ok = check_necessary_condition(pattern, r, jacobian).contains_relaxed
-    violated = _counting_bound(pattern, r)[2] if ok is False else None
+    necessary = check_necessary_condition(pattern, r, jacobian)
+    ok = necessary.contains_relaxed
+    rows = necessary.refuting_rows if pattern.m <= ROW_SET_LIMIT else None
     reason = {True: None, False: "inequality", None: "row_limit"}[ok]
-    return RelaxedSlmfVerdict(ok, reason, violated, required, actual)
+    return RelaxedSlmfVerdict(ok, reason, rows, required, actual)
 
 
 @dataclass(frozen=True)
@@ -547,7 +542,9 @@ class NecessaryConditionVerdict:
     sub-pattern: a spanning tree at r = 1, the entries of a row basis of the
     Jacobian, or the pattern itself. ``refuting_rows``
     (0-based) is set only on a refutation by the counting bound, and names
-    the row set that caps passing sub-patterns below r(m+n-r).
+    the first row set (smallest, then lexicographic) that caps passing
+    sub-patterns below r(m+n-r), or above ``ROW_SET_LIMIT`` rows the line
+    bound's; at the exact size ``check_relaxed_slmf`` names the same set.
     """
 
     contains_relaxed: Optional[bool]
@@ -598,7 +595,7 @@ def check_necessary_condition(
             return NecessaryConditionVerdict(True, pattern.restrict(tree), 1)
     elif proved:
         return NecessaryConditionVerdict(True, pattern.restrict(jacobian.row_basis), 1)
-    bound, rows, _ = _counting_bound(pattern, r)
+    bound, rows = _counting_bound(pattern, r)
     if bound < target:
         return NecessaryConditionVerdict(False, None, 1, refuting_rows=rows)
     if r == 1:

@@ -181,8 +181,7 @@ class _Analysis:
     def search(self, find) -> dict:
         """The payload of the certificate search ``find``."""
         outcome = find(self.pattern, self.r, budget=self.budget, jacobian=self.jacobian[1])
-        status = {"found": "present", "none": "absent", "inconclusive": "inconclusive"}
-        payload = {"status": status[outcome.status]}
+        payload = {"status": outcome.status}
         if outcome.reason is not None:
             payload["reason"] = outcome.reason
         payload["nodes"] = outcome.nodes
@@ -407,7 +406,7 @@ def _cmd_gen(args) -> int:
         rank_hits += report.passed
         outcome = find_finite_certificate(pattern, args.rank, jacobian=report)
         cert_known += outcome.status != "inconclusive"
-        cert_hits += outcome.status == "found"
+        cert_hits += outcome.status == "present"
     for idx, child in enumerate(children()):
         name = Path(f"pattern_{idx:03d}.txt")
         with _output(name) as fh:

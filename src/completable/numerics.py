@@ -33,7 +33,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import BinaryIO, Iterable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -803,11 +803,6 @@ class ExportedSystem:
         np.put_along_axis(dense, self.columns, self.values, axis=1)
         return dense
 
-    @property
-    def subsets(self) -> Iterator[tuple[int, ...]]:
-        """The C(m, r) coordinate subsets in lexicographic order, built on each access."""
-        return itertools.combinations(range(self.m), self.r)
-
     def write_csv(self, fh: BinaryIO) -> None:
         """Write the matrix to a binary file as dense CSV, one ``\\n``-ended line per
         row, every cell ``repr(float)``.
@@ -868,7 +863,7 @@ class ExportedSystem:
         return {
             "m": self.m,
             "r": self.r,
-            "plucker_subsets": [[i + 1 for i in s] for s in self.subsets],
+            "plucker_subsets": [[i + 1 for i in s] for s in itertools.combinations(range(self.m), self.r)],
             "rows": [{"column": j, "phi": phi} for j, *phi in (self.origins + 1).tolist()],
         }
 

@@ -105,7 +105,6 @@ class SlmfVerdict:
 
     is_slmf: bool
     witness: Optional[tuple[int, ...]]
-    method: str
 
 
 def _reach(mask: int, rows: Sequence[int], owner: list[int], matched: int) -> int:
@@ -352,7 +351,7 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
     """
     hall = phi._hall_pass
     if not hall.dependent:
-        return SlmfVerdict(is_slmf=True, witness=None, method="combinatorial")
+        return SlmfVerdict(is_slmf=True, witness=None)
     if len(hall.dependent) == 1:
         (d,) = hall.dependent
         witness = tuple(sorted([d, *(hall.basis[t] for t in hall.family.least_tight_set(hall.masks[d]))]))
@@ -360,7 +359,7 @@ def check_slmf_combinatorial(phi: Slmf) -> SlmfVerdict:
         witness = _least_violator(hall.masks, phi.r)
     else:
         witness = None
-    return SlmfVerdict(is_slmf=False, witness=witness, method="combinatorial")
+    return SlmfVerdict(is_slmf=False, witness=witness)
 
 
 def _dual_basis_rank_mod_p(phi: Slmf, rng: np.random.Generator) -> int:
@@ -399,7 +398,7 @@ def check_slmf_randomized(phi: Slmf, seed: int = 0) -> SlmfVerdict:
     rank, _ = first_full_rank(
         lambda rng: _dual_basis_rank_mod_p(phi, rng), target, seed, bound=lambda: len(phi._hall_pass.basis)
     )
-    return SlmfVerdict(is_slmf=rank == target, witness=None, method="randomized-rank")
+    return SlmfVerdict(is_slmf=rank == target, witness=None)
 
 
 def slmf_from_grid(text: str, r: int) -> Slmf:

@@ -212,7 +212,7 @@ def test_criterion_09_exported_systems_annihilate_the_truth():
     system = export_plucker_system(ObservedMatrix.from_matrix(X, pattern), 2)
     (k,) = np.flatnonzero(system.origins[:, 0] == 1)
     row = system.matrix[k]
-    pos = {psi: t for t, psi in enumerate(system.subsets)}
+    pos = {psi: t for t, psi in enumerate(itertools.combinations(range(6), 2))}
     structure = (
         system.origins[k].tolist() == [1, 3, 4, 5]
         and row[pos[(4, 5)]] == X[3, 1]

@@ -148,7 +148,7 @@ def test_verify_fails_structure_for_bad_partition(pattern_6x5):
 
 def test_find_finite_certificate_6x5(pattern_6x5):
     outcome = find_finite_certificate(pattern_6x5, 2)
-    assert outcome.status == "found"
+    assert outcome.status == "present"
     cert = outcome.certificate
     assert cert.kind == "finite"
     assert cert.partition == ((0, 1), (2, 3, 4))
@@ -161,20 +161,20 @@ def test_find_finite_none_after_any_single_deletion(pattern_6x5):
     """Removing any observed entry destroys every two-group certificate."""
     for entry in pattern_6x5.sorted_entries():
         outcome = find_finite_certificate(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2)
-        assert outcome.status == "none"
+        assert outcome.status == "absent"
         assert outcome.exhausted
 
 
 def test_find_finite_small_column_immediate(pattern_6x5):
     thinned = pattern_6x5.restrict(pattern_6x5.entries - {(1, 2)})
     outcome = find_finite_certificate(thinned, 2)
-    assert outcome.status == "none"
+    assert outcome.status == "absent"
     assert outcome.nodes == 0
 
 
 def test_find_unique_certificate_6x6(pattern_6x6):
     outcome = find_unique_certificate(pattern_6x6, 2)
-    assert outcome.status == "found"
+    assert outcome.status == "present"
     cert = outcome.certificate
     assert cert.kind == "unique"
     assert set(cert.partition) == {(0, 1), (2, 5), (3, 4)}
@@ -185,14 +185,14 @@ def test_find_unique_certificate_6x6(pattern_6x6):
 
 def test_find_unique_none_on_6x5(pattern_6x5):
     outcome = find_unique_certificate(pattern_6x5, 2)
-    assert outcome.status == "none"
+    assert outcome.status == "absent"
     assert outcome.exhausted
 
 
 def test_find_unique_needs_enough_columns():
     full = ObservationPattern(4, 2, frozenset((i, j) for i in range(4) for j in range(2)))
     outcome = find_unique_certificate(full, 2)  # r+1 = 3 groups, only 2 columns
-    assert outcome.status == "none"
+    assert outcome.status == "absent"
 
 
 def test_budget_exhaustion_is_inconclusive(pattern_6x5):
@@ -224,14 +224,14 @@ def test_search_results_always_verify():
 def test_certificate_implies_minimum_size():
     for seed in range(40):
         pattern = random_pattern(6, 5, 4, seed=seed)
-        if find_finite_certificate(pattern, 2).status == "found":
+        if find_finite_certificate(pattern, 2).status == "present":
             assert minimum_size_check(pattern, 2).passed
 
 
 def test_certificate_implies_necessary_condition_not_false():
     for seed in range(20):
         pattern = random_pattern(6, 5, 4, seed=seed)
-        if find_finite_certificate(pattern, 2).status == "found":
+        if find_finite_certificate(pattern, 2).status == "present":
             verdict = check_necessary_condition(pattern, 2)
             assert verdict.contains_relaxed is not False
 
@@ -359,7 +359,7 @@ def test_only_the_row_set_scan_refutes_this_exact_size_mask():
     )
     rows = (0, 1, 2, 3, 4, 7)
     assert pattern.size == 4 * (9 + 10 - 4) == 60
-    assert _counting_bound(pattern, 4) == (59, rows, rows)
+    assert _counting_bound(pattern, 4) == (59, rows)
     assert _line_bound(pattern, 4)[0] == _jacobian_rank_bound(pattern, 4) == 60
     jacobian = jacobian_rank_test(pattern, 4)
     assert (jacobian.passed, jacobian.tested_rank, jacobian.target, jacobian.trials) == (False, 59, 60, 5)
@@ -484,27 +484,27 @@ def test_exact_size_refuted_by_the_line_bound_above_the_row_set_limit():
 
 
 def test_necessary_refuted_by_the_bound_in_one_node():
-    """The bound caps passing sub-patterns at 13 < 14 entries and names its row set."""
+    """The bound caps passing sub-patterns at 13 < 14 entries and names the first
+    row set capping them below 14."""
     pattern = random_pattern(8, 7, 3, seed=0)
     verdict = check_necessary_condition(pattern, 1)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
     assert verdict.refuting_rows == (0, 1, 3, 4, 5, 6, 7)
-    assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows, (0, 5))
+    assert _counting_bound(pattern, 1) == (13, verdict.refuting_rows)
 
 
 def test_necessary_refutes_an_exact_size_mask_by_the_bound():
     """18 entries, 6 x 5, r = 2: the bound 16 refutes in one node.
 
-    The refutation names the bound's row set, where the slack is least; the
-    counting test names the first violating row set, a different one, which
-    the same scan records.
+    The least slack is on rows {1,4,5,6}, but the refutation and the counting
+    test both name the first row set that breaks the inequality, {1,4,5}.
     """
     pattern = parse_pattern("11110\n00111\n00100\n11100\n11110\n10110\n")
     assert pattern.size == 18
-    assert _counting_bound(pattern, 2) == (16, (0, 3, 4, 5), (0, 3, 4))
+    assert _counting_bound(pattern, 2) == (16, (0, 3, 4))
     verdict = check_necessary_condition(pattern, 2)
     assert (verdict.contains_relaxed, verdict.nodes, verdict.witness) == (False, 1, None)
-    assert verdict.refuting_rows == _counting_bound(pattern, 2)[1]
+    assert verdict.refuting_rows == (0, 3, 4)
     relaxed = check_relaxed_slmf(pattern, 2)
     assert (relaxed.ok, relaxed.reason, relaxed.violating_rows) == (False, "inequality", (0, 3, 4))
 
@@ -514,7 +514,7 @@ def test_refuted_counting_condition_ends_both_searches_on_12x12_k7_s3():
     pattern = random_pattern(12, 12, 7, seed=3)
     for search in (find_finite_certificate, find_unique_certificate):
         outcome = search(pattern, 3, budget=100_000)
-        assert (outcome.status, outcome.exhausted, outcome.nodes) == ("none", True, 0)
+        assert (outcome.status, outcome.exhausted, outcome.nodes) == ("absent", True, 0)
     verdict = check_necessary_condition(pattern, 3)
     assert (verdict.contains_relaxed, verdict.nodes) == (False, 1)
     assert len(verdict.refuting_rows) == 11
@@ -563,8 +563,8 @@ def test_a_stage_takes_the_pass_of_a_sub_mask_without_a_row_set_scan(stage):
 
 def test_unique_certificate_implies_finite_one(pattern_6x6):
     """On the 6x6 fixture the stronger certificate coexists with the weaker."""
-    assert find_unique_certificate(pattern_6x6, 2).status == "found"
-    assert find_finite_certificate(pattern_6x6, 2).status == "found"
+    assert find_unique_certificate(pattern_6x6, 2).status == "present"
+    assert find_finite_certificate(pattern_6x6, 2).status == "present"
 
 
 def test_certificate_json_roundtrip(pattern_6x5):
@@ -600,7 +600,7 @@ def test_unique_certificate_found_within_budget_on_12x12_k5_s4():
     """The greedy selection decides this case within the budget that left it inconclusive."""
     pattern = random_pattern(12, 12, 5, seed=4)
     outcome = find_unique_certificate(pattern, 2, budget=100_000)
-    assert outcome.status == "found"
+    assert outcome.status == "present"
     assert verify_certificate(pattern, 2, outcome.certificate).ok
 
 
@@ -623,7 +623,7 @@ def test_both_certificates_found_within_budget_on_16x16_k8_s0(search, partition)
     """Both searches decide within 10^5 nodes, on the first partitions in lexicographic order."""
     pattern = random_pattern(16, 16, 8, seed=0)
     outcome = search(pattern, 3, budget=100_000)
-    assert outcome.status == "found"
+    assert outcome.status == "present"
     assert outcome.certificate.partition == partition
     assert verify_certificate(pattern, 3, outcome.certificate).ok
 
@@ -639,7 +639,7 @@ def test_unique_search_walks_a_first_group_of_a_thousand_columns():
     """The lexicographic walk goes 1,095 columns deep with no recursion limit to hit."""
     pattern = three_row_chain(1100)
     outcome = find_unique_certificate(pattern, 1)
-    assert (outcome.status, outcome.nodes) == ("found", 1100)
+    assert (outcome.status, outcome.nodes) == ("present", 1100)
     assert [len(group) for group in outcome.certificate.partition] == [1095, 5]
     assert verify_certificate(pattern, 1, outcome.certificate).ok
 
@@ -692,5 +692,5 @@ def test_search_past_the_subset_limit_is_inconclusive_before_allocating():
     assert [(o.status, o.nodes) for o in outcomes] == [("inconclusive", 0)] * 2
     assert peak < 1 << 20
     found = [search(kept, 9) for search in (find_finite_certificate, find_unique_certificate)]
-    assert [(o.status, o.nodes) for o in found] == [("found", 107), ("found", 119)]
+    assert [(o.status, o.nodes) for o in found] == [("present", 107), ("present", 119)]
     assert all(verify_certificate(kept, 9, o.certificate).ok for o in found)

@@ -6,12 +6,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import completable
 from completable import (
@@ -479,7 +482,7 @@ def test_slmf_check_method_disagreement_is_a_tool_fault(capsys, tmp_path, monkey
     monkeypatch.setattr(
         cli_mod,
         "check_slmf_randomized",
-        lambda phi, seed=0: SlmfVerdict(False, None, "randomized-rank"),
+        lambda phi, seed=0: SlmfVerdict(False, None),
     )
     code, _, err = run_cli(capsys, "slmf-check", str(path), "--rank", "2")
     assert code == 70
@@ -1127,7 +1130,7 @@ def test_slmf_check_no_past_the_column_limit(capsys, tmp_path, method):
     path = tmp_path / "phi.txt"
     chain = tuple((j, j + 1) for j in range(23))
     phi = Slmf(m=26, r=1, columns=chain + ((0, 1), (1, 2)))
-    assert check_slmf_combinatorial(phi) == SlmfVerdict(False, None, "combinatorial")
+    assert check_slmf_combinatorial(phi) == SlmfVerdict(False, None)
     path.write_text(slmf_to_grid(phi))
     code, out, err = run_cli(capsys, "slmf-check", str(path), "--rank", "1", "--method", method)
     assert (code, out, err) == (2, "slmf: no\n", "")
@@ -1234,6 +1237,79 @@ def test_analyze_a_thousand_column_chain_does_not_exit_70(capsys, tmp_path):
     assert json.loads(out)["unique_certificate"]["status"] == "present"
 
 
+# values cells beside plain numbers: unobserved, blank, non-finite, near the float
+# limit, and not a number
+_ODD_CELLS = ("*", "", "nan", "inf", "-inf", "1e308", "-1e308", "x")
+
+
+def _mangled(draw, lines):
+    """``lines`` as file text, or, on one draw in three, with one line made ragged or
+    foreign, or emptied."""
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([lines[i][:-1], lines[i] + lines[i][-1:], lines[i] + "2", ""]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, files): one command on generated input files named in ``files``."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    r = draw(st.integers(1, min(m, n) + 1))
+    command = draw(st.sampled_from(["analyze", "slmf-check", "export-system", "complete"]))
+    argv = [command, "input.txt", "--rank", str(r)]
+    if command == "analyze":
+        grid = ["".join(draw(st.sampled_from("01")) for _ in range(n)) for _ in range(m)]
+        argv += ["--budget", str(draw(st.integers(0, 50)))] + draw(st.sampled_from([[], ["--json"]]))
+        return argv, {"input.txt": _mangled(draw, grid)}
+    if command == "slmf-check":
+        size = min(r + 1, m)
+        columns = [draw(st.sets(st.integers(0, m - 1), min_size=size, max_size=size)) for _ in range(max(m - r, 1))]
+        grid = ["".join("01"[i in col] for col in columns) for i in range(m)]
+        argv += ["--method", draw(st.sampled_from(["both", "combinatorial", "randomized"]))]
+        return argv, {"input.txt": _mangled(draw, grid)}
+    # the values of a rank-r integer matrix, some unobserved, and on a coin one odd cell
+    ints = st.integers(-3, 3)
+    basis = draw(st.lists(st.lists(ints, min_size=r, max_size=r), min_size=m, max_size=m))
+    truth = np.array(basis) @ np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=r, max_size=r)))
+    cells = [[repr(float(x)) if draw(st.integers(0, 3)) else "*" for x in row] for row in truth.tolist()]
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_CELLS))
+    files = {"input.txt": _mangled(draw, [",".join(row) for row in cells])}
+    if command == "export-system":
+        return argv + ["--out", "system"], files
+    rows = [",".join(map(str, row)) for row in basis]
+    rows.insert(draw(st.integers(0, m)), draw(st.sampled_from(["# a comment", "", "  "])))
+    files["basis.csv"] = _mangled(draw, rows)
+    return argv + ["--basis", "basis.csv", "--out", "out.csv"], files
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_invocations())
+def test_generated_inputs_keep_the_exit_code_contract(capsys, tmp_path, invocation):
+    """``analyze``, ``slmf-check``, ``export-system`` and ``complete`` on well formed
+    and malformed grids, values and basis files: the exit code is a documented one
+    but 70, stderr is empty or one ``error:`` line, nothing warns, and every cell a
+    successful ``complete`` or ``export-system`` writes is finite."""
+    argv, files = invocation
+    for name in ("out.csv", "system.csv", "system.json"):
+        (tmp_path / name).unlink(missing_ok=True)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in (*files, "out.csv", "system") else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 64, 65), err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
+    assert not caught, [str(w.message) for w in caught]
+    written = {"complete": "out.csv", "export-system": "system.csv"}.get(argv[0])
+    if code == 0 and written:
+        cells = [float(c) for line in (tmp_path / written).read_text().splitlines() for c in line.split(",")]
+        assert all(np.isfinite(cells))
+
+
 def test_analysis_of_a_mask_with_unobserved_rows_stays_small():
     """10^7 rows, four entries, r = 1: an unobserved row ends both searches at
     0 nodes and both tangent tests are refused, all before any O(m) allocation."""
@@ -1270,8 +1346,8 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     exact size (8 x 8 k5 s1) and at it (the 6 x 5 fixture, and 20 x 20 k15 s0
     at r = 10, 300 entries on ``ROW_SET_LIMIT`` rows) the Jacobian passes,
     which proves the bound, so nothing is scanned and the counting test
-    passes. Refuted at the exact size, the one scan names the counting test's
-    first violating rows.
+    passes. Refuted at the exact size, the one scan, looking for a slack below
+    0, names the counting test's first violating rows.
     """
     from completable import certificates
     from completable.cli import build_analysis_report
@@ -1279,9 +1355,9 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
     scans = []
     kernel = certificates._least_row_set
 
-    def counted(pattern, r):
-        scans.append((pattern, r))
-        return kernel(pattern, r)
+    def counted(pattern, r, below):
+        scans.append((pattern, r, below))
+        return kernel(pattern, r, below)
 
     refuted = _refuted_6x5()
     monkeypatch.setattr(certificates, "_least_row_set", counted)
@@ -1289,7 +1365,7 @@ def test_one_analysis_runs_the_counting_bound_once(monkeypatch):
         (random_pattern(8, 8, 5, seed=1), 2, "pass", "fail", None, []),
         (parse_pattern(GRID_6X5), 2, "pass", "pass", None, []),
         (random_pattern(20, 20, 15, seed=0), 10, "pass", "pass", None, []),
-        (refuted, 2, "fail", "fail", [1, 2, 3], [(refuted, 2)]),
+        (refuted, 2, "fail", "fail", [1, 2, 3], [(refuted, 2, 0)]),
     ):
         scans.clear()
         report = build_analysis_report(pattern, r, seed=0, budget=10**5)

@@ -545,7 +545,7 @@ def test_search_ends_a_short_column_or_an_unobserved_row_without_a_row_set_scan(
     pattern, r = mask
     with mock.patch("completable.certificates._least_row_set") as scan:
         outcome = find_finite_certificate(pattern, r)
-    assert (outcome.status, outcome.exhausted, outcome.nodes) == ("none", True, 0)
+    assert (outcome.status, outcome.exhausted, outcome.nodes) == ("absent", True, 0)
     assert scan.call_count == 0
 
 
@@ -644,9 +644,17 @@ def test_unique_then_finite_then_full_rank_then_necessary(mask):
 
 @st.composite
 def masks_with_repeated_supports(draw):
-    """(pattern, r) from ``masks_with_r_per_column`` with up to 6 of its columns
-    drawn again and appended, so several columns share one support."""
-    pattern, r = draw(masks_with_r_per_column())
+    """(pattern, r) on up to 10 rows, from ``masks_with_r_per_column`` or with columns
+    of r-1 rows up, and up to 6 of its columns drawn again and appended, so several
+    columns share one support."""
+    if draw(st.booleans()):
+        pattern, r = draw(masks_with_r_per_column())
+    else:
+        m = draw(st.integers(2, 10))
+        n = draw(st.integers(1, 6))
+        r = draw(st.integers(1, min(m, n, 4)))
+        supports = [draw(st.sets(st.integers(0, m - 1), min_size=r - 1, max_size=m)) for _ in range(n)]
+        pattern = ObservationPattern(m, n, frozenset((i, j) for j, rows in enumerate(supports) for i in rows))
     supports = pattern.column_supports()
     copies = draw(st.lists(st.integers(0, pattern.n - 1), max_size=6))
     entries = pattern.entries | {(i, pattern.n + t) for t, j in enumerate(copies) for i in supports[j]}
@@ -655,12 +663,14 @@ def masks_with_repeated_supports(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(masks_with_repeated_supports(), st.sampled_from([1 << 17, 5]))
-def test_counting_bound_is_the_first_least_row_set(mask, cells):
-    """The bound is the first minimum over row sets by the row-set loop, and the first
-    row set below the size is the first violating one, with each distinct support
-    scanned once and weighted by its columns, in one chunk or in many."""
+def test_counting_bound_is_the_least_and_names_the_first_refuting_row_set(mask, cells):
+    """The bound is the least over row sets by the row-set loop, and its row set the
+    first (smallest, then lexicographic) whose bound falls below r(m+n-r), with each
+    distinct support scanned once and weighted by its columns, in one chunk or in
+    many. The necessary condition names that set, and at the exact size so does
+    the counting test."""
     pattern, r = mask
-    m = pattern.m
+    m, target = pattern.m, r * (pattern.m + pattern.n - r)
     supports = pattern.column_supports()
     values = [
         (pattern.size + r * (len(rows) - r)
@@ -669,10 +679,13 @@ def test_counting_bound_is_the_first_least_row_set(mask, cells):
         for rows in itertools.combinations(range(m), size)
     ]
     with mock.patch("completable.certificates._ROW_SET_CELLS", cells):
-        bound, rows, violated = _counting_bound(pattern, r)
+        bound, rows = _counting_bound(pattern, r)
     assert bound == min((v for v, _ in values), default=pattern.size)
-    assert rows == next((i for v, i in values if v == bound), None)
-    assert violated == next((i for v, i in values if v < pattern.size), None)
+    assert rows == next((i for v, i in values if v < target), None)
+    if pattern.size >= target:
+        assert check_necessary_condition(pattern, r).refuting_rows == rows
+    if pattern.size == target:
+        assert check_relaxed_slmf(pattern, r).violating_rows == rows
 
 
 @st.composite

@@ -25,7 +25,6 @@ def test_known_linkage_supports_pass():
         verdict = check_slmf_combinatorial(phi)
         assert verdict.is_slmf
         assert verdict.witness is None
-        assert verdict.method == "combinatorial"
 
 
 def test_repeated_columns_fail_with_minimal_witness():
@@ -82,8 +81,8 @@ def test_witness_past_the_column_limit_only_at_nullity_one(monkeypatch):
     chain = tuple((j, j + 1) for j in range(59))
     one, two = Slmf(61, 1, chain + ((0, 1),)), Slmf(62, 1, chain + ((0, 1), (1, 2)))
     assert (one._hall_pass.dependent, two._hall_pass.dependent) == ((59,), (59, 60))
-    assert check_slmf_combinatorial(one) == slmf.SlmfVerdict(False, (0, 59), "combinatorial")
-    assert check_slmf_combinatorial(two) == slmf.SlmfVerdict(False, None, "combinatorial")
+    assert check_slmf_combinatorial(one) == slmf.SlmfVerdict(False, (0, 59))
+    assert check_slmf_combinatorial(two) == slmf.SlmfVerdict(False, None)
 
 
 # the basis kept is columns 0, 1, 2, 3, 5 and column 4 is turned down; the members
@@ -171,7 +170,6 @@ def test_randomized_accepts_known_supports():
     for phi in (PHI_A, PHI_B):
         verdict = check_slmf_randomized(phi, seed=1)
         assert verdict.is_slmf
-        assert verdict.method == "randomized-rank"
         assert verdict.witness is None
 
 
