@@ -77,9 +77,6 @@ class SlmfWitness:
         )
         object.__setattr__(self, "sources", tuple(map(index, self.sources)))
 
-    def as_slmf(self, m: int, r: int) -> Slmf:
-        return Slmf(m=m, r=r, columns=self.supports)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -163,7 +160,7 @@ def verify_certificate(
                 )
         if not witness.supports:
             continue  # r = m: the empty family is a linkage support
-        verdict = check_slmf_combinatorial(witness.as_slmf(pattern.m, r))
+        verdict = check_slmf_combinatorial(Slmf(pattern.m, r, witness.supports))
         if verdict.is_slmf:
             continue
         where = "" if verdict.witness is None else f" at columns {tuple(t + 1 for t in verdict.witness)}"
@@ -590,7 +587,7 @@ def check_necessary_condition(
     if pattern.size < target:
         return NecessaryConditionVerdict(False, None, 0)
     if r == 1:
-        tree, _ = _row_column_forest(pattern.sorted_entries())
+        tree, _ = _row_column_forest(sorted(pattern.entries))
         if len(tree) == target:
             return NecessaryConditionVerdict(True, pattern.restrict(tree), 1)
     elif proved:

@@ -208,7 +208,7 @@ class _Analysis:
         witness = necessary.witness
         return {
             "verdict": _VERDICT[necessary.contains_relaxed],
-            "witness_entries": [[i + 1, j + 1] for i, j in witness.sorted_entries()] if witness else None,
+            "witness_entries": [[i + 1, j + 1] for i, j in sorted(witness.entries)] if witness else None,
             "nodes": necessary.nodes,
         }
 
@@ -264,6 +264,7 @@ _STAGES = (
 
 def build_analysis_report(pattern: ObservationPattern, r: int, seed: int, budget: int) -> dict:
     """Run every analysis on the pattern and assemble the JSON-ready report."""
+    supports = pattern.column_supports()
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "completable", "version": __version__},
@@ -273,8 +274,8 @@ def build_analysis_report(pattern: ObservationPattern, r: int, seed: int, budget
             "m": pattern.m,
             "n": pattern.n,
             "observed": pattern.size,
-            "column_support_sizes": [len(w) for w in pattern.column_supports()],
-            "empty_columns": [j + 1 for j in pattern.empty_columns()],
+            "column_support_sizes": [len(w) for w in supports],
+            "empty_columns": [j + 1 for j, w in enumerate(supports) if not w],
         },
     }
     analysis = _Analysis(pattern, r, seed, budget)

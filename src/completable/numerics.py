@@ -898,11 +898,6 @@ class ExportedSystem:
             fh.write((", " if first else "") + ", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
         fh.write("]}")
 
-    def index_map_json(self) -> str:
-        out = io.StringIO()
-        self.write_index_map(out)
-        return out.getvalue()
-
 
 def export_plucker_system(obs: ObservedMatrix, r: int) -> ExportedSystem:
     """Stack every section functional of the observed matrix into one system.

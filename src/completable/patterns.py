@@ -61,22 +61,9 @@ class ObservationPattern:
     def _shared(self) -> dict:  # one Jacobian report and the counting bounds, kept like _column_supports
         return {}
 
-    def column_support(self, j: int) -> tuple[int, ...]:
-        """Sorted observed row indices of column ``j``."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range")
-        return self._column_supports[j]
-
     def column_supports(self) -> tuple[tuple[int, ...], ...]:
         """Sorted observed row indices of every column, computed once per pattern."""
         return self._column_supports
-
-    def empty_columns(self) -> tuple[int, ...]:
-        supports = self.column_supports()
-        return tuple(j for j in range(self.n) if not supports[j])
-
-    def sorted_entries(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
 
     def restrict(self, keep: Iterable[tuple[int, int]]) -> "ObservationPattern":
         """Sub-pattern on the same grid containing only ``keep`` entries."""

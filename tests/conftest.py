@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -85,7 +86,7 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
     m, n = pattern.m, pattern.n
     A, C = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     J = np.zeros((pattern.size, r * (m + n)))
-    for row, (i, j) in enumerate(pattern.sorted_entries()):
+    for row, (i, j) in enumerate(sorted(pattern.entries)):
         J[row, i * r : (i + 1) * r] = C[:, j]
         J[row, (m + j) * r : (m + j + 1) * r] = A[i]
     S = [np.zeros(m * r)]
@@ -223,6 +224,13 @@ def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def index_map_text(system):
+    """The index map as ``write_index_map`` writes it to a text sink, read back as one str."""
+    out = io.StringIO()
+    system.write_index_map(out)
+    return out.getvalue()
 
 
 def reference_least_violator(masks, r):
@@ -546,7 +554,7 @@ def _reference_selection(pool, m, r, budget):
 
 
 def reference_spanning_tree(pattern):
-    """Entries, in ``sorted_entries()`` order, joining two components of the row-column graph.
+    """Entries, in ``sorted(pattern.entries)`` order, joining two components of the row-column graph.
 
     A spanning forest by union-find: m+n-1 entries iff the graph is connected.
     """
@@ -562,7 +570,7 @@ def reference_spanning_tree(pattern):
         return v
 
     tree = []
-    for i, j in pattern.sorted_entries():
+    for i, j in sorted(pattern.entries):
         a, b = find(i), find(m + j)
         if a != b:
             parent[a] = b

@@ -82,7 +82,7 @@ def test_criterion_01_finite_analysis_of_the_6x5_fixture():
 def test_criterion_02_every_single_entry_deletion_is_detected():
     pattern = parse_pattern(GRID_6X5)
     ok = True
-    for entry in pattern.sorted_entries():
+    for entry in sorted(pattern.entries):
         smaller = pattern.restrict(pattern.entries - {entry})
         from completable import minimum_size_check
 

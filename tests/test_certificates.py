@@ -159,7 +159,7 @@ def test_find_finite_certificate_6x5(pattern_6x5):
 
 def test_find_finite_none_after_any_single_deletion(pattern_6x5):
     """Removing any observed entry destroys every two-group certificate."""
-    for entry in pattern_6x5.sorted_entries():
+    for entry in sorted(pattern_6x5.entries):
         outcome = find_finite_certificate(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2)
         assert outcome.status == "absent"
         assert outcome.exhausted

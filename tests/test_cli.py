@@ -115,7 +115,7 @@ def test_analyze_embeds_the_certificates_json(capsys, tmp_path):
 
 
 def test_analyze_json_pattern_input(capsys, tmp_path, pattern_file):
-    entries = [[i + 1, j + 1] for i, j in parse_pattern(GRID_6X5).sorted_entries()]
+    entries = [[i + 1, j + 1] for i, j in sorted(parse_pattern(GRID_6X5).entries)]
     path = tmp_path / "pattern.json"
     path.write_text(json.dumps({"m": 6, "n": 5, "entries": entries}))
     code_json, out_json, _ = run_cli(capsys, "analyze", str(path), "--rank", "2", "--json")
@@ -513,6 +513,37 @@ def test_analyze_flags_empty_columns(capsys, tmp_path):
     report = json.loads(out)
     assert report["pattern"]["empty_columns"] == [3]
     assert code == 2  # eight entries cannot meet the ten required
+
+
+@st.composite
+def _grids_with_empty_columns(draw):
+    """A 1 x 1 to 8 x 8 grid drawn column by column; any column may be empty."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return [sorted(draw(st.sets(st.integers(0, m - 1)))) for _ in range(n)], m
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grids_with_empty_columns())
+def test_analyze_pattern_block_is_the_grid_read_column_by_column(capsys, tmp_path, grid):
+    """``analyze``'s pattern block counts the observed cells and each column's
+    support, and lists the empty columns 1-based; the text report's
+    ``empty columns:`` line lists the same columns, and is absent when none is."""
+    supports, m = grid
+    path = tmp_path / "grid.txt"
+    path.write_text("".join("".join("1" if i in s else "0" for s in supports) + "\n" for i in range(m)))
+    _, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1", "--budget", "10", "--json")
+    empty = [j + 1 for j, s in enumerate(supports) if not s]
+    assert json.loads(out)["pattern"] == {
+        "m": m,
+        "n": len(supports),
+        "observed": sum(map(len, supports)),
+        "column_support_sizes": [len(s) for s in supports],
+        "empty_columns": empty,
+    }
+    _, out, _ = run_cli(capsys, "analyze", str(path), "--rank", "1", "--budget", "10")
+    lines = [line for line in out.splitlines() if line.startswith("empty columns:")]
+    assert lines == ([f"empty columns: {' '.join(map(str, empty))}"] if empty else [])
 
 
 def test_exit_code_branches():

@@ -46,6 +46,7 @@ from completable.plucker import index_subsets, rank_mod_p
 from conftest import (
     GRID_6X5,
     PHI_A,
+    index_map_text,
     reference_degenerate_projections,
     reference_export_csv,
     reference_is_row_basis,
@@ -189,7 +190,7 @@ def test_jacobian_rank_fully_observed():
 
 
 def test_jacobian_rank_drops_after_any_deletion(pattern_6x5):
-    for entry in pattern_6x5.sorted_entries():
+    for entry in sorted(pattern_6x5.entries):
         report = jacobian_rank_test(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2, seed=1)
         assert report.tested_rank == 17
         assert not report.passed
@@ -659,7 +660,7 @@ def _prefix_cut(M):
 def _thinned(m, k, keep, seed):
     """``random_pattern(m, m, k, seed)`` with the first ``keep(j)`` rows of each column j."""
     base = random_pattern(m, m, k, seed=seed)
-    return ObservationPattern(m, m, frozenset((i, j) for j in range(m) for i in base.column_support(j)[: keep(j)]))
+    return ObservationPattern(m, m, frozenset((i, j) for j in range(m) for i in base.column_supports()[j][: keep(j)]))
 
 
 @pytest.mark.parametrize(
@@ -807,7 +808,7 @@ def test_a_loose_block_that_drops_rank_keeps_both_ranks_exact(monkeypatch, few):
     jacobian, section, _ = _tangent_ranks(pattern, 5, _Draws(A.copy(), C.copy()))
     assert all(map(np.all, fulls[:1])) and not all(map(np.all, fulls[1:]))  # the columns, then the blocks
     J = np.zeros((pattern.size, 5 * 80), dtype=np.int64)
-    for row, (i, j) in enumerate(pattern.sorted_entries()):
+    for row, (i, j) in enumerate(sorted(pattern.entries)):
         J[row, 5 * i : 5 * i + 5], J[row, 5 * (40 + j) : 5 * (40 + j) + 5] = C[:, j], A[i]
     assert jacobian == reference_rank_mod_p(J)[0]
     assert (jacobian, section) == reference_tangent_ranks(pattern, 5, _Draws(A, C))[:2]
@@ -1115,7 +1116,7 @@ def test_index_map_leaves_the_subset_cache_empty():
     values = {e: float(e[0] + 1) for e in pattern.entries}
     system = export_plucker_system(ObservedMatrix(pattern, values), 5)
     index_subsets.cache_clear()
-    index_map = json.loads(system.index_map_json())
+    index_map = json.loads(index_map_text(system))
     assert index_subsets.cache_info().currsize == 0
     assert len(index_map["plucker_subsets"]) == 658008
     assert index_map["plucker_subsets"][-1] == [36, 37, 38, 39, 40]
@@ -1152,7 +1153,7 @@ def test_index_map_json_at_the_edges(m, n, support, r):
     """The level-built subset list is ``json.dumps``'s, at r = 1 and r = m too, and with no rows."""
     pattern = ObservationPattern(m, n, frozenset((i, j) for i in range(support) for j in range(n)))
     system = export_plucker_system(ObservedMatrix(pattern, {e: 1.0 for e in pattern.entries}), r)
-    assert system.index_map_json() == json.dumps(system.index_map())
+    assert index_map_text(system) == json.dumps(system.index_map())
 
 
 def test_write_csv_writes_bytes_with_newline_ends(pattern_6x5):

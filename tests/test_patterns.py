@@ -28,17 +28,13 @@ from completable import (
     pattern_to_grid,
     random_pattern,
 )
-from conftest import GRID_6X5
+from conftest import GRID_6X5, index_map_text
 
 
 def test_parse_6x5_grid(pattern_6x5):
     assert (pattern_6x5.m, pattern_6x5.n) == (6, 5)
     assert pattern_6x5.size == 18
-    assert pattern_6x5.column_support(0) == (0, 1, 2, 3, 4)
-    assert pattern_6x5.column_support(1) == (3, 4, 5)
-    assert pattern_6x5.column_support(2) == (1, 3)
-    assert pattern_6x5.column_support(3) == (0, 1, 3, 4, 5)
-    assert pattern_6x5.column_support(4) == (0, 2, 4)
+    assert pattern_6x5.column_supports() == ((0, 1, 2, 3, 4), (3, 4, 5), (1, 3), (0, 1, 3, 4, 5), (0, 2, 4))
 
 
 def test_parse_single_cell():
@@ -50,7 +46,7 @@ def test_parse_single_cell():
 def test_parse_all_zeros():
     p = parse_pattern("000\n000\n000\n")
     assert p.size == 0
-    assert p.empty_columns() == (0, 1, 2)
+    assert p.column_supports() == ((), (), ())
 
 
 def test_parse_ragged_line_names_line():
@@ -73,7 +69,7 @@ def test_grid_roundtrip(pattern_6x5):
 
 
 def test_json_roundtrip_is_one_based(pattern_6x5):
-    entries = [[i + 1, j + 1] for i, j in pattern_6x5.sorted_entries()]
+    entries = [[i + 1, j + 1] for i, j in sorted(pattern_6x5.entries)]
     assert [1, 1] in entries  # (0, 0) observed, written 1-based
     assert pattern_from_json(json.dumps({"m": 6, "n": 5, "entries": entries})) == pattern_6x5
 
@@ -124,7 +120,7 @@ def test_minimum_size_6x5(pattern_6x5):
 
 
 def test_minimum_size_fails_after_any_removal(pattern_6x5):
-    for entry in pattern_6x5.sorted_entries():
+    for entry in sorted(pattern_6x5.entries):
         check = minimum_size_check(pattern_6x5.restrict(pattern_6x5.entries - {entry}), 2)
         assert (check.actual, check.passed) == (17, False)
 
@@ -171,8 +167,8 @@ def test_value_types_read_their_integer_fields_through_operator_index(monkeypatc
 
 def test_an_exported_system_reads_r_true_as_r_1():
     """``True`` is an index, 1, so the index map is that of r = 1, and valid JSON."""
-    text = export_plucker_system(_OBSERVED, True).index_map_json()
-    assert text == _SYSTEM.index_map_json()
+    text = index_map_text(export_plucker_system(_OBSERVED, True))
+    assert text == index_map_text(_SYSTEM)
     assert json.loads(text)["r"] == 1
 
 

@@ -48,6 +48,7 @@ from completable.plucker import FIELD_PRIME, _lex_rank, index_subsets
 from completable.slmf import HallMatching, _dual_basis_rank_mod_p, _least_violator, first_linkage_support
 from conftest import (
     GRID_6X5,
+    index_map_text,
     reference_complete_column,
     reference_enumerate,
     reference_export_csv,
@@ -122,7 +123,7 @@ def test_jacobian_rank_is_section_rank_plus_rn(mask, seed, degenerate):
     tangent_ranks = numerics._tangent_ranks
 
     def ranks(pattern, r, rng):
-        rows = pattern.column_support(0) if degenerate else ()
+        rows = pattern.column_supports()[0] if degenerate else ()
         return tangent_ranks(pattern, r, _ParallelRows(rng, rows))
 
     with mock.patch.object(numerics, "_tangent_ranks", ranks):
@@ -262,7 +263,7 @@ def test_completion_reproduces_the_factors_and_refutes_a_shifted_entry(mask, see
     over = [j for j, omega in enumerate(pattern.column_supports()) if len(omega) > r]
     assume(over)
     j = data.draw(st.sampled_from(over))
-    i = data.draw(st.sampled_from(pattern.column_support(j)))
+    i = data.draw(st.sampled_from(pattern.column_supports()[j]))
     X[i, j] += 1 + abs(X[i, j])
     with pytest.raises(InconsistentObservationError, match=f"^column {j + 1}: not in projected"):
         complete_matrix(ObservedMatrix.from_matrix(X, pattern), SubspaceBasis(B))
@@ -326,7 +327,7 @@ def test_stacked_completion_is_the_column_loop(drawn):
     expected = np.zeros((obs.pattern.m, obs.pattern.n))
     failure = None
     for j in range(obs.pattern.n):
-        omega = obs.pattern.column_support(j)
+        omega = obs.pattern.column_supports()[j]
         try:
             expected[:, j] = reference_complete_column(basis, omega, {i: obs.values[i, j] for i in omega})
         except (DegenerateProjectionError, InconsistentObservationError) as exc:
@@ -378,7 +379,7 @@ def test_necessary_condition_matches_brute_force(mask):
     target = r * (pattern.m + pattern.n - r)
     expected = any(
         check_relaxed_slmf(pattern.restrict(keep), r).ok
-        for keep in itertools.combinations(pattern.sorted_entries(), target)
+        for keep in itertools.combinations(sorted(pattern.entries), target)
     )
     verdict = check_necessary_condition(pattern, r)
     assert verdict.contains_relaxed is expected
@@ -397,7 +398,7 @@ def masks_up_to_ten_rows(draw):
     r = draw(st.integers(1, min(m - 1, n, 3)))
     k = draw(st.integers(r, m))
     pattern = random_pattern(m, n, k, seed=draw(st.integers(0, 2**16)))
-    dropped = draw(st.sets(st.sampled_from(pattern.sorted_entries()), max_size=3))
+    dropped = draw(st.sets(st.sampled_from(sorted(pattern.entries)), max_size=3))
     return pattern.restrict(pattern.entries - dropped), r
 
 
@@ -447,10 +448,10 @@ def masks_with_a_short_row_or_column(draw):
     keep = draw(st.integers(0, r - 1))
     if draw(st.booleans()):
         i = draw(st.integers(0, m - 1))
-        line = [e for e in pattern.sorted_entries() if e[0] == i]
+        line = [e for e in sorted(pattern.entries) if e[0] == i]
     else:
         j = draw(st.integers(0, n - 1))
-        line = [e for e in pattern.sorted_entries() if e[1] == j]
+        line = [e for e in sorted(pattern.entries) if e[1] == j]
     dropped = draw(st.permutations(line))[keep:]
     return pattern.restrict(pattern.entries - set(dropped)), r
 
@@ -529,7 +530,7 @@ def masks_with_a_short_column_or_an_unobserved_row(draw):
     pattern = random_pattern(m, n, draw(st.integers(max(r, m - 2), m)), seed=draw(st.integers(0, 2**16)))
     if draw(st.booleans()):
         j = draw(st.integers(0, n - 1))
-        line = [e for e in pattern.sorted_entries() if e[1] == j]
+        line = [e for e in sorted(pattern.entries) if e[1] == j]
         dropped = draw(st.permutations(line))[draw(st.integers(0, r - 1)):]
     else:
         i = draw(st.integers(0, m - 1))
@@ -589,10 +590,10 @@ def test_rank_one_necessary_condition_is_connectivity(pattern):
 @given(masks_up_to_8x8())
 def test_row_column_forest_is_the_reference_spanning_tree(mask):
     """The dict-based union-find keeps the list-based reference's forest edge for edge,
-    in ``sorted_entries()`` order, and the r = 1 necessary condition takes it as witness."""
+    in ``sorted(pattern.entries)`` order, and the r = 1 necessary condition takes it as witness."""
     pattern, _ = mask
     tree = reference_spanning_tree(pattern)
-    forest, root = numerics._row_column_forest(pattern.sorted_entries())
+    forest, root = numerics._row_column_forest(sorted(pattern.entries))
     assert forest == tree
     assert len(set(root.values())) == len(root) - len(tree)  # one root per component
     if len(tree) == pattern.m + pattern.n - 1:
@@ -864,7 +865,7 @@ def reference_export_matrix(obs, r):
     pos = {s: t for t, s in enumerate(index_subsets(obs.pattern.m, r))}
     rows = []
     for j in range(obs.pattern.n):
-        omega = obs.pattern.column_support(j)
+        omega = obs.pattern.column_supports()[j]
         lookup = {i: obs.values[i, j] for i in omega}
         for phi in itertools.combinations(omega, r + 1):
             row = np.zeros(len(pos))
@@ -894,7 +895,7 @@ def test_export_matches_the_cell_by_cell_reference(drawn):
         system.write_csv(fh)
         fh.seek(0)
         assert fh.read() == csv.encode()
-    assert system.index_map_json() == json.dumps(system.index_map())
+    assert index_map_text(system) == json.dumps(system.index_map())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
