@@ -32,7 +32,6 @@ from .numerics import (
     InconsistentObservationError,
     ObservedMatrix,
     RankReport,
-    SectionTestError,
     TangentSizeError,
     complete_matrix,
     export_plucker_system,

@@ -111,6 +111,7 @@ def verify_certificate(
     pattern: ObservationPattern, r: int, cert: Certificate
 ) -> VerificationResult:
     """Check every clause of a certificate; name the first failure."""
+    r = _checked_rank(pattern, r)
     groups = _expected_groups(cert.kind, r)
     if len(cert.partition) != groups:
         return VerificationResult(

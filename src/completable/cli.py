@@ -33,7 +33,6 @@ from .numerics import (
     ObservedMatrix,
     ObservedMatrixFormatError,
     RankReport,
-    SectionTestError,
     TangentSizeError,
     complete_matrix,
     export_plucker_system,
@@ -168,7 +167,7 @@ class _Analysis:
         """The payload and report of ``test``; an inconclusive payload and None where it cannot run."""
         try:
             report = test(self.pattern, self.r, seed=self.seed)
-        except (SectionTestError, TangentSizeError) as exc:
+        except TangentSizeError as exc:
             return {"verdict": "inconclusive", "error": str(exc)}, None
         return {
             "verdict": "pass" if report.passed else "fail",

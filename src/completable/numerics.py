@@ -17,8 +17,8 @@ target rank (Schwartz-Zippel), t = ``plucker.TRIALS``. The Jacobian test and
 the randomized SLMF test with its Hall-matroid bound run their trials
 through one loop (``plucker.first_full_rank``), which holds that one trial
 count, and takes an int seed: a report's last point is redrawn from (seed,
-trials). The section test runs no trial: the section rank is the Jacobian
-rank minus r n, so it reads the Jacobian report at its (r, seed).
+trials). The section test runs no trial: its rank is the Jacobian rank
+minus sum_j min(#omega_j, r), read off the Jacobian report at its (r, seed).
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class DegenerateProjectionError(RuntimeError):
 
 class InconsistentObservationError(RuntimeError):
     """Observed values are not explained by the given column space."""
-
-
-class SectionTestError(RuntimeError):
-    """The tangent-space test could not set up its functionals."""
 
 
 class TangentSizeError(RuntimeError):
@@ -175,8 +171,8 @@ class RankReport:
     ``_tangent_ranks``. It is one row basis, not a canonical one: which
     depends on the elimination order. It takes no part in comparisons. A
     ``grassmann_section_rank_test`` report is the Jacobian report at the
-    same (r, seed) with r n taken off both ranks: its trials are the
-    Jacobian test's.
+    same (r, seed) with sum_j min(#omega_j, r) taken off its rank and r n
+    off its target: its trials are the Jacobian test's.
     """
 
     tested_rank: int
@@ -331,33 +327,29 @@ def grassmann_section_rank_test(pattern: ObservationPattern, r: int, seed: int =
     keeps x_j on its support omega_j inside the projected subspace; to first
     order in a perturbation D of A that reads N_j (D c_j)[omega_j] = 0, where
     the rows of N_j span the left null space of A[omega_j]. These
-    #omega_j - r rows per column are the S block of the elimination that
-    gives ``jacobian_rank_test`` its rank, J = sum_j rank A[omega_j] +
-    rank S, so with r rows or more in every column the section rank is the
-    Jacobian rank minus r n, and this test reads it off the Jacobian
+    #omega_j - r rows per column (none below r + 1 rows) are the S block of
+    the elimination that gives ``jacobian_rank_test`` its rank, J = sum_j
+    rank A[omega_j] + rank S at every support size, so the section rank is
+    J - sum_j min(#omega_j, r), and this test reads it off the Jacobian
     report at (r, seed): the one that test left on this pattern object,
     which it takes, or else a fresh one, which it leaves nowhere. Full rank
-    r(m-r) means the sections pin the subspace down to isolated points. At
-    a point where some A[omega_j] drops rank the rank read is below that of
-    S, so never a pass that S would lack.
+    r(m-r) means the sections pin the subspace down to isolated points; a
+    pass beside a Jacobian fail, that they do while a column of fewer than
+    r rows leaves its coefficients c_j free. At a point where some
+    A[omega_j] drops rank the rank read is below that of S, so never a pass
+    that S would lack.
 
     Raises:
         TypeError: r or the seed is not an integer (``operator.index``).
-        SectionTestError: a column has fewer than r observed rows.
         TangentSizeError: the elimination would pass ``MAX_TANGENT_BYTES``.
     """
     r, seed = _checked_rank(pattern, r), operator.index(seed)
-    for j, omega in enumerate(pattern.column_supports()):
-        if len(omega) < r:
-            raise SectionTestError(
-                f"column {j + 1} has {len(omega)} observed rows, fewer than r={r}"
-            )
     key, jacobian = pattern._shared.pop("jacobian_report", (None, None))
     if key != (r, seed):
         jacobian = jacobian_rank_test(pattern, r, seed)
         pattern._shared.pop("jacobian_report", None)
-    rn = r * pattern.n
-    return RankReport(jacobian.tested_rank - rn, jacobian.target - rn, jacobian.trials)
+    coefficients = sum(min(len(omega), r) for omega in pattern.column_supports())
+    return RankReport(jacobian.tested_rank - coefficients, jacobian.target - r * pattern.n, jacobian.trials)
 
 
 def _row_column_forest(entries: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], dict[int, int]]:
@@ -394,8 +386,8 @@ def _jacobian_rank_bound(pattern: ObservationPattern, r: int) -> int:
     The rows of J at the entries of one connected component c of the core
     add at most min(|c|, r(m_c+n_c-r)), since they involve only c's rows of
     A and columns of C, up to c's own gauge (A_c, C_c) -> (A_c G, G^-1 C_c).
-    The bound also holds for every subset of J's rows, and minus r n it
-    bounds the section rank when every column has r entries or more.
+    The bound also holds for every subset of J's rows, and minus sum_j
+    min(#omega_j, r) it bounds the section rank at a generic point.
     Computed afresh, at most once per ``jacobian_rank_test`` call, and only
     once a trial falls short.
     """
@@ -859,24 +851,20 @@ class ExportedSystem:
         self.write_csv(out)
         return out.getvalue().decode()
 
-    def index_map(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "plucker_subsets": [[i + 1 for i in s] for s in itertools.combinations(range(self.m), self.r)],
-            "rows": [{"column": j, "phi": phi} for j, *phi in (self.origins + 1).tolist()],
-        }
-
     def write_index_map(self, fh: TextIO) -> None:
-        """Write ``json.dumps(self.index_map())`` to a text file, a block at a time.
+        """Write the index map to a text file as JSON, a block at a time.
 
-        The coordinate subsets are built from the lexicographic levels
-        (``plucker._lex_blocks``): the subsets with leading pair (a, b) are
-        that pair followed by the last C(m-b-1, r-2) entries of level r-2, so
-        only level r-2's item tails are held as strings and each leading
-        pair's block is one write. The rows go out ``_INDEX_CHUNK`` at a time,
-        each chunk of ``origins + 1`` formatted by one ``%`` over its ints;
-        %d prints an int exactly as ``json.dumps`` does.
+        The document is ``{"m": m, "r": r, "plucker_subsets": [...], "rows":
+        [...]}`` as ``json.dumps`` prints it, every index 1-based: each
+        coordinate's r-subset of rows in lexicographic order, then each row's
+        ``{"column": j, "phi": [...]}`` from ``origins``. The subsets are
+        built from the lexicographic levels (``plucker._lex_blocks``): the
+        subsets with leading pair (a, b) are that pair followed by the last
+        C(m-b-1, r-2) entries of level r-2, so only level r-2's item tails
+        are held as strings and each leading pair's block is one write. The
+        rows go out ``_INDEX_CHUNK`` at a time, each chunk of ``origins + 1``
+        formatted by one ``%`` over its ints; %d prints an int exactly as
+        ``json.dumps`` does.
         """
         m, r = self.m, self.r
         fh.write(f'{{"m": {m}, "r": {r}, "plucker_subsets": [')

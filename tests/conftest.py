@@ -105,25 +105,6 @@ def reference_float_tangent_ranks(pattern, r, seed, tol=1e-9, gap=1e3):
     return ranks, clear
 
 
-def reference_rank_report(pattern, r, part, seed):
-    """A rank report from its own trials: ``first_full_rank`` over
-    ``_tangent_ranks(...)[part]``, part 0 the Jacobian rank and 1 the rank of
-    the section rows S alone, a direct elimination that the section test does
-    not read, stopping at the (r+1)-core bound (minus r n for S) where it is
-    below the target."""
-    from completable import numerics
-    from completable.plucker import first_full_rank
-
-    target = r * (pattern.m - r) + (1 - part) * r * pattern.n
-    rank, run = first_full_rank(
-        lambda rng: numerics._tangent_ranks(pattern, r, rng)[part],
-        target,
-        seed,
-        bound=lambda: numerics._jacobian_rank_bound(pattern, r) - part * r * pattern.n,
-    )
-    return numerics.RankReport(rank, target, trials=run)
-
-
 def reference_coordinates(P):
     """A Plucker vector as a dict from each sorted r-subset to its coordinate, a float."""
     return dict(zip(itertools.combinations(range(P.m), P.r), P.coords.tolist()))
@@ -224,6 +205,17 @@ def reference_export_csv(matrix):
     """Dense CSV of an exported system, formatted cell by cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_index_map(system):
+    """The index map document built whole: the 1-based r-subsets of range(m) in
+    lexicographic order, then each row's column and (r+1)-subset from ``origins``."""
+    return {
+        "m": system.m,
+        "r": system.r,
+        "plucker_subsets": [[i + 1 for i in s] for s in itertools.combinations(range(system.m), system.r)],
+        "rows": [{"column": j, "phi": phi} for j, *phi in (system.origins + 1).tolist()],
+    }
 
 
 def index_map_text(system):

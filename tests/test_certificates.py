@@ -3,6 +3,7 @@ import tracemalloc
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from completable import (
@@ -71,6 +72,23 @@ def test_verify_finite_certificate_6x5(pattern_6x5):
 def test_verify_unique_certificate_6x6(pattern_6x6):
     result = verify_certificate(pattern_6x6, 2, hand_built_unique_certificate())
     assert result.ok, result.detail
+
+
+def test_verify_reads_r_as_every_stage_does(pattern_6x5):
+    """r is read by ``patterns._checked_rank`` first: out of 1..min(m, n) a
+    ValueError, a float a TypeError before any clause is checked, and a
+    numpy integer as the int it is."""
+    cert = hand_built_finite_certificate()
+    for r in (0, -1, min(pattern_6x5.m, pattern_6x5.n) + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_certificate(pattern_6x5, r, cert)
+    work = AssertionError("a clause was checked")
+    with mock.patch.object(certificates, "_expected_groups", side_effect=work), \
+            mock.patch.object(certificates, "check_slmf_combinatorial", side_effect=work):
+        with pytest.raises(TypeError):
+            verify_certificate(pattern_6x5, 2.0, cert)
+    assert verify_certificate(pattern_6x5, np.int64(2), cert) == verify_certificate(pattern_6x5, 2, cert)
+    assert verify_certificate(pattern_6x5, np.int64(2), cert).ok
 
 
 def test_verify_fails_clause_i_for_small_column(pattern_6x5):

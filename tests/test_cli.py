@@ -35,7 +35,15 @@ from completable import (
     slmf_to_grid,
 )
 from completable.cli import MAX_COLUMNS, main
-from conftest import GRID_6X5, GRID_6X6, PHI_A, REPEATED_COLUMNS, exact_size_trim, reference_export_csv
+from conftest import (
+    GRID_6X5,
+    GRID_6X6,
+    PHI_A,
+    REPEATED_COLUMNS,
+    exact_size_trim,
+    reference_export_csv,
+    reference_index_map,
+)
 
 
 def run_cli(capsys, *argv):
@@ -659,11 +667,14 @@ def test_analyze_rank_equal_to_m_with_a_missing_cell(capsys, tmp_path):
     path = tmp_path / "holed.txt"
     path.write_text("111\n111\n110\n")
     code, out, err = run_cli(capsys, "analyze", str(path), "--rank", "3", "--json")
-    assert code == 2
-    section = json.loads(out)["grassmann_section_rank"]
-    assert section["verdict"] == "inconclusive"
-    assert "column 3" in section["error"]
-    assert err == ""
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    # at r = m the Grassmannian is one point: the sections pass with nothing to
+    # pin, while column 3's two rows leave one coefficient direction free
+    assert report["grassmann_section_rank"] == {
+        "verdict": "pass", "tested_rank": 0, "target": 0, "trials": 1, "pass_count": 1
+    }
+    assert (report["jacobian_rank"]["tested_rank"], report["jacobian_rank"]["target"]) == (8, 9)
 
 
 def test_analyze_reports_an_oversized_tangent_system_inconclusive(capsys, pattern_file, monkeypatch):
@@ -924,14 +935,13 @@ def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):
     [
         (
             "110\n110\n110\n110\n", 1, "empty columns: 3", 2,
-            "6d20eaad4e3e6ad4e67c0cb3d0623dc5dec14ed1729f4e68b519463f12736e72",
-            "855a46a1463ce6251efc53429d65b1ca67a34b3eb8617c84a46e5b9552f7708d",
+            "a833e655e0220018c1f118c7f8f433625bd6b09b2f139495b2f3250cb5c2ba7f",
+            "0dc1ef04f8ae91b13ffe1caf35107f5beefd2d721f0a90c4859984e05ae01a0b",
         ),
         (
-            "110\n110\n110\n110\n", 2,
-            "section jacobian rank: inconclusive (column 3 has 0 observed rows, fewer than r=2)", 2,
-            "959695766946a7906242b4b5fe3b29f1ab0bfe4e431d49df629adf7746e206f8",
-            "431ed7c921e62dc073bc4106aa51a14f3171c5cea19c138d6e2c9cc490f81f03",
+            "110\n110\n110\n110\n", 2, "section jacobian rank: pass (4/4, 1/1 trials)", 2,
+            "426d8e6c0c1dd222b512fc80704f7906a621f82b77e0f55a795a1bed1542c609",
+            "2ccd4c53bd17ab96fd7f2c3ea7c3616302b77cb5d957f5fb24207423981b4aeb",
         ),
         (
             "1100\n1100\n0011\n0010\n", 1, "relaxed SLMF: fail (inequality, rows {1,2})", 2,
@@ -949,7 +959,7 @@ def test_export_system_rank_above_m_names_the_bound_exit_64(capsys, tmp_path):
             "3f7ff37c5834b2d65a579d4019ab30a484a896e9f6d1ff1e31884959e5ff7197",
         ),
     ],
-    ids=["empty-columns", "empty-column-section-inconclusive", "violating-rows", "partition", "subset-limit"],
+    ids=["empty-columns", "empty-column-section-pass", "violating-rows", "partition", "subset-limit"],
 )
 def test_text_report_line(capsys, tmp_path, grid, r, line, code, text_sha, json_sha):
     """A line of each optional form in the text report; every other byte of the text
@@ -1079,7 +1089,7 @@ def test_export_system_streams_both_files(capsys, tmp_path):
     system = export_plucker_system(observed_from_csv(text), 5)
     assert system.shape == (1, 201376)
     assert prefix.with_suffix(".csv").read_text() == system.to_csv()
-    assert prefix.with_suffix(".json").read_text() == json.dumps(system.index_map()) + "\n"
+    assert prefix.with_suffix(".json").read_text() == json.dumps(reference_index_map(system)) + "\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -1543,7 +1553,6 @@ def test_the_public_api_is_this_list():
         "RankReport",
         "RelaxedSlmfVerdict",
         "SearchOutcome",
-        "SectionTestError",
         "Slmf",
         "SlmfVerdict",
         "SlmfWitness",

@@ -25,7 +25,6 @@ from completable import (
     ObservedMatrix,
     PluckerVector,
     RankReport,
-    SectionTestError,
     Slmf,
     SubspaceBasis,
     TangentSizeError,
@@ -49,6 +48,7 @@ from conftest import (
     index_map_text,
     reference_degenerate_projections,
     reference_export_csv,
+    reference_index_map,
     reference_is_row_basis,
     reference_rank_mod_p,
     reference_section_rows,
@@ -915,10 +915,20 @@ def test_grassmann_single_column_is_bounded_by_its_sections():
         grassmann_section_rank_test(single, 2)
 
 
-def test_grassmann_rejects_column_below_r(pattern_6x5):
+def test_grassmann_passes_beside_a_failing_jacobian_on_short_columns(pattern_6x5):
+    """A column of fewer than r rows has no section rows and leaves r minus its
+    size directions of its coefficients c_j free, so the section rank is the
+    Jacobian rank minus sum_j min(#omega_j, r). On the 4 x 3 grid 110/110/110/110
+    at r = 2 the two full columns give rank 4 = r(m - r) and the empty third
+    column leaves c_3 free: section 4/4 beside Jacobian 8/10, its (r+1)-core
+    bound, in one trial. The 6 x 5 fixture without (2, 3) keeps one row in
+    column 3: section 8/8 beside Jacobian 17/18, less 2 + 2 + 1 + 2 + 2."""
+    grid = parse_pattern("110\n110\n110\n110\n")
+    assert jacobian_rank_test(grid, 2) == RankReport(8, 10, 1)
+    assert grassmann_section_rank_test(grid, 2) == RankReport(4, 4, 1)
     thinned = pattern_6x5.restrict(pattern_6x5.entries - {(1, 2)})
-    with pytest.raises(SectionTestError, match="column 3"):
-        grassmann_section_rank_test(thinned, 2)
+    assert jacobian_rank_test(thinned, 2) == RankReport(17, 18, 1)
+    assert grassmann_section_rank_test(thinned, 2) == RankReport(8, 8, 1)
 
 
 def test_export_row_for_a_three_row_column(pattern_6x5):
@@ -959,7 +969,7 @@ def test_export_empty_pattern_is_an_empty_system():
     system = export_plucker_system(ObservedMatrix(empty, {}), 2)
     assert system.matrix.shape == (0, 6)
     assert system.to_csv() == ""
-    assert system.index_map()["rows"] == []
+    assert reference_index_map(system)["rows"] == []
 
 
 def test_export_holds_only_the_row_cells():
@@ -1153,7 +1163,7 @@ def test_index_map_json_at_the_edges(m, n, support, r):
     """The level-built subset list is ``json.dumps``'s, at r = 1 and r = m too, and with no rows."""
     pattern = ObservationPattern(m, n, frozenset((i, j) for i in range(support) for j in range(n)))
     system = export_plucker_system(ObservedMatrix(pattern, {e: 1.0 for e in pattern.entries}), r)
-    assert index_map_text(system) == json.dumps(system.index_map())
+    assert index_map_text(system) == json.dumps(reference_index_map(system))
 
 
 def test_write_csv_writes_bytes_with_newline_ends(pattern_6x5):
